@@ -79,7 +79,7 @@ func Bipartite(cfg BipartiteConfig) (*graph.Graph, int, error) {
 		return nil, 0, err
 	}
 
-	b := graph.NewBuilder(n, true).Weighted().Dedup()
+	b := graph.NewBuilder(n, true).Weighted().Dedup().Grow(int(cfg.NumEdges))
 	for i := int64(0); i < cfg.NumEdges; i++ {
 		u := uint32(userAlias.Draw(r))
 		v := uint32(users + itemAlias.Draw(r))

@@ -13,6 +13,7 @@ package gen
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"gcbench/internal/graph"
 	"gcbench/internal/rng"
@@ -79,6 +80,7 @@ func PowerLaw(cfg PowerLawConfig) (*graph.Graph, error) {
 	if cfg.Weighted {
 		b.Weighted()
 	}
+	b.Grow(int(cfg.NumEdges))
 	for i := int64(0); i < cfg.NumEdges; i++ {
 		u := uint32(alias.Draw(r))
 		v := uint32(alias.Draw(r))
@@ -107,8 +109,40 @@ func vertexCountFor(nedges int64, alpha float64) int {
 	return n
 }
 
-// powerLawMean returns E[k] of the truncated power law on [1, kmax].
+// powerLawMean returns E[k] of the truncated power law on [1, kmax]. The
+// sum is kmax math.Pow calls — most of the cost of generating a small
+// graph — and a campaign asks for the same few alphas over and over, so
+// results are memoized. The memo returns what the sum returned, bit for
+// bit; vertex counts, and so whole graphs, hang on it.
 func powerLawMean(kmax int, alpha float64) float64 {
+	key := meanKey{kmax, alpha}
+	meanMemo.Lock()
+	defer meanMemo.Unlock()
+	mean, ok := meanMemo.m[key]
+	if !ok {
+		if len(meanMemo.m) >= meanMemoCap {
+			clear(meanMemo.m) // callers may pass arbitrary alphas; stay bounded
+		}
+		mean = sumPowerLawMean(kmax, alpha)
+		meanMemo.m[key] = mean
+	}
+	return mean
+}
+
+type meanKey struct {
+	kmax  int
+	alpha float64
+}
+
+const meanMemoCap = 256
+
+var meanMemo = struct {
+	sync.Mutex
+	m map[meanKey]float64
+}{m: map[meanKey]float64{}}
+
+// sumPowerLawMean computes powerLawMean term by term.
+func sumPowerLawMean(kmax int, alpha float64) float64 {
 	var num, den float64
 	for k := 1; k <= kmax; k++ {
 		p := math.Pow(float64(k), -alpha)

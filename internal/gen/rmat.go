@@ -47,7 +47,7 @@ func RMAT(cfg RMATConfig) (*graph.Graph, error) {
 	r := rng.New(cfg.Seed)
 	n := 1 << cfg.Scale
 
-	builder := graph.NewBuilder(n, cfg.Directed).Dedup()
+	builder := graph.NewBuilder(n, cfg.Directed).Dedup().Grow(int(cfg.NumEdges))
 	if cfg.SortAdjacency {
 		builder.SortAdjacency()
 	}
@@ -114,6 +114,7 @@ func ErdosRenyi(cfg ErdosRenyiConfig) (*graph.Graph, error) {
 	target := cfg.NumEdges
 	oversample := float64(target) / float64(maxEdges)
 	extra := int64(float64(target) * (0.5*oversample + 0.01))
+	b.Grow(int(target + extra))
 	for i := int64(0); i < target+extra; i++ {
 		u := uint32(r.Intn(cfg.NumVertices))
 		v := uint32(r.Intn(cfg.NumVertices))

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -39,7 +41,9 @@ func (b *Builder) Weighted() *Builder { b.weighted = true; return b }
 func (b *Builder) Dedup() *Builder { b.dedup = true; return b }
 
 // SortAdjacency requests neighbor lists sorted by vertex ID (needed by
-// triangle counting's sorted-merge intersection).
+// triangle counting's sorted-merge intersection). The sort is stable:
+// without Dedup, parallel arcs to one neighbor keep their recording order.
+// With Dedup the lists come out sorted whether or not this is set.
 func (b *Builder) SortAdjacency() *Builder { b.sortAdj = true; return b }
 
 // KeepSelfLoops retains self-loop edges, which are dropped by default.
@@ -61,13 +65,36 @@ func (b *Builder) AddWeightedEdge(u, v uint32, w float64) {
 // NumPending returns the number of edges recorded so far.
 func (b *Builder) NumPending() int { return len(b.src) }
 
-// Build materializes the CSR graph. The Builder must not be reused after.
+// Grow reserves room for m more edges: one allocation per column instead
+// of append's doublings. Call it after Weighted.
+func (b *Builder) Grow(m int) *Builder {
+	b.src, b.dst = slices.Grow(b.src, m), slices.Grow(b.dst, m)
+	if b.weighted {
+		b.w = slices.Grow(b.w, m)
+	}
+	return b
+}
+
+// checkEdgeCount rejects edge lists the builder's uint32 bucket cursors
+// cannot address.
+func checkEdgeCount(m int64) error {
+	if m > math.MaxUint32 {
+		return fmt.Errorf("graph: %d pending edges exceed the builder's 32-bit edge index", m)
+	}
+	return nil
+}
+
+// Build materializes the CSR graph in time linear in edges plus vertices.
+// The Builder must not be reused after.
 func (b *Builder) Build() (*Graph, error) {
 	if b.n <= 0 {
 		return nil, fmt.Errorf("graph: builder needs a positive vertex count, got %d", b.n)
 	}
 	if b.n > 1<<31 {
 		return nil, fmt.Errorf("graph: vertex count %d exceeds uint32 ID space", b.n)
+	}
+	if err := checkEdgeCount(int64(len(b.src))); err != nil {
+		return nil, err
 	}
 	for i := range b.src {
 		if int(b.src[i]) >= b.n || int(b.dst[i]) >= b.n {
@@ -94,10 +121,7 @@ func (b *Builder) Build() (*Graph, error) {
 			}
 			k++
 		}
-		b.src, b.dst = b.src[:k], b.dst[:k]
-		if b.weighted {
-			b.w = b.w[:k]
-		}
+		b.truncate(k)
 	}
 
 	if b.dedup {
@@ -106,130 +130,169 @@ func (b *Builder) Build() (*Graph, error) {
 
 	g := &Graph{
 		numVertices: b.n,
+		numEdges:    int64(len(b.src)),
 		directed:    b.directed,
 		adjSorted:   b.sortAdj,
 	}
-
+	g.outOff, g.outAdj, g.outW = buildCSR(b.n, b.src, b.dst, b.w, !b.directed, b.sortAdj)
 	if b.directed {
-		g.numEdges = int64(len(b.src))
-		g.outOff, g.outAdj, g.outW = buildCSR(b.n, b.src, b.dst, b.w, b.sortAdj)
 		// Transpose, tracking the originating out-arc of each in-arc.
 		g.inOff, g.inAdj, g.inArc = buildTranspose(b.n, g.outOff, g.outAdj)
 	} else {
-		g.numEdges = int64(len(b.src))
-		// Double every edge into both directions.
-		src2 := make([]uint32, 0, 2*len(b.src))
-		dst2 := make([]uint32, 0, 2*len(b.src))
-		var w2 []float64
-		if b.weighted {
-			w2 = make([]float64, 0, 2*len(b.w))
-		}
-		for i := range b.src {
-			src2 = append(src2, b.src[i], b.dst[i])
-			dst2 = append(dst2, b.dst[i], b.src[i])
-			if b.weighted {
-				w2 = append(w2, b.w[i], b.w[i])
-			}
-		}
-		g.outOff, g.outAdj, g.outW = buildCSR(b.n, src2, dst2, w2, b.sortAdj)
 		g.inOff, g.inAdj, g.inArc = g.outOff, g.outAdj, nil
 	}
 	return g, nil
 }
 
-// dedupEdges removes parallel edges in-place. For undirected builders the
-// canonical key orders endpoints so (u,v) and (v,u) collapse.
+// dedupEdges removes parallel edges, keeping the first recorded of each
+// pair (and so its weight), and leaves the survivors ordered by (src, dst).
+// Undirected builders first turn every edge low endpoint first, so that
+// (u,v) and (v,u) collapse; which arc of the two was recorded does not
+// show in an undirected CSR. The ordering is an LSD radix sort with vertex
+// IDs as digits — a stable counting sort by dst, then one by src — so it
+// costs O(E+n).
 func (b *Builder) dedupEdges() {
-	type rec struct {
-		key uint64
-		pos int
-	}
-	recs := make([]rec, len(b.src))
-	for i := range b.src {
-		u, v := b.src[i], b.dst[i]
-		if !b.directed && u > v {
-			u, v = v, u
+	n := b.n
+	bySrc, byDst := make([]uint32, n+1), make([]uint32, n+1)
+	for i, u := range b.src {
+		v := b.dst[i]
+		if !b.directed {
+			u, v = min(u, v), max(u, v)
+			b.src[i], b.dst[i] = u, v
 		}
-		recs[i] = rec{uint64(u)<<32 | uint64(v), i}
+		bySrc[u+1]++
+		byDst[v+1]++
 	}
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].key != recs[j].key {
-			return recs[i].key < recs[j].key
-		}
-		return recs[i].pos < recs[j].pos
-	})
-	src := make([]uint32, 0, len(b.src))
-	dst := make([]uint32, 0, len(b.dst))
+	for i := 1; i <= n; i++ {
+		bySrc[i] += bySrc[i-1]
+		byDst[i] += byDst[i-1]
+	}
+	// by*[k] is now bucket k's write cursor, and its end once filled.
+	// Pass 1, by dst. A slot's dst is the bucket it lies in, so only the
+	// src (and the weight) moves.
+	src := make([]uint32, len(b.src))
 	var w []float64
 	if b.weighted {
-		w = make([]float64, 0, len(b.w))
+		w = make([]float64, len(b.w))
 	}
-	var prev uint64 = ^uint64(0)
-	for _, r := range recs {
-		if r.key == prev {
-			continue
-		}
-		prev = r.key
-		src = append(src, b.src[r.pos])
-		dst = append(dst, b.dst[r.pos])
+	for i, v := range b.dst {
+		p := byDst[v]
+		byDst[v]++
+		src[p] = b.src[i]
 		if b.weighted {
-			w = append(w, b.w[r.pos])
+			w[p] = b.w[i]
 		}
 	}
-	b.src, b.dst, b.w = src, dst, w
+	// Pass 2, by src, back into the builder's own columns, which pass 1
+	// has finished reading.
+	p := uint32(0)
+	for v := 0; v < n; v++ {
+		for ; p < byDst[v]; p++ {
+			q := bySrc[src[p]]
+			bySrc[src[p]]++
+			b.dst[q] = uint32(v)
+			if b.weighted {
+				b.w[q] = w[p]
+			}
+		}
+	}
+	// Keep the first of each run of equal pairs, compacting in place: slot
+	// k never overtakes slot q.
+	k, q := 0, uint32(0)
+	for u := 0; u < n; u++ {
+		for ; q < bySrc[u]; q++ {
+			v := b.dst[q]
+			if k > 0 && b.src[k-1] == uint32(u) && b.dst[k-1] == v {
+				continue
+			}
+			b.src[k], b.dst[k] = uint32(u), v
+			if b.weighted {
+				b.w[k] = b.w[q]
+			}
+			k++
+		}
+	}
+	b.truncate(k)
 }
 
-// buildCSR counting-sorts arcs by source into offset/adjacency arrays.
-func buildCSR(n int, src, dst []uint32, w []float64, sortAdj bool) ([]int64, []uint32, []float64) {
+// truncate keeps the first k pending edges.
+func (b *Builder) truncate(k int) {
+	b.src, b.dst = b.src[:k], b.dst[:k]
+	if b.weighted {
+		b.w = b.w[:k]
+	}
+}
+
+// buildCSR counting-sorts arcs by source into offset/adjacency arrays,
+// each list in edge order. With both set, every edge also yields its
+// reverse arc, placed right after the forward one: the undirected layout,
+// with no doubled edge list in between.
+func buildCSR(n int, src, dst []uint32, w []float64, both, sortAdj bool) ([]int64, []uint32, []float64) {
 	off := make([]int64, n+1)
-	for _, u := range src {
+	for i, u := range src {
 		off[u+1]++
+		if both {
+			off[dst[i]+1]++
+		}
 	}
 	for i := 1; i <= n; i++ {
 		off[i] += off[i-1]
 	}
-	adj := make([]uint32, len(src))
+	adj := make([]uint32, off[n])
 	var weights []float64
 	if w != nil {
-		weights = make([]float64, len(src))
+		weights = make([]float64, off[n])
 	}
-	cursor := make([]int64, n)
-	copy(cursor, off[:n])
-	for i := range src {
-		p := cursor[src[i]]
-		cursor[src[i]]++
-		adj[p] = dst[i]
+	// off[u] doubles as u's write cursor, which leaves it at the end of u's
+	// list, where u+1's begins: shift the array back afterwards.
+	for i, u := range src {
+		v := dst[i]
+		p := off[u]
+		off[u]++
+		adj[p] = v
 		if w != nil {
 			weights[p] = w[i]
 		}
+		if both {
+			q := off[v]
+			off[v]++
+			adj[q] = u
+			if w != nil {
+				weights[q] = w[i]
+			}
+		}
 	}
+	copy(off[1:], off[:n])
+	off[0] = 0
 	if sortAdj {
+		// Dedup leaves every list sorted already; only a list built without
+		// it can fail the check and pay for a sort.
 		for v := 0; v < n; v++ {
-			lo, hi := off[v], off[v+1]
+			list := adj[off[v]:off[v+1]]
+			if slices.IsSorted(list) {
+				continue
+			}
 			if weights == nil {
-				s := adj[lo:hi]
-				sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+				slices.Sort(list)
 			} else {
-				sortArcsByTarget(adj[lo:hi], weights[lo:hi])
+				sort.Stable(arcsByTarget{list, weights[off[v]:off[v+1]]})
 			}
 		}
 	}
 	return off, adj, weights
 }
 
-// sortArcsByTarget co-sorts an adjacency slice and its weights by target ID.
-func sortArcsByTarget(adj []uint32, w []float64) {
-	idx := make([]int, len(adj))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool { return adj[idx[i]] < adj[idx[j]] })
-	adjCopy := append([]uint32(nil), adj...)
-	wCopy := append([]float64(nil), w...)
-	for i, p := range idx {
-		adj[i] = adjCopy[p]
-		w[i] = wCopy[p]
-	}
+// arcsByTarget co-sorts an adjacency list and its weights by target ID.
+type arcsByTarget struct {
+	adj []uint32
+	w   []float64
+}
+
+func (a arcsByTarget) Len() int           { return len(a.adj) }
+func (a arcsByTarget) Less(i, j int) bool { return a.adj[i] < a.adj[j] }
+func (a arcsByTarget) Swap(i, j int) {
+	a.adj[i], a.adj[j] = a.adj[j], a.adj[i]
+	a.w[i], a.w[j] = a.w[j], a.w[i]
 }
 
 // buildTranspose constructs in-adjacency from out-CSR, recording for each

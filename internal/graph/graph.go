@@ -58,7 +58,9 @@ func (g *Graph) NumVertices() int { return g.numVertices }
 func (g *Graph) NumEdges() int64 { return g.numEdges }
 
 // NumArcs returns the number of directed CSR slots: NumEdges for directed
-// graphs, 2×NumEdges for undirected ones (self-loops occupy one arc).
+// graphs, 2×NumEdges for undirected ones. That holds for self-loops kept
+// with KeepSelfLoops too: an undirected loop at v is stored as two arcs
+// v→v, a directed one as one.
 func (g *Graph) NumArcs() int64 { return int64(len(g.outAdj)) }
 
 // Directed reports whether the graph is directed.

@@ -8,8 +8,14 @@ import (
 // Alias samples from an arbitrary discrete distribution in O(1) per draw
 // using Vose's alias method. Construction is O(n).
 type Alias struct {
-	prob  []float64 // probability of returning i directly from column i
-	alias []int32   // fallback outcome for column i
+	cols []aliasColumn
+}
+
+// aliasColumn keeps both halves of a column side by side, so a draw —
+// one random column — touches one cache line, not one per array.
+type aliasColumn struct {
+	prob  float64 // probability of returning i directly from column i
+	alias int32   // fallback outcome for column i
 }
 
 // NewAlias builds an alias table for the given non-negative weights.
@@ -31,10 +37,7 @@ func NewAlias(weights []float64) (*Alias, error) {
 		return nil, fmt.Errorf("rng: weights sum to zero")
 	}
 
-	a := &Alias{
-		prob:  make([]float64, n),
-		alias: make([]int32, n),
-	}
+	a := &Alias{cols: make([]aliasColumn, n)}
 	// Scale so the average column holds exactly 1.0 of probability mass.
 	scaled := make([]float64, n)
 	for i, w := range weights {
@@ -54,8 +57,7 @@ func NewAlias(weights []float64) (*Alias, error) {
 		small = small[:len(small)-1]
 		l := large[len(large)-1]
 		large = large[:len(large)-1]
-		a.prob[s] = scaled[s]
-		a.alias[s] = l
+		a.cols[s] = aliasColumn{scaled[s], l}
 		scaled[l] = (scaled[l] + scaled[s]) - 1
 		if scaled[l] < 1 {
 			small = append(small, l)
@@ -65,27 +67,29 @@ func NewAlias(weights []float64) (*Alias, error) {
 	}
 	// Numerical residue: remaining columns carry full mass.
 	for _, i := range large {
-		a.prob[i] = 1
-		a.alias[i] = i
+		a.cols[i] = aliasColumn{1, i}
 	}
 	for _, i := range small {
-		a.prob[i] = 1
-		a.alias[i] = i
+		a.cols[i] = aliasColumn{1, i}
 	}
 	return a, nil
 }
 
 // N returns the number of outcomes.
-func (a *Alias) N() int { return len(a.prob) }
+func (a *Alias) N() int { return len(a.cols) }
 
 // Draw returns an outcome in [0, N()) with probability proportional to its
 // construction weight.
 func (a *Alias) Draw(r *Source) int {
-	i := r.Intn(len(a.prob))
-	if r.Float64() < a.prob[i] {
-		return i
+	i := r.Intn(len(a.cols))
+	c := a.cols[i]
+	// A conditional move, not a branch: the comparison is a coin flip no
+	// predictor learns, and it waits on the column's cache miss.
+	out := int(c.alias)
+	if r.Float64() < c.prob {
+		out = i
 	}
-	return int(a.alias[i])
+	return out
 }
 
 // PowerLawWeights returns weights w_k proportional to k^(-alpha) for

@@ -319,9 +319,20 @@ func specWorkload(spec Spec, cache *graphCache) (model.Workload, error) {
 	return model.Workload{}, fmt.Errorf("sweep: unknown algorithm %q", spec.Algorithm)
 }
 
+// gaEntry is the cached Graph Analytics / Clustering graph of one
+// structure. Only K-Means reads vertex features, so they are drawn by the
+// first KM spec that uses the entry, not with the graph.
+type gaEntry struct {
+	g        *graph.Graph
+	features sync.Once
+	err      error // of attaching the features
+}
+
 // gaGraph builds (or fetches) the shared Graph Analytics / Clustering
-// graph for a spec: undirected, sorted adjacency (for TC), with 2-D
-// Gaussian features attached (for KM).
+// graph for a spec: undirected, sorted adjacency (for TC), and, once a KM
+// spec has asked for it, 2-D Gaussian features. Specs of other algorithms
+// may be running over the graph while the features are attached; they
+// never read them, and KM specs meet at the Once.
 func gaGraph(spec Spec, cache *graphCache) (*graph.Graph, error) {
 	v, err := cache.getOrBuild(spec.cacheKey(), func() (any, error) {
 		g, err := gen.PowerLaw(gen.PowerLawConfig{
@@ -333,16 +344,22 @@ func gaGraph(spec Spec, cache *graphCache) (*graph.Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		pts := gen.GaussianPoints2D(g.NumVertices(), 8, 15, spec.Seed^0xfeed)
-		if err := g.SetFeatures(2, pts); err != nil {
-			return nil, err
-		}
-		return g, nil
+		return &gaEntry{g: g}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*graph.Graph), nil
+	e := v.(*gaEntry)
+	if spec.Algorithm == algorithms.KM {
+		e.features.Do(func() {
+			pts := gen.GaussianPoints2D(e.g.NumVertices(), 8, 15, spec.Seed^0xfeed)
+			e.err = e.g.SetFeatures(2, pts)
+		})
+		if e.err != nil {
+			return nil, e.err
+		}
+	}
+	return e.g, nil
 }
 
 // SaveRuns writes the corpus as JSON.
