@@ -153,7 +153,7 @@ func AlternatingLeastSquares(g *graph.Graph, numUsers int, opt ALSOptions) (*Out
 		opt.MaxIterations = 500
 	}
 	p := &alsProgram{numUsers: numUsers, lambda: lambda, tol: tol}
-	res, err := engine.Run[cfState, alsAccum](g, p, opt.engineOptions())
+	res, err := engine.Run(g, engine.PerEdge[cfState, alsAccum](p), opt.engineOptions())
 	if err != nil {
 		return nil, nil, err
 	}

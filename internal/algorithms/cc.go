@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"fmt"
+	"math"
 
 	"gcbench/internal/engine"
 	"gcbench/internal/graph"
@@ -18,13 +19,21 @@ func (ccProgram) Init(_ *graph.Graph, v uint32) (uint32, bool) { return v, true 
 
 func (ccProgram) GatherDirection() engine.Direction { return engine.In }
 
-func (ccProgram) Gather(_ uint32, _ engine.Arc, _, other uint32) uint32 { return other }
-
-func (ccProgram) Sum(a, b uint32) uint32 {
-	if a < b {
-		return a
+// Gather continues the minimum over one run of neighbor labels. MaxUint32
+// is the identity of min, so a fold with nothing in it yet starts there.
+func (ccProgram) Gather(_, _ uint32, nb *engine.Edges[uint32], acc *uint32, has bool) bool {
+	best := uint32(math.MaxUint32)
+	if has {
+		best = *acc
 	}
-	return b
+	state := nb.State
+	for _, o := range nb.Other {
+		if l := state[o]; l < best {
+			best = l
+		}
+	}
+	*acc = best
+	return true
 }
 
 func (ccProgram) Apply(_ uint32, self, acc uint32, hasAcc bool) uint32 {
@@ -36,9 +45,14 @@ func (ccProgram) Apply(_ uint32, self, acc uint32, hasAcc bool) uint32 {
 
 func (ccProgram) ScatterDirection() engine.Direction { return engine.Out }
 
-// Scatter signals a neighbor whose label this vertex can still improve.
-func (ccProgram) Scatter(_ uint32, _ engine.Arc, self, other uint32) bool {
-	return self < other
+// Scatter signals every neighbor whose label this vertex can still improve.
+func (ccProgram) Scatter(_, self uint32, nb *engine.Edges[uint32], out *engine.Signals) {
+	state := nb.State
+	for _, o := range nb.Other {
+		if self < state[o] {
+			out.Send(o)
+		}
+	}
 }
 
 // ConnectedComponents labels each vertex with its component's minimum
@@ -51,13 +65,18 @@ func ConnectedComponents(g *graph.Graph, opt Options) (*Output, []uint32, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	distinct := make(map[uint32]struct{})
+	// Labels are vertex IDs, so distinct labels are counted by marking.
+	seen := make([]bool, len(res.States))
+	components := 0
 	for _, label := range res.States {
-		distinct[label] = struct{}{}
+		if !seen[label] {
+			seen[label] = true
+			components++
+		}
 	}
 	out := &Output{
 		Trace:   res.Trace,
-		Summary: map[string]float64{"components": float64(len(distinct))},
+		Summary: map[string]float64{"components": float64(components)},
 	}
 	return out, res.States, nil
 }

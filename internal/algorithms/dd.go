@@ -206,7 +206,7 @@ func DualDecomposition(m *graph.MRF, opt DDOptions) (*Output, []int, error) {
 		step:    step0,
 		theta:   theta,
 	}
-	res, err := engine.Run[ddState, float64](m.G, p, opt.engineOptions())
+	res, err := engine.Run(m.G, engine.PerEdge[ddState, float64](p), opt.engineOptions())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -101,7 +101,7 @@ func ApproximateDiameter(g *graph.Graph, opt Options) (*Output, int, error) {
 		return nil, 0, fmt.Errorf("algorithms: AD requires an undirected graph")
 	}
 	p := &adProgram{}
-	res, err := engine.Run[adState, adState](g, p, opt.engineOptions())
+	res, err := engine.Run(g, engine.PerEdge[adState, adState](p), opt.engineOptions())
 	if err != nil {
 		return nil, 0, err
 	}

@@ -99,7 +99,7 @@ func JacobiSolve(sys *gen.MatrixSystem, opt JacobiOptions) (*Output, []float64, 
 		opt.MaxIterations = 10000
 	}
 	p := &jacobiProgram{diag: sys.Diag, b: sys.B, tol: tol}
-	res, err := engine.Run[jacobiState, float64](g, p, opt.engineOptions())
+	res, err := engine.Run(g, engine.PerEdge[jacobiState, float64](p), opt.engineOptions())
 	if err != nil {
 		return nil, nil, err
 	}

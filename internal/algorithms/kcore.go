@@ -94,7 +94,7 @@ func KCoreDecomposition(g *graph.Graph, opt Options) (*Output, []int32, error) {
 		return nil, nil, fmt.Errorf("algorithms: KC requires an undirected graph")
 	}
 	p := &kcProgram{k: 1}
-	res, err := engine.Run[kcState, int32](g, p, opt.engineOptions())
+	res, err := engine.Run(g, engine.PerEdge[kcState, int32](p), opt.engineOptions())
 	if err != nil {
 		return nil, nil, err
 	}

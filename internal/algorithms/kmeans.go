@@ -196,7 +196,7 @@ func KMeans(g *graph.Graph, opt KMeansOptions) (*Output, []int32, error) {
 		p.centroids[i] = [2]float64{pt[0], pt[1]}
 	}
 
-	res, err := engine.Run[kmState, kmVotes](g, p, opt.engineOptions())
+	res, err := engine.Run(g, engine.PerEdge[kmState, kmVotes](p), opt.engineOptions())
 	if err != nil {
 		return nil, nil, err
 	}

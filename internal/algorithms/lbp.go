@@ -198,7 +198,7 @@ func LoopyBeliefPropagation(m *graph.MRF, opt LBPOptions) (*Output, []int, error
 	}
 	copy(p.inbox, p.msg)
 
-	res, err := engine.Run[lbpState, lbpBelief](m.G, p, opt.engineOptions())
+	res, err := engine.Run(m.G, engine.PerEdge[lbpState, lbpBelief](p), opt.engineOptions())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -96,7 +96,7 @@ func NonnegativeMatrixFactorization(g *graph.Graph, numUsers int, opt NMFOptions
 		iters = cfIterationCap
 	}
 	p := &nmfProgram{iters: iters}
-	res, err := engine.Run[cfState, nmfAccum](g, p, opt.engineOptions())
+	res, err := engine.Run(g, engine.PerEdge[cfState, nmfAccum](p), opt.engineOptions())
 	if err != nil {
 		return nil, nil, err
 	}

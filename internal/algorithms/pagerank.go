@@ -73,7 +73,7 @@ func PageRank(g *graph.Graph, opt PageRankOptions) (*Output, []float64, error) {
 		tol = 1e-3
 	}
 	p := &prProgram{g: g, damping: damping, tol: tol}
-	res, err := engine.Run[prState, float64](g, p, opt.engineOptions())
+	res, err := engine.Run(g, engine.PerEdge[prState, float64](p), opt.engineOptions())
 	if err != nil {
 		return nil, nil, err
 	}

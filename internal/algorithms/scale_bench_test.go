@@ -1,0 +1,213 @@
+package algorithms
+
+import (
+	"fmt"
+	"math"
+	"math/bits"
+	"slices"
+	"testing"
+	"time"
+
+	"gcbench/internal/graph"
+	"gcbench/internal/trace"
+)
+
+// runTotals are one run's behavior counters and per-phase times, from the
+// engine's trace or from the floor.
+type runTotals struct {
+	iterations, updates, edgeReads, messages int64
+	gather, apply, scatter                   time.Duration
+}
+
+// floorMinPropagation is the hand-coded floor under the engine: the same
+// synchronous gather/apply/scatter min-propagation CC and SSSP run (CC:
+// step 0 from every vertex; unit-length SSSP: step 1 from one source),
+// written straight against the CSR arrays on one goroutine with nothing
+// in between — no program interface, no scheduler, no spans. Its
+// counters are the engine's by construction, so the time between the two
+// is what the engine layer costs; what is left is memory.
+func floorMinPropagation[T uint32 | float64](g *graph.Graph, state []T, active []uint32, step, inf T) runTotals {
+	csr := g.OutCSR() // undirected: both sides
+	off, adj := csr.Off, csr.Adj
+	acc := make([]T, len(state))
+	next := make([]uint64, (len(state)+63)/64)
+	var tot runTotals
+	for len(active) > 0 {
+		tot.iterations++
+		t0 := time.Now()
+		for _, v := range active {
+			a := inf
+			for _, o := range adj[off[v]:off[v+1]] {
+				if c := state[o] + step; c < a {
+					a = c
+				}
+			}
+			acc[v] = a
+			tot.edgeReads += off[v+1] - off[v]
+		}
+		t1 := time.Now()
+		for _, v := range active {
+			if acc[v] < state[v] {
+				state[v] = acc[v]
+			}
+		}
+		tot.updates += int64(len(active))
+		t2 := time.Now()
+		for _, v := range active {
+			self := state[v] + step
+			for _, o := range adj[off[v]:off[v+1]] {
+				if self < state[o] {
+					next[o>>6] |= 1 << (o & 63)
+					tot.messages++
+				}
+			}
+		}
+		tot.gather += t1.Sub(t0)
+		tot.apply += t2.Sub(t1)
+		tot.scatter += time.Since(t2)
+		active = active[:0]
+		for wi, w := range next {
+			for ; w != 0; w &= w - 1 {
+				active = append(active, uint32(wi<<6+bits.TrailingZeros64(w)))
+			}
+			next[wi] = 0
+		}
+	}
+	return tot
+}
+
+func floorCC(g *graph.Graph) ([]uint32, runTotals) {
+	n := g.NumVertices()
+	state, active := make([]uint32, n), make([]uint32, n)
+	for v := range state {
+		state[v], active[v] = uint32(v), uint32(v)
+	}
+	return state, floorMinPropagation(g, state, active, 0, math.MaxUint32)
+}
+
+func floorSSSP(g *graph.Graph, source uint32) ([]float64, runTotals) {
+	state := make([]float64, g.NumVertices())
+	for v := range state {
+		state[v] = math.Inf(1)
+	}
+	state[source] = 0
+	active := make([]uint32, 1, len(state))
+	active[0] = source
+	return state, floorMinPropagation(g, state, active, 1, math.Inf(1))
+}
+
+// maxDegreeVertex is the SSSP source every execution model uses
+// (model.MaxDegreeVertex, which this package cannot import).
+func maxDegreeVertex(g *graph.Graph) uint32 {
+	best := uint32(0)
+	for v := uint32(0); int(v) < g.NumVertices(); v++ {
+		if g.OutDegree(v) > g.OutDegree(best) {
+			best = v
+		}
+	}
+	return best
+}
+
+func traceTotals(tr *trace.RunTrace) runTotals {
+	var tot runTotals
+	for _, it := range tr.Iterations {
+		tot.iterations++
+		tot.updates += it.Updates
+		tot.edgeReads += it.EdgeReads
+		tot.messages += it.Messages
+		tot.gather += it.GatherWall
+		tot.apply += it.ApplyWall
+		tot.scatter += it.ScatterWall
+	}
+	return tot
+}
+
+// TestFloorMatchesEngine pins the floor to the engine: same final states
+// and same behavior counters, or the distance between them means nothing.
+func TestFloorMatchesEngine(t *testing.T) {
+	g := powerLawGraph(t, 20_000, 2.2, 5, true)
+	out, labels, err := ConnectedComponents(g, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	floorLabels, floor := floorCC(g)
+	if !slices.Equal(labels, floorLabels) {
+		t.Fatal("CC: engine and floor labels differ")
+	}
+	sameCounters(t, "CC", traceTotals(out.Trace), floor)
+
+	src := maxDegreeVertex(g)
+	out, dist, err := SingleSourceShortestPath(g, src, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	floorDist, floor := floorSSSP(g, src)
+	if !slices.Equal(dist, floorDist) {
+		t.Fatal("SSSP: engine and floor distances differ")
+	}
+	sameCounters(t, "SSSP", traceTotals(out.Trace), floor)
+}
+
+func sameCounters(t testing.TB, name string, eng, floor runTotals) {
+	t.Helper()
+	if eng.iterations != floor.iterations || eng.updates != floor.updates ||
+		eng.edgeReads != floor.edgeReads || eng.messages != floor.messages {
+		t.Fatalf("%s counters (iterations/updates/edge reads/messages): engine %d/%d/%d/%d, floor %d/%d/%d/%d",
+			name, eng.iterations, eng.updates, eng.edgeReads, eng.messages,
+			floor.iterations, floor.updates, floor.edgeReads, floor.messages)
+	}
+}
+
+// BenchmarkEngineScale runs CC and SSSP (from the max-degree vertex) on
+// 1e6-edge power-law graphs — campaign-scale's runs — on one worker, each
+// beside the hand-coded floor with asserted-equal counters. ns/edge-read
+// and the per-phase milliseconds are per run; engine minus floor is the
+// engine layer's own cost.
+func BenchmarkEngineScale(b *testing.B) {
+	for _, alpha := range []float64{2.0, 2.5, 3.0} {
+		g := powerLawGraph(b, 1_000_000, alpha, 1, true)
+		src := maxDegreeVertex(g)
+		engine := func(out *Output, err error) runTotals {
+			if err != nil {
+				b.Fatal(err)
+			}
+			return traceTotals(out.Trace)
+		}
+		algs := []struct {
+			name          string
+			engine, floor func() runTotals
+		}{
+			{"CC", func() runTotals {
+				out, _, err := ConnectedComponents(g, Options{Workers: 1})
+				return engine(out, err)
+			}, func() runTotals { _, tot := floorCC(g); return tot }},
+			{"SSSP", func() runTotals {
+				out, _, err := SingleSourceShortestPath(g, src, Options{Workers: 1})
+				return engine(out, err)
+			}, func() runTotals { _, tot := floorSSSP(g, src); return tot }},
+		}
+		for _, alg := range algs {
+			sameCounters(b, alg.name, alg.engine(), alg.floor())
+			for _, side := range []struct {
+				name string
+				run  func() runTotals
+			}{{"engine", alg.engine}, {"floor", alg.floor}} {
+				b.Run(fmt.Sprintf("%s/alpha=%.1f/%s", alg.name, alpha, side.name), func(b *testing.B) {
+					var sum runTotals
+					for i := 0; i < b.N; i++ {
+						tot := side.run()
+						sum.edgeReads += tot.edgeReads
+						sum.gather += tot.gather
+						sum.apply += tot.apply
+						sum.scatter += tot.scatter
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(sum.edgeReads), "ns/edge-read")
+					ms := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N) }
+					b.ReportMetric(ms(sum.gather), "gather-ms")
+					b.ReportMetric(ms(sum.apply), "apply-ms")
+					b.ReportMetric(ms(sum.scatter), "scatter-ms")
+				})
+			}
+		}
+	}
+}

@@ -101,7 +101,7 @@ func StochasticGradientDescent(g *graph.Graph, numUsers int, opt SGDOptions) (*O
 		iters = cfIterationCap
 	}
 	p := &sgdProgram{lr: lr, reg: reg, iters: iters}
-	res, err := engine.Run[cfState, cfFactor](g, p, opt.engineOptions())
+	res, err := engine.Run(g, engine.PerEdge[cfState, cfFactor](p), opt.engineOptions())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -24,11 +24,23 @@ func (p *ssspProgram) Init(_ *graph.Graph, v uint32) (float64, bool) {
 
 func (p *ssspProgram) GatherDirection() engine.Direction { return engine.In }
 
-func (p *ssspProgram) Gather(_ uint32, e engine.Arc, _, other float64) float64 {
-	return other + e.Weight
+// Gather continues the minimum over one run of neighbor distances plus
+// edge lengths. +Inf is the identity of min, so a fold with nothing in it
+// yet starts there.
+func (p *ssspProgram) Gather(_ uint32, _ float64, nb *engine.Edges[float64], acc *float64, has bool) bool {
+	best := math.Inf(1)
+	if has {
+		best = *acc
+	}
+	state := nb.State
+	for i, o := range nb.Other {
+		if d := state[o] + nb.Weight(i); d < best {
+			best = d
+		}
+	}
+	*acc = best
+	return true
 }
-
-func (p *ssspProgram) Sum(a, b float64) float64 { return math.Min(a, b) }
 
 func (p *ssspProgram) Apply(_ uint32, self, acc float64, hasAcc bool) float64 {
 	if hasAcc && acc < self {
@@ -39,8 +51,14 @@ func (p *ssspProgram) Apply(_ uint32, self, acc float64, hasAcc bool) float64 {
 
 func (p *ssspProgram) ScatterDirection() engine.Direction { return engine.Out }
 
-func (p *ssspProgram) Scatter(_ uint32, e engine.Arc, self, other float64) bool {
-	return self+e.Weight < other
+// Scatter signals every neighbor this vertex's distance can still relax.
+func (p *ssspProgram) Scatter(_ uint32, self float64, nb *engine.Edges[float64], out *engine.Signals) {
+	state := nb.State
+	for i, o := range nb.Other {
+		if self+nb.Weight(i) < state[o] {
+			out.Send(o)
+		}
+	}
 }
 
 // SingleSourceShortestPath computes distances from source to every vertex

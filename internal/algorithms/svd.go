@@ -226,7 +226,7 @@ func SingularValueDecomposition(g *graph.Graph, numUsers int, opt SVDOptions) (*
 		tol:           tol,
 		needNormalize: true,
 	}
-	res, err := engine.Run[svdState, float64](g, p, opt.engineOptions())
+	res, err := engine.Run(g, engine.PerEdge[svdState, float64](p), opt.engineOptions())
 	if err != nil {
 		return nil, 0, err
 	}

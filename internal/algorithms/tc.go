@@ -72,7 +72,7 @@ func TriangleCounting(g *graph.Graph, opt Options) (*Output, int64, error) {
 		return nil, 0, fmt.Errorf("algorithms: TC requires sorted adjacency (build with SortAdjacency)")
 	}
 	p := &tcProgram{g: g}
-	res, err := engine.Run[int64, int64](g, p, opt.engineOptions())
+	res, err := engine.Run(g, engine.PerEdge[int64, int64](p), opt.engineOptions())
 	if err != nil {
 		return nil, 0, err
 	}

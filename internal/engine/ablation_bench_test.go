@@ -38,7 +38,7 @@ func BenchmarkWorkerScaling(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, err := Run[float64, float64](g, rankLike{}, Options{
+				_, err := runEdge[float64, float64](g, rankLike{}, Options{
 					Workers:       workers,
 					MaxIterations: 5,
 				})

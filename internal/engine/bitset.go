@@ -1,12 +1,9 @@
 package engine
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
-// bitset is a fixed-size bitmap over vertex IDs with an atomic Set for the
-// concurrent scatter phase.
+// bitset is a fixed-size bitmap over vertex IDs. Its own methods are
+// unsynchronized; the scatter phase sets bits through Signals.
 type bitset struct {
 	words []uint64
 	n     int
@@ -16,27 +13,12 @@ func newBitset(n int) *bitset {
 	return &bitset{words: make([]uint64, (n+63)/64), n: n}
 }
 
-// Set marks bit i. Safe for concurrent use.
-func (b *bitset) Set(i uint32) {
-	w := &b.words[i>>6]
-	mask := uint64(1) << (i & 63)
-	for {
-		old := atomic.LoadUint64(w)
-		if old&mask != 0 {
-			return
-		}
-		if atomic.CompareAndSwapUint64(w, old, old|mask) {
-			return
-		}
-	}
-}
-
 // SetSerial marks bit i without synchronization (single-goroutine phases).
 func (b *bitset) SetSerial(i uint32) {
 	b.words[i>>6] |= uint64(1) << (i & 63)
 }
 
-// Get reports whether bit i is set. Not synchronized with concurrent Set.
+// Get reports whether bit i is set.
 func (b *bitset) Get(i uint32) bool {
 	return b.words[i>>6]&(uint64(1)<<(i&63)) != 0
 }
@@ -68,26 +50,19 @@ func (b *bitset) Count() int64 {
 	return c
 }
 
-// Range calls fn for every set bit in the half-open vertex range [lo, hi).
-// lo and hi must be multiples of 64 or the ends of the set.
-func (b *bitset) Range(lo, hi uint32, fn func(v uint32)) {
+// appendSet appends every set bit in the vertex range [lo, hi) to buf in
+// ascending order and returns it. lo and hi must be multiples of 64 or the
+// ends of the set (bits beyond n are never set, so whole words are taken).
+func (b *bitset) appendSet(lo, hi uint32, buf []uint32) []uint32 {
 	wLo, wHi := int(lo>>6), int((hi+63)>>6)
 	if wHi > len(b.words) {
 		wHi = len(b.words)
 	}
 	for wi := wLo; wi < wHi; wi++ {
-		w := b.words[wi]
 		base := uint32(wi) << 6
-		for w != 0 {
-			bit := uint32(bits.TrailingZeros64(w))
-			v := base + bit
-			if v >= hi {
-				return
-			}
-			if v >= lo {
-				fn(v)
-			}
-			w &= w - 1
+		for w := b.words[wi]; w != 0; w &= w - 1 {
+			buf = append(buf, base+uint32(bits.TrailingZeros64(w)))
 		}
 	}
+	return buf
 }

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -10,10 +12,10 @@ func TestBitsetBasics(t *testing.T) {
 	if b.Count() != 0 {
 		t.Fatalf("fresh bitset count = %d", b.Count())
 	}
-	b.Set(0)
-	b.Set(63)
-	b.Set(64)
-	b.Set(129)
+	b.SetSerial(0)
+	b.SetSerial(63)
+	b.SetSerial(64)
+	b.SetSerial(129)
 	if b.Count() != 4 {
 		t.Fatalf("count = %d, want 4", b.Count())
 	}
@@ -41,45 +43,92 @@ func TestBitsetSetAllMasksTail(t *testing.T) {
 	}
 }
 
-func TestBitsetRange(t *testing.T) {
+func TestBitsetAppendSet(t *testing.T) {
 	b := newBitset(300)
 	want := []uint32{0, 5, 63, 64, 130, 299}
 	for _, v := range want {
 		b.SetSerial(v)
 	}
-	var got []uint32
-	b.Range(0, 300, func(v uint32) { got = append(got, v) })
-	if len(got) != len(want) {
-		t.Fatalf("Range visited %v, want %v", got, want)
+	if got := b.appendSet(0, 300, nil); !slices.Equal(got, want) {
+		t.Fatalf("appendSet visited %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Range visited %v, want %v", got, want)
-		}
-	}
-	// Sub-range on word boundaries.
-	got = nil
-	b.Range(64, 192, func(v uint32) { got = append(got, v) })
-	if len(got) != 2 || got[0] != 64 || got[1] != 130 {
-		t.Fatalf("sub-range visited %v, want [64 130]", got)
+	// Sub-range on word boundaries, appended after existing contents.
+	if got := b.appendSet(64, 192, []uint32{7}); !slices.Equal(got, []uint32{7, 64, 130}) {
+		t.Fatalf("sub-range gave %v, want [7 64 130]", got)
 	}
 }
 
-func TestBitsetConcurrentSet(t *testing.T) {
+// TestBitsetAppendSetTail: n is a multiple of neither 64 nor chunkSize, so
+// the last chunk is short and its last word only partially in range.
+func TestBitsetAppendSetTail(t *testing.T) {
+	const n = chunkSize + 64 + 37
+	b := newBitset(n)
+	b.SetAll()
+	got := b.appendSet(chunkSize, n, nil)
+	if len(got) != 64+37 || got[0] != chunkSize || got[len(got)-1] != n-1 {
+		t.Fatalf("all-set tail chunk: %d vertices [%d..%d], want %d [%d..%d]",
+			len(got), got[0], got[len(got)-1], 64+37, chunkSize, n-1)
+	}
+	for i, v := range got {
+		if v != chunkSize+uint32(i) {
+			t.Fatalf("tail[%d] = %d, want %d", i, v, chunkSize+i)
+		}
+	}
+	b.Clear()
+	want := []uint32{chunkSize + 64, chunkSize + 64 + 5, n - 1}
+	for _, v := range want {
+		b.SetSerial(v)
+	}
+	if got := b.appendSet(chunkSize, n, nil); !slices.Equal(got, want) {
+		t.Fatalf("partial last word gave %v, want %v", got, want)
+	}
+	if got := b.appendSet(0, chunkSize, nil); len(got) != 0 {
+		t.Fatalf("empty first chunk gave %v", got)
+	}
+}
+
+// TestSignalsSerialMatchesShared: the plain-OR path of a one-goroutine
+// phase and the CAS path leave the same next bitset and message count,
+// repeated signals included.
+func TestSignalsSerialMatchesShared(t *testing.T) {
+	const n = 1000
+	sends := []uint32{0, 63, 64, 64, 999, 5, 5, 5, 512, 0}
+	serial, shared := newBitset(n), newBitset(n)
+	a := Signals{next: serial.words}
+	b := Signals{next: shared.words, shared: true}
+	for _, v := range sends {
+		a.Send(v)
+		b.Send(v)
+	}
+	if a.sent != int64(len(sends)) || b.sent != a.sent {
+		t.Fatalf("sent serial=%d shared=%d, want %d", a.sent, b.sent, len(sends))
+	}
+	if !slices.Equal(serial.words, shared.words) {
+		t.Fatal("serial and shared Send left different bitsets")
+	}
+	if got := serial.appendSet(0, n, nil); !slices.Equal(got, []uint32{0, 5, 63, 64, 512, 999}) {
+		t.Fatalf("signalled set = %v", got)
+	}
+}
+
+func TestSignalsConcurrentSend(t *testing.T) {
 	const n = 1 << 16
 	b := newBitset(n)
 	var wg sync.WaitGroup
+	var sent atomic.Int64
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			s := Signals{next: b.words, shared: true}
 			for i := uint32(w); i < n; i += 8 {
-				b.Set(i)
+				s.Send(i)
 			}
+			sent.Add(s.sent)
 		}(w)
 	}
 	wg.Wait()
-	if b.Count() != n {
-		t.Fatalf("concurrent Set lost bits: %d of %d", b.Count(), n)
+	if b.Count() != n || sent.Load() != n {
+		t.Fatalf("concurrent Send: %d bits, %d messages, want %d each", b.Count(), sent.Load(), n)
 	}
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"gcbench/internal/graph"
@@ -29,7 +31,7 @@ func TestGatherScatterBothOnDirected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run[float64, float64](g, bothSum{}, Options{MaxIterations: 1, Workers: 1})
+	res, err := runEdge[float64, float64](g, bothSum{}, Options{MaxIterations: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func TestBothNormalizedToOutOnUndirected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run[float64, float64](g, bothSum{}, Options{MaxIterations: 1, Workers: 1})
+	res, err := runEdge[float64, float64](g, bothSum{}, Options{MaxIterations: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,5 +67,53 @@ func TestBothNormalizedToOutOnUndirected(t *testing.T) {
 	// 2 arcs total (one per direction), each gathered once — not twice.
 	if it.EdgeReads != 2 {
 		t.Fatalf("reads = %d, want 2 (no double visit)", it.EdgeReads)
+	}
+}
+
+// TestBothFoldBitIdenticalToPerEdge: on a directed graph a Both gather is
+// two runs per vertex — out-arcs, then in-arcs — and the engine continues
+// one fold across them. Floating-point addition does not associate, so
+// the sum must come out bit-identical to one left-to-right per-edge fold
+// over out-arcs then in-arcs, written here against the graph accessors.
+func TestBothFoldBitIdenticalToPerEdge(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	const n = 300
+	b := graph.NewBuilder(n, true).Weighted()
+	for i := 0; i < 4000; i++ {
+		// Magnitudes spread over 2^±30 make every reordering visible.
+		w := math.Ldexp(r.Float64()-0.5, r.Intn(61)-30)
+		b.AddWeightedEdge(uint32(r.Intn(n)), uint32(r.Intn(n)), w)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runEdge[float64, float64](g, bothSum{}, Options{MaxIterations: 1, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	orderMatters := false
+	for v := uint32(0); v < n; v++ {
+		var outIn, inOut float64 // bothSum: every neighbor's state is 1
+		lo, hi := g.OutArcRange(v)
+		for a := lo; a < hi; a++ {
+			outIn += g.ArcWeight(a)
+		}
+		lo, hi = g.InArcRange(v)
+		for a := lo; a < hi; a++ {
+			outIn += g.ArcWeight(g.InArcToOutArc(a))
+			inOut += g.ArcWeight(g.InArcToOutArc(a))
+		}
+		lo, hi = g.OutArcRange(v)
+		for a := lo; a < hi; a++ {
+			inOut += g.ArcWeight(a)
+		}
+		if math.Float64bits(res.States[v]) != math.Float64bits(outIn) {
+			t.Fatalf("state[%d] = %x, per-edge out-then-in fold %x", v, math.Float64bits(res.States[v]), math.Float64bits(outIn))
+		}
+		orderMatters = orderMatters || outIn != inOut
+	}
+	if !orderMatters {
+		t.Fatal("no vertex's sum depends on the fold order: the test proves nothing")
 	}
 }

@@ -29,7 +29,7 @@ func (c *cancelAfter) PostIteration(ctl *Control[int]) bool {
 func TestRunStopsAtBarrierOnCancel(t *testing.T) {
 	g := pathGraph(t, 16)
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err := Run[int, int](g, &cancelAfter{n: 3, cancel: cancel}, Options{Context: ctx, Workers: 2})
+	_, err := runEdge[int, int](g, &cancelAfter{n: 3, cancel: cancel}, Options{Context: ctx, Workers: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -43,7 +43,7 @@ func TestRunAlreadyCancelledContext(t *testing.T) {
 	g := pathGraph(t, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run[int, int](g, alwaysOn{}, Options{Context: ctx}); !errors.Is(err, context.Canceled) {
+	if _, err := runEdge[int, int](g, alwaysOn{}, Options{Context: ctx}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
@@ -54,7 +54,7 @@ func TestRunDeadlineExceeded(t *testing.T) {
 	defer cancel()
 	// alwaysOn never converges and the cap is unreachable within the
 	// deadline, so only the barrier check can end the run.
-	_, err := Run[int, int](g, alwaysOn{}, Options{Context: ctx, MaxIterations: 1 << 30})
+	_, err := runEdge[int, int](g, alwaysOn{}, Options{Context: ctx, MaxIterations: 1 << 30})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
 	}
@@ -72,7 +72,7 @@ func TestRunConvergenceCheckedBeforeContext(t *testing.T) {
 	g := pathGraph(t, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Run[int, int](g, neverActive{}, Options{Context: ctx})
+	res, err := runEdge[int, int](g, neverActive{}, Options{Context: ctx})
 	if err != nil || !res.Trace.Converged {
 		t.Fatalf("converged run failed under cancelled ctx: %v", err)
 	}
@@ -100,6 +100,6 @@ func TestWorkerPanicPropagatesToCaller(t *testing.T) {
 			t.Fatalf("unexpected panic payload: %v", p)
 		}
 	}()
-	Run[int, int](g, panicAt{}, Options{Workers: 4})
+	runEdge[int, int](g, panicAt{}, Options{Workers: 4})
 	t.Fatal("Run returned instead of panicking")
 }

@@ -66,20 +66,12 @@ const (
 	Both
 )
 
-// Arc describes one edge endpoint visit during gather or scatter.
-type Arc struct {
-	// Index is the canonical out-arc index of this edge in CSR order —
-	// stable across gather directions, usable to index per-arc program
-	// state such as belief-propagation messages.
-	Index int64
-	// Other is the neighbor vertex on the far side of the edge.
-	Other uint32
-	// Weight is the edge weight (1 for unweighted graphs).
-	Weight float64
-}
-
 // Program is a vertex program in the GAS model, generic over the vertex
-// state S and the gather accumulator A.
+// state S and the gather accumulator A. Its edge work is run-shaped: the
+// engine hands Gather and Scatter one vertex's contiguous arc run and the
+// program owns the loop over it, so a compare-per-edge algorithm pays no
+// call per edge. Programs whose per-edge work is heavy are simpler to
+// write as an EdgeProgram and wrap with PerEdge.
 //
 // Within one iteration, Gather for every active vertex runs before any
 // Apply, and every Apply before any Scatter, so Gather observes the state
@@ -91,13 +83,16 @@ type Program[S, A any] interface {
 
 	// GatherDirection selects the edges Gather visits.
 	GatherDirection() Direction
-	// Gather computes the contribution of one edge. self is the central
-	// vertex's state, other the neighbor's.
-	Gather(v uint32, e Arc, self, other S) A
-	// Sum combines two gather contributions (must be commutative and
-	// associative for deterministic parallel execution over a vertex's
-	// sequential edge scan).
-	Sum(a, b A) A
+	// Gather continues v's gather fold, in place in *acc, over one
+	// non-empty run of arcs. has reports whether *acc holds the fold so
+	// far; when it is false *acc is stale and the first contribution must
+	// overwrite it. Returns whether *acc now holds a fold. Both on a
+	// directed graph folds the out-run, then the in-run; every other
+	// direction is a single run. Each arc in nb counts as one edge read
+	// whatever the program does with it. (In place, because accumulators
+	// can be large — ALS folds 584-byte normal equations — and a by-value
+	// fold would copy one in and out per vertex and run.)
+	Gather(v uint32, self S, nb *Edges[S], acc *A, has bool) bool
 
 	// Apply computes v's next state. hasAcc is false when no edges were
 	// gathered (isolated vertex or GatherDirection None).
@@ -105,9 +100,10 @@ type Program[S, A any] interface {
 
 	// ScatterDirection selects the edges Scatter visits.
 	ScatterDirection() Direction
-	// Scatter inspects one edge after Apply and reports whether to signal
-	// (activate) the neighbor for the next iteration.
-	Scatter(v uint32, e Arc, self, other S) bool
+	// Scatter inspects one non-empty run of v's arcs after Apply and calls
+	// out.Send for every neighbor to signal (activate) for the next
+	// iteration; each Send is one message.
+	Scatter(v uint32, self S, nb *Edges[S], out *Signals)
 }
 
 // PreIterator is an optional Program extension: PreIteration runs serially
@@ -207,16 +203,22 @@ func Run[S, A any](g *graph.Graph, p Program[S, A], opt Options) (*Result[S], er
 
 	e := &engine[S, A]{
 		g:         g,
+		out:       g.OutCSR(),
+		in:        g.InCSR(),
 		p:         p,
-		workers:   workers,
+		ws:        make([]worker[S], workers),
 		state:     make([]S, n),
 		acc:       make([]A, n),
 		hasAcc:    make([]bool, n),
 		cur:       newBitset(n),
 		next:      newBitset(n),
-		gatherD:   normalizeDir(g, p.GatherDirection()),
-		scatterD:  normalizeDir(g, p.ScatterDirection()),
 		frontierM: opt.Frontier,
+	}
+	e.gatherSides, e.scatterSides = e.sides(p.GatherDirection()), e.sides(p.ScatterDirection())
+	e.granuleTask = e.runGranule
+	for w := range e.ws {
+		e.ws[w].nb = Edges[S]{State: e.state}
+		e.ws[w].scratch = make([]uint32, 0, min(n, chunkSize))
 	}
 
 	// Initialize states and the initial frontier.
@@ -265,13 +267,17 @@ func Run[S, A any](g *graph.Graph, p Program[S, A], opt Options) (*Result[S], er
 		}
 
 		gStart := time.Now()
-		edgeReads, gatherBusy, gatherMode := e.gatherPhase()
+		edgeReads, gatherMode := e.runPhase(gatherPhase, e.gatherSides)
 		gatherWall := time.Since(gStart)
 		aStart := time.Now()
-		updates, applyTime, applyBusy, applyMode := e.applyPhase()
+		updates, applyMode := e.runPhase(applyPhase, nil)
 		applyWall := time.Since(aStart)
 		sStart := time.Now()
-		messages, scatterBusy, scatterMode := e.scatterPhase()
+		var messages int64
+		scatterMode := "" // no scan runs for direction None: the trace records no mode
+		if len(e.scatterSides) > 0 {
+			messages, scatterMode = e.runPhase(scatterPhase, e.scatterSides)
+		}
 		scatterWall := time.Since(sStart)
 
 		halt := false
@@ -280,15 +286,14 @@ func Run[S, A any](g *graph.Graph, p Program[S, A], opt Options) (*Result[S], er
 		}
 
 		wall := time.Since(start)
-		spans := make([]trace.WorkerSpan, e.workers)
-		for w := 0; w < e.workers; w++ {
-			spans[w] = trace.WorkerSpan{Worker: w, Apply: applyBusy[w]}
-			if gatherBusy != nil {
-				spans[w].Gather = gatherBusy[w]
-			}
-			if scatterBusy != nil {
-				spans[w].Scatter = scatterBusy[w]
-			}
+		// The trace retains the spans; everything else a phase needs lives
+		// on the engine and is reset, not reallocated.
+		spans := make([]trace.WorkerSpan, len(e.ws))
+		var applyTime time.Duration // the WORK numerator: per-worker busy, not phase wall
+		for w := range spans {
+			busy := &e.ws[w].busy
+			spans[w] = trace.WorkerSpan{Worker: w, Gather: busy[gatherPhase], Apply: busy[applyPhase], Scatter: busy[scatterPhase]}
+			applyTime += busy[applyPhase]
 		}
 		tr.Iterations = append(tr.Iterations, trace.IterationStats{
 			Iteration:   iter,
@@ -338,28 +343,28 @@ func Run[S, A any](g *graph.Graph, p Program[S, A], opt Options) (*Result[S], er
 	return &Result[S]{Trace: tr, States: e.state}, nil
 }
 
-// normalizeDir collapses In/Both to Out for undirected graphs, whose two
-// CSR sides are identical.
-func normalizeDir(g *graph.Graph, d Direction) Direction {
-	if !g.Directed() && (d == In || d == Both) {
-		return Out
-	}
-	return d
-}
-
 // engine holds the run's mutable state.
 type engine[S, A any] struct {
-	g        *graph.Graph
-	p        Program[S, A]
-	workers  int
-	state    []S
-	acc      []A
-	hasAcc   []bool
-	cur      *bitset
-	next     *bitset
-	gatherD  Direction
-	scatterD Direction
-	iter     int
+	g       *graph.Graph
+	out, in graph.CSR
+	p       Program[S, A]
+	ws      []worker[S]
+	state   []S
+	acc     []A
+	hasAcc  []bool
+	cur     *bitset
+	next    *bitset
+	// The CSR sides the gather and scatter phases visit per vertex, in
+	// fold order; empty for direction None.
+	gatherSides, scatterSides []*graph.CSR
+	iter                      int
+
+	// The phase in flight, read by runGranule. granuleTask is the method
+	// value e.runGranule, bound once so a phase allocates nothing.
+	ph          phase
+	phSides     []*graph.CSR
+	phSparse    bool
+	granuleTask func(worker int, t int64)
 
 	// Frontier scheduling state (frontier.go). The buffers are reused
 	// across iterations and grow monotonically.
@@ -369,6 +374,18 @@ type engine[S, A any] struct {
 	chunkOff   []int64  // per-chunk compaction offsets
 	prefix     []int64  // per-phase degree prefix sums over frontier
 	bounds     []int    // per-phase edge-balanced slice boundaries
+}
+
+// worker is one worker's private scratch and per-phase tallies, reused for
+// the whole run. The trailing pad keeps neighbors off each other's cache
+// lines: nb and the tallies are rewritten per vertex.
+type worker[S any] struct {
+	nb      Edges[S]
+	out     Signals
+	scratch []uint32         // dense granule: the chunk's active vertices
+	busy    [3]time.Duration // time in each phase's granules, this iteration
+	count   int64            // this phase's edge reads or updates (messages: out.sent)
+	_       [64]byte
 }
 
 // Control plumbing (untyped so Control[S] needs no second type parameter).
@@ -383,21 +400,38 @@ func (e *engine[S, A]) nextCount() int64       { return e.next.Count() }
 // (multiple of 64) so concurrent bitset scans never share a word.
 const chunkSize = 4096
 
+// numChunks returns how many chunkSize-vertex chunks cover the graph.
+func (e *engine[S, A]) numChunks() int64 {
+	return (int64(e.g.NumVertices()) + chunkSize - 1) / chunkSize
+}
+
+// chunkRange returns the vertex range [lo, hi) of chunk c.
+func (e *engine[S, A]) chunkRange(c int64) (lo, hi uint32) {
+	lo = uint32(c * chunkSize)
+	hi = lo + chunkSize
+	if n := uint32(e.g.NumVertices()); hi > n {
+		hi = n
+	}
+	return lo, hi
+}
+
+// spawnCount returns how many goroutines parallelDeal runs numTasks on:
+// min(workers, numTasks) — small graphs under high Workers must not pay
+// goroutine startup for chunks that do not exist.
+func (e *engine[S, A]) spawnCount(numTasks int64) int {
+	if int64(len(e.ws)) > numTasks {
+		return int(numTasks)
+	}
+	return len(e.ws)
+}
+
 // parallelDeal deals task indices [0, numTasks) to workers through an
 // atomic cursor (hub vertices in power-law graphs make static partitions
-// imbalanced). It spawns min(workers, numTasks) goroutines — small graphs
-// under high Workers must not pay goroutine startup for chunks that do
-// not exist — and runs serially when one suffices. Worker indices passed
-// to task are always < e.workers, so callers size per-worker arrays at
-// e.workers regardless of how many goroutines actually spawn.
+// imbalanced). It spawns spawnCount(numTasks) goroutines and runs serially
+// on the caller's when one suffices. Worker indices passed to task are
+// always < len(e.ws).
 func (e *engine[S, A]) parallelDeal(numTasks int64, task func(worker int, t int64)) {
-	if numTasks <= 0 {
-		return
-	}
-	spawn := e.workers
-	if int64(spawn) > numTasks {
-		spawn = int(numTasks)
-	}
+	spawn := e.spawnCount(numTasks)
 	if spawn <= 1 {
 		for t := int64(0); t < numTasks; t++ {
 			task(0, t)
@@ -435,135 +469,137 @@ func (e *engine[S, A]) parallelDeal(numTasks int64, task func(worker int, t int6
 	}
 }
 
-// parallelChunks deals word-aligned vertex chunks to workers and calls fn
-// once per chunk — the dense-scan schedule.
-func (e *engine[S, A]) parallelChunks(fn func(worker int, lo, hi uint32)) {
-	n := uint32(e.g.NumVertices())
-	numChunks := (int64(n) + chunkSize - 1) / chunkSize
-	e.parallelDeal(numChunks, func(worker int, c int64) {
-		lo := uint32(c * chunkSize)
-		hi := lo + chunkSize
-		if hi > n {
-			hi = n
-		}
-		fn(worker, lo, hi)
-	})
-}
+// phase names one of the three GAS phases.
+type phase int
 
-// gatherPhase runs Gather+Sum per active vertex and stores accumulators.
-// Returns the total edge reads, per-worker busy time (granule-level
-// timing — chunk or slice — so the span instrumentation never pays a
-// clock read per vertex) and the schedule mode executed.
-func (e *engine[S, A]) gatherPhase() (int64, []time.Duration, string) {
-	busy := make([]time.Duration, e.workers)
-	if e.gatherD == None {
-		// Still reset hasAcc for active vertices so Apply sees hasAcc=false.
-		mode := e.forActive(None, busy, func(_ int, v uint32) { e.hasAcc[v] = false })
-		return 0, busy, mode
+const (
+	gatherPhase phase = iota
+	applyPhase
+	scatterPhase
+)
+
+// runPhase runs one phase over every active vertex under the schedule
+// countAndPlan and planPhase chose: it cuts the active set into granules —
+// slices of the compacted frontier, or the active vertices of one dense
+// chunk extracted into the worker's scratch — deals them to workers and
+// calls the phase body once per granule, timing each into the worker's
+// busy tally (so span instrumentation never pays a clock read per vertex).
+// The visited set and per-vertex work are identical across schedules;
+// only grouping, worker attribution and scan cost differ. Returns the
+// phase's counter (edge reads, updates or messages) and the mode label.
+func (e *engine[S, A]) runPhase(ph phase, sides []*graph.CSR) (int64, string) {
+	metricFrontierPhases.Inc()
+	bounds, sparse := e.planPhase(sides)
+	numTasks, mode := e.numChunks(), modeDense
+	if sparse {
+		metricFrontierSparse.Inc()
+		numTasks, mode = int64(len(bounds)-1), modeSparse
 	}
-	reads := make([]int64, e.workers)
-	mode := e.forActive(e.gatherD, busy, func(worker int, v uint32) {
-		var acc A
-		has := false
-		self := e.state[v]
-		r := int64(0)
-		if e.gatherD == Out || e.gatherD == Both {
-			lo, hi := e.g.OutArcRange(v)
-			for a := lo; a < hi; a++ {
-				arc := Arc{Index: a, Other: e.g.ArcTarget(a), Weight: e.g.ArcWeight(a)}
-				contrib := e.p.Gather(v, arc, self, e.state[arc.Other])
-				if has {
-					acc = e.p.Sum(acc, contrib)
-				} else {
-					acc, has = contrib, true
-				}
-				r++
-			}
-		}
-		if e.gatherD == In || e.gatherD == Both {
-			lo, hi := e.g.InArcRange(v)
-			for a := lo; a < hi; a++ {
-				out := e.g.InArcToOutArc(a)
-				arc := Arc{Index: out, Other: e.g.InArcSource(a), Weight: e.g.ArcWeight(out)}
-				contrib := e.p.Gather(v, arc, self, e.state[arc.Other])
-				if has {
-					acc = e.p.Sum(acc, contrib)
-				} else {
-					acc, has = contrib, true
-				}
-				r++
-			}
-		}
-		e.acc[v] = acc
-		e.hasAcc[v] = has
-		reads[worker] += r
-	})
+	shared := e.spawnCount(numTasks) > 1
+	for w := range e.ws {
+		ws := &e.ws[w]
+		ws.busy[ph], ws.count = 0, 0
+		ws.out = Signals{next: e.next.words, shared: shared}
+	}
+	e.ph, e.phSides, e.phSparse = ph, sides, sparse
+	e.parallelDeal(numTasks, e.granuleTask)
 	var total int64
-	for _, r := range reads {
-		total += r
+	for w := range e.ws {
+		total += e.ws[w].count + e.ws[w].out.sent
 	}
-	return total, busy, mode
+	return total, mode
 }
 
-// applyPhase runs Apply per active vertex. Each worker times its granule
-// loops so WORK approximates CPU time in the user apply function without
-// paying a clock read per vertex. Returns the update count, summed apply
-// time (the WORK numerator — per-worker busy, not phase wall), the
-// per-worker busy breakdown and the schedule mode executed.
-func (e *engine[S, A]) applyPhase() (int64, time.Duration, []time.Duration, string) {
-	updates := make([]int64, e.workers)
-	times := make([]time.Duration, e.workers)
-	mode := e.forActive(None, times, func(worker int, v uint32) {
-		e.state[v] = e.p.Apply(v, e.state[v], e.acc[v], e.hasAcc[v])
-		updates[worker]++
-	})
-	var u int64
-	var d time.Duration
-	for w := 0; w < e.workers; w++ {
-		u += updates[w]
-		d += times[w]
+// runGranule is one task of the phase runPhase set up in e.ph: slice t of
+// the compacted frontier, or chunk t's active vertices.
+func (e *engine[S, A]) runGranule(worker int, t int64) {
+	ws := &e.ws[worker]
+	t0 := time.Now()
+	var vs []uint32
+	if e.phSparse {
+		vs = e.frontier[e.bounds[t]:e.bounds[t+1]]
+	} else {
+		lo, hi := e.chunkRange(t)
+		ws.scratch = e.cur.appendSet(lo, hi, ws.scratch[:0])
+		if vs = ws.scratch; len(vs) == 0 {
+			return
+		}
 	}
-	return u, d, times, mode
+	switch e.ph {
+	case gatherPhase:
+		for i, c := range e.phSides {
+			e.gather(ws, vs, c, i > 0)
+		}
+	case applyPhase:
+		e.apply(ws, vs)
+	case scatterPhase:
+		for _, c := range e.phSides {
+			e.scatter(ws, vs, c)
+		}
+	}
+	ws.busy[e.ph] += time.Since(t0)
 }
 
-// scatterPhase runs Scatter per active vertex and signals neighbors.
-// Returns the message count, per-worker busy time and the schedule mode.
-func (e *engine[S, A]) scatterPhase() (int64, []time.Duration, string) {
-	busy := make([]time.Duration, e.workers)
-	if e.scatterD == None {
-		// No scan runs at all; the trace records no mode for this phase.
-		return 0, busy, ""
+// sides lists the CSR sides a phase direction visits per vertex, in fold
+// order. An undirected graph's two sides are identical, so any direction
+// visits one (Both must not double-visit).
+func (e *engine[S, A]) sides(d Direction) []*graph.CSR {
+	switch {
+	case d == None:
+		return nil
+	case d == Out || !e.g.Directed():
+		return []*graph.CSR{&e.out}
+	case d == In:
+		return []*graph.CSR{&e.in}
 	}
-	msgs := make([]int64, e.workers)
-	mode := e.forActive(e.scatterD, busy, func(worker int, v uint32) {
-		self := e.state[v]
-		m := int64(0)
-		if e.scatterD == Out || e.scatterD == Both {
-			lo, hi := e.g.OutArcRange(v)
-			for a := lo; a < hi; a++ {
-				arc := Arc{Index: a, Other: e.g.ArcTarget(a), Weight: e.g.ArcWeight(a)}
-				if e.p.Scatter(v, arc, self, e.state[arc.Other]) {
-					e.next.Set(arc.Other)
-					m++
-				}
-			}
+	return []*graph.CSR{&e.out, &e.in}
+}
+
+// gather folds the program's Gather over each granule vertex's arc run on
+// one CSR side, in place in the accumulators; cont continues the fold a
+// previous side left there (Both on a directed graph: the out side, then
+// the in side — per vertex the out-run still folds before the in-run, and
+// Gather reads nothing a gather writes, so two passes equal one). The CSR
+// arrays, state and accumulators sit in locals: the opaque Gather call
+// would otherwise force a reload per vertex.
+func (e *engine[S, A]) gather(ws *worker[S], vs []uint32, c *graph.CSR, cont bool) {
+	p, state, acc, hasAcc := e.p, e.state, e.acc, e.hasAcc
+	off, adj := c.Off, c.Adj
+	nb := &ws.nb
+	nb.side = c
+	var reads int64
+	for _, v := range vs {
+		has := cont && hasAcc[v]
+		if lo, hi := off[v], off[v+1]; lo < hi {
+			nb.Other, nb.first = adj[lo:hi], lo
+			has = p.Gather(v, state[v], nb, &acc[v], has)
+			reads += hi - lo
 		}
-		if e.scatterD == In || e.scatterD == Both {
-			lo, hi := e.g.InArcRange(v)
-			for a := lo; a < hi; a++ {
-				out := e.g.InArcToOutArc(a)
-				arc := Arc{Index: out, Other: e.g.InArcSource(a), Weight: e.g.ArcWeight(out)}
-				if e.p.Scatter(v, arc, self, e.state[arc.Other]) {
-					e.next.Set(arc.Other)
-					m++
-				}
-			}
-		}
-		msgs[worker] += m
-	})
-	var total int64
-	for _, m := range msgs {
-		total += m
+		hasAcc[v] = has
 	}
-	return total, busy, mode
+	ws.count += reads
+}
+
+// apply runs Apply per granule vertex.
+func (e *engine[S, A]) apply(ws *worker[S], vs []uint32) {
+	p, state, acc, hasAcc := e.p, e.state, e.acc, e.hasAcc
+	for _, v := range vs {
+		state[v] = p.Apply(v, state[v], acc[v], hasAcc[v])
+	}
+	ws.count += int64(len(vs))
+}
+
+// scatter hands each granule vertex's arc run on one CSR side to the
+// program's Scatter, which signals into the worker's Signals.
+func (e *engine[S, A]) scatter(ws *worker[S], vs []uint32, c *graph.CSR) {
+	p, state := e.p, e.state
+	off, adj := c.Off, c.Adj
+	nb, out := &ws.nb, &ws.out
+	nb.side = c
+	for _, v := range vs {
+		if lo, hi := off[v], off[v+1]; lo < hi {
+			nb.Other, nb.first = adj[lo:hi], lo
+			p.Scatter(v, state[v], nb, out)
+		}
+	}
 }

@@ -72,7 +72,7 @@ func pathGraph(t *testing.T, n int) *graph.Graph {
 
 func TestBFSOnPath(t *testing.T) {
 	g := pathGraph(t, 10)
-	res, err := Run[float64, float64](g, &bfsProgram{source: 0}, Options{})
+	res, err := runEdge[float64, float64](g, &bfsProgram{source: 0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestBFSMatchesSerialOnPowerLaw(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := serialBFS(g, 0)
-	res, err := Run[float64, float64](g, &bfsProgram{source: 0}, Options{})
+	res, err := runEdge[float64, float64](g, &bfsProgram{source: 0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	var baseline []float64
 	var baseTrace []int64
 	for _, workers := range []int{1, 2, 4, 8} {
-		res, err := Run[float64, float64](g, &bfsProgram{source: 1}, Options{Workers: workers})
+		res, err := runEdge[float64, float64](g, &bfsProgram{source: 1}, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func TestCounterSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run[float64, float64](g, &bfsProgram{source: 0}, Options{Workers: 1})
+	res, err := runEdge[float64, float64](g, &bfsProgram{source: 0}, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestCounterSemantics(t *testing.T) {
 func TestMaxIterationsCap(t *testing.T) {
 	// A program that never quiesces: every vertex always signals.
 	g := pathGraph(t, 8)
-	res, err := Run[int, int](g, &alwaysOn{}, Options{MaxIterations: 5})
+	res, err := runEdge[int, int](g, &alwaysOn{}, Options{MaxIterations: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func (h *hookProgram) PostIteration(c *Control[int]) bool {
 func TestHooksDriveReactivation(t *testing.T) {
 	g := pathGraph(t, 6)
 	p := &hookProgram{}
-	res, err := Run[int, int](g, p, Options{})
+	res, err := runEdge[int, int](g, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestHooksDriveReactivation(t *testing.T) {
 func TestControlActivateSingle(t *testing.T) {
 	g := pathGraph(t, 4)
 	p := &selectiveHook{}
-	res, err := Run[int, int](g, p, Options{})
+	res, err := runEdge[int, int](g, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestDirectedGatherIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &weightSum{}
-	res, err := Run[float64, float64](g, p, Options{MaxIterations: 1, Workers: 1})
+	res, err := runEdge[float64, float64](g, p, Options{MaxIterations: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func (weightSum) ScatterDirection() Direction                { return None }
 func (weightSum) Scatter(uint32, Arc, float64, float64) bool { return false }
 
 func TestEmptyGraphRejected(t *testing.T) {
-	if _, err := Run[int, int](nil, &alwaysOn{}, Options{}); err == nil {
+	if _, err := runEdge[int, int](nil, &alwaysOn{}, Options{}); err == nil {
 		t.Fatal("nil graph accepted")
 	}
 }
@@ -355,7 +355,7 @@ func TestIsolatedVertexHasNoAcc(t *testing.T) {
 	}
 	_ = g
 	p := &allActiveSum{}
-	res, err := Run[float64, float64](g2, p, Options{MaxIterations: 1})
+	res, err := runEdge[float64, float64](g2, p, Options{MaxIterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,8 +378,13 @@ func BenchmarkEngineBFS(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run[float64, float64](g, &bfsProgram{source: 0}, Options{}); err != nil {
+		if _, err := runEdge[float64, float64](g, &bfsProgram{source: 0}, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// runEdge runs a per-edge test program through the PerEdge adapter.
+func runEdge[S, A any](g *graph.Graph, p EdgeProgram[S, A], opt Options) (*Result[S], error) {
+	return Run(g, PerEdge(p), opt)
 }

@@ -13,7 +13,8 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
-	"time"
+
+	"gcbench/internal/graph"
 )
 
 // FrontierMode selects how phases iterate the active vertex set.
@@ -172,53 +173,28 @@ func (e *engine[S, A]) planIteration(active int64) {
 // places them, and a second parallel pass writes vertex IDs. Sorted order
 // falls out of chunk order plus in-word bit order.
 func (e *engine[S, A]) compactFrontier(active int64) {
-	n := uint32(e.g.NumVertices())
 	if cap(e.frontier) < int(active) {
 		e.frontier = make([]uint32, active)
 	}
 	e.frontier = e.frontier[:active]
-	numChunks := int((int64(n) + chunkSize - 1) / chunkSize)
-	if cap(e.chunkOff) < numChunks+1 {
+	numChunks := e.numChunks()
+	if int64(cap(e.chunkOff)) < numChunks+1 {
 		e.chunkOff = make([]int64, numChunks+1)
 	}
 	off := e.chunkOff[:numChunks+1]
 	off[0] = 0
-	e.parallelDeal(int64(numChunks), func(_ int, c int64) {
-		lo := uint32(c * chunkSize)
-		hi := lo + chunkSize
-		if hi > n {
-			hi = n
-		}
-		off[c+1] = e.cur.CountRange(lo, hi)
+	e.parallelDeal(numChunks, func(_ int, c int64) {
+		off[c+1] = e.cur.CountRange(e.chunkRange(c))
 	})
-	for c := 1; c <= numChunks; c++ {
+	for c := int64(1); c <= numChunks; c++ {
 		off[c] += off[c-1]
 	}
-	e.parallelDeal(int64(numChunks), func(_ int, c int64) {
-		lo := uint32(c * chunkSize)
-		hi := lo + chunkSize
-		if hi > n {
-			hi = n
-		}
-		i := off[c]
-		e.cur.Range(lo, hi, func(v uint32) {
-			e.frontier[i] = v
-			i++
-		})
+	e.parallelDeal(numChunks, func(_ int, c int64) {
+		lo, hi := e.chunkRange(c)
+		// Appends in place: the chunk's off[c+1]-off[c] vertices fit the
+		// region [off[c], off[c+1]) no other chunk writes.
+		e.cur.appendSet(lo, hi, e.frontier[off[c]:off[c]])
 	})
-}
-
-// phaseDegree returns how many edges a phase with direction d visits at v.
-func (e *engine[S, A]) phaseDegree(d Direction, v uint32) int64 {
-	switch d {
-	case Out:
-		return int64(e.g.OutDegree(v))
-	case In:
-		return int64(e.g.InDegree(v))
-	case Both:
-		return int64(e.g.OutDegree(v) + e.g.InDegree(v))
-	}
-	return 0
 }
 
 // planPhase decides one phase's schedule against the compacted frontier
@@ -227,7 +203,7 @@ func (e *engine[S, A]) phaseDegree(d Direction, v uint32) int64 {
 // slice (or several targets' worth) of its own instead of serializing a
 // long run of siblings behind it. Returns the slice boundaries (bounds[k]
 // .. bounds[k+1] index e.frontier) and whether the phase runs sparse.
-func (e *engine[S, A]) planPhase(d Direction) ([]int, bool) {
+func (e *engine[S, A]) planPhase(sides []*graph.CSR) ([]int, bool) {
 	if !e.sparseIter {
 		return nil, false
 	}
@@ -236,14 +212,17 @@ func (e *engine[S, A]) planPhase(d Direction) ([]int, bool) {
 		return nil, false
 	}
 	var totalEdges int64
-	if d != None {
+	if len(sides) > 0 {
 		if cap(e.prefix) < L+1 {
 			e.prefix = make([]int64, L+1)
 		}
 		e.prefix = e.prefix[:L+1]
 		e.prefix[0] = 0
 		for i, v := range e.frontier {
-			e.prefix[i+1] = e.prefix[i] + e.phaseDegree(d, v)
+			e.prefix[i+1] = e.prefix[i]
+			for _, c := range sides {
+				e.prefix[i+1] += c.Off[v+1] - c.Off[v]
+			}
 		}
 		totalEdges = e.prefix[L]
 		// Auto only: a frontier that still reaches a large share of all
@@ -253,7 +232,7 @@ func (e *engine[S, A]) planPhase(d Direction) ([]int, bool) {
 		}
 	}
 	totalCost := int64(L) + totalEdges
-	slices := e.workers * sparseSlicesPerWorker
+	slices := len(e.ws) * sparseSlicesPerWorker
 	// Never cut slices cheaper than sparseSliceMinCost: a tail iteration
 	// with a handful of vertices runs serially inside parallelDeal's
 	// spawn<=1 path instead of paying goroutine fan-out per phase.
@@ -268,7 +247,7 @@ func (e *engine[S, A]) planPhase(d Direction) ([]int, bool) {
 	}
 	target := (totalCost + int64(slices) - 1) / int64(slices)
 	bounds := append(e.bounds[:0], 0)
-	if d == None {
+	if len(sides) == 0 {
 		// Apply-style phase: no edges, slices balance by vertex count.
 		for k := 1; k < slices; k++ {
 			bounds = append(bounds, k*L/slices)
@@ -290,40 +269,8 @@ func (e *engine[S, A]) planPhase(d Direction) ([]int, bool) {
 	return bounds, true
 }
 
-// forActive iterates every active vertex under the schedule planIteration
-// and planPhase chose for this phase, calling body(worker, v) and timing
-// each granule (chunk or slice) into busy[worker]. The visited set and
-// per-vertex work are identical across schedules; only grouping, worker
-// attribution and scan cost differ. Returns the mode label executed.
-func (e *engine[S, A]) forActive(d Direction, busy []time.Duration, body func(worker int, v uint32)) string {
-	metricFrontierPhases.Inc()
-	if bounds, sparse := e.planPhase(d); sparse {
-		metricFrontierSparse.Inc()
-		e.parallelDeal(int64(len(bounds)-1), func(worker int, t int64) {
-			t0 := time.Now()
-			for _, v := range e.frontier[bounds[t]:bounds[t+1]] {
-				body(worker, v)
-			}
-			busy[worker] += time.Since(t0)
-		})
-		return modeSparse
-	}
-	e.parallelChunks(func(worker int, lo, hi uint32) {
-		t0 := time.Now()
-		visited := false
-		e.cur.Range(lo, hi, func(v uint32) {
-			visited = true
-			body(worker, v)
-		})
-		if visited {
-			busy[worker] += time.Since(t0)
-		}
-	})
-	return modeDense
-}
-
 // CountRange returns the number of set bits in the vertex range [lo, hi).
-// Same contract as Range: lo and hi are multiples of 64 or the ends of
+// Same contract as appendSet: lo and hi are multiples of 64 or the ends of
 // the set (bits beyond n are never set, so whole-word popcounts suffice).
 func (b *bitset) CountRange(lo, hi uint32) int64 {
 	wLo, wHi := int(lo>>6), int((hi+63)>>6)

@@ -44,7 +44,7 @@ func BenchmarkFrontierLowActive(b *testing.B) {
 	for _, mode := range frontierBenchModes {
 		b.Run("mode="+mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Run[float64, float64](g, &bfsProgram{source: 0}, Options{
+				if _, err := runEdge[float64, float64](g, &bfsProgram{source: 0}, Options{
 					Workers:  runtime.GOMAXPROCS(0),
 					Frontier: mode,
 				}); err != nil {
@@ -66,7 +66,7 @@ func BenchmarkFrontierHighActive(b *testing.B) {
 	for _, mode := range frontierBenchModes {
 		b.Run("mode="+mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Run[float64, float64](g, rankLike{}, Options{
+				if _, err := runEdge[float64, float64](g, rankLike{}, Options{
 					Workers:       runtime.GOMAXPROCS(0),
 					MaxIterations: 5,
 					Frontier:      mode,
@@ -127,11 +127,11 @@ func TestWriteEngineBenchArtifact(t *testing.T) {
 		return best.Seconds()
 	}
 	lowRun := func(m FrontierMode) error {
-		_, err := Run[float64, float64](lowG, &bfsProgram{source: 0}, Options{Workers: workers, Frontier: m})
+		_, err := runEdge[float64, float64](lowG, &bfsProgram{source: 0}, Options{Workers: workers, Frontier: m})
 		return err
 	}
 	highRun := func(m FrontierMode) error {
-		_, err := Run[float64, float64](highG, rankLike{}, Options{Workers: workers, MaxIterations: 5, Frontier: m})
+		_, err := runEdge[float64, float64](highG, rankLike{}, Options{Workers: workers, MaxIterations: 5, Frontier: m})
 		return err
 	}
 

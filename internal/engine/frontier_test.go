@@ -50,14 +50,14 @@ func TestFrontierModesIdenticalBehavior(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Run[float64, float64](g, &bfsProgram{source: 0}, Options{Workers: 1, Frontier: FrontierDense})
+	base, err := runEdge[float64, float64](g, &bfsProgram{source: 0}, Options{Workers: 1, Frontier: FrontierDense})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := counterVector(t, base)
 	for _, mode := range []FrontierMode{FrontierDense, FrontierSparse, FrontierAuto} {
 		for _, workers := range []int{1, 4, 8} {
-			res, err := Run[float64, float64](g, &bfsProgram{source: 0}, Options{Workers: workers, Frontier: mode})
+			res, err := runEdge[float64, float64](g, &bfsProgram{source: 0}, Options{Workers: workers, Frontier: mode})
 			if err != nil {
 				t.Fatalf("mode=%v workers=%d: %v", mode, workers, err)
 			}
@@ -105,11 +105,11 @@ func hubGraph(t testing.TB, n int) *graph.Graph {
 // edge-balanced slice dealing (run with -race in CI).
 func TestSparseFrontierHubHeavy(t *testing.T) {
 	g := hubGraph(t, 20_000)
-	dense, err := Run[float64, float64](g, &bfsProgram{source: 0}, Options{Workers: 1, Frontier: FrontierDense})
+	dense, err := runEdge[float64, float64](g, &bfsProgram{source: 0}, Options{Workers: 1, Frontier: FrontierDense})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, err := Run[float64, float64](g, &bfsProgram{source: 0}, Options{Workers: 8, Frontier: FrontierSparse})
+	sparse, err := runEdge[float64, float64](g, &bfsProgram{source: 0}, Options{Workers: 8, Frontier: FrontierSparse})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestSparseFrontierHubHeavy(t *testing.T) {
 // frontier schedules dense, and the trace records the decisions.
 func TestAutoModeSelection(t *testing.T) {
 	g := pathGraph(t, 20_000)
-	res, err := Run[float64, float64](g, &bfsProgram{source: 0}, Options{Workers: 4, Frontier: FrontierAuto})
+	res, err := runEdge[float64, float64](g, &bfsProgram{source: 0}, Options{Workers: 4, Frontier: FrontierAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestAutoModeSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err := Run[float64, float64](pl, rankLike{}, Options{Workers: 4, MaxIterations: 3, Frontier: FrontierAuto})
+	dense, err := runEdge[float64, float64](pl, rankLike{}, Options{Workers: 4, MaxIterations: 3, Frontier: FrontierAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestAutoModeSelection(t *testing.T) {
 // estimate), while the edge-free apply phase goes sparse.
 func TestHubPhaseStaysDenseUnderAuto(t *testing.T) {
 	g := hubGraph(t, 50_000)
-	res, err := Run[float64, float64](g, &bfsProgram{source: 0}, Options{Workers: 4, Frontier: FrontierAuto})
+	res, err := runEdge[float64, float64](g, &bfsProgram{source: 0}, Options{Workers: 4, Frontier: FrontierAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,16 +191,16 @@ func TestHubPhaseStaysDenseUnderAuto(t *testing.T) {
 	}
 }
 
-// TestParallelChunksCapsSpawn: a graph with fewer chunks than workers
-// must not hand work to more worker IDs than there are chunks (the
+// TestParallelDealCapsSpawn: a phase with fewer granules than workers
+// must not hand work to more worker IDs than there are granules (the
 // goroutine-per-phase startup fix), while per-worker arrays stay sized
 // at Options.Workers.
-func TestParallelChunksCapsSpawn(t *testing.T) {
+func TestParallelDealCapsSpawn(t *testing.T) {
 	g := pathGraph(t, 2*chunkSize) // exactly 2 chunks
-	e := &engine[int, int]{g: g, workers: 8}
+	e := &engine[int, int]{g: g, ws: make([]worker[int], 8)}
 	var mu sync.Mutex
 	seen := map[int]bool{}
-	e.parallelChunks(func(worker int, lo, hi uint32) {
+	e.parallelDeal(e.numChunks(), func(worker int, _ int64) {
 		mu.Lock()
 		seen[worker] = true
 		mu.Unlock()
@@ -215,7 +215,7 @@ func TestParallelChunksCapsSpawn(t *testing.T) {
 	}
 
 	// Span arrays keep full Workers length regardless of spawn count.
-	res, err := Run[float64, float64](g, &bfsProgram{source: 0}, Options{Workers: 8, MaxIterations: 3})
+	res, err := runEdge[float64, float64](g, &bfsProgram{source: 0}, Options{Workers: 8, MaxIterations: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestBitsetCountRange(t *testing.T) {
 func TestFrontierMetricsAdvance(t *testing.T) {
 	before := obs.Default().Snapshot()
 	g := pathGraph(t, 20_000)
-	if _, err := Run[float64, float64](g, &bfsProgram{source: 0}, Options{Workers: 2, Frontier: FrontierAuto}); err != nil {
+	if _, err := runEdge[float64, float64](g, &bfsProgram{source: 0}, Options{Workers: 2, Frontier: FrontierAuto}); err != nil {
 		t.Fatal(err)
 	}
 	after := obs.Default().Snapshot()
@@ -274,7 +274,7 @@ func TestFrontierSwitchCounted(t *testing.T) {
 	// so assert it advances across a run that mixes regimes.
 	g := pathGraph(t, 20_000)
 	p := &denseThenSparse{}
-	if _, err := Run[float64, float64](g, p, Options{Workers: 2, Frontier: FrontierAuto}); err != nil {
+	if _, err := runEdge[float64, float64](g, p, Options{Workers: 2, Frontier: FrontierAuto}); err != nil {
 		t.Fatal(err)
 	}
 	after := obs.Default().Snapshot()

@@ -17,7 +17,7 @@ func TestPhaseSpansConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run[float64, float64](g, rankLike{}, Options{Workers: 4, MaxIterations: 5})
+	res, err := runEdge[float64, float64](g, rankLike{}, Options{Workers: 4, MaxIterations: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestEngineMetricsPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run[float64, float64](g, rankLike{}, Options{Workers: 2, MaxIterations: 3})
+	res, err := runEdge[float64, float64](g, rankLike{}, Options{Workers: 2, MaxIterations: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

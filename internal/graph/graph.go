@@ -106,6 +106,33 @@ func (g *Graph) InArcRange(v uint32) (lo, hi int64) {
 	return g.inOff[v], g.inOff[v+1]
 }
 
+// CSR is a read-only view of one adjacency side of a Graph as flat arrays,
+// for callers that own their edge loop (the engine's gather and scatter
+// phases) and must not pay an accessor call per arc. Vertex v owns slots
+// [Off[v], Off[v+1]). The slices alias the graph's storage and must not
+// be modified.
+type CSR struct {
+	Off []int64  // len NumVertices+1
+	Adj []uint32 // neighbor across each slot
+	// Arc[i] is the out-arc index of the logical edge in slot i; nil when
+	// slot i IS out-arc i (the out side, and both sides when undirected).
+	Arc []int64
+	// W is the weight per out-arc index (not per slot: index it through
+	// Arc on the in side); nil when the graph is unweighted.
+	W []float64
+}
+
+// OutCSR returns the out-adjacency view.
+func (g *Graph) OutCSR() CSR {
+	return CSR{Off: g.outOff, Adj: g.outAdj, W: g.outW}
+}
+
+// InCSR returns the in-adjacency view. For undirected graphs it equals
+// OutCSR.
+func (g *Graph) InCSR() CSR {
+	return CSR{Off: g.inOff, Adj: g.inAdj, Arc: g.inArc, W: g.outW}
+}
+
 // ArcTarget returns the head vertex of out-arc i.
 func (g *Graph) ArcTarget(i int64) uint32 { return g.outAdj[i] }
 
