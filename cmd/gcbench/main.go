@@ -11,8 +11,8 @@
 //	gcbench run     -alg PR -tracefile pr.trace.json     # + Chrome trace-event phase spans
 //	gcbench figures [-runs runs.json] [-fig all|N|tableN] # regenerate figures/tables
 //	gcbench ensemble [-runs runs.json] [-size 10]        # best spread/coverage ensembles
-//	gcbench serve   [-runs runs.json] [-listen :8080]    # corpus + ensemble design HTTP API
-//	gcbench serve   -shards 4 -replicas 2                # sharded, replicated serving tier
+//	gcbench serve   [-runs runs.json] [-listen :8080]    # corpus + ensemble design HTTP API (1 shard × 1 replica)
+//	gcbench serve   -shards 4 -replicas 2                # the same backend, partitioned and replicated
 //	gcbench serve   -shards 4 -replicas 2 -shard-spawn   # each replica its own supervised OS process
 //	gcbench shard-serve -listen 127.0.0.1:9301 -shard 0  # one shard replica process (wire protocol)
 //	gcbench loadtest -url http://host:8080 [-duration 30s] # mixed-load driver + latency report

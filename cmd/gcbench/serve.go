@@ -29,7 +29,7 @@ func cmdServe(args []string) error {
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request deadline (plumbed into search loops)")
 	cacheSize := fs.Int("cache", 256, "design-response LRU cache entries")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
-	shards := fs.Int("shards", 1, "partition the corpus across this many consistent-hash shards (> 1 enables the sharded serving tier; responses stay byte-identical)")
+	shards := fs.Int("shards", 1, "partition the corpus across this many consistent-hash shards (responses stay byte-identical for any count)")
 	replicas := fs.Int("replicas", 1, "read replicas per shard, each answering from its own immutable snapshot")
 	shardAddrs := fs.String("shard-addrs", "", "serve over externally-started shard processes: shard groups separated by ';', replica endpoints by ',' (e.g. \"h:9301,h:9302;h:9303,h:9304\" = 2 shards × 2 replicas); see 'gcbench shard-serve'")
 	shardSpawn := fs.Bool("shard-spawn", false, "spawn -shards × -replicas 'gcbench shard-serve' child processes on loopback ports, supervised: crashed shards are restarted and rehydrated (epoch-fenced)")
@@ -45,33 +45,42 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return fmt.Errorf("loading corpus (run 'gcbench sweep' first): %w", err)
 	}
-	// -shards/-replicas switch the corpus backend from a single Store to
-	// the sharded, replicated tier; -shard-addrs/-shard-spawn further
-	// move each shard replica into its own OS process over TCP. Every
-	// /api response stays byte-identical across all four deployment
-	// shapes (the differential harness's guarantee).
-	var store *gcbench.CorpusStore
-	var cluster *gcbench.ShardCluster
+	// One corpus backend, four deployment shapes: the default is the
+	// in-process 1-shard × 1-replica cluster, -shards/-replicas partition
+	// and replicate it in process, and -shard-addrs/-shard-spawn move each
+	// shard replica into its own OS process over TCP. Every /api response
+	// stays byte-identical across all of them (the differential harness's
+	// guarantee).
+	opts := gcbench.ShardClusterOptions{Shards: *shards, Replicas: *replicas}
+	var sup *gcbench.ShardSupervisor
 	switch {
 	case *shardSpawn:
-		sup, groups, err := spawnWireCluster(context.Background(), *shards, *replicas)
-		if err != nil {
+		var groups [][]string
+		if sup, groups, err = spawnWireCluster(context.Background(), *shards, *replicas); err != nil {
 			return err
 		}
 		defer sup.Stop()
-		clients, err := wireClients(groups)
+		if opts.Clients, err = wireClients(groups); err != nil {
+			return err
+		}
+	case *shardAddrs != "":
+		groups, err := parseShardAddrs(*shardAddrs)
 		if err != nil {
 			return err
 		}
-		cluster, err = gcbench.NewShardCluster(gcbench.ShardClusterOptions{
-			Shards: *shards, Replicas: *replicas, Clients: clients,
-		})
-		if err != nil {
+		opts.Shards, opts.Replicas = len(groups), len(groups[0])
+		if opts.Clients, err = wireClients(groups); err != nil {
 			return err
 		}
-		if _, err := cluster.Load(context.Background(), snap); err != nil {
-			return err
-		}
+	}
+	cluster, err := gcbench.NewShardCluster(opts)
+	if err != nil {
+		return err
+	}
+	if _, err := cluster.Load(context.Background(), snap); err != nil {
+		return err
+	}
+	if sup != nil {
 		// A restarted replica process comes back empty (version 0); the
 		// restore hook republishes its partition above the epoch fence so
 		// the version vector never regresses.
@@ -79,37 +88,7 @@ func cmdServe(args []string) error {
 			_, err := cluster.Rehydrate(ctx, spec.Shard)
 			return err
 		})
-		slog.Info("spawned shard processes", "shards", *shards, "replicas", *replicas)
-	case *shardAddrs != "":
-		groups, err := parseShardAddrs(*shardAddrs)
-		if err != nil {
-			return err
-		}
-		clients, err := wireClients(groups)
-		if err != nil {
-			return err
-		}
-		cluster, err = gcbench.NewShardCluster(gcbench.ShardClusterOptions{
-			Shards: len(groups), Replicas: len(groups[0]), Clients: clients,
-		})
-		if err != nil {
-			return err
-		}
-		if _, err := cluster.Load(context.Background(), snap); err != nil {
-			return err
-		}
-	case *shards > 1 || *replicas > 1:
-		cluster, err = gcbench.NewShardCluster(gcbench.ShardClusterOptions{
-			Shards: *shards, Replicas: *replicas,
-		})
-		if err != nil {
-			return err
-		}
-		if _, err := cluster.Load(context.Background(), snap); err != nil {
-			return err
-		}
-	default:
-		store = gcbench.NewCorpusStore(snap)
+		slog.Info("spawned shard processes", "shards", cluster.Shards(), "replicas", cluster.Replicas())
 	}
 	var mgr *gcbench.JobManager
 	if *jobsOn {
@@ -123,7 +102,6 @@ func cmdServe(args []string) error {
 		traces = gcbench.NewTraceStore(*traceCap)
 	}
 	srv, err := gcbench.NewAPIServer(gcbench.APIServerConfig{
-		Store:          store,
 		Cluster:        cluster,
 		Samples:        *samples,
 		Workers:        *workers,
@@ -156,8 +134,8 @@ func cmdServe(args []string) error {
 		"records", len(snap.Records),
 		"okRuns", snap.OKCount(),
 		"poolSize", snap.PoolSize(),
-		"shards", *shards,
-		"replicas", *replicas,
+		"shards", cluster.Shards(),
+		"replicas", cluster.Replicas(),
 		"jobs", *jobsOn,
 		"endpoints", endpoints)
 

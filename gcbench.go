@@ -33,7 +33,6 @@ import (
 	"gcbench/internal/jobs"
 	"gcbench/internal/loadtest"
 	"gcbench/internal/model"
-	"gcbench/internal/nnindex"
 	"gcbench/internal/obs"
 	"gcbench/internal/obs/otrace"
 	"gcbench/internal/predict"
@@ -41,7 +40,6 @@ import (
 	"gcbench/internal/serve"
 	"gcbench/internal/shard"
 	"gcbench/internal/sweep"
-	"gcbench/internal/trace"
 )
 
 // --- Graphs ---
@@ -49,24 +47,9 @@ import (
 // Graph is the immutable CSR graph all algorithms run on.
 type Graph = graph.Graph
 
-// Builder accumulates edges into a Graph.
-type Builder = graph.Builder
-
-// MRF is a pairwise Markov Random Field (LBP and DD input).
-type MRF = graph.MRF
-
-// MatrixSystem is a sparse diagonally dominant linear system (Jacobi input).
-type MatrixSystem = gen.MatrixSystem
-
-// NewBuilder returns a Builder for a graph with n vertices.
-func NewBuilder(n int, directed bool) *Builder { return graph.NewBuilder(n, directed) }
-
-// ReadEdgeList, WriteEdgeList, ReadUAI and WriteUAI are the graph I/O
-// entry points.
+// WriteEdgeList and WriteUAI are the graph output entry points.
 var (
-	ReadEdgeList  = graph.ReadEdgeList
 	WriteEdgeList = graph.WriteEdgeList
-	ReadUAI       = graph.ReadUAI
 	WriteUAI      = graph.WriteUAI
 )
 
@@ -111,19 +94,6 @@ var (
 // AlgorithmOptions configures any algorithm run.
 type AlgorithmOptions = algorithms.Options
 
-// FrontierMode selects the engine's active-set scheduling strategy:
-// adaptive (default), always-dense bitset scans, or always-sparse
-// compacted-frontier slices. The paper's behavior metrics are identical
-// across modes by construction; only execution speed differs.
-type FrontierMode = algorithms.FrontierMode
-
-// Frontier scheduling modes.
-const (
-	FrontierAuto   = algorithms.FrontierAuto
-	FrontierDense  = algorithms.FrontierDense
-	FrontierSparse = algorithms.FrontierSparse
-)
-
 // ParseFrontierMode resolves a case-insensitive -frontier flag value.
 var ParseFrontierMode = algorithms.ParseFrontierMode
 
@@ -135,7 +105,6 @@ type (
 	PageRankOptions = algorithms.PageRankOptions
 	KMeansOptions   = algorithms.KMeansOptions
 	ALSOptions      = algorithms.ALSOptions
-	NMFOptions      = algorithms.NMFOptions
 	SGDOptions      = algorithms.SGDOptions
 	SVDOptions      = algorithms.SVDOptions
 	JacobiOptions   = algorithms.JacobiOptions
@@ -143,22 +112,20 @@ type (
 	DDOptions       = algorithms.DDOptions
 )
 
-// The fourteen graph computations of the study.
+// Graph computations of the study, callable directly on a generated
+// workload (the campaign runner reaches all fourteen by AlgorithmName).
 var (
-	ConnectedComponents            = algorithms.ConnectedComponents
-	KCoreDecomposition             = algorithms.KCoreDecomposition
-	TriangleCounting               = algorithms.TriangleCounting
-	SingleSourceShortestPath       = algorithms.SingleSourceShortestPath
-	PageRank                       = algorithms.PageRank
-	ApproximateDiameter            = algorithms.ApproximateDiameter
-	KMeans                         = algorithms.KMeans
-	AlternatingLeastSquares        = algorithms.AlternatingLeastSquares
-	NonnegativeMatrixFactorization = algorithms.NonnegativeMatrixFactorization
-	StochasticGradientDescent      = algorithms.StochasticGradientDescent
-	SingularValueDecomposition     = algorithms.SingularValueDecomposition
-	JacobiSolve                    = algorithms.JacobiSolve
-	LoopyBeliefPropagation         = algorithms.LoopyBeliefPropagation
-	DualDecomposition              = algorithms.DualDecomposition
+	KCoreDecomposition         = algorithms.KCoreDecomposition
+	TriangleCounting           = algorithms.TriangleCounting
+	SingleSourceShortestPath   = algorithms.SingleSourceShortestPath
+	PageRank                   = algorithms.PageRank
+	KMeans                     = algorithms.KMeans
+	AlternatingLeastSquares    = algorithms.AlternatingLeastSquares
+	StochasticGradientDescent  = algorithms.StochasticGradientDescent
+	SingularValueDecomposition = algorithms.SingularValueDecomposition
+	JacobiSolve                = algorithms.JacobiSolve
+	LoopyBeliefPropagation     = algorithms.LoopyBeliefPropagation
+	DualDecomposition          = algorithms.DualDecomposition
 )
 
 // AlgorithmName identifies one of the fourteen algorithms by its paper
@@ -184,25 +151,15 @@ type ModelName = model.Name
 
 // Execution model names.
 const (
-	ModelGAS          = model.GAS
-	ModelPregel       = model.Pregel
-	ModelXStream      = model.XStream
-	ModelGraphCentric = model.GraphCentric
+	ModelGAS    = model.GAS
+	ModelPregel = model.Pregel
 )
-
-// ExecutionModel is the engine-agnostic execution interface every model
-// implements: report which algorithms it supports and run one of them
-// over a prepared workload, returning the behavior trace and summary.
-type ExecutionModel = model.Model
 
 // ModelOptions configures an ExecutionModel run.
 type ModelOptions = model.Options
 
 // ModelWorkload bundles the prepared inputs an ExecutionModel runs on.
 type ModelWorkload = model.Workload
-
-// ModelResult is an ExecutionModel run's trace and summary statistics.
-type ModelResult = model.Result
 
 // Execution-model helpers. ParseModel resolves a case-insensitive
 // -model flag value ("" = gas); ForName returns the named model's
@@ -211,7 +168,6 @@ var (
 	AllModels        = model.AllNames
 	ParseModel       = model.Parse
 	ModelForName     = model.ForName
-	ModelSupported   = model.Supported
 	ModelsSupporting = model.Supporting
 )
 
@@ -223,16 +179,8 @@ type Vector = behavior.Vector
 // Run is one measured graph computation.
 type Run = behavior.Run
 
-// Space is a max-normalized run collection.
-type Space = behavior.Space
-
-// NewSpace normalizes a run collection; Distance is the space's metric.
 // BehaviorFromTrace reduces an execution trace to its behavior vector.
-var (
-	NewSpace          = behavior.NewSpace
-	Distance          = behavior.Distance
-	BehaviorFromTrace = behavior.FromTrace
-)
+var BehaviorFromTrace = behavior.FromTrace
 
 // --- Sweeps (Table 2 campaigns) ---
 
@@ -242,42 +190,23 @@ type Spec = sweep.Spec
 // Profile selects the campaign scale.
 type Profile = sweep.Profile
 
-// Campaign profiles.
-const (
-	ProfileQuick    = sweep.ProfileQuick
-	ProfileStandard = sweep.ProfileStandard
-	ProfileLarge    = sweep.ProfileLarge
-)
+// ProfileQuick is the seconds-scale campaign profile; "standard" and
+// "large" are the other Profile values.
+const ProfileQuick = sweep.ProfileQuick
 
 // SweepConfig controls campaign execution, including the resilience
 // knobs (per-run Timeout, Retries, RetryBackoff, checkpoint Journal and
 // the InjectFault test hook).
 type SweepConfig = sweep.Config
 
-// RunResult is the per-spec outcome of a resilient campaign.
-type RunResult = sweep.RunResult
-
-// CampaignResult aggregates a resilient campaign: per-spec results plus
-// the partial corpus of successful runs.
-type CampaignResult = sweep.CampaignResult
-
 // Journal is the campaign checkpoint (append-only JSONL, atomically
 // rewritten) that enables resume after interruption.
 type Journal = sweep.Journal
 
-// JournalEntry is one checkpointed run record.
-type JournalEntry = sweep.JournalEntry
-
-// RunStatus classifies a campaign run outcome.
-type RunStatus = behavior.RunStatus
-
 // Campaign run outcomes.
 const (
-	RunOK        = behavior.StatusOK
-	RunFailed    = behavior.StatusFailed
-	RunTimeout   = behavior.StatusTimeout
-	RunCancelled = behavior.StatusCancelled
-	RunSkipped   = behavior.StatusSkipped
+	RunFailed  = behavior.StatusFailed
+	RunTimeout = behavior.StatusTimeout
 )
 
 // Campaign construction, execution and persistence. Sweep fails if any
@@ -289,10 +218,7 @@ var (
 	BuildPlan       = sweep.BuildPlan
 	BuildPlanModels = sweep.BuildPlanModels
 	Sweep           = sweep.Execute
-	SweepContext    = sweep.ExecuteContext
-	SweepCampaign   = sweep.ExecuteCampaign
 	OpenJournal     = sweep.OpenJournal
-	LoadJournal     = sweep.LoadJournal
 	FaultRate       = sweep.FaultRate
 	SaveRuns        = sweep.SaveRunsFile
 	LoadRuns        = sweep.LoadRunsFile
@@ -301,37 +227,8 @@ var (
 
 // --- Observability ---
 
-// RunTrace is the complete per-iteration record of one computation,
-// including the engine's phase spans.
-type RunTrace = trace.RunTrace
-
-// TraceIterationStats is one iteration's counters and phase spans.
-type TraceIterationStats = trace.IterationStats
-
-// TraceWorkerSpan attributes per-phase busy time to one engine worker.
-type TraceWorkerSpan = trace.WorkerSpan
-
-// MetricsRegistry is a dependency-free metric registry with Prometheus
-// text-format exposition; Metrics() returns the process-wide default
-// the engine and sweep runner publish into.
-type MetricsRegistry = obs.Registry
-
-// ObsServer is the opt-in observability HTTP server (/metrics,
-// /statusz, /healthz, /debug/pprof).
-type ObsServer = obs.Server
-
 // ObsServerOptions configures StartObsServer.
 type ObsServerOptions = obs.ServerOptions
-
-// CampaignTracker observes a sweep campaign live; its Snapshot is the
-// /statusz payload. Attach one via SweepConfig.Tracker.
-type CampaignTracker = sweep.Tracker
-
-// CampaignStatus is a point-in-time snapshot of a tracked campaign.
-type CampaignStatus = sweep.CampaignStatus
-
-// RunProvenance documents where and when a campaign run executed.
-type RunProvenance = sweep.Provenance
 
 // TraceStore is the bounded in-memory store of request-scoped traces
 // with tail-based sampling (error, shed and slowest-decile traces are
@@ -339,27 +236,14 @@ type RunProvenance = sweep.Provenance
 // trace serve → jobs → sweep → engine and query /debug/traces.
 type TraceStore = otrace.Store
 
-// TraceSpan is one span of a request-scoped trace. A nil *TraceSpan is
-// valid everywhere — every method no-ops — so untraced code paths pay
-// nothing.
-type TraceSpan = otrace.Span
-
-// SpanNode is the nested span-tree shape served by /debug/traces/{id}.
-type SpanNode = obs.SpanNode
-
 // Observability entry points. RunSpecTrace is the single-run engine
 // entry that also returns the full trace for WriteChromeTrace.
 var (
-	Metrics               = obs.Default
-	NewMetricsRegistry    = obs.NewRegistry
-	StartObsServer        = obs.StartServer
-	WriteChromeTrace      = obs.WriteChromeTrace
-	WriteChromeTraceSpans = obs.WriteChromeTraceSpans
-	PublishExpvar         = obs.PublishExpvar
-	NewCampaignTracker    = sweep.NewTracker
-	RunSpecTrace          = sweep.RunSpecTrace
-	NewTraceStore         = otrace.NewStore
-	BuildSpanTree         = obs.BuildSpanTree
+	StartObsServer     = obs.StartServer
+	WriteChromeTrace   = obs.WriteChromeTrace
+	NewCampaignTracker = sweep.NewTracker
+	RunSpecTrace       = sweep.RunSpecTrace
+	NewTraceStore      = otrace.NewStore
 )
 
 // --- Ensembles (§5) ---
@@ -367,110 +251,56 @@ var (
 // CoverageEstimator Monte-Carlo-estimates ensemble coverage.
 type CoverageEstimator = ensemble.CoverageEstimator
 
-// IncrementalCoverage caches per-sample nearest-member assignments over
-// an estimator's sample grid so a member swap or addition re-scores only
-// the affected cells — bit-identical to a fresh Monte-Carlo estimate
-// (the differential harness in internal/ensemble pins this).
-type IncrementalCoverage = ensemble.IncrementalCoverage
-
 // NewIncrementalCoverage builds the incremental state for a member set.
 var NewIncrementalCoverage = ensemble.NewIncrementalCoverage
 
-// Scored is an ensemble with its metric value.
-type Scored = ensemble.Scored
-
-// Ensemble metrics and searches. The Ctx variants abort cooperatively
-// when their context is cancelled — within one search step — which is
-// what lets `gcbench serve` honor per-request deadlines.
+// Ensemble metrics and searches.
 var (
-	Spread                  = ensemble.Spread
-	NewCoverageEstimator    = ensemble.NewCoverageEstimator
-	BestSpreadExhaustive    = ensemble.BestSpreadExhaustive
-	BestSpreadExhaustiveCtx = ensemble.BestSpreadExhaustiveCtx
-	BestSpreadGreedy        = ensemble.BestSpreadGreedy
-	BestSpreadGreedyCtx     = ensemble.BestSpreadGreedyCtx
-	BestCoverageGreedy      = ensemble.BestCoverageGreedy
-	BestCoverageGreedyCtx   = ensemble.BestCoverageGreedyCtx
-	TopEnsembles            = ensemble.TopEnsembles
-	TopEnsemblesCtx         = ensemble.TopEnsemblesCtx
-	UpperBoundSpread        = ensemble.UpperBoundSpread
-	UpperBoundCoverage      = ensemble.UpperBoundCoverage
+	Spread               = ensemble.Spread
+	NewCoverageEstimator = ensemble.NewCoverageEstimator
+	BestSpreadExhaustive = ensemble.BestSpreadExhaustive
+	BestSpreadGreedy     = ensemble.BestSpreadGreedy
+	BestCoverageGreedy   = ensemble.BestCoverageGreedy
 )
-
-// Metric selects a top-K objective.
-type Metric = ensemble.Metric
-
-// Top-K objectives.
-const (
-	MetricSpread   = ensemble.MetricSpread
-	MetricCoverage = ensemble.MetricCoverage
-)
-
-// TopKOptions configures TopEnsembles.
-type TopKOptions = ensemble.TopKOptions
 
 // AnnealOptions configures simulated-annealing ensemble design.
 type AnnealOptions = ensemble.AnnealOptions
 
 // Simulated-annealing searches (stronger than greedy+exchange; see §7).
 var (
-	AnnealSpread      = ensemble.AnnealSpread
-	AnnealSpreadCtx   = ensemble.AnnealSpreadCtx
-	AnnealCoverage    = ensemble.AnnealCoverage
-	AnnealCoverageCtx = ensemble.AnnealCoverageCtx
+	AnnealSpread   = ensemble.AnnealSpread
+	AnnealCoverage = ensemble.AnnealCoverage
 )
 
-// --- Corpus store & serving ---
+// --- Corpus & serving ---
 
-// CorpusSnapshot is one immutable, indexed corpus version.
-type CorpusSnapshot = corpus.Snapshot
-
-// CorpusRecord is one corpus entry (run + campaign outcome + stable key).
-type CorpusRecord = corpus.Record
-
-// CorpusStore publishes corpus snapshots with atomic hot-swap semantics.
-type CorpusStore = corpus.Store
-
-// CorpusFilter selects corpus records by algorithm/size/alpha/status.
-type CorpusFilter = corpus.Filter
-
-// APIServer is the ensemble-design-as-a-service HTTP server
-// (`gcbench serve`): a JSON API over a hot-reloadable corpus with result
-// caching, singleflight coalescing and queue-depth backpressure.
-type APIServer = serve.Server
-
-// APIServerConfig parameterizes an APIServer.
+// APIServerConfig parameterizes NewAPIServer, the ensemble-design HTTP
+// server behind `gcbench serve`.
 type APIServerConfig = serve.Config
 
 // DefaultCoverageSamples is the paper's coverage sample count (10^6).
 const DefaultCoverageSamples = ensemble.DefaultSamples
 
-// Corpus-store and API-server entry points. LoadCorpusSnapshot accepts
-// either corpus format: a runs JSON array or a checkpoint journal.
+// Corpus and API-server entry points. LoadCorpusSnapshot accepts either
+// corpus format: a runs JSON array or a checkpoint journal.
 var (
-	LoadCorpusSnapshot      = corpus.LoadFile
-	NewCorpusSnapshot       = corpus.NewSnapshotFromRuns
-	CorpusSnapshotOfJournal = corpus.NewSnapshotFromJournal
-	NewCorpusStore          = corpus.NewStore
-	CorpusKeyOf             = corpus.KeyOf
-	NewAPIServer            = serve.New
+	LoadCorpusSnapshot = corpus.LoadFile
+	NewAPIServer       = serve.New
 )
 
-// --- Sharded corpus serving tier ---
+// --- Corpus backend: the shard cluster ---
 
-// ShardCluster partitions a corpus across consistent-hash shards, each
-// serving reads from replicated immutable snapshots, with scatter-gather
-// search and versioned per-shard hot publish. Attach one via
-// APIServerConfig.Cluster (instead of Store) to serve sharded; the API's
-// JSON responses are byte-identical to the single-store path.
+// ShardCluster is the one corpus backend of the API server
+// (APIServerConfig.Cluster): it partitions a corpus across
+// consistent-hash shards, each serving reads from replicated immutable
+// snapshots, with scatter-gather search and versioned per-shard hot
+// publish. The zero-valued options give the single-node 1 shard × 1
+// replica deployment; the API's JSON responses are byte-identical for
+// every shard count, replica count and transport.
 type ShardCluster = shard.Cluster
 
 // ShardClusterOptions parameterizes NewShardCluster.
 type ShardClusterOptions = shard.Options
-
-// ShardView is a cluster's immutable merged read view: the combined
-// snapshot plus the per-shard version vector that produced it.
-type ShardView = shard.View
 
 // NewShardCluster builds an empty cluster; Load publishes the first
 // corpus version to every shard and makes the cluster ready.
@@ -479,23 +309,13 @@ var NewShardCluster = shard.New
 // --- Wire-transport shard processes ---
 
 // ShardClient is the RPC-shaped interface every shard transport
-// implements: in-process (LocalShard), over the wire (RemoteShard), or
-// replica-aggregating (ShardReplicaSet). Inject transports via
+// implements: in-process, over the wire (NewRemoteShard), or
+// replica-aggregating (NewShardReplicaSet). Inject transports via
 // ShardClusterOptions.Clients.
 type ShardClient = shard.ShardClient
 
-// RemoteShard speaks the shard wire protocol to one replica process
-// over pooled HTTP connections, with per-call deadlines and bounded,
-// jittered retry on transport-level read failures.
-type RemoteShard = shard.RemoteShard
-
 // RemoteShardOptions parameterizes NewRemoteShard.
 type RemoteShardOptions = shard.RemoteOptions
-
-// ShardReplicaSet aggregates R replica endpoints of one shard into a
-// single logical ShardClient: round-robin reads with failover to
-// survivors, fan-out publishes, and Down-aware Info for /readyz.
-type ShardReplicaSet = shard.ReplicaSet
 
 // ShardSupervisor owns a fleet of shard replica processes: spawn,
 // health-check, restart on crash, and rehydrate (epoch-fenced) via the
@@ -541,7 +361,6 @@ type LoadTestGate = loadtest.Gate
 // profile against a `gcbench serve` deployment.
 var (
 	RunLoadTest        = loadtest.Run
-	ServeLoadMix       = loadtest.ServeMix
 	ServeLoadMixModels = loadtest.ServeMixModels
 )
 
@@ -557,66 +376,21 @@ type JobManager = jobs.Manager
 // JobManagerConfig parameterizes a JobManager.
 type JobManagerConfig = jobs.Config
 
-// CampaignJob is one tracked asynchronous campaign.
-type CampaignJob = jobs.Job
-
 // JobRequest is the campaign submitted to a JobManager.
 type JobRequest = jobs.Request
 
-// JobStatus is a point-in-time job snapshot.
-type JobStatus = jobs.Status
-
-// JobEvent is one entry in a job's ordered progress stream.
-type JobEvent = jobs.Event
-
-// JobState is a job's lifecycle state; ok, failed and cancelled are
-// terminal.
-type JobState = jobs.State
-
-// Job lifecycle states.
-const (
-	JobQueued    = jobs.StateQueued
-	JobRunning   = jobs.StateRunning
-	JobOK        = jobs.StateOK
-	JobFailed    = jobs.StateFailed
-	JobCancelled = jobs.StateCancelled
-)
-
-// Job-manager entry point and sentinel errors.
-var (
-	NewJobManager   = jobs.NewManager
-	ErrJobQueueFull = jobs.ErrQueueFull
-	ErrJobsClosed   = jobs.ErrClosed
-	ErrJobNotFound  = jobs.ErrNotFound
-)
+// NewJobManager starts a JobManager.
+var NewJobManager = jobs.NewManager
 
 // --- Behavior prediction (§7 future work) ---
 
-// Predictor interpolates behavior vectors from a measured corpus.
-type Predictor = predict.Predictor
-
 // PredictQuery identifies the computation to predict.
 type PredictQuery = predict.Query
-
-// Prediction is an interpolated behavior estimate.
-type Prediction = predict.Prediction
 
 // Predictor construction and evaluation.
 var (
 	NewPredictor       = predict.New
 	PredictLeaveOneOut = predict.LeaveOneOut
-)
-
-// NNIndex is an exact k-d nearest-neighbor index over behavior vectors —
-// the structure behind Predictor's O(log n) exact-hit lookups. Nearest
-// returns bit-identical results to NearestLinear, ties included.
-type NNIndex = nnindex.Index
-
-// Spatial-index entry points. NearestLinear is the linear-scan oracle
-// the index is differentially tested against.
-var (
-	BuildNNIndex  = nnindex.Build
-	NearestLinear = nnindex.NearestLinear
 )
 
 // --- Reports (figures and tables) ---
@@ -626,9 +400,6 @@ type Corpus = report.Corpus
 
 // FigureOptions tunes figure generation.
 type FigureOptions = report.FigureOptions
-
-// Report is a rendered figure/table reproduction.
-type Report = report.Report
 
 // Figure builders and helpers.
 var (

@@ -150,14 +150,48 @@ func KeyOfModel(model, algorithm, sizeLabel string, alpha float64) string {
 // NewSnapshotFromRuns builds a snapshot from a measured run collection
 // (every record has status ok).
 func NewSnapshotFromRuns(runs []*behavior.Run, source string) (*Snapshot, error) {
-	records := make([]Record, 0, len(runs))
+	return newSnapshot(appendOKRecords(nil, runs), source)
+}
+
+// appendOKRecords appends one ok record per measured run.
+func appendOKRecords(records []Record, runs []*behavior.Run) []Record {
 	for _, r := range runs {
 		records = append(records, Record{
 			Run: r, Status: behavior.StatusOK,
 			Algorithm: r.Algorithm, SizeLabel: r.SizeLabel, Alpha: r.Alpha, Model: r.Model,
 		})
 	}
-	return newSnapshot(records, source)
+	return records
+}
+
+// Grow returns old grown by measured runs: old's records plus one ok
+// record per run, rebuilt and re-indexed as a fresh snapshot through the
+// shared constructor. This is the one definition of append semantics —
+// Store.Append and the shard coordinator's Cluster.Append both publish
+// what it returns. Keys of pre-existing records are stable (collision
+// suffixes depend only on records loaded before them) and new records
+// get corpus-unique keys. Rebuilding runs the normalization from
+// scratch, so the paper's max-normalization invariant — every behavior
+// dimension ≤ 1.0 across the whole collection (§3.4) — holds however far
+// the corpus grows: a new run that raises a dimension's maximum rescales
+// every older point, it does not escape the unit cube. from names where
+// the runs came from (e.g. a job ID) and becomes the Source of a corpus
+// that had none. old is not modified.
+func Grow(old *Snapshot, runs []*behavior.Run, from string) (*Snapshot, error) {
+	if len(runs) == 0 {
+		return nil, fmt.Errorf("corpus: nothing to append")
+	}
+	records := make([]Record, 0, len(old.Records)+len(runs))
+	records = appendOKRecords(append(records, old.Records...), runs)
+	source := old.Source
+	if source == "" {
+		source = from
+	}
+	snap, err := newSnapshot(records, source)
+	if err != nil {
+		return nil, fmt.Errorf("corpus: appending %d runs from %s: %w", len(runs), from, err)
+	}
+	return snap, nil
 }
 
 // NewSnapshotFromJournal builds a snapshot from checkpoint-journal
@@ -187,14 +221,13 @@ func NewSnapshotFromJournal(entries []sweep.JournalEntry, source string) (*Snaps
 	return newSnapshot(records, source)
 }
 
-// NewSnapshotFromRecords builds a snapshot from pre-assembled records —
-// the entry point the shard coordinator uses to rebuild its merged
-// global view from per-shard partitions. Keys are (re)assigned by the
-// same deterministic first-wins-suffix rule as every other constructor,
-// so a record list in canonical sequence order yields exactly the keys,
-// normalization and index layout a single-store load of the same
-// records would. The records slice is retained and mutated (keys are
-// written in place); pass a copy when the caller still shares it.
+// NewSnapshotFromRecords builds a snapshot from pre-assembled records,
+// e.g. a copy of another snapshot's. Keys are (re)assigned by the same
+// deterministic first-wins-suffix rule as every other constructor, so a
+// record list in canonical sequence order yields exactly the keys,
+// normalization and index layout a load of the same records would. The
+// records slice is retained and mutated (keys are written in place);
+// pass a copy when the caller still shares it.
 func NewSnapshotFromRecords(records []Record, source string) (*Snapshot, error) {
 	return newSnapshot(records, source)
 }
@@ -587,43 +620,22 @@ func (st *Store) Reload() (*Snapshot, error) {
 	return snap, nil
 }
 
-// Append publishes a grown corpus: the current snapshot's records plus
-// one ok record per new measured run, rebuilt and re-indexed as a fresh
-// snapshot. Rebuilding runs the snapshot's normalization from scratch,
-// so the paper's max-normalization invariant — every behavior dimension
-// ≤ 1.0 across the whole collection (§3.4) — holds however far the
-// corpus grows: a new run that raises a dimension's maximum rescales
-// every older point, it does not escape the unit cube.
+// Append publishes the current snapshot grown by runs (see Grow for the
+// renormalization rule).
 //
 // The swap is atomic: readers holding the previous snapshot finish
 // against a consistent view, and concurrent Append/Reload publishers
-// are serialized so no appended run is lost. from names where the runs
-// came from (e.g. a job ID) for the snapshot's Source annotation.
+// are serialized so no appended run is lost.
 func (st *Store) Append(runs []*behavior.Run, from string) (*Snapshot, error) {
-	if len(runs) == 0 {
-		return nil, fmt.Errorf("corpus: nothing to append")
-	}
 	st.pubMu.Lock()
 	defer st.pubMu.Unlock()
 	cur := st.Snapshot()
 	if cur == nil {
 		return nil, fmt.Errorf("corpus: store has no published snapshot")
 	}
-	records := make([]Record, 0, len(cur.Records)+len(runs))
-	records = append(records, cur.Records...)
-	for _, r := range runs {
-		records = append(records, Record{
-			Run: r, Status: behavior.StatusOK,
-			Algorithm: r.Algorithm, SizeLabel: r.SizeLabel, Alpha: r.Alpha, Model: r.Model,
-		})
-	}
-	source := cur.Source
-	if source == "" {
-		source = from
-	}
-	snap, err := newSnapshot(records, source)
+	snap, err := Grow(cur, runs, from)
 	if err != nil {
-		return nil, fmt.Errorf("corpus: appending %d runs from %s: %w", len(runs), from, err)
+		return nil, err
 	}
 	st.Swap(snap)
 	return snap, nil

@@ -95,8 +95,8 @@ type Report struct {
 	Non2xx          int64                  `json:"non2xx"`
 	Count5xx        int64                  `json:"count5xx"`
 	Routes          map[string]*RouteStats `json:"routes"`
-	// Extra carries harness-specific measurements (e.g. the sharded vs
-	// single-store design-latency comparison) into the artifact.
+	// Extra carries harness-specific measurements (e.g. the 4×2 vs 1×1
+	// design-latency comparison) into the artifact.
 	Extra map[string]any `json:"extra,omitempty"`
 }
 

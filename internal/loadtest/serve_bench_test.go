@@ -36,32 +36,20 @@ func standardSnapshot(t testing.TB) *corpus.Snapshot {
 	return stdSnap
 }
 
-// singleServer is a single-store deployment over the standard corpus.
-func singleServer(t testing.TB, mgr *jobs.Manager) *serve.Server {
-	t.Helper()
-	cfg := serve.Config{
-		Store:    corpus.NewStore(standardSnapshot(t)),
-		Samples:  50_000,
-		Registry: obs.NewRegistry(),
-		Jobs:     mgr,
-	}
-	s, err := serve.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-// shardedServer is the same corpus partitioned across shards×replicas.
-func shardedServer(t testing.TB, shards, replicas int, mgr *jobs.Manager) *serve.Server {
+// clusterServer is the one deployment builder: the standard corpus (its
+// own record copy — a cluster owns the snapshot it is loaded with)
+// served from the cluster opts describes.
+func clusterServer(t testing.TB, opts shard.Options, mgr *jobs.Manager) *serve.Server {
 	t.Helper()
 	std := standardSnapshot(t)
-	records := append([]corpus.Record(nil), std.Records...)
-	snap, err := corpus.NewSnapshotFromRecords(records, std.Source)
+	snap, err := corpus.NewSnapshotFromRecords(append([]corpus.Record(nil), std.Records...), std.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := shard.New(shard.Options{Shards: shards, Replicas: replicas, Registry: obs.NewRegistry()})
+	if opts.Registry == nil {
+		opts.Registry = obs.NewRegistry()
+	}
+	c, err := shard.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +68,13 @@ func shardedServer(t testing.TB, shards, replicas int, mgr *jobs.Manager) *serve
 	return s
 }
 
+// shardedServer partitions the corpus across shards×replicas in
+// process; 1×1 is the single-node deployment.
+func shardedServer(t testing.TB, shards, replicas int, mgr *jobs.Manager) *serve.Server {
+	t.Helper()
+	return clusterServer(t, shard.Options{Shards: shards, Replicas: replicas}, mgr)
+}
+
 // wireServer is the same corpus partitioned across `shards` wire-
 // transport shard endpoints: each shard is served over real loopback
 // TCP (httptest server speaking the shard RPC protocol) through a
@@ -88,12 +83,6 @@ func shardedServer(t testing.TB, shards, replicas int, mgr *jobs.Manager) *serve
 // what the wire-overhead ratio isolates.
 func wireServer(t testing.TB, shards int, mgr *jobs.Manager) *serve.Server {
 	t.Helper()
-	std := standardSnapshot(t)
-	records := append([]corpus.Record(nil), std.Records...)
-	snap, err := corpus.NewSnapshotFromRecords(records, std.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := obs.NewRegistry()
 	clients := make([]shard.ShardClient, shards)
 	for i := 0; i < shards; i++ {
@@ -106,23 +95,7 @@ func wireServer(t testing.TB, shards int, mgr *jobs.Manager) *serve.Server {
 		}
 		clients[i] = rs
 	}
-	c, err := shard.New(shard.Options{Shards: shards, Clients: clients, Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Load(context.Background(), snap); err != nil {
-		t.Fatal(err)
-	}
-	s, err := serve.New(serve.Config{
-		Cluster:  c,
-		Samples:  50_000,
-		Registry: obs.NewRegistry(),
-		Jobs:     mgr,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return clusterServer(t, shard.Options{Shards: shards, Clients: clients, Registry: reg}, mgr)
 }
 
 // designLatency measures uncached design-search wall time on a handler:
@@ -153,8 +126,9 @@ func designLatency(t testing.TB, h http.Handler, reps int) time.Duration {
 // TestWriteServeBenchArtifact is the CI serve-load job: it measures the
 // sharded serving tier under the mixed ServeMix traffic profile (plus
 // real quick-profile campaign submissions through the async jobs API),
-// gates on predict p99, zero 5xx and the scatter-gather design path
-// being no slower than single-store, and writes the BENCH_serve.json
+// gates on predict p99, zero 5xx and the 4×2 scatter-gather design path
+// being no slower than the 1×1 single-node one, and writes the
+// BENCH_serve.json
 // artifact the repo keeps as the serving-tier regression record.
 //
 // Opt-in via GCBENCH_SERVE_BENCH_ARTIFACT=<output path> because the
@@ -167,10 +141,11 @@ func TestWriteServeBenchArtifact(t *testing.T) {
 	}
 
 	// Phase 1 — scatter-gather overhead: identical uncached design
-	// searches on a single store and a 4-shard cluster, best of 5. The
-	// fan-out only gathers pool seqs; the search itself dominates, so
-	// sharding must not cost more than 25% even on a noisy runner.
-	single := singleServer(t, nil)
+	// searches on the 1×1 single-node cluster and a 4-shard × 2-replica
+	// one, best of 5. The fan-out only gathers pool seqs; the search
+	// itself dominates, so sharding must not cost more than 25% even on a
+	// noisy runner.
+	single := shardedServer(t, 1, 1, nil)
 	const shards, replicas = 4, 2
 	mgr := jobs.NewManager(jobs.Config{MaxRunning: 1, QueueDepth: 2, Registry: obs.NewRegistry()})
 	t.Cleanup(func() {
@@ -185,7 +160,7 @@ func TestWriteServeBenchArtifact(t *testing.T) {
 	singleDesign := designLatency(t, single.Handler(), 5)
 	shardedDesign := designLatency(t, sharded.Handler(), 5)
 	ratio := float64(shardedDesign) / float64(singleDesign)
-	t.Logf("design search: single=%v sharded(%dx%d)=%v ratio=%.3f",
+	t.Logf("design search: 1x1=%v sharded(%dx%d)=%v ratio=%.3f",
 		singleDesign, shards, replicas, shardedDesign, ratio)
 
 	// Phase 1b — wire-transport overhead: the same 4 shards served over
@@ -253,7 +228,7 @@ func TestWriteServeBenchArtifact(t *testing.T) {
 		t.Error(err)
 	}
 	if ratio > 1.25 {
-		t.Errorf("scatter-gather design path is %.2fx single-store (gate 1.25x): single=%v sharded=%v",
+		t.Errorf("4x2 scatter-gather design path is %.2fx the 1x1 cluster (gate 1.25x): 1x1=%v sharded=%v",
 			ratio, singleDesign, shardedDesign)
 	}
 	// The wire gate is looser: loopback TCP + JSON on the scatter is real

@@ -22,10 +22,9 @@ func decodeJSON(t testing.TB, w *httptest.ResponseRecorder, v any) {
 }
 
 // TestReadyzGatesOnShardPublish asserts the liveness/readiness split: a
-// cluster server is alive (healthz 200) but not ready (readyz 503, API
+// server is alive (healthz 200) but not ready (readyz 503, API
 // 503) until every shard has published a first corpus version.
 func TestReadyzGatesOnShardPublish(t *testing.T) {
-	standardStore(t)
 	c, err := shard.New(shard.Options{Shards: 3, Replicas: 2, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
@@ -62,14 +61,7 @@ func TestReadyzGatesOnShardPublish(t *testing.T) {
 		t.Fatalf("/api/runs = %d on unready cluster, want 503", w.Code)
 	}
 
-	records := append([]corpus.Record(nil), stdSnap.Records...)
-	snap, err := corpus.NewSnapshotFromRecords(records, stdSnap.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Load(context.Background(), snap); err != nil {
-		t.Fatal(err)
-	}
+	loadCopy(t, c, standardSnapshot(t))
 
 	w = get(t, s, "/readyz")
 	if w.Code != http.StatusOK {
@@ -85,9 +77,9 @@ func TestReadyzGatesOnShardPublish(t *testing.T) {
 		t.Fatalf("/api/runs = %d after load, want 200", w.Code)
 	}
 
-	// Single-store servers are ready as soon as they exist.
+	// A loaded 1×1 single-node deployment is ready as soon as it exists.
 	if w := get(t, newTestServer(t, nil), "/readyz"); w.Code != http.StatusOK {
-		t.Fatalf("single-store /readyz = %d, want 200", w.Code)
+		t.Fatalf("single-node /readyz = %d, want 200", w.Code)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"gcbench/internal/ensemble"
 	"gcbench/internal/model"
 	"gcbench/internal/obs/otrace"
+	"gcbench/internal/shard"
 )
 
 // errInvalid tags client mistakes so the HTTP layer maps them to 400
@@ -130,18 +131,19 @@ func dedupStrings(in []string) []string {
 	return out
 }
 
-// cacheKey renders the canonical request identity. The corpus version
-// tag prefixes the key — the store's scalar version, or the cluster's
-// shard version vector — so a publish naturally invalidates every
-// cached design whose inputs could have changed without racing
-// in-flight requests on the old snapshot.
-func (req *designRequest) cacheKey(versionTag string) string {
+// cacheKey renders the canonical request identity. The view's shard
+// version vector prefixes the key, so a publish naturally invalidates
+// every cached design whose inputs could have changed without racing
+// in-flight requests on the old view, and a restarted shard's rehydrate
+// (which advances only the vector, not the epoch) retires the dead
+// process's entries.
+func (req *designRequest) cacheKey(view *shard.View) string {
 	alphas := make([]string, len(req.Pool.Alphas))
 	for i, a := range req.Pool.Alphas {
 		alphas[i] = strconv.FormatFloat(a, 'g', -1, 64)
 	}
-	return fmt.Sprintf("%s|metric=%s|method=%s|n=%d|seed=%d|steps=%d|algs=%s|sizes=%s|alphas=%s|models=%s",
-		versionTag, req.Metric, req.Method, req.N, req.Seed, req.Steps,
+	return fmt.Sprintf("vv%s|metric=%s|method=%s|n=%d|seed=%d|steps=%d|algs=%s|sizes=%s|alphas=%s|models=%s",
+		view.VVString(), req.Metric, req.Method, req.N, req.Seed, req.Steps,
 		strings.Join(req.Pool.Algorithms, ","),
 		strings.Join(req.Pool.Sizes, ","),
 		strings.Join(alphas, ","),
@@ -171,10 +173,7 @@ type designResponse struct {
 // handleDesign serves POST /api/ensemble/design.
 func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 	var req designRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request", "decoding body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	s.serveDesign(w, r, &req)
@@ -197,35 +196,42 @@ func (s *Server) handleBest(w http.ResponseWriter, r *http.Request) {
 	s.serveDesign(w, r, &req)
 }
 
-// serveDesign is the shared cache → singleflight → worker-pool → search
-// path behind both design endpoints. In cluster mode the candidate pool
-// is assembled by scatter-gather — each shard contributes the matching
-// pool members from its own partition, and the merge maps them back to
-// the merged view's pool indices — before the search finalizes with the
-// same scorers the single-store path uses.
+// serveDesign is the shared cache → scatter → singleflight →
+// worker-pool → search path behind both design endpoints. The cache is
+// consulted first — its key is the canonical request plus the version
+// vector, and only successful designs are ever stored — so a cached
+// design costs no fan-out. On a miss the candidate pool is assembled by
+// scatter-gather: each shard contributes the matching pool members from
+// its own partition, and the merge maps them back to the merged view's
+// pool indices.
 func (s *Server) serveDesign(w http.ResponseWriter, r *http.Request, req *designRequest) {
 	if err := req.normalize(); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_request", "%v", err)
 		return
 	}
-	snap, view, ok := s.currentCorpus(w)
+	view, ok := s.currentCorpus(w)
 	if !ok {
 		return
 	}
+	snap := view.Merged
+	key := req.cacheKey(view)
+	if body, ok := s.cache.Get(key); ok {
+		s.mCacheHit.Inc()
+		reqInfoFrom(r.Context()).setCache("hit")
+		s.writeDesignBody(w, body, "hit")
+		return
+	}
+
+	seqs, err := s.cluster.Scatter(r.Context(), req.filter(), true)
+	if err != nil {
+		writeError(w, http.StatusServiceUnavailable, "shard_unavailable", "%v", err)
+		return
+	}
 	var poolIdx []int
-	if view != nil {
-		seqs, err := s.cluster.Scatter(r.Context(), req.filter(), true)
-		if err != nil {
-			writeError(w, http.StatusServiceUnavailable, "shard_unavailable", "%v", err)
-			return
+	for _, seq := range clampSeqs(seqs, len(snap.Records)) {
+		if pi := view.PoolIndexOfSeq(seq); pi >= 0 {
+			poolIdx = append(poolIdx, pi)
 		}
-		for _, seq := range clampSeqs(seqs, len(snap.Records)) {
-			if pi := view.PoolIndexOfSeq(seq); pi >= 0 {
-				poolIdx = append(poolIdx, pi)
-			}
-		}
-	} else {
-		poolIdx = snap.PoolSelect(req.filter())
 	}
 	if len(poolIdx) == 0 {
 		writeError(w, http.StatusBadRequest, "empty_pool",
@@ -235,14 +241,6 @@ func (s *Server) serveDesign(w http.ResponseWriter, r *http.Request, req *design
 	if req.N > len(poolIdx) {
 		writeError(w, http.StatusBadRequest, "invalid_request",
 			"n = %d exceeds the restricted pool's %d runs", req.N, len(poolIdx))
-		return
-	}
-
-	key := req.cacheKey(s.versionTag(snap, view))
-	if body, ok := s.cache.Get(key); ok {
-		s.mCacheHit.Inc()
-		reqInfoFrom(r.Context()).setCache("hit")
-		s.writeDesignBody(w, body, "hit")
 		return
 	}
 	s.mCacheMiss.Inc()

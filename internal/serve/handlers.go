@@ -110,43 +110,37 @@ func splitParams(vals []string) []string {
 	return out
 }
 
-// currentCorpus loads the request's corpus state — store snapshot, or
-// the cluster's merged view — answering 503 itself when nothing is
-// published yet (a cluster before its initial Load; /readyz reports the
-// same condition to the load balancer).
-func (s *Server) currentCorpus(w http.ResponseWriter) (*corpus.Snapshot, *shard.View, bool) {
-	snap, view := s.corpusView()
-	if snap == nil {
+// currentCorpus loads the request's view, answering 503 itself when
+// nothing is published yet (/readyz reports the same condition to the
+// load balancer).
+func (s *Server) currentCorpus(w http.ResponseWriter) (*shard.View, bool) {
+	view, ok := s.currentView()
+	if !ok {
 		writeError(w, http.StatusServiceUnavailable, "no_corpus", "no corpus published yet; check /readyz")
-		return nil, nil, false
 	}
-	return snap, view, true
+	return view, ok
 }
 
 // handleRuns serves GET /api/runs: the filtered corpus listing in stable
-// load order. In cluster mode the listing is a scatter-gather: each
-// shard selects over its own partition and the merge restores canonical
-// sequence order, so the body is byte-identical to a single-store scan.
+// load order, as a scatter-gather: each shard selects over its own
+// partition and the merge restores canonical sequence order.
 func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
-	snap, view, ok := s.currentCorpus(w)
+	view, ok := s.currentCorpus(w)
 	if !ok {
 		return
 	}
+	snap := view.Merged
 	f, err := parseFilter(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_request", "%v", err)
 		return
 	}
-	var idx []int
-	if view != nil {
-		if idx, err = s.cluster.Scatter(r.Context(), f, false); err != nil {
-			writeError(w, http.StatusServiceUnavailable, "shard_unavailable", "%v", err)
-			return
-		}
-		idx = clampSeqs(idx, len(snap.Records))
-	} else {
-		idx = snap.Select(f)
+	idx, err := s.cluster.Scatter(r.Context(), f, false)
+	if err != nil {
+		writeError(w, http.StatusServiceUnavailable, "shard_unavailable", "%v", err)
+		return
 	}
+	idx = clampSeqs(idx, len(snap.Records))
 	runs := make([]runSummary, 0, len(idx))
 	for _, i := range idx {
 		runs = append(runs, summarize(snap, i))
@@ -178,66 +172,23 @@ func clampSeqs(seqs []int, n int) []int {
 }
 
 // handleBehavior serves GET /api/behavior/{key}: one run's complete
-// record.
+// record, by fragment cache → owner-shard routed read → render from the
+// consistent view.
 //
-// In cluster mode the read routes to the key's owning shard (any
-// replica answers from its own immutable partition snapshot), and the
-// rendered record fragment is cached keyed by (key, owner shard
-// version, normalization epoch): a hot-publish to a different shard
-// that leaves the corpus maxima unchanged cannot alter this record's
-// bytes, so the cached fragment keeps serving across it — only the
-// envelope's corpusVersion is rendered fresh.
+// The read routes to the key's owning shard (any replica answers from
+// its own immutable partition snapshot), and the rendered record
+// fragment is cached keyed by (key, owner shard version, normalization
+// epoch): a hot-publish to a different shard that leaves the corpus
+// maxima unchanged cannot alter this record's bytes, so the cached
+// fragment keeps serving across it — only the envelope's corpusVersion
+// is rendered fresh.
 func (s *Server) handleBehavior(w http.ResponseWriter, r *http.Request) {
-	snap, view, ok := s.currentCorpus(w)
+	view, ok := s.currentCorpus(w)
 	if !ok {
 		return
 	}
+	snap := view.Merged
 	key := r.PathValue("key")
-	if view != nil {
-		s.serveBehaviorSharded(w, r, snap, view, key)
-		return
-	}
-	i, ok := snap.Lookup(key)
-	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", "no corpus record with key %q", key)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"corpusVersion": snap.Version,
-		"run":           behaviorDetailOf(snap, view, i),
-	})
-}
-
-// behaviorDetailOf assembles the full record payload. With a view, the
-// pool index comes from the view's precomputed seq→pool mapping instead
-// of a pool scan — same result, no linear search per request.
-func behaviorDetailOf(snap *corpus.Snapshot, view *shard.View, i int) behaviorDetail {
-	det := behaviorDetail{runSummary: summarize(snap, i)}
-	rec := &snap.Records[i]
-	if rec.Run == nil {
-		return det
-	}
-	det.ActiveFraction = rec.Run.ActiveFraction
-	if view != nil {
-		if pi := view.PoolIndexOfSeq(i); pi >= 0 {
-			pt := snap.Pool.Point(pi)
-			det.PoolBehavior = &pt
-		}
-		return det
-	}
-	for pi := 0; pi < snap.PoolSize(); pi++ {
-		if snap.PoolRecord(pi).Key == rec.Key {
-			pt := snap.Pool.Point(pi)
-			det.PoolBehavior = &pt
-			break
-		}
-	}
-	return det
-}
-
-// serveBehaviorSharded is the cluster read path for one record: fragment
-// cache → owner-shard routed read → render from the consistent view.
-func (s *Server) serveBehaviorSharded(w http.ResponseWriter, r *http.Request, snap *corpus.Snapshot, view *shard.View, key string) {
 	owner := s.cluster.Owner(key)
 	fragKey := fmt.Sprintf("bfrag|%s|s%d.v%d|ne%d", key, owner, view.VV[owner], view.NormEpoch)
 	if frag, ok := s.cache.Get(fragKey); ok {
@@ -257,13 +208,19 @@ func (s *Server) serveBehaviorSharded(w http.ResponseWriter, r *http.Request, sn
 	i, known := snap.Lookup(key)
 	if !resp.Found || !known {
 		// Either truly absent, or just appended and not yet in this
-		// request's view — identical to a single-store reader holding the
-		// pre-append snapshot.
+		// request's view.
 		writeError(w, http.StatusNotFound, "not_found", "no corpus record with key %q", key)
 		return
 	}
 	s.mCacheMiss.Inc()
-	det := behaviorDetailOf(snap, view, i)
+	det := behaviorDetail{runSummary: summarize(snap, i)}
+	if rec := &snap.Records[i]; rec.Run != nil {
+		det.ActiveFraction = rec.Run.ActiveFraction
+		if pi := view.PoolIndexOfSeq(i); pi >= 0 {
+			pt := snap.Pool.Point(pi)
+			det.PoolBehavior = &pt
+		}
+	}
 	frag, err := json.Marshal(det)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encoding_failed", "encoding record: %v", err)
@@ -272,8 +229,8 @@ func (s *Server) serveBehaviorSharded(w http.ResponseWriter, r *http.Request, sn
 	s.cache.Put(fragKey, frag)
 	reqInfoFrom(r.Context()).setCache("miss")
 	// The envelope re-indents the compact fragment, so the bytes equal a
-	// direct struct marshal — cached and uncached responses, cluster and
-	// single-store, all render identically.
+	// direct struct marshal — cached and uncached responses render
+	// identically.
 	writeJSON(w, http.StatusOK, map[string]any{
 		"corpusVersion": snap.Version,
 		"run":           json.RawMessage(frag),
@@ -282,14 +239,15 @@ func (s *Server) serveBehaviorSharded(w http.ResponseWriter, r *http.Request, sn
 
 // handlePredict serves GET /api/predict: §7 behavior interpolation for
 // an <algorithm, edges, alpha> query. The predictor interpolates over
-// the whole corpus, so in cluster mode it is built from the merged view
-// — the same insertion-order float summation as a single store, keeping
-// predictions bit-identical across shard counts.
+// the whole corpus, so it is built from the merged view — the same
+// insertion-order float summation for every shard count, keeping
+// predictions bit-identical across deployments.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	snap, _, okc := s.currentCorpus(w)
+	view, okc := s.currentCorpus(w)
 	if !okc {
 		return
 	}
+	snap := view.Merged
 	q := r.URL.Query()
 	algName, err := algorithms.Parse(q.Get("algorithm"))
 	if err != nil {
@@ -346,18 +304,19 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleCorpusInfo serves GET /api/corpus: snapshot metadata, plus the
-// shard tier's version vector in cluster mode.
+// handleCorpusInfo serves GET /api/corpus: snapshot metadata plus the
+// shard tier's shape and version vector.
 func (s *Server) handleCorpusInfo(w http.ResponseWriter, r *http.Request) {
-	snap, view, ok := s.currentCorpus(w)
+	view, ok := s.currentCorpus(w)
 	if !ok {
 		return
 	}
+	snap := view.Merged
 	byStatus := map[string]int{}
 	for i := range snap.Records {
 		byStatus[string(snap.Records[i].Status)]++
 	}
-	payload := map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"corpusVersion": snap.Version,
 		"source":        snap.Source,
 		"loadedAt":      snap.LoadedAt,
@@ -365,40 +324,27 @@ func (s *Server) handleCorpusInfo(w http.ResponseWriter, r *http.Request) {
 		"okRuns":        snap.OKCount(),
 		"poolSize":      snap.PoolSize(),
 		"byStatus":      byStatus,
-	}
-	if view != nil {
-		payload["shards"] = map[string]any{
+		"shards": map[string]any{
 			"count":         s.cluster.Shards(),
 			"replicas":      s.cluster.Replicas(),
 			"versionVector": view.VVString(),
 			"normEpoch":     view.NormEpoch,
-		}
-	}
-	writeJSON(w, http.StatusOK, payload)
+		},
+	})
 }
 
-// handleReload serves POST /api/corpus/reload: re-reads the snapshot's
-// source file and atomically publishes the new version. Running requests
-// keep their old snapshot; the response reports the new version. In
-// cluster mode the reload repartitions and republishes every shard.
+// handleReload serves POST /api/corpus/reload: re-reads the corpus
+// source file, repartitions it and republishes every shard. Running
+// requests keep their old view; the response reports the new version.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	var snap *corpus.Snapshot
-	if s.cluster != nil {
-		view, err := s.cluster.Reload(r.Context())
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "reload_failed", "%v", err)
-			return
-		}
-		snap = view.Merged
-	} else {
-		var err error
-		if snap, err = s.store.Reload(); err != nil {
-			writeError(w, http.StatusInternalServerError, "reload_failed", "%v", err)
-			return
-		}
+	view, err := s.cluster.Reload(r.Context())
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "reload_failed", "%v", err)
+		return
 	}
-	// A reload advances every shard (or the store's scalar version), so
-	// no cache entry stays addressable; purge simply returns the memory.
+	snap := view.Merged
+	// A reload advances every shard, so no cache entry stays addressable;
+	// purge simply returns the memory.
 	s.cache.Purge()
 	s.mReloads.Inc()
 	writeJSON(w, http.StatusOK, map[string]any{

@@ -16,7 +16,7 @@ import (
 )
 
 // This file is the ISSUE's race-enabled index-consistency test: while
-// Store.Append publishes renormalized corpus versions (each appended run
+// Cluster.Append publishes renormalized corpus versions (each appended run
 // raises behavior maxima, rescaling every older vector and rebuilding
 // the per-snapshot predictor index), concurrent /api/predict and
 // coverage design queries must never observe a mixed old/new view.
@@ -52,7 +52,7 @@ func TestIndexConsistencyAcrossAppendRace(t *testing.T) {
 	// Version → immutable snapshot, recorded by the appender as each
 	// publication returns. Version 1 is the initial snapshot.
 	var snapMu sync.Mutex
-	snapshots := map[int64]*corpus.Snapshot{1: s.store.Snapshot()}
+	snapshots := map[int64]*corpus.Snapshot{1: s.cluster.View().Merged}
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -61,11 +61,12 @@ func TestIndexConsistencyAcrossAppendRace(t *testing.T) {
 		defer wg.Done()
 		defer close(done)
 		for v := 0; v < appends; v++ {
-			snap, err := s.store.Append([]*behavior.Run{appendRun(v)}, "race-test")
+			view, err := s.cluster.Append(context.Background(), []*behavior.Run{appendRun(v)}, "race-test")
 			if err != nil {
 				t.Errorf("append %d: %v", v, err)
 				return
 			}
+			snap := view.Merged
 			snapMu.Lock()
 			snapshots[snap.Version] = snap
 			snapMu.Unlock()

@@ -120,10 +120,7 @@ func containsAlpha(set []float64, v float64) bool {
 // queue is full (backpressure, mirroring the design worker pool).
 func (s *Server) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 	var req campaignRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request", "decoding body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	specs, err := req.buildSpecs()
@@ -262,28 +259,16 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 // behavior space corpus-wide, preserving the ≤ 1.0 max-normalization
 // invariant).
 //
-// Single-store mode purges the design cache — keys embed the scalar
-// corpus version, so the purge is a memory release, not a correctness
-// requirement. Cluster mode deliberately does not purge: the append
-// republishes only the shards that own the new records, cache keys
-// embed the shard version vector (designs) or the owning shard's
-// version plus the normalization epoch (record fragments), so entries
-// built from unchanged shards keep serving and superseded keys age out
-// of the LRU.
+// The caches are deliberately not purged: the append republishes only
+// the shards that own the new records, and cache keys embed the shard
+// version vector (designs) or the owning shard's version plus the
+// normalization epoch (record fragments), so entries built from
+// unchanged shards keep serving and superseded keys age out of the LRU.
 func (s *Server) publishRuns(jobID string, runs []*behavior.Run) (int64, error) {
-	if s.cluster != nil {
-		view, err := s.cluster.Append(context.Background(), runs, "job "+jobID)
-		if err != nil {
-			return 0, err
-		}
-		s.mPublishes.Inc()
-		return view.Epoch(), nil
-	}
-	snap, err := s.store.Append(runs, "job "+jobID)
+	view, err := s.cluster.Append(context.Background(), runs, "job "+jobID)
 	if err != nil {
 		return 0, err
 	}
-	s.cache.Purge()
 	s.mPublishes.Inc()
-	return snap.Version, nil
+	return view.Epoch(), nil
 }

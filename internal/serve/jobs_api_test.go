@@ -74,7 +74,7 @@ func TestCampaignJobE2E(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	before := s.store.Snapshot()
+	before := s.cluster.View().Merged
 	beforeRuns := before.OKCount()
 
 	resp, err := http.Post(ts.URL+"/api/campaigns", "application/json",
@@ -149,7 +149,7 @@ stream:
 
 	// The corpus grew in place: more ok runs, new version, and the
 	// max-normalization invariant still holds for every point.
-	after := s.store.Snapshot()
+	after := s.cluster.View().Merged
 	if after.Version != before.Version+1 {
 		t.Fatalf("store version %d, want %d", after.Version, before.Version+1)
 	}

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gcbench/internal/jobs"
@@ -84,6 +85,42 @@ func TestMethodFallbackWithoutJobs(t *testing.T) {
 		}
 		if code := decodeError(t, w); code != "not_found" {
 			t.Errorf("GET %s: error code %q", path, code)
+		}
+	}
+}
+
+// TestRequestBodyBound: both JSON POST routes read at most
+// maxRequestBody bytes. A body exactly at the bound is decoded like any
+// other (its outcome is the small body's own); one byte more answers 413
+// with the structured envelope. The padding is leading whitespace — the
+// decoder must read through it to reach the value, so the bound is
+// genuinely crossed.
+func TestRequestBodyBound(t *testing.T) {
+	s, _ := newJobsServer(t, jobs.Config{}, nil)
+	cases := []struct {
+		path, body string
+		status     int    // the unpadded body's own outcome
+		code       string // its error code, if any
+	}{
+		{"/api/ensemble/design", `{"n":3}`, http.StatusOK, ""},
+		{"/api/campaigns", `{"retries":-1}`, http.StatusBadRequest, "invalid_request"},
+	}
+	post := func(path string, body string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return w
+	}
+	for _, c := range cases {
+		atLimit := strings.Repeat(" ", maxRequestBody-len(c.body)) + c.body
+		w := post(c.path, atLimit)
+		if w.Code != c.status || (c.code != "" && decodeError(t, w) != c.code) {
+			t.Errorf("%s: %d-byte body: status %d, want %d %s: %s",
+				c.path, len(atLimit), w.Code, c.status, c.code, clip(w.Body.Bytes(), 300))
+		}
+		w = post(c.path, " "+atLimit)
+		if w.Code != http.StatusRequestEntityTooLarge || decodeError(t, w) != "body_too_large" {
+			t.Errorf("%s: %d-byte body: status %d, want 413 body_too_large: %s",
+				c.path, len(atLimit)+1, w.Code, clip(w.Body.Bytes(), 300))
 		}
 	}
 }

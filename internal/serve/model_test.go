@@ -11,7 +11,6 @@ import (
 	"gcbench/internal/algorithms"
 	"gcbench/internal/corpus"
 	"gcbench/internal/model"
-	"gcbench/internal/obs"
 	"gcbench/internal/sweep"
 )
 
@@ -21,10 +20,10 @@ var (
 	mixedErr  error
 )
 
-// mixedModelStore sweeps one tiny campaign under all four execution
-// models and serves the resulting mixed corpus. Built once per test
-// binary — the runs are deterministic (fixed specs, fixed seed).
-func mixedModelStore(t testing.TB) *corpus.Store {
+// mixedModelSnapshot sweeps one tiny campaign under all four execution
+// models into a mixed corpus. Built once per test binary — the runs are
+// deterministic (fixed specs, fixed seed).
+func mixedModelSnapshot(t testing.TB) *corpus.Snapshot {
 	t.Helper()
 	mixedOnce.Do(func() {
 		var specs []sweep.Spec
@@ -56,21 +55,15 @@ func mixedModelStore(t testing.TB) *corpus.Store {
 	if mixedErr != nil {
 		t.Fatalf("building mixed-model corpus: %v", mixedErr)
 	}
-	return corpus.NewStore(mixedSnap)
+	return mixedSnap
 }
 
 // newMixedServer serves the mixed four-model corpus.
 func newMixedServer(t testing.TB) *Server {
 	t.Helper()
-	s, err := New(Config{
-		Store:    mixedModelStore(t),
-		Samples:  50_000,
-		Registry: obs.NewRegistry(),
+	return newTestServer(t, func(cfg *Config) {
+		cfg.Cluster = clusterOver(t, mixedModelSnapshot(t), 1, 1)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
 }
 
 func TestRunsModelFilter(t *testing.T) {

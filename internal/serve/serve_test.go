@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -13,18 +14,19 @@ import (
 
 	"gcbench/internal/corpus"
 	"gcbench/internal/obs"
+	"gcbench/internal/shard"
 )
 
 // standardSnapshot loads the shipped measured corpus once per test
-// binary; each test gets its own Store (and thus its own version
-// counter) over the shared immutable snapshot.
+// binary. It is shared and immutable: deployments are built over copies
+// (clusterOver), never over it.
 var (
 	stdOnce sync.Once
 	stdSnap *corpus.Snapshot
 	stdErr  error
 )
 
-func standardStore(t testing.TB) *corpus.Store {
+func standardSnapshot(t testing.TB) *corpus.Snapshot {
 	t.Helper()
 	stdOnce.Do(func() {
 		stdSnap, stdErr = corpus.LoadFile("../../runs-standard.json")
@@ -32,20 +34,50 @@ func standardStore(t testing.TB) *corpus.Store {
 	if stdErr != nil {
 		t.Fatalf("loading runs-standard.json: %v", stdErr)
 	}
-	return corpus.NewStore(stdSnap)
+	return stdSnap
 }
 
-// newTestServer builds a Server over the standard corpus with small,
-// fast defaults; mutate overrides the config before construction.
+// clusterOver is the one deployment builder of the serve tests: an
+// in-process shards×replicas cluster loaded with its own copy of snap's
+// records (a cluster owns and versions the snapshot it is loaded with,
+// and the differential tests publish to several deployments
+// independently). 1×1 is the single-node deployment.
+func clusterOver(t testing.TB, snap *corpus.Snapshot, shards, replicas int) *shard.Cluster {
+	t.Helper()
+	c, err := shard.New(shard.Options{Shards: shards, Replicas: replicas, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadCopy(t, c, snap)
+	return c
+}
+
+// loadCopy loads c with a snapshot rebuilt from a copy of snap's records.
+func loadCopy(t testing.TB, c *shard.Cluster, snap *corpus.Snapshot) {
+	t.Helper()
+	cp, err := corpus.NewSnapshotFromRecords(append([]corpus.Record(nil), snap.Records...), snap.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Load(context.Background(), cp); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// newTestServer builds a Server with small, fast defaults; mutate
+// overrides the config before construction. Without a Cluster override
+// it serves the standard corpus from a 1×1 cluster.
 func newTestServer(t testing.TB, mutate func(*Config)) *Server {
 	t.Helper()
 	cfg := Config{
-		Store:    standardStore(t),
 		Samples:  50_000, // small MC pool: coverage tests stay fast, still deterministic
 		Registry: obs.NewRegistry(),
 	}
 	if mutate != nil {
 		mutate(&cfg)
+	}
+	if cfg.Cluster == nil {
+		cfg.Cluster = clusterOver(t, standardSnapshot(t), 1, 1)
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -319,12 +351,21 @@ func TestCorpusInfoAndReload(t *testing.T) {
 		Records       int   `json:"records"`
 		OKRuns        int   `json:"okRuns"`
 		PoolSize      int   `json:"poolSize"`
+		Shards        struct {
+			Count, Replicas int
+			VersionVector   string
+		} `json:"shards"`
 	}
 	if err := json.Unmarshal(w.Body.Bytes(), &info); err != nil {
 		t.Fatal(err)
 	}
 	if info.CorpusVersion != 1 || info.Records == 0 || info.PoolSize == 0 {
 		t.Fatalf("info = %+v", info)
+	}
+	// One body shape for every deployment: the single-node server reports
+	// its 1×1 shard tier like any other.
+	if info.Shards.Count != 1 || info.Shards.Replicas != 1 || info.Shards.VersionVector != "1" {
+		t.Errorf("shards block = %+v, want 1×1 at version vector 1", info.Shards)
 	}
 
 	// Prime the design cache, then reload: version bumps and the cache
@@ -359,6 +400,63 @@ func TestCorpusInfoAndReload(t *testing.T) {
 	}
 	if n := s.Searches(); n != 2 {
 		t.Errorf("searches = %d, want 2 (one per corpus version)", n)
+	}
+}
+
+// TestCachedDesignCostsNoFanout pins the cache-first order of
+// serveDesign: the response cache is consulted before the candidate
+// pool is assembled, so a repeated design costs no scatter — and,
+// because only successful designs are ever cached, the pool-dependent
+// rejections answer exactly as they did before the cache was warm.
+func TestCachedDesignCostsNoFanout(t *testing.T) {
+	reg := obs.NewRegistry()
+	c, err := shard.New(shard.Options{Shards: 4, Replicas: 2, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadCopy(t, c, standardSnapshot(t))
+	s := newTestServer(t, func(cfg *Config) { cfg.Cluster = c })
+	fanouts := reg.Counter("gcbench_shard_fanouts_total", "")
+
+	rejections := []string{
+		`{"n": 2, "pool": {"sizes": ["1e99"]}}`, // empty_pool
+		`{"n": 10000}`,                          // n exceeds pool
+	}
+	cold := make([]*httptest.ResponseRecorder, len(rejections))
+	for i, body := range rejections {
+		if cold[i] = postDesign(t, s, body); cold[i].Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d: %s", body, cold[i].Code, cold[i].Body.String())
+		}
+	}
+
+	first := postDesign(t, s, `{"n": 3}`)
+	if first.Code != http.StatusOK || first.Header().Get("X-Cache") != "miss" {
+		t.Fatalf("first design: %d X-Cache=%q", first.Code, first.Header().Get("X-Cache"))
+	}
+	before := fanouts.Value()
+	if before == 0 {
+		t.Fatal("a design miss recorded no fan-out; the counter is not wired to this cluster")
+	}
+	second := postDesign(t, s, `{"n": 3}`)
+	if second.Code != http.StatusOK || second.Header().Get("X-Cache") != "hit" {
+		t.Fatalf("second design: %d X-Cache=%q", second.Code, second.Header().Get("X-Cache"))
+	}
+	if !bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
+		t.Error("cached design body differs from the computed one")
+	}
+	if got := fanouts.Value(); got != before {
+		t.Errorf("cached design fanned out: gcbench_shard_fanouts_total %v → %v", before, got)
+	}
+
+	for i, body := range rejections {
+		warm := postDesign(t, s, body)
+		if warm.Code != cold[i].Code || !bytes.Equal(warm.Body.Bytes(), cold[i].Body.Bytes()) {
+			t.Errorf("%s: answer changed once the cache was warm:\ncold %d %s\nwarm %d %s",
+				body, cold[i].Code, cold[i].Body.String(), warm.Code, warm.Body.String())
+		}
+	}
+	if n := s.Searches(); n != 1 {
+		t.Errorf("searches = %d, want 1", n)
 	}
 }
 

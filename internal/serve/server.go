@@ -1,6 +1,7 @@
 // Package serve is the ensemble-design-as-a-service layer: a JSON HTTP
-// API over an atomically hot-reloadable behavior corpus
-// (internal/corpus), engineered for concurrent load.
+// API over a hot-reloadable behavior corpus held by a shard cluster
+// (internal/shard; a single node is its 1×1 deployment), engineered for
+// concurrent load.
 //
 //	GET  /api/runs             filterable corpus listing
 //	GET  /api/behavior/{key}   one run's full behavior record
@@ -26,6 +27,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -36,7 +38,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gcbench/internal/corpus"
 	"gcbench/internal/ensemble"
 	"gcbench/internal/jobs"
 	"gcbench/internal/obs"
@@ -46,16 +47,13 @@ import (
 
 // Config parameterizes a Server.
 type Config struct {
-	// Store supplies corpus snapshots. Exactly one of Store and Cluster
-	// must be set.
-	Store *corpus.Store
-	// Cluster, when non-nil, serves the API from the sharded, replicated
-	// corpus tier instead of a single store: listings and design
-	// candidate selection scatter-gather across the shards, single-record
+	// Cluster is the corpus backend (required): listings and design
+	// candidate selection scatter-gather across its shards, single-record
 	// reads route to the key's owning shard, and completed campaign runs
-	// hot-publish to only the shards that own them. Responses are
-	// bit-identical to the Store path for any shard/replica count — the
-	// cluster's merged view is rebuilt through the same internal/corpus
+	// hot-publish to only the shards that own them. A single-node
+	// deployment is the 1-shard × 1-replica cluster. Responses are
+	// bit-identical for any shard/replica count and transport — the
+	// cluster's merged view is built through the internal/corpus
 	// constructors (see internal/shard).
 	Cluster *shard.Cluster
 	// Samples sizes the shared Monte-Carlo coverage estimator
@@ -80,8 +78,8 @@ type Config struct {
 	// (POST /api/campaigns, GET /api/jobs[/{id}[/events]],
 	// DELETE /api/jobs/{id}) over this manager. The server installs
 	// itself as the manager's publish sink: a completed job's runs are
-	// appended to Store (renormalized corpus-wide) and the design cache
-	// is purged, so new runs are servable without a restart.
+	// appended to Cluster (renormalized corpus-wide), so new runs are
+	// servable without a restart.
 	Jobs *jobs.Manager
 	// JobsHeartbeat is the NDJSON event-stream keepalive interval
 	// (default 15s).
@@ -103,7 +101,6 @@ type Config struct {
 // zero value is not usable.
 type Server struct {
 	cfg     Config
-	store   *corpus.Store
 	cluster *shard.Cluster
 	reg     *obs.Registry
 
@@ -163,8 +160,8 @@ var routeLatencyBuckets = []float64{
 // estimator is not built here — the first coverage-metric request pays
 // that cost once, and spread-only deployments never do.
 func New(cfg Config) (*Server, error) {
-	if (cfg.Store == nil) == (cfg.Cluster == nil) {
-		return nil, fmt.Errorf("serve: exactly one of Config.Store and Config.Cluster is required")
+	if cfg.Cluster == nil {
+		return nil, fmt.Errorf("serve: Config.Cluster is required")
 	}
 	if cfg.Samples == 0 {
 		cfg.Samples = ensemble.DefaultSamples
@@ -193,7 +190,6 @@ func New(cfg Config) (*Server, error) {
 	reg := cfg.Registry
 	s := &Server{
 		cfg:     cfg,
-		store:   cfg.Store,
 		cluster: cfg.Cluster,
 		reg:     reg,
 		cache:   newLRUCache(cfg.CacheSize),
@@ -249,50 +245,22 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// corpusView returns the server's current global corpus state: the
-// store's snapshot with a nil view in single-store mode, or the shard
-// cluster's merged snapshot plus the view it belongs to. Handlers load
-// it once and use it for the whole request, so a concurrent publish
-// never gives one request two corpus versions. A nil snapshot means
-// nothing is published yet (a cluster before Load).
-func (s *Server) corpusView() (*corpus.Snapshot, *shard.View) {
-	if s.cluster != nil {
-		v := s.cluster.View()
-		if v == nil {
-			return nil, nil
-		}
-		return v.Merged, v
-	}
-	return s.store.Snapshot(), nil
+// currentView loads the cluster's current global view once, for the
+// caller to use for a whole request so a concurrent publish never gives
+// one request two corpus versions. False means nothing is published yet
+// (a cluster before its initial Load).
+func (s *Server) currentView() (*shard.View, bool) {
+	view := s.cluster.View()
+	return view, view != nil
 }
 
-// versionTag renders the corpus identity that prefixes every cache key:
-// the single store's scalar version, or the cluster's full shard
-// version vector — so a publish to one shard leaves cache entries built
-// from every unchanged shard's data addressable, while any entry whose
-// inputs could have changed gets a fresh key.
-func (s *Server) versionTag(snap *corpus.Snapshot, view *shard.View) string {
-	if view != nil {
-		return "vv" + view.VVString()
-	}
-	return fmt.Sprintf("v%d", snap.Version)
-}
-
-// readiness backs /readyz. A single-store server is ready once its
-// store has a snapshot; a cluster server is ready only when every shard
-// has published at least one corpus version — before that, scattered
-// queries would fail on the unpublished shards, so the probe keeps
-// traffic away instead of letting it 5xx.
+// readiness backs /readyz: ready only when every shard has published at
+// least one corpus version and every replica is reachable — before
+// that, scattered queries would fail on the unpublished shards, so the
+// probe keeps traffic away instead of letting it 5xx.
 func (s *Server) readiness() (bool, any) {
-	if s.cluster != nil {
-		ready, infos := s.cluster.Ready(context.Background())
-		return ready, map[string]any{"shards": infos}
-	}
-	snap := s.store.Snapshot()
-	if snap == nil {
-		return false, nil
-	}
-	return true, map[string]any{"corpusVersion": snap.Version}
+	ready, infos := s.cluster.Ready(context.Background())
+	return ready, map[string]any{"shards": infos}
 }
 
 // estimator returns the shared coverage estimator, building it on first
@@ -438,7 +406,6 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 // Status is the /statusz payload: a cheap point-in-time snapshot of the
 // serving state.
 func (s *Server) Status() map[string]any {
-	snap, view := s.corpusView()
 	st := map[string]any{
 		"service":       "gcbench-serve",
 		"uptimeSeconds": time.Since(s.start).Seconds(),
@@ -449,23 +416,20 @@ func (s *Server) Status() map[string]any {
 		"queueDepth":    s.cfg.QueueDepth,
 		"searches":      s.searches.Load(),
 	}
-	if snap != nil {
+	sh := map[string]any{
+		"count":    s.cluster.Shards(),
+		"replicas": s.cluster.Replicas(),
+	}
+	st["shards"] = sh
+	if view, ok := s.currentView(); ok {
+		snap := view.Merged
 		st["corpusVersion"] = snap.Version
 		st["corpusSource"] = snap.Source
 		st["records"] = len(snap.Records)
 		st["okRuns"] = snap.OKCount()
 		st["poolSize"] = snap.PoolSize()
-	}
-	if s.cluster != nil {
-		sh := map[string]any{
-			"count":    s.cluster.Shards(),
-			"replicas": s.cluster.Replicas(),
-		}
-		if view != nil {
-			sh["versionVector"] = view.VVString()
-			sh["normEpoch"] = view.NormEpoch
-		}
-		st["shards"] = sh
+		sh["versionVector"] = view.VVString()
+		sh["normEpoch"] = view.NormEpoch
 	}
 	if s.cfg.Jobs != nil {
 		byState := map[jobs.State]int{}
@@ -557,6 +521,29 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 		Code:    code,
 		Message: fmt.Sprintf(format, args...),
 	}})
+}
+
+// maxRequestBody bounds the JSON bodies of POST /api/ensemble/design and
+// POST /api/campaigns. Both are a handful of scalars and short lists; a
+// megabyte is orders of magnitude above any legitimate request.
+const maxRequestBody = 1 << 20
+
+// decodeBody decodes a request's JSON body into v, reading at most
+// maxRequestBody bytes and rejecting unknown fields. On failure it
+// answers 413 (over the bound) or 400 itself and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+			"request body exceeds %d bytes", tooLarge.Limit)
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "invalid_request", "decoding body: %v", err)
+	}
+	return err == nil
 }
 
 // writeJSON emits v as indented JSON (indented so golden files and curl

@@ -100,11 +100,16 @@ func TestRequestTracing(t *testing.T) {
 		t.Fatalf("root span status attr = %v", attrs["status"])
 	}
 
-	// The first (miss) design trace carries the ensemble-search child.
+	// The first (miss) design trace carries the candidate scatter and the
+	// ensemble search; the second (hit) one neither — a cached design
+	// costs no fan-out.
 	tid1, _, _, _ := otrace.ParseTraceparent(w1.Header().Get("traceparent"))
-	tree = getTraceTree(t, s, tid1.String())
-	if len(tree.Tree[0].Children) != 1 || tree.Tree[0].Children[0].Name != "ensemble search" {
-		t.Fatalf("miss design trace children = %+v", tree.Tree[0].Children)
+	miss := getTraceTree(t, s, tid1.String()).Tree[0].Children
+	if len(miss) != 2 || miss[0].Name != "scatter candidates" || miss[1].Name != "ensemble search" {
+		t.Fatalf("miss design trace children = %+v", miss)
+	}
+	if len(root.Children) != 0 {
+		t.Fatalf("hit design trace children = %+v", root.Children)
 	}
 }
 
@@ -114,7 +119,12 @@ func TestRequestTracing(t *testing.T) {
 // bit-identical to the untraced server's.
 func TestTracingResponseInvariance(t *testing.T) {
 	plain := newTestServer(t, nil)
-	traced := newTestServer(t, func(cfg *Config) { cfg.Traces = otrace.NewStore(16) })
+	// Both servers front one cluster: /api/corpus carries the snapshot's
+	// loadedAt, which two separately loaded copies would not share.
+	traced := newTestServer(t, func(cfg *Config) {
+		cfg.Traces = otrace.NewStore(16)
+		cfg.Cluster = plain.cluster
+	})
 
 	paths := []string{
 		"/api/corpus",

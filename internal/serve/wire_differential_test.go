@@ -123,15 +123,7 @@ func wireCluster(t *testing.T, shards int) (*shard.Cluster, *shard.Supervisor, <
 	if err != nil {
 		t.Fatal(err)
 	}
-	standardStore(t)
-	records := append([]corpus.Record(nil), stdSnap.Records...)
-	snap, err := corpus.NewSnapshotFromRecords(records, stdSnap.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Load(context.Background(), snap); err != nil {
-		t.Fatal(err)
-	}
+	loadCopy(t, c, standardSnapshot(t))
 	restored := make(chan shard.ProcSpec, 16)
 	sup.SetOnRestore(func(ctx context.Context, spec shard.ProcSpec) error {
 		if _, err := c.Rehydrate(ctx, spec.Shard); err != nil {
@@ -172,40 +164,34 @@ func vvAdvancedOnly(t *testing.T, phase string, before, after []uint64, moved ma
 	}
 }
 
-// TestDifferentialWireProcesses extends the PR 8 differential guarantee
-// to the wire: the same request set answered by a single-store server
-// and by a cluster of 4 separate shard OS processes over TCP produces
-// byte-identical JSON — initially, after a hot publish, and (the
-// correctness heart of this PR) after one shard process is killed and
-// restart-rehydrated mid-campaign. Throughout, the version vector never
+// TestDifferentialWireProcesses extends the differential guarantee to
+// the wire: the request set answered by a cluster of 4 separate shard OS
+// processes over TCP produces JSON byte-identical to the frozen
+// single-store bodies — initially, after a hot publish, and after one
+// shard process is killed and restart-rehydrated mid-campaign. Throughout, the version vector never
 // regresses and the cluster epoch (corpusVersion, embedded in every
 // body) never moves on restart.
 func TestDifferentialWireProcesses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real shard processes")
 	}
-	single := newTestServer(t, nil)
+	oracle := loadFrozenOracle(t)
 	cluster, sup, restored := wireCluster(t, 4)
-	wire, err := New(Config{Cluster: cluster, Samples: 50_000, Registry: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	wire := newTestServer(t, func(cfg *Config) { cfg.Cluster = cluster })
 	calls := differentialCalls(t)
 
-	assertIdentical(t, "wire initial", single, wire, "cluster(4 procs)", calls)
+	assertFrozen(t, oracle, "initial", wire, "cluster(4 procs)", calls)
 	vv0 := append([]uint64(nil), cluster.View().VV...)
 	epoch0 := cluster.View().Epoch()
 
-	// Hot publish across the wire: both deployments append the same runs
-	// through the jobs publish sink; bodies must re-converge and every
-	// shard's version must advance in lockstep (uniform fence).
-	runs := dominatedRuns(t, 3)
-	for _, s := range []*Server{single, wire} {
-		if _, err := s.publishRuns("wire-diff-job", runs); err != nil {
-			t.Fatal(err)
-		}
+	// Hot publish across the wire: the oracle's run batch is appended
+	// through the jobs publish sink; bodies must match the frozen
+	// post-publish ones and every shard's version must advance in
+	// lockstep (uniform fence).
+	if _, err := wire.publishRuns("wire-diff-job", dominatedRuns(t, 3)); err != nil {
+		t.Fatal(err)
 	}
-	assertIdentical(t, "wire after publish", single, wire, "cluster(4 procs)", calls)
+	assertFrozen(t, oracle, "after publish", wire, "cluster(4 procs)", calls)
 	vv1 := append([]uint64(nil), cluster.View().VV...)
 	vvAdvancedOnly(t, "publish", vv0, vv1, nil)
 	if got := cluster.View().Epoch(); got != epoch0+1 {
@@ -239,13 +225,9 @@ func TestDifferentialWireProcesses(t *testing.T) {
 
 	// The whole request set — including the hot-published records owned
 	// by the restarted shard — still answers byte-identically to the
-	// single store.
-	post := append(calls, apiCall{
-		name:   "appended behavior after restart",
-		method: http.MethodGet,
-		path:   "/api/behavior/" + corpus.KeyOf("PR", "7e1", 2.05),
-	})
-	assertIdentical(t, "wire after restart", single, wire, "cluster(4 procs)", post)
+	// single store: a restart leaves the epoch, and so every body, alone.
+	assertFrozen(t, oracle, "after publish", wire, "cluster(4 procs) after restart",
+		append(calls, appendedCalls()...))
 
 	// Readiness reflects the restored fleet.
 	if ready, _ := wire.readiness(); !ready {
@@ -290,27 +272,15 @@ func TestReplicaFailoverUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	standardStore(t)
-	records := append([]corpus.Record(nil), stdSnap.Records...)
-	snap, err := corpus.NewSnapshotFromRecords(records, stdSnap.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cluster.Load(context.Background(), snap); err != nil {
-		t.Fatal(err)
-	}
-	single := newTestServer(t, nil)
-	srv, err := New(Config{Cluster: cluster, Samples: 50_000, Registry: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	loadCopy(t, cluster, standardSnapshot(t))
+	srv := newTestServer(t, func(cfg *Config) { cfg.Cluster = cluster })
 	if ready, _ := srv.readiness(); !ready {
 		t.Fatal("cluster not ready with all replicas up")
 	}
 
 	readCalls := []apiCall{
 		{name: "runs", method: http.MethodGet, path: "/api/runs?algorithm=PR"},
-		{name: "behavior", method: http.MethodGet, path: "/api/behavior/" + stdSnap.Records[0].Key},
+		{name: "behavior", method: http.MethodGet, path: "/api/behavior/" + standardSnapshot(t).Records[0].Key},
 		{name: "predict", method: http.MethodGet, path: "/api/predict?algorithm=PR&edges=500000&alpha=2.1"},
 	}
 	stop := make(chan struct{})
@@ -341,7 +311,7 @@ func TestReplicaFailoverUnderLoad(t *testing.T) {
 	wg.Wait()
 
 	// Reads survive, bodies stay identical, readiness reports degraded.
-	assertIdentical(t, "one replica down", single, srv, "cluster(2x2 wire)", differentialCalls(t))
+	assertFrozen(t, loadFrozenOracle(t), "initial", srv, "cluster(2x2 wire) with one replica down", differentialCalls(t))
 	ready, detail := srv.readiness()
 	if ready {
 		t.Errorf("readyz still green with a replica down: %v", detail)

@@ -244,17 +244,13 @@ func (c *Cluster) replaceLocked(ctx context.Context, snap *corpus.Snapshot) (*Vi
 	return c.installView(ctx, snap)
 }
 
-// Append publishes a grown corpus: the merged view's records plus one
-// ok record per run, re-keyed and renormalized globally (the same
-// semantics as corpus.Store.Append — a new run that raises a dimension
-// maximum rescales every older point), with only the shards owning new
-// records republished. Unaffected shards keep serving their snapshots
-// untouched — appends propagate with per-shard publishes, never a
-// cluster-wide reader-blocking lock.
+// Append publishes the merged view grown by runs — corpus.Grow defines
+// the semantics (re-keyed and renormalized globally: a new run that
+// raises a dimension maximum rescales every older point) — with only
+// the shards owning new records republished. Unaffected shards keep
+// serving their snapshots untouched — appends propagate with per-shard
+// publishes, never a cluster-wide reader-blocking lock.
 func (c *Cluster) Append(ctx context.Context, runs []*behavior.Run, from string) (*View, error) {
-	if len(runs) == 0 {
-		return nil, fmt.Errorf("shard: nothing to append")
-	}
 	c.pubMu.Lock()
 	defer c.pubMu.Unlock()
 	cur := c.View()
@@ -262,25 +258,9 @@ func (c *Cluster) Append(ctx context.Context, runs []*behavior.Run, from string)
 		return nil, fmt.Errorf("shard: cluster has no published view")
 	}
 	old := cur.Merged
-	records := make([]corpus.Record, 0, len(old.Records)+len(runs))
-	records = append(records, old.Records...)
-	for _, r := range runs {
-		records = append(records, corpus.Record{
-			Run: r, Status: behavior.StatusOK,
-			Algorithm: r.Algorithm, SizeLabel: r.SizeLabel, Alpha: r.Alpha, Model: r.Model,
-		})
-	}
-	source := old.Source
-	if source == "" {
-		source = from
-	}
-	// Rebuild the merged snapshot through the shared constructor: keys
-	// of pre-existing records are stable (collision suffixes depend only
-	// on records loaded before them), new records get globally unique
-	// keys, and the whole corpus renormalizes in one pass.
-	merged, err := corpus.NewSnapshotFromRecords(records, source)
+	merged, err := corpus.Grow(old, runs, from)
 	if err != nil {
-		return nil, fmt.Errorf("shard: appending %d runs from %s: %w", len(runs), from, err)
+		return nil, err
 	}
 	parts := make([][]Entry, len(c.shards))
 	for seq := len(old.Records); seq < len(merged.Records); seq++ {

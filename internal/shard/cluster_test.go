@@ -377,3 +377,68 @@ func TestClusterConcurrentReadsDuringAppend(t *testing.T) {
 		t.Errorf("epoch after 5 appends = %d, want 6", got)
 	}
 }
+
+// TestGrowDefinesAppend: corpus.Grow is the one definition of "grow a
+// snapshot by measured runs". Store.Append and Cluster.Append, on a 1×1
+// and a 4×2 cluster, must publish exactly what it returns — records,
+// keys and both normalization maxima — for a batch inside the maxima and
+// for one that raises them.
+func TestGrowDefinesAppend(t *testing.T) {
+	ctx := context.Background()
+	base := standardSnapshot(t)
+	batch := func(scale float64, label string) []*behavior.Run {
+		a, b := fakeRun("PR", label, 2.1), fakeRun("SSSP", label, 2.2)
+		// A repeat of a's identifying tuple: exercises the collision suffix.
+		c := fakeRun("PR", label, 2.1)
+		for d := range a.Raw {
+			a.Raw[d] = base.Space.Max[d] * scale
+			b.Raw[d] = base.Space.Max[d] * scale / 2
+			c.Raw[d] = base.Space.Max[d] * scale / 4
+		}
+		return []*behavior.Run{a, b, c}
+	}
+	for _, tc := range []struct {
+		name   string
+		runs   []*behavior.Run
+		raises bool
+	}{
+		{"inside the maxima", batch(0.5, "6e6"), false},
+		{"raises a maximum", batch(4, "6e7"), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := corpus.Grow(mustSnapshotCopy(t, base), tc.runs, "job g")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if raised := want.Space.Max != base.Space.Max; raised != tc.raises {
+				t.Fatalf("batch raised the space maxima: %v, want %v", raised, tc.raises)
+			}
+			got := map[string]*corpus.Snapshot{}
+			if got["Store.Append"], err = corpus.NewStore(mustSnapshotCopy(t, base)).Append(tc.runs, "job g"); err != nil {
+				t.Fatal(err)
+			}
+			for name, c := range map[string]*Cluster{
+				"Cluster.Append 1x1": newTestCluster(t, 1, 1),
+				"Cluster.Append 4x2": newTestCluster(t, 4, 2),
+			} {
+				view, err := c.Append(ctx, tc.runs, "job g")
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[name] = view.Merged
+			}
+			for name, snap := range got {
+				if !reflect.DeepEqual(snap.Records, want.Records) {
+					t.Errorf("%s: records (keys included) diverge from corpus.Grow", name)
+				}
+				if snap.Space.Max != want.Space.Max || snap.Pool.Max != want.Pool.Max {
+					t.Errorf("%s: maxima space=%v pool=%v, corpus.Grow gives space=%v pool=%v",
+						name, snap.Space.Max, snap.Pool.Max, want.Space.Max, want.Pool.Max)
+				}
+				if snap.Source != want.Source {
+					t.Errorf("%s: source %q, want %q", name, snap.Source, want.Source)
+				}
+			}
+		})
+	}
+}

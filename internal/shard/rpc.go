@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -23,7 +24,8 @@ import (
 //
 // Application errors (e.g. "no snapshot published" on a freshly
 // restarted, not-yet-rehydrated replica) return 500 with a JSON
-// {"error": ...} body; the client surfaces them verbatim and does not
+// {"error": ...} body — 400 for an undecodable request, 413 for one
+// over maxRPCBody; the client surfaces them verbatim and does not
 // retry — retry is reserved for transport faults, where the request
 // may never have reached the shard.
 
@@ -32,30 +34,45 @@ type rpcError struct {
 	Error string `json:"error"`
 }
 
+// maxRPCBody bounds one /rpc/* request body. The largest legitimate
+// request is a full-partition publish (a Replace carrying every record a
+// shard owns, activity series included — about 1.5 KB per record), so
+// the bound is sized for partitions of ~10^5 records; anything larger is
+// answered 413 instead of being buffered.
+const maxRPCBody = 256 << 20
+
 // RPCHandler exposes client over the shard wire protocol. One handler
 // serves one shard replica; a process typically wraps it in its own
 // http.Server (see `gcbench shard-serve`).
-func RPCHandler(client ShardClient) http.Handler {
+func RPCHandler(client ShardClient) http.Handler { return rpcHandler(client, maxRPCBody) }
+
+// rpcHandler is RPCHandler with the body bound as a parameter, so the
+// tests can hit the bound without quarter-gigabyte bodies.
+func rpcHandler(client ShardClient, maxBody int64) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
-	rpcRoute(mux, "info", client.Info)
-	rpcRoute(mux, "get", client.Get)
-	rpcRoute(mux, "select", client.Select)
-	rpcRoute(mux, "publish", client.Publish)
+	rpcRoute(mux, "info", maxBody, client.Info)
+	rpcRoute(mux, "get", maxBody, client.Get)
+	rpcRoute(mux, "select", maxBody, client.Select)
+	rpcRoute(mux, "publish", maxBody, client.Publish)
 	return mux
 }
 
 // rpcRoute registers one method endpoint: decode the request struct,
 // invoke the method with the request's context, encode the response.
-func rpcRoute[Req, Resp any](mux *http.ServeMux, name string, call func(context.Context, Req) (Resp, error)) {
+func rpcRoute[Req, Resp any](mux *http.ServeMux, name string, maxBody int64, call func(context.Context, Req) (Resp, error)) {
 	mux.HandleFunc("POST /rpc/"+name, func(w http.ResponseWriter, r *http.Request) {
 		var req Req
-		dec := json.NewDecoder(r.Body)
-		if err := dec.Decode(&req); err != nil {
-			writeRPC(w, http.StatusBadRequest, rpcError{Error: fmt.Sprintf("decoding %s request: %v", name, err)})
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeRPC(w, status, rpcError{Error: fmt.Sprintf("decoding %s request: %v", name, err)})
 			return
 		}
 		resp, err := call(r.Context(), req)

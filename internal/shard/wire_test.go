@@ -2,10 +2,12 @@ package shard
 
 import (
 	"context"
+	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -442,4 +444,39 @@ func freePorts(n int) ([]string, error) {
 		addrs[i] = ln.Addr().String()
 	}
 	return addrs, nil
+}
+
+// TestRPCBodyBound: every /rpc route reads at most the handler's body
+// bound. A request exactly at the bound is decoded and served; one byte
+// more answers 413 with the wire error envelope. (The production bound,
+// maxRPCBody, is exercised through rpcHandler's parameter: a
+// quarter-gigabyte request per route is not a unit test.) The padding is
+// leading whitespace, which the decoder must read through.
+func TestRPCBodyBound(t *testing.T) {
+	const bound = 4096
+	local := NewLocalShard(0, 1, corpus.PoolMember)
+	if _, err := local.Publish(context.Background(), PublishRequest{Replace: true, Entries: testEntries(t, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	h := rpcHandler(local, bound)
+	for _, route := range []string{"info", "get", "select", "publish"} {
+		post := func(n int) *httptest.ResponseRecorder {
+			w := httptest.NewRecorder()
+			body := strings.Repeat(" ", n-2) + "{}"
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/rpc/"+route, strings.NewReader(body)))
+			return w
+		}
+		if w := post(bound); w.Code != http.StatusOK {
+			t.Errorf("/rpc/%s: %d-byte body: status %d, want 200: %s", route, bound, w.Code, w.Body.String())
+		}
+		w := post(bound + 1)
+		var werr rpcError
+		if err := json.Unmarshal(w.Body.Bytes(), &werr); w.Code != http.StatusRequestEntityTooLarge || err != nil || werr.Error == "" {
+			t.Errorf("/rpc/%s: %d-byte body: status %d (decode err %v), want 413 with an error envelope: %s",
+				route, bound+1, w.Code, err, w.Body.String())
+		}
+	}
+	if maxRPCBody < 64<<20 {
+		t.Errorf("maxRPCBody = %d: too small for a full-partition publish", maxRPCBody)
+	}
 }
