@@ -65,18 +65,5 @@ func ConnectedComponents(g *graph.Graph, opt Options) (*Output, []uint32, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Labels are vertex IDs, so distinct labels are counted by marking.
-	seen := make([]bool, len(res.States))
-	components := 0
-	for _, label := range res.States {
-		if !seen[label] {
-			seen[label] = true
-			components++
-		}
-	}
-	out := &Output{
-		Trace:   res.Trace,
-		Summary: map[string]float64{"components": float64(components)},
-	}
-	return out, res.States, nil
+	return &Output{Trace: res.Trace, Summary: ComponentsSummary(res.States)}, res.States, nil
 }

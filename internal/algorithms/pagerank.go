@@ -78,17 +78,8 @@ func PageRank(g *graph.Graph, opt PageRankOptions) (*Output, []float64, error) {
 		return nil, nil, err
 	}
 	ranks := make([]float64, len(res.States))
-	maxRank, sum := 0.0, 0.0
 	for i, s := range res.States {
 		ranks[i] = s.Rank
-		sum += s.Rank
-		if s.Rank > maxRank {
-			maxRank = s.Rank
-		}
 	}
-	out := &Output{
-		Trace:   res.Trace,
-		Summary: map[string]float64{"maxRank": maxRank, "sumRank": sum},
-	}
-	return out, ranks, nil
+	return &Output{Trace: res.Trace, Summary: RankSummary(ranks)}, ranks, nil
 }

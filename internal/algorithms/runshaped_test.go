@@ -2,7 +2,6 @@ package algorithms
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -10,56 +9,33 @@ import (
 	"gcbench/internal/graph"
 )
 
-// ccEdgeOracle and ssspEdgeOracle are CC and SSSP written one edge at a
-// time — the definitions the run-shaped ccProgram and ssspProgram
-// replaced — kept as the reference the differential test runs through
-// engine.PerEdge.
-type ccEdgeOracle struct{}
+// kernelEdgeProgram is a propagation Kernel as a per-edge GAS program:
+// gather the offers of in-neighbors, apply the best one if it improves,
+// signal every out-neighbor this vertex can still improve. It is the
+// reference the hand-specialised run-shaped ccProgram and ssspProgram are
+// held to, run through engine.PerEdge.
+type kernelEdgeProgram[S any] struct{ k Kernel[S] }
 
-func (ccEdgeOracle) Init(_ *graph.Graph, v uint32) (uint32, bool) { return v, true }
-func (ccEdgeOracle) GatherDirection() engine.Direction            { return engine.In }
-func (ccEdgeOracle) Gather(_ uint32, _ engine.Arc, _, other uint32) uint32 {
-	return other
+func (p kernelEdgeProgram[S]) Init(_ *graph.Graph, v uint32) (S, bool) { return p.k.Init(v) }
+func (kernelEdgeProgram[S]) GatherDirection() engine.Direction         { return engine.In }
+func (p kernelEdgeProgram[S]) Gather(_ uint32, e engine.Arc, _, other S) S {
+	return p.k.Along(other, e.Weight)
 }
-func (ccEdgeOracle) Sum(a, b uint32) uint32 {
-	if a < b {
+func (p kernelEdgeProgram[S]) Sum(a, b S) S {
+	if p.k.Better(a, b) {
 		return a
 	}
 	return b
 }
-func (ccEdgeOracle) Apply(_ uint32, self, acc uint32, hasAcc bool) uint32 {
-	if hasAcc && acc < self {
+func (p kernelEdgeProgram[S]) Apply(_ uint32, self, acc S, hasAcc bool) S {
+	if hasAcc && p.k.Better(acc, self) {
 		return acc
 	}
 	return self
 }
-func (ccEdgeOracle) ScatterDirection() engine.Direction { return engine.Out }
-func (ccEdgeOracle) Scatter(_ uint32, _ engine.Arc, self, other uint32) bool {
-	return self < other
-}
-
-type ssspEdgeOracle struct{ source uint32 }
-
-func (p ssspEdgeOracle) Init(_ *graph.Graph, v uint32) (float64, bool) {
-	if v == p.source {
-		return 0, true
-	}
-	return math.Inf(1), false
-}
-func (ssspEdgeOracle) GatherDirection() engine.Direction { return engine.In }
-func (ssspEdgeOracle) Gather(_ uint32, e engine.Arc, _, other float64) float64 {
-	return other + e.Weight
-}
-func (ssspEdgeOracle) Sum(a, b float64) float64 { return math.Min(a, b) }
-func (ssspEdgeOracle) Apply(_ uint32, self, acc float64, hasAcc bool) float64 {
-	if hasAcc && acc < self {
-		return acc
-	}
-	return self
-}
-func (ssspEdgeOracle) ScatterDirection() engine.Direction { return engine.Out }
-func (ssspEdgeOracle) Scatter(_ uint32, e engine.Arc, self, other float64) bool {
-	return self+e.Weight < other
+func (kernelEdgeProgram[S]) ScatterDirection() engine.Direction { return engine.Out }
+func (p kernelEdgeProgram[S]) Scatter(_ uint32, e engine.Arc, self, other S) bool {
+	return p.k.Better(p.k.Along(self, e.Weight), other)
 }
 
 // randomMultigraph keeps parallel edges and self-loops, and leaves some
@@ -108,7 +84,8 @@ func sameRun[S comparable](t *testing.T, got, want *engine.Result[S]) {
 }
 
 // TestRunShapedMatchesPerEdgeOracle is the differential check of the
-// run-shaped CC and SSSP against their per-edge definitions, over every
+// run-shaped CC and SSSP against the kernels every other execution model
+// derives its program from — final states and counters — over every
 // graph shape the run view has a separate case for (in-runs of directed
 // graphs, weighted arcs) and every schedule (run it with -race: workers 4
 // exercises the shared Signals path).
@@ -118,7 +95,7 @@ func TestRunShapedMatchesPerEdgeOracle(t *testing.T) {
 		for _, weighted := range []bool{false, true} {
 			// Two chunks and a tail, sparse enough to take many iterations.
 			g := randomMultigraph(t, r, 2*4096+300, 14_000, directed, weighted)
-			source := maxDegreeVertex(g)
+			source := g.MaxDegreeVertex()
 			for _, frontier := range []FrontierMode{FrontierAuto, FrontierDense, FrontierSparse} {
 				for _, workers := range []int{1, 4} {
 					opt := engine.Options{Workers: workers, Frontier: frontier}
@@ -128,7 +105,7 @@ func TestRunShapedMatchesPerEdgeOracle(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						want, err := engine.Run(g, engine.PerEdge[uint32, uint32](ccEdgeOracle{}), opt)
+						want, err := engine.Run(g, engine.PerEdge[uint32, uint32](kernelEdgeProgram[uint32]{MinLabel{}}), opt)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -139,7 +116,7 @@ func TestRunShapedMatchesPerEdgeOracle(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						want, err := engine.Run(g, engine.PerEdge[float64, float64](ssspEdgeOracle{source: source}), opt)
+						want, err := engine.Run(g, engine.PerEdge[float64, float64](kernelEdgeProgram[float64]{Relax{Source: source}}), opt)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -96,18 +96,6 @@ func floorSSSP(g *graph.Graph, source uint32) ([]float64, runTotals) {
 	return state, floorMinPropagation(g, state, active, 1, math.Inf(1))
 }
 
-// maxDegreeVertex is the SSSP source every execution model uses
-// (model.MaxDegreeVertex, which this package cannot import).
-func maxDegreeVertex(g *graph.Graph) uint32 {
-	best := uint32(0)
-	for v := uint32(0); int(v) < g.NumVertices(); v++ {
-		if g.OutDegree(v) > g.OutDegree(best) {
-			best = v
-		}
-	}
-	return best
-}
-
 func traceTotals(tr *trace.RunTrace) runTotals {
 	var tot runTotals
 	for _, it := range tr.Iterations {
@@ -136,7 +124,7 @@ func TestFloorMatchesEngine(t *testing.T) {
 	}
 	sameCounters(t, "CC", traceTotals(out.Trace), floor)
 
-	src := maxDegreeVertex(g)
+	src := g.MaxDegreeVertex()
 	out, dist, err := SingleSourceShortestPath(g, src, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +154,7 @@ func sameCounters(t testing.TB, name string, eng, floor runTotals) {
 func BenchmarkEngineScale(b *testing.B) {
 	for _, alpha := range []float64{2.0, 2.5, 3.0} {
 		g := powerLawGraph(b, 1_000_000, alpha, 1, true)
-		src := maxDegreeVertex(g)
+		src := g.MaxDegreeVertex()
 		engine := func(out *Output, err error) runTotals {
 			if err != nil {
 				b.Fatal(err)

@@ -68,21 +68,5 @@ func SingleSourceShortestPath(g *graph.Graph, source uint32, opt Options) (*Outp
 	if err != nil {
 		return nil, nil, err
 	}
-	reached, maxDist := 0, 0.0
-	for _, d := range res.States {
-		if !math.IsInf(d, 1) {
-			reached++
-			if d > maxDist {
-				maxDist = d
-			}
-		}
-	}
-	out := &Output{
-		Trace: res.Trace,
-		Summary: map[string]float64{
-			"reached":     float64(reached),
-			"maxDistance": maxDist,
-		},
-	}
-	return out, res.States, nil
+	return &Output{Trace: res.Trace, Summary: DistanceSummary(res.States)}, res.States, nil
 }

@@ -78,6 +78,21 @@ func (g *Graph) OutDegree(v uint32) int {
 	return int(g.outOff[v+1] - g.outOff[v])
 }
 
+// MaxDegreeVertex returns the lowest-numbered vertex of highest
+// out-degree: the SSSP source every execution model shares, so the
+// frontier expansion the paper describes is visible on every graph (a
+// random isolated source would trivialize the run) and cross-model
+// results are comparable.
+func (g *Graph) MaxDegreeVertex() uint32 {
+	best := uint32(0)
+	for v := uint32(1); int(v) < g.NumVertices(); v++ {
+		if g.OutDegree(v) > g.OutDegree(best) {
+			best = v
+		}
+	}
+	return best
+}
+
 // InDegree returns the number of in-arcs at v. For undirected graphs this
 // equals OutDegree.
 func (g *Graph) InDegree(v uint32) int {

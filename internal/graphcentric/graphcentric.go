@@ -11,206 +11,122 @@
 // implementations, completing the §3.3 claim that "the basic behavior of
 // graph computation is conserved" across all three models.
 //
-// The model here covers the propagation family (CC, SSSP and relatives):
-// programs define how a state improves across an edge and which of two
-// states is better.
+// The model covers the propagation family only (CC, SSSP and relatives):
+// Run takes an algorithms.Kernel — how a state travels along an edge and
+// which of two states is better — and adds nothing to it but the
+// schedule. States only ever improve, so local fixed points are globally
+// safe.
 package graphcentric
 
 import (
 	"context"
-	"fmt"
 	"time"
 
+	"gcbench/internal/algorithms"
 	"gcbench/internal/graph"
 	"gcbench/internal/trace"
 )
-
-// Edge is one directed propagation step.
-type Edge struct {
-	Src, Dst uint32
-	Weight   float64
-}
-
-// Program is a monotone propagation program over state S: states only
-// ever improve (per Better), so local fixed points are globally safe.
-type Program[S any] interface {
-	// Init returns vertex v's initial state and activity.
-	Init(g *graph.Graph, v uint32) (S, bool)
-	// Propagate computes the state the target would adopt via this edge.
-	Propagate(e Edge, src S) S
-	// Better reports whether a strictly improves on b.
-	Better(a, b S) bool
-}
 
 // Options configures a run.
 type Options struct {
 	// Partitions is the number of contiguous vertex partitions
 	// (0 means 8).
 	Partitions int
-	// MaxSupersteps caps the run (0 means 100000).
+	// MaxSupersteps caps the run (0 means trace.DefaultMaxSteps).
 	MaxSupersteps int
 	// Context, when non-nil, cancels the run cooperatively at the next
 	// superstep barrier; Run returns an error wrapping ctx.Err().
 	Context context.Context
 }
 
-// Result carries the per-superstep trace and final states. Trace fields
-// map onto the shared vocabulary: Active = vertices active at superstep
-// start, Updates = state improvements applied (internal and boundary),
-// EdgeReads = propagations evaluated, Messages = boundary propagations
-// that crossed partitions.
-type Result[S any] struct {
-	Trace  *trace.RunTrace
-	States []S
-}
-
-// Run executes the program to global quiescence.
-func Run[S any](g *graph.Graph, p Program[S], opt Options) (*Result[S], error) {
-	if g == nil || g.NumVertices() == 0 {
-		return nil, fmt.Errorf("graphcentric: nil or empty graph")
-	}
-	parts := opt.Partitions
-	if parts <= 0 {
-		parts = 8
-	}
-	n := g.NumVertices()
-	if parts > n {
-		parts = n
-	}
-	maxSteps := opt.MaxSupersteps
-	if maxSteps <= 0 {
-		maxSteps = 100000
-	}
-
-	partOf := func(v uint32) int { return int(v) * parts / n }
-
-	state := make([]S, n)
-	active := make([]bool, n)
-	var activeCount int64
-	for v := uint32(0); int(v) < n; v++ {
-		s, a := p.Init(g, v)
-		state[v] = s
-		active[v] = a
-		if a {
-			activeCount++
+// Run propagates the kernel to global quiescence. Trace fields map onto
+// the shared vocabulary: Active = vertices active at superstep start,
+// Updates = state improvements applied (internal and boundary), EdgeReads
+// = propagations evaluated, Messages = boundary propagations that crossed
+// partitions.
+func Run[S any](g *graph.Graph, k algorithms.Kernel[S], opt Options) (*trace.Result[S], error) {
+	loop := trace.Barrier{Model: "graphcentric", Step: "superstep", MaxSteps: opt.MaxSupersteps, Context: opt.Context}
+	return trace.RunBarrier(loop, g, func(n int) ([]S, int64, func(int) trace.Superstep) {
+		parts := opt.Partitions
+		if parts <= 0 {
+			parts = 8
 		}
-	}
-
-	tr := &trace.RunTrace{NumVertices: n, NumEdges: g.NumEdges()}
-	nextActive := make([]bool, n)
-	queue := make([]uint32, 0, n)
-
-	for step := 0; step < maxSteps; step++ {
-		if activeCount == 0 {
-			tr.Converged = true
-			break
+		if parts > n {
+			parts = n
 		}
-		if opt.Context != nil {
-			if err := opt.Context.Err(); err != nil {
-				return nil, fmt.Errorf("graphcentric: run stopped at superstep %d: %w", step, err)
-			}
-		}
-		start := time.Now()
-		var reads, updates, messages int64
+		// Vertex v belongs to partition v*parts/n, so partition p owns the
+		// contiguous range [bound(p), bound(p+1)).
+		bound := func(p int) uint32 { return uint32((p*n + parts - 1) / parts) }
 
-		applyStart := time.Now()
-		// Each partition drains its active vertices to a local fixed
-		// point; boundary improvements are applied immediately to the
-		// target state (monotone, so safe) but only *activate* the target
-		// in the next superstep.
-		for part := 0; part < parts; part++ {
-			queue = queue[:0]
-			for v := uint32(0); int(v) < n; v++ {
-				if active[v] && partOf(v) == part {
-					queue = append(queue, v)
-				}
-			}
-			inQueue := map[uint32]bool{}
-			for _, v := range queue {
-				inQueue[v] = true
-			}
-			for len(queue) > 0 {
-				u := queue[0]
-				queue = queue[1:]
-				inQueue[u] = false
-				lo, hi := g.OutArcRange(u)
-				for a := lo; a < hi; a++ {
-					v := g.ArcTarget(a)
-					reads++
-					cand := p.Propagate(Edge{Src: u, Dst: v, Weight: g.ArcWeight(a)}, state[u])
-					if !p.Better(cand, state[v]) {
-						continue
-					}
-					state[v] = cand
-					updates++
-					if partOf(v) == part {
-						// Internal improvement: keep draining locally.
-						if !inQueue[v] {
-							queue = append(queue, v)
-							inQueue[v] = true
-						}
-					} else {
-						// Boundary improvement: a message to another
-						// partition, visible next superstep.
-						messages++
-						nextActive[v] = true
-					}
-				}
-			}
-		}
-		applyTime := time.Since(applyStart)
-
-		tr.Iterations = append(tr.Iterations, trace.IterationStats{
-			Iteration: step,
-			Active:    activeCount,
-			Updates:   updates,
-			EdgeReads: reads,
-			Messages:  messages,
-			ApplyTime: applyTime,
-			WallTime:  time.Since(start),
-		})
-
-		activeCount = 0
-		for v := range nextActive {
-			active[v] = nextActive[v]
+		state := make([]S, n)
+		active := make([]bool, n)
+		var activeCount int64
+		for v := uint32(0); int(v) < n; v++ {
+			state[v], active[v] = k.Init(v)
 			if active[v] {
 				activeCount++
 			}
-			nextActive[v] = false
 		}
-	}
-	return &Result[S]{Trace: tr, States: state}, nil
+		nextActive := make([]bool, n)
+		queue := make([]uint32, 0, n)
+		// inQueue is all false between drains: every queued vertex is
+		// dequeued before its partition's drain ends.
+		inQueue := make([]bool, n)
+
+		return state, activeCount, func(int) trace.Superstep {
+			var s trace.Superstep
+			applyStart := time.Now()
+			// Each partition drains its active vertices to a local fixed
+			// point; boundary improvements are applied immediately to the
+			// target state (monotone, so safe) but only *activate* the
+			// target in the next superstep.
+			for part := 0; part < parts; part++ {
+				lo, hi := bound(part), bound(part+1)
+				queue = queue[:0]
+				for v := lo; v < hi; v++ {
+					if active[v] {
+						queue = append(queue, v)
+						inQueue[v] = true
+					}
+				}
+				for head := 0; head < len(queue); head++ {
+					u := queue[head]
+					inQueue[u] = false
+					alo, ahi := g.OutArcRange(u)
+					for a := alo; a < ahi; a++ {
+						v := g.ArcTarget(a)
+						s.EdgeReads++
+						cand := k.Along(state[u], g.ArcWeight(a))
+						if !k.Better(cand, state[v]) {
+							continue
+						}
+						state[v] = cand
+						s.Updates++
+						if lo <= v && v < hi {
+							// Internal improvement: keep draining locally.
+							if !inQueue[v] {
+								queue = append(queue, v)
+								inQueue[v] = true
+							}
+						} else {
+							// Boundary improvement: a message to another
+							// partition, visible next superstep.
+							s.Messages++
+							nextActive[v] = true
+						}
+					}
+				}
+			}
+			s.ApplyTime = time.Since(applyStart)
+
+			for v := range nextActive {
+				active[v] = nextActive[v]
+				if active[v] {
+					s.NextActive++
+				}
+				nextActive[v] = false
+			}
+			return s
+		}
+	})
 }
-
-// CCProgram is graph-centric min-label propagation.
-type CCProgram struct{}
-
-// Init starts every vertex active with its own ID.
-func (CCProgram) Init(_ *graph.Graph, v uint32) (uint32, bool) { return v, true }
-
-// Propagate forwards the source label.
-func (CCProgram) Propagate(_ Edge, src uint32) uint32 { return src }
-
-// Better prefers smaller labels.
-func (CCProgram) Better(a, b uint32) bool { return a < b }
-
-// SSSPProgram is graph-centric distance relaxation.
-type SSSPProgram struct {
-	Source uint32
-	// Inf is the initial distance (math.Inf(1)).
-	Inf float64
-}
-
-// Init activates only the source.
-func (p SSSPProgram) Init(_ *graph.Graph, v uint32) (float64, bool) {
-	if v == p.Source {
-		return 0, true
-	}
-	return p.Inf, false
-}
-
-// Propagate relaxes across the edge.
-func (p SSSPProgram) Propagate(e Edge, src float64) float64 { return src + e.Weight }
-
-// Better prefers shorter distances.
-func (p SSSPProgram) Better(a, b float64) bool { return a < b }

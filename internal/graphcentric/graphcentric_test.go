@@ -1,7 +1,6 @@
 package graphcentric
 
 import (
-	"math"
 	"testing"
 
 	"gcbench/internal/algorithms"
@@ -20,7 +19,7 @@ func testGraph(t *testing.T, edges int64, alpha float64, seed uint64) *graph.Gra
 
 func TestCCMatchesGAS(t *testing.T) {
 	g := testGraph(t, 3000, 2.3, 5)
-	res, err := Run[uint32](g, CCProgram{}, Options{Partitions: 8})
+	res, err := Run[uint32](g, algorithms.MinLabel{}, Options{Partitions: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +39,7 @@ func TestCCMatchesGAS(t *testing.T) {
 
 func TestSSSPMatchesGAS(t *testing.T) {
 	g := testGraph(t, 3000, 2.5, 7)
-	res, err := Run[float64](g, SSSPProgram{Source: 0, Inf: math.Inf(1)}, Options{Partitions: 4})
+	res, err := Run[float64](g, algorithms.Relax{Source: 0}, Options{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +69,7 @@ func TestFewerSupersteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run[uint32](g, CCProgram{}, Options{Partitions: 4})
+	res, err := Run[uint32](g, algorithms.MinLabel{}, Options{Partitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +92,7 @@ func TestBoundaryMessagesOnlyAcrossPartitions(t *testing.T) {
 	// Single partition: everything is internal, so zero messages and one
 	// superstep (plus none after quiescence).
 	g := testGraph(t, 1000, 2.5, 9)
-	res, err := Run[uint32](g, CCProgram{}, Options{Partitions: 1})
+	res, err := Run[uint32](g, algorithms.MinLabel{}, Options{Partitions: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +109,7 @@ func TestPartitionCountInsensitivity(t *testing.T) {
 	g := testGraph(t, 2000, 2.2, 11)
 	var base []uint32
 	for _, parts := range []int{1, 2, 7, 32} {
-		res, err := Run[uint32](g, CCProgram{}, Options{Partitions: parts})
+		res, err := Run[uint32](g, algorithms.MinLabel{}, Options{Partitions: parts})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +126,7 @@ func TestPartitionCountInsensitivity(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run[uint32](nil, CCProgram{}, Options{}); err == nil {
+	if _, err := Run[uint32](nil, algorithms.MinLabel{}, Options{}); err == nil {
 		t.Fatal("nil graph accepted")
 	}
 }

@@ -47,7 +47,7 @@ func (gasModel) Run(ctx context.Context, w Workload, alg algorithms.Name, opt Op
 		case algorithms.TC:
 			out, _, err = algorithms.TriangleCounting(g, aopt)
 		case algorithms.SSSP:
-			out, _, err = algorithms.SingleSourceShortestPath(g, MaxDegreeVertex(g), aopt)
+			out, _, err = algorithms.SingleSourceShortestPath(g, g.MaxDegreeVertex(), aopt)
 		case algorithms.PR:
 			out, _, err = algorithms.PageRank(g, algorithms.PageRankOptions{Options: aopt})
 		case algorithms.AD:

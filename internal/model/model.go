@@ -141,15 +141,12 @@ type Model interface {
 
 // ForName returns the implementation of a model name.
 func ForName(n Name) (Model, error) {
-	switch Canonical(string(n)) {
-	case GAS:
+	c := Canonical(string(n))
+	if c == GAS {
 		return gasModel{}, nil
-	case Pregel:
-		return pregelModel{}, nil
-	case XStream:
-		return xstreamModel{}, nil
-	case GraphCentric:
-		return graphCentricModel{}, nil
+	}
+	if _, ok := runners[c]; ok {
+		return engineModel{c}, nil
 	}
 	return nil, fmt.Errorf("model: unknown execution model %q (known: %v)", n, AllNames())
 }
@@ -191,20 +188,6 @@ func runContext(ctx context.Context, opt Options) context.Context {
 		return opt.Context
 	}
 	return context.Background()
-}
-
-// MaxDegreeVertex picks the SSSP source every model shares: the
-// highest-degree vertex, so the frontier expansion the paper describes
-// is visible on every graph (a random isolated source would trivialize
-// the run) and cross-model results are comparable.
-func MaxDegreeVertex(g *graph.Graph) uint32 {
-	best, bestDeg := uint32(0), -1
-	for v := uint32(0); int(v) < g.NumVertices(); v++ {
-		if d := g.OutDegree(v); d > bestDeg {
-			best, bestDeg = v, d
-		}
-	}
-	return best
 }
 
 // unsupported is the uniform error for a model/algorithm mismatch.

@@ -16,7 +16,6 @@ package pregel
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -87,7 +86,7 @@ func (o *outbox[M]) add(dst uint32, m M) {
 
 // Options configures a run.
 type Options struct {
-	// MaxSupersteps caps the run (0 means 100000).
+	// MaxSupersteps caps the run (0 means trace.DefaultMaxSteps).
 	MaxSupersteps int
 	// Workers is the compute parallelism (0 means GOMAXPROCS).
 	Workers int
@@ -96,157 +95,109 @@ type Options struct {
 	Context context.Context
 }
 
-// Result carries the trace and final states.
-type Result[S any] struct {
-	Trace  *trace.RunTrace
-	States []S
-}
-
 // Run executes the program until every vertex has halted with no messages
 // in flight.
-func Run[S, M any](g *graph.Graph, p Program[S, M], opt Options) (*Result[S], error) {
-	if g == nil || g.NumVertices() == 0 {
-		return nil, fmt.Errorf("pregel: nil or empty graph")
-	}
-	maxSteps := opt.MaxSupersteps
-	if maxSteps <= 0 {
-		maxSteps = 100000
-	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	n := g.NumVertices()
-	if workers > n {
-		workers = n
-	}
-
-	state := make([]S, n)
-	for v := uint32(0); int(v) < n; v++ {
-		state[v] = p.Init(g, v)
-	}
-	active := make([]bool, n)
-	for i := range active {
-		active[i] = true
-	}
-	var activeCount int64 = int64(n)
-
-	// Combined inbox: one message slot per vertex (combiner semantics).
-	inMsg := make([]M, n)
-	inHas := make([]bool, n)
-
-	outboxes := make([]*outbox[M], workers)
-	for w := range outboxes {
-		outboxes[w] = &outbox[M]{
-			combine: p.Combine,
-			msg:     make([]M, n),
-			has:     make([]bool, n),
+func Run[S, M any](g *graph.Graph, p Program[S, M], opt Options) (*trace.Result[S], error) {
+	loop := trace.Barrier{Model: "pregel", Step: "superstep", MaxSteps: opt.MaxSupersteps, Context: opt.Context}
+	return trace.RunBarrier(loop, g, func(n int) ([]S, int64, func(int) trace.Superstep) {
+		workers := opt.Workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
 		}
-	}
-
-	tr := &trace.RunTrace{NumVertices: n, NumEdges: g.NumEdges()}
-	for step := 0; step < maxSteps; step++ {
-		if activeCount == 0 {
-			tr.Converged = true
-			break
+		if workers > n {
+			workers = n
 		}
-		if opt.Context != nil {
-			if err := opt.Context.Err(); err != nil {
-				return nil, fmt.Errorf("pregel: run stopped at superstep %d: %w", step, err)
+
+		state := make([]S, n)
+		active := make([]bool, n)
+		for v := range state {
+			state[v] = p.Init(g, uint32(v))
+			active[v] = true
+		}
+
+		// Combined inbox: one message slot per vertex (combiner semantics).
+		inMsg := make([]M, n)
+		inHas := make([]bool, n)
+
+		outboxes := make([]*outbox[M], workers)
+		for w := range outboxes {
+			outboxes[w] = &outbox[M]{
+				combine: p.Combine,
+				msg:     make([]M, n),
+				has:     make([]bool, n),
 			}
 		}
-		start := time.Now()
-
-		// Compute phase: contiguous vertex ranges per worker, each with
-		// its own outbox (merged afterward).
-		var updates int64
-		applyStart := time.Now()
-		var wg sync.WaitGroup
 		updatesPer := make([]int64, workers)
 		chunk := (n + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
+
+		return state, int64(n), func(step int) trace.Superstep {
+			// Compute phase: contiguous vertex ranges per worker, each
+			// with its own outbox (merged afterward).
+			applyStart := time.Now()
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				lo := w * chunk
+				hi := min(lo+chunk, n)
+				if lo >= hi {
+					break
+				}
+				wg.Add(1)
+				go func(w, lo, hi int) {
+					defer wg.Done()
+					ctx := &Context[M]{g: g, out: outboxes[w]}
+					var msgBuf [1]M
+					for v := lo; v < hi; v++ {
+						if !active[v] {
+							continue
+						}
+						var msgs []M
+						if inHas[v] {
+							msgBuf[0] = inMsg[v]
+							msgs = msgBuf[:1]
+						}
+						ctx.halted = false
+						state[v] = p.Compute(ctx, step, uint32(v), state[v], msgs)
+						updatesPer[w]++
+						if ctx.halted {
+							active[v] = false
+						}
+					}
+				}(w, lo, hi)
 			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				ctx := &Context[M]{g: g, out: outboxes[w]}
-				var msgBuf [1]M
-				for v := lo; v < hi; v++ {
-					if !active[v] {
+			wg.Wait()
+			s := trace.Superstep{ApplyTime: time.Since(applyStart)}
+
+			// Delivery: merge worker outboxes into the next inbox.
+			clear(inHas)
+			for w, ob := range outboxes {
+				s.Updates += updatesPer[w]
+				s.Messages += ob.messages
+				s.EdgeReads += ob.edgeReads
+				updatesPer[w], ob.messages, ob.edgeReads = 0, 0, 0
+				for v := 0; v < n; v++ {
+					if !ob.has[v] {
 						continue
 					}
-					var msgs []M
+					ob.has[v] = false
 					if inHas[v] {
-						msgBuf[0] = inMsg[v]
-						msgs = msgBuf[:1]
-					}
-					ctx.halted = false
-					state[v] = p.Compute(ctx, step, uint32(v), state[v], msgs)
-					updatesPer[w]++
-					if ctx.halted {
-						active[v] = false
+						inMsg[v] = p.Combine(inMsg[v], ob.msg[v])
+					} else {
+						inMsg[v] = ob.msg[v]
+						inHas[v] = true
 					}
 				}
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		applyTime := time.Since(applyStart)
+			}
 
-		// Delivery: merge worker outboxes into the next inbox.
-		for i := range inHas {
-			inHas[i] = false
-		}
-		var messages, edgeReads int64
-		for _, ob := range outboxes {
-			messages += ob.messages
-			edgeReads += ob.edgeReads
-			ob.messages, ob.edgeReads = 0, 0
+			// Reactivation: messages wake halted vertices.
 			for v := 0; v < n; v++ {
-				if !ob.has[v] {
-					continue
-				}
-				ob.has[v] = false
 				if inHas[v] {
-					inMsg[v] = p.Combine(inMsg[v], ob.msg[v])
-				} else {
-					inMsg[v] = ob.msg[v]
-					inHas[v] = true
+					active[v] = true
+				}
+				if active[v] {
+					s.NextActive++
 				}
 			}
+			return s
 		}
-		for w := range updatesPer {
-			updates += updatesPer[w]
-			updatesPer[w] = 0
-		}
-
-		// Reactivation: messages wake halted vertices.
-		prevActive := activeCount
-		activeCount = 0
-		for v := 0; v < n; v++ {
-			if inHas[v] {
-				active[v] = true
-			}
-			if active[v] {
-				activeCount++
-			}
-		}
-
-		tr.Iterations = append(tr.Iterations, trace.IterationStats{
-			Iteration: step,
-			Active:    prevActive,
-			Updates:   updates,
-			EdgeReads: edgeReads,
-			Messages:  messages,
-			ApplyTime: applyTime,
-			WallTime:  time.Since(start),
-		})
-	}
-	return &Result[S]{Trace: tr, States: state}, nil
+	})
 }

@@ -20,7 +20,7 @@ func testGraph(t *testing.T, edges int64, alpha float64, seed uint64) *graph.Gra
 
 func TestCCMatchesGAS(t *testing.T) {
 	g := testGraph(t, 2500, 2.4, 3)
-	res, err := Run[uint32, uint32](g, CCProgram{}, Options{})
+	res, err := Run(g, FromKernel[uint32](algorithms.MinLabel{}), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestCCMatchesGAS(t *testing.T) {
 
 func TestSSSPMatchesGAS(t *testing.T) {
 	g := testGraph(t, 2500, 2.2, 5)
-	res, err := Run[float64, float64](g, SSSPProgram{Source: 0}, Options{})
+	res, err := Run(g, FromKernel[float64](algorithms.Relax{Source: 0}), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestVoteToHaltAndReactivation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run[float64, float64](g, SSSPProgram{Source: 0}, Options{Workers: 1})
+	res, err := Run(g, FromKernel[float64](algorithms.Relax{Source: 0}), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestCombinerReducesDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run[uint32, uint32](g, CCProgram{}, Options{Workers: 4})
+	res, err := Run(g, FromKernel[uint32](algorithms.MinLabel{}), Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	g := testGraph(t, 3000, 2.3, 9)
 	var base []uint32
 	for _, workers := range []int{1, 2, 8} {
-		res, err := Run[uint32, uint32](g, CCProgram{}, Options{Workers: workers})
+		res, err := Run(g, FromKernel[uint32](algorithms.MinLabel{}), Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run[uint32, uint32](nil, CCProgram{}, Options{}); err == nil {
+	if _, err := Run(nil, FromKernel[uint32](algorithms.MinLabel{}), Options{}); err == nil {
 		t.Fatal("nil graph accepted")
 	}
 }

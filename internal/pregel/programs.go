@@ -1,64 +1,38 @@
 package pregel
 
 import (
-	"math"
-
+	"gcbench/internal/algorithms"
 	"gcbench/internal/graph"
 )
 
-// Pregel formulations of three study algorithms, used to check result
-// equivalence with the GAS implementations.
+// kernelProgram is a monotone propagation kernel under the Pregel
+// schedule: the vertices the kernel starts active announce their state in
+// superstep 0, every vertex adopts the best offer among its messages, an
+// improved vertex offers its new state along each out-edge (weights ride
+// on edges, so the send is per edge), and everyone votes to halt until
+// the next message arrives.
+type kernelProgram[S any] struct {
+	k algorithms.Kernel[S]
+}
 
-// CCProgram is Pregel min-label propagation (the classic "maximum value"
-// example of the Pregel paper, inverted to minimum).
-type CCProgram struct{}
+// FromKernel derives the Pregel program of a propagation kernel — CC
+// from algorithms.MinLabel, SSSP from algorithms.Relax.
+func FromKernel[S any](k algorithms.Kernel[S]) Program[S, S] {
+	return kernelProgram[S]{k}
+}
 
-// Init labels every vertex with its own ID.
-func (CCProgram) Init(_ *graph.Graph, v uint32) uint32 { return v }
-
-// Compute adopts the smallest incoming label and propagates improvements.
-func (CCProgram) Compute(ctx *Context[uint32], step int, v uint32, s uint32, msgs []uint32) uint32 {
-	improved := step == 0 // initially everyone announces
-	for _, m := range msgs {
-		if m < s {
-			s = m
-			improved = true
-		}
-	}
-	if improved {
-		ctx.SendToNeighbors(v, s)
-	}
-	ctx.VoteToHalt()
+func (p kernelProgram[S]) Init(_ *graph.Graph, v uint32) S {
+	s, _ := p.k.Init(v)
 	return s
 }
 
-// Combine keeps the smaller label.
-func (CCProgram) Combine(a, b uint32) uint32 {
-	if a < b {
-		return a
+func (p kernelProgram[S]) Compute(ctx *Context[S], step int, v uint32, s S, msgs []S) S {
+	improved := false
+	if step == 0 {
+		_, improved = p.k.Init(v)
 	}
-	return b
-}
-
-// SSSPProgram is Pregel distance relaxation.
-type SSSPProgram struct {
-	Source uint32
-}
-
-// Init sets the source to zero and everything else to infinity.
-func (p SSSPProgram) Init(_ *graph.Graph, v uint32) float64 {
-	if v == p.Source {
-		return 0
-	}
-	return math.Inf(1)
-}
-
-// Compute relaxes on incoming proposals; weights ride on edges, so the
-// send must happen per-edge.
-func (p SSSPProgram) Compute(ctx *Context[float64], step int, v uint32, s float64, msgs []float64) float64 {
-	improved := step == 0 && v == p.Source
 	for _, m := range msgs {
-		if m < s {
+		if p.k.Better(m, s) {
 			s = m
 			improved = true
 		}
@@ -67,7 +41,7 @@ func (p SSSPProgram) Compute(ctx *Context[float64], step int, v uint32, s float6
 		g := ctx.g
 		lo, hi := g.OutArcRange(v)
 		for a := lo; a < hi; a++ {
-			ctx.SendTo(g.ArcTarget(a), s+g.ArcWeight(a))
+			ctx.SendTo(g.ArcTarget(a), p.k.Along(s, g.ArcWeight(a)))
 			ctx.out.edgeReads++
 		}
 	}
@@ -75,8 +49,13 @@ func (p SSSPProgram) Compute(ctx *Context[float64], step int, v uint32, s float6
 	return s
 }
 
-// Combine keeps the shorter proposal.
-func (p SSSPProgram) Combine(a, b float64) float64 { return math.Min(a, b) }
+// Combine keeps the better offer.
+func (p kernelProgram[S]) Combine(a, b S) S {
+	if p.k.Better(a, b) {
+		return a
+	}
+	return b
+}
 
 // PRProgram is the Pregel paper's PageRank: run a fixed number of
 // supersteps, each vertex dividing its rank among its neighbors.

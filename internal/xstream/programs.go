@@ -3,62 +3,41 @@ package xstream
 import (
 	"math"
 
+	"gcbench/internal/algorithms"
 	"gcbench/internal/graph"
 )
 
-// Edge-centric formulations of three of the study's algorithms, used to
-// verify the §3.3 conservation claim against the GAS implementations.
+// kernelProgram is a monotone propagation kernel under the edge-centric
+// schedule: every streamed edge with an active source offers its target
+// the source's state carried along the edge, offers merge to the best
+// one, and a target that adopts it is active next iteration.
+type kernelProgram[S any] struct {
+	k algorithms.Kernel[S]
+}
 
-// CCProgram is min-label propagation, edge-centric: active sources push
-// their label along out-edges; targets adopt smaller labels.
-type CCProgram struct{}
+// FromKernel derives the edge-centric program of a propagation kernel —
+// CC from algorithms.MinLabel, SSSP from algorithms.Relax.
+func FromKernel[S any](k algorithms.Kernel[S]) Program[S, S] {
+	return kernelProgram[S]{k}
+}
 
-// Init starts every vertex active with its own ID as label.
-func (CCProgram) Init(_ *graph.Graph, v uint32) (uint32, bool) { return v, true }
+func (p kernelProgram[S]) Init(_ *graph.Graph, v uint32) (S, bool) { return p.k.Init(v) }
 
-// ScatterEdge pushes the source's label.
-func (CCProgram) ScatterEdge(_ Edge, src uint32) (uint32, bool) { return src, true }
+func (p kernelProgram[S]) ScatterEdge(e Edge, src S) (S, bool) {
+	return p.k.Along(src, e.Weight), true
+}
 
-// Merge keeps the smaller label.
-func (CCProgram) Merge(a, b uint32) uint32 {
-	if a < b {
+// Merge keeps the better offer.
+func (p kernelProgram[S]) Merge(a, b S) S {
+	if p.k.Better(a, b) {
 		return a
 	}
 	return b
 }
 
-// Apply adopts an improving label.
-func (CCProgram) Apply(_ uint32, s, u uint32) (uint32, bool) {
-	if u < s {
-		return u, true
-	}
-	return s, false
-}
-
-// SSSPProgram relaxes distances edge-centrically.
-type SSSPProgram struct {
-	Source uint32
-}
-
-// Init activates only the source.
-func (p SSSPProgram) Init(_ *graph.Graph, v uint32) (float64, bool) {
-	if v == p.Source {
-		return 0, true
-	}
-	return math.Inf(1), false
-}
-
-// ScatterEdge proposes a relaxed distance.
-func (p SSSPProgram) ScatterEdge(e Edge, src float64) (float64, bool) {
-	return src + e.Weight, true
-}
-
-// Merge keeps the shorter proposal.
-func (p SSSPProgram) Merge(a, b float64) float64 { return math.Min(a, b) }
-
-// Apply adopts an improving distance.
-func (p SSSPProgram) Apply(_ uint32, s, u float64) (float64, bool) {
-	if u < s {
+// Apply adopts an improving offer.
+func (p kernelProgram[S]) Apply(_ uint32, s, u S) (S, bool) {
+	if p.k.Better(u, s) {
 		return u, true
 	}
 	return s, false

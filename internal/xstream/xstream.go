@@ -9,7 +9,8 @@
 // Instead of iterating active vertices over their adjacency (CSR), each
 // iteration streams the entire unordered edge list: edges whose source is
 // active emit updates toward their targets, updates are merged per target,
-// and targets apply them — becoming active when they change. The same five
+// and targets apply them — becoming active when they change. Both phases
+// run sequentially, as in a single streaming partition. The same five
 // behavior quantities are measured, so this package lets the conservation
 // claim be checked quantitatively (see the package tests, which run
 // CC/PR/SSSP under both models and compare results and activation
@@ -18,8 +19,6 @@ package xstream
 
 import (
 	"context"
-	"fmt"
-	"runtime"
 	"time"
 
 	"gcbench/internal/graph"
@@ -50,130 +49,80 @@ type Program[S, U any] interface {
 
 // Options configures a run.
 type Options struct {
-	// MaxIterations caps the run; 0 means 100000.
+	// MaxIterations caps the run; 0 means trace.DefaultMaxSteps.
 	MaxIterations int
-	// Workers is the apply-phase parallelism; 0 means GOMAXPROCS. The
-	// stream phase is sequential, as in a single streaming partition.
-	Workers int
 	// Context, when non-nil, cancels the run cooperatively at the next
 	// iteration barrier; Run returns an error wrapping ctx.Err().
 	Context context.Context
 }
 
-// Result carries the trace and final states.
-type Result[S any] struct {
-	Trace  *trace.RunTrace
-	States []S
-}
-
 // Run executes the program to quiescence.
-func Run[S, U any](g *graph.Graph, p Program[S, U], opt Options) (*Result[S], error) {
-	if g == nil || g.NumVertices() == 0 {
-		return nil, fmt.Errorf("xstream: nil or empty graph")
-	}
-	maxIter := opt.MaxIterations
-	if maxIter <= 0 {
-		maxIter = 100000
-	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	n := g.NumVertices()
-	// Materialize the flat edge stream: every arc once, in CSR storage
-	// order (an arbitrary but fixed order, as a streaming engine sees it).
-	edges := make([]Edge, 0, g.NumArcs())
-	for u := uint32(0); int(u) < n; u++ {
-		lo, hi := g.OutArcRange(u)
-		for a := lo; a < hi; a++ {
-			edges = append(edges, Edge{Src: u, Dst: g.ArcTarget(a), Weight: g.ArcWeight(a)})
-		}
-	}
-
-	state := make([]S, n)
-	active := make([]bool, n)
-	nextActive := make([]bool, n)
-	acc := make([]U, n)
-	has := make([]bool, n)
-
-	var activeCount int64
-	for v := uint32(0); int(v) < n; v++ {
-		s, a := p.Init(g, v)
-		state[v] = s
-		active[v] = a
-		if a {
-			activeCount++
-		}
-	}
-
-	tr := &trace.RunTrace{NumVertices: n, NumEdges: g.NumEdges()}
-	for iter := 0; iter < maxIter; iter++ {
-		if activeCount == 0 {
-			tr.Converged = true
-			break
-		}
-		if opt.Context != nil {
-			if err := opt.Context.Err(); err != nil {
-				return nil, fmt.Errorf("xstream: run stopped at iteration %d: %w", iter, err)
-			}
-		}
-		start := time.Now()
-
-		// Stream phase: scan every edge, scatter from active sources.
-		var reads, msgs int64
-		for i := range edges {
-			e := &edges[i]
-			if !active[e.Src] {
-				continue
-			}
-			reads++ // one source-state read through an edge
-			u, ok := p.ScatterEdge(*e, state[e.Src])
-			if !ok {
-				continue
-			}
-			msgs++
-			if has[e.Dst] {
-				acc[e.Dst] = p.Merge(acc[e.Dst], u)
-			} else {
-				acc[e.Dst] = u
-				has[e.Dst] = true
+func Run[S, U any](g *graph.Graph, p Program[S, U], opt Options) (*trace.Result[S], error) {
+	loop := trace.Barrier{Model: "xstream", Step: "iteration", MaxSteps: opt.MaxIterations, Context: opt.Context}
+	return trace.RunBarrier(loop, g, func(n int) ([]S, int64, func(int) trace.Superstep) {
+		// Materialize the flat edge stream: every arc once, in CSR storage
+		// order (an arbitrary but fixed order, as a streaming engine sees it).
+		edges := make([]Edge, 0, g.NumArcs())
+		for u := uint32(0); int(u) < n; u++ {
+			lo, hi := g.OutArcRange(u)
+			for a := lo; a < hi; a++ {
+				edges = append(edges, Edge{Src: u, Dst: g.ArcTarget(a), Weight: g.ArcWeight(a)})
 			}
 		}
 
-		// Apply phase: fold updates, decide next activity.
-		applyStart := time.Now()
-		var updates, nextCount int64
+		state := make([]S, n)
+		active := make([]bool, n)
+		nextActive := make([]bool, n)
+		acc := make([]U, n)
+		has := make([]bool, n)
+
+		var activeCount int64
 		for v := uint32(0); int(v) < n; v++ {
-			if !has[v] {
-				continue
-			}
-			has[v] = false
-			var changed bool
-			state[v], changed = p.Apply(v, state[v], acc[v])
-			updates++
-			if changed {
-				nextActive[v] = true
-				nextCount++
+			state[v], active[v] = p.Init(g, v)
+			if active[v] {
+				activeCount++
 			}
 		}
-		applyTime := time.Since(applyStart)
 
-		tr.Iterations = append(tr.Iterations, trace.IterationStats{
-			Iteration: iter,
-			Active:    activeCount,
-			Updates:   updates,
-			EdgeReads: reads,
-			Messages:  msgs,
-			ApplyTime: applyTime,
-			WallTime:  time.Since(start),
-		})
+		return state, activeCount, func(int) trace.Superstep {
+			var s trace.Superstep
+			// Stream phase: scan every edge, scatter from active sources.
+			for i := range edges {
+				e := &edges[i]
+				if !active[e.Src] {
+					continue
+				}
+				s.EdgeReads++ // one source-state read through an edge
+				u, ok := p.ScatterEdge(*e, state[e.Src])
+				if !ok {
+					continue
+				}
+				s.Messages++
+				if has[e.Dst] {
+					acc[e.Dst] = p.Merge(acc[e.Dst], u)
+				} else {
+					acc[e.Dst] = u
+					has[e.Dst] = true
+				}
+			}
 
-		active, nextActive = nextActive, active
-		for v := range nextActive {
-			nextActive[v] = false
+			// Apply phase: fold updates, decide next activity.
+			applyStart := time.Now()
+			for v := uint32(0); int(v) < n; v++ {
+				if !has[v] {
+					continue
+				}
+				has[v] = false
+				state[v], nextActive[v] = p.Apply(v, state[v], acc[v])
+				s.Updates++
+				if nextActive[v] {
+					s.NextActive++
+				}
+			}
+			s.ApplyTime = time.Since(applyStart)
+			clear(active)
+			active, nextActive = nextActive, active
+			return s
 		}
-		activeCount = nextCount
-	}
-	return &Result[S]{Trace: tr, States: state}, nil
+	})
 }

@@ -22,7 +22,7 @@ func testGraph(t *testing.T, edges int64, alpha float64, seed uint64) *graph.Gra
 
 func TestCCMatchesGASExactly(t *testing.T) {
 	g := testGraph(t, 2000, 2.3, 5)
-	res, err := Run[uint32, uint32](g, CCProgram{}, Options{})
+	res, err := Run(g, FromKernel[uint32](algorithms.MinLabel{}), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestCCMatchesGASExactly(t *testing.T) {
 
 func TestSSSPMatchesGASExactly(t *testing.T) {
 	g := testGraph(t, 2000, 2.5, 7)
-	res, err := Run[float64, float64](g, SSSPProgram{Source: 0}, Options{})
+	res, err := Run(g, FromKernel[float64](algorithms.Relax{Source: 0}), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestActivationBehaviorConserved(t *testing.T) {
 	// look the same under both models: same initial activity, same growth
 	// trend, comparable iteration count.
 	g := testGraph(t, 3000, 2.2, 11)
-	res, err := Run[float64, float64](g, SSSPProgram{Source: 0}, Options{})
+	res, err := Run(g, FromKernel[float64](algorithms.Relax{Source: 0}), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestEdgeReadsCountOnlyActiveSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run[float64, float64](g, SSSPProgram{Source: 0}, Options{})
+	res, err := Run(g, FromKernel[float64](algorithms.Relax{Source: 0}), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestEdgeReadsCountOnlyActiveSources(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run[uint32, uint32](nil, CCProgram{}, Options{}); err == nil {
+	if _, err := Run(nil, FromKernel[uint32](algorithms.MinLabel{}), Options{}); err == nil {
 		t.Fatal("nil graph accepted")
 	}
 }
@@ -178,7 +178,7 @@ func BenchmarkEdgeCentricCC(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run[uint32, uint32](g, CCProgram{}, Options{}); err != nil {
+		if _, err := Run(g, FromKernel[uint32](algorithms.MinLabel{}), Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
