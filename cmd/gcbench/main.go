@@ -443,10 +443,10 @@ func cmdEnsemble(args []string) error {
 		}
 		spreadMembers = refined
 		fmt.Printf("annealed spread: %.4f (greedy+exchange: %.4f)\n",
-			score, spreadOf(pool.Points, spreadSets[*size]))
+			score, gcbench.SpreadOf(pool.Points, spreadSets[*size]))
 	}
 	fmt.Printf("Best-spread ensemble of size %d (spread %.4f):\n", *size,
-		spreadOf(pool.Points, spreadMembers))
+		gcbench.SpreadOf(pool.Points, spreadMembers))
 	for _, m := range spreadMembers {
 		fmt.Printf("  %s\n", pool.Runs[m].ID())
 	}
@@ -557,12 +557,4 @@ func parseModelList(s string) ([]gcbench.ModelName, error) {
 		models = append(models, n)
 	}
 	return models, nil
-}
-
-func spreadOf(pool []gcbench.Vector, idx []int) float64 {
-	pts := make([]gcbench.Vector, len(idx))
-	for i, j := range idx {
-		pts[i] = pool[j]
-	}
-	return gcbench.Spread(pts)
 }

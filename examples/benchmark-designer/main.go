@@ -45,7 +45,7 @@ func main() {
 	// Design a 5-member suite for spread (dispersion across the space).
 	const suiteSize = 5
 	spreadSets := gcbench.BestSpreadGreedy(pool.Points, idx, suiteSize)
-	fmt.Printf("designed suite (max spread = %.3f):\n", spreadOf(pool.Points, spreadSets[suiteSize]))
+	fmt.Printf("designed suite (max spread = %.3f):\n", gcbench.SpreadOf(pool.Points, spreadSets[suiteSize]))
 	for _, m := range spreadSets[suiteSize] {
 		fmt.Printf("  %s\n", pool.Runs[m].ID())
 	}
@@ -76,20 +76,12 @@ func main() {
 	}
 	fmt.Printf("\nnaive single-algorithm suite (5 best PR runs):\n")
 	fmt.Printf("  spread   %.3f vs designed %.3f\n",
-		spreadOf(pool.Points, naive[suiteSize]), spreadOf(pool.Points, spreadSets[suiteSize]))
+		gcbench.SpreadOf(pool.Points, naive[suiteSize]), gcbench.SpreadOf(pool.Points, spreadSets[suiteSize]))
 	fmt.Printf("  coverage %.3f vs designed %.3f\n",
 		coverageOf(cov, pool.Points, naive[suiteSize]),
 		coverageOf(cov, pool.Points, covSets[suiteSize]))
 	fmt.Println("\nthe designed ensembles explore the behavior space far more efficiently —")
 	fmt.Println("that is the paper's case for systematic benchmark construction.")
-}
-
-func spreadOf(pool []gcbench.Vector, idx []int) float64 {
-	pts := make([]gcbench.Vector, len(idx))
-	for i, j := range idx {
-		pts[i] = pool[j]
-	}
-	return gcbench.Spread(pts)
 }
 
 func coverageOf(cov *gcbench.CoverageEstimator, pool []gcbench.Vector, idx []int) float64 {

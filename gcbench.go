@@ -251,12 +251,10 @@ var (
 // CoverageEstimator Monte-Carlo-estimates ensemble coverage.
 type CoverageEstimator = ensemble.CoverageEstimator
 
-// NewIncrementalCoverage builds the incremental state for a member set.
-var NewIncrementalCoverage = ensemble.NewIncrementalCoverage
-
 // Ensemble metrics and searches.
 var (
 	Spread               = ensemble.Spread
+	SpreadOf             = ensemble.SpreadOf
 	NewCoverageEstimator = ensemble.NewCoverageEstimator
 	BestSpreadExhaustive = ensemble.BestSpreadExhaustive
 	BestSpreadGreedy     = ensemble.BestSpreadGreedy

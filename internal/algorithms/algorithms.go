@@ -89,9 +89,76 @@ const (
 	DD     Name = "DD"
 )
 
+// Family names the input an algorithm runs over: which generator builds
+// it and which model.Workload field carries it. The values are the
+// seed and cache group strings of the sweep, so they are part of every
+// graph seed and may not change.
+type Family string
+
+// The five input families of Table 2.
+const (
+	// FamilyGA is the shared power-law graph of Graph Analytics and
+	// Clustering (Workload.Graph).
+	FamilyGA Family = "ga"
+	// FamilyCF is the bipartite rating graph (Workload.Ratings, Users).
+	FamilyCF Family = "cf"
+	// FamilyJacobi is the diagonally dominant linear system
+	// (Workload.System).
+	FamilyJacobi Family = "jacobi"
+	// FamilyLBP is the grid MRF and FamilyDD the random MRF (both
+	// Workload.MRF).
+	FamilyLBP Family = "lbp"
+	FamilyDD  Family = "dd"
+)
+
+// row is one algorithm of the matrix.
+type row struct {
+	name   Name
+	domain string
+	family Family
+	// constant marks the algorithms that keep all vertices active with
+	// repetitive per-iteration behavior — the property §5.6 exploits to
+	// shorten runs.
+	constant bool
+}
+
+// table is the paper's algorithm matrix (Tables 1 and 2), one row per
+// algorithm in presentation order, and the one place an algorithm's
+// metadata is stated: adding an algorithm is a row here, its file in
+// this package, and a runner row in internal/model.
+var table = []row{
+	{CC, "Graph Analytics", FamilyGA, false},
+	{KC, "Graph Analytics", FamilyGA, false},
+	{TC, "Graph Analytics", FamilyGA, false},
+	{SSSP, "Graph Analytics", FamilyGA, false},
+	{PR, "Graph Analytics", FamilyGA, false},
+	{AD, "Graph Analytics", FamilyGA, true},
+	{KM, "Clustering", FamilyGA, true},
+	{ALS, "Collaborative Filtering", FamilyCF, false},
+	{NMF, "Collaborative Filtering", FamilyCF, true},
+	{SGD, "Collaborative Filtering", FamilyCF, true},
+	{SVD, "Collaborative Filtering", FamilyCF, true},
+	{Jacobi, "Linear Solver", FamilyJacobi, false},
+	{LBP, "Graphical Model", FamilyLBP, false},
+	{DD, "Graphical Model", FamilyDD, false},
+}
+
+// rowOf indexes table by name; an unknown name reads as the zero row.
+var rowOf = func() map[Name]row {
+	m := make(map[Name]row, len(table))
+	for _, r := range table {
+		m[r.name] = r
+	}
+	return m
+}()
+
 // AllNames lists every algorithm in the paper's presentation order.
 func AllNames() []Name {
-	return []Name{CC, KC, TC, SSSP, PR, AD, KM, ALS, NMF, SGD, SVD, Jacobi, LBP, DD}
+	names := make([]Name, len(table))
+	for i, r := range table {
+		names[i] = r.name
+	}
+	return names
 }
 
 // Parse resolves a case-insensitive algorithm name.
@@ -106,29 +173,28 @@ func Parse(s string) (Name, error) {
 
 // Domain returns the paper's application domain of an algorithm.
 func (n Name) Domain() string {
-	switch n {
-	case CC, KC, TC, SSSP, PR, AD:
-		return "Graph Analytics"
-	case KM:
-		return "Clustering"
-	case ALS, NMF, SGD, SVD:
-		return "Collaborative Filtering"
-	case Jacobi:
-		return "Linear Solver"
-	case LBP, DD:
-		return "Graphical Model"
-	default:
-		return "Unknown"
+	if r, ok := rowOf[n]; ok {
+		return r.domain
 	}
+	return "Unknown"
+}
+
+// Family returns the input family of an algorithm ("" when unknown).
+func (n Name) Family() Family {
+	return rowOf[n].family
 }
 
 // ConstantBehavior reports whether the algorithm keeps all vertices active
-// with repetitive per-iteration behavior — the property §5.6 exploits to
-// shorten runs (AD, KM, NMF, SGD, SVD).
+// with repetitive per-iteration behavior (AD, KM, NMF, SGD, SVD).
 func (n Name) ConstantBehavior() bool {
-	switch n {
-	case AD, KM, NMF, SGD, SVD:
-		return true
-	}
-	return false
+	return rowOf[n].constant
+}
+
+// GraphVarying reports whether the algorithm's graph structure varies in
+// Table 2 — the ensemble-analysis pool of §5.2 ("Jacobi, LBP and DD are
+// not considered because their graph structures do not vary"). Those are
+// the eleven algorithms of the two power-law families.
+func (n Name) GraphVarying() bool {
+	f := n.Family()
+	return f == FamilyGA || f == FamilyCF
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -23,9 +24,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gcbench/internal/algorithms"
 	"gcbench/internal/behavior"
 	"gcbench/internal/predict"
-	"gcbench/internal/report"
 	"gcbench/internal/sweep"
 )
 
@@ -276,10 +277,6 @@ func newSnapshot(records []Record, source string) (*Snapshot, error) {
 		byStatus: map[behavior.RunStatus][]int{},
 		byModel:  map[string][]int{},
 	}
-	varying := make(map[string]bool, len(report.GraphVaryingAlgorithms))
-	for _, a := range report.GraphVaryingAlgorithms {
-		varying[a] = true
-	}
 	var okRuns, poolRuns []*behavior.Run
 	for i := range s.Records {
 		rec := &s.Records[i]
@@ -299,7 +296,7 @@ func newSnapshot(records []Record, source string) (*Snapshot, error) {
 		if rec.Status == behavior.StatusOK && rec.Run != nil {
 			okRuns = append(okRuns, rec.Run)
 			s.spaceRec = append(s.spaceRec, i)
-			if varying[rec.Algorithm] {
+			if PoolMember(rec) {
 				poolRuns = append(poolRuns, rec.Run)
 				s.poolRec = append(s.poolRec, i)
 			}
@@ -409,26 +406,17 @@ func (s *Snapshot) matches(i int, f Filter) bool {
 // partial selects, so a distributed query can never diverge from a
 // single-store scan.
 func (f Filter) Matches(rec *Record) bool {
-	if len(f.Algorithms) > 0 && !containsString(f.Algorithms, rec.Algorithm) {
+	if len(f.Algorithms) > 0 && !slices.Contains(f.Algorithms, rec.Algorithm) {
 		return false
 	}
-	if len(f.Sizes) > 0 && !containsString(f.Sizes, rec.SizeLabel) {
+	if len(f.Sizes) > 0 && !slices.Contains(f.Sizes, rec.SizeLabel) {
 		return false
 	}
 	if len(f.Alphas) > 0 && !alphaMatch(f.Alphas, rec.Alpha) {
 		return false
 	}
-	if len(f.Statuses) > 0 {
-		found := false
-		for _, st := range f.Statuses {
-			if st == rec.Status {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
+	if len(f.Statuses) > 0 && !slices.Contains(f.Statuses, rec.Status) {
+		return false
 	}
 	if len(f.Models) > 0 {
 		m := behavior.EffectiveModel(rec.Model)
@@ -450,24 +438,8 @@ func (f Filter) Matches(rec *Record) bool {
 // pool: a measured graph-varying run. Shared with the shard tier so
 // scattered candidate sets agree exactly with PoolSelect.
 func PoolMember(rec *Record) bool {
-	if rec.Status != behavior.StatusOK || rec.Run == nil {
-		return false
-	}
-	for _, a := range report.GraphVaryingAlgorithms {
-		if a == rec.Algorithm {
-			return true
-		}
-	}
-	return false
-}
-
-func containsString(set []string, v string) bool {
-	for _, s := range set {
-		if s == v {
-			return true
-		}
-	}
-	return false
+	return rec.Status == behavior.StatusOK && rec.Run != nil &&
+		algorithms.Name(rec.Algorithm).GraphVarying()
 }
 
 // PoolSelect returns the Pool indices whose records match the filter's

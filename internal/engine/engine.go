@@ -154,7 +154,7 @@ func (c *Control[S]) NextActiveCount() int64 { return c.eng.nextCount() }
 
 // Options configures a run.
 type Options struct {
-	// MaxIterations caps the run; 0 means DefaultMaxIterations.
+	// MaxIterations caps the run; 0 means trace.DefaultMaxSteps.
 	MaxIterations int
 	// Workers is the parallelism degree; 0 means GOMAXPROCS.
 	Workers int
@@ -171,11 +171,6 @@ type Options struct {
 	Frontier FrontierMode
 }
 
-// DefaultMaxIterations bounds runs whose convergence criterion never
-// fires (the paper caps NMF and SGD at 20 iterations at the algorithm
-// level; this engine-level cap is a safety net).
-const DefaultMaxIterations = 100000
-
 // Result carries a finished computation's trace and final states.
 type Result[S any] struct {
 	Trace  *trace.RunTrace
@@ -190,7 +185,7 @@ func Run[S, A any](g *graph.Graph, p Program[S, A], opt Options) (*Result[S], er
 	}
 	maxIter := opt.MaxIterations
 	if maxIter <= 0 {
-		maxIter = DefaultMaxIterations
+		maxIter = trace.DefaultMaxSteps
 	}
 	workers := opt.Workers
 	if workers <= 0 {

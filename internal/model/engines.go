@@ -1,8 +1,6 @@
 package model
 
 import (
-	"context"
-
 	"gcbench/internal/algorithms"
 	"gcbench/internal/graph"
 	"gcbench/internal/graphcentric"
@@ -11,17 +9,19 @@ import (
 	"gcbench/internal/xstream"
 )
 
-// runner executes one algorithm under non-GAS engine m; opt.Context is
-// already the run's effective context.
-type runner func(m Name, g *graph.Graph, opt Options) (*Result, error)
+// runner executes one algorithm under execution model m. w carries the
+// input of the algorithm's family and opt.Context is the run's effective
+// context; Model.Run sees to both.
+type runner func(m Name, w Workload, opt Options) (*Result, error)
 
-// runners is the non-GAS support matrix: which engine implements which
-// algorithm, and how. CC and SSSP are one kernel each under the engine's
-// schedule; the PageRank entries are different algorithms per engine and
-// stay hand-written there. What each trace counter measures under each
-// engine is tabulated on behavior.Run.Model and pinned by
+// runners is the support matrix: which model implements which algorithm,
+// and how. Outside GAS, CC and SSSP are one kernel each under the
+// engine's schedule; the PageRank entries are different algorithms per
+// engine and stay hand-written there. What each trace counter measures
+// under each engine is tabulated on behavior.Run.Model and pinned by
 // TestMetricMappingInvariants.
 var runners = map[Name]map[algorithms.Name]runner{
+	GAS:          gasRunners,
 	Pregel:       {algorithms.CC: cc, algorithms.SSSP: sssp, algorithms.PR: pregelPageRank},
 	XStream:      {algorithms.CC: cc, algorithms.SSSP: sssp, algorithms.PR: xstreamPageRank},
 	GraphCentric: {algorithms.CC: cc, algorithms.SSSP: sssp},
@@ -40,8 +40,9 @@ var (
 // propagate builds the runner of a kernel-defined algorithm: the kernel
 // under whichever engine's schedule the run names.
 func propagate[S any](kernel func(*graph.Graph) algorithms.Kernel[S], summary func([]S) map[string]float64) runner {
-	return func(m Name, g *graph.Graph, opt Options) (*Result, error) {
+	return func(m Name, w Workload, opt Options) (*Result, error) {
 		var (
+			g   = w.Graph
 			k   = kernel(g)
 			res *trace.Result[S]
 			err error
@@ -75,7 +76,8 @@ func xstreamOptions(opt Options) xstream.Options {
 // inside the GAS default tolerance.
 const pregelPRSupersteps = 60
 
-func pregelPageRank(_ Name, g *graph.Graph, opt Options) (*Result, error) {
+func pregelPageRank(_ Name, w Workload, opt Options) (*Result, error) {
+	g := w.Graph
 	steps := opt.MaxIterations
 	if steps <= 0 {
 		steps = pregelPRSupersteps
@@ -95,7 +97,8 @@ func pregelPageRank(_ Name, g *graph.Graph, opt Options) (*Result, error) {
 // forward, not its final rank error.
 const xstreamPRTolerance = 1e-6
 
-func xstreamPageRank(_ Name, g *graph.Graph, opt Options) (*Result, error) {
+func xstreamPageRank(_ Name, w Workload, opt Options) (*Result, error) {
+	g := w.Graph
 	p := xstream.PRProgram{G: g, Damping: 0.85, Tolerance: xstreamPRTolerance}
 	res, err := xstream.Run[xstream.PRState, float64](g, p, xstreamOptions(opt))
 	if err != nil {
@@ -106,29 +109,4 @@ func xstreamPageRank(_ Name, g *graph.Graph, opt Options) (*Result, error) {
 		ranks[i] = s.Rank
 	}
 	return &Result{Trace: res.Trace, Summary: algorithms.RankSummary(ranks)}, nil
-}
-
-// engineModel is a non-GAS execution model: a row of runners.
-type engineModel struct {
-	name Name
-}
-
-func (m engineModel) Name() Name { return m.name }
-
-func (m engineModel) Supports(alg algorithms.Name) bool {
-	_, ok := runners[m.name][alg]
-	return ok
-}
-
-func (m engineModel) Run(ctx context.Context, w Workload, alg algorithms.Name, opt Options) (*Result, error) {
-	g, err := needGraph(m.name, w)
-	if err != nil {
-		return nil, err
-	}
-	run, ok := runners[m.name][alg]
-	if !ok {
-		return nil, unsupported(m.name, alg)
-	}
-	opt.Context = runContext(ctx, opt)
-	return run(m.name, g, opt)
 }

@@ -98,7 +98,8 @@ type Options struct {
 }
 
 // Workload carries the pre-built inputs a model run consumes. Exactly
-// the fields the algorithm's domain needs are set; the rest stay nil.
+// the fields the algorithm's family (algorithms.Family) needs are set;
+// the rest stay nil.
 // Building (and caching) workloads is the caller's concern — models
 // never generate graphs, so one generated graph is shared across every
 // model that sweeps it.
@@ -139,14 +140,35 @@ type Model interface {
 	Run(ctx context.Context, w Workload, alg algorithms.Name, opt Options) (*Result, error)
 }
 
+// tableModel is the one Model implementation: a row of runners.
+type tableModel struct {
+	name Name
+}
+
+func (m tableModel) Name() Name { return m.name }
+
+func (m tableModel) Supports(alg algorithms.Name) bool {
+	_, ok := runners[m.name][alg]
+	return ok
+}
+
+func (m tableModel) Run(ctx context.Context, w Workload, alg algorithms.Name, opt Options) (*Result, error) {
+	run, ok := runners[m.name][alg]
+	if !ok {
+		return nil, unsupported(m.name, alg)
+	}
+	if err := w.check(m.name, alg); err != nil {
+		return nil, err
+	}
+	opt.Context = runContext(ctx, opt)
+	return run(m.name, w, opt)
+}
+
 // ForName returns the implementation of a model name.
 func ForName(n Name) (Model, error) {
 	c := Canonical(string(n))
-	if c == GAS {
-		return gasModel{}, nil
-	}
 	if _, ok := runners[c]; ok {
-		return engineModel{c}, nil
+		return tableModel{c}, nil
 	}
 	return nil, fmt.Errorf("model: unknown execution model %q (known: %v)", n, AllNames())
 }
@@ -195,10 +217,17 @@ func unsupported(m Name, alg algorithms.Name) error {
 	return fmt.Errorf("model: %s does not implement %s", m, alg)
 }
 
-// needGraph guards workloads that must carry the GA graph.
-func needGraph(m Name, w Workload) (*graph.Graph, error) {
-	if w.Graph == nil {
-		return nil, fmt.Errorf("model: %s run requires a graph workload", m)
+// check guards a run against a workload that does not carry the input
+// of alg's family: the reading side of the Family-to-field mapping that
+// the sweep's generate fills.
+func (w Workload) check(m Name, alg algorithms.Name) error {
+	switch f := alg.Family(); {
+	case f == algorithms.FamilyGA && w.Graph == nil:
+		return fmt.Errorf("model: %s run requires a graph workload", m)
+	case f == algorithms.FamilyCF && w.Ratings == nil,
+		f == algorithms.FamilyJacobi && w.System == nil,
+		(f == algorithms.FamilyLBP || f == algorithms.FamilyDD) && w.MRF == nil:
+		return unsupported(m, alg)
 	}
-	return w.Graph, nil
+	return nil
 }

@@ -289,6 +289,40 @@ func TestUnsupportedAlgorithm(t *testing.T) {
 			t.Errorf("%s: CC without a graph succeeded", n)
 		}
 	}
+
+	// Under GAS every algorithm rejects the workload of every other
+	// family before it runs. LBP and DD share the MRF field, so an MRF
+	// built for one is a valid input of the other.
+	grid, err := gen.Grid(gen.GridConfig{Rows: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := gen.Matrix(gen.JacobiConfig{NumRows: 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	workloads := map[algorithms.Family]Workload{
+		algorithms.FamilyGA:     w,
+		algorithms.FamilyCF:     {Ratings: g, Users: 1},
+		algorithms.FamilyJacobi: {System: sys},
+		algorithms.FamilyLBP:    {MRF: grid},
+		algorithms.FamilyDD:     {MRF: grid},
+	}
+	gas, _ := ForName(GAS)
+	for _, alg := range algorithms.AllNames() {
+		want := unsupported(GAS, alg).Error()
+		if alg.Family() == algorithms.FamilyGA {
+			want = "model: gas run requires a graph workload"
+		}
+		for fam, other := range workloads {
+			if fam == alg.Family() || other.MRF != nil && workloads[alg.Family()].MRF != nil {
+				continue
+			}
+			if _, err := gas.Run(context.Background(), other, alg, Options{}); err == nil || err.Error() != want {
+				t.Errorf("gas/%s over a %s workload: error %v, want %q", alg, fam, err, want)
+			}
+		}
+	}
 }
 
 // TestConvergedInLastPermittedStep: a run that quiesces in the very

@@ -6,20 +6,15 @@ import (
 	"strconv"
 	"strings"
 
+	"gcbench/internal/algorithms"
 	"gcbench/internal/behavior"
 	"gcbench/internal/ensemble"
 )
 
-// GraphVaryingAlgorithms are the 11 algorithms whose graph structure
-// varies in Table 2 — the ensemble-analysis pool of §5.2 ("Jacobi, LBP and
-// DD are not considered because their graph structures do not vary").
-var GraphVaryingAlgorithms = []string{
-	"CC", "KC", "TC", "SSSP", "PR", "AD", "KM", "ALS", "NMF", "SGD", "SVD",
-}
-
 // Corpus wraps a measured run collection with the two normalized views the
-// analysis needs: the full space (Figures 1-13) and the 11-algorithm
-// ensemble pool (Figures 14-23, Table 3), normalized separately so the
+// analysis needs: the full space (Figures 1-13) and the ensemble pool of
+// the 11 graph-varying algorithms (algorithms.Name.GraphVarying; Figures
+// 14-23, Table 3), normalized separately so the
 // solver/graphical-model runs don't distort the §5 space the paper built
 // from its 215 graph-varying runs.
 type Corpus struct {
@@ -46,14 +41,10 @@ func NewCorpus(runs []*behavior.Run) (*Corpus, error) {
 	if err != nil {
 		return nil, err
 	}
-	varying := make(map[string]bool, len(GraphVaryingAlgorithms))
-	for _, a := range GraphVaryingAlgorithms {
-		varying[a] = true
-	}
 	var poolRuns []*behavior.Run
 	var poolIdx []int
 	for i, r := range runs {
-		if varying[r.Algorithm] {
+		if algorithms.Name(r.Algorithm).GraphVarying() {
 			poolRuns = append(poolRuns, r)
 			poolIdx = append(poolIdx, i)
 		}
@@ -83,7 +74,7 @@ func NewCorpus(runs []*behavior.Run) (*Corpus, error) {
 // of Table 2).
 func (c *Corpus) buildSizeRanks() {
 	c.sizeRankOf = make(map[string]int)
-	perDomain := map[string][]int64{}
+	perDomain := map[string][]string{}
 	seen := map[string]bool{}
 	for _, r := range c.Runs {
 		key := r.Domain + "/" + r.SizeLabel
@@ -91,7 +82,7 @@ func (c *Corpus) buildSizeRanks() {
 			continue
 		}
 		seen[key] = true
-		perDomain[r.Domain] = append(perDomain[r.Domain], parseSizeLabel(r.SizeLabel))
+		perDomain[r.Domain] = append(perDomain[r.Domain], r.SizeLabel)
 	}
 	alphaSeen := map[float64]bool{}
 	for _, r := range c.Runs {
@@ -101,10 +92,10 @@ func (c *Corpus) buildSizeRanks() {
 		}
 	}
 	sort.Float64s(c.alphaValues)
-	for domain, sizes := range perDomain {
-		sort.Slice(sizes, func(i, j int) bool { return sizes[i] < sizes[j] })
-		for rank, s := range sizes {
-			c.sizeRankOf[domain+"/"+formatSize(s)] = rank
+	for domain, labels := range perDomain {
+		sort.Slice(labels, func(i, j int) bool { return parseSizeLabel(labels[i]) < parseSizeLabel(labels[j]) })
+		for rank, label := range labels {
+			c.sizeRankOf[domain+"/"+label] = rank
 		}
 	}
 }
@@ -132,20 +123,6 @@ func parseSizeLabel(s string) int64 {
 		return 0
 	}
 	return v
-}
-
-// formatSize must match the label the run carries; reuse the same rules.
-func formatSize(n int64) string {
-	e := 0
-	v := n
-	for v >= 10 && v%10 == 0 {
-		v /= 10
-		e++
-	}
-	if v < 10 && e >= 3 {
-		return fmt.Sprintf("%de%d", v, e)
-	}
-	return fmt.Sprintf("%d", n)
 }
 
 // Coverage returns (building if needed) a deterministic estimator with the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"gcbench/internal/algorithms"
 	"gcbench/internal/behavior"
 	"gcbench/internal/ensemble"
 )
@@ -350,8 +351,10 @@ func figFrequency(c *Corpus, opt FigureOptions, metric ensemble.Metric) (*Report
 			fmt.Sprintf("Top-100 ensembles of size %d by beam search (§5.5's shadowing-minimizing analysis).", opt.TopKSize),
 		}}
 	t := &Table{Header: []string{"algorithm", "appearances"}}
-	for _, alg := range GraphVaryingAlgorithms {
-		t.AddRow(alg, fmt.Sprint(freq[alg]))
+	for _, alg := range algorithms.AllNames() {
+		if alg.GraphVarying() {
+			t.AddRow(string(alg), fmt.Sprint(freq[string(alg)]))
+		}
 	}
 	rep.Tables = append(rep.Tables, t)
 	return rep, nil
@@ -384,9 +387,8 @@ func limitedPools(c *Corpus) map[string][]int {
 	}
 	// (c) limited runtime: the constant-behavior algorithms whose runs can
 	// be shortened without changing their behavior vector.
-	constant := map[string]bool{"AD": true, "KM": true, "NMF": true, "SGD": true, "SVD": true}
 	for i, r := range c.Pool.Runs {
-		if constant[r.Algorithm] {
+		if algorithms.Name(r.Algorithm).ConstantBehavior() {
 			pools["LimitedRuntime(const-behavior)"] = append(pools["LimitedRuntime(const-behavior)"], i)
 		}
 	}

@@ -100,7 +100,10 @@ func miniCorpus(t testing.TB) *Corpus {
 	return c
 }
 
-func sizeLabelFor(n int64) string { return formatSize(n) }
+// sizeLabelFor is the Table 2 scale label of the mini campaign's sizes.
+func sizeLabelFor(n int64) string {
+	return map[int64]string{100: "100", 300: "300", 400: "400", 1000: "1e3"}[n]
+}
 
 var testOpt = FigureOptions{
 	CoverageSamples: 20000,

@@ -10,6 +10,7 @@ import (
 
 	"gcbench/internal/algorithms"
 	"gcbench/internal/behavior"
+	"gcbench/internal/corpus"
 	"gcbench/internal/jobs"
 	"gcbench/internal/model"
 	"gcbench/internal/obs/otrace"
@@ -78,41 +79,19 @@ func (req *campaignRequest) buildSpecs() ([]sweep.Spec, error) {
 	if err != nil {
 		return nil, errInvalidf("%v", err)
 	}
+	// The restriction is the corpus filter's predicate, so a campaign
+	// selects exactly the tuples a query with the same terms would list.
+	restrict := corpus.Filter{Algorithms: req.Algorithms, Sizes: req.Sizes, Alphas: req.Alphas}
 	specs := plan[:0]
 	for _, s := range plan {
-		if len(req.Algorithms) > 0 && !containsStr(req.Algorithms, string(s.Algorithm)) {
-			continue
+		if restrict.Matches(&corpus.Record{Algorithm: string(s.Algorithm), SizeLabel: s.SizeLabel, Alpha: s.Alpha}) {
+			specs = append(specs, s)
 		}
-		if len(req.Sizes) > 0 && !containsStr(req.Sizes, s.SizeLabel) {
-			continue
-		}
-		if len(req.Alphas) > 0 && !containsAlpha(req.Alphas, s.Alpha) {
-			continue
-		}
-		specs = append(specs, s)
 	}
 	if len(specs) == 0 {
 		return nil, errInvalidf("no campaign specs match the given algorithm/size/alpha/model restrictions")
 	}
 	return specs, nil
-}
-
-func containsStr(set []string, v string) bool {
-	for _, s := range set {
-		if s == v {
-			return true
-		}
-	}
-	return false
-}
-
-func containsAlpha(set []float64, v float64) bool {
-	for _, a := range set {
-		if a == v || (v-a) < 1e-9 && (a-v) < 1e-9 {
-			return true
-		}
-	}
-	return false
 }
 
 // handleSubmitCampaign serves POST /api/campaigns: validated spec →

@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"gcbench/internal/ensemble"
+	"gcbench/internal/flight"
 	"gcbench/internal/jobs"
 	"gcbench/internal/obs"
 	"gcbench/internal/obs/otrace"
@@ -109,7 +110,7 @@ type Server struct {
 	covErr  error
 
 	cache  *lruCache
-	flight *flightGroup
+	flight flight.Group[[]byte]
 	pool   *workPool
 
 	handler http.Handler
@@ -193,7 +194,6 @@ func New(cfg Config) (*Server, error) {
 		cluster: cfg.Cluster,
 		reg:     reg,
 		cache:   newLRUCache(cfg.CacheSize),
-		flight:  newFlightGroup(),
 		pool:    newWorkPool(cfg.Workers, cfg.QueueDepth, reg),
 		start:   time.Now(),
 

@@ -11,8 +11,8 @@ import (
 
 	"gcbench/internal/algorithms"
 	"gcbench/internal/behavior"
+	"gcbench/internal/flight"
 	"gcbench/internal/gen"
-	"gcbench/internal/graph"
 	"gcbench/internal/model"
 	"gcbench/internal/trace"
 )
@@ -92,51 +92,42 @@ func ExecuteContext(ctx context.Context, specs []Spec, cfg Config) ([]*behavior.
 // graphCache shares generated graphs between algorithms in the same
 // domain group, as the paper shares one graph per structure.
 //
-// Builds are deduplicated in flight (singleflight): when a campaign
-// launches with Parallel ≈ cores, every run of the first wave asks for
-// the same few graphs at once, and letting each build its own copy
-// multiplies peak RSS by the parallelism degree on the largest size.
-// The first caller builds; everyone else blocks on the entry's ready
-// channel and shares the result.
+// Builds are deduplicated in flight: when a campaign launches with
+// Parallel ≈ cores, every run of the first wave asks for the same few
+// graphs at once, and letting each build its own copy multiplies peak
+// RSS by the parallelism degree on the largest size. The first caller
+// builds; everyone else waits for it and shares the result.
 type graphCache struct {
-	mu   sync.Mutex
-	m    map[string]*cacheEntry
-	refs map[string]int // remaining users per key (nil = retain forever)
+	mu     sync.Mutex
+	m      map[string]any // finished builds
+	refs   map[string]int // remaining users per key (nil = retain forever)
+	flight flight.Group[any]
 }
 
-// cacheEntry is one build, possibly still in flight.
-type cacheEntry struct {
-	ready chan struct{} // closed when v/err are final
-	v     any
-	err   error
-}
-
+// getOrBuild returns the cached value of key, building it if no caller
+// has yet. Failed builds are not cached: a retried attempt must rebuild
+// rather than replay the error forever, while the concurrent waiters of
+// the failed build still observe its error.
 func (c *graphCache) getOrBuild(key string, build func() (any, error)) (any, error) {
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[string]*cacheEntry)
-	}
-	if e, ok := c.m[key]; ok {
-		c.mu.Unlock()
-		<-e.ready
-		return e.v, e.err
-	}
-	e := &cacheEntry{ready: make(chan struct{})}
-	c.m[key] = e
-	c.mu.Unlock()
-	e.v, e.err = build()
-	if e.err != nil {
-		// Failed builds are not cached: a retried attempt must rebuild
-		// rather than replay the error forever. Concurrent waiters of
-		// this entry still observe the failure.
+	v, err, _ := c.flight.Do(context.Background(), key, func() (any, error) {
 		c.mu.Lock()
-		if c.m[key] == e {
-			delete(c.m, key)
-		}
+		v, ok := c.m[key]
 		c.mu.Unlock()
-	}
-	close(e.ready)
-	return e.v, e.err
+		if ok {
+			return v, nil
+		}
+		v, err := build()
+		if err == nil {
+			c.mu.Lock()
+			if c.m == nil {
+				c.m = make(map[string]any)
+			}
+			c.m[key] = v
+			c.mu.Unlock()
+		}
+		return v, err
+	})
+	return v, err
 }
 
 // retain declares how many campaign specs will request each key, enabling
@@ -169,30 +160,22 @@ func (c *graphCache) release(key string) {
 	}
 }
 
-// entries returns the number of cached (or in-flight) graphs.
+// entries returns the number of cached graphs.
 func (c *graphCache) entries() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)
 }
 
-// cfGraph pairs a rating graph with its user count.
-type cfGraph struct {
-	g     *graph.Graph
-	users int
-}
-
 // cacheKey returns the shared-graph cache key of the spec, or "" for
-// workloads generated per run (Jacobi, LBP, DD).
+// workloads generated per run (Jacobi, LBP, DD). The graph-varying
+// families are the ones more than one algorithm — and more than one
+// execution model — runs over.
 func (s Spec) cacheKey() string {
-	switch s.Algorithm {
-	case algorithms.CC, algorithms.KC, algorithms.TC, algorithms.SSSP,
-		algorithms.PR, algorithms.AD, algorithms.KM:
-		return fmt.Sprintf("ga/%d/%.2f/%d", s.NumEdges, s.Alpha, s.Seed)
-	case algorithms.ALS, algorithms.NMF, algorithms.SGD, algorithms.SVD:
-		return fmt.Sprintf("cf/%d/%.2f/%d", s.NumEdges, s.Alpha, s.Seed)
+	if !s.Algorithm.GraphVarying() {
+		return ""
 	}
-	return ""
+	return fmt.Sprintf("%s/%d/%.2f/%d", s.Algorithm.Family(), s.NumEdges, s.Alpha, s.Seed)
 }
 
 // RunSpec executes one graph computation and converts its trace into a
@@ -265,101 +248,74 @@ func runSpecTrace(ctx context.Context, spec Spec, workers int, frontier algorith
 	return r, out.Trace, nil
 }
 
-// specWorkload assembles (or fetches from the shared cache) the input
-// the spec's algorithm runs over. Graph-shaped workloads are cached per
-// structure — never per model — so a multi-model campaign builds each
-// graph once.
-func specWorkload(spec Spec, cache *graphCache) (model.Workload, error) {
-	switch spec.Algorithm {
-	case algorithms.CC, algorithms.KC, algorithms.TC, algorithms.SSSP,
-		algorithms.PR, algorithms.AD, algorithms.KM:
-		g, err := gaGraph(spec, cache)
-		if err != nil {
-			return model.Workload{}, err
-		}
-		return model.Workload{Graph: g}, nil
-
-	case algorithms.ALS, algorithms.NMF, algorithms.SGD, algorithms.SVD:
-		v, err := cache.getOrBuild(spec.cacheKey(), func() (any, error) {
-			g, users, err := gen.Bipartite(gen.BipartiteConfig{
-				NumEdges: spec.NumEdges, Alpha: spec.Alpha, Seed: spec.Seed,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return cfGraph{g, users}, nil
+// generate builds the input of the spec's family — the one place a
+// Family is tied to its generator, and the writing side of the
+// Family-to-field mapping that model.Workload's check reads.
+func generate(spec Spec) (w model.Workload, err error) {
+	switch spec.Algorithm.Family() {
+	case algorithms.FamilyGA:
+		// Undirected, with sorted adjacency for TC.
+		w.Graph, err = gen.PowerLaw(gen.PowerLawConfig{
+			NumEdges: spec.NumEdges, Alpha: spec.Alpha, Seed: spec.Seed, SortAdjacency: true,
 		})
-		if err != nil {
-			return model.Workload{}, err
-		}
-		cg := v.(cfGraph)
-		return model.Workload{Ratings: cg.g, Users: cg.users}, nil
-
-	case algorithms.Jacobi:
-		sys, err := gen.Matrix(gen.JacobiConfig{NumRows: spec.NumRows, Seed: spec.Seed})
-		if err != nil {
-			return model.Workload{}, err
-		}
-		return model.Workload{System: sys}, nil
-
-	case algorithms.LBP:
-		m, err := gen.Grid(gen.GridConfig{Rows: spec.NumRows, Seed: spec.Seed})
-		if err != nil {
-			return model.Workload{}, err
-		}
-		return model.Workload{MRF: m}, nil
-
-	case algorithms.DD:
-		m, err := gen.MRF(gen.MRFConfig{NumEdges: spec.NumEdges, Seed: spec.Seed})
-		if err != nil {
-			return model.Workload{}, err
-		}
-		return model.Workload{MRF: m}, nil
+	case algorithms.FamilyCF:
+		w.Ratings, w.Users, err = gen.Bipartite(gen.BipartiteConfig{
+			NumEdges: spec.NumEdges, Alpha: spec.Alpha, Seed: spec.Seed,
+		})
+	case algorithms.FamilyJacobi:
+		w.System, err = gen.Matrix(gen.JacobiConfig{NumRows: spec.NumRows, Seed: spec.Seed})
+	case algorithms.FamilyLBP:
+		w.MRF, err = gen.Grid(gen.GridConfig{Rows: spec.NumRows, Seed: spec.Seed})
+	case algorithms.FamilyDD:
+		w.MRF, err = gen.MRF(gen.MRFConfig{NumEdges: spec.NumEdges, Seed: spec.Seed})
+	default:
+		err = fmt.Errorf("sweep: unknown algorithm %q", spec.Algorithm)
 	}
-	return model.Workload{}, fmt.Errorf("sweep: unknown algorithm %q", spec.Algorithm)
+	return w, err
 }
 
-// gaEntry is the cached Graph Analytics / Clustering graph of one
-// structure. Only K-Means reads vertex features, so they are drawn by the
-// first KM spec that uses the entry, not with the graph.
-type gaEntry struct {
-	g        *graph.Graph
+// sharedWorkload is the cached workload of one graph structure. Only
+// K-Means reads vertex features, so they are drawn by the first KM spec
+// that uses the entry, not with the graph.
+type sharedWorkload struct {
+	w        model.Workload
 	features sync.Once
 	err      error // of attaching the features
 }
 
-// gaGraph builds (or fetches) the shared Graph Analytics / Clustering
-// graph for a spec: undirected, sorted adjacency (for TC), and, once a KM
-// spec has asked for it, 2-D Gaussian features. Specs of other algorithms
-// may be running over the graph while the features are attached; they
-// never read them, and KM specs meet at the Once.
-func gaGraph(spec Spec, cache *graphCache) (*graph.Graph, error) {
-	v, err := cache.getOrBuild(spec.cacheKey(), func() (any, error) {
-		g, err := gen.PowerLaw(gen.PowerLawConfig{
-			NumEdges:      spec.NumEdges,
-			Alpha:         spec.Alpha,
-			Seed:          spec.Seed,
-			SortAdjacency: true,
-		})
+// specWorkload assembles (or fetches from the shared cache) the input
+// the spec's algorithm runs over. Graph-shaped workloads are cached per
+// structure — never per model — so a multi-model campaign builds each
+// graph once. Once a KM spec has asked for it, the shared graph carries
+// 2-D Gaussian features; specs of other algorithms may be running over
+// the graph while they are attached, but never read them, and KM specs
+// meet at the Once.
+func specWorkload(spec Spec, cache *graphCache) (model.Workload, error) {
+	key := spec.cacheKey()
+	if key == "" {
+		return generate(spec)
+	}
+	v, err := cache.getOrBuild(key, func() (any, error) {
+		w, err := generate(spec)
 		if err != nil {
 			return nil, err
 		}
-		return &gaEntry{g: g}, nil
+		return &sharedWorkload{w: w}, nil
 	})
 	if err != nil {
-		return nil, err
+		return model.Workload{}, err
 	}
-	e := v.(*gaEntry)
+	e := v.(*sharedWorkload)
 	if spec.Algorithm == algorithms.KM {
 		e.features.Do(func() {
-			pts := gen.GaussianPoints2D(e.g.NumVertices(), 8, 15, spec.Seed^0xfeed)
-			e.err = e.g.SetFeatures(2, pts)
+			g := e.w.Graph
+			e.err = g.SetFeatures(2, gen.GaussianPoints2D(g.NumVertices(), 8, 15, spec.Seed^0xfeed))
 		})
 		if e.err != nil {
-			return nil, e.err
+			return model.Workload{}, e.err
 		}
 	}
-	return e.g, nil
+	return e.w, nil
 }
 
 // SaveRuns writes the corpus as JSON.

@@ -7,7 +7,6 @@ import (
 
 	"gcbench/internal/algorithms"
 	"gcbench/internal/behavior"
-	"gcbench/internal/gen"
 	"gcbench/internal/graph"
 )
 
@@ -42,49 +41,31 @@ func ExportSuite(dir string, runs []*behavior.Run, seedOf func(*behavior.Run) ui
 	return manifest.Close()
 }
 
-// exportWorkload writes one member's input file and returns its name.
+// exportWorkload writes one member's input file and returns its name:
+// the workload generate builds for the run's structure, with the matrix
+// and grid dimensions recovered from the run's realized edge count.
 func exportWorkload(dir string, i int, r *behavior.Run, seed uint64) (string, error) {
-	alg := algorithms.Name(r.Algorithm)
+	spec := Spec{Algorithm: algorithms.Name(r.Algorithm), NumEdges: r.NumEdges, Alpha: r.Alpha, Seed: seed}
+	switch spec.Algorithm.Family() {
+	case algorithms.FamilyLBP:
+		spec.NumRows = max(intSqrt(int(r.NumEdges)), 2)
+	case algorithms.FamilyJacobi:
+		spec.NumRows = int(r.NumEdges) / 8
+	}
+	w, err := generate(spec)
+	if err != nil {
+		return "", err
+	}
 	base := fmt.Sprintf("%02d-%s-%s", i, r.Algorithm, r.SizeLabel)
-	switch alg {
-	case algorithms.ALS, algorithms.NMF, algorithms.SGD, algorithms.SVD:
-		g, _, err := gen.Bipartite(gen.BipartiteConfig{
-			NumEdges: r.NumEdges, Alpha: r.Alpha, Seed: seed,
-		})
-		if err != nil {
-			return "", err
-		}
-		return base + ".el", writeEdgeFile(dir, base+".el", g)
-	case algorithms.LBP:
-		side := intSqrt(int(r.NumEdges))
-		if side < 2 {
-			side = 2
-		}
-		m, err := gen.Grid(gen.GridConfig{Rows: side, Seed: seed})
-		if err != nil {
-			return "", err
-		}
-		return base + ".uai", writeUAIFile(dir, base+".uai", m)
-	case algorithms.DD:
-		m, err := gen.MRF(gen.MRFConfig{NumEdges: r.NumEdges, Seed: seed})
-		if err != nil {
-			return "", err
-		}
-		return base + ".uai", writeUAIFile(dir, base+".uai", m)
-	case algorithms.Jacobi:
-		sys, err := gen.Matrix(gen.JacobiConfig{NumRows: int(r.NumEdges) / 8, Seed: seed})
-		if err != nil {
-			return "", err
-		}
-		return base + ".el", writeEdgeFile(dir, base+".el", sys.G)
+	switch {
+	case w.MRF != nil:
+		return base + ".uai", writeUAIFile(dir, base+".uai", w.MRF)
+	case w.System != nil:
+		return base + ".el", writeEdgeFile(dir, base+".el", w.System.G)
+	case w.Ratings != nil:
+		return base + ".el", writeEdgeFile(dir, base+".el", w.Ratings)
 	default:
-		g, err := gen.PowerLaw(gen.PowerLawConfig{
-			NumEdges: r.NumEdges, Alpha: r.Alpha, Seed: seed, SortAdjacency: true,
-		})
-		if err != nil {
-			return "", err
-		}
-		return base + ".el", writeEdgeFile(dir, base+".el", g)
+		return base + ".el", writeEdgeFile(dir, base+".el", w.Graph)
 	}
 }
 

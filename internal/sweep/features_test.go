@@ -19,18 +19,19 @@ func TestGAFeaturesAttachOnFirstKMUse(t *testing.T) {
 	km := cc
 	km.Algorithm = algorithms.KM
 
-	g, err := gaGraph(cc, cache)
+	w, err := specWorkload(cc, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := w.Graph
 	if g.FeatureDim() != 0 {
 		t.Fatalf("graph fetched for CC carries %d-D features; only KM needs them", g.FeatureDim())
 	}
-	gk, err := gaGraph(km, cache)
+	wk, err := specWorkload(km, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gk != g {
+	if wk.Graph != g {
 		t.Fatal("KM spec did not share the cached graph")
 	}
 	want := gen.GaussianPoints2D(g.NumVertices(), 8, 15, km.Seed^0xfeed)

@@ -89,31 +89,34 @@ const (
 // Alphas is the paper's degree-distribution sweep (Table 2).
 var Alphas = []float64{2.0, 2.25, 2.5, 2.75, 3.0}
 
-// profileScales returns the four graph-size decades per domain group.
-func profileScales(p Profile) (ga, cf []int64, rows, grids []int, ddEdges []int64, err error) {
-	// DD sizes are the paper's real MRF sizes at every profile — they are
-	// already laptop-scale.
-	ddEdges = []int64{1056, 1190, 1406, 1560}
+// profileScales returns the four sizes each input family is swept over:
+// edge counts, or matrix rows / grid sides for Jacobi and LBP.
+func profileScales(p Profile) (map[algorithms.Family][]int64, error) {
+	scales := map[algorithms.Family][]int64{
+		// DD sizes are the paper's real MRF sizes at every profile — they
+		// are already laptop-scale.
+		algorithms.FamilyDD: {1056, 1190, 1406, 1560},
+	}
 	switch p {
 	case ProfileQuick:
-		ga = []int64{300, 1000, 3000, 10000}
-		cf = []int64{100, 300, 1000, 3000}
-		rows = []int{100, 200, 300, 400}
-		grids = []int{12, 16, 24, 32}
+		scales[algorithms.FamilyGA] = []int64{300, 1000, 3000, 10000}
+		scales[algorithms.FamilyCF] = []int64{100, 300, 1000, 3000}
+		scales[algorithms.FamilyJacobi] = []int64{100, 200, 300, 400}
+		scales[algorithms.FamilyLBP] = []int64{12, 16, 24, 32}
 	case ProfileStandard:
-		ga = []int64{1000, 10000, 100000, 1000000}
-		cf = []int64{100, 1000, 10000, 100000}
-		rows = []int{500, 1000, 1500, 2000}
-		grids = []int{50, 100, 150, 200}
+		scales[algorithms.FamilyGA] = []int64{1000, 10000, 100000, 1000000}
+		scales[algorithms.FamilyCF] = []int64{100, 1000, 10000, 100000}
+		scales[algorithms.FamilyJacobi] = []int64{500, 1000, 1500, 2000}
+		scales[algorithms.FamilyLBP] = []int64{50, 100, 150, 200}
 	case ProfileLarge:
-		ga = []int64{10000, 100000, 1000000, 10000000}
-		cf = []int64{1000, 10000, 100000, 1000000}
-		rows = []int{5000, 10000, 15000, 20000}
-		grids = []int{100, 200, 300, 400}
+		scales[algorithms.FamilyGA] = []int64{10000, 100000, 1000000, 10000000}
+		scales[algorithms.FamilyCF] = []int64{1000, 10000, 100000, 1000000}
+		scales[algorithms.FamilyJacobi] = []int64{5000, 10000, 15000, 20000}
+		scales[algorithms.FamilyLBP] = []int64{100, 200, 300, 400}
 	default:
-		err = fmt.Errorf("sweep: unknown profile %q", p)
+		return nil, fmt.Errorf("sweep: unknown profile %q", p)
 	}
-	return
+	return scales, nil
 }
 
 // sizeLabel renders an edge count compactly (1000 → "1e3").
@@ -131,10 +134,10 @@ func sizeLabel(n int64) string {
 }
 
 // graphSeed derives the shared seed of a graph structure so every
-// algorithm in a domain group sees the same graph, as in the paper.
-func graphSeed(base uint64, group string, size int64, alpha float64) uint64 {
+// algorithm of an input family sees the same graph, as in the paper.
+func graphSeed(base uint64, fam algorithms.Family, size int64, alpha float64) uint64 {
 	h := base ^ 0x9e3779b97f4a7c15
-	for _, c := range group {
+	for _, c := range fam {
 		h = (h ^ uint64(c)) * 0x100000001b3
 	}
 	h = (h ^ uint64(size)) * 0x100000001b3
@@ -142,68 +145,37 @@ func graphSeed(base uint64, group string, size int64, alpha float64) uint64 {
 	return h
 }
 
-// BuildPlan constructs the Table 2 campaign for a profile: for each
-// Graph Analytics and Clustering algorithm, 4 sizes × 5 alphas; for each
-// CF algorithm, the same grid one decade lower; Jacobi and LBP over four
-// matrix dimensions; DD over the four paper MRF sizes.
+// BuildPlan constructs the Table 2 campaign for a profile, algorithm by
+// algorithm in presentation order: for each Graph Analytics and
+// Clustering algorithm, 4 sizes × 5 alphas; for each CF algorithm, the
+// same grid one decade lower; Jacobi and LBP over four matrix
+// dimensions; DD over the four paper MRF sizes.
 func BuildPlan(p Profile, seed uint64) ([]Spec, error) {
-	ga, cf, rows, grids, ddEdges, err := profileScales(p)
+	scales, err := profileScales(p)
 	if err != nil {
 		return nil, err
 	}
 	var specs []Spec
-	gaAlgs := []algorithms.Name{algorithms.CC, algorithms.KC, algorithms.TC,
-		algorithms.SSSP, algorithms.PR, algorithms.AD, algorithms.KM}
-	for _, alg := range gaAlgs {
-		for _, size := range ga {
-			for _, alpha := range Alphas {
-				specs = append(specs, Spec{
-					Algorithm: alg,
-					NumEdges:  size,
-					Alpha:     alpha,
-					SizeLabel: sizeLabel(size),
-					Seed:      graphSeed(seed, "ga", size, alpha),
-				})
+	for _, alg := range algorithms.AllNames() {
+		fam := alg.Family()
+		for _, size := range scales[fam] {
+			s := Spec{Algorithm: alg, SizeLabel: fmt.Sprint(size)}
+			if fam == algorithms.FamilyJacobi || fam == algorithms.FamilyLBP {
+				s.NumRows = int(size)
+			} else {
+				s.NumEdges = size
+			}
+			// Only the graph-varying families have Table 2's α column.
+			alphas := []float64{0}
+			if alg.GraphVarying() {
+				s.SizeLabel, alphas = sizeLabel(size), Alphas
+			}
+			for _, alpha := range alphas {
+				s.Alpha = alpha
+				s.Seed = graphSeed(seed, fam, size, alpha)
+				specs = append(specs, s)
 			}
 		}
-	}
-	cfAlgs := []algorithms.Name{algorithms.ALS, algorithms.NMF, algorithms.SGD, algorithms.SVD}
-	for _, alg := range cfAlgs {
-		for _, size := range cf {
-			for _, alpha := range Alphas {
-				specs = append(specs, Spec{
-					Algorithm: alg,
-					NumEdges:  size,
-					Alpha:     alpha,
-					SizeLabel: sizeLabel(size),
-					Seed:      graphSeed(seed, "cf", size, alpha),
-				})
-			}
-		}
-	}
-	for _, r := range rows {
-		specs = append(specs, Spec{
-			Algorithm: algorithms.Jacobi,
-			NumRows:   r,
-			SizeLabel: fmt.Sprintf("%d", r),
-			Seed:      graphSeed(seed, "jacobi", int64(r), 0),
-		})
-	}
-	for _, side := range grids {
-		specs = append(specs, Spec{
-			Algorithm: algorithms.LBP,
-			NumRows:   side,
-			SizeLabel: fmt.Sprintf("%d", side),
-			Seed:      graphSeed(seed, "lbp", int64(side), 0),
-		})
-	}
-	for _, e := range ddEdges {
-		specs = append(specs, Spec{
-			Algorithm: algorithms.DD,
-			NumEdges:  e,
-			SizeLabel: fmt.Sprintf("%d", e),
-			Seed:      graphSeed(seed, "dd", e, 0),
-		})
 	}
 	return specs, nil
 }

@@ -8,7 +8,10 @@ import (
 	"gcbench/internal/graph"
 )
 
-// DefaultMaxSteps caps a barrier loop whose caller sets no cap.
+// DefaultMaxSteps caps a run, under any of the four engines, whose caller
+// sets no cap and whose convergence criterion never fires — a safety net
+// (the paper's own caps, 20 iterations for NMF and SGD, sit at the
+// algorithm level).
 const DefaultMaxSteps = 100000
 
 // Superstep is what one barrier step of a message-passing, streaming or
