@@ -343,7 +343,7 @@ func cmdRun(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := gcbench.WriteChromeTrace(f, tr); err != nil {
+		if err := gcbench.WriteChromeTrace(f, tr.Spans(0)); err != nil {
 			f.Close()
 			return err
 		}

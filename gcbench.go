@@ -237,7 +237,8 @@ type ObsServerOptions = obs.ServerOptions
 type TraceStore = otrace.Store
 
 // Observability entry points. RunSpecTrace is the single-run engine
-// entry that also returns the full trace for WriteChromeTrace.
+// entry that also returns the full trace; WriteChromeTrace exports the
+// spans that trace's Spans method converts it to.
 var (
 	StartObsServer     = obs.StartServer
 	WriteChromeTrace   = obs.WriteChromeTrace

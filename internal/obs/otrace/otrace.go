@@ -15,17 +15,20 @@
 //
 // unconditionally; without a trace in ctx that is two pointer checks
 // and no allocation. The engine itself is never instrumented — its
-// per-iteration phase walls are already measured in trace.RunTrace, and
-// the sweep layer attaches them as synthesized child spans after the
-// run, at zero extra clock reads (AddChild with explicit offsets).
+// per-iteration phase walls are already measured in trace.RunTrace,
+// whose Spans method converts them to SpanData after the run; the sweep
+// layer attaches that subtree with Span.Graft, at zero extra clock
+// reads.
 package otrace
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"encoding/hex"
 	"fmt"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -200,8 +203,7 @@ type SpanData struct {
 	// without dangling references inside the local tree.
 	RemoteParent SpanID `json:"remoteParentSpanId,omitzero"`
 	Name         string `json:"name"`
-	// Kind classifies the span: "server", "job", "run", "iteration",
-	// "phase", or "" for generic internal spans.
+	// Kind classifies the span; Kinds lists every value the tree emits.
 	Kind string `json:"kind,omitempty"`
 	// Start is the absolute wall-clock start (informational; the
 	// deterministic exports never use it).
@@ -213,6 +215,39 @@ type SpanData struct {
 	Status   string        `json:"status,omitempty"`
 	Error    string        `json:"error,omitempty"`
 	Attrs    []Attr        `json:"attrs,omitempty"`
+}
+
+// Kinds is every span kind the tree emits, outermost layer first. It is
+// both the documentation of SpanData.Kind and the row order of the
+// Chrome export (obs.WriteChromeTrace), so a kind added here gets its
+// own row and a kind emitted without being added fails
+// serve.TestSpanKindsInTable.
+var Kinds = []string{
+	"server",    // serve middleware: one HTTP request, the trace root
+	"search",    // serve.runDesign: one ensemble search incl. queue wait
+	"scatter",   // shard.Cluster.Scatter: one fan-out over every shard
+	"shard",     // shard.Cluster: one shard's leg of a scatter, or one Get
+	"job",       // jobs.Manager: one async campaign, under its 202'd server span
+	"run",       // sweep.runResilient: one spec incl. retries, under job
+	"iteration", // trace.RunTrace.Spans: one engine iteration, under run
+	"phase",     // gather/apply/scatter/barrier wall, under iteration
+	"worker",    // one worker's busy time in one phase, under phase
+	"",          // generic internal span
+}
+
+// Sort orders spans by (offset, longer first, name, span id): a parent
+// precedes the children that start with it, and spans that finished out
+// of order read back deterministically. It is the one span ordering —
+// Trace.Spans returns it, and the tree and Chrome renderings keep it.
+func Sort(spans []SpanData) {
+	slices.SortFunc(spans, func(a, b SpanData) int {
+		return cmp.Or(
+			cmp.Compare(a.Offset, b.Offset),
+			cmp.Compare(b.Duration, a.Duration),
+			cmp.Compare(a.Name, b.Name),
+			bytes.Compare(a.SpanID[:], b.SpanID[:]),
+		)
+	})
 }
 
 // Trace collects the spans of one trace id. Spans may keep arriving
@@ -238,22 +273,13 @@ func (t *Trace) ID() TraceID { return t.id }
 // anchors every span offset.
 func (t *Trace) Start() time.Time { return t.start }
 
-// Spans returns a snapshot of the spans recorded so far, ordered by
-// (offset, name, span id) so repeated reads of a quiesced trace are
-// deterministic even though spans finish out of order.
+// Spans returns a snapshot of the spans recorded so far in Sort order,
+// so repeated reads of a quiesced trace are deterministic.
 func (t *Trace) Spans() []SpanData {
 	t.mu.Lock()
-	out := append([]SpanData(nil), t.spans...)
+	out := slices.Clone(t.spans)
 	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Offset != out[j].Offset {
-			return out[i].Offset < out[j].Offset
-		}
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].SpanID.String() < out[j].SpanID.String()
-	})
+	Sort(out)
 	return out
 }
 
@@ -404,42 +430,33 @@ func (s *Span) StartChild(name, kind string, attrs ...Attr) *Span {
 	return newSpan(s.tr, s.data.SpanID, name, kind, attrs)
 }
 
-// AddChild attaches an already-measured span under s with an explicit
-// offset (relative to this span's start) and duration — the
-// no-extra-clock-reads path used to graft engine iteration phases,
-// whose walls trace.IterationStats already recorded, onto the tree.
-// Returns the synthesized span's id so callers can nest further
-// children beneath it.
-func (s *Span) AddChild(name, kind string, offset, duration time.Duration, attrs ...Attr) SpanID {
+// Graft attaches an already-measured span subtree under s — the
+// no-extra-clock-reads path that puts a finished run's engine timeline
+// (trace.RunTrace.Spans) on the tree. spans carry slice-local ids with
+// parents before children, and offsets relative to s's start; Graft
+// gives each a fresh id, hangs spans whose parent is not in the slice
+// directly under s, and marks spans without a status ok, as End does.
+func (s *Span) Graft(spans []SpanData) {
 	if s == nil {
-		return SpanID{}
+		return
 	}
-	return s.addChildUnder(s.data.SpanID, name, kind, offset, duration, attrs)
-}
-
-// AddChildUnder is AddChild with an explicit parent id from an earlier
-// AddChild, for building synthesized subtrees.
-func (s *Span) AddChildUnder(parent SpanID, name, kind string, offset, duration time.Duration, attrs ...Attr) SpanID {
-	if s == nil {
-		return SpanID{}
+	ids := make(map[SpanID]SpanID, len(spans))
+	for _, d := range spans {
+		id := NewSpanID()
+		ids[d.SpanID] = id
+		d.SpanID = id
+		if p, ok := ids[d.Parent]; ok {
+			d.Parent = p
+		} else {
+			d.Parent = s.data.SpanID
+		}
+		d.Start = s.data.Start.Add(d.Offset)
+		d.Offset += s.data.Offset
+		if d.Status == "" {
+			d.Status = StatusOK
+		}
+		s.tr.add(d)
 	}
-	return s.addChildUnder(parent, name, kind, offset, duration, attrs)
-}
-
-func (s *Span) addChildUnder(parent SpanID, name, kind string, offset, duration time.Duration, attrs []Attr) SpanID {
-	id := NewSpanID()
-	s.tr.add(SpanData{
-		SpanID:   id,
-		Parent:   parent,
-		Name:     name,
-		Kind:     kind,
-		Start:    s.data.Start.Add(offset),
-		Offset:   s.data.Offset + offset,
-		Duration: duration,
-		Status:   StatusOK,
-		Attrs:    attrs,
-	})
-	return id
 }
 
 // ctxKey is the context key for span propagation.

@@ -71,9 +71,7 @@ func TestNilSpanIsSafe(t *testing.T) {
 	if got := sp.StartChild("child", "x"); got != nil {
 		t.Fatalf("nil.StartChild = %v, want nil", got)
 	}
-	if id := sp.AddChild("c", "phase", 0, 0); !id.IsZero() {
-		t.Fatalf("nil.AddChild = %s, want zero", id)
-	}
+	sp.Graft([]SpanData{{SpanID: SpanID{1}, Name: "c", Kind: "phase"}})
 	if sp.Traceparent() != "" {
 		t.Fatal("nil span renders a traceparent")
 	}
@@ -95,9 +93,11 @@ func TestSpanTreeStructure(t *testing.T) {
 
 	ctx, job := StartSpan(ctx, "job j1", "job", String("jobId", "j1"))
 	_, run := StartSpan(ctx, "run cc/small", "run")
-	iter := run.AddChild("iteration 0", "iteration", 0, 100)
-	run.AddChildUnder(iter, "gather", "phase", 0, 40)
-	run.AddChildUnder(iter, "apply", "phase", 40, 60)
+	run.Graft([]SpanData{
+		{SpanID: SpanID{1}, Name: "iteration 0", Kind: "iteration", Duration: 100},
+		{SpanID: SpanID{2}, Parent: SpanID{1}, Name: "gather", Kind: "phase", Duration: 40},
+		{SpanID: SpanID{3}, Parent: SpanID{1}, Name: "apply", Kind: "phase", Offset: 40, Duration: 60},
+	})
 	run.End()
 	job.End()
 	root.End()
@@ -198,7 +198,7 @@ func TestSpanCapDrops(t *testing.T) {
 	st.SetMaxSpans(3)
 	tr, root := st.StartTrace("r", "server", TraceID{}, SpanID{})
 	for i := 0; i < 10; i++ {
-		root.AddChild("c", "phase", 0, 1)
+		root.Graft([]SpanData{{SpanID: SpanID{1}, Name: "c", Kind: "phase", Duration: 1}})
 	}
 	root.End()
 	if n := len(tr.Spans()); n != 3 {

@@ -68,27 +68,22 @@ func RegisterRoutes(mux *http.ServeMux, opts ServerOptions) {
 		if opts.Ready != nil {
 			ready, detail = opts.Ready()
 		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		status := http.StatusOK
 		if !ready {
-			w.WriteHeader(http.StatusServiceUnavailable)
+			status = http.StatusServiceUnavailable
 		}
 		payload := map[string]any{"ready": ready}
 		if detail != nil {
 			payload["detail"] = detail
 		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		_ = enc.Encode(payload)
+		writeJSON(w, status, payload)
 	})
 	mux.HandleFunc("/statusz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		var payload any = map[string]string{"status": "idle"}
 		if opts.Status != nil {
 			payload = opts.Status()
 		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		_ = enc.Encode(payload)
+		writeJSON(w, http.StatusOK, payload)
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	if opts.Traces != nil {
@@ -99,6 +94,19 @@ func RegisterRoutes(mux *http.ServeMux, opts ServerOptions) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+}
+
+// writeJSON answers with v as indented JSON; a value that does not
+// encode becomes a 500 instead of a truncated body.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.MarshalIndent(v, "", " ")
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(status)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // StartServer listens on addr (host:port; ":0" picks a free port) and

@@ -1,19 +1,20 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"slices"
 	"time"
 
 	"gcbench/internal/obs/otrace"
 )
 
 // SpanNode is one span in the nested /debug/traces/{id} tree: the
-// recorded span data plus its children ordered by (offset, name) — the
-// JSON shape clients walk to see where a request's time went.
+// recorded span data plus its children — the JSON shape clients walk to
+// see where a request's time went.
 type SpanNode struct {
 	otrace.SpanData
 	Children []*SpanNode `json:"children,omitempty"`
@@ -22,104 +23,119 @@ type SpanNode struct {
 // BuildSpanTree nests a trace's flat span list into parent→child trees.
 // The first return holds the root spans (normally exactly one); the
 // second holds orphans — spans whose parent was dropped past the
-// per-trace cap — so nothing recorded is silently hidden.
+// per-trace cap — so nothing recorded is silently hidden. Every list
+// keeps the order of spans, which Trace.Spans returns in otrace.Sort
+// order.
 func BuildSpanTree(spans []otrace.SpanData) (roots, orphans []*SpanNode) {
 	nodes := make(map[otrace.SpanID]*SpanNode, len(spans))
 	for i := range spans {
 		nodes[spans[i].SpanID] = &SpanNode{SpanData: spans[i]}
 	}
-	for _, n := range nodes {
+	for i := range spans {
+		n := nodes[spans[i].SpanID]
 		if n.Parent.IsZero() {
 			roots = append(roots, n)
-			continue
-		}
-		if p, ok := nodes[n.Parent]; ok {
+		} else if p, ok := nodes[n.Parent]; ok {
 			p.Children = append(p.Children, n)
 		} else {
 			orphans = append(orphans, n)
 		}
 	}
-	sortNodes := func(ns []*SpanNode) {
-		sort.Slice(ns, func(i, j int) bool {
-			if ns[i].Offset != ns[j].Offset {
-				return ns[i].Offset < ns[j].Offset
-			}
-			if ns[i].Name != ns[j].Name {
-				return ns[i].Name < ns[j].Name
-			}
-			return ns[i].SpanID.String() < ns[j].SpanID.String()
-		})
-	}
-	sortNodes(roots)
-	sortNodes(orphans)
-	for _, n := range nodes {
-		sortNodes(n.Children)
-	}
 	return roots, orphans
 }
 
-// WriteChromeTraceSpans exports a span tree as a Chrome trace-event JSON
-// array (the same format WriteChromeTrace emits for engine runs), with
-// one virtual thread per span kind so a request's serve / job / run /
-// iteration / phase layers stack visually in Perfetto.
-//
-// The export is deterministic for a given span tree: events carry only
-// relative offsets and durations (never absolute clock readings or span
-// ids), are ordered by (offset, name), and attribute maps JSON-encode
-// with sorted keys. Two exports of the same quiesced trace are
-// byte-identical — the property the golden test pins.
-func WriteChromeTraceSpans(w io.Writer, spans []otrace.SpanData) error {
-	// Stable kind → tid mapping: known kinds get fixed rows in layer
-	// order, unknown kinds one shared overflow row.
-	kindTid := map[string]int{
-		"server": 0, "job": 1, "run": 2, "iteration": 3, "phase": 4, "": 5,
+// traceEvent is one Chrome trace-event ("Trace Event Format", the JSON
+// consumed by chrome://tracing and Perfetto). Field order is fixed by
+// the struct so exports are byte-stable for a given trace.
+type traceEvent struct {
+	Name string         `json:"name"`
+	Cat  string         `json:"cat,omitempty"`
+	Ph   string         `json:"ph"`
+	Ts   float64        `json:"ts"`
+	Dur  float64        `json:"dur,omitempty"`
+	Pid  int            `json:"pid"`
+	Tid  int            `json:"tid"`
+	Args map[string]any `json:"args,omitempty"`
+}
+
+func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
+
+// traceRow identifies the virtual thread a span renders on: one row per
+// kind, except that every worker gets a row of its own.
+type traceRow struct {
+	rank int // index in otrace.Kinds; len(otrace.Kinds) for a kind outside it
+	kind string
+	lane int // the "worker" attribute of a worker span, else 0
+}
+
+func rowOf(s *otrace.SpanData) traceRow {
+	r := traceRow{rank: slices.Index(otrace.Kinds, s.Kind), kind: s.Kind}
+	if r.rank < 0 {
+		r.rank = len(otrace.Kinds)
 	}
-	const otherTid = 6
+	if s.Kind == "worker" {
+		for _, a := range s.Attrs {
+			if n, ok := a.Value.(int); a.Key == "worker" && ok {
+				r.lane = n
+			}
+		}
+	}
+	return r
+}
+
+func (r traceRow) label() string {
+	switch r.kind {
+	case "":
+		return "internal"
+	case "worker":
+		return fmt.Sprintf("worker %d", r.lane)
+	}
+	return r.kind
+}
+
+// WriteChromeTrace exports spans — a request's tree from the trace
+// store, or one run's converted engine trace (trace.RunTrace.Spans) — as
+// a Chrome trace-event JSON array, openable in chrome://tracing or
+// Perfetto. Rows (virtual threads) follow otrace.Kinds: the kinds
+// present get consecutive rows in table order so the serve / job / run /
+// iteration / phase layers stack visually, a kind outside the table gets
+// its own row after them, and each worker gets its own row.
+//
+// The export is deterministic for a given span list: events carry only
+// relative offsets and durations (never absolute clock readings or span
+// ids), are emitted in otrace.Sort order, and attribute maps JSON-encode
+// with sorted keys. Two exports of the same quiesced trace are
+// byte-identical — the property the golden tests pin.
+func WriteChromeTrace(w io.Writer, spans []otrace.SpanData) error {
+	if len(spans) == 0 {
+		return fmt.Errorf("obs: no spans to export")
+	}
+	ordered := slices.Clone(spans)
+	otrace.Sort(ordered)
+
+	spanRow := make([]traceRow, len(ordered))
+	for i := range ordered {
+		spanRow[i] = rowOf(&ordered[i])
+	}
+	rows := slices.Clone(spanRow)
+	slices.SortFunc(rows, func(a, b traceRow) int {
+		return cmp.Or(cmp.Compare(a.rank, b.rank), cmp.Compare(a.kind, b.kind), cmp.Compare(a.lane, b.lane))
+	})
+	rows = slices.Compact(rows)
 	events := []traceEvent{
 		{Name: "process_name", Ph: "M", Pid: 1, Args: map[string]any{"name": "gcbench request"}},
 	}
-	usedTid := map[int]string{}
-	for _, s := range spans {
-		tid, ok := kindTid[s.Kind]
-		if !ok {
-			tid = otherTid
-		}
-		name := s.Kind
-		if name == "" {
-			name = "internal"
-		}
-		if tid == otherTid {
-			name = "other"
-		}
-		usedTid[tid] = name
-	}
-	tids := make([]int, 0, len(usedTid))
-	for tid := range usedTid {
-		tids = append(tids, tid)
-	}
-	sort.Ints(tids)
-	for _, tid := range tids {
+	tids := make(map[traceRow]int, len(rows))
+	for tid, r := range rows {
+		tids[r] = tid
 		events = append(events, traceEvent{
 			Name: "thread_name", Ph: "M", Pid: 1, Tid: tid,
-			Args: map[string]any{"name": usedTid[tid]},
+			Args: map[string]any{"name": r.label()},
 		})
 	}
 
-	ordered := append([]otrace.SpanData(nil), spans...)
-	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i].Offset != ordered[j].Offset {
-			return ordered[i].Offset < ordered[j].Offset
-		}
-		if ordered[i].Duration != ordered[j].Duration {
-			return ordered[i].Duration > ordered[j].Duration
-		}
-		return ordered[i].Name < ordered[j].Name
-	})
-	for _, s := range ordered {
-		tid, ok := kindTid[s.Kind]
-		if !ok {
-			tid = otherTid
-		}
+	for i := range ordered {
+		s := &ordered[i]
 		args := map[string]any{}
 		if s.Status != "" {
 			args["status"] = s.Status
@@ -133,13 +149,9 @@ func WriteChromeTraceSpans(w io.Writer, spans []otrace.SpanData) error {
 		if len(args) == 0 {
 			args = nil
 		}
-		cat := s.Kind
-		if cat == "" {
-			cat = "internal"
-		}
 		events = append(events, traceEvent{
-			Name: s.Name, Cat: cat, Ph: "X",
-			Ts: us(s.Offset), Dur: us(s.Duration), Pid: 1, Tid: tid,
+			Name: s.Name, Cat: cmp.Or(s.Kind, "internal"), Ph: "X",
+			Ts: us(s.Offset), Dur: us(s.Duration), Pid: 1, Tid: tids[spanRow[i]],
 			Args: args,
 		})
 	}
@@ -155,16 +167,6 @@ func WriteChromeTraceSpans(w io.Writer, spans []otrace.SpanData) error {
 //	                           ?format=chrome renders the Chrome
 //	                           trace-event export instead
 func RegisterTraceRoutes(mux *http.ServeMux, store *otrace.Store) {
-	writeJSON := func(w http.ResponseWriter, status int, v any) {
-		body, err := json.MarshalIndent(v, "", " ")
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		w.WriteHeader(status)
-		_, _ = w.Write(append(body, '\n'))
-	}
 	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
 			w.Header().Set("Allow", "GET, HEAD")
@@ -198,8 +200,12 @@ func RegisterTraceRoutes(mux *http.ServeMux, store *otrace.Store) {
 		}
 		spans := tr.Spans()
 		if r.URL.Query().Get("format") == "chrome" {
+			// The writer encodes before it writes, so a refused export
+			// (no span finished yet) has sent nothing.
 			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			_ = WriteChromeTraceSpans(w, spans)
+			if err := WriteChromeTrace(w, spans); err != nil {
+				http.Error(w, err.Error(), http.StatusNotFound)
+			}
 			return
 		}
 		roots, orphans := BuildSpanTree(spans)

@@ -13,32 +13,31 @@ import (
 	"time"
 
 	"gcbench/internal/obs/otrace"
+	"gcbench/internal/trace"
 )
 
 var updateTraceGolden = flag.Bool("update-trace-golden", false, "rewrite the span-tree Chrome export golden file")
 
 // campaignSpanTree builds the canonical serve → job → run → iteration →
-// phase tree with fixed offsets and durations, the deterministic input
-// for the golden export.
+// phase tree the way the product does: live spans down to the run, the
+// engine timeline grafted from a converted trace with fixed walls.
 func campaignSpanTree(t *testing.T, st *otrace.Store) *otrace.Trace {
 	t.Helper()
 	tr, root := st.StartTrace("POST /api/campaigns", "server", otrace.TraceID{}, otrace.SpanID{},
 		otrace.String("route", "/api/campaigns"))
 	job := root.StartChild("job j1", "job", otrace.String("jobId", "j1"), otrace.Int("specs", 2))
-	for i, name := range []string{"run cc/tiny/2.5", "run pr/tiny/2.5"} {
+	rt := &trace.RunTrace{}
+	for it := 0; it < 2; it++ {
+		wall := time.Duration(10+it) * time.Millisecond
+		rt.Iterations = append(rt.Iterations, trace.IterationStats{
+			Iteration: it, Active: int64(100 - 10*it), WallTime: wall,
+			GatherWall: wall / 4, ApplyWall: wall / 2, ScatterWall: wall / 4,
+		})
+	}
+	for _, name := range []string{"run cc/tiny/2.5", "run pr/tiny/2.5"} {
 		run := job.StartChild(name, "run", otrace.Int("attempt", 1))
-		var cursor time.Duration
-		for it := 0; it < 2; it++ {
-			wall := time.Duration(10+it) * time.Millisecond
-			iter := run.AddChild("iteration "+string(rune('0'+it)), "iteration", cursor, wall,
-				otrace.Int64("active", int64(100-10*it)))
-			run.AddChildUnder(iter, "gather", "phase", cursor, wall/4)
-			run.AddChildUnder(iter, "apply", "phase", cursor+wall/4, wall/2)
-			run.AddChildUnder(iter, "scatter", "phase", cursor+3*wall/4, wall/4)
-			cursor += wall
-		}
+		run.Graft(rt.Spans(0))
 		run.End()
-		_ = i
 	}
 	job.End()
 	root.End()
@@ -73,11 +72,11 @@ func TestChromeSpanExportGolden(t *testing.T) {
 	}
 
 	var got bytes.Buffer
-	if err := WriteChromeTraceSpans(&got, spans); err != nil {
+	if err := WriteChromeTrace(&got, spans); err != nil {
 		t.Fatal(err)
 	}
 	var again bytes.Buffer
-	if err := WriteChromeTraceSpans(&again, spans); err != nil {
+	if err := WriteChromeTrace(&again, spans); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), again.Bytes()) {

@@ -15,8 +15,8 @@
 // exact-hit check (is the queried configuration already measured?) is an
 // O(log n) nearest-neighbor lookup instead of a linear scan, which is
 // the hot path when clients re-query measured configurations. The
-// linear-scan implementation is retained as PredictNaive, the oracle the
-// differential tests hold Predict bit-identical to.
+// linear scan stays reachable (predict's indexed=false) as the oracle
+// the differential tests hold Predict bit-identical to.
 package predict
 
 import (
@@ -109,12 +109,6 @@ func New(runs []*behavior.Run) (*Predictor, error) {
 // the corpus holds no runs of the algorithm.
 func (p *Predictor) Predict(q Query) (*Prediction, error) {
 	return p.predict(q, true)
-}
-
-// PredictNaive is the retained linear-scan implementation — the
-// differential-test oracle. Predict must return bit-identical results.
-func (p *Predictor) PredictNaive(q Query) (*Prediction, error) {
-	return p.predict(q, false)
 }
 
 func (p *Predictor) predict(q Query, indexed bool) (*Prediction, error) {

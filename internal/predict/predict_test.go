@@ -147,6 +147,12 @@ func randomCorpus(n int, seed uint64) []*behavior.Run {
 	return runs
 }
 
+// PredictNaive is the retained linear-scan implementation — the
+// differential-test oracle. Predict must return bit-identical results.
+func (p *Predictor) PredictNaive(q Query) (*Prediction, error) {
+	return p.predict(q, false)
+}
+
 // TestPredictMatchesNaive is the differential test: the indexed Predict
 // and the retained linear-scan PredictNaive return bit-identical
 // predictions for measured configurations (exact hits, including

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -220,11 +221,17 @@ func TestJobsBoundarySpanTree(t *testing.T) {
 				t.Fatalf("run child kind = %q, want iteration", iter.Kind)
 			}
 			iterations++
+			var phaseSum time.Duration
 			for _, ph := range iter.Children {
 				if ph.Kind != "phase" {
 					t.Fatalf("iteration child kind = %q, want phase", ph.Kind)
 				}
 				phases++
+				phaseSum += ph.Duration
+			}
+			// Barrier included, the grafted phases tile their iteration.
+			if tree.Dropped == 0 && phaseSum != iter.Duration {
+				t.Fatalf("%s / %s: phases sum to %v, iteration lasted %v", run.Name, iter.Name, phaseSum, iter.Duration)
 			}
 		}
 	}
@@ -240,5 +247,54 @@ func TestJobsBoundarySpanTree(t *testing.T) {
 	var events []map[string]any
 	if err := json.Unmarshal(wc.Body.Bytes(), &events); err != nil {
 		t.Fatalf("chrome export does not parse: %v", err)
+	}
+}
+
+// TestSpanKindsInTable: every kind the product emits is a row of
+// otrace.Kinds — the table that documents SpanData.Kind and orders the
+// Chrome export's rows — so a new kind cannot land there unlisted. A
+// design miss covers the serving kinds, a one-run campaign the rest.
+func TestSpanKindsInTable(t *testing.T) {
+	store := otrace.NewStore(64)
+	s, mgr := newJobsServer(t, jobs.Config{}, func(cfg *Config) { cfg.Traces = store })
+
+	design := postDesign(t, s, `{"n":3,"metric":"spread","method":"greedy"}`)
+	if design.Code != http.StatusOK {
+		t.Fatalf("design = %d: %s", design.Code, design.Body.String())
+	}
+	campaign := postCampaign(t, s, `{"profile":"quick","algorithms":["PR"],"sizes":["300"],"alphas":[2.5]}`)
+	if campaign.Code != http.StatusAccepted {
+		t.Fatalf("POST /api/campaigns = %d: %s", campaign.Code, campaign.Body.String())
+	}
+	job, _ := mgr.Get(decodeJob(t, campaign).ID)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if state, err := job.Wait(ctx); err != nil || state != jobs.StateOK {
+		t.Fatalf("job ended %q, err %v", state, err)
+	}
+
+	emitted := map[string]bool{}
+	for _, w := range []*httptest.ResponseRecorder{design, campaign} {
+		tid, _, _, err := otrace.ParseTraceparent(w.Header().Get("traceparent"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, ok := store.Get(tid)
+		if !ok {
+			t.Fatalf("trace %s not retained", tid)
+		}
+		for _, sp := range tr.Spans() {
+			emitted[sp.Kind] = true
+			if !slices.Contains(otrace.Kinds, sp.Kind) {
+				t.Errorf("span %q has kind %q, which otrace.Kinds does not list", sp.Name, sp.Kind)
+			}
+		}
+	}
+	// The sweep grafts no worker spans and nothing emits the generic
+	// kind, so those two rows are exercised by the obs writer tests.
+	for _, kind := range otrace.Kinds[:len(otrace.Kinds)-2] {
+		if !emitted[kind] {
+			t.Errorf("no %q span emitted; emitted kinds: %v", kind, emitted)
+		}
 	}
 }

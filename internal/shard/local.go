@@ -145,17 +145,7 @@ func (s *LocalShard) Publish(_ context.Context, req PublishRequest) (PublishResp
 				s.id, entries[i].Seq, entries[i-1].Seq)
 		}
 	}
-	// Epoch fence: never publish below the coordinator's MinVersion. A
-	// fresh process (version 0) rehydrating after a crash lands at the
-	// fence — strictly above every version it served before — instead
-	// of restarting at 1 and aliasing stale cache entries.
-	version := s.version.Load() + 1
-	if req.MinVersion > version {
-		version = req.MinVersion
-	}
-	s.version.Store(version)
 	snap := &partSnapshot{
-		version: version,
 		entries: entries,
 		byKey:   make(map[string]int, len(entries)),
 		pool:    make([]bool, len(entries)),
@@ -172,6 +162,16 @@ func (s *LocalShard) Publish(_ context.Context, req PublishRequest) (PublishResp
 		snap.byKey[entries[i].Record.Key] = i
 		snap.pool[i] = s.poolMember(&entries[i].Record)
 	}
+	// The version moves only now that the snapshot is valid: a rejected
+	// publish must leave it alone, or replicas with different rejection
+	// histories acknowledge one publish at different versions.
+	//
+	// Epoch fence: never publish below the coordinator's MinVersion. A
+	// fresh process (version 0) rehydrating after a crash lands at the
+	// fence — strictly above every version it served before — instead
+	// of restarting at 1 and aliasing stale cache entries.
+	snap.version = max(s.version.Load()+1, req.MinVersion)
+	s.version.Store(snap.version)
 	for _, r := range s.replicas {
 		r.snap.Store(snap)
 	}

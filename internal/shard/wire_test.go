@@ -230,6 +230,28 @@ func TestPublishEpochFence(t *testing.T) {
 		t.Fatalf("publish with stale fence 2 over version 3: got %d, want 4", resp.Version)
 	}
 
+	// A rejected publish (duplicate key) leaves the version where it was:
+	// the next accepted one is exactly max(current+1, MinVersion).
+	before, err := s.Info(ctx, InfoRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := append(append([]Entry(nil), entries...), entries[0])
+	dup[len(dup)-1].Seq = entries[len(entries)-1].Seq + 1
+	if _, err := s.Publish(ctx, PublishRequest{Replace: true, Entries: dup, MinVersion: 9}); err == nil {
+		t.Fatal("duplicate-key publish accepted")
+	}
+	if after, err := s.Info(ctx, InfoRequest{}); err != nil || after != before {
+		t.Fatalf("rejected publish changed Info: %+v → %+v (err %v)", before, after, err)
+	}
+	resp, err = s.Publish(ctx, PublishRequest{Replace: true, Entries: entries, MinVersion: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Version != 5 {
+		t.Fatalf("publish after a rejected one: got version %d, want 5", resp.Version)
+	}
+
 	// Restart: a fresh process is version 0. Rehydrating with the
 	// coordinator's fence lands strictly above the pre-crash version.
 	restarted := NewLocalShard(0, 2, corpus.PoolMember)

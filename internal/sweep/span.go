@@ -1,8 +1,7 @@
 package sweep
 
 import (
-	"fmt"
-	"time"
+	"slices"
 
 	"gcbench/internal/obs/otrace"
 	"gcbench/internal/trace"
@@ -11,57 +10,27 @@ import (
 // graftMaxIterations bounds how many iterations one run grafts as spans.
 // Longer runs are stride-sampled: the graft is post-run bookkeeping that
 // happens after the run's Duration is measured, but it still costs
-// allocations, and a 10k-iteration run must not pay 40k span inserts for
+// allocations, and a 10k-iteration run must not pay 50k span inserts for
 // a trace whose per-trace cap would drop most of them anyway.
 const graftMaxIterations = 256
 
-// graftRunTrace attaches a finished run's engine trace to its run span as
-// synthesized iteration and phase child spans. The engine itself is never
-// instrumented: every offset and duration here is a wall-clock figure the
-// engine already recorded in trace.IterationStats, so tracing adds zero
-// clock reads (and zero cost of any kind) to the computation itself.
+// graftRunTrace attaches a finished run's engine timeline under its run
+// span: the iteration and phase spans of rt.Spans, without the per-worker
+// busy spans, which would exhaust the per-trace span cap. The engine is
+// never instrumented — every offset and duration is a wall the engine
+// already recorded — and an untraced run (nil sp) converts nothing.
 //
 // Offsets are relative to the run span's start. Graph generation and
-// cache waits precede iteration 0, so the synthesized timeline is the
-// iteration phases' internal structure, not an absolute alignment with
-// the run span's wall time.
+// cache waits precede iteration 0, so the grafted timeline is the
+// iterations' internal structure, not an absolute alignment with the run
+// span's wall time.
 func graftRunTrace(sp *otrace.Span, rt *trace.RunTrace) {
 	if sp == nil || rt == nil {
 		return
 	}
-	stride := 1
-	if n := len(rt.Iterations); n > graftMaxIterations {
-		stride = (n + graftMaxIterations - 1) / graftMaxIterations
-		sp.SetAttr("iterationStride", stride)
-	}
-	var cursor time.Duration
-	for i := range rt.Iterations {
-		it := &rt.Iterations[i]
-		if i%stride != 0 {
-			cursor += it.WallTime
-			continue
-		}
-		iter := sp.AddChild(fmt.Sprintf("iteration %d", it.Iteration), "iteration",
-			cursor, it.WallTime,
-			otrace.Int64("active", it.Active),
-			otrace.Int64("updates", it.Updates),
-			otrace.Int64("edgeReads", it.EdgeReads),
-			otrace.Int64("messages", it.Messages))
-		addPhase := func(name, mode string, offset, wall time.Duration) {
-			if wall <= 0 {
-				return
-			}
-			var attrs []otrace.Attr
-			if mode != "" {
-				attrs = append(attrs, otrace.String("mode", mode))
-			}
-			sp.AddChildUnder(iter, name, "phase", offset, wall, attrs...)
-		}
-		addPhase("gather", it.GatherMode, cursor, it.GatherWall)
-		addPhase("apply", it.ApplyMode, cursor+it.GatherWall, it.ApplyWall)
-		addPhase("scatter", it.ScatterMode, cursor+it.GatherWall+it.ApplyWall, it.ScatterWall)
-		cursor += it.WallTime
-	}
+	sp.Graft(slices.DeleteFunc(rt.Spans(graftMaxIterations), func(d otrace.SpanData) bool {
+		return d.Kind == "worker"
+	}))
 	sp.SetAttr("iterations", len(rt.Iterations))
 	sp.SetAttr("converged", rt.Converged)
 }
