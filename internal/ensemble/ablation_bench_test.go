@@ -1,6 +1,7 @@
 package ensemble
 
 import (
+	"math"
 	"testing"
 
 	"gcbench/internal/behavior"
@@ -10,6 +11,27 @@ import (
 // distances) vs. recomputing the full ensemble coverage per candidate.
 // Greedy selection makes one such call per candidate per step, so this
 // ratio decides whether 1M-sample coverage search is tractable.
+
+// CoverageWith evaluates the coverage of prev ∪ {p} given prev's min
+// distances: the flat-sum baseline of the ablation. The searches use
+// IncrementalCoverage.EvalAdd, whose per-cell sum is the canonical one.
+func (c *CoverageEstimator) CoverageWith(prevMin []float64, p behavior.Vector) float64 {
+	if len(c.samples) == 0 {
+		return 0
+	}
+	var sum float64
+	for i, s := range c.samples {
+		d := behavior.Distance(s, p)
+		if prevMin != nil && prevMin[i] < d {
+			d = prevMin[i]
+		}
+		sum += d
+	}
+	if sum == 0 {
+		return math.Inf(1)
+	}
+	return float64(len(c.samples)) / sum
+}
 
 func benchPoolAndEstimator(b *testing.B, samples int) (*CoverageEstimator, []behavior.Vector, []float64) {
 	b.Helper()

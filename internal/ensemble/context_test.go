@@ -81,6 +81,41 @@ func TestSearchesHonorCancelledContext(t *testing.T) {
 	}
 }
 
+// cancelAfter is a context whose Err turns non-nil after a fixed number
+// of nil answers, so a test can cancel a search at an exact step.
+type cancelAfter struct {
+	context.Context
+	left int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.left == 0 {
+		return context.Canceled
+	}
+	c.left--
+	return nil
+}
+
+// TestCoverageGreedyCancelsWithinOneEvaluation: the lazy greedy still
+// asks ctx before every evaluation, pruned rounds included — cancelled
+// three evaluations into round 3, it makes not one more.
+func TestCoverageGreedyCancelsWithinOneEvaluation(t *testing.T) {
+	pool, idx := ctxTestPool(40, 7)
+	cov, err := NewCoverageEstimator(5000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allowed := 40 + 39 + 3
+	ctx := &cancelAfter{Context: context.Background(), left: 1 + allowed} // 1: the check on entry
+	_, evals, err := coverageGreedy(ctx, cov, pool, idx, 8)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got err %v, want context.Canceled", err)
+	}
+	if evals != allowed {
+		t.Fatalf("search made %d evaluations, cancelled after %d", evals, allowed)
+	}
+}
+
 // TestAnnealCoverageDeadlinePrompt verifies that a mid-flight deadline
 // aborts an expensive coverage search long before it would finish: 2000
 // annealing steps at 200k samples take seconds, but the search must

@@ -129,11 +129,7 @@ func (ic *IncrementalCoverage) Coverage() float64 {
 	if len(ic.members) == 0 {
 		return 0
 	}
-	var sum float64
-	for _, s := range ic.cellSum {
-		sum += s
-	}
-	return ic.finish(sum)
+	return ic.finish(ic.total())
 }
 
 func (ic *IncrementalCoverage) finish(sum float64) float64 {
@@ -269,21 +265,38 @@ func (ic *IncrementalCoverage) forEachCell(cells []int, fn func(ci int)) {
 // the position the proposal vacates (-1 for adds) and p its incoming
 // point. For a sample assigned to the removed position, the minimum
 // over the remaining members is exactly its cached second distance.
+//
+// This loop is ≈ all of a coverage search, so it is written for the
+// compiler: the cell's slices are cut to one length up front (no bounds
+// checks inside), p's coordinates live in locals, the squared distance
+// accumulates in behavior.Distance's dimension order (0 + x is exact, so
+// the bits are Distance's), and the fold is the builtin min — branch-free
+// on amd64/arm64 and equal to `if d < v` because distances are never NaN
+// or -0. For an add, removed is -1, which matches only the -1 an empty
+// ensemble assigns — and there both cached distances are +Inf.
 func (ic *IncrementalCoverage) evalCells(removed int, p behavior.Vector) {
 	est := ic.est
 	rm := int32(removed)
+	p0, p1, p2, p3 := p[0], p[1], p[2], p[3]
 	ic.forEachCell(ic.affected, func(ci int) {
 		lo, hi := est.cellStart[ci], est.cellStart[ci+1]
+		samples := est.samples[lo:hi]
+		minDist := ic.minDist[lo:hi][:len(samples)]
+		minDist2 := ic.minDist2[lo:hi][:len(samples)]
+		assign := ic.assign[lo:hi][:len(samples)]
 		var sum float64
-		for i := lo; i < hi; i++ {
-			v := ic.minDist[i]
-			if rm >= 0 && ic.assign[i] == rm {
-				v = ic.minDist2[i]
+		for i := range samples {
+			s := &samples[i]
+			d0, d1, d2, d3 := s[0]-p0, s[1]-p1, s[2]-p2, s[3]-p3
+			q := d0 * d0
+			q += d1 * d1
+			q += d2 * d2
+			q += d3 * d3
+			v := minDist[i]
+			if assign[i] == rm {
+				v = minDist2[i]
 			}
-			if d := behavior.Distance(est.samples[i], p); d < v {
-				v = d
-			}
-			sum += v
+			sum += min(v, math.Sqrt(q))
 		}
 		ic.newSum[ci] = sum
 	})
@@ -333,11 +346,17 @@ func (ic *IncrementalCoverage) Swap(pos int, p behavior.Vector) float64 {
 // EvalAdd returns the coverage the ensemble would have with p appended,
 // bit-identical to a fresh est.Coverage(members+p). No state is mutated.
 func (ic *IncrementalCoverage) EvalAdd(p behavior.Vector) float64 {
+	return ic.finish(ic.evalAdd(p))
+}
+
+// evalAdd is EvalAdd before the reciprocal: the sample-distance total
+// with p appended.
+func (ic *IncrementalCoverage) evalAdd(p behavior.Vector) float64 {
 	ic.classify(-1, p, false)
 	ic.evalCells(-1, p)
 	sum := ic.total()
 	ic.reset()
-	return ic.finish(sum)
+	return sum
 }
 
 // Add commits: appends p as a new member, re-scoring only the affected

@@ -277,34 +277,6 @@ func (c *CoverageEstimator) MinDistances(prev []float64, points []behavior.Vecto
 	return out
 }
 
-// CoverageWith evaluates the coverage of prev ∪ {p} given prev's min
-// distances, without allocating a new array per candidate.
-func (c *CoverageEstimator) CoverageWith(prevMin []float64, p behavior.Vector) float64 {
-	if len(c.samples) == 0 {
-		return 0
-	}
-	partial := make([]float64, c.workers)
-	c.parallelSamplesWorker(func(w, lo, hi int) {
-		var sum float64
-		for i := lo; i < hi; i++ {
-			d := behavior.Distance(c.samples[i], p)
-			if prevMin != nil && prevMin[i] < d {
-				d = prevMin[i]
-			}
-			sum += d
-		}
-		partial[w] += sum
-	})
-	var sum float64
-	for _, s := range partial {
-		sum += s
-	}
-	if sum == 0 {
-		return math.Inf(1)
-	}
-	return float64(len(c.samples)) / sum
-}
-
 // LloydRefine improves a set of coverage centers by Lloyd iterations on
 // the estimator's own sample cloud: each sample joins its nearest center,
 // centers move to their cluster means, and the best configuration seen
@@ -352,10 +324,6 @@ func (c *CoverageEstimator) LloydRefine(centers []behavior.Vector, iters int) []
 }
 
 func (c *CoverageEstimator) parallelSamples(fn func(lo, hi int)) {
-	c.parallelSamplesWorker(func(_, lo, hi int) { fn(lo, hi) })
-}
-
-func (c *CoverageEstimator) parallelSamplesWorker(fn func(w, lo, hi int)) {
 	n := len(c.samples)
 	w := c.workers
 	if w > n {
@@ -363,25 +331,17 @@ func (c *CoverageEstimator) parallelSamplesWorker(fn func(w, lo, hi int)) {
 	}
 	// Below ~50k samples goroutine fan-out costs more than it saves.
 	if w <= 1 || n < 50_000 {
-		fn(0, 0, n)
+		fn(0, n)
 		return
 	}
 	var wg sync.WaitGroup
 	chunk := (n + w - 1) / w
-	for i := 0; i < w; i++ {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
+	for lo := 0; lo < n; lo += chunk {
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			fn(w, lo, hi)
-		}(i, lo, hi)
+			fn(lo, hi)
+		}(lo, min(lo+chunk, n))
 	}
 	wg.Wait()
 }

@@ -1,8 +1,11 @@
 package ensemble
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"gcbench/internal/behavior"
@@ -288,56 +291,94 @@ func BestCoverageGreedy(cov *CoverageEstimator, pool []behavior.Vector, idx []in
 
 // BestCoverageGreedyCtx is BestCoverageGreedy with cooperative
 // cancellation, checked before every candidate's evaluation (the
-// dominant cost of a coverage search step).
-//
-// Candidate evaluation goes through IncrementalCoverage.EvalAdd, which
-// rescans only the sample cells the candidate could improve yet returns
-// exactly what a fresh full Monte-Carlo estimate would — so the greedy
-// trace is identical to the full-recompute implementation it replaced
-// (pinned by TestCoverageGreedyTraceMatchesNaive), just cheaper.
+// dominant cost of a coverage search step). It returns exactly what a
+// full scan — every remaining candidate evaluated every round, ties to
+// the lowest pool position — returns (naiveCoverageGreedy in the tests
+// is that scan), while evaluating about half the candidates.
 func BestCoverageGreedyCtx(ctx context.Context, cov *CoverageEstimator, pool []behavior.Vector, idx []int, maxSize int) ([][]int, error) {
+	out, _, err := coverageGreedy(ctx, cov, pool, idx, maxSize)
+	return out, err
+}
+
+// coverageGreedy is the lazy greedy behind BestCoverageGreedyCtx; evals
+// counts the candidate evaluations it made.
+//
+// Adding candidate j lowers the sample-distance total by
+// Σ max(0, minDist − d(sample, j)), which can only shrink as the ensemble
+// grows, so the reduction measured when j was last evaluated bounds what
+// j can do now. Each round visits candidates by descending stale
+// reduction and stops at the first whose best possible coverage is
+// strictly below the incumbent's; every candidate behind it is bounded
+// lower still. Two details make that exact rather than approximate:
+//
+//   - the totals are float sums of NS terms, so the real-number bound
+//     holds for them only up to rounding: the stale reduction carries
+//     the slack of the two sums it was measured from, and the bound
+//     subtracts the slack of the two it is applied to (a slack is
+//     4·NS·2⁻⁵³·total, twice the worst-case rounding of two such sums);
+//   - the test compares coverages, not totals, because two totals can
+//     round to one coverage and the full scan breaks coverage ties by
+//     pool position — so a tying candidate is still evaluated, and the
+//     winner is the highest coverage, then the lowest position.
+//
+// Rounds 1 and 2 evaluate everyone: the empty ensemble's total is +Inf,
+// so no finite reduction exists before round 2 has measured one.
+func coverageGreedy(ctx context.Context, cov *CoverageEstimator, pool []behavior.Vector, idx []int, maxSize int) (out [][]int, evals int, err error) {
 	n := len(idx)
 	if maxSize > n {
 		maxSize = n
 	}
-	out := make([][]int, maxSize+1)
+	out = make([][]int, maxSize+1)
 	if n == 0 || maxSize <= 0 {
-		return out, nil
+		return out, 0, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	ic, err := NewIncrementalCoverage(cov, nil)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	var members []int
-	inSet := make([]bool, n)
+	rest := make([]int, n)     // candidates not yet chosen, as positions in idx
+	gain := make([]float64, n) // per position: upper bound on its reduction
+	for j := range rest {
+		rest[j], gain[j] = j, math.Inf(1)
+	}
+	slackPerUnit := 4 * float64(cov.NumSamples()) * 0x1p-53
 	for k := 1; k <= maxSize; k++ {
-		bestJ := -1
-		bestCov := -1.0
-		for j := 0; j < n; j++ {
-			if inSet[j] {
-				continue
+		slices.SortFunc(rest, func(a, b int) int {
+			if c := cmp.Compare(gain[b], gain[a]); c != 0 {
+				return c
+			}
+			return a - b
+		})
+		cur := ic.total()
+		slack := slackPerUnit * cur
+		best, bestCov := -1, -1.0
+		for at, j := range rest {
+			if floor := cur - gain[j] - slack; floor > 0 && ic.finish(floor) < bestCov {
+				break
 			}
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return nil, evals, err
 			}
-			if c := ic.EvalAdd(pool[idx[j]]); c > bestCov {
-				bestCov, bestJ = c, j
+			sum := ic.evalAdd(pool[idx[j]])
+			evals++
+			gain[j] = cur - sum + slack
+			if c := ic.finish(sum); c > bestCov || (c == bestCov && j < rest[best]) {
+				bestCov, best = c, at
 			}
 		}
-		if bestJ < 0 {
-			break
-		}
-		inSet[bestJ] = true
-		members = append(members, idx[bestJ])
-		ic.Add(pool[idx[bestJ]])
+		j := rest[best]
+		rest = slices.Delete(rest, best, best+1)
+		members = append(members, idx[j])
+		ic.Add(pool[idx[j]])
 		set := append([]int(nil), members...)
 		sort.Ints(set)
 		out[k] = set
 	}
-	return out, nil
+	return out, evals, nil
 }
 
 // ImproveCoverageExchange refines a coverage ensemble by swapping members

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -109,6 +110,7 @@ func (req *designRequest) normalize() error {
 	}
 	req.Pool.Sizes = dedupStrings(req.Pool.Sizes)
 	sort.Float64s(req.Pool.Alphas)
+	req.Pool.Alphas = slices.Compact(req.Pool.Alphas)
 	for i, m := range req.Pool.Models {
 		name, err := model.Parse(strings.TrimSpace(m))
 		if err != nil {

@@ -291,10 +291,10 @@ func TestDesignMethodsAndMetrics(t *testing.T) {
 func TestDesignCanonicalization(t *testing.T) {
 	s := newTestServer(t, nil)
 	variants := []string{
-		`{"n": 4, "metric": "spread", "method": "greedy", "pool": {"algorithms": ["PR", "CC"]}}`,
-		`{"pool": {"algorithms": ["CC", "PR", "PR"]}, "n": 4}`,
-		`{"n": 4, "metric": "SPREAD", "method": "Greedy", "pool": {"algorithms": ["cc", "pr"]}}`,
-		`{"n": 4, "seed": 7, "pool": {"algorithms": ["PR", "CC"]}}`, // seed ignored off-anneal
+		`{"n": 4, "metric": "spread", "method": "greedy", "pool": {"algorithms": ["PR", "CC"], "alphas": [2, 2.5]}}`,
+		`{"pool": {"algorithms": ["CC", "PR", "PR"], "alphas": [2, 2, 2.5]}, "n": 4}`,
+		`{"n": 4, "metric": "SPREAD", "method": "Greedy", "pool": {"algorithms": ["cc", "pr"], "alphas": [2.5, 2.0, 2]}}`,
+		`{"n": 4, "seed": 7, "pool": {"algorithms": ["PR", "CC"], "alphas": [2.5, 2]}}`, // seed ignored off-anneal
 	}
 	var first []byte
 	for i, body := range variants {
