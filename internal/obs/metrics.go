@@ -4,10 +4,10 @@
 // /debug/pprof), and Chrome trace-event export of engine phase spans.
 //
 // The registry deliberately implements the minimal subset of the
-// Prometheus data model the benchmark harness needs — label-free
-// counters, gauges and fixed-bucket histograms — so the engine hot path
-// pays one atomic add per metric update and the module keeps zero
-// third-party dependencies.
+// Prometheus data model the benchmark harness needs — counters, gauges
+// and fixed-bucket histograms, each one family type with or without
+// labels (vec.go) — so the engine hot path pays one atomic add per
+// metric update and the module keeps zero third-party dependencies.
 package obs
 
 import (
@@ -143,40 +143,18 @@ func (h *Histogram) Quantile(q float64) (float64, bool) {
 	return h.bounds[len(h.bounds)-1], true
 }
 
-// metricKind tags a registered metric for TYPE exposition.
-type metricKind int
-
-const (
-	kindCounter metricKind = iota
-	kindGauge
-	kindHistogram
-	kindHistogramVec
-	kindCounterVec
-)
-
-type metric struct {
-	name string
-	help string
-	kind metricKind
-	c    *Counter
-	g    *Gauge
-	h    *Histogram
-	hv   *HistogramVec
-	cv   *CounterVec
-}
-
-// Registry holds named metrics and renders them in Prometheus text
-// format. All methods are safe for concurrent use; metric constructors
-// are get-or-create, so independent packages can reference the same
-// metric by name.
+// Registry holds named metric families and renders them in Prometheus
+// text format. All methods are safe for concurrent use; metric
+// constructors are get-or-create, so independent packages can reference
+// the same metric by name.
 type Registry struct {
 	mu      sync.Mutex
-	metrics map[string]*metric
+	metrics map[string]any // *family[Counter] | *family[Gauge] | *family[Histogram]
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{metrics: make(map[string]*metric)}
+	return &Registry{metrics: make(map[string]any)}
 }
 
 // defaultRegistry is the process-wide registry the engine and sweep
@@ -186,107 +164,69 @@ var defaultRegistry = NewRegistry()
 // Default returns the process-wide default registry.
 func Default() *Registry { return defaultRegistry }
 
-func (r *Registry) lookup(name, help string, kind metricKind) *metric {
+// register is the one get-or-create: the family of T registered under
+// name, created with the given label names and child constructor if
+// absent. A label-free family gets its single child right away, so a
+// counter nobody has touched yet still prints `name 0`.
+func register[T any](r *Registry, name, help string, labels []string, newChild func() *T) *family[T] {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok := r.metrics[name]; ok {
-		if m.kind != kind {
+		f, ok := m.(*family[T])
+		if !ok {
 			panic(fmt.Sprintf("obs: metric %q re-registered with a different type", name))
 		}
-		return m
+		return f
 	}
-	m := &metric{name: name, help: help, kind: kind}
-	switch kind {
-	case kindCounter:
-		m.c = &Counter{}
-	case kindGauge:
-		m.g = &Gauge{}
+	f := &family[T]{
+		name:     name,
+		help:     help,
+		labels:   append([]string(nil), labels...),
+		newChild: newChild,
+		children: make(map[string]*T),
 	}
-	r.metrics[name] = m
-	return m
+	if len(labels) == 0 {
+		f.With()
+	}
+	r.metrics[name] = f
+	return f
 }
 
 // Counter returns the counter registered under name, creating it with
 // the given help text if absent.
 func (r *Registry) Counter(name, help string) *Counter {
-	return r.lookup(name, help, kindCounter).c
+	return r.CounterVec(name, help, nil).With()
 }
 
 // Gauge returns the gauge registered under name, creating it if absent.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.lookup(name, help, kindGauge).g
+	return register(r, name, help, nil, func() *Gauge { return new(Gauge) }).With()
 }
 
 // Histogram returns the histogram registered under name, creating it
 // with the given upper-bound buckets if absent. bounds must be sorted
 // ascending; a +Inf bucket is implicit.
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.metrics[name]; ok {
-		if m.kind != kindHistogram {
-			panic(fmt.Sprintf("obs: metric %q re-registered with a different type", name))
-		}
-		return m.h
-	}
-	if !sort.Float64sAreSorted(bounds) {
-		panic(fmt.Sprintf("obs: histogram %q bounds not sorted", name))
-	}
-	h := &Histogram{bounds: append([]float64(nil), bounds...)}
-	h.counts = make([]atomic.Uint64, len(bounds)+1)
-	r.metrics[name] = &metric{name: name, help: help, kind: kindHistogram, h: h}
-	return h
+	return r.HistogramVec(name, help, nil, bounds).With()
 }
 
 // CounterVec returns the labeled counter family registered under name,
 // creating it with the given label names if absent. See CounterVec.With.
 func (r *Registry) CounterVec(name, help string, labels []string) *CounterVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.metrics[name]; ok {
-		if m.kind != kindCounterVec {
-			panic(fmt.Sprintf("obs: metric %q re-registered with a different type", name))
-		}
-		return m.cv
-	}
-	if len(labels) == 0 {
-		panic(fmt.Sprintf("obs: counter vec %q needs at least one label", name))
-	}
-	cv := &CounterVec{
-		name:     name,
-		labels:   append([]string(nil), labels...),
-		children: make(map[string]*Counter),
-	}
-	r.metrics[name] = &metric{name: name, help: help, kind: kindCounterVec, cv: cv}
-	return cv
+	return register(r, name, help, labels, func() *Counter { return new(Counter) })
 }
 
 // HistogramVec returns the labeled histogram family registered under
 // name, creating it with the given label names and bucket bounds if
 // absent. Children share the bounds; see HistogramVec.With.
 func (r *Registry) HistogramVec(name, help string, labels []string, bounds []float64) *HistogramVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.metrics[name]; ok {
-		if m.kind != kindHistogramVec {
-			panic(fmt.Sprintf("obs: metric %q re-registered with a different type", name))
-		}
-		return m.hv
-	}
 	if !sort.Float64sAreSorted(bounds) {
 		panic(fmt.Sprintf("obs: histogram %q bounds not sorted", name))
 	}
-	if len(labels) == 0 {
-		panic(fmt.Sprintf("obs: histogram vec %q needs at least one label", name))
-	}
-	hv := &HistogramVec{
-		name:     name,
-		labels:   append([]string(nil), labels...),
-		bounds:   append([]float64(nil), bounds...),
-		children: make(map[string]*Histogram),
-	}
-	r.metrics[name] = &metric{name: name, help: help, kind: kindHistogramVec, hv: hv}
-	return hv
+	bounds = append([]float64(nil), bounds...)
+	return register(r, name, help, labels, func() *Histogram {
+		return &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
+	})
 }
 
 // formatValue renders a float the way Prometheus clients do: integral
@@ -307,69 +247,22 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for name := range r.metrics {
 		names = append(names, name)
 	}
-	ms := make([]*metric, 0, len(names))
 	sort.Strings(names)
-	for _, name := range names {
-		ms = append(ms, r.metrics[name])
+	ms := make([]any, len(names))
+	for i, name := range names {
+		ms[i] = r.metrics[name]
 	}
 	r.mu.Unlock()
 
 	for _, m := range ms {
-		if m.help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", m.name, m.help); err != nil {
-				return err
-			}
-		}
 		var err error
-		switch m.kind {
-		case kindCounter:
-			_, err = fmt.Fprintf(w, "# TYPE %s counter\n%s %s\n", m.name, m.name, formatValue(m.c.Value()))
-		case kindGauge:
-			_, err = fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", m.name, m.name, formatValue(m.g.Value()))
-		case kindHistogram:
-			if _, err = fmt.Fprintf(w, "# TYPE %s histogram\n", m.name); err != nil {
-				return err
-			}
-			var cum uint64
-			for i, b := range m.h.bounds {
-				cum += m.h.counts[i].Load()
-				if _, err = fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", m.name, formatValue(b), cum); err != nil {
-					return err
-				}
-			}
-			cum += m.h.counts[len(m.h.bounds)].Load()
-			_, err = fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %s\n%s_count %d\n",
-				m.name, cum, m.name, formatValue(m.h.Sum()), m.name, m.h.Count())
-		case kindCounterVec:
-			if _, err = fmt.Fprintf(w, "# TYPE %s counter\n", m.name); err != nil {
-				return err
-			}
-			keys, cs := m.cv.sortedChildren()
-			for i, c := range cs {
-				if _, err = fmt.Fprintf(w, "%s{%s} %s\n", m.name, keys[i], formatValue(c.Value())); err != nil {
-					return err
-				}
-			}
-		case kindHistogramVec:
-			if _, err = fmt.Fprintf(w, "# TYPE %s histogram\n", m.name); err != nil {
-				return err
-			}
-			keys, hs := m.hv.sortedChildren()
-			for ci, h := range hs {
-				labels := keys[ci]
-				var cum uint64
-				for i, b := range h.bounds {
-					cum += h.counts[i].Load()
-					if _, err = fmt.Fprintf(w, "%s_bucket{%s,le=%q} %d\n", m.name, labels, formatValue(b), cum); err != nil {
-						return err
-					}
-				}
-				cum += h.counts[len(h.bounds)].Load()
-				if _, err = fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n%s_sum{%s} %s\n%s_count{%s} %d\n",
-					m.name, labels, cum, m.name, labels, formatValue(h.Sum()), m.name, labels, h.Count()); err != nil {
-					return err
-				}
-			}
+		switch f := m.(type) {
+		case *family[Counter]:
+			err = writeScalars(w, f, "counter", (*Counter).Value)
+		case *family[Gauge]:
+			err = writeScalars(w, f, "gauge", (*Gauge).Value)
+		case *family[Histogram]:
+			err = writeHistograms(w, f)
 		}
 		if err != nil {
 			return err
@@ -378,35 +271,100 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
+// writeHeader writes a family's HELP (when it has one) and TYPE lines.
+func (f *family[T]) writeHeader(w io.Writer, kind string) error {
+	if f.help != "" {
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help); err != nil {
+			return err
+		}
+	}
+	_, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, kind)
+	return err
+}
+
+// writeScalars renders a counter or gauge family: one `name{labels} v`
+// line per child, the braces omitted for the label-free child.
+func writeScalars[T any](w io.Writer, f *family[T], kind string, value func(*T) float64) error {
+	if err := f.writeHeader(w, kind); err != nil {
+		return err
+	}
+	keys, children := f.sortedChildren()
+	for i, c := range children {
+		if _, err := fmt.Fprintf(w, "%s%s %s\n", f.name, braced(keys[i]), formatValue(value(c))); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeHistograms renders a histogram family: per child the cumulative
+// buckets (the child's labels, when it has any, before `le`), then sum
+// and count.
+func writeHistograms(w io.Writer, f *family[Histogram]) error {
+	if err := f.writeHeader(w, "histogram"); err != nil {
+		return err
+	}
+	keys, children := f.sortedChildren()
+	for i, h := range children {
+		prefix, suffix := "", braced(keys[i])
+		if keys[i] != "" {
+			prefix = keys[i] + ","
+		}
+		var cum uint64
+		for bi, b := range h.bounds {
+			cum += h.counts[bi].Load()
+			if _, err := fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", f.name, prefix, formatValue(b), cum); err != nil {
+				return err
+			}
+		}
+		cum += h.counts[len(h.bounds)].Load()
+		if _, err := fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n%s_sum%s %s\n%s_count%s %d\n",
+			f.name, prefix, cum, f.name, suffix, formatValue(h.Sum()), f.name, suffix, h.Count()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// braced wraps rendered label text in braces; the label-free child's
+// empty text stays empty.
+func braced(labels string) string {
+	if labels == "" {
+		return ""
+	}
+	return "{" + labels + "}"
+}
+
 // Snapshot returns the current value of every scalar metric plus
-// histogram sums/counts, keyed by name — the expvar bridge payload.
+// histogram sums/counts, keyed by name (and label text) — the expvar
+// bridge payload.
 func (r *Registry) Snapshot() map[string]float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make(map[string]float64, len(r.metrics))
 	for name, m := range r.metrics {
-		switch m.kind {
-		case kindCounter:
-			out[name] = m.c.Value()
-		case kindGauge:
-			out[name] = m.g.Value()
-		case kindHistogram:
-			out[name+"_sum"] = m.h.Sum()
-			out[name+"_count"] = float64(m.h.Count())
-		case kindCounterVec:
-			keys, cs := m.cv.sortedChildren()
-			for i, c := range cs {
-				out[name+"{"+keys[i]+"}"] = c.Value()
-			}
-		case kindHistogramVec:
-			keys, hs := m.hv.sortedChildren()
+		switch f := m.(type) {
+		case *family[Counter]:
+			snapshotScalars(out, f, (*Counter).Value)
+		case *family[Gauge]:
+			snapshotScalars(out, f, (*Gauge).Value)
+		case *family[Histogram]:
+			keys, hs := f.sortedChildren()
 			for i, h := range hs {
-				out[name+"{"+keys[i]+"}_sum"] = h.Sum()
-				out[name+"{"+keys[i]+"}_count"] = float64(h.Count())
+				out[name+braced(keys[i])+"_sum"] = h.Sum()
+				out[name+braced(keys[i])+"_count"] = float64(h.Count())
 			}
 		}
 	}
 	return out
+}
+
+// snapshotScalars adds a counter or gauge family's children to out.
+func snapshotScalars[T any](out map[string]float64, f *family[T], value func(*T) float64) {
+	keys, children := f.sortedChildren()
+	for i, c := range children {
+		out[f.name+braced(keys[i])] = value(c)
+	}
 }
 
 // Handler returns an http.Handler serving the registry in Prometheus

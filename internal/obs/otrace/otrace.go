@@ -174,15 +174,12 @@ type Attr struct {
 	Value any    `json:"value"`
 }
 
-// String, Int, Float and Bool build Attrs without making callers spell
+// String, Int, Int64 and Bool build Attrs without making callers spell
 // out the struct.
 func String(k, v string) Attr      { return Attr{Key: k, Value: v} }
 func Int(k string, v int) Attr     { return Attr{Key: k, Value: v} }
 func Int64(k string, v int64) Attr { return Attr{Key: k, Value: v} }
-func Float(k string, v float64) Attr {
-	return Attr{Key: k, Value: v}
-}
-func Bool(k string, v bool) Attr { return Attr{Key: k, Value: v} }
+func Bool(k string, v bool) Attr   { return Attr{Key: k, Value: v} }
 
 // Span status values.
 const (

@@ -5,114 +5,83 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
-// HistogramVec is a family of Histograms sharing one name and bucket
-// layout, distinguished by label values — the minimal labeled-metric
-// subset the serve tier's per-route × status-class RED metrics need.
-// Children are created on first use and never evicted; label sets are
-// expected to be low-cardinality by construction (route patterns ×
-// status classes, not raw paths).
-type HistogramVec struct {
-	name   string
-	labels []string
-	bounds []float64
+// family is a set of metrics of one type sharing a name, distinguished
+// by label values. Every registered metric is a family: a label-free
+// counter, gauge or histogram is the family with no label names and one
+// child. Children are created on first use and never evicted; label
+// sets are expected to be low-cardinality by construction (route
+// patterns × status classes, shard indices × a fixed operation
+// vocabulary — never raw paths).
+type family[T any] struct {
+	name     string
+	help     string
+	labels   []string
+	newChild func() *T
 
 	mu       sync.RWMutex
-	children map[string]*Histogram // key: rendered label text, e.g. `code="2xx",route="/api/runs"`
+	children map[string]*T // key: rendered label text, e.g. `route="/api/runs",code="2xx"`
 }
 
-// With returns the child histogram for the given label values (one per
-// registered label name, in order), creating it on first use. The
-// returned *Histogram is cacheable by the caller; Observe on it is the
-// same lock-free atomic path as an unlabeled histogram.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	key := v.renderLabels(values)
-	v.mu.RLock()
-	h, ok := v.children[key]
-	v.mu.RUnlock()
+// CounterVec is a family of Counters — the shard tier's per-shard ×
+// RPC-kind error counts.
+type CounterVec = family[Counter]
+
+// HistogramVec is a family of Histograms sharing one bucket layout —
+// the serve tier's per-route × status-class RED metrics.
+type HistogramVec = family[Histogram]
+
+// With returns the child for the given label values (one per registered
+// label name, in order), creating it on first use. The returned child
+// is cacheable by the caller; updating it is the same lock-free atomic
+// path whether or not the family has labels.
+func (f *family[T]) With(values ...string) *T {
+	key := f.renderLabels(values)
+	f.mu.RLock()
+	c, ok := f.children[key]
+	f.mu.RUnlock()
 	if ok {
-		return h
+		return c
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h, ok = v.children[key]; ok {
-		return h
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if c, ok = f.children[key]; ok {
+		return c
 	}
-	h = &Histogram{bounds: append([]float64(nil), v.bounds...)}
-	h.counts = make([]atomic.Uint64, len(v.bounds)+1)
-	v.children[key] = h
-	return h
+	c = f.newChild()
+	f.children[key] = c
+	return c
 }
 
 // renderLabels produces the canonical Prometheus label text for the
-// given values: names sorted at registration time, values escaped.
-func (v *HistogramVec) renderLabels(values []string) string {
-	return renderLabels(v.name, v.labels, values)
-}
-
-func renderLabels(name string, labels, values []string) string {
-	if len(values) != len(labels) {
-		panic(fmt.Sprintf("obs: metric %q expects %d label values, got %d", name, len(labels), len(values)))
+// given values: names in registration order, values escaped.
+func (f *family[T]) renderLabels(values []string) string {
+	if len(values) != len(f.labels) {
+		panic(fmt.Sprintf("obs: metric %q expects %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
 	parts := make([]string, len(values))
 	for i, val := range values {
-		parts[i] = labels[i] + `="` + escapeLabel(val) + `"`
+		parts[i] = f.labels[i] + `="` + escapeLabel(val) + `"`
 	}
 	return strings.Join(parts, ",")
 }
 
-// CounterVec is a family of Counters sharing one name, distinguished by
-// label values — the shard tier's per-shard × RPC-kind error counts.
-// Children are created on first use and never evicted; label sets are
-// expected to be low-cardinality by construction (shard indices × a
-// fixed operation vocabulary).
-type CounterVec struct {
-	name   string
-	labels []string
-
-	mu       sync.RWMutex
-	children map[string]*Counter // key: rendered label text
-}
-
-// With returns the child counter for the given label values (one per
-// registered label name, in order), creating it on first use. The
-// returned *Counter is cacheable by the caller; Inc/Add on it is the
-// same lock-free atomic path as an unlabeled counter.
-func (v *CounterVec) With(values ...string) *Counter {
-	key := renderLabels(v.name, v.labels, values)
-	v.mu.RLock()
-	c, ok := v.children[key]
-	v.mu.RUnlock()
-	if ok {
-		return c
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c, ok = v.children[key]; ok {
-		return c
-	}
-	c = &Counter{}
-	v.children[key] = c
-	return c
-}
-
 // sortedChildren snapshots the children sorted by label text for stable
 // exposition.
-func (v *CounterVec) sortedChildren() (keys []string, cs []*Counter) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	keys = make([]string, 0, len(v.children))
-	for k := range v.children {
+func (f *family[T]) sortedChildren() (keys []string, children []*T) {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	keys = make([]string, 0, len(f.children))
+	for k := range f.children {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	cs = make([]*Counter, len(keys))
+	children = make([]*T, len(keys))
 	for i, k := range keys {
-		cs[i] = v.children[k]
+		children[i] = f.children[k]
 	}
-	return keys, cs
+	return keys, children
 }
 
 // escapeLabel escapes a label value per the Prometheus text format.
@@ -134,21 +103,4 @@ func escapeLabel(s string) string {
 		}
 	}
 	return b.String()
-}
-
-// sortedChildren snapshots the children sorted by label text for stable
-// exposition.
-func (v *HistogramVec) sortedChildren() (keys []string, hs []*Histogram) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	keys = make([]string, 0, len(v.children))
-	for k := range v.children {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	hs = make([]*Histogram, len(keys))
-	for i, k := range keys {
-		hs[i] = v.children[k]
-	}
-	return keys, hs
 }

@@ -155,3 +155,58 @@ func TestBehaviorFragmentSurvivesOtherShardPublish(t *testing.T) {
 		t.Error("corpusVersion did not advance across the publish")
 	}
 }
+
+// TestDesignCacheAcrossSkewedReplicaPublish is the serving side of
+// shard's TestClusterVersionVectorFromAcks: over a replica set whose
+// replicas start at different versions, a design cached before a hot
+// publish is a miss after it, and from then on /readyz (the replicas'
+// own minimum) and /api/corpus (the coordinator's vector) report the
+// same version.
+func TestDesignCacheAcrossSkewedReplicaPublish(t *testing.T) {
+	ctx := context.Background()
+	ahead, behind := shard.NewLocalShard(0), shard.NewLocalShard(0)
+	for i := 0; i < 2; i++ {
+		if _, err := ahead.Publish(ctx, shard.PublishRequest{Replace: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := obs.NewRegistry()
+	set, err := shard.NewReplicaSet(0, []shard.ShardClient{ahead, behind}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := shard.New(shard.Options{Clients: []shard.ShardClient{set}, Replicas: 2, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadCopy(t, c, standardSnapshot(t))
+	s := newTestServer(t, func(cfg *Config) { cfg.Cluster = c })
+
+	for _, want := range []string{"miss", "hit"} {
+		if w := postDesign(t, s, `{"n": 3}`); w.Code != http.StatusOK || w.Header().Get("X-Cache") != want {
+			t.Fatalf("design before publish: %d X-Cache=%q, want %s", w.Code, w.Header().Get("X-Cache"), want)
+		}
+	}
+	if _, err := s.publishRuns("skew-job", dominatedRuns(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if w := postDesign(t, s, `{"n": 3}`); w.Code != http.StatusOK || w.Header().Get("X-Cache") != "miss" {
+		t.Errorf("design after publish: %d X-Cache=%q, want miss", w.Code, w.Header().Get("X-Cache"))
+	}
+
+	var probe struct {
+		Detail struct {
+			Shards []shard.InfoResponse `json:"shards"`
+		} `json:"detail"`
+	}
+	decodeJSON(t, get(t, s, "/readyz"), &probe)
+	var info struct {
+		Shards struct {
+			VersionVector string `json:"versionVector"`
+		} `json:"shards"`
+	}
+	decodeJSON(t, get(t, s, "/api/corpus"), &info)
+	if got := strconv.FormatUint(probe.Detail.Shards[0].Version, 10); got != info.Shards.VersionVector || got != "4" {
+		t.Errorf("/readyz reports version %s, /api/corpus vector %q; want both 4", got, info.Shards.VersionVector)
+	}
+}

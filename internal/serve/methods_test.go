@@ -124,3 +124,46 @@ func TestRequestBodyBound(t *testing.T) {
 		}
 	}
 }
+
+// TestRouteLabels pins the route label of every kind of request — the
+// `route` values of gcbench_serve_route_seconds, which the benchmark
+// scrapes by name. A wrong-method hit labels with the route it hit, an
+// unknown API path with one fixed name, everything under /debug/ with
+// another, and nothing ever with a raw path.
+func TestRouteLabels(t *testing.T) {
+	mgr := jobs.NewManager(jobs.Config{Registry: obs.NewRegistry()})
+	s := newTestServer(t, func(cfg *Config) { cfg.Jobs = mgr })
+	for _, c := range []struct{ method, path, want string }{
+		{http.MethodGet, "/api/runs?algorithm=PR", "/api/runs"},
+		{http.MethodHead, "/api/runs", "/api/runs"},
+		{http.MethodPut, "/api/runs", "/api/runs"},
+		{http.MethodGet, "/api/behavior/some-key", "/api/behavior/{key}"},
+		{http.MethodPost, "/api/ensemble/design", "/api/ensemble/design"},
+		{http.MethodGet, "/api/ensemble/best", "/api/ensemble/best"},
+		{http.MethodGet, "/api/predict", "/api/predict"},
+		{http.MethodGet, "/api/corpus", "/api/corpus"},
+		{http.MethodPost, "/api/corpus/reload", "/api/corpus/reload"},
+		{http.MethodPost, "/api/campaigns", "/api/campaigns"},
+		{http.MethodGet, "/api/jobs", "/api/jobs"},
+		{http.MethodDelete, "/api/jobs/j1", "/api/jobs/{id}"},
+		{http.MethodGet, "/api/jobs/j1/events", "/api/jobs/{id}/events"},
+		{http.MethodGet, "/api/jobs/j1/nope", "/api/unknown"},
+		{http.MethodGet, "/api/nope", "/api/unknown"},
+		{http.MethodGet, "/api/", "/api/unknown"},
+		{http.MethodGet, "/api", "/api/unknown"},
+		{http.MethodGet, "/metrics", "/metrics"},
+		{http.MethodGet, "/statusz", "/statusz"},
+		{http.MethodGet, "/healthz", "/healthz"},
+		{http.MethodGet, "/readyz", "/readyz"},
+		{http.MethodGet, "/debug/pprof/heap", "/debug"},
+		{http.MethodGet, "/debug/vars", "/debug"},
+		{http.MethodGet, "/debug/nope", "/debug"},
+		{http.MethodGet, "/debug", "other"},
+		{http.MethodGet, "/metrics/x", "other"},
+		{http.MethodGet, "/", "other"},
+	} {
+		if got := s.routeLabel(httptest.NewRequest(c.method, c.path, nil)); got != c.want {
+			t.Errorf("%s %s: route label %q, want %q", c.method, c.path, got, c.want)
+		}
+	}
+}

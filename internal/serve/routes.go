@@ -6,81 +6,41 @@ import (
 	"strings"
 )
 
-// apiRoute records one registered API pattern for the wrong-method
-// fallback: net/http's ServeMux would answer a wrong-method hit with a
-// bare text 405, so the server keeps its own table and renders the same
-// structured JSON error envelope (plus an accurate Allow header) that
-// every other API failure uses.
-type apiRoute struct {
-	method  string
-	pattern string   // the registered pattern verbatim — the metrics route label
-	segs    []string // pattern path segments; "{...}" matches any one segment
-}
+// eventStreamRoute is the long-lived NDJSON job event stream, the one
+// route that must not inherit the per-request deadline.
+const eventStreamRoute = "/api/jobs/{id}/events"
 
-// api registers a method-qualified pattern on the mux and records it in
-// the fallback table.
-func (s *Server) api(mux *http.ServeMux, method, pattern string, h http.HandlerFunc) {
-	mux.HandleFunc(method+" "+pattern, h)
-	s.routes = append(s.routes, apiRoute{
-		method:  method,
-		pattern: pattern,
-		segs:    strings.Split(strings.Trim(pattern, "/"), "/"),
-	})
-}
+// unknownAPIRoute is the catch-all under the API prefix; it only
+// answers 404.
+const unknownAPIRoute = "/api/"
 
-// matches reports whether the route's pattern matches the request path
-// segments ({wildcard} segments match anything non-empty).
-func (r apiRoute) matches(segs []string) bool {
-	if len(segs) != len(r.segs) {
-		return false
-	}
-	for i, p := range r.segs {
-		if strings.HasPrefix(p, "{") && strings.HasSuffix(p, "}") {
-			if segs[i] == "" {
-				return false
-			}
-			continue
-		}
-		if p != segs[i] {
-			return false
-		}
-	}
-	return true
-}
+// methods is the handler of one API pattern: the pattern is registered
+// on the mux without a method, so a wrong-method hit still reaches the
+// route and gets the same structured JSON error envelope (plus an
+// accurate Allow header) every other API failure uses, instead of
+// net/http's bare text 405.
+type methods map[string]http.HandlerFunc
 
-// handleAPIFallback answers every /api/* request the method-qualified
-// patterns did not: 405 + Allow for a known path hit with the wrong
-// method, 404 for an unknown path — both as JSON error envelopes.
-func (s *Server) handleAPIFallback(w http.ResponseWriter, r *http.Request) {
-	segs := strings.Split(strings.Trim(r.URL.Path, "/"), "/")
-	allowed := map[string]bool{}
-	for _, rt := range s.routes {
-		if rt.matches(segs) {
-			allowed[rt.method] = true
-			if rt.method == http.MethodGet {
-				// The mux serves HEAD through GET handlers; advertise it.
-				allowed[http.MethodHead] = true
-			}
-		}
+func (m methods) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	method := r.Method
+	if method == http.MethodHead {
+		// HEAD is served through the GET handler, as the mux would.
+		method = http.MethodGet
 	}
-	if len(allowed) == 0 {
-		writeError(w, http.StatusNotFound, "not_found", "no API route matches %s", r.URL.Path)
+	if h, ok := m[method]; ok {
+		h(w, r)
 		return
 	}
-	methods := make([]string, 0, len(allowed))
-	for m := range allowed {
-		methods = append(methods, m)
+	allowed := make([]string, 0, len(m)+1)
+	for has := range m {
+		allowed = append(allowed, has)
+		if has == http.MethodGet {
+			allowed = append(allowed, http.MethodHead)
+		}
 	}
-	sort.Strings(methods)
-	w.Header().Set("Allow", strings.Join(methods, ", "))
+	sort.Strings(allowed)
+	allow := strings.Join(allowed, ", ")
+	w.Header().Set("Allow", allow)
 	writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
-		"%s does not allow %s (allowed: %s)", r.URL.Path, r.Method, strings.Join(methods, ", "))
-}
-
-// isEventStream reports whether the request is a long-lived NDJSON job
-// event stream, which must not inherit the per-request deadline.
-func isEventStream(r *http.Request) bool {
-	return r.Method == http.MethodGet &&
-		strings.HasPrefix(r.URL.Path, "/api/jobs/") &&
-		strings.HasSuffix(r.URL.Path, "/events")
+		"%s does not allow %s (allowed: %s)", r.URL.Path, r.Method, allow)
 }

@@ -58,11 +58,9 @@ type Config struct {
 	// constructors (see internal/shard).
 	Cluster *shard.Cluster
 	// Samples sizes the shared Monte-Carlo coverage estimator
-	// (default ensemble.DefaultSamples, the paper's 10^6).
+	// (default ensemble.DefaultSamples, the paper's 10^6). Its seed is
+	// sampleSeed.
 	Samples int
-	// SampleSeed seeds the estimator (default 0x5eed, matching the
-	// figures pipeline so served scores agree with `gcbench figures`).
-	SampleSeed uint64
 	// Workers bounds concurrent ensemble searches (default GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds design requests waiting for a worker before the
@@ -113,9 +111,9 @@ type Server struct {
 	flight flight.Group[[]byte]
 	pool   *workPool
 
+	mux     *http.ServeMux
 	handler http.Handler
 	start   time.Time
-	routes  []apiRoute
 
 	mu      sync.Mutex
 	httpSrv *http.Server
@@ -144,6 +142,10 @@ type Server struct {
 	mPublishes *obs.Counter
 }
 
+// sampleSeed seeds the coverage estimator, matching the figures
+// pipeline so served scores agree with `gcbench figures`.
+const sampleSeed = 0x5eed
+
 // latencyBuckets spans sub-millisecond cache hits to multi-second cold
 // coverage searches.
 var latencyBuckets = []float64{.0005, .001, .005, .01, .05, .1, .5, 1, 5, 10, 30, 60}
@@ -166,9 +168,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Samples == 0 {
 		cfg.Samples = ensemble.DefaultSamples
-	}
-	if cfg.SampleSeed == 0 {
-		cfg.SampleSeed = 0x5eed
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -215,26 +214,29 @@ func New(cfg Config) (*Server, error) {
 		mPublishes: reg.Counter("gcbench_serve_job_publishes_total", "Completed jobs whose runs were appended to the live corpus."),
 	}
 
+	// The mux is the route table: each API pattern is registered once,
+	// without a method, and its methods value dispatches (or answers 405).
 	mux := http.NewServeMux()
-	s.api(mux, http.MethodGet, "/api/runs", s.handleRuns)
-	s.api(mux, http.MethodGet, "/api/behavior/{key}", s.handleBehavior)
-	s.api(mux, http.MethodPost, "/api/ensemble/design", s.handleDesign)
-	s.api(mux, http.MethodGet, "/api/ensemble/best", s.handleBest)
-	s.api(mux, http.MethodGet, "/api/predict", s.handlePredict)
-	s.api(mux, http.MethodGet, "/api/corpus", s.handleCorpusInfo)
-	s.api(mux, http.MethodPost, "/api/corpus/reload", s.handleReload)
+	s.mux = mux
+	mux.Handle("/api/runs", methods{http.MethodGet: s.handleRuns})
+	mux.Handle("/api/behavior/{key}", methods{http.MethodGet: s.handleBehavior})
+	mux.Handle("/api/ensemble/design", methods{http.MethodPost: s.handleDesign})
+	mux.Handle("/api/ensemble/best", methods{http.MethodGet: s.handleBest})
+	mux.Handle("/api/predict", methods{http.MethodGet: s.handlePredict})
+	mux.Handle("/api/corpus", methods{http.MethodGet: s.handleCorpusInfo})
+	mux.Handle("/api/corpus/reload", methods{http.MethodPost: s.handleReload})
 	if cfg.Jobs != nil {
-		s.api(mux, http.MethodPost, "/api/campaigns", s.handleSubmitCampaign)
-		s.api(mux, http.MethodGet, "/api/jobs", s.handleJobs)
-		s.api(mux, http.MethodGet, "/api/jobs/{id}", s.handleJob)
-		s.api(mux, http.MethodDelete, "/api/jobs/{id}", s.handleJobCancel)
-		s.api(mux, http.MethodGet, "/api/jobs/{id}/events", s.handleJobEvents)
+		mux.Handle("/api/campaigns", methods{http.MethodPost: s.handleSubmitCampaign})
+		mux.Handle("/api/jobs", methods{http.MethodGet: s.handleJobs})
+		mux.Handle("/api/jobs/{id}", methods{http.MethodGet: s.handleJob, http.MethodDelete: s.handleJobCancel})
+		mux.Handle(eventStreamRoute, methods{http.MethodGet: s.handleJobEvents})
 		cfg.Jobs.SetPublish(s.publishRuns)
 	}
-	// Anything else under /api/ is either a wrong-method hit on a real
-	// route (405 + Allow) or an unknown path (404), both with the same
+	// Anything else under /api/ is an unknown path: 404 with the same
 	// structured JSON error envelope as every other API failure.
-	mux.HandleFunc("/api/", s.handleAPIFallback)
+	mux.HandleFunc(unknownAPIRoute, func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, http.StatusNotFound, "not_found", "no API route matches %s", r.URL.Path)
+	})
 	obs.RegisterRoutes(mux, obs.ServerOptions{
 		Registry: reg,
 		Status:   func() any { return s.Status() },
@@ -267,7 +269,7 @@ func (s *Server) readiness() (bool, any) {
 // use (one Monte-Carlo sample pool for the whole process lifetime).
 func (s *Server) estimator() (*ensemble.CoverageEstimator, error) {
 	s.covOnce.Do(func() {
-		s.cov, s.covErr = ensemble.NewCoverageEstimator(s.cfg.Samples, s.cfg.SampleSeed)
+		s.cov, s.covErr = ensemble.NewCoverageEstimator(s.cfg.Samples, sampleSeed)
 	})
 	return s.cov, s.covErr
 }
@@ -311,12 +313,12 @@ func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter 
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx := r.Context()
-		if !isEventStream(r) {
+		route := s.routeLabel(r)
+		if route != eventStreamRoute {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
 			defer cancel()
 		}
-		route := s.routeLabel(r)
 		var (
 			ri   *reqInfo
 			tr   *otrace.Trace

@@ -54,29 +54,22 @@ func reqInfoFrom(ctx context.Context) *reqInfo {
 }
 
 // routeLabel maps a request to a bounded-cardinality route label: the
-// registered API pattern when one matches (regardless of method, so 405s
-// label with the route they hit), a fixed name for the observability
-// surface, and "other" for everything else — never the raw path, which
-// would let clients mint unbounded label values.
+// mux pattern the request matches (whatever its method, so 405s label
+// with the route they hit), "/api/unknown" for the API catch-all, one
+// name for everything under /debug/, and "other" where nothing matches
+// — never the raw path, which would let clients mint unbounded label
+// values.
 func (s *Server) routeLabel(r *http.Request) string {
-	path := r.URL.Path
-	if strings.HasPrefix(path, "/api/") || path == "/api" {
-		segs := strings.Split(strings.Trim(path, "/"), "/")
-		for _, rt := range s.routes {
-			if rt.matches(segs) {
-				return rt.pattern
-			}
-		}
+	_, pattern := s.mux.Handler(r)
+	switch {
+	case pattern == unknownAPIRoute:
 		return "/api/unknown"
-	}
-	switch path {
-	case "/metrics", "/statusz", "/healthz", "/readyz":
-		return path
-	}
-	if strings.HasPrefix(path, "/debug/") {
+	case strings.HasPrefix(r.URL.Path, "/debug/"):
 		return "/debug"
+	case pattern == "":
+		return "other"
 	}
-	return "other"
+	return pattern
 }
 
 // statusClass renders an HTTP status as its Prometheus-friendly class

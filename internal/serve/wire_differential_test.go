@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"gcbench/internal/corpus"
 	"gcbench/internal/obs"
 	"gcbench/internal/shard"
 )
@@ -250,7 +249,7 @@ func TestReplicaFailoverUnderLoad(t *testing.T) {
 	// killable[s][r] closes replica r of shard s.
 	killable := make([][]*httptest.Server, shards)
 	for s := 0; s < shards; s++ {
-		local := shard.NewLocalShard(s, 1, corpus.PoolMember)
+		local := shard.NewLocalShard(s)
 		var reps []shard.ShardClient
 		for r := 0; r < replicas; r++ {
 			// Both replica endpoints front the same LocalShard so their

@@ -20,11 +20,10 @@ import (
 type Options struct {
 	// Shards is the partition count (default 1).
 	Shards int
-	// Replicas is the read-replica count per shard (default 1).
+	// Replicas is the read-replica count per shard (default 1). In
+	// process, R > 1 puts a ReplicaSet of R LocalShards behind each
+	// shard — each replica holds its own snapshot, as over the wire.
 	Replicas int
-	// VirtualNodes is the ring's per-shard virtual-node count
-	// (default DefaultVirtualNodes).
-	VirtualNodes int
 	// Registry receives the gcbench_shard_* metrics (default obs.Default()).
 	Registry *obs.Registry
 	// Clients, when non-empty, supplies one logical transport per shard
@@ -56,8 +55,6 @@ type View struct {
 	// across publishes of unrelated shards by keying on
 	// (owner shard version, NormEpoch).
 	NormEpoch int64
-	// BuiltAt is the view's construction time.
-	BuiltAt time.Time
 
 	// poolIdxBySeq maps a record's global sequence number to its index
 	// in Merged.Pool (-1 when the record is not a pool member).
@@ -114,9 +111,9 @@ type Cluster struct {
 	shards []ShardClient
 
 	view atomic.Pointer[View]
-	// pubMu serializes publishers (Load, Append, Reload) against each
-	// other. Readers never take it: they load the view pointer and the
-	// shard replicas' snapshot pointers, both atomic.
+	// pubMu serializes publishers (Load, Append, Reload, Rehydrate)
+	// against each other. Readers never take it: they load the view
+	// pointer and the shards' snapshot pointers, both atomic.
 	pubMu sync.Mutex
 
 	mFanouts  *obs.Counter
@@ -153,7 +150,7 @@ func New(opts Options) (*Cluster, error) {
 	if opts.Registry == nil {
 		opts.Registry = obs.Default()
 	}
-	ring, err := NewRing(opts.Shards, opts.VirtualNodes)
+	ring, err := NewRing(opts.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -168,14 +165,37 @@ func New(opts Options) (*Cluster, error) {
 		mRPCErrs: opts.Registry.CounterVec(rpcErrorsMetric,
 			rpcErrorsHelp, []string{"shard", "kind"}),
 	}
-	if len(opts.Clients) > 0 {
-		c.shards = append(c.shards, opts.Clients...)
-	} else {
-		for i := 0; i < opts.Shards; i++ {
-			c.shards = append(c.shards, NewLocalShard(i, opts.Replicas, corpus.PoolMember))
+	c.shards = append(c.shards, opts.Clients...)
+	for i := len(c.shards); i < opts.Shards; i++ {
+		// One replica routes straight to the LocalShard; more are the same
+		// ReplicaSet fan-out the wire deployment uses.
+		var client ShardClient = NewLocalShard(i)
+		if opts.Replicas > 1 {
+			replicas := []ShardClient{client}
+			for len(replicas) < opts.Replicas {
+				replicas = append(replicas, NewLocalShard(i))
+			}
+			if client, err = NewReplicaSet(i, replicas, opts.Registry); err != nil {
+				return nil, err
+			}
 		}
+		c.shards = append(c.shards, client)
 	}
 	return c, nil
+}
+
+// timedCall is the one instrumented shard call: fn's latency lands in
+// gcbench_shard_request_seconds{shard,op} and a failure counts in
+// gcbench_shard_rpc_errors_total{shard,kind=op}.
+func timedCall[Resp any](c *Cluster, shard int, op string, fn func() (Resp, error)) (Resp, error) {
+	label := strconv.Itoa(shard)
+	begin := time.Now()
+	resp, err := fn()
+	c.mShardLat.With(label, op).Observe(time.Since(begin).Seconds())
+	if err != nil {
+		c.mRPCErrs.With(label, op).Inc()
+	}
+	return resp, err
 }
 
 // rpcErrorsMetric is shared by the Cluster (logical call failures) and
@@ -191,9 +211,6 @@ func (c *Cluster) Shards() int { return c.opts.Shards }
 
 // Replicas returns the per-shard replica count.
 func (c *Cluster) Replicas() int { return c.opts.Replicas }
-
-// Ring returns the cluster's consistent-hash ring.
-func (c *Cluster) Ring() *Ring { return c.ring }
 
 // View returns the current global view (nil before Load).
 func (c *Cluster) View() *View { return c.view.Load() }
@@ -227,21 +244,7 @@ func (c *Cluster) Ready(ctx context.Context) (bool, []InfoResponse) {
 func (c *Cluster) Load(ctx context.Context, snap *corpus.Snapshot) (*View, error) {
 	c.pubMu.Lock()
 	defer c.pubMu.Unlock()
-	return c.replaceLocked(ctx, snap)
-}
-
-// replaceLocked implements Load and Reload: full-partition Replace
-// publishes to every shard, then a fresh view.
-func (c *Cluster) replaceLocked(ctx context.Context, snap *corpus.Snapshot) (*View, error) {
-	parts := make([][]Entry, len(c.shards))
-	for seq := range snap.Records {
-		owner := c.ring.Owner(snap.Records[seq].Key)
-		parts[owner] = append(parts[owner], Entry{Seq: seq, Record: snap.Records[seq]})
-	}
-	if err := c.publishAll(ctx, parts, true, nil); err != nil {
-		return nil, err
-	}
-	return c.installView(ctx, snap)
+	return c.publishLocked(ctx, snap, 0, true, -1)
 }
 
 // Append publishes the merged view grown by runs — corpus.Grow defines
@@ -257,24 +260,11 @@ func (c *Cluster) Append(ctx context.Context, runs []*behavior.Run, from string)
 	if cur == nil {
 		return nil, fmt.Errorf("shard: cluster has no published view")
 	}
-	old := cur.Merged
-	merged, err := corpus.Grow(old, runs, from)
+	merged, err := corpus.Grow(cur.Merged, runs, from)
 	if err != nil {
 		return nil, err
 	}
-	parts := make([][]Entry, len(c.shards))
-	for seq := len(old.Records); seq < len(merged.Records); seq++ {
-		owner := c.ring.Owner(merged.Records[seq].Key)
-		parts[owner] = append(parts[owner], Entry{Seq: seq, Record: merged.Records[seq]})
-	}
-	affected := make([]bool, len(c.shards))
-	for i := range parts {
-		affected[i] = len(parts[i]) > 0
-	}
-	if err := c.publishAll(ctx, parts, false, affected); err != nil {
-		return nil, err
-	}
-	return c.installView(ctx, merged)
+	return c.publishLocked(ctx, merged, len(cur.Merged.Records), false, -1)
 }
 
 // Reload re-reads the merged view's source file and replaces every
@@ -290,102 +280,125 @@ func (c *Cluster) Reload(ctx context.Context) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.replaceLocked(ctx, snap)
+	return c.publishLocked(ctx, snap, 0, true, -1)
 }
 
-// publishAll pushes partitions to their shards in parallel (one RPC per
-// shard, each serialized only by that shard's own publish mutex). With
-// affected non-nil, only flagged shards are published (append); nil
-// publishes every shard (replace). Every publish carries the epoch
-// fence — last acknowledged version + 1 — so replicas acknowledge in
-// lockstep and restarted processes can never regress the version
-// vector. Any failure aborts the view swap, so readers keep the
-// previous consistent view; the cluster then needs a Reload to
-// re-establish partition/view agreement.
-func (c *Cluster) publishAll(ctx context.Context, parts [][]Entry, replace bool, affected []bool) error {
-	fence := c.fences()
-	var wg sync.WaitGroup
-	errs := make([]error, len(c.shards))
-	for i := range c.shards {
-		if affected != nil && !affected[i] {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			begin := time.Now()
-			_, err := c.shards[i].Publish(ctx, PublishRequest{
-				Replace: replace, Entries: parts[i], MinVersion: fence[i],
-			})
-			c.mShardLat.With(strconv.Itoa(i), "publish").Observe(time.Since(begin).Seconds())
-			errs[i] = err
-		}(i)
+// Rehydrate restores a restarted shard from the coordinator's current
+// merged view: the shard's whole partition is republished (Replace, to
+// every replica) with the epoch fence, and a new view installs with
+// that shard's version-vector entry advanced. Restart amnesia is the
+// failure this heals — a shard process that crashed lost both its
+// in-memory partition and its version counter; the republish restores
+// the exact records the merged view says it owns (including every
+// hot-publish since initial load, which the on-disk corpus source alone
+// would not), and the fence lands it strictly above every version it
+// served before.
+//
+// The merged snapshot itself is unchanged — the corpus did not move, so
+// the cluster epoch (corpusVersion) and NormEpoch stay put and every
+// /api body renders exactly as before the crash. Only the version
+// vector advances, which retires the dead process's cache keys: caches
+// keyed on (VV) or (owner version, NormEpoch) can never serve a body
+// the restarted shard no longer backs.
+func (c *Cluster) Rehydrate(ctx context.Context, shardID int) (*View, error) {
+	if shardID < 0 || shardID >= len(c.shards) {
+		return nil, fmt.Errorf("shard: rehydrate shard %d of %d", shardID, len(c.shards))
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			c.mRPCErrs.With(strconv.Itoa(i), "publish").Inc()
-			return fmt.Errorf("shard %d: publish: %w", i, err)
-		}
+	c.pubMu.Lock()
+	defer c.pubMu.Unlock()
+	cur := c.View()
+	if cur == nil {
+		return nil, fmt.Errorf("shard: cluster has no published view to rehydrate from")
 	}
-	return nil
+	return c.publishLocked(ctx, cur.Merged, 0, true, shardID)
 }
 
-// fences returns the per-shard publish fence: the last version the
-// coordinator saw acknowledged, plus one. Called with pubMu held.
-func (c *Cluster) fences() []uint64 {
-	fence := make([]uint64, len(c.shards))
-	if cur := c.View(); cur != nil {
-		for i, v := range cur.VV {
-			fence[i] = v + 1
-		}
-	} else {
-		for i := range fence {
-			fence[i] = 1
-		}
-	}
-	return fence
-}
-
-// installView assembles and atomically publishes the next global view
-// from the current shard versions and the freshly merged snapshot.
-// Shards are already published when this runs, so every key the view
-// knows is fetchable from its owner.
-func (c *Cluster) installView(ctx context.Context, merged *corpus.Snapshot) (*View, error) {
+// publishLocked is the one publish path; the caller holds pubMu. It
+// partitions merged.Records[from:] by ring owner, publishes — in
+// parallel, one RPC per shard, each serialized only by that shard's own
+// publish mutex — to shard `only`, or with only < 0 to every shard
+// (replace) or every shard that owns a new record (append), and
+// installs the next view.
+//
+// Every publish carries the epoch fence — the last acknowledged version
+// + 1 — so replicas acknowledge in lockstep and a restarted process can
+// never regress the version vector; the vector's new entries are the
+// versions the publishes acknowledged. Shards are published before the
+// view swaps, so every key a view knows is fetchable from its owner;
+// any failure aborts the swap and readers keep the previous consistent
+// view (the cluster then needs a Reload to re-establish partition/view
+// agreement).
+//
+// Republishing the snapshot the current view already holds (rehydrate)
+// keeps the cluster epoch and NormEpoch; any other snapshot advances
+// the epoch, and NormEpoch with it unless the normalization is
+// unchanged.
+func (c *Cluster) publishLocked(ctx context.Context, merged *corpus.Snapshot, from int, replace bool, only int) (*View, error) {
 	prev := c.View()
-	var epoch int64 = 1
-	if prev != nil {
-		epoch = prev.Epoch() + 1
-	}
-	merged.Version = epoch
-	vv := make([]uint64, len(c.shards))
-	for i, s := range c.shards {
-		info, err := s.Info(ctx, InfoRequest{})
-		if err != nil {
-			c.mRPCErrs.With(strconv.Itoa(i), "info").Inc()
-			return nil, fmt.Errorf("shard %d: info: %w", i, err)
-		}
-		vv[i] = info.Version
-	}
 	v := &View{
 		Merged:       merged,
-		VV:           vv,
-		NormEpoch:    epoch,
-		BuiltAt:      time.Now(),
+		VV:           make([]uint64, len(c.shards)),
 		poolIdxBySeq: make([]int, len(merged.Records)),
 		ownerBySeq:   make([]int, len(merged.Records)),
 	}
+	if prev != nil {
+		copy(v.VV, prev.VV)
+		copy(v.ownerBySeq[:from], prev.ownerBySeq)
+	}
+	parts := make([][]Entry, len(c.shards))
+	for seq := from; seq < len(merged.Records); seq++ {
+		owner := c.ring.Owner(merged.Records[seq].Key)
+		v.ownerBySeq[seq] = owner
+		parts[owner] = append(parts[owner], Entry{Seq: seq, Record: merged.Records[seq]})
+	}
 	for seq := range v.poolIdxBySeq {
 		v.poolIdxBySeq[seq] = -1
-		v.ownerBySeq[seq] = c.ring.Owner(merged.Records[seq].Key)
 	}
 	for pi := 0; pi < merged.PoolSize(); pi++ {
 		if seq, ok := merged.Lookup(merged.PoolRecord(pi).Key); ok {
 			v.poolIdxBySeq[seq] = pi
 		}
 	}
-	if prev != nil && sameNormalization(prev.Merged, merged) {
+
+	op := "publish"
+	if only >= 0 {
+		op = "rehydrate"
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, len(c.shards))
+	for i := range c.shards {
+		if (only >= 0 && i != only) || (!replace && len(parts[i]) == 0) {
+			continue
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ack, err := timedCall(c, i, op, func() (PublishResponse, error) {
+				return c.shards[i].Publish(ctx, PublishRequest{
+					Replace: replace, Entries: parts[i], MinVersion: v.VV[i] + 1,
+				})
+			})
+			v.VV[i], errs[i] = ack.Version, err
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %s: %w", i, op, err)
+		}
+	}
+
+	switch {
+	case prev == nil:
+		merged.Version, v.NormEpoch = 1, 1
+	case merged == prev.Merged:
 		v.NormEpoch = prev.NormEpoch
+	default:
+		merged.Version = prev.Epoch() + 1
+		v.NormEpoch = merged.Version
+		if sameNormalization(prev.Merged, merged) {
+			v.NormEpoch = prev.NormEpoch
+		}
 	}
 	c.view.Store(v)
 	return v, nil
@@ -415,11 +428,10 @@ func (c *Cluster) Get(ctx context.Context, key string) (GetResponse, error) {
 	owner := c.ring.Owner(key)
 	ctx, sp := otrace.StartSpan(ctx, fmt.Sprintf("shard %d get", owner), "shard",
 		otrace.Int("shard", owner), otrace.String("key", key))
-	begin := time.Now()
-	resp, err := c.shards[owner].Get(ctx, GetRequest{Key: key})
-	c.mShardLat.With(strconv.Itoa(owner), "get").Observe(time.Since(begin).Seconds())
+	resp, err := timedCall(c, owner, "get", func() (GetResponse, error) {
+		return c.shards[owner].Get(ctx, GetRequest{Key: key})
+	})
 	if err != nil {
-		c.mRPCErrs.With(strconv.Itoa(owner), "get").Inc()
 		sp.Fail(err.Error())
 	}
 	sp.End()
@@ -479,65 +491,4 @@ func (c *Cluster) Scatter(ctx context.Context, f corpus.Filter, poolOnly bool) (
 	sort.Ints(merged)
 	sp.SetAttr("matches", total)
 	return merged, nil
-}
-
-// Rehydrate restores a restarted shard from the coordinator's current
-// merged view: the shard's whole partition is republished (Replace, to
-// every replica) with the epoch fence, and a new view installs with
-// that shard's version-vector entry advanced. Restart amnesia is the
-// failure this heals — a shard process that crashed lost both its
-// in-memory partition and its version counter; the republish restores
-// the exact records the merged view says it owns (including every
-// hot-publish since initial load, which the on-disk corpus source alone
-// would not), and the fence lands it strictly above every version it
-// served before.
-//
-// The merged snapshot itself is unchanged — the corpus did not move, so
-// the cluster epoch (corpusVersion) and NormEpoch stay put and every
-// /api body renders exactly as before the crash. Only the version
-// vector advances, which retires the dead process's cache keys: caches
-// keyed on (VV) or (owner version, NormEpoch) can never serve a body
-// the restarted shard no longer backs.
-func (c *Cluster) Rehydrate(ctx context.Context, shardID int) (*View, error) {
-	if shardID < 0 || shardID >= len(c.shards) {
-		return nil, fmt.Errorf("shard: rehydrate shard %d of %d", shardID, len(c.shards))
-	}
-	c.pubMu.Lock()
-	defer c.pubMu.Unlock()
-	cur := c.View()
-	if cur == nil {
-		return nil, fmt.Errorf("shard: cluster has no published view to rehydrate from")
-	}
-	var part []Entry
-	for seq := range cur.Merged.Records {
-		if cur.ownerBySeq[seq] == shardID {
-			part = append(part, Entry{Seq: seq, Record: cur.Merged.Records[seq]})
-		}
-	}
-	begin := time.Now()
-	_, err := c.shards[shardID].Publish(ctx, PublishRequest{
-		Replace: true, Entries: part, MinVersion: cur.VV[shardID] + 1,
-	})
-	c.mShardLat.With(strconv.Itoa(shardID), "rehydrate").Observe(time.Since(begin).Seconds())
-	if err != nil {
-		c.mRPCErrs.With(strconv.Itoa(shardID), "rehydrate").Inc()
-		return nil, fmt.Errorf("shard %d: rehydrate: %w", shardID, err)
-	}
-	info, err := c.shards[shardID].Info(ctx, InfoRequest{})
-	if err != nil {
-		c.mRPCErrs.With(strconv.Itoa(shardID), "info").Inc()
-		return nil, fmt.Errorf("shard %d: info after rehydrate: %w", shardID, err)
-	}
-	vv := append([]uint64(nil), cur.VV...)
-	vv[shardID] = info.Version
-	v := &View{
-		Merged:       cur.Merged,
-		VV:           vv,
-		NormEpoch:    cur.NormEpoch,
-		BuiltAt:      time.Now(),
-		poolIdxBySeq: cur.poolIdxBySeq,
-		ownerBySeq:   cur.ownerBySeq,
-	}
-	c.view.Store(v)
-	return v, nil
 }

@@ -31,17 +31,18 @@ var defaultRPCTransport = &http.Transport{
 // cannot be cut short by a ceiling tuned for reads.
 var defaultRPCClient = &http.Client{Transport: defaultRPCTransport}
 
+// Per-call deadlines applied on top of the caller's context: reads are
+// small; publishes ship whole partitions.
+const (
+	rpcTimeout     = 5 * time.Second
+	publishTimeout = 60 * time.Second
+)
+
 // RemoteOptions parameterizes a RemoteShard.
 type RemoteOptions struct {
 	// Shard is the shard index served by the endpoint (metric label and
 	// error-message context).
 	Shard int
-	// Timeout is the per-call deadline applied on top of the caller's
-	// context (default 5s). Publishes get PublishTimeout instead.
-	Timeout time.Duration
-	// PublishTimeout bounds publish calls, which ship whole partitions
-	// (default 60s).
-	PublishTimeout time.Duration
 	// Retries is how many extra attempts a read (Info/Get/Select) gets
 	// after a transport-level failure (default 2). Publishes are never
 	// retried here: the coordinator owns publish recovery, and a blind
@@ -66,9 +67,7 @@ type RemoteOptions struct {
 // deadlines and bounded, jittered retry on transport-level read
 // failures. Safe for concurrent use.
 type RemoteShard struct {
-	shard int
 	base  string
-	hc    *http.Client
 	opts  RemoteOptions
 	mErrs *obs.CounterVec
 }
@@ -78,12 +77,6 @@ type RemoteShard struct {
 func NewRemoteShard(baseURL string, opts RemoteOptions) *RemoteShard {
 	if !strings.Contains(baseURL, "://") {
 		baseURL = "http://" + baseURL
-	}
-	if opts.Timeout == 0 {
-		opts.Timeout = 5 * time.Second
-	}
-	if opts.PublishTimeout == 0 {
-		opts.PublishTimeout = 60 * time.Second
 	}
 	if opts.Retries == 0 {
 		opts.Retries = 2
@@ -98,9 +91,7 @@ func NewRemoteShard(baseURL string, opts RemoteOptions) *RemoteShard {
 		opts.Registry = obs.Default()
 	}
 	return &RemoteShard{
-		shard: opts.Shard,
 		base:  strings.TrimRight(baseURL, "/"),
-		hc:    opts.Client,
 		opts:  opts,
 		mErrs: opts.Registry.CounterVec(rpcErrorsMetric, rpcErrorsHelp, []string{"shard", "kind"}),
 	}
@@ -109,42 +100,35 @@ func NewRemoteShard(baseURL string, opts RemoteOptions) *RemoteShard {
 // Addr returns the endpoint the client targets.
 func (r *RemoteShard) Addr() string { return r.base }
 
-// errRemoteApp tags an application-level error relayed from the shard
-// process (HTTP status + wire error body): the request reached the
-// shard and was answered; retrying the transport cannot change the
-// answer.
-type errRemoteApp struct {
-	status int
-	msg    string
-}
+// errRemoteApp is an application-level error relayed from the shard
+// process (the wire error body, or the HTTP status line without one):
+// the request reached the shard and was answered; retrying the
+// transport cannot change the answer.
+type errRemoteApp string
 
-func (e errRemoteApp) Error() string { return e.msg }
+func (e errRemoteApp) Error() string { return string(e) }
 
 // call performs one RPC with bounded retry: transport failures
 // (connection refused while a process restarts, a torn connection, a
 // deadline on the wire) are retried for idempotent reads with jittered
 // doubling backoff; application errors and publishes are not.
-func (r *RemoteShard) call(ctx context.Context, op string, req, resp any, idempotent bool) error {
+func call[Resp any](ctx context.Context, r *RemoteShard, op string, req any, idempotent bool) (resp Resp, err error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return fmt.Errorf("shard %d: marshal %s: %w", r.shard, op, err)
+		return resp, fmt.Errorf("shard %d: marshal %s: %w", r.opts.Shard, op, err)
 	}
-	timeout := r.opts.Timeout
-	retries := 0
+	timeout, retries := publishTimeout, 0
 	if idempotent {
-		retries = r.opts.Retries
-	}
-	if op == "publish" {
-		timeout = r.opts.PublishTimeout
+		timeout, retries = rpcTimeout, r.opts.Retries
 	}
 	backoff := r.opts.RetryBackoff
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		lastErr = r.attempt(ctx, op, body, resp, timeout)
+		lastErr = r.attempt(ctx, op, body, &resp, timeout)
 		if lastErr == nil {
-			return nil
+			return resp, nil
 		}
-		r.mErrs.With(strconv.Itoa(r.shard), op).Inc()
+		r.mErrs.With(strconv.Itoa(r.opts.Shard), op).Inc()
 		var app errRemoteApp
 		if errors.As(lastErr, &app) || attempt >= retries || ctx.Err() != nil {
 			break
@@ -155,10 +139,10 @@ func (r *RemoteShard) call(ctx context.Context, op string, req, resp any, idempo
 		select {
 		case <-time.After(delay):
 		case <-ctx.Done():
-			return ctx.Err()
+			return resp, ctx.Err()
 		}
 	}
-	return fmt.Errorf("shard %d: %s %s: %w", r.shard, op, r.base, lastErr)
+	return resp, fmt.Errorf("shard %d: %s %s: %w", r.opts.Shard, op, r.base, lastErr)
 }
 
 // attempt is one HTTP round trip under the per-call deadline.
@@ -170,7 +154,7 @@ func (r *RemoteShard) attempt(ctx context.Context, op string, body []byte, resp 
 		return err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	hresp, err := r.hc.Do(hreq)
+	hresp, err := r.opts.Client.Do(hreq)
 	if err != nil {
 		return err
 	}
@@ -183,7 +167,7 @@ func (r *RemoteShard) attempt(ctx context.Context, op string, body []byte, resp 
 				msg = werr.Error
 			}
 		}
-		return errRemoteApp{status: hresp.StatusCode, msg: msg}
+		return errRemoteApp(msg)
 	}
 	if err := json.NewDecoder(hresp.Body).Decode(resp); err != nil {
 		return fmt.Errorf("decoding %s response: %w", op, err)
@@ -199,7 +183,7 @@ func (r *RemoteShard) Healthy(ctx context.Context, timeout time.Duration) bool {
 	if err != nil {
 		return false
 	}
-	resp, err := r.hc.Do(req)
+	resp, err := r.opts.Client.Do(req)
 	if err != nil {
 		return false
 	}
@@ -210,28 +194,20 @@ func (r *RemoteShard) Healthy(ctx context.Context, timeout time.Duration) bool {
 
 // Info implements ShardClient.
 func (r *RemoteShard) Info(ctx context.Context, req InfoRequest) (InfoResponse, error) {
-	var resp InfoResponse
-	err := r.call(ctx, "info", req, &resp, true)
-	return resp, err
+	return call[InfoResponse](ctx, r, "info", req, true)
 }
 
 // Get implements ShardClient.
 func (r *RemoteShard) Get(ctx context.Context, req GetRequest) (GetResponse, error) {
-	var resp GetResponse
-	err := r.call(ctx, "get", req, &resp, true)
-	return resp, err
+	return call[GetResponse](ctx, r, "get", req, true)
 }
 
 // Select implements ShardClient.
 func (r *RemoteShard) Select(ctx context.Context, req SelectRequest) (SelectResponse, error) {
-	var resp SelectResponse
-	err := r.call(ctx, "select", req, &resp, true)
-	return resp, err
+	return call[SelectResponse](ctx, r, "select", req, true)
 }
 
 // Publish implements ShardClient. Not retried: see RemoteOptions.Retries.
 func (r *RemoteShard) Publish(ctx context.Context, req PublishRequest) (PublishResponse, error) {
-	var resp PublishResponse
-	err := r.call(ctx, "publish", req, &resp, false)
-	return resp, err
+	return call[PublishResponse](ctx, r, "publish", req, false)
 }

@@ -10,14 +10,15 @@ import (
 	"gcbench/internal/obs"
 )
 
-// ReplicaSet groups R replica endpoints of one shard into the single
-// logical ShardClient the Cluster routes to. Reads spread round-robin
-// across the replicas and fail over: a dead or not-yet-rehydrated
-// replica's error sends the read to the next survivor instead of
-// surfacing, so one crashed process degrades capacity, not
-// availability. Publishes fan out to every replica and succeed only
-// when all acknowledge — the install-before-ack guarantee LocalShard
-// gives in-process, preserved across processes. Info aggregates the
+// ReplicaSet groups R replica endpoints of one shard — LocalShards in
+// process, RemoteShards over TCP — into the single logical ShardClient
+// the Cluster routes to; it is the only replica mechanism. Reads spread
+// round-robin across the replicas and fail over: a dead or
+// not-yet-rehydrated replica's error sends the read to the next
+// survivor instead of surfacing, so one crashed process degrades
+// capacity, not availability. Publishes fan out to every replica and
+// succeed only when all acknowledge — the install-before-ack guarantee
+// of one LocalShard, preserved across the set. Info aggregates the
 // set's state, reporting unreachable replicas as Down so /readyz can
 // show the shard degraded while failover keeps reads green.
 type ReplicaSet struct {
@@ -71,39 +72,42 @@ func failover[Resp any](ctx context.Context, rs *ReplicaSet, kind string, op fun
 	return zero, fmt.Errorf("shard %d: all %d replicas failed: %w", rs.shard, len(rs.replicas), lastErr)
 }
 
+// each runs op against every replica concurrently and returns the
+// answers by replica index.
+func each[Resp any](rs *ReplicaSet, op func(ShardClient) (Resp, error)) ([]Resp, []error) {
+	resps := make([]Resp, len(rs.replicas))
+	errs := make([]error, len(rs.replicas))
+	var wg sync.WaitGroup
+	for i, replica := range rs.replicas {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resps[i], errs[i] = op(replica)
+		}()
+	}
+	wg.Wait()
+	return resps, errs
+}
+
 // Info implements ShardClient: every replica is probed concurrently and
 // the answers aggregate into the shard's serving state. Version is the
 // minimum over reachable replicas — the version any read is guaranteed
 // to see at least — and Down counts the unreachable ones. Only a shard
 // with zero reachable replicas errors.
 func (rs *ReplicaSet) Info(ctx context.Context, req InfoRequest) (InfoResponse, error) {
-	type probe struct {
-		info InfoResponse
-		err  error
-	}
-	probes := make([]probe, len(rs.replicas))
-	var wg sync.WaitGroup
-	for i, replica := range rs.replicas {
-		wg.Add(1)
-		go func(i int, replica ShardClient) {
-			defer wg.Done()
-			probes[i].info, probes[i].err = replica.Info(ctx, req)
-		}(i, replica)
-	}
-	wg.Wait()
+	infos, errs := each(rs, func(c ShardClient) (InfoResponse, error) { return c.Info(ctx, req) })
 	agg := InfoResponse{Shard: rs.shard, Replicas: len(rs.replicas)}
 	live := 0
 	var lastErr error
-	for i := range probes {
-		if probes[i].err != nil {
+	for i, info := range infos {
+		if errs[i] != nil {
 			rs.mErrs.With(strconv.Itoa(rs.shard), "replica_info").Inc()
 			agg.Down++
-			lastErr = probes[i].err
+			lastErr = errs[i]
 			continue
 		}
-		if live == 0 || probes[i].info.Version < agg.Version {
-			agg.Version = probes[i].info.Version
-			agg.Records = probes[i].info.Records
+		if live == 0 || info.Version < agg.Version {
+			agg.Version, agg.Records = info.Version, info.Records
 		}
 		live++
 	}
@@ -135,25 +139,15 @@ func (rs *ReplicaSet) Select(ctx context.Context, req SelectRequest) (SelectResp
 // coordinator keeps its previous view and the supervisor's restore path
 // retries once the replica is back.
 func (rs *ReplicaSet) Publish(ctx context.Context, req PublishRequest) (PublishResponse, error) {
-	resps := make([]PublishResponse, len(rs.replicas))
-	errs := make([]error, len(rs.replicas))
-	var wg sync.WaitGroup
-	for i, replica := range rs.replicas {
-		wg.Add(1)
-		go func(i int, replica ShardClient) {
-			defer wg.Done()
-			resps[i], errs[i] = replica.Publish(ctx, req)
-		}(i, replica)
-	}
-	wg.Wait()
+	acks, errs := each(rs, func(c ShardClient) (PublishResponse, error) { return c.Publish(ctx, req) })
 	agg := PublishResponse{}
-	for i := range rs.replicas {
+	for i, ack := range acks {
 		if errs[i] != nil {
 			rs.mErrs.With(strconv.Itoa(rs.shard), "replica_publish").Inc()
 			return PublishResponse{}, fmt.Errorf("shard %d replica %d: publish: %w", rs.shard, i, errs[i])
 		}
-		if resps[i].Version > agg.Version {
-			agg = resps[i]
+		if ack.Version > agg.Version {
+			agg = ack
 		}
 	}
 	return agg, nil

@@ -1,13 +1,16 @@
-// Package shard is the sharded, replicated corpus serving tier: it
-// splits a behavior corpus across N store instances by consistent-hash
-// of record key, replicates each shard's immutable snapshots across R
-// replicas for lock-free reads, and coordinates scatter-gather queries
-// and versioned hot-publish through a Cluster.
+// Package shard is the sharded, replicated corpus serving tier, in four
+// layers: a replica endpoint (LocalShard in process, RemoteShard over
+// TCP) holds one immutable snapshot of one partition; a ReplicaSet —
+// the only replica mechanism — puts R endpoints of a shard behind one
+// client with read failover; a Cluster splits the corpus across N
+// shards by consistent hash of record key and coordinates versioned
+// hot-publish and scatter-gather queries; a Supervisor keeps spawned
+// shard processes alive.
 //
 // The shard boundary is the RPC-shaped ShardClient interface: every
 // method takes a context and exchanges JSON-serializable request/
-// response structs, so the in-process LocalShard can be swapped for a
-// wire transport without touching the coordinator. Results are bit-
+// response structs, so endpoint, set and transport are interchangeable
+// without touching the coordinator. Results are bit-
 // identical to the single-store path by construction: the Cluster
 // rebuilds its merged global view (normalization maxima, canonical
 // record order, ensemble pool, predictor) through the same
@@ -21,21 +24,19 @@ import (
 	"sort"
 )
 
-// DefaultVirtualNodes is the ring's default virtual-node count per
-// shard. 160 points per shard keeps the key distribution within a few
-// percent of uniform for realistic shard counts while the ring stays
-// small enough to rebuild instantly on resize.
-const DefaultVirtualNodes = 160
+// virtualNodes is the ring's virtual-node count per shard. 160 points
+// per shard keeps the key distribution within a few percent of uniform
+// for realistic shard counts while the ring stays small enough to
+// rebuild instantly on resize.
+const virtualNodes = 160
 
 // Ring is a consistent-hash ring mapping record keys to shard indices.
-// Each shard owns VirtualNodes points on the ring; a key belongs to the
+// Each shard owns virtualNodes points on the ring; a key belongs to the
 // shard owning the first point clockwise of the key's hash. Immutable
 // after construction — resizing builds a new Ring, and consistent
 // hashing bounds how many keys change owner to roughly K/N.
 type Ring struct {
-	vnodes int
 	points []ringPoint // sorted by hash
-	shards int
 }
 
 type ringPoint struct {
@@ -43,22 +44,14 @@ type ringPoint struct {
 	shard int
 }
 
-// NewRing builds a ring over shards shard indices (0..shards-1) with
-// vnodes virtual nodes each (0 means DefaultVirtualNodes).
-func NewRing(shards, vnodes int) (*Ring, error) {
+// NewRing builds a ring over shards shard indices (0..shards-1).
+func NewRing(shards int) (*Ring, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("shard: ring needs at least 1 shard, got %d", shards)
 	}
-	if vnodes == 0 {
-		vnodes = DefaultVirtualNodes
-	}
-	if vnodes < 1 {
-		return nil, fmt.Errorf("shard: ring needs at least 1 virtual node per shard, got %d", vnodes)
-	}
-	r := &Ring{vnodes: vnodes, shards: shards}
-	r.points = make([]ringPoint, 0, shards*vnodes)
+	r := &Ring{points: make([]ringPoint, 0, shards*virtualNodes)}
 	for s := 0; s < shards; s++ {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			r.points = append(r.points, ringPoint{
 				hash:  hashKey(fmt.Sprintf("shard-%d#vnode-%d", s, v)),
 				shard: s,
@@ -75,12 +68,6 @@ func NewRing(shards, vnodes int) (*Ring, error) {
 	})
 	return r, nil
 }
-
-// Shards returns the ring's shard count.
-func (r *Ring) Shards() int { return r.shards }
-
-// VirtualNodes returns the per-shard virtual-node count.
-func (r *Ring) VirtualNodes() int { return r.vnodes }
 
 // Owner returns the shard index owning key.
 func (r *Ring) Owner(key string) int {

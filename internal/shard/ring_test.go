@@ -17,11 +17,11 @@ func probeKeys(n int) []string {
 }
 
 func TestRingDeterministicAndValid(t *testing.T) {
-	a, err := NewRing(5, 0)
+	a, err := NewRing(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := NewRing(5, 0)
+	b, _ := NewRing(5)
 	for _, k := range probeKeys(500) {
 		oa, ob := a.Owner(k), b.Owner(k)
 		if oa != ob {
@@ -31,11 +31,8 @@ func TestRingDeterministicAndValid(t *testing.T) {
 			t.Fatalf("owner out of range: %q → %d", k, oa)
 		}
 	}
-	if _, err := NewRing(0, 0); err == nil {
+	if _, err := NewRing(0); err == nil {
 		t.Error("0-shard ring accepted")
-	}
-	if _, err := NewRing(2, -1); err == nil {
-		t.Error("negative vnode count accepted")
 	}
 }
 
@@ -48,7 +45,7 @@ func TestRingUniformity(t *testing.T) {
 	const K = 20000
 	keys := probeKeys(K)
 	for _, n := range []int{2, 4, 8, 16} {
-		r, err := NewRing(n, 0)
+		r, err := NewRing(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,8 +71,8 @@ func TestRingBoundedMovementOnAdd(t *testing.T) {
 	const K = 20000
 	keys := probeKeys(K)
 	for _, n := range []int{2, 4, 8} {
-		before, _ := NewRing(n, 0)
-		after, _ := NewRing(n+1, 0)
+		before, _ := NewRing(n)
+		after, _ := NewRing(n + 1)
 		moved := 0
 		for _, k := range keys {
 			a, b := before.Owner(k), after.Owner(k)
@@ -105,8 +102,8 @@ func TestRingBoundedMovementOnRemove(t *testing.T) {
 	const K = 20000
 	keys := probeKeys(K)
 	for _, n := range []int{2, 4, 8} {
-		before, _ := NewRing(n+1, 0)
-		after, _ := NewRing(n, 0)
+		before, _ := NewRing(n + 1)
+		after, _ := NewRing(n)
 		moved := 0
 		for _, k := range keys {
 			a, b := before.Owner(k), after.Owner(k)

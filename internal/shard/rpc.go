@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-
-	"gcbench/internal/corpus"
 )
 
 // The shard wire protocol is deliberately minimal: each ShardClient
@@ -91,10 +89,7 @@ func writeRPC(w http.ResponseWriter, status int, v any) {
 }
 
 // NewProcessShard returns the ShardClient a standalone shard process
-// serves: a single replica of shard id, classifying ensemble-pool
-// membership identically to the coordinator. The process is one
-// replica endpoint; the coordinator's ReplicaSet is the replica
-// fan-out, so R replicas of a shard are R of these processes.
-func NewProcessShard(id int) *LocalShard {
-	return NewLocalShard(id, 1, corpus.PoolMember)
-}
+// serves: one replica endpoint of shard id, the same LocalShard the
+// in-process deployment routes to. The coordinator's ReplicaSet is the
+// replica fan-out, so R replicas of a shard are R of these processes.
+func NewProcessShard(id int) *LocalShard { return NewLocalShard(id) }

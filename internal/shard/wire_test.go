@@ -7,11 +7,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"gcbench/internal/behavior"
 	"gcbench/internal/corpus"
 	"gcbench/internal/obs"
 )
@@ -35,7 +37,7 @@ func testEntries(t testing.TB, n int) []Entry {
 // protocol and returns a RemoteShard client for it.
 func wireShard(t testing.TB, id int) (*LocalShard, *RemoteShard) {
 	t.Helper()
-	local := NewLocalShard(id, 1, corpus.PoolMember)
+	local := NewLocalShard(id)
 	srv := httptest.NewServer(RPCHandler(local))
 	t.Cleanup(srv.Close)
 	remote := NewRemoteShard(srv.URL, RemoteOptions{Shard: id, Registry: obs.NewRegistry()})
@@ -168,7 +170,7 @@ func (p *flakyProxy) run() {
 // fence).
 func TestRemoteRetriesTransientReads(t *testing.T) {
 	ctx := context.Background()
-	local := NewLocalShard(0, 1, corpus.PoolMember)
+	local := NewLocalShard(0)
 	if _, err := local.Publish(ctx, PublishRequest{Replace: true, Entries: testEntries(t, 8)}); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +217,7 @@ func TestPublishEpochFence(t *testing.T) {
 	ctx := context.Background()
 	entries := testEntries(t, 4)
 
-	s := NewLocalShard(0, 2, corpus.PoolMember)
+	s := NewLocalShard(0)
 	for i := 0; i < 3; i++ {
 		if _, err := s.Publish(ctx, PublishRequest{Replace: true, Entries: entries}); err != nil {
 			t.Fatal(err)
@@ -254,7 +256,7 @@ func TestPublishEpochFence(t *testing.T) {
 
 	// Restart: a fresh process is version 0. Rehydrating with the
 	// coordinator's fence lands strictly above the pre-crash version.
-	restarted := NewLocalShard(0, 2, corpus.PoolMember)
+	restarted := NewLocalShard(0)
 	resp, err = restarted.Publish(ctx, PublishRequest{Replace: true, Entries: entries, MinVersion: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -271,13 +273,13 @@ func TestReplicaSetFailover(t *testing.T) {
 	ctx := context.Background()
 	entries := testEntries(t, 10)
 
-	local := NewLocalShard(0, 1, corpus.PoolMember)
+	local := NewLocalShard(0)
 	if _, err := local.Publish(ctx, PublishRequest{Replace: true, Entries: entries}); err != nil {
 		t.Fatal(err)
 	}
 	alive := httptest.NewServer(RPCHandler(local))
 	defer alive.Close()
-	dead := httptest.NewServer(RPCHandler(NewLocalShard(0, 1, corpus.PoolMember)))
+	dead := httptest.NewServer(RPCHandler(NewLocalShard(0)))
 	deadAddr := dead.URL
 	dead.Close() // connection refused from here on
 
@@ -334,7 +336,7 @@ func TestReplicaSetPublishFence(t *testing.T) {
 	ctx := context.Background()
 	entries := testEntries(t, 6)
 
-	locals := []*LocalShard{NewLocalShard(0, 1, corpus.PoolMember), NewLocalShard(0, 1, corpus.PoolMember)}
+	locals := []*LocalShard{NewLocalShard(0), NewLocalShard(0)}
 	// Skew the replicas' starting versions — exactly what a crash-restart
 	// produces — then prove the fence re-converges them.
 	for i := 0; i < 3; i++ {
@@ -367,6 +369,142 @@ func TestReplicaSetPublishFence(t *testing.T) {
 	}
 }
 
+// TestClusterVersionVectorFromAcks is the cluster-level case of the
+// fence: over a replica set whose replicas start at skewed versions,
+// the coordinator's version vector is built from what the publishes
+// acknowledged (the set's highest replica), so the next fence lifts the
+// lagging replica and one Append re-converges the set — the vector
+// entry, and both replicas' own versions, agree. A vector read back
+// through Info (the set's minimum) would fence one above the laggard
+// forever and never converge.
+func TestClusterVersionVectorFromAcks(t *testing.T) {
+	ctx := context.Background()
+	replicas := []*LocalShard{NewLocalShard(0), NewLocalShard(0)}
+	// Replica 0 acknowledged two publishes its sibling never saw.
+	for i := 0; i < 2; i++ {
+		if _, err := replicas[0].Publish(ctx, PublishRequest{Replace: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := obs.NewRegistry()
+	rs, err := NewReplicaSet(0, []ShardClient{replicas[0], replicas[1]}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Options{Clients: []ShardClient{rs}, Replicas: 2, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := c.Load(ctx, mustSnapshotCopy(t, standardSnapshot(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.VV[0] != 3 {
+		t.Fatalf("VV after load = %v, want the acknowledged 3 (replica 0 went 2 → 3)", loaded.VV)
+	}
+	grown, err := c.Append(ctx, []*behavior.Run{fakeRun("PR", "ack", 2.0)}, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grown.VV[0] != 4 {
+		t.Errorf("VV after append = %v, want 4 (fence 3+1)", grown.VV)
+	}
+	for i, r := range replicas {
+		info, err := r.Info(ctx, InfoRequest{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Version != grown.VV[0] || info.Records != len(grown.Merged.Records) {
+			t.Errorf("replica %d: version %d with %d records, view says version %d with %d",
+				i, info.Version, info.Records, grown.VV[0], len(grown.Merged.Records))
+		}
+	}
+	// The vector is the design cache's key component: a design cached
+	// before the publish can not be addressed after it.
+	if loaded.VVString() == grown.VVString() {
+		t.Errorf("version vector %q did not move across the publish", grown.VVString())
+	}
+}
+
+// downShard is a ShardClient whose every call fails while down is set.
+type downShard struct {
+	ShardClient
+	down atomic.Bool
+}
+
+func (d *downShard) Info(ctx context.Context, req InfoRequest) (InfoResponse, error) {
+	if d.down.Load() {
+		return InfoResponse{}, context.DeadlineExceeded
+	}
+	return d.ShardClient.Info(ctx, req)
+}
+
+func (d *downShard) Publish(ctx context.Context, req PublishRequest) (PublishResponse, error) {
+	if d.down.Load() {
+		return PublishResponse{}, context.DeadlineExceeded
+	}
+	return d.ShardClient.Publish(ctx, req)
+}
+
+// TestAppendTouchesOnlyOwners: an append talks to the shards that own a
+// new record and to no other — an unreachable bystander can not fail a
+// publish whose partitions are all installed. A failed publish counts
+// one error per shard that failed and leaves the view where it was.
+func TestAppendTouchesOnlyOwners(t *testing.T) {
+	ctx := context.Background()
+	reg := obs.NewRegistry()
+	shards := make([]*downShard, 3)
+	clients := make([]ShardClient, len(shards))
+	for i := range shards {
+		shards[i] = &downShard{ShardClient: NewLocalShard(i)}
+		clients[i] = shards[i]
+	}
+	c, err := New(Options{Clients: clients, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := c.Load(ctx, mustSnapshotCopy(t, standardSnapshot(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := fakeRun("PR", "bystander", 2.0)
+	owner := c.Owner(corpus.KeyOf(run.Algorithm, run.SizeLabel, run.Alpha))
+	for i, s := range shards {
+		s.down.Store(i != owner)
+	}
+	grown, err := c.Append(ctx, []*behavior.Run{run}, "test")
+	if err != nil {
+		t.Fatalf("append with only bystander shards down: %v", err)
+	}
+	for i := range shards {
+		want := loaded.VV[i]
+		if i == owner {
+			want++
+		}
+		if grown.VV[i] != want {
+			t.Errorf("VV[%d] = %d, want %d", i, grown.VV[i], want)
+		}
+	}
+
+	// Everything down: a reload fails on all three shards, counts all
+	// three, and readers keep the view they had.
+	for _, s := range shards {
+		s.down.Store(true)
+	}
+	if _, err := c.Load(ctx, mustSnapshotCopy(t, standardSnapshot(t))); err == nil {
+		t.Fatal("load over unreachable shards succeeded")
+	}
+	errs := reg.CounterVec(rpcErrorsMetric, rpcErrorsHelp, []string{"shard", "kind"})
+	for i := range shards {
+		if got := errs.With(strconv.Itoa(i), "publish").Value(); got != 1 {
+			t.Errorf("publish errors counted for shard %d = %v, want 1", i, got)
+		}
+	}
+	if c.View() != grown {
+		t.Error("a failed publish replaced the view")
+	}
+}
+
 // spawnHookShard is the Supervisor test double for one process slot: a
 // real HTTP server on the pinned address, serving a fresh (version-0)
 // LocalShard each incarnation — the restart-amnesia behavior of a real
@@ -376,7 +514,7 @@ func spawnHookShard(t testing.TB, spec ProcSpec) (wait func() error, kill func()
 	if err != nil {
 		return nil, nil, err
 	}
-	srv := &http.Server{Handler: RPCHandler(NewLocalShard(spec.Shard, 1, corpus.PoolMember))}
+	srv := &http.Server{Handler: RPCHandler(NewLocalShard(spec.Shard))}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 	return func() error { return <-done },
@@ -476,7 +614,7 @@ func freePorts(n int) ([]string, error) {
 // leading whitespace, which the decoder must read through.
 func TestRPCBodyBound(t *testing.T) {
 	const bound = 4096
-	local := NewLocalShard(0, 1, corpus.PoolMember)
+	local := NewLocalShard(0)
 	if _, err := local.Publish(context.Background(), PublishRequest{Replace: true, Entries: testEntries(t, 1)}); err != nil {
 		t.Fatal(err)
 	}
