@@ -255,6 +255,14 @@ type Trace struct {
 	start time.Time
 	store *Store
 
+	// Guarded by store.mu: the insertion-order list links (nil once the
+	// store dropped the trace), the insertion sequence, and the eviction
+	// queue and slot the trace sits in once its root ended.
+	prev, next *Trace
+	seq        int64
+	queue      *seqHeap
+	slot       int
+
 	mu        sync.Mutex
 	spans     []SpanData
 	dropped   int

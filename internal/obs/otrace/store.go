@@ -1,7 +1,8 @@
 package otrace
 
 import (
-	"sort"
+	"container/heap"
+	"slices"
 	"sync"
 	"time"
 )
@@ -26,16 +27,48 @@ type Store struct {
 
 	mu     sync.Mutex
 	traces map[TraceID]*Trace
-	order  []TraceID // insertion order, oldest first
+	// ring is the sentinel of the insertion-order list threaded through
+	// Trace.prev/next: ring.next is the oldest retained trace, ring.prev
+	// the newest.
+	ring Trace
+	// boring and guarded queue the retained finished traces by insertion
+	// sequence, split by the protected flag as the root ended. Mark or a
+	// late failing child can protect a trace afterwards, so eviction
+	// re-checks the head of boring and moves it over if so.
+	boring, guarded seqHeap
 
 	// durs is a sliding window of recent root durations, the slowest-
-	// decile reference. Fixed size, overwritten circularly.
-	durs  []time.Duration
-	durAt int
-	durN  int
+	// decile reference: fixed size, overwritten circularly. sorted holds
+	// the same values ascending, so the p90 is one index away.
+	durs   []time.Duration
+	durAt  int
+	sorted []time.Duration
 
 	started int64
 	evicted int64
+}
+
+// seqHeap is a min-heap of traces by insertion sequence. Each trace
+// records its heap and slot so removeLocked can take it out of the middle.
+type seqHeap []*Trace
+
+func (h seqHeap) Len() int           { return len(h) }
+func (h seqHeap) Less(i, j int) bool { return h[i].seq < h[j].seq }
+func (h seqHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].slot, h[j].slot = i, j
+}
+func (h *seqHeap) Push(x any) {
+	t := x.(*Trace)
+	t.queue, t.slot = h, len(*h)
+	*h = append(*h, t)
+}
+func (h *seqHeap) Pop() any {
+	n := len(*h) - 1
+	t := (*h)[n]
+	(*h)[n], t.queue = nil, nil
+	*h = (*h)[:n]
+	return t
 }
 
 // DefaultCapacity bounds retained traces when Config.Capacity is 0.
@@ -56,12 +89,15 @@ func NewStore(capacity int) *Store {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Store{
+	st := &Store{
 		capacity: capacity,
 		maxSpans: DefaultMaxSpans,
 		traces:   make(map[TraceID]*Trace),
 		durs:     make([]time.Duration, slowWindow),
+		sorted:   make([]time.Duration, 0, slowWindow),
 	}
+	st.ring.prev, st.ring.next = &st.ring, &st.ring
+	return st
 }
 
 // SetMaxSpans overrides the per-trace span cap (testing and tight
@@ -89,117 +125,106 @@ func (st *Store) StartTrace(name, kind string, tid TraceID, parent SpanID, attrs
 	if tid.IsZero() {
 		tid = NewTraceID()
 	}
-	st.mu.Lock()
-	maxSpans := st.maxSpans
-	st.mu.Unlock()
-	tr := &Trace{id: tid, start: time.Now(), store: st, maxSpans: maxSpans}
+	tr := &Trace{id: tid, start: time.Now(), store: st}
 	sp := newSpan(tr, SpanID{}, name, kind, attrs)
 	sp.data.RemoteParent = parent
 
 	st.mu.Lock()
 	st.started++
-	if _, ok := st.traces[tid]; ok {
+	tr.maxSpans, tr.seq = st.maxSpans, st.started
+	if old, ok := st.traces[tid]; ok {
 		// A trace id replayed by a client collides; the newer trace wins
 		// and the older one is dropped from the index.
-		st.removeLocked(tid)
+		st.removeLocked(old)
 	}
 	st.traces[tid] = tr
-	st.order = append(st.order, tid)
+	tr.prev, tr.next = st.ring.prev, &st.ring
+	tr.prev.next, st.ring.prev = tr, tr
 	st.evictLocked()
 	st.mu.Unlock()
 	return tr, sp
 }
 
-// rootEnd records the root duration for the slow-decile reference and
-// flags slow traces as protected. Called by Span.End on root spans.
+// rootEnd records the root duration for the slow-decile reference, flags
+// slow and failed traces as protected, and queues the trace for
+// eviction. Called by Span.End on root spans.
 func (t *Trace) rootEnd(root SpanData) {
 	st := t.store
 	if st == nil {
 		return
 	}
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	threshold, have := st.slowThresholdLocked()
+	if len(st.sorted) == len(st.durs) {
+		i, _ := slices.BinarySearch(st.sorted, st.durs[st.durAt])
+		st.sorted = slices.Delete(st.sorted, i, i+1)
+	}
+	i, _ := slices.BinarySearch(st.sorted, root.Duration)
+	st.sorted = slices.Insert(st.sorted, i, root.Duration)
 	st.durs[st.durAt] = root.Duration
 	st.durAt = (st.durAt + 1) % len(st.durs)
-	if st.durN < len(st.durs) {
-		st.durN++
-	}
-	st.mu.Unlock()
 
 	t.mu.Lock()
 	t.rootEnded = true
-	if have && root.Duration >= threshold {
+	if (have && root.Duration >= threshold) || root.Status == StatusError {
 		t.protected = true
 	}
-	if root.Status == StatusError {
-		t.protected = true
-	}
+	protected := t.protected
 	t.mu.Unlock()
+	switch {
+	case t.next == nil: // evicted in flight, or replaced by a replayed id
+	case protected:
+		heap.Push(&st.guarded, t)
+	default:
+		heap.Push(&st.boring, t)
+	}
 }
 
 // slowThresholdLocked returns the p90 of the recent root durations.
 // Callers hold st.mu. have is false until enough samples accumulated
 // for a decile to mean anything.
 func (st *Store) slowThresholdLocked() (time.Duration, bool) {
-	if st.durN < 10 {
-		return 0, false
+	if n := len(st.sorted); n >= 10 {
+		return st.sorted[(n*9)/10], true
 	}
-	window := make([]time.Duration, st.durN)
-	copy(window, st.durs[:st.durN])
-	sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-	return window[(st.durN*9)/10], true
+	return 0, false
 }
 
 // evictLocked enforces the capacity bound: oldest boring finished trace
 // first, then oldest protected finished trace, then (only if everything
 // is still in flight) the oldest trace outright.
 func (st *Store) evictLocked() {
-	for len(st.order) > st.capacity {
-		victim := TraceID{}
-		// Pass 1: oldest finished, unprotected.
-		for _, id := range st.order {
-			tr := st.traces[id]
+	for len(st.traces) > st.capacity {
+		for len(st.boring) > 0 {
+			tr := st.boring[0]
 			tr.mu.Lock()
-			ok := tr.rootEnded && !tr.protected
+			protected := tr.protected
 			tr.mu.Unlock()
-			if ok {
-				victim = id
+			if !protected {
 				break
 			}
+			heap.Push(&st.guarded, heap.Pop(&st.boring))
 		}
-		// Pass 2: oldest finished, protected.
-		if victim.IsZero() {
-			for _, id := range st.order {
-				tr := st.traces[id]
-				tr.mu.Lock()
-				ok := tr.rootEnded
-				tr.mu.Unlock()
-				if ok {
-					victim = id
-					break
-				}
-			}
-		}
-		// Pass 3: everything in flight — drop the oldest.
-		if victim.IsZero() {
-			victim = st.order[0]
+		victim := st.ring.next
+		if len(st.boring) > 0 {
+			victim = st.boring[0]
+		} else if len(st.guarded) > 0 {
+			victim = st.guarded[0]
 		}
 		st.removeLocked(victim)
 		st.evicted++
 	}
 }
 
-// removeLocked deletes one trace from the map and order slice.
-func (st *Store) removeLocked(id TraceID) {
-	if _, ok := st.traces[id]; !ok {
-		return
-	}
-	delete(st.traces, id)
-	for i, o := range st.order {
-		if o == id {
-			st.order = append(st.order[:i], st.order[i+1:]...)
-			break
-		}
+// removeLocked unlinks a retained trace from the map, the insertion-order
+// list and its eviction queue.
+func (st *Store) removeLocked(tr *Trace) {
+	delete(st.traces, tr.id)
+	tr.prev.next, tr.next.prev = tr.next, tr.prev
+	tr.prev, tr.next = nil, nil
+	if tr.queue != nil {
+		heap.Remove(tr.queue, tr.slot)
 	}
 }
 
@@ -238,16 +263,14 @@ func (st *Store) List() []Summary {
 		return nil
 	}
 	st.mu.Lock()
-	ids := append([]TraceID(nil), st.order...)
-	trs := make([]*Trace, len(ids))
-	for i, id := range ids {
-		trs[i] = st.traces[id]
+	trs := make([]*Trace, 0, len(st.traces))
+	for tr := st.ring.prev; tr != &st.ring; tr = tr.prev {
+		trs = append(trs, tr)
 	}
 	st.mu.Unlock()
 
 	out := make([]Summary, 0, len(trs))
-	for i := len(trs) - 1; i >= 0; i-- {
-		tr := trs[i]
+	for _, tr := range trs {
 		s := Summary{TraceID: tr.id, Start: tr.start}
 		tr.mu.Lock()
 		s.Spans = len(tr.spans)

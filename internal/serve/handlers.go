@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"gcbench/internal/algorithms"
 	"gcbench/internal/behavior"
@@ -62,6 +63,43 @@ func summarize(snap *corpus.Snapshot, recIdx int) runSummary {
 		}
 	}
 	return out
+}
+
+// fragTable holds one view's /api/runs record fragments: record i is
+// rendered once, on first use, indented at the depth it occupies inside
+// "runs": [ … ], and every listing of that view is assembled from these
+// bytes. They cannot change within a view; the table is dropped with it.
+type fragTable struct {
+	view *shard.View
+	recs []recFrag
+}
+
+type recFrag struct {
+	once sync.Once
+	json []byte
+	err  error
+}
+
+func (t *fragTable) record(i int) ([]byte, error) {
+	f := &t.recs[i]
+	f.once.Do(func() { f.json, f.err = json.MarshalIndent(summarize(t.view.Merged, i), "  ", " ") })
+	return f.json, f.err
+}
+
+// fragsFor returns view's fragment table, installing a fresh one when
+// view is newer than the table held. A request still on an older view
+// than the one installed gets a table of its own.
+func (s *Server) fragsFor(view *shard.View) *fragTable {
+	for {
+		cur := s.frags.Load()
+		if cur != nil && cur.view == view {
+			return cur
+		}
+		t := &fragTable{view: view, recs: make([]recFrag, len(view.Merged.Records))}
+		if (cur != nil && view.Epoch() < cur.view.Epoch()) || s.frags.CompareAndSwap(cur, t) {
+			return t
+		}
+	}
 }
 
 // parseFilter reads the shared algorithm/size/alpha/status/model query
@@ -141,15 +179,28 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	idx = clampSeqs(idx, len(snap.Records))
-	runs := make([]runSummary, 0, len(idx))
+	frags, size := s.fragsFor(view), 0
 	for _, i := range idx {
-		runs = append(runs, summarize(snap, i))
+		frag, err := frags.record(i)
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, "encoding_failed", "encoding response: %v", err)
+			return
+		}
+		size += len(frag) + len(",\n  ")
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"corpusVersion": snap.Version,
-		"count":         len(runs),
-		"runs":          runs,
-	})
+	body := appendEnvelope(make([]byte, 0, size+128), snap.Version)
+	body = strconv.AppendInt(append(body, ",\n \"count\": "...), int64(len(idx)), 10)
+	body = append(body, ",\n \"runs\": ["...)
+	sep := "\n  "
+	for _, i := range idx {
+		frag, _ := frags.record(i)
+		body = append(append(body, sep...), frag...)
+		sep = ",\n  "
+	}
+	if len(idx) > 0 {
+		body = append(body, "\n "...)
+	}
+	writeBody(w, http.StatusOK, append(body, "]\n}\n"...))
 }
 
 // behaviorDetail extends runSummary with the full activity series and
@@ -194,10 +245,7 @@ func (s *Server) handleBehavior(w http.ResponseWriter, r *http.Request) {
 	if frag, ok := s.cache.Get(fragKey); ok {
 		s.mCacheHit.Inc()
 		reqInfoFrom(r.Context()).setCache("hit")
-		writeJSON(w, http.StatusOK, map[string]any{
-			"corpusVersion": snap.Version,
-			"run":           json.RawMessage(frag),
-		})
+		writeRun(w, snap.Version, frag)
 		return
 	}
 	resp, err := s.cluster.Get(r.Context(), key)
@@ -221,20 +269,23 @@ func (s *Server) handleBehavior(w http.ResponseWriter, r *http.Request) {
 			det.PoolBehavior = &pt
 		}
 	}
-	frag, err := json.Marshal(det)
+	// Indented at its depth inside the envelope, so hits and misses are
+	// assembled from the same bytes and neither re-indents them.
+	frag, err := json.MarshalIndent(det, " ", " ")
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encoding_failed", "encoding record: %v", err)
 		return
 	}
 	s.cache.Put(fragKey, frag)
 	reqInfoFrom(r.Context()).setCache("miss")
-	// The envelope re-indents the compact fragment, so the bytes equal a
-	// direct struct marshal — cached and uncached responses render
-	// identically.
-	writeJSON(w, http.StatusOK, map[string]any{
-		"corpusVersion": snap.Version,
-		"run":           json.RawMessage(frag),
-	})
+	writeRun(w, snap.Version, frag)
+}
+
+// writeRun writes the /api/behavior envelope around a rendered record.
+func writeRun(w http.ResponseWriter, version int64, frag []byte) {
+	body := appendEnvelope(make([]byte, 0, len(frag)+64), version)
+	body = append(append(body, ",\n \"run\": "...), frag...)
+	writeBody(w, http.StatusOK, append(body, "\n}\n"...))
 }
 
 // handlePredict serves GET /api/predict: §7 behavior interpolation for
