@@ -60,6 +60,14 @@ func (o Options) engineOptions() engine.Options {
 	return engine.Options{Workers: o.Workers, MaxIterations: o.MaxIterations, Context: o.Context, Frontier: o.Frontier}
 }
 
+// sendAll signals every neighbor of one arc run: the Scatter of a program
+// whose condition, if any, depends on the scattering vertex alone.
+func sendAll(run []uint32, out *engine.Signals) {
+	for _, o := range run {
+		out.Send(o)
+	}
+}
+
 // Output bundles a run's behavior trace with algorithm-specific summary
 // statistics (e.g. number of components, triangle count, top singular
 // value) for correctness checks and reporting.

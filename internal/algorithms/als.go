@@ -37,8 +37,19 @@ func initFactor(v uint32, scale float64) cfFactor {
 	return f
 }
 
+// cfDot is ⟨a, b⟩, summed in index order.
+func cfDot(a, b *cfFactor) float64 {
+	s := 0.0
+	for i, x := range a {
+		s += x * b[i]
+	}
+	return s
+}
+
 // alsAccum carries the per-vertex normal equations: A = Σ f·fᵀ over rated
-// counterparts, b = Σ rating·f.
+// counterparts, b = Σ rating·f. Only the lower triangle of A is kept —
+// f·fᵀ is symmetric bit for bit and the solver reads nothing above the
+// diagonal.
 type alsAccum struct {
 	A [cfRank * cfRank]float64
 	B cfFactor
@@ -66,62 +77,62 @@ func (p *alsProgram) Init(_ *graph.Graph, v uint32) (cfState, bool) {
 
 func (p *alsProgram) GatherDirection() engine.Direction { return engine.Both }
 
-func (p *alsProgram) Gather(_ uint32, e engine.Arc, _, other cfState) alsAccum {
-	var acc alsAccum
-	for i := 0; i < cfRank; i++ {
-		fi := other.F[i]
-		acc.B[i] = e.Weight * fi
-		row := acc.A[i*cfRank : (i+1)*cfRank]
-		for j := 0; j < cfRank; j++ {
-			row[j] = fi * other.F[j]
+// Gather adds one run of ratings to the normal equations. Products are
+// rounded before they are added (the float64 conversions), as when each
+// rating's contribution was a value of its own, so no platform fuses them.
+func (p *alsProgram) Gather(_ uint32, _ cfState, nb *engine.Edges[cfState], acc *alsAccum, has bool) bool {
+	for e, o := range nb.Other {
+		f, w := &nb.State[o].F, nb.Weight(e)
+		if !has {
+			for i, fi := range f {
+				acc.B[i] = w * fi
+				for j, fj := range f[:i+1] {
+					acc.A[i*cfRank+j] = fi * fj
+				}
+			}
+			acc.N, has = 1, true
+			continue
 		}
+		for i, fi := range f {
+			acc.B[i] += float64(w * fi)
+			for j, fj := range f[:i+1] {
+				acc.A[i*cfRank+j] += float64(fi * fj)
+			}
+		}
+		acc.N++
 	}
-	acc.N = 1
-	return acc
-}
-
-func (p *alsProgram) Sum(a, b alsAccum) alsAccum {
-	for i := range a.A {
-		a.A[i] += b.A[i]
-	}
-	for i := range a.B {
-		a.B[i] += b.B[i]
-	}
-	a.N += b.N
-	return a
+	return true
 }
 
 func (p *alsProgram) Apply(_ uint32, self cfState, acc alsAccum, hasAcc bool) cfState {
 	if !hasAcc {
 		return cfState{F: self.F}
 	}
-	// Ridge: (A + λ·n·I) f = b, weighted-λ ALS regularization.
-	a := acc.A
+	// Ridge: (A + λ·n·I) f = b, weighted-λ ALS regularization. acc is this
+	// call's copy, so the solve may factor in it.
 	for i := 0; i < cfRank; i++ {
-		a[i*cfRank+i] += p.lambda * acc.N
+		acc.A[i*cfRank+i] += p.lambda * acc.N
 	}
-	f, err := linalg.CholeskySolve(a[:], acc.B[:])
-	if err != nil {
+	var next cfState
+	if err := linalg.CholeskySolve(acc.A[:], acc.B[:], next.F[:]); err != nil {
 		// Numerically degenerate system: keep the old factor.
 		return cfState{F: self.F}
 	}
-	var next cfState
-	delta := 0.0
-	for i := range f {
-		next.F[i] = f[i]
-		if d := math.Abs(f[i] - self.F[i]); d > delta {
-			delta = d
+	for i, f := range next.F {
+		if d := math.Abs(f - self.F[i]); d > next.Delta {
+			next.Delta = d
 		}
 	}
-	next.Delta = delta
 	return next
 }
 
 func (p *alsProgram) ScatterDirection() engine.Direction { return engine.Both }
 
 // Scatter wakes the opposite side while this side's factors still move.
-func (p *alsProgram) Scatter(_ uint32, _ engine.Arc, self, _ cfState) bool {
-	return self.Delta > p.tol
+func (p *alsProgram) Scatter(_ uint32, self cfState, nb *engine.Edges[cfState], out *engine.Signals) {
+	if self.Delta > p.tol {
+		sendAll(nb.Other, out)
+	}
 }
 
 // ALSOptions extends Options with factorization parameters.
@@ -153,7 +164,7 @@ func AlternatingLeastSquares(g *graph.Graph, numUsers int, opt ALSOptions) (*Out
 		opt.MaxIterations = 500
 	}
 	p := &alsProgram{numUsers: numUsers, lambda: lambda, tol: tol}
-	res, err := engine.Run(g, engine.PerEdge[cfState, alsAccum](p), opt.engineOptions())
+	res, err := engine.Run[cfState, alsAccum](g, p, opt.engineOptions())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -187,12 +198,7 @@ func ratingRMSE(g *graph.Graph, f []cfFactor) float64 {
 	for u := uint32(0); int(u) < g.NumVertices(); u++ {
 		lo, hi := g.OutArcRange(u)
 		for a := lo; a < hi; a++ {
-			v := g.ArcTarget(a)
-			pred := 0.0
-			for i := 0; i < cfRank; i++ {
-				pred += f[u][i] * f[v][i]
-			}
-			d := pred - g.ArcWeight(a)
+			d := cfDot(&f[u], &f[g.ArcTarget(a)]) - g.ArcWeight(a)
 			se += d * d
 			n++
 		}

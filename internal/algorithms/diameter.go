@@ -48,16 +48,17 @@ func fmBit(v uint32, salt uint64) uint {
 
 func (p *adProgram) GatherDirection() engine.Direction { return engine.In }
 
-func (p *adProgram) Gather(_ uint32, _ engine.Arc, _, other adState) adState {
-	other.Changed = false
-	return other
-}
-
-func (p *adProgram) Sum(a, b adState) adState {
-	for k := 0; k < adSketches; k++ {
-		a.Masks[k] |= b.Masks[k]
+// Gather ORs one run of neighbor sketches into the accumulator.
+func (p *adProgram) Gather(_ uint32, _ adState, nb *engine.Edges[adState], acc *adState, has bool) bool {
+	if !has {
+		*acc = adState{}
 	}
-	return a
+	for _, o := range nb.Other {
+		for k, m := range &nb.State[o].Masks {
+			acc.Masks[k] |= m
+		}
+	}
+	return true
 }
 
 func (p *adProgram) Apply(_ uint32, self adState, acc adState, hasAcc bool) adState {
@@ -79,7 +80,9 @@ func (p *adProgram) ScatterDirection() engine.Direction { return engine.Out }
 
 // Scatter keeps the whole graph active every iteration, as the paper
 // observes for AD; convergence is decided globally in PostIteration.
-func (p *adProgram) Scatter(uint32, engine.Arc, adState, adState) bool { return true }
+func (p *adProgram) Scatter(_ uint32, _ adState, nb *engine.Edges[adState], out *engine.Signals) {
+	sendAll(nb.Other, out)
+}
 
 func (p *adProgram) PostIteration(c *engine.Control[adState]) bool {
 	for _, s := range c.States() {
@@ -101,7 +104,7 @@ func ApproximateDiameter(g *graph.Graph, opt Options) (*Output, int, error) {
 		return nil, 0, fmt.Errorf("algorithms: AD requires an undirected graph")
 	}
 	p := &adProgram{}
-	res, err := engine.Run(g, engine.PerEdge[adState, adState](p), opt.engineOptions())
+	res, err := engine.Run[adState, adState](g, p, opt.engineOptions())
 	if err != nil {
 		return nil, 0, err
 	}

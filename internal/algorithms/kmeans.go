@@ -73,19 +73,16 @@ func (p *kmProgram) GatherDirection() engine.Direction { return engine.Out }
 // Gather reads the neighbor's assignment through the edge — this is why
 // K-Means "requires the most data transferring" (Fig. 13): every edge is
 // read every iteration.
-func (p *kmProgram) Gather(_ uint32, e engine.Arc, _, other kmState) kmVotes {
-	var v kmVotes
-	if int(other.Assign) < p.k {
-		v[other.Assign] = e.Weight
+func (p *kmProgram) Gather(_ uint32, _ kmState, nb *engine.Edges[kmState], acc *kmVotes, has bool) bool {
+	if !has {
+		*acc = kmVotes{}
 	}
-	return v
-}
-
-func (p *kmProgram) Sum(a, b kmVotes) kmVotes {
-	for i := 0; i < p.k; i++ {
-		a[i] += b[i]
+	for e, o := range nb.Other {
+		if c := nb.State[o].Assign; int(c) < p.k {
+			acc[c] += nb.Weight(e)
+		}
 	}
-	return a
+	return true
 }
 
 func (p *kmProgram) Apply(v uint32, self kmState, acc kmVotes, hasAcc bool) kmState {
@@ -101,8 +98,10 @@ func (p *kmProgram) ScatterDirection() engine.Direction { return engine.Out }
 
 // Scatter: "each vertex sends messages to neighbors when the cluster
 // assignment has changed" (§2.1).
-func (p *kmProgram) Scatter(_ uint32, _ engine.Arc, self, _ kmState) bool {
-	return self.Changed
+func (p *kmProgram) Scatter(_ uint32, self kmState, nb *engine.Edges[kmState], out *engine.Signals) {
+	if self.Changed {
+		sendAll(nb.Other, out)
+	}
 }
 
 // PreIteration recomputes centroids from the current assignments — the
@@ -196,7 +195,7 @@ func KMeans(g *graph.Graph, opt KMeansOptions) (*Output, []int32, error) {
 		p.centroids[i] = [2]float64{pt[0], pt[1]}
 	}
 
-	res, err := engine.Run(g, engine.PerEdge[kmState, kmVotes](p), opt.engineOptions())
+	res, err := engine.Run[kmState, kmVotes](g, p, opt.engineOptions())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -58,27 +58,26 @@ func (p *lbpProgram) Init(_ *graph.Graph, v uint32) (lbpState, bool) {
 
 func (p *lbpProgram) GatherDirection() engine.Direction { return engine.Out }
 
-// Gather reads the incoming message m_{u→v} on the reverse arc, caches it
-// in v's inbox slot, and contributes it to the belief product.
-func (p *lbpProgram) Gather(_ uint32, e engine.Arc, _, _ lbpState) lbpBelief {
-	n := p.states()
-	in := p.msg[p.rev[e.Index]*int64(n) : p.rev[e.Index]*int64(n)+int64(n)]
-	copy(p.inbox[e.Index*int64(n):e.Index*int64(n)+int64(n)], in)
-	var b lbpBelief
-	for x := 0; x < n; x++ {
-		b[x] = in[x]
+// Gather reads, per arc of the run, the incoming message m_{u→v} on the
+// reverse arc, caches it in v's inbox slot, and multiplies it into the
+// belief product (slots past the cardinality stay stale; Apply never
+// reads them).
+func (p *lbpProgram) Gather(_ uint32, _ lbpState, nb *engine.Edges[lbpState], acc *lbpBelief, has bool) bool {
+	n := int64(p.states())
+	for e := range nb.Other {
+		a := nb.Index(e)
+		in := p.msg[p.rev[a]*n : p.rev[a]*n+n]
+		copy(p.inbox[a*n:a*n+n], in)
+		if !has {
+			copy(acc[:], in)
+			has = true
+			continue
+		}
+		for x, m := range in {
+			acc[x] *= m
+		}
 	}
-	for x := n; x < lbpMaxStates; x++ {
-		b[x] = 1
-	}
-	return b
-}
-
-func (p *lbpProgram) Sum(a, b lbpBelief) lbpBelief {
-	for x := 0; x < lbpMaxStates; x++ {
-		a[x] *= b[x]
-	}
-	return a
+	return true
 }
 
 func (p *lbpProgram) Apply(v uint32, self lbpState, acc lbpBelief, hasAcc bool) lbpState {
@@ -108,52 +107,58 @@ func (p *lbpProgram) Apply(v uint32, self lbpState, acc lbpBelief, hasAcc bool) 
 
 func (p *lbpProgram) ScatterDirection() engine.Direction { return engine.Out }
 
-// Scatter computes this vertex's outgoing message along arc a = (v→u):
+// Scatter computes this vertex's outgoing message along each arc
+// e = (v→u) of the run:
 //
 //	m_{v→u}(x_u) = Σ_{x_v} φ(x_v, x_u) · ψ_v(x_v) · Π_{w≠u} m_{w→v}(x_v)
 //
 // using the cached inbox for the division-free product, then signals u if
 // the message moved more than the tolerance.
-func (p *lbpProgram) Scatter(v uint32, e engine.Arc, _, _ lbpState) bool {
+func (p *lbpProgram) Scatter(v uint32, _ lbpState, nb *engine.Edges[lbpState], sig *engine.Signals) {
 	n := p.states()
 	lo, hi := p.m.G.OutArcRange(v)
-	// Product of all incoming messages except the one from u, times the
-	// unary potential.
-	var prod [lbpMaxStates]float64
-	for x := 0; x < n; x++ {
-		prod[x] = p.m.Unary[v][x]
-	}
-	for a := lo; a < hi; a++ {
-		if a == e.Index {
+	for i, u := range nb.Other {
+		e := nb.Index(i)
+		// Product of all incoming messages except the one from u, times
+		// the unary potential.
+		var prod [lbpMaxStates]float64
+		for x := 0; x < n; x++ {
+			prod[x] = p.m.Unary[v][x]
+		}
+		for a := lo; a < hi; a++ {
+			if a == e {
+				continue
+			}
+			in := p.inbox[a*int64(n) : a*int64(n)+int64(n)]
+			for x := 0; x < n; x++ {
+				prod[x] *= in[x]
+			}
+		}
+		out := p.msg[e*int64(n) : e*int64(n)+int64(n)]
+		var next [lbpMaxStates]float64
+		sum := 0.0
+		nu := p.m.Card[u]
+		for xu := 0; xu < nu; xu++ {
+			var s float64
+			for xv := 0; xv < n; xv++ {
+				s += p.m.PairwiseFor(e, v, xv, xu) * prod[xv]
+			}
+			next[xu] = s
+			sum += s
+		}
+		if sum <= 0 {
 			continue
 		}
-		in := p.inbox[a*int64(n) : a*int64(n)+int64(n)]
-		for x := 0; x < n; x++ {
-			prod[x] *= in[x]
+		change := 0.0
+		for xu := 0; xu < nu; xu++ {
+			next[xu] /= sum
+			change += math.Abs(next[xu] - out[xu])
+			out[xu] = next[xu]
+		}
+		if change > p.tol {
+			sig.Send(u)
 		}
 	}
-	out := p.msg[e.Index*int64(n) : e.Index*int64(n)+int64(n)]
-	var next [lbpMaxStates]float64
-	sum := 0.0
-	nu := p.m.Card[e.Other]
-	for xu := 0; xu < nu; xu++ {
-		var s float64
-		for xv := 0; xv < n; xv++ {
-			s += p.m.PairwiseFor(e.Index, v, xv, xu) * prod[xv]
-		}
-		next[xu] = s
-		sum += s
-	}
-	if sum <= 0 {
-		return false
-	}
-	change := 0.0
-	for xu := 0; xu < nu; xu++ {
-		next[xu] /= sum
-		change += math.Abs(next[xu] - out[xu])
-		out[xu] = next[xu]
-	}
-	return change > p.tol
 }
 
 // LBPOptions extends Options with the message-residual tolerance
@@ -198,7 +203,7 @@ func LoopyBeliefPropagation(m *graph.MRF, opt LBPOptions) (*Output, []int, error
 	}
 	copy(p.inbox, p.msg)
 
-	res, err := engine.Run(m.G, engine.PerEdge[lbpState, lbpBelief](p), opt.engineOptions())
+	res, err := engine.Run[lbpState, lbpBelief](m.G, p, opt.engineOptions())
 	if err != nil {
 		return nil, nil, err
 	}

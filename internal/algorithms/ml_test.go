@@ -195,6 +195,26 @@ func TestALSImprovesOnRandomRatings(t *testing.T) {
 	}
 }
 
+// TestALSApplyDoesNotAllocate keeps the allocator out of the timed WORK
+// region: the solve factors in Apply's own copy of the accumulator.
+func TestALSApplyDoesNotAllocate(t *testing.T) {
+	p := &alsProgram{numUsers: 1, lambda: 0.05, tol: 5e-3}
+	f := initFactor(7, 1)
+	acc := alsAccum{B: f, N: 1}
+	for i, fi := range f {
+		for j, fj := range f[:i+1] {
+			acc.A[i*cfRank+j] = fi * fj
+		}
+	}
+	var next cfState
+	if n := testing.AllocsPerRun(100, func() { next = p.Apply(0, cfState{}, acc, true) }); n != 0 {
+		t.Fatalf("alsProgram.Apply allocates %v times per call, want 0", n)
+	}
+	if next.Delta == 0 {
+		t.Fatal("Apply kept the old factor: the solve failed")
+	}
+}
+
 func TestALSValidation(t *testing.T) {
 	g, _ := ratingGraph(t, 200, 2.5, 1)
 	if _, _, err := AlternatingLeastSquares(g, 0, ALSOptions{}); err == nil {

@@ -30,25 +30,26 @@ func (p *nmfProgram) Init(_ *graph.Graph, v uint32) (cfState, bool) {
 
 func (p *nmfProgram) GatherDirection() engine.Direction { return engine.Both }
 
-func (p *nmfProgram) Gather(_ uint32, e engine.Arc, self, other cfState) nmfAccum {
-	var acc nmfAccum
-	pred := 0.0
-	for i := 0; i < cfRank; i++ {
-		pred += self.F[i] * other.F[i]
+// Gather adds one run of ratings; products are rounded before they are
+// added (see alsProgram.Gather).
+func (p *nmfProgram) Gather(_ uint32, self cfState, nb *engine.Edges[cfState], acc *nmfAccum, has bool) bool {
+	for e, o := range nb.Other {
+		f, w := &nb.State[o].F, nb.Weight(e)
+		pred := cfDot(&self.F, f)
+		if !has {
+			for i, fi := range f {
+				acc.Num[i] = w * fi
+				acc.Den[i] = pred * fi
+			}
+			has = true
+			continue
+		}
+		for i, fi := range f {
+			acc.Num[i] += float64(w * fi)
+			acc.Den[i] += float64(pred * fi)
+		}
 	}
-	for i := 0; i < cfRank; i++ {
-		acc.Num[i] = e.Weight * other.F[i]
-		acc.Den[i] = pred * other.F[i]
-	}
-	return acc
-}
-
-func (p *nmfProgram) Sum(a, b nmfAccum) nmfAccum {
-	for i := 0; i < cfRank; i++ {
-		a.Num[i] += b.Num[i]
-		a.Den[i] += b.Den[i]
-	}
-	return a
+	return true
 }
 
 func (p *nmfProgram) Apply(_ uint32, self cfState, acc nmfAccum, hasAcc bool) cfState {
@@ -66,7 +67,9 @@ func (p *nmfProgram) ScatterDirection() engine.Direction { return engine.Both }
 
 // Scatter signals unconditionally: the iteration budget, not quiescence,
 // ends the run.
-func (p *nmfProgram) Scatter(uint32, engine.Arc, cfState, cfState) bool { return true }
+func (p *nmfProgram) Scatter(_ uint32, _ cfState, nb *engine.Edges[cfState], out *engine.Signals) {
+	sendAll(nb.Other, out)
+}
 
 func (p *nmfProgram) PostIteration(c *engine.Control[cfState]) bool {
 	if c.Iteration() >= p.iters-1 {
@@ -96,7 +99,7 @@ func NonnegativeMatrixFactorization(g *graph.Graph, numUsers int, opt NMFOptions
 		iters = cfIterationCap
 	}
 	p := &nmfProgram{iters: iters}
-	res, err := engine.Run(g, engine.PerEdge[cfState, nmfAccum](p), opt.engineOptions())
+	res, err := engine.Run[cfState, nmfAccum](g, p, opt.engineOptions())
 	if err != nil {
 		return nil, nil, err
 	}

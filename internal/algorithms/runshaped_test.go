@@ -2,10 +2,13 @@ package algorithms
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gcbench/internal/engine"
+	"gcbench/internal/gen"
 	"gcbench/internal/graph"
 )
 
@@ -38,6 +41,192 @@ func (p kernelEdgeProgram[S]) Scatter(_ uint32, e engine.Arc, self, other S) boo
 	return p.k.Better(p.k.Along(self, e.Weight), other)
 }
 
+// The six wide-accumulator programs as they were before they became
+// run-shaped: one contribution per edge by value, folded with Sum, one
+// scatter decision per edge. Each embeds the program it is the oracle of,
+// so Init, Apply and the iteration hooks are shared and only the edge
+// work differs. (alsEdgeOracle fills the whole of A; Apply's solver reads
+// the lower triangle of either.)
+type alsEdgeOracle struct{ *alsProgram }
+
+func (alsEdgeOracle) Gather(_ uint32, e engine.Arc, _, other cfState) alsAccum {
+	var acc alsAccum
+	for i := 0; i < cfRank; i++ {
+		fi := other.F[i]
+		acc.B[i] = e.Weight * fi
+		row := acc.A[i*cfRank : (i+1)*cfRank]
+		for j := 0; j < cfRank; j++ {
+			row[j] = fi * other.F[j]
+		}
+	}
+	acc.N = 1
+	return acc
+}
+
+func (alsEdgeOracle) Sum(a, b alsAccum) alsAccum {
+	for i := range a.A {
+		a.A[i] += b.A[i]
+	}
+	for i := range a.B {
+		a.B[i] += b.B[i]
+	}
+	a.N += b.N
+	return a
+}
+
+func (o alsEdgeOracle) Scatter(_ uint32, _ engine.Arc, self, _ cfState) bool {
+	return self.Delta > o.tol
+}
+
+type kmEdgeOracle struct{ *kmProgram }
+
+func (o kmEdgeOracle) Gather(_ uint32, e engine.Arc, _, other kmState) kmVotes {
+	var v kmVotes
+	if int(other.Assign) < o.k {
+		v[other.Assign] = e.Weight
+	}
+	return v
+}
+
+func (o kmEdgeOracle) Sum(a, b kmVotes) kmVotes {
+	for i := 0; i < o.k; i++ {
+		a[i] += b[i]
+	}
+	return a
+}
+
+func (kmEdgeOracle) Scatter(_ uint32, _ engine.Arc, self, _ kmState) bool { return self.Changed }
+
+type nmfEdgeOracle struct{ *nmfProgram }
+
+func (nmfEdgeOracle) Gather(_ uint32, e engine.Arc, self, other cfState) nmfAccum {
+	var acc nmfAccum
+	pred := 0.0
+	for i := 0; i < cfRank; i++ {
+		pred += self.F[i] * other.F[i]
+	}
+	for i := 0; i < cfRank; i++ {
+		acc.Num[i] = e.Weight * other.F[i]
+		acc.Den[i] = pred * other.F[i]
+	}
+	return acc
+}
+
+func (nmfEdgeOracle) Sum(a, b nmfAccum) nmfAccum {
+	for i := 0; i < cfRank; i++ {
+		a.Num[i] += b.Num[i]
+		a.Den[i] += b.Den[i]
+	}
+	return a
+}
+
+func (nmfEdgeOracle) Scatter(uint32, engine.Arc, cfState, cfState) bool { return true }
+
+type sgdEdgeOracle struct{ *sgdProgram }
+
+func (sgdEdgeOracle) Gather(_ uint32, e engine.Arc, self, other cfState) cfFactor {
+	pred := 0.0
+	for i := 0; i < cfRank; i++ {
+		pred += self.F[i] * other.F[i]
+	}
+	errTerm := e.Weight - pred
+	var g cfFactor
+	for i := 0; i < cfRank; i++ {
+		g[i] = errTerm * other.F[i]
+	}
+	return g
+}
+
+func (sgdEdgeOracle) Sum(a, b cfFactor) cfFactor {
+	for i := 0; i < cfRank; i++ {
+		a[i] += b[i]
+	}
+	return a
+}
+
+func (sgdEdgeOracle) Scatter(uint32, engine.Arc, cfState, cfState) bool { return true }
+
+type adEdgeOracle struct{ *adProgram }
+
+func (adEdgeOracle) Gather(_ uint32, _ engine.Arc, _, other adState) adState {
+	other.Changed = false
+	return other
+}
+
+func (adEdgeOracle) Sum(a, b adState) adState {
+	for k := 0; k < adSketches; k++ {
+		a.Masks[k] |= b.Masks[k]
+	}
+	return a
+}
+
+func (adEdgeOracle) Scatter(uint32, engine.Arc, adState, adState) bool { return true }
+
+type lbpEdgeOracle struct{ *lbpProgram }
+
+func (o lbpEdgeOracle) Gather(_ uint32, e engine.Arc, _, _ lbpState) lbpBelief {
+	p := o.lbpProgram
+	n := p.states()
+	in := p.msg[p.rev[e.Index]*int64(n) : p.rev[e.Index]*int64(n)+int64(n)]
+	copy(p.inbox[e.Index*int64(n):e.Index*int64(n)+int64(n)], in)
+	var b lbpBelief
+	for x := 0; x < n; x++ {
+		b[x] = in[x]
+	}
+	for x := n; x < lbpMaxStates; x++ {
+		b[x] = 1
+	}
+	return b
+}
+
+func (lbpEdgeOracle) Sum(a, b lbpBelief) lbpBelief {
+	for x := 0; x < lbpMaxStates; x++ {
+		a[x] *= b[x]
+	}
+	return a
+}
+
+func (o lbpEdgeOracle) Scatter(v uint32, e engine.Arc, _, _ lbpState) bool {
+	p := o.lbpProgram
+	n := p.states()
+	lo, hi := p.m.G.OutArcRange(v)
+	var prod [lbpMaxStates]float64
+	for x := 0; x < n; x++ {
+		prod[x] = p.m.Unary[v][x]
+	}
+	for a := lo; a < hi; a++ {
+		if a == e.Index {
+			continue
+		}
+		in := p.inbox[a*int64(n) : a*int64(n)+int64(n)]
+		for x := 0; x < n; x++ {
+			prod[x] *= in[x]
+		}
+	}
+	out := p.msg[e.Index*int64(n) : e.Index*int64(n)+int64(n)]
+	var next [lbpMaxStates]float64
+	sum := 0.0
+	nu := p.m.Card[e.Other]
+	for xu := 0; xu < nu; xu++ {
+		var s float64
+		for xv := 0; xv < n; xv++ {
+			s += p.m.PairwiseFor(e.Index, v, xv, xu) * prod[xv]
+		}
+		next[xu] = s
+		sum += s
+	}
+	if sum <= 0 {
+		return false
+	}
+	change := 0.0
+	for xu := 0; xu < nu; xu++ {
+		next[xu] /= sum
+		change += math.Abs(next[xu] - out[xu])
+		out[xu] = next[xu]
+	}
+	return change > p.tol
+}
+
 // randomMultigraph keeps parallel edges and self-loops, and leaves some
 // vertices isolated.
 func randomMultigraph(t *testing.T, r *rand.Rand, n, m int, directed, weighted bool) *graph.Graph {
@@ -58,7 +247,8 @@ func randomMultigraph(t *testing.T, r *rand.Rand, n, m int, directed, weighted b
 }
 
 // sameRun requires two runs of one algorithm to agree exactly: final
-// states, and every iteration's behavior counters and schedule labels.
+// states (== on every field, so a NaN fails rather than passes), and
+// every iteration's behavior counters and schedule labels.
 func sameRun[S comparable](t *testing.T, got, want *engine.Result[S]) {
 	t.Helper()
 	for v := range want.States {
@@ -83,12 +273,46 @@ func sameRun[S comparable](t *testing.T, got, want *engine.Result[S]) {
 	}
 }
 
-// TestRunShapedMatchesPerEdgeOracle is the differential check of the
-// run-shaped CC and SSSP against the kernels every other execution model
-// derives its program from — final states and counters — over every
-// graph shape the run view has a separate case for (in-runs of directed
-// graphs, weighted arcs) and every schedule (run it with -race: workers 4
-// exercises the shared Signals path).
+// everySchedule runs body under each frontier mode on one and four
+// workers (four exercises the shared Signals path under -race).
+func everySchedule(t *testing.T, maxIterations int, body func(t *testing.T, opt engine.Options)) {
+	for _, frontier := range []FrontierMode{FrontierAuto, FrontierDense, FrontierSparse} {
+		for _, workers := range []int{1, 4} {
+			opt := engine.Options{Workers: workers, Frontier: frontier, MaxIterations: maxIterations}
+			t.Run(fmt.Sprintf("%v/workers=%d", frontier, workers), func(t *testing.T) { body(t, opt) })
+		}
+	}
+}
+
+// sameAsEdgeOracle runs a run-shaped program and its per-edge oracle and
+// requires the two runs to be the same run.
+func sameAsEdgeOracle[S comparable, A any](t *testing.T, g *graph.Graph, opt engine.Options,
+	p engine.Program[S, A], oracle engine.EdgeProgram[S, A]) {
+	t.Helper()
+	got, err := engine.Run(g, p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := engine.Run(g, engine.PerEdge(oracle), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Trace.Iterations) < 3 {
+		t.Fatalf("only %d iterations: no accumulator slot was reused", len(want.Trace.Iterations))
+	}
+	sameRun(t, got, want)
+}
+
+// TestRunShapedMatchesPerEdgeOracle is the differential check of every
+// run-shaped program against its per-edge definition — final states to
+// the bit, counters and mode labels — under every schedule. CC and SSSP
+// are held to the kernels every other execution model derives its
+// program from, over every graph shape the run view has a separate case
+// for (in-runs of directed graphs, weighted arcs). ALS, NMF, SGD, KM, AD
+// and LBP are held to the by-value folds they replaced, on inputs that
+// reach every case of an in-place fold: an out-run continued by an
+// in-run, vertices with no run at all, parallel arcs, more than one
+// 4096-vertex chunk.
 func TestRunShapedMatchesPerEdgeOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for _, directed := range []bool{false, true} {
@@ -96,34 +320,107 @@ func TestRunShapedMatchesPerEdgeOracle(t *testing.T) {
 			// Two chunks and a tail, sparse enough to take many iterations.
 			g := randomMultigraph(t, r, 2*4096+300, 14_000, directed, weighted)
 			source := g.MaxDegreeVertex()
-			for _, frontier := range []FrontierMode{FrontierAuto, FrontierDense, FrontierSparse} {
-				for _, workers := range []int{1, 4} {
-					opt := engine.Options{Workers: workers, Frontier: frontier}
-					name := fmt.Sprintf("directed=%v/weighted=%v/%v/workers=%d", directed, weighted, frontier, workers)
-					t.Run("CC/"+name, func(t *testing.T) {
-						got, err := engine.Run[uint32, uint32](g, ccProgram{}, opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want, err := engine.Run(g, engine.PerEdge[uint32, uint32](kernelEdgeProgram[uint32]{MinLabel{}}), opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sameRun(t, got, want)
-					})
-					t.Run("SSSP/"+name, func(t *testing.T) {
-						got, err := engine.Run[float64, float64](g, &ssspProgram{source: source}, opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want, err := engine.Run(g, engine.PerEdge[float64, float64](kernelEdgeProgram[float64]{Relax{Source: source}}), opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sameRun(t, got, want)
-					})
-				}
-			}
+			name := fmt.Sprintf("directed=%v/weighted=%v", directed, weighted)
+			t.Run("CC/"+name, func(t *testing.T) {
+				everySchedule(t, 0, func(t *testing.T, opt engine.Options) {
+					sameAsEdgeOracle[uint32, uint32](t, g, opt, ccProgram{}, kernelEdgeProgram[uint32]{MinLabel{}})
+				})
+			})
+			t.Run("SSSP/"+name, func(t *testing.T) {
+				everySchedule(t, 0, func(t *testing.T, opt engine.Options) {
+					sameAsEdgeOracle[float64, float64](t, g, opt, &ssspProgram{source: source}, kernelEdgeProgram[float64]{Relax{Source: source}})
+				})
+			})
 		}
+	}
+
+	// Ratings: 5000 users then 4000 items, the last quarter of each side
+	// unrated, repeated (user, item) pairs kept as parallel arcs. A few
+	// items also rate users, so some vertices fold an out-run and then an
+	// in-run into one accumulator.
+	const users, items = 5000, 4000
+	b := graph.NewBuilder(users+items, true).Weighted()
+	for i := 0; i < 12_000; i++ {
+		b.AddWeightedEdge(uint32(r.Intn(users*3/4)), uint32(users+r.Intn(items*3/4)), 0.25+4*r.Float64())
+	}
+	for i := 0; i < 500; i++ {
+		b.AddWeightedEdge(uint32(users+r.Intn(50)), uint32(r.Intn(50)), 0.25+4*r.Float64())
+	}
+	ratings, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("ALS", func(t *testing.T) {
+		everySchedule(t, 8, func(t *testing.T, opt engine.Options) {
+			p := &alsProgram{numUsers: users, lambda: 0.05, tol: 5e-3}
+			sameAsEdgeOracle[cfState, alsAccum](t, ratings, opt, p, alsEdgeOracle{p})
+		})
+	})
+	t.Run("NMF", func(t *testing.T) {
+		everySchedule(t, 0, func(t *testing.T, opt engine.Options) {
+			p := &nmfProgram{iters: 5}
+			sameAsEdgeOracle[cfState, nmfAccum](t, ratings, opt, p, nmfEdgeOracle{p})
+		})
+	})
+	t.Run("SGD", func(t *testing.T) {
+		everySchedule(t, 0, func(t *testing.T, opt engine.Options) {
+			p := &sgdProgram{lr: 0.01, reg: 0.05, iters: 5}
+			sameAsEdgeOracle[cfState, cfFactor](t, ratings, opt, p, sgdEdgeOracle{p})
+		})
+	})
+
+	// KM and AD: an undirected weighted multigraph with isolated vertices.
+	// KM's centroids are the program's own state, so the oracle wraps a
+	// second instance.
+	g := randomMultigraph(t, r, 2*4096+300, 14_000, false, true)
+	if err := g.SetFeatures(2, gen.GaussianPoints2D(g.NumVertices(), 4, 20, 26)); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{3, maxK} {
+		km := func() *kmProgram {
+			p := &kmProgram{g: g, k: k, lambda: 0.1, counts: make([]float64, k), tol: 1e-9, centroids: make([][2]float64, k)}
+			for c := range p.centroids {
+				pt := g.Features(uint32(c * 97))
+				p.centroids[c] = [2]float64{pt[0], pt[1]}
+			}
+			return p
+		}
+		t.Run(fmt.Sprintf("KM/k=%d", k), func(t *testing.T) {
+			everySchedule(t, 12, func(t *testing.T, opt engine.Options) {
+				sameAsEdgeOracle[kmState, kmVotes](t, g, opt, km(), kmEdgeOracle{km()})
+			})
+		})
+	}
+	t.Run("AD", func(t *testing.T) {
+		everySchedule(t, 0, func(t *testing.T, opt engine.Options) {
+			sameAsEdgeOracle[adState, adState](t, g, opt, &adProgram{}, adEdgeOracle{&adProgram{}})
+		})
+	})
+
+	// LBP: gather and scatter also write the program's own inbox and
+	// message arrays, which must end up the same too.
+	for _, states := range []int{2, lbpMaxStates} {
+		m, err := gen.Grid(gen.GridConfig{Rows: 70, States: states, Seed: 26})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lbp := func() *lbpProgram {
+			arcs := m.G.NumArcs() * int64(states)
+			p := &lbpProgram{m: m, rev: m.G.ReverseArcs(), msg: make([]float64, arcs), inbox: make([]float64, arcs), tol: 1e-4}
+			for i := range p.msg {
+				p.msg[i] = 1 / float64(states)
+			}
+			copy(p.inbox, p.msg)
+			return p
+		}
+		t.Run(fmt.Sprintf("LBP/states=%d", states), func(t *testing.T) {
+			everySchedule(t, 12, func(t *testing.T, opt engine.Options) {
+				p, o := lbp(), lbp()
+				sameAsEdgeOracle[lbpState, lbpBelief](t, m.G, opt, p, lbpEdgeOracle{o})
+				if !slices.Equal(p.inbox, o.inbox) || !slices.Equal(p.msg, o.msg) {
+					t.Fatal("inbox or messages differ from the per-edge oracle's")
+				}
+			})
+		})
 	}
 }

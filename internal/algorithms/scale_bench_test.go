@@ -199,3 +199,52 @@ func BenchmarkEngineScale(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWideGather runs the algorithms whose gather folds an
+// accumulator wider than a couple of words — the ones that leave PerEdge
+// for a run-shaped Program — on one worker: ALS, NMF and SGD on a
+// 1e5-rating bipartite graph, KM and AD on a 1e5-edge α = 2.5 graph.
+// ns/edge-read is the whole run over its edge reads; allocs/op is per
+// run — set-up and the per-iteration trace, nothing per vertex or edge.
+func BenchmarkWideGather(b *testing.B) {
+	ratings, users := ratingGraph(b, 100_000, 2.5, 1)
+	g := kmGraph(b, 100_000, 0, 1)
+	for _, alg := range []struct {
+		name string
+		run  func() (*Output, error)
+	}{
+		{"ALS", func() (*Output, error) {
+			out, _, err := AlternatingLeastSquares(ratings, users, ALSOptions{Options: Options{Workers: 1}})
+			return out, err
+		}},
+		{"NMF", func() (*Output, error) {
+			out, _, err := NonnegativeMatrixFactorization(ratings, users, NMFOptions{Options: Options{Workers: 1}})
+			return out, err
+		}},
+		{"SGD", func() (*Output, error) {
+			out, _, err := StochasticGradientDescent(ratings, users, SGDOptions{Options: Options{Workers: 1}})
+			return out, err
+		}},
+		{"KM", func() (*Output, error) {
+			out, _, err := KMeans(g, KMeansOptions{Options: Options{Workers: 1}, Seed: 1})
+			return out, err
+		}},
+		{"AD", func() (*Output, error) {
+			out, _, err := ApproximateDiameter(g, Options{Workers: 1})
+			return out, err
+		}},
+	} {
+		b.Run(alg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var reads int64
+			for i := 0; i < b.N; i++ {
+				out, err := alg.run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				reads += traceTotals(out.Trace).edgeReads
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(reads), "ns/edge-read")
+		})
+	}
+}

@@ -25,26 +25,25 @@ func (p *sgdProgram) Init(_ *graph.Graph, v uint32) (cfState, bool) {
 
 func (p *sgdProgram) GatherDirection() engine.Direction { return engine.Both }
 
-// Gather returns the gradient contribution of one rating:
-// err·f_other where err = rating − ⟨f_self, f_other⟩.
-func (p *sgdProgram) Gather(_ uint32, e engine.Arc, self, other cfState) cfFactor {
-	pred := 0.0
-	for i := 0; i < cfRank; i++ {
-		pred += self.F[i] * other.F[i]
+// Gather adds the gradient contribution of each rating in one run:
+// err·f_other where err = rating − ⟨f_self, f_other⟩, rounded before it is
+// added (see alsProgram.Gather).
+func (p *sgdProgram) Gather(_ uint32, self cfState, nb *engine.Edges[cfState], acc *cfFactor, has bool) bool {
+	for e, o := range nb.Other {
+		f := &nb.State[o].F
+		errTerm := nb.Weight(e) - cfDot(&self.F, f)
+		if !has {
+			for i, fi := range f {
+				acc[i] = errTerm * fi
+			}
+			has = true
+			continue
+		}
+		for i, fi := range f {
+			acc[i] += float64(errTerm * fi)
+		}
 	}
-	errTerm := e.Weight - pred
-	var g cfFactor
-	for i := 0; i < cfRank; i++ {
-		g[i] = errTerm * other.F[i]
-	}
-	return g
-}
-
-func (p *sgdProgram) Sum(a, b cfFactor) cfFactor {
-	for i := 0; i < cfRank; i++ {
-		a[i] += b[i]
-	}
-	return a
+	return true
 }
 
 func (p *sgdProgram) Apply(_ uint32, self cfState, acc cfFactor, hasAcc bool) cfState {
@@ -59,7 +58,9 @@ func (p *sgdProgram) Apply(_ uint32, self cfState, acc cfFactor, hasAcc bool) cf
 
 func (p *sgdProgram) ScatterDirection() engine.Direction { return engine.Both }
 
-func (p *sgdProgram) Scatter(uint32, engine.Arc, cfState, cfState) bool { return true }
+func (p *sgdProgram) Scatter(_ uint32, _ cfState, nb *engine.Edges[cfState], out *engine.Signals) {
+	sendAll(nb.Other, out)
+}
 
 func (p *sgdProgram) PostIteration(c *engine.Control[cfState]) bool {
 	if c.Iteration() >= p.iters-1 {
@@ -101,7 +102,7 @@ func StochasticGradientDescent(g *graph.Graph, numUsers int, opt SGDOptions) (*O
 		iters = cfIterationCap
 	}
 	p := &sgdProgram{lr: lr, reg: reg, iters: iters}
-	res, err := engine.Run(g, engine.PerEdge[cfState, cfFactor](p), opt.engineOptions())
+	res, err := engine.Run[cfState, cfFactor](g, p, opt.engineOptions())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -70,8 +70,9 @@ const (
 // state S and the gather accumulator A. Its edge work is run-shaped: the
 // engine hands Gather and Scatter one vertex's contiguous arc run and the
 // program owns the loop over it, so a compare-per-edge algorithm pays no
-// call per edge. Programs whose per-edge work is heavy are simpler to
-// write as an EdgeProgram and wrap with PerEdge.
+// call per edge and a wide accumulator is folded where it lives. Programs
+// with a scalar accumulator are simpler to write as an EdgeProgram and
+// wrap with PerEdge.
 //
 // Within one iteration, Gather for every active vertex runs before any
 // Apply, and every Apply before any Scatter, so Gather observes the state

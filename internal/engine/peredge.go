@@ -16,8 +16,11 @@ type Arc struct {
 
 // EdgeProgram is a vertex program written one edge at a time: Gather maps
 // an edge to a contribution, Sum folds contributions, Scatter decides one
-// signal. It suits programs whose per-edge work dwarfs a call; PerEdge
-// turns one into the Program the engine runs.
+// signal; PerEdge turns one into the Program the engine runs. Every edge
+// passes self, other and the contribution by value and Sum copies the
+// fold in and out, so it suits a state and an accumulator of a word or
+// two (PR, SVD, Jacobi, TC, KC, DD). A program with a wider accumulator
+// folds in place as a Program: by value the copies were half its run time.
 type EdgeProgram[S, A any] interface {
 	// Init returns vertex v's initial state and whether it starts active.
 	Init(g *graph.Graph, v uint32) (state S, active bool)

@@ -51,53 +51,56 @@ func AddOuter(a []float64, x []float64) {
 }
 
 // CholeskySolve solves A·x = b for symmetric positive-definite A (n×n
-// row-major), overwriting neither input; the solution is returned. A tiny
-// ridge can be added by the caller to guarantee positive-definiteness.
-func CholeskySolve(a []float64, b []float64) ([]float64, error) {
+// row-major) without allocating. Only the lower triangle of a is read; it
+// is overwritten with the factor L of A = L·Lᵀ. b is left alone unless x
+// aliases it, which is allowed. A tiny ridge can be added by the caller to
+// guarantee positive-definiteness.
+func CholeskySolve(a, b, x []float64) error {
 	n := len(b)
 	if len(a) != n*n {
-		return nil, fmt.Errorf("linalg: matrix is %d entries, want %d×%d", len(a), n, n)
+		return fmt.Errorf("linalg: matrix is %d entries, want %d×%d", len(a), n, n)
 	}
-	// Factor A = L·Lᵀ into a copy.
-	l := make([]float64, n*n)
-	copy(l, a)
+	if len(x) != n {
+		return fmt.Errorf("linalg: solution is %d entries, want %d", len(x), n)
+	}
 	for j := 0; j < n; j++ {
-		d := l[j*n+j]
-		for k := 0; k < j; k++ {
-			d -= l[j*n+k] * l[j*n+k]
+		rj := a[j*n : j*n+j+1]
+		d := rj[j]
+		for _, l := range rj[:j] {
+			d -= l * l
 		}
 		if d <= 0 {
-			return nil, fmt.Errorf("linalg: matrix not positive definite at pivot %d (d=%g)", j, d)
+			return fmt.Errorf("linalg: matrix not positive definite at pivot %d (d=%g)", j, d)
 		}
 		d = math.Sqrt(d)
-		l[j*n+j] = d
+		rj[j] = d
 		for i := j + 1; i < n; i++ {
-			s := l[i*n+j]
-			for k := 0; k < j; k++ {
-				s -= l[i*n+k] * l[j*n+k]
+			ri := a[i*n : i*n+j+1]
+			s := ri[j]
+			for k, l := range rj[:j] {
+				s -= ri[k] * l
 			}
-			l[i*n+j] = s / d
+			ri[j] = s / d
 		}
 	}
-	// Forward substitution L·y = b.
-	y := make([]float64, n)
+	// Forward substitution L·y = b, y held in x.
 	for i := 0; i < n; i++ {
+		ri := a[i*n : i*n+i+1]
 		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= l[i*n+k] * y[k]
+		for k, l := range ri[:i] {
+			s -= l * x[k]
 		}
-		y[i] = s / l[i*n+i]
+		x[i] = s / ri[i]
 	}
-	// Back substitution Lᵀ·x = y.
-	x := make([]float64, n)
+	// Back substitution Lᵀ·x = y, in place: x[k] is final for k > i.
 	for i := n - 1; i >= 0; i-- {
-		s := y[i]
+		s := x[i]
 		for k := i + 1; k < n; k++ {
-			s -= l[k*n+i] * x[k]
+			s -= a[k*n+i] * x[k]
 		}
-		x[i] = s / l[i*n+i]
+		x[i] = s / a[i*n+i]
 	}
-	return x, nil
+	return nil
 }
 
 // SymTriEigenvalues returns the eigenvalues (ascending) of the symmetric

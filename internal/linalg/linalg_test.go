@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -37,11 +38,80 @@ func TestAddOuter(t *testing.T) {
 	}
 }
 
+// choleskySolveOracle is the allocating solve CholeskySolve replaced,
+// verbatim: it copies a, factors the copy and returns a fresh solution.
+func choleskySolveOracle(a []float64, b []float64) ([]float64, error) {
+	n := len(b)
+	if len(a) != n*n {
+		return nil, fmt.Errorf("linalg: matrix is %d entries, want %d×%d", len(a), n, n)
+	}
+	// Factor A = L·Lᵀ into a copy.
+	l := make([]float64, n*n)
+	copy(l, a)
+	for j := 0; j < n; j++ {
+		d := l[j*n+j]
+		for k := 0; k < j; k++ {
+			d -= l[j*n+k] * l[j*n+k]
+		}
+		if d <= 0 {
+			return nil, fmt.Errorf("linalg: matrix not positive definite at pivot %d (d=%g)", j, d)
+		}
+		d = math.Sqrt(d)
+		l[j*n+j] = d
+		for i := j + 1; i < n; i++ {
+			s := l[i*n+j]
+			for k := 0; k < j; k++ {
+				s -= l[i*n+k] * l[j*n+k]
+			}
+			l[i*n+j] = s / d
+		}
+	}
+	// Forward substitution L·y = b.
+	y := make([]float64, n)
+	for i := 0; i < n; i++ {
+		s := b[i]
+		for k := 0; k < i; k++ {
+			s -= l[i*n+k] * y[k]
+		}
+		y[i] = s / l[i*n+i]
+	}
+	// Back substitution Lᵀ·x = y.
+	x := make([]float64, n)
+	for i := n - 1; i >= 0; i-- {
+		s := y[i]
+		for k := i + 1; k < n; k++ {
+			s -= l[k*n+i] * x[k]
+		}
+		x[i] = s / l[i*n+i]
+	}
+	return x, nil
+}
+
+// randomSPD returns A = MᵀM + I for a random n×n M.
+func randomSPD(r *rng.Source, n int) []float64 {
+	m := make([]float64, n*n)
+	for i := range m {
+		m[i] = r.NormFloat64()
+	}
+	a := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			var s float64
+			for k := 0; k < n; k++ {
+				s += m[k*n+i] * m[k*n+j]
+			}
+			a[i*n+j] = s
+		}
+		a[i*n+i]++
+	}
+	return a
+}
+
 func TestCholeskySolveKnown(t *testing.T) {
 	// A = [[4,2],[2,3]], b = [10, 9] → x = [1.5, 2].
 	a := []float64{4, 2, 2, 3}
-	x, err := CholeskySolve(a, []float64{10, 9})
-	if err != nil {
+	x := make([]float64, 2)
+	if err := CholeskySolve(a, []float64{10, 9}, x); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(x[0]-1.5) > 1e-12 || math.Abs(x[1]-2) > 1e-12 {
@@ -53,29 +123,14 @@ func TestCholeskySolveRandomSPD(t *testing.T) {
 	r := rng.New(5)
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + r.Intn(12)
-		// Build SPD A = MᵀM + I.
-		m := make([]float64, n*n)
-		for i := range m {
-			m[i] = r.NormFloat64()
-		}
-		a := make([]float64, n*n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				var s float64
-				for k := 0; k < n; k++ {
-					s += m[k*n+i] * m[k*n+j]
-				}
-				a[i*n+j] = s
-			}
-			a[i*n+i]++
-		}
+		a := randomSPD(r, n)
 		want := make([]float64, n)
 		for i := range want {
 			want[i] = r.NormFloat64()
 		}
 		b := MatVec(a, n, n, want)
-		x, err := CholeskySolve(a, b)
-		if err != nil {
+		x := make([]float64, n)
+		if err := CholeskySolve(a, b, x); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for i := range want {
@@ -87,12 +142,82 @@ func TestCholeskySolveRandomSPD(t *testing.T) {
 }
 
 func TestCholeskySolveRejectsIndefinite(t *testing.T) {
-	a := []float64{1, 2, 2, 1} // eigenvalues 3, -1
-	if _, err := CholeskySolve(a, []float64{1, 1}); err == nil {
-		t.Fatal("indefinite matrix accepted")
+	x := make([]float64, 2)
+	for _, tc := range []struct {
+		name string
+		a, b []float64
+	}{
+		{"indefinite", []float64{1, 2, 2, 1}, []float64{1, 1}}, // eigenvalues 3, -1
+		{"non-square", []float64{1, 2, 3}, []float64{1, 1}},
+	} {
+		_, want := choleskySolveOracle(tc.a, tc.b)
+		err := CholeskySolve(append([]float64(nil), tc.a...), tc.b, x)
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("%s: error %v, oracle %v", tc.name, err, want)
+		}
 	}
-	if _, err := CholeskySolve([]float64{1, 2, 3}, []float64{1, 1}); err == nil {
-		t.Fatal("non-square input accepted")
+	if err := CholeskySolve([]float64{4, 2, 2, 3}, []float64{1, 1}, make([]float64, 3)); err == nil {
+		t.Fatal("wrong-size solution vector accepted")
+	}
+}
+
+// TestCholeskySolveMatchesOracle holds the in-place solve to the
+// allocating one it replaced, bit for bit: on the symmetric input, on the
+// same input with its strict upper triangle (which the factorization
+// never reads) set to NaN, and with x aliasing b.
+func TestCholeskySolveMatchesOracle(t *testing.T) {
+	r := rng.New(26)
+	for _, n := range []int{8, 1, 2, 5} {
+		for trial := 0; trial < 1000; trial++ {
+			a := randomSPD(r, n)
+			b := make([]float64, n)
+			for i := range b {
+				b[i] = r.NormFloat64()
+			}
+			want, err := choleskySolveOracle(a, b)
+			if err != nil {
+				t.Fatalf("n=%d trial %d: oracle: %v", n, trial, err)
+			}
+			lower := append([]float64(nil), a...)
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					lower[i*n+j] = math.NaN()
+				}
+			}
+			aliased := append([]float64(nil), b...)
+			for _, in := range []struct {
+				name    string
+				a, b, x []float64
+			}{
+				{"symmetric", append([]float64(nil), a...), b, make([]float64, n)},
+				{"lower", lower, b, make([]float64, n)},
+				{"aliased", append([]float64(nil), a...), aliased, aliased},
+			} {
+				if err := CholeskySolve(in.a, in.b, in.x); err != nil {
+					t.Fatalf("n=%d trial %d %s: %v", n, trial, in.name, err)
+				}
+				for i := range want {
+					if math.Float64bits(in.x[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("n=%d trial %d %s: x[%d] = %v, oracle %v", n, trial, in.name, i, in.x[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestCholeskySolveDoesNotAllocate(t *testing.T) {
+	a0 := randomSPD(rng.New(3), 8)
+	a := make([]float64, len(a0))
+	b, x := make([]float64, 8), make([]float64, 8)
+	b[0] = 1
+	if n := testing.AllocsPerRun(100, func() {
+		copy(a, a0)
+		if err := CholeskySolve(a, b, x); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("CholeskySolve allocates %v times per call, want 0", n)
 	}
 }
 

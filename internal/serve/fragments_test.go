@@ -159,6 +159,9 @@ func TestAssembledBodiesEqualMarshalled(t *testing.T) {
 // swap the view under it: every body must parse, list as many runs as
 // it counts, and count exactly the records of the corpus version it
 // reports — fragments of one view never leak into another's listing.
+// Two of the readers ask for one algorithm each, through the body buffers
+// all three share (runsBodies): neither may see a run of the other's, and
+// -race flags a buffer handed on while its response is still being written.
 func TestRunsListingUnderPublishes(t *testing.T) {
 	s := newTestServer(t, nil)
 	batch := dominatedRuns(t, 1)
@@ -171,7 +174,11 @@ func TestRunsListingUnderPublishes(t *testing.T) {
 	var served atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for r := 0; r < 3; r++ {
+	for _, algorithm := range []string{"", "PR", "KM"} {
+		path := "/api/runs"
+		if algorithm != "" {
+			path += "?algorithm=" + algorithm
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -181,20 +188,28 @@ func TestRunsListingUnderPublishes(t *testing.T) {
 					return
 				default:
 				}
-				w := get(t, s, "/api/runs")
+				w := get(t, s, path)
 				var body struct {
-					CorpusVersion int64             `json:"corpusVersion"`
-					Count         int               `json:"count"`
-					Runs          []json.RawMessage `json:"runs"`
+					CorpusVersion int64 `json:"corpusVersion"`
+					Count         int   `json:"count"`
+					Runs          []struct {
+						Algorithm string `json:"algorithm"`
+					} `json:"runs"`
 				}
 				if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
 					t.Errorf("body does not parse: %v\n%s", err, clip(w.Body.Bytes(), 400))
 					return
 				}
-				if body.Count != len(body.Runs) || body.Count != records[body.CorpusVersion] {
-					t.Errorf("corpusVersion %d: count %d, %d runs, want %d",
-						body.CorpusVersion, body.Count, len(body.Runs), records[body.CorpusVersion])
+				if body.Count != len(body.Runs) || body.Count == 0 || algorithm == "" && body.Count != records[body.CorpusVersion] {
+					t.Errorf("%s: corpusVersion %d: count %d, %d runs (whole corpus %d)",
+						path, body.CorpusVersion, body.Count, len(body.Runs), records[body.CorpusVersion])
 					return
+				}
+				for _, run := range body.Runs {
+					if algorithm != "" && run.Algorithm != algorithm {
+						t.Errorf("%s lists a %s run", path, run.Algorithm)
+						return
+					}
 				}
 				served.Add(1)
 			}

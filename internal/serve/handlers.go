@@ -179,29 +179,36 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	idx = clampSeqs(idx, len(snap.Records))
-	frags, size := s.fragsFor(view), 0
+	frags := s.fragsFor(view)
+	bp := runsBodies.Get().(*[]byte)
+	defer runsBodies.Put(bp)
+	body := appendEnvelope((*bp)[:0], snap.Version)
+	body = strconv.AppendInt(append(body, ",\n \"count\": "...), int64(len(idx)), 10)
+	body = append(body, ",\n \"runs\": ["...)
+	sep := "\n  "
 	for _, i := range idx {
 		frag, err := frags.record(i)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "encoding_failed", "encoding response: %v", err)
 			return
 		}
-		size += len(frag) + len(",\n  ")
-	}
-	body := appendEnvelope(make([]byte, 0, size+128), snap.Version)
-	body = strconv.AppendInt(append(body, ",\n \"count\": "...), int64(len(idx)), 10)
-	body = append(body, ",\n \"runs\": ["...)
-	sep := "\n  "
-	for _, i := range idx {
-		frag, _ := frags.record(i)
 		body = append(append(body, sep...), frag...)
 		sep = ",\n  "
 	}
 	if len(idx) > 0 {
 		body = append(body, "\n "...)
 	}
-	writeBody(w, http.StatusOK, append(body, "]\n}\n"...))
+	body = append(body, "]\n}\n"...)
+	writeBody(w, http.StatusOK, body)
+	*bp = body // keep what it grew to
 }
+
+// runsBodies recycles /api/runs body buffers: a listing is ~100 KB, and
+// allocating one per request is what paced the server's GC cycles. A
+// buffer goes back once writeBody returns — every ResponseWriter in the
+// chain copies or sends p before Write returns (io.Writer may not retain
+// it).
+var runsBodies = sync.Pool{New: func() any { return new([]byte) }}
 
 // behaviorDetail extends runSummary with the full activity series and
 // the pool-normalized point used by ensemble design.
