@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"gcbench/internal/engine"
+	"gcbench/internal/graph"
 	"gcbench/internal/trace"
 )
 
@@ -60,11 +61,18 @@ func (o Options) engineOptions() engine.Options {
 	return engine.Options{Workers: o.Workers, MaxIterations: o.MaxIterations, Context: o.Context, Frontier: o.Frontier}
 }
 
-// sendAll signals every neighbor of one arc run: the Scatter of a program
-// whose condition, if any, depends on the scattering vertex alone.
-func sendAll(run []uint32, out *engine.Signals) {
-	for _, o := range run {
+// sendRun signals every neighbor across v's run on side: the Scatter of a
+// program whose condition, if any, depends on the scattering vertex alone.
+func sendRun(side *graph.CSR, v uint32, out *engine.Signals) {
+	for _, o := range side.Adj[side.Off[v]:side.Off[v+1]] {
 		out.Send(o)
+	}
+}
+
+// sendAll is the Scatter of a program that signals across every arc.
+func sendAll(vs []uint32, side *graph.CSR, out *engine.Signals) {
+	for _, v := range vs {
+		sendRun(side, v, out)
 	}
 }
 

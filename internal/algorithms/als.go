@@ -77,10 +77,19 @@ func (p *alsProgram) Init(_ *graph.Graph, v uint32) (cfState, bool) {
 
 func (p *alsProgram) GatherDirection() engine.Direction { return engine.Both }
 
-// Gather adds one run of ratings to the normal equations. Products are
+func (p *alsProgram) Gather(vs []uint32, side *graph.CSR, state []cfState, acc []alsAccum, hasAcc []bool) {
+	nb := engine.NewEdges(side, state)
+	for _, v := range vs {
+		if nb.Of(v) {
+			hasAcc[v] = p.gatherRun(&nb, &acc[v], hasAcc[v])
+		}
+	}
+}
+
+// gatherRun adds one run of ratings to the normal equations. Products are
 // rounded before they are added (the float64 conversions), as when each
 // rating's contribution was a value of its own, so no platform fuses them.
-func (p *alsProgram) Gather(_ uint32, _ cfState, nb *engine.Edges[cfState], acc *alsAccum, has bool) bool {
+func (p *alsProgram) gatherRun(nb *engine.Edges[cfState], acc *alsAccum, has bool) bool {
 	for e, o := range nb.Other {
 		f, w := &nb.State[o].F, nb.Weight(e)
 		if !has {
@@ -104,12 +113,19 @@ func (p *alsProgram) Gather(_ uint32, _ cfState, nb *engine.Edges[cfState], acc 
 	return true
 }
 
-func (p *alsProgram) Apply(_ uint32, self cfState, acc alsAccum, hasAcc bool) cfState {
+func (p *alsProgram) Apply(vs []uint32, state []cfState, acc []alsAccum, hasAcc []bool) {
+	for _, v := range vs {
+		state[v] = p.solve(&state[v], &acc[v], hasAcc[v])
+	}
+}
+
+// solve returns a vertex's next state from its normal equations.
+func (p *alsProgram) solve(self *cfState, acc *alsAccum, hasAcc bool) cfState {
 	if !hasAcc {
 		return cfState{F: self.F}
 	}
-	// Ridge: (A + λ·n·I) f = b, weighted-λ ALS regularization. acc is this
-	// call's copy, so the solve may factor in it.
+	// Ridge: (A + λ·n·I) f = b, weighted-λ ALS regularization. acc is dead
+	// after Apply, so the solve may factor in it.
 	for i := 0; i < cfRank; i++ {
 		acc.A[i*cfRank+i] += p.lambda * acc.N
 	}
@@ -129,9 +145,11 @@ func (p *alsProgram) Apply(_ uint32, self cfState, acc alsAccum, hasAcc bool) cf
 func (p *alsProgram) ScatterDirection() engine.Direction { return engine.Both }
 
 // Scatter wakes the opposite side while this side's factors still move.
-func (p *alsProgram) Scatter(_ uint32, self cfState, nb *engine.Edges[cfState], out *engine.Signals) {
-	if self.Delta > p.tol {
-		sendAll(nb.Other, out)
+func (p *alsProgram) Scatter(vs []uint32, side *graph.CSR, state []cfState, out *engine.Signals) {
+	for _, v := range vs {
+		if state[v].Delta > p.tol {
+			sendRun(side, v, out)
+		}
 	}
 }
 

@@ -19,38 +19,40 @@ func (ccProgram) Init(_ *graph.Graph, v uint32) (uint32, bool) { return v, true 
 
 func (ccProgram) GatherDirection() engine.Direction { return engine.In }
 
-// Gather continues the minimum over one run of neighbor labels. MaxUint32
-// is the identity of min, so a fold with nothing in it yet starts there.
-func (ccProgram) Gather(_, _ uint32, nb *engine.Edges[uint32], acc *uint32, has bool) bool {
-	best := uint32(math.MaxUint32)
-	if has {
-		best = *acc
-	}
-	state := nb.State
-	for _, o := range nb.Other {
-		if l := state[o]; l < best {
-			best = l
+// Gather takes the minimum over each granule vertex's neighbor labels,
+// with min rather than a compare: which neighbor wins is data no branch
+// predictor learns. In is one side on any graph, so the fold always
+// starts here, at MaxUint32 — the identity of min, which is also what an
+// empty run leaves — and acc[v] holds a fold for every granule vertex.
+func (ccProgram) Gather(vs []uint32, side *graph.CSR, state, acc []uint32, _ []bool) {
+	off, adj := side.Off, side.Adj
+	for _, v := range vs {
+		best := uint32(math.MaxUint32)
+		for _, o := range adj[off[v]:off[v+1]] {
+			best = min(best, state[o])
 		}
+		acc[v] = best
 	}
-	*acc = best
-	return true
 }
 
-func (ccProgram) Apply(_ uint32, self, acc uint32, hasAcc bool) uint32 {
-	if hasAcc && acc < self {
-		return acc
+// Apply adopts the gathered label if it is smaller. Gather filled every
+// acc[v], with the identity where there was nothing to gather, so hasAcc
+// adds nothing.
+func (ccProgram) Apply(vs []uint32, state, acc []uint32, _ []bool) {
+	for _, v := range vs {
+		state[v] = min(state[v], acc[v])
 	}
-	return self
 }
 
 func (ccProgram) ScatterDirection() engine.Direction { return engine.Out }
 
 // Scatter signals every neighbor whose label this vertex can still improve.
-func (ccProgram) Scatter(_, self uint32, nb *engine.Edges[uint32], out *engine.Signals) {
-	state := nb.State
-	for _, o := range nb.Other {
-		if self < state[o] {
-			out.Send(o)
+func (ccProgram) Scatter(vs []uint32, side *graph.CSR, state []uint32, out *engine.Signals) {
+	off, adj := side.Off, side.Adj
+	for _, v := range vs {
+		self := state[v]
+		for _, o := range adj[off[v]:off[v+1]] {
+			out.SendIf(o, self < state[o])
 		}
 	}
 }

@@ -48,40 +48,51 @@ func fmBit(v uint32, salt uint64) uint {
 
 func (p *adProgram) GatherDirection() engine.Direction { return engine.In }
 
-// Gather ORs one run of neighbor sketches into the accumulator.
-func (p *adProgram) Gather(_ uint32, _ adState, nb *engine.Edges[adState], acc *adState, has bool) bool {
-	if !has {
-		*acc = adState{}
-	}
-	for _, o := range nb.Other {
-		for k, m := range &nb.State[o].Masks {
-			acc.Masks[k] |= m
+// Gather ORs each granule vertex's run of neighbor sketches into its
+// accumulator.
+func (p *adProgram) Gather(vs []uint32, side *graph.CSR, state []adState, acc []adState, hasAcc []bool) {
+	off, adj := side.Off, side.Adj
+	for _, v := range vs {
+		run := adj[off[v]:off[v+1]]
+		if len(run) == 0 {
+			continue
 		}
+		a := &acc[v]
+		if !hasAcc[v] {
+			*a = adState{}
+		}
+		for _, o := range run {
+			for k, m := range &state[o].Masks {
+				a.Masks[k] |= m
+			}
+		}
+		hasAcc[v] = true
 	}
-	return true
 }
 
-func (p *adProgram) Apply(_ uint32, self adState, acc adState, hasAcc bool) adState {
-	changed := false
-	if hasAcc {
-		for k := 0; k < adSketches; k++ {
-			merged := self.Masks[k] | acc.Masks[k]
-			if merged != self.Masks[k] {
-				changed = true
+func (p *adProgram) Apply(vs []uint32, state []adState, acc []adState, hasAcc []bool) {
+	for _, v := range vs {
+		self := &state[v]
+		changed := false
+		if hasAcc[v] {
+			for k, m := range &acc[v].Masks {
+				merged := self.Masks[k] | m
+				if merged != self.Masks[k] {
+					changed = true
+				}
+				self.Masks[k] = merged
 			}
-			self.Masks[k] = merged
 		}
+		self.Changed = changed
 	}
-	self.Changed = changed
-	return self
 }
 
 func (p *adProgram) ScatterDirection() engine.Direction { return engine.Out }
 
 // Scatter keeps the whole graph active every iteration, as the paper
 // observes for AD; convergence is decided globally in PostIteration.
-func (p *adProgram) Scatter(_ uint32, _ adState, nb *engine.Edges[adState], out *engine.Signals) {
-	sendAll(nb.Other, out)
+func (p *adProgram) Scatter(vs []uint32, side *graph.CSR, _ []adState, out *engine.Signals) {
+	sendAll(vs, side, out)
 }
 
 func (p *adProgram) PostIteration(c *engine.Control[adState]) bool {

@@ -9,7 +9,7 @@ import "math"
 // reaches the same fixed point; the Pregel, X-Stream and graph-centric
 // engines each derive their program from a Kernel and differ only in
 // that schedule. The GAS ccProgram and ssspProgram are the same two
-// rules hand-specialised to contiguous arc runs, held to the kernels by
+// rules hand-specialised to granules of CSR arc runs, held to the kernels by
 // TestRunShapedMatchesPerEdgeOracle.
 type Kernel[S any] interface {
 	// Init returns vertex v's initial state and whether it starts active.

@@ -70,10 +70,20 @@ func (p *kmProgram) nearest(pt []float64, votes *kmVotes) int32 {
 
 func (p *kmProgram) GatherDirection() engine.Direction { return engine.Out }
 
-// Gather reads the neighbor's assignment through the edge — this is why
-// K-Means "requires the most data transferring" (Fig. 13): every edge is
-// read every iteration.
-func (p *kmProgram) Gather(_ uint32, _ kmState, nb *engine.Edges[kmState], acc *kmVotes, has bool) bool {
+func (p *kmProgram) Gather(vs []uint32, side *graph.CSR, state []kmState, acc []kmVotes, hasAcc []bool) {
+	nb := engine.NewEdges(side, state)
+	for _, v := range vs {
+		if nb.Of(v) {
+			p.gatherRun(&nb, &acc[v], hasAcc[v])
+			hasAcc[v] = true
+		}
+	}
+}
+
+// gatherRun reads the neighbor's assignment through each edge of one run —
+// this is why K-Means "requires the most data transferring" (Fig. 13):
+// every edge is read every iteration.
+func (p *kmProgram) gatherRun(nb *engine.Edges[kmState], acc *kmVotes, has bool) {
 	if !has {
 		*acc = kmVotes{}
 	}
@@ -82,25 +92,28 @@ func (p *kmProgram) Gather(_ uint32, _ kmState, nb *engine.Edges[kmState], acc *
 			acc[c] += nb.Weight(e)
 		}
 	}
-	return true
 }
 
-func (p *kmProgram) Apply(v uint32, self kmState, acc kmVotes, hasAcc bool) kmState {
-	var votes *kmVotes
-	if hasAcc {
-		votes = &acc
+func (p *kmProgram) Apply(vs []uint32, state []kmState, acc []kmVotes, hasAcc []bool) {
+	for _, v := range vs {
+		var votes *kmVotes
+		if hasAcc[v] {
+			votes = &acc[v]
+		}
+		next := p.nearest(p.g.Features(v), votes)
+		state[v] = kmState{Assign: next, Changed: next != state[v].Assign}
 	}
-	next := p.nearest(p.g.Features(v), votes)
-	return kmState{Assign: next, Changed: next != self.Assign}
 }
 
 func (p *kmProgram) ScatterDirection() engine.Direction { return engine.Out }
 
 // Scatter: "each vertex sends messages to neighbors when the cluster
 // assignment has changed" (§2.1).
-func (p *kmProgram) Scatter(_ uint32, self kmState, nb *engine.Edges[kmState], out *engine.Signals) {
-	if self.Changed {
-		sendAll(nb.Other, out)
+func (p *kmProgram) Scatter(vs []uint32, side *graph.CSR, state []kmState, out *engine.Signals) {
+	for _, v := range vs {
+		if state[v].Changed {
+			sendRun(side, v, out)
+		}
 	}
 }
 

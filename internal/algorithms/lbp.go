@@ -58,11 +58,20 @@ func (p *lbpProgram) Init(_ *graph.Graph, v uint32) (lbpState, bool) {
 
 func (p *lbpProgram) GatherDirection() engine.Direction { return engine.Out }
 
-// Gather reads, per arc of the run, the incoming message m_{u→v} on the
+func (p *lbpProgram) Gather(vs []uint32, side *graph.CSR, state []lbpState, acc []lbpBelief, hasAcc []bool) {
+	nb := engine.NewEdges(side, state)
+	for _, v := range vs {
+		if nb.Of(v) {
+			hasAcc[v] = p.gatherRun(&nb, &acc[v], hasAcc[v])
+		}
+	}
+}
+
+// gatherRun reads, per arc of the run, the incoming message m_{u→v} on the
 // reverse arc, caches it in v's inbox slot, and multiplies it into the
 // belief product (slots past the cardinality stay stale; Apply never
 // reads them).
-func (p *lbpProgram) Gather(_ uint32, _ lbpState, nb *engine.Edges[lbpState], acc *lbpBelief, has bool) bool {
+func (p *lbpProgram) gatherRun(nb *engine.Edges[lbpState], acc *lbpBelief, has bool) bool {
 	n := int64(p.states())
 	for e := range nb.Other {
 		a := nb.Index(e)
@@ -80,7 +89,14 @@ func (p *lbpProgram) Gather(_ uint32, _ lbpState, nb *engine.Edges[lbpState], ac
 	return true
 }
 
-func (p *lbpProgram) Apply(v uint32, self lbpState, acc lbpBelief, hasAcc bool) lbpState {
+func (p *lbpProgram) Apply(vs []uint32, state []lbpState, acc []lbpBelief, hasAcc []bool) {
+	for _, v := range vs {
+		state[v] = p.belief(v, &state[v], &acc[v], hasAcc[v])
+	}
+}
+
+// belief returns v's next normalized belief and its residual.
+func (p *lbpProgram) belief(v uint32, self *lbpState, acc *lbpBelief, hasAcc bool) lbpState {
 	n := p.states()
 	var next lbpState
 	sum := 0.0
@@ -107,14 +123,23 @@ func (p *lbpProgram) Apply(v uint32, self lbpState, acc lbpBelief, hasAcc bool) 
 
 func (p *lbpProgram) ScatterDirection() engine.Direction { return engine.Out }
 
-// Scatter computes this vertex's outgoing message along each arc
-// e = (v→u) of the run:
+func (p *lbpProgram) Scatter(vs []uint32, side *graph.CSR, state []lbpState, sig *engine.Signals) {
+	nb := engine.NewEdges(side, state)
+	for _, v := range vs {
+		if nb.Of(v) {
+			p.scatterRun(v, &nb, sig)
+		}
+	}
+}
+
+// scatterRun computes v's outgoing message along each arc e = (v→u) of
+// its run:
 //
 //	m_{v→u}(x_u) = Σ_{x_v} φ(x_v, x_u) · ψ_v(x_v) · Π_{w≠u} m_{w→v}(x_v)
 //
 // using the cached inbox for the division-free product, then signals u if
 // the message moved more than the tolerance.
-func (p *lbpProgram) Scatter(v uint32, _ lbpState, nb *engine.Edges[lbpState], sig *engine.Signals) {
+func (p *lbpProgram) scatterRun(v uint32, nb *engine.Edges[lbpState], sig *engine.Signals) {
 	n := p.states()
 	lo, hi := p.m.G.OutArcRange(v)
 	for i, u := range nb.Other {

@@ -196,7 +196,7 @@ func TestALSImprovesOnRandomRatings(t *testing.T) {
 }
 
 // TestALSApplyDoesNotAllocate keeps the allocator out of the timed WORK
-// region: the solve factors in Apply's own copy of the accumulator.
+// region: the solve factors in the accumulator slot, dead after Apply.
 func TestALSApplyDoesNotAllocate(t *testing.T) {
 	p := &alsProgram{numUsers: 1, lambda: 0.05, tol: 5e-3}
 	f := initFactor(7, 1)
@@ -206,11 +206,15 @@ func TestALSApplyDoesNotAllocate(t *testing.T) {
 			acc.A[i*cfRank+j] = fi * fj
 		}
 	}
-	var next cfState
-	if n := testing.AllocsPerRun(100, func() { next = p.Apply(0, cfState{}, acc, true) }); n != 0 {
+	vs, state, accs, hasAcc := []uint32{0}, make([]cfState, 1), make([]alsAccum, 1), []bool{true}
+	n := testing.AllocsPerRun(100, func() {
+		state[0], accs[0] = cfState{}, acc
+		p.Apply(vs, state, accs, hasAcc)
+	})
+	if n != 0 {
 		t.Fatalf("alsProgram.Apply allocates %v times per call, want 0", n)
 	}
-	if next.Delta == 0 {
+	if next := state[0]; next.Delta == 0 {
 		t.Fatal("Apply kept the old factor: the solve failed")
 	}
 }

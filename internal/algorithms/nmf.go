@@ -30,9 +30,18 @@ func (p *nmfProgram) Init(_ *graph.Graph, v uint32) (cfState, bool) {
 
 func (p *nmfProgram) GatherDirection() engine.Direction { return engine.Both }
 
-// Gather adds one run of ratings; products are rounded before they are
-// added (see alsProgram.Gather).
-func (p *nmfProgram) Gather(_ uint32, self cfState, nb *engine.Edges[cfState], acc *nmfAccum, has bool) bool {
+func (p *nmfProgram) Gather(vs []uint32, side *graph.CSR, state []cfState, acc []nmfAccum, hasAcc []bool) {
+	nb := engine.NewEdges(side, state)
+	for _, v := range vs {
+		if nb.Of(v) {
+			hasAcc[v] = p.gatherRun(&state[v], &nb, &acc[v], hasAcc[v])
+		}
+	}
+}
+
+// gatherRun adds one run of ratings; products are rounded before they are
+// added (see alsProgram.gatherRun).
+func (p *nmfProgram) gatherRun(self *cfState, nb *engine.Edges[cfState], acc *nmfAccum, has bool) bool {
 	for e, o := range nb.Other {
 		f, w := &nb.State[o].F, nb.Weight(e)
 		pred := cfDot(&self.F, f)
@@ -52,23 +61,25 @@ func (p *nmfProgram) Gather(_ uint32, self cfState, nb *engine.Edges[cfState], a
 	return true
 }
 
-func (p *nmfProgram) Apply(_ uint32, self cfState, acc nmfAccum, hasAcc bool) cfState {
-	if !hasAcc {
-		return self
-	}
+func (p *nmfProgram) Apply(vs []uint32, state []cfState, acc []nmfAccum, hasAcc []bool) {
 	const eps = 1e-9
-	for i := 0; i < cfRank; i++ {
-		self.F[i] *= acc.Num[i] / (acc.Den[i] + eps)
+	for _, v := range vs {
+		if !hasAcc[v] {
+			continue
+		}
+		f, a := &state[v].F, &acc[v]
+		for i := 0; i < cfRank; i++ {
+			f[i] *= a.Num[i] / (a.Den[i] + eps)
+		}
 	}
-	return self
 }
 
 func (p *nmfProgram) ScatterDirection() engine.Direction { return engine.Both }
 
 // Scatter signals unconditionally: the iteration budget, not quiescence,
 // ends the run.
-func (p *nmfProgram) Scatter(_ uint32, _ cfState, nb *engine.Edges[cfState], out *engine.Signals) {
-	sendAll(nb.Other, out)
+func (p *nmfProgram) Scatter(vs []uint32, side *graph.CSR, _ []cfState, out *engine.Signals) {
+	sendAll(vs, side, out)
 }
 
 func (p *nmfProgram) PostIteration(c *engine.Control[cfState]) bool {

@@ -15,7 +15,7 @@ import (
 // kernelEdgeProgram is a propagation Kernel as a per-edge GAS program:
 // gather the offers of in-neighbors, apply the best one if it improves,
 // signal every out-neighbor this vertex can still improve. It is the
-// reference the hand-specialised run-shaped ccProgram and ssspProgram are
+// reference the hand-specialised granule-shaped ccProgram and ssspProgram are
 // held to, run through engine.PerEdge.
 type kernelEdgeProgram[S any] struct{ k Kernel[S] }
 
@@ -41,13 +41,41 @@ func (p kernelEdgeProgram[S]) Scatter(_ uint32, e engine.Arc, self, other S) boo
 	return p.k.Better(p.k.Along(self, e.Weight), other)
 }
 
-// The six wide-accumulator programs as they were before they became
-// run-shaped: one contribution per edge by value, folded with Sum, one
-// scatter decision per edge. Each embeds the program it is the oracle of,
-// so Init, Apply and the iteration hooks are shared and only the edge
-// work differs. (alsEdgeOracle fills the whole of A; Apply's solver reads
-// the lower triangle of either.)
-type alsEdgeOracle struct{ *alsProgram }
+// The six wide-accumulator programs as they were before they folded in
+// place: one contribution per edge by value, folded with Sum, one scatter
+// decision per edge. Each embeds the program it is the oracle of, so
+// Init, Apply (through oneVertex) and the iteration hooks are shared and
+// only the edge work differs. (alsEdgeOracle fills the whole of A;
+// Apply's solver reads the lower triangle of either.)
+
+// oneVertex runs a granule-shaped Apply on one-vertex granules over
+// scratch slices as long as the graph: the per-vertex Apply an oracle
+// shares with the program it checks.
+type oneVertex[S, A any] struct {
+	state  []S
+	acc    []A
+	hasAcc []bool
+}
+
+func newOneVertex[S, A any](g *graph.Graph) *oneVertex[S, A] {
+	n := g.NumVertices()
+	return &oneVertex[S, A]{make([]S, n), make([]A, n), make([]bool, n)}
+}
+
+func (o *oneVertex[S, A]) apply(p engine.Program[S, A], v uint32, self S, acc A, has bool) S {
+	o.state[v], o.acc[v], o.hasAcc[v] = self, acc, has
+	p.Apply([]uint32{v}, o.state, o.acc, o.hasAcc)
+	return o.state[v]
+}
+
+type alsEdgeOracle struct {
+	*alsProgram
+	one *oneVertex[cfState, alsAccum]
+}
+
+func (o alsEdgeOracle) Apply(v uint32, self cfState, acc alsAccum, has bool) cfState {
+	return o.one.apply(o.alsProgram, v, self, acc, has)
+}
 
 func (alsEdgeOracle) Gather(_ uint32, e engine.Arc, _, other cfState) alsAccum {
 	var acc alsAccum
@@ -78,7 +106,14 @@ func (o alsEdgeOracle) Scatter(_ uint32, _ engine.Arc, self, _ cfState) bool {
 	return self.Delta > o.tol
 }
 
-type kmEdgeOracle struct{ *kmProgram }
+type kmEdgeOracle struct {
+	*kmProgram
+	one *oneVertex[kmState, kmVotes]
+}
+
+func (o kmEdgeOracle) Apply(v uint32, self kmState, acc kmVotes, has bool) kmState {
+	return o.one.apply(o.kmProgram, v, self, acc, has)
+}
 
 func (o kmEdgeOracle) Gather(_ uint32, e engine.Arc, _, other kmState) kmVotes {
 	var v kmVotes
@@ -97,7 +132,14 @@ func (o kmEdgeOracle) Sum(a, b kmVotes) kmVotes {
 
 func (kmEdgeOracle) Scatter(_ uint32, _ engine.Arc, self, _ kmState) bool { return self.Changed }
 
-type nmfEdgeOracle struct{ *nmfProgram }
+type nmfEdgeOracle struct {
+	*nmfProgram
+	one *oneVertex[cfState, nmfAccum]
+}
+
+func (o nmfEdgeOracle) Apply(v uint32, self cfState, acc nmfAccum, has bool) cfState {
+	return o.one.apply(o.nmfProgram, v, self, acc, has)
+}
 
 func (nmfEdgeOracle) Gather(_ uint32, e engine.Arc, self, other cfState) nmfAccum {
 	var acc nmfAccum
@@ -122,7 +164,14 @@ func (nmfEdgeOracle) Sum(a, b nmfAccum) nmfAccum {
 
 func (nmfEdgeOracle) Scatter(uint32, engine.Arc, cfState, cfState) bool { return true }
 
-type sgdEdgeOracle struct{ *sgdProgram }
+type sgdEdgeOracle struct {
+	*sgdProgram
+	one *oneVertex[cfState, cfFactor]
+}
+
+func (o sgdEdgeOracle) Apply(v uint32, self cfState, acc cfFactor, has bool) cfState {
+	return o.one.apply(o.sgdProgram, v, self, acc, has)
+}
 
 func (sgdEdgeOracle) Gather(_ uint32, e engine.Arc, self, other cfState) cfFactor {
 	pred := 0.0
@@ -146,7 +195,14 @@ func (sgdEdgeOracle) Sum(a, b cfFactor) cfFactor {
 
 func (sgdEdgeOracle) Scatter(uint32, engine.Arc, cfState, cfState) bool { return true }
 
-type adEdgeOracle struct{ *adProgram }
+type adEdgeOracle struct {
+	*adProgram
+	one *oneVertex[adState, adState]
+}
+
+func (o adEdgeOracle) Apply(v uint32, self, acc adState, has bool) adState {
+	return o.one.apply(o.adProgram, v, self, acc, has)
+}
 
 func (adEdgeOracle) Gather(_ uint32, _ engine.Arc, _, other adState) adState {
 	other.Changed = false
@@ -162,7 +218,14 @@ func (adEdgeOracle) Sum(a, b adState) adState {
 
 func (adEdgeOracle) Scatter(uint32, engine.Arc, adState, adState) bool { return true }
 
-type lbpEdgeOracle struct{ *lbpProgram }
+type lbpEdgeOracle struct {
+	*lbpProgram
+	one *oneVertex[lbpState, lbpBelief]
+}
+
+func (o lbpEdgeOracle) Apply(v uint32, self lbpState, acc lbpBelief, has bool) lbpState {
+	return o.one.apply(o.lbpProgram, v, self, acc, has)
+}
 
 func (o lbpEdgeOracle) Gather(_ uint32, e engine.Arc, _, _ lbpState) lbpBelief {
 	p := o.lbpProgram
@@ -284,7 +347,7 @@ func everySchedule(t *testing.T, maxIterations int, body func(t *testing.T, opt 
 	}
 }
 
-// sameAsEdgeOracle runs a run-shaped program and its per-edge oracle and
+// sameAsEdgeOracle runs a granule-shaped program and its per-edge oracle and
 // requires the two runs to be the same run.
 func sameAsEdgeOracle[S comparable, A any](t *testing.T, g *graph.Graph, opt engine.Options,
 	p engine.Program[S, A], oracle engine.EdgeProgram[S, A]) {
@@ -304,7 +367,7 @@ func sameAsEdgeOracle[S comparable, A any](t *testing.T, g *graph.Graph, opt eng
 }
 
 // TestRunShapedMatchesPerEdgeOracle is the differential check of every
-// run-shaped program against its per-edge definition — final states to
+// granule-shaped program against its per-edge definition — final states to
 // the bit, counters and mode labels — under every schedule. CC and SSSP
 // are held to the kernels every other execution model derives its
 // program from, over every graph shape the run view has a separate case
@@ -353,19 +416,19 @@ func TestRunShapedMatchesPerEdgeOracle(t *testing.T) {
 	t.Run("ALS", func(t *testing.T) {
 		everySchedule(t, 8, func(t *testing.T, opt engine.Options) {
 			p := &alsProgram{numUsers: users, lambda: 0.05, tol: 5e-3}
-			sameAsEdgeOracle[cfState, alsAccum](t, ratings, opt, p, alsEdgeOracle{p})
+			sameAsEdgeOracle[cfState, alsAccum](t, ratings, opt, p, alsEdgeOracle{p, newOneVertex[cfState, alsAccum](ratings)})
 		})
 	})
 	t.Run("NMF", func(t *testing.T) {
 		everySchedule(t, 0, func(t *testing.T, opt engine.Options) {
 			p := &nmfProgram{iters: 5}
-			sameAsEdgeOracle[cfState, nmfAccum](t, ratings, opt, p, nmfEdgeOracle{p})
+			sameAsEdgeOracle[cfState, nmfAccum](t, ratings, opt, p, nmfEdgeOracle{p, newOneVertex[cfState, nmfAccum](ratings)})
 		})
 	})
 	t.Run("SGD", func(t *testing.T) {
 		everySchedule(t, 0, func(t *testing.T, opt engine.Options) {
 			p := &sgdProgram{lr: 0.01, reg: 0.05, iters: 5}
-			sameAsEdgeOracle[cfState, cfFactor](t, ratings, opt, p, sgdEdgeOracle{p})
+			sameAsEdgeOracle[cfState, cfFactor](t, ratings, opt, p, sgdEdgeOracle{p, newOneVertex[cfState, cfFactor](ratings)})
 		})
 	})
 
@@ -387,13 +450,13 @@ func TestRunShapedMatchesPerEdgeOracle(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("KM/k=%d", k), func(t *testing.T) {
 			everySchedule(t, 12, func(t *testing.T, opt engine.Options) {
-				sameAsEdgeOracle[kmState, kmVotes](t, g, opt, km(), kmEdgeOracle{km()})
+				sameAsEdgeOracle[kmState, kmVotes](t, g, opt, km(), kmEdgeOracle{km(), newOneVertex[kmState, kmVotes](g)})
 			})
 		})
 	}
 	t.Run("AD", func(t *testing.T) {
 		everySchedule(t, 0, func(t *testing.T, opt engine.Options) {
-			sameAsEdgeOracle[adState, adState](t, g, opt, &adProgram{}, adEdgeOracle{&adProgram{}})
+			sameAsEdgeOracle[adState, adState](t, g, opt, &adProgram{}, adEdgeOracle{&adProgram{}, newOneVertex[adState, adState](g)})
 		})
 	})
 
@@ -416,7 +479,7 @@ func TestRunShapedMatchesPerEdgeOracle(t *testing.T) {
 		t.Run(fmt.Sprintf("LBP/states=%d", states), func(t *testing.T) {
 			everySchedule(t, 12, func(t *testing.T, opt engine.Options) {
 				p, o := lbp(), lbp()
-				sameAsEdgeOracle[lbpState, lbpBelief](t, m.G, opt, p, lbpEdgeOracle{o})
+				sameAsEdgeOracle[lbpState, lbpBelief](t, m.G, opt, p, lbpEdgeOracle{o, newOneVertex[lbpState, lbpBelief](m.G)})
 				if !slices.Equal(p.inbox, o.inbox) || !slices.Equal(p.msg, o.msg) {
 					t.Fatal("inbox or messages differ from the per-edge oracle's")
 				}

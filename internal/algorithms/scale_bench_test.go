@@ -23,9 +23,12 @@ type runTotals struct {
 // synchronous gather/apply/scatter min-propagation CC and SSSP run (CC:
 // step 0 from every vertex; unit-length SSSP: step 1 from one source),
 // written straight against the CSR arrays on one goroutine with nothing
-// in between — no program interface, no scheduler, no spans. Its
-// counters are the engine's by construction, so the time between the two
-// is what the engine layer costs; what is left is memory.
+// in between — no program interface, no scheduler, no spans. It takes
+// its minimum and signals without a branch, as the engine's programs do
+// (a compare-and-branch per edge is a coin flip the predictor loses), so
+// the floor stays below the engine. Its counters are the engine's by
+// construction, so the time between the two is what the engine layer
+// costs; what is left is memory.
 func floorMinPropagation[T uint32 | float64](g *graph.Graph, state []T, active []uint32, step, inf T) runTotals {
 	csr := g.OutCSR() // undirected: both sides
 	off, adj := csr.Off, csr.Adj
@@ -38,30 +41,30 @@ func floorMinPropagation[T uint32 | float64](g *graph.Graph, state []T, active [
 		for _, v := range active {
 			a := inf
 			for _, o := range adj[off[v]:off[v+1]] {
-				if c := state[o] + step; c < a {
-					a = c
-				}
+				a = min(a, state[o]+step)
 			}
 			acc[v] = a
 			tot.edgeReads += off[v+1] - off[v]
 		}
 		t1 := time.Now()
 		for _, v := range active {
-			if acc[v] < state[v] {
-				state[v] = acc[v]
-			}
+			state[v] = min(state[v], acc[v])
 		}
 		tot.updates += int64(len(active))
 		t2 := time.Now()
+		var messages uint64
 		for _, v := range active {
 			self := state[v] + step
 			for _, o := range adj[off[v]:off[v+1]] {
+				var b uint64
 				if self < state[o] {
-					next[o>>6] |= 1 << (o & 63)
-					tot.messages++
+					b = 1
 				}
+				next[o>>6] |= b << (o & 63)
+				messages += b
 			}
 		}
+		tot.messages += int64(messages)
 		tot.gather += t1.Sub(t0)
 		tot.apply += t2.Sub(t1)
 		tot.scatter += time.Since(t2)
@@ -202,7 +205,7 @@ func BenchmarkEngineScale(b *testing.B) {
 
 // BenchmarkWideGather runs the algorithms whose gather folds an
 // accumulator wider than a couple of words — the ones that leave PerEdge
-// for a run-shaped Program — on one worker: ALS, NMF and SGD on a
+// for a granule-shaped Program — on one worker: ALS, NMF and SGD on a
 // 1e5-rating bipartite graph, KM and AD on a 1e5-edge α = 2.5 graph.
 // ns/edge-read is the whole run over its edge reads; allocs/op is per
 // run — set-up and the per-iteration trace, nothing per vertex or edge.

@@ -25,10 +25,19 @@ func (p *sgdProgram) Init(_ *graph.Graph, v uint32) (cfState, bool) {
 
 func (p *sgdProgram) GatherDirection() engine.Direction { return engine.Both }
 
-// Gather adds the gradient contribution of each rating in one run:
+func (p *sgdProgram) Gather(vs []uint32, side *graph.CSR, state []cfState, acc []cfFactor, hasAcc []bool) {
+	nb := engine.NewEdges(side, state)
+	for _, v := range vs {
+		if nb.Of(v) {
+			hasAcc[v] = p.gatherRun(&state[v], &nb, &acc[v], hasAcc[v])
+		}
+	}
+}
+
+// gatherRun adds the gradient contribution of each rating in one run:
 // err·f_other where err = rating − ⟨f_self, f_other⟩, rounded before it is
-// added (see alsProgram.Gather).
-func (p *sgdProgram) Gather(_ uint32, self cfState, nb *engine.Edges[cfState], acc *cfFactor, has bool) bool {
+// added (see alsProgram.gatherRun).
+func (p *sgdProgram) gatherRun(self *cfState, nb *engine.Edges[cfState], acc *cfFactor, has bool) bool {
 	for e, o := range nb.Other {
 		f := &nb.State[o].F
 		errTerm := nb.Weight(e) - cfDot(&self.F, f)
@@ -46,20 +55,22 @@ func (p *sgdProgram) Gather(_ uint32, self cfState, nb *engine.Edges[cfState], a
 	return true
 }
 
-func (p *sgdProgram) Apply(_ uint32, self cfState, acc cfFactor, hasAcc bool) cfState {
-	if !hasAcc {
-		return self
+func (p *sgdProgram) Apply(vs []uint32, state []cfState, acc []cfFactor, hasAcc []bool) {
+	for _, v := range vs {
+		if !hasAcc[v] {
+			continue
+		}
+		f, g := &state[v].F, &acc[v]
+		for i := 0; i < cfRank; i++ {
+			f[i] += p.lr * (g[i] - p.reg*f[i])
+		}
 	}
-	for i := 0; i < cfRank; i++ {
-		self.F[i] += p.lr * (acc[i] - p.reg*self.F[i])
-	}
-	return self
 }
 
 func (p *sgdProgram) ScatterDirection() engine.Direction { return engine.Both }
 
-func (p *sgdProgram) Scatter(_ uint32, _ cfState, nb *engine.Edges[cfState], out *engine.Signals) {
-	sendAll(nb.Other, out)
+func (p *sgdProgram) Scatter(vs []uint32, side *graph.CSR, _ []cfState, out *engine.Signals) {
+	sendAll(vs, side, out)
 }
 
 func (p *sgdProgram) PostIteration(c *engine.Control[cfState]) bool {

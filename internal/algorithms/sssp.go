@@ -24,41 +24,53 @@ func (p *ssspProgram) Init(_ *graph.Graph, v uint32) (float64, bool) {
 
 func (p *ssspProgram) GatherDirection() engine.Direction { return engine.In }
 
-// Gather continues the minimum over one run of neighbor distances plus
-// edge lengths. +Inf is the identity of min, so a fold with nothing in it
-// yet starts there.
-func (p *ssspProgram) Gather(_ uint32, _ float64, nb *engine.Edges[float64], acc *float64, has bool) bool {
-	best := math.Inf(1)
-	if has {
-		best = *acc
-	}
-	state := nb.State
-	for i, o := range nb.Other {
-		if d := state[o] + nb.Weight(i); d < best {
-			best = d
+// Gather takes the minimum over each granule vertex's neighbor distances
+// plus edge lengths, as ccProgram.Gather does: min, not a compare (the
+// two differ only on NaN and −0, which sums of a +0 source and positive
+// lengths never are), from +Inf, the identity of min, on the one side In
+// visits, so acc[v] holds a fold for every granule vertex.
+func (p *ssspProgram) Gather(vs []uint32, side *graph.CSR, state, acc []float64, _ []bool) {
+	off, adj := side.Off, side.Adj
+	for _, v := range vs {
+		best := math.Inf(1)
+		for slot := off[v]; slot < off[v+1]; slot++ {
+			best = min(best, state[adj[slot]]+arcLength(side, slot))
 		}
+		acc[v] = best
 	}
-	*acc = best
-	return true
 }
 
-func (p *ssspProgram) Apply(_ uint32, self, acc float64, hasAcc bool) float64 {
-	if hasAcc && acc < self {
-		return acc
+// Apply adopts the gathered distance if it is shorter; see ccProgram.Apply.
+func (p *ssspProgram) Apply(vs []uint32, state, acc []float64, _ []bool) {
+	for _, v := range vs {
+		state[v] = min(state[v], acc[v])
 	}
-	return self
 }
 
 func (p *ssspProgram) ScatterDirection() engine.Direction { return engine.Out }
 
 // Scatter signals every neighbor this vertex's distance can still relax.
-func (p *ssspProgram) Scatter(_ uint32, self float64, nb *engine.Edges[float64], out *engine.Signals) {
-	state := nb.State
-	for i, o := range nb.Other {
-		if self+nb.Weight(i) < state[o] {
-			out.Send(o)
+func (p *ssspProgram) Scatter(vs []uint32, side *graph.CSR, state []float64, out *engine.Signals) {
+	off, adj := side.Off, side.Adj
+	for _, v := range vs {
+		self := state[v]
+		for slot := off[v]; slot < off[v+1]; slot++ {
+			o := adj[slot]
+			out.SendIf(o, self+arcLength(side, slot) < state[o])
 		}
 	}
+}
+
+// arcLength is the length of the arc in slot: its weight, 1 when the
+// graph is unweighted.
+func arcLength(side *graph.CSR, slot int64) float64 {
+	if side.W == nil {
+		return 1
+	}
+	if side.Arc != nil {
+		slot = side.Arc[slot]
+	}
+	return side.W[slot]
 }
 
 // SingleSourceShortestPath computes distances from source to every vertex

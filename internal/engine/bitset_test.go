@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -108,6 +109,34 @@ func TestSignalsSerialMatchesShared(t *testing.T) {
 	}
 	if got := serial.appendSet(0, n, nil); !slices.Equal(got, []uint32{0, 5, 63, 64, 512, 999}) {
 		t.Fatalf("signalled set = %v", got)
+	}
+}
+
+// TestSignalsSendIfMatchesSend: on the serial and the shared path alike,
+// SendIf(v, ok) leaves the bitset and message count `if ok { Send(v) }`
+// leaves, over a seeded run of signals that repeats vertices and mixes
+// taken and untaken ones.
+func TestSignalsSendIfMatchesSend(t *testing.T) {
+	const n = 1000
+	r := rand.New(rand.NewSource(29))
+	for _, shared := range []bool{false, true} {
+		got, want := newBitset(n), newBitset(n)
+		a := Signals{next: got.words, shared: shared}
+		b := Signals{next: want.words, shared: shared}
+		for i := 0; i < 5000; i++ {
+			v, ok := uint32(r.Intn(n)), r.Intn(3) == 0
+			a.SendIf(v, ok)
+			if ok {
+				b.Send(v)
+			}
+		}
+		if a.sent != b.sent || !slices.Equal(got.words, want.words) {
+			t.Fatalf("shared=%v: SendIf left %d messages and %d bits, Send %d and %d",
+				shared, a.sent, got.Count(), b.sent, want.Count())
+		}
+		if b.sent == 0 || want.Count() == n {
+			t.Fatalf("shared=%v: %d messages, %d bits: the run proves nothing", shared, b.sent, want.Count())
+		}
 	}
 }
 

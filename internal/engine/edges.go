@@ -6,9 +6,10 @@ import (
 	"gcbench/internal/graph"
 )
 
-// Edges is one vertex's contiguous run of arcs on one CSR side, as handed
-// to Gather and Scatter. The engine keeps one per worker and rewrites it
-// per vertex, so a program must not retain it (or mutate it) across calls.
+// Edges walks a granule's arc runs on one CSR side one vertex at a time,
+// for programs whose edge work is written per run (PerEdge and the
+// wide-accumulator programs): NewEdges once per granule and side, then Of
+// per vertex. A program builds its own, on its stack.
 type Edges[S any] struct {
 	// Other[i] is the neighbor across the run's i-th arc, in CSR order.
 	Other []uint32
@@ -18,6 +19,19 @@ type Edges[S any] struct {
 
 	side  *graph.CSR // the CSR side the run lies on
 	first int64      // the run's first slot on that side
+}
+
+// NewEdges returns a run view over side that reads neighbor state from
+// state.
+func NewEdges[S any](side *graph.CSR, state []S) Edges[S] {
+	return Edges[S]{State: state, side: side}
+}
+
+// Of points the view at v's run and reports whether the run is non-empty.
+func (e *Edges[S]) Of(v uint32) bool {
+	lo, hi := e.side.Off[v], e.side.Off[v+1]
+	e.Other, e.first = e.side.Adj[lo:hi], lo
+	return lo < hi
 }
 
 // Index returns the canonical out-arc index of the run's i-th arc — stable
@@ -49,7 +63,7 @@ func (e *Edges[S]) Arc(i int) Arc {
 }
 
 // Signals collects one worker's scatter activations for the next
-// iteration. Each Send is one message (the MSG numerator).
+// iteration. Each signal is one message (the MSG numerator).
 type Signals struct {
 	next []uint64 // the next-frontier bitset's words
 	// shared is set when other goroutines signal into next during the same
@@ -67,6 +81,23 @@ func (s *Signals) Send(v uint32) {
 		return
 	}
 	s.next[v>>6] |= uint64(1) << (v & 63)
+}
+
+// SendIf is Send when ok holds and nothing otherwise. On one goroutine it
+// does not branch on ok: ok is ORed into v's bit and added to the count,
+// so a scatter whose condition is a data-dependent coin flip (CC, SSSP)
+// pays no misprediction for it. Shared phases keep the compare-and-swap.
+func (s *Signals) SendIf(v uint32, ok bool) {
+	var b uint64
+	if ok {
+		b = 1
+	}
+	s.sent += int64(b)
+	if !s.shared {
+		s.next[v>>6] |= b << (v & 63)
+	} else if ok {
+		s.sendShared(v)
+	}
 }
 
 func (s *Signals) sendShared(v uint32) {

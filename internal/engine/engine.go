@@ -67,44 +67,52 @@ const (
 )
 
 // Program is a vertex program in the GAS model, generic over the vertex
-// state S and the gather accumulator A. Its edge work is run-shaped: the
-// engine hands Gather and Scatter one vertex's contiguous arc run and the
-// program owns the loop over it, so a compare-per-edge algorithm pays no
-// call per edge and a wide accumulator is folded where it lives. Programs
-// with a scalar accumulator are simpler to write as an EdgeProgram and
-// wrap with PerEdge.
+// state S and the gather accumulator A. It is granule-shaped: each phase
+// hands it a whole granule — vs, a list of active vertices in ascending
+// order — with one CSR side and the state, acc and hasAcc slices indexed
+// by vertex, and the program loops over the granule's vertices and their
+// arc runs (side.Adj[side.Off[v]:side.Off[v+1]]) itself. The engine makes
+// one call per granule and side, so a compare-per-edge algorithm runs as
+// one loop nest with nothing opaque in it and a wide accumulator is
+// folded where it lives. Programs with a scalar accumulator are simpler
+// to write as an EdgeProgram and wrap with PerEdge; programs with a wide
+// one keep a per-run body behind a short loop over NewEdges(...).Of(v).
 //
 // Within one iteration, Gather for every active vertex runs before any
 // Apply, and every Apply before any Scatter, so Gather observes the state
 // of the previous iteration and Scatter observes fully applied state —
-// GraphLab's synchronous semantics.
+// GraphLab's synchronous semantics. A granule's vertices are the
+// program's alone for the call: it may write acc[v], hasAcc[v] and (in
+// Apply) state[v] for v in vs, and nothing else the engine owns.
 type Program[S, A any] interface {
 	// Init returns vertex v's initial state and whether it starts active.
 	Init(g *graph.Graph, v uint32) (state S, active bool)
 
 	// GatherDirection selects the edges Gather visits.
 	GatherDirection() Direction
-	// Gather continues v's gather fold, in place in *acc, over one
-	// non-empty run of arcs. has reports whether *acc holds the fold so
-	// far; when it is false *acc is stale and the first contribution must
-	// overwrite it. Returns whether *acc now holds a fold. Both on a
-	// directed graph folds the out-run, then the in-run; every other
-	// direction is a single run. Each arc in nb counts as one edge read
+	// Gather continues each granule vertex's fold over its run on side,
+	// in place in acc[v]. hasAcc[v] reports whether acc[v] holds a fold:
+	// the engine clears it for the granule before the first side, so the
+	// first contribution must overwrite a stale acc[v], and the program
+	// sets it once the fold holds anything. Both on a directed graph is
+	// two calls per granule, the out side then the in side; every other
+	// direction is one. Each arc of each run counts as one edge read
 	// whatever the program does with it. (In place, because accumulators
-	// can be large — ALS folds 584-byte normal equations — and a by-value
-	// fold would copy one in and out per vertex and run.)
-	Gather(v uint32, self S, nb *Edges[S], acc *A, has bool) bool
+	// can be large — ALS folds 584-byte normal equations.)
+	Gather(vs []uint32, side *graph.CSR, state []S, acc []A, hasAcc []bool)
 
-	// Apply computes v's next state. hasAcc is false when no edges were
-	// gathered (isolated vertex or GatherDirection None).
-	Apply(v uint32, self S, acc A, hasAcc bool) S
+	// Apply computes each granule vertex's next state into state[v].
+	// hasAcc[v] is false when no edges were gathered (isolated vertex or
+	// GatherDirection None). acc[v] is dead after Apply, so it may serve
+	// as scratch.
+	Apply(vs []uint32, state []S, acc []A, hasAcc []bool)
 
 	// ScatterDirection selects the edges Scatter visits.
 	ScatterDirection() Direction
-	// Scatter inspects one non-empty run of v's arcs after Apply and calls
-	// out.Send for every neighbor to signal (activate) for the next
-	// iteration; each Send is one message.
-	Scatter(v uint32, self S, nb *Edges[S], out *Signals)
+	// Scatter inspects each granule vertex's run on side after Apply and
+	// calls out.Send (or out.SendIf) for every neighbor to signal
+	// (activate) for the next iteration; each signal is one message.
+	Scatter(vs []uint32, side *graph.CSR, state []S, out *Signals)
 }
 
 // PreIterator is an optional Program extension: PreIteration runs serially
@@ -202,7 +210,7 @@ func Run[S, A any](g *graph.Graph, p Program[S, A], opt Options) (*Result[S], er
 		out:       g.OutCSR(),
 		in:        g.InCSR(),
 		p:         p,
-		ws:        make([]worker[S], workers),
+		ws:        make([]worker, workers),
 		state:     make([]S, n),
 		acc:       make([]A, n),
 		hasAcc:    make([]bool, n),
@@ -213,7 +221,6 @@ func Run[S, A any](g *graph.Graph, p Program[S, A], opt Options) (*Result[S], er
 	e.gatherSides, e.scatterSides = e.sides(p.GatherDirection()), e.sides(p.ScatterDirection())
 	e.granuleTask = e.runGranule
 	for w := range e.ws {
-		e.ws[w].nb = Edges[S]{State: e.state}
 		e.ws[w].scratch = make([]uint32, 0, min(n, chunkSize))
 	}
 
@@ -344,7 +351,7 @@ type engine[S, A any] struct {
 	g       *graph.Graph
 	out, in graph.CSR
 	p       Program[S, A]
-	ws      []worker[S]
+	ws      []worker
 	state   []S
 	acc     []A
 	hasAcc  []bool
@@ -374,9 +381,8 @@ type engine[S, A any] struct {
 
 // worker is one worker's private scratch and per-phase tallies, reused for
 // the whole run. The trailing pad keeps neighbors off each other's cache
-// lines: nb and the tallies are rewritten per vertex.
-type worker[S any] struct {
-	nb      Edges[S]
+// lines: the tallies are rewritten per granule and Signals per message.
+type worker struct {
 	out     Signals
 	scratch []uint32         // dense granule: the chunk's active vertices
 	busy    [3]time.Duration // time in each phase's granules, this iteration
@@ -524,13 +530,14 @@ func (e *engine[S, A]) runGranule(worker int, t int64) {
 	switch e.ph {
 	case gatherPhase:
 		for i, c := range e.phSides {
-			e.gather(ws, vs, c, i > 0)
+			e.gather(ws, vs, c, i == 0)
 		}
 	case applyPhase:
-		e.apply(ws, vs)
+		e.p.Apply(vs, e.state, e.acc, e.hasAcc)
+		ws.count += int64(len(vs))
 	case scatterPhase:
 		for _, c := range e.phSides {
-			e.scatter(ws, vs, c)
+			e.p.Scatter(vs, c, e.state, &ws.out)
 		}
 	}
 	ws.busy[e.ph] += time.Since(t0)
@@ -551,51 +558,23 @@ func (e *engine[S, A]) sides(d Direction) []*graph.CSR {
 	return []*graph.CSR{&e.out, &e.in}
 }
 
-// gather folds the program's Gather over each granule vertex's arc run on
-// one CSR side, in place in the accumulators; cont continues the fold a
-// previous side left there (Both on a directed graph: the out side, then
-// the in side — per vertex the out-run still folds before the in-run, and
-// Gather reads nothing a gather writes, so two passes equal one). The CSR
-// arrays, state and accumulators sit in locals: the opaque Gather call
-// would otherwise force a reload per vertex.
-func (e *engine[S, A]) gather(ws *worker[S], vs []uint32, c *graph.CSR, cont bool) {
-	p, state, acc, hasAcc := e.p, e.state, e.acc, e.hasAcc
-	off, adj := c.Off, c.Adj
-	nb := &ws.nb
-	nb.side = c
+// gather counts the granule's edge reads on one CSR side — its run
+// lengths, whatever the program does with them — and hands the granule
+// and side to the program's Gather. first marks the direction's first
+// side, before which the granule's hasAcc flags are cleared; a second
+// side (Both on a directed graph: out, then in) continues the fold the
+// first left in place. Per vertex the out-run still folds before the
+// in-run, and Gather reads nothing a gather writes, so two passes equal
+// one.
+func (e *engine[S, A]) gather(ws *worker, vs []uint32, c *graph.CSR, first bool) {
+	off, hasAcc := c.Off, e.hasAcc
 	var reads int64
 	for _, v := range vs {
-		has := cont && hasAcc[v]
-		if lo, hi := off[v], off[v+1]; lo < hi {
-			nb.Other, nb.first = adj[lo:hi], lo
-			has = p.Gather(v, state[v], nb, &acc[v], has)
-			reads += hi - lo
+		reads += off[v+1] - off[v]
+		if first {
+			hasAcc[v] = false
 		}
-		hasAcc[v] = has
 	}
 	ws.count += reads
-}
-
-// apply runs Apply per granule vertex.
-func (e *engine[S, A]) apply(ws *worker[S], vs []uint32) {
-	p, state, acc, hasAcc := e.p, e.state, e.acc, e.hasAcc
-	for _, v := range vs {
-		state[v] = p.Apply(v, state[v], acc[v], hasAcc[v])
-	}
-	ws.count += int64(len(vs))
-}
-
-// scatter hands each granule vertex's arc run on one CSR side to the
-// program's Scatter, which signals into the worker's Signals.
-func (e *engine[S, A]) scatter(ws *worker[S], vs []uint32, c *graph.CSR) {
-	p, state := e.p, e.state
-	off, adj := c.Off, c.Adj
-	nb, out := &ws.nb, &ws.out
-	nb.side = c
-	for _, v := range vs {
-		if lo, hi := off[v], off[v+1]; lo < hi {
-			nb.Other, nb.first = adj[lo:hi], lo
-			p.Scatter(v, state[v], nb, out)
-		}
-	}
+	e.p.Gather(vs, c, e.state, e.acc, hasAcc)
 }

@@ -197,7 +197,7 @@ func TestHubPhaseStaysDenseUnderAuto(t *testing.T) {
 // at Options.Workers.
 func TestParallelDealCapsSpawn(t *testing.T) {
 	g := pathGraph(t, 2*chunkSize) // exactly 2 chunks
-	e := &engine[int, int]{g: g, ws: make([]worker[int], 8)}
+	e := &engine[int, int]{g: g, ws: make([]worker, 8)}
 	var mu sync.Mutex
 	seen := map[int]bool{}
 	e.parallelDeal(e.numChunks(), func(worker int, _ int64) {

@@ -46,9 +46,10 @@ type EdgeProgram[S, A any] interface {
 	Scatter(v uint32, e Arc, self, other S) bool
 }
 
-// PerEdge adapts an EdgeProgram to the run-shaped Program: it owns the two
-// per-edge loops, visiting a run's arcs in CSR order and folding with Sum
-// left to right. Pre/PostIteration hooks of p are forwarded.
+// PerEdge adapts an EdgeProgram to the granule-shaped Program: it owns the
+// per-vertex and per-edge loops, visiting each run's arcs in CSR order and
+// folding with Sum left to right. Pre/PostIteration hooks of p are
+// forwarded.
 func PerEdge[S, A any](p EdgeProgram[S, A]) Program[S, A] {
 	a := &perEdge[S, A]{EdgeProgram: p}
 	a.pre, _ = p.(PreIterator[S])
@@ -62,24 +63,43 @@ type perEdge[S, A any] struct {
 	post PostIterator[S]
 }
 
-func (a *perEdge[S, A]) Gather(v uint32, self S, nb *Edges[S], acc *A, has bool) bool {
-	p, state := a.EdgeProgram, nb.State
-	for i, o := range nb.Other {
-		c := p.Gather(v, nb.Arc(i), self, state[o])
-		if has {
-			*acc = p.Sum(*acc, c)
-		} else {
-			*acc, has = c, true
+func (a *perEdge[S, A]) Gather(vs []uint32, side *graph.CSR, state []S, acc []A, hasAcc []bool) {
+	p, nb := a.EdgeProgram, NewEdges(side, state)
+	for _, v := range vs {
+		if !nb.Of(v) {
+			continue
 		}
+		self, fold, has := state[v], &acc[v], hasAcc[v]
+		for i, o := range nb.Other {
+			c := p.Gather(v, nb.Arc(i), self, state[o])
+			if has {
+				*fold = p.Sum(*fold, c)
+			} else {
+				*fold, has = c, true
+			}
+		}
+		hasAcc[v] = has
 	}
-	return has
 }
 
-func (a *perEdge[S, A]) Scatter(v uint32, self S, nb *Edges[S], out *Signals) {
-	p, state := a.EdgeProgram, nb.State
-	for i, o := range nb.Other {
-		if p.Scatter(v, nb.Arc(i), self, state[o]) {
-			out.Send(o)
+func (a *perEdge[S, A]) Apply(vs []uint32, state []S, acc []A, hasAcc []bool) {
+	p := a.EdgeProgram
+	for _, v := range vs {
+		state[v] = p.Apply(v, state[v], acc[v], hasAcc[v])
+	}
+}
+
+func (a *perEdge[S, A]) Scatter(vs []uint32, side *graph.CSR, state []S, out *Signals) {
+	p, nb := a.EdgeProgram, NewEdges(side, state)
+	for _, v := range vs {
+		if !nb.Of(v) {
+			continue
+		}
+		self := state[v]
+		for i, o := range nb.Other {
+			if p.Scatter(v, nb.Arc(i), self, state[o]) {
+				out.Send(o)
+			}
 		}
 	}
 }

@@ -81,17 +81,33 @@ func PowerLaw(cfg PowerLawConfig) (*graph.Graph, error) {
 		b.Weighted()
 	}
 	b.Grow(int(cfg.NumEdges))
-	for i := int64(0); i < cfg.NumEdges; i++ {
-		u := uint32(alias.Draw(r))
-		v := uint32(alias.Draw(r))
-		if u == v {
-			continue // dropped anyway; skip the work
-		}
-		if cfg.Weighted {
+	if cfg.Weighted {
+		// One edge at a time: an edge's weight is drawn between its
+		// endpoints and the next edge's only when it is no self-loop, so
+		// where every later endpoint sits in the stream hangs on that test
+		// and the endpoints cannot be drawn ahead.
+		for i := int64(0); i < cfg.NumEdges; i++ {
+			u := uint32(alias.Draw(r))
+			v := uint32(alias.Draw(r))
+			if u == v {
+				continue // dropped anyway; skip the work
+			}
 			b.AddWeightedEdge(u, v, math.Abs(r.NormFloat64())+0.1)
-		} else {
-			b.AddEdge(u, v)
 		}
+		return b.Build()
+	}
+	// Unweighted, the stream is endpoints only, u then v per edge: draw
+	// them a batch at a time.
+	var ends [256]int
+	for left := cfg.NumEdges; left > 0; {
+		m := min(left, int64(len(ends)/2))
+		alias.DrawInto(r, ends[:2*m])
+		for k := 0; k < int(2*m); k += 2 {
+			if u, v := uint32(ends[k]), uint32(ends[k+1]); u != v { // a self-loop is dropped anyway
+				b.AddEdge(u, v)
+			}
+		}
+		left -= m
 	}
 	return b.Build()
 }

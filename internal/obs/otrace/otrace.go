@@ -174,12 +174,11 @@ type Attr struct {
 	Value any    `json:"value"`
 }
 
-// String, Int, Int64 and Bool build Attrs without making callers spell
-// out the struct.
+// String, Int and Int64 build Attrs without making callers spell out the
+// struct.
 func String(k, v string) Attr      { return Attr{Key: k, Value: v} }
 func Int(k string, v int) Attr     { return Attr{Key: k, Value: v} }
 func Int64(k string, v int64) Attr { return Attr{Key: k, Value: v} }
-func Bool(k string, v bool) Attr   { return Attr{Key: k, Value: v} }
 
 // Span status values.
 const (

@@ -221,6 +221,40 @@ func TestAliasSingleOutcome(t *testing.T) {
 	}
 }
 
+// TestAliasDrawIntoMatchesDraw: DrawInto gives Draw's outcomes in Draw's
+// order and leaves the stream where Draw leaves it, across batch
+// boundaries, on a one-outcome table, a table with zero-weight outcomes
+// and a power law of the size the generators draw from.
+func TestAliasDrawIntoMatchesDraw(t *testing.T) {
+	tables := map[string][]float64{
+		"n=1":           {5},
+		"zero weights":  {0, 3, 0, 0, 1, 0, 2, 0},
+		"power law 1e5": PowerLawWeights(100_000, 2.5),
+	}
+	for name, weights := range tables {
+		a, err := NewAlias(weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{0, 1, 255, 256, 257, 10_000} {
+			r1, r2 := New(uint64(n)+7), New(uint64(n)+7)
+			got := make([]int, n)
+			a.DrawInto(r1, got)
+			for i, g := range got {
+				if want := a.Draw(r2); g != want {
+					t.Fatalf("%s, %d draws: outcome %d is %d, Draw gives %d", name, n, i, g, want)
+				}
+				if weights[g] == 0 {
+					t.Fatalf("%s: drew zero-weight outcome %d", name, g)
+				}
+			}
+			if u1, u2 := r1.Uint64(), r2.Uint64(); u1 != u2 {
+				t.Fatalf("%s, %d draws: stream left at %x, Draw leaves it at %x", name, n, u1, u2)
+			}
+		}
+	}
+}
+
 func TestZipfDistributionShape(t *testing.T) {
 	const n, alpha, draws = 50, 2.0, 500000
 	z, err := NewZipf(n, alpha)

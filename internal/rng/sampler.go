@@ -92,6 +92,35 @@ func (a *Alias) Draw(r *Source) int {
 	return out
 }
 
+// drawBatch is how many draws DrawInto takes from the stream before it
+// resolves their columns.
+const drawBatch = 256
+
+// DrawInto fills out with the outcomes of len(out) calls to Draw, in
+// order, and leaves r where those calls would. It takes each batch's
+// (column, uniform) pairs from r first, in the order Draw takes them, and
+// only then reads the columns: with no draw waiting on the previous one's
+// column, the table's cache misses overlap instead of queueing.
+func (a *Alias) DrawInto(r *Source, out []int) {
+	var us [drawBatch]float64
+	for len(out) > 0 {
+		batch := out[:min(len(out), drawBatch)]
+		for k := range batch {
+			batch[k] = r.Intn(len(a.cols)) // the column, resolved below
+			us[k] = r.Float64()
+		}
+		for k, i := range batch {
+			c := a.cols[i]
+			o := int(c.alias)
+			if us[k] < c.prob {
+				o = i
+			}
+			batch[k] = o
+		}
+		out = out[len(batch):]
+	}
+}
+
 // PowerLawWeights returns weights w_k proportional to k^(-alpha) for
 // k = 1..n, i.e. the discrete power-law degree distribution of Eq. (1) in
 // the paper. Index i holds the weight of degree i+1.
