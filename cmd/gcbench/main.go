@@ -15,7 +15,6 @@
 //	gcbench serve   -shards 4 -replicas 2                # the same backend, partitioned and replicated
 //	gcbench serve   -shards 4 -replicas 2 -shard-spawn   # each replica its own supervised OS process
 //	gcbench shard-serve -listen 127.0.0.1:9301 -shard 0  # one shard replica process (wire protocol)
-//	gcbench loadtest -url http://host:8080 [-duration 30s] # mixed-load driver + latency report
 package main
 
 import (
@@ -55,8 +54,6 @@ func main() {
 		err = cmdServe(os.Args[2:])
 	case "shard-serve":
 		err = cmdShardServe(os.Args[2:])
-	case "loadtest":
-		err = cmdLoadtest(os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -82,7 +79,6 @@ subcommands:
   predict   interpolate a computation's behavior from the corpus (§7)
   serve     serve the corpus + ensemble design as a JSON HTTP API
   shard-serve  run one corpus shard replica as a wire-protocol process
-  loadtest  drive mixed load against a serve deployment, report latency percentiles
 
 run 'gcbench <subcommand> -h' for flags.
 `)
@@ -127,6 +123,9 @@ func cmdSweep(args []string) error {
 	fs.Parse(args)
 	vb.setup()
 	quiet := vb.quiet
+	if *retries < 0 {
+		return fmt.Errorf("retries must be ≥ 0, got %d", *retries)
+	}
 
 	frontier, err := gcbench.ParseFrontierMode(*frontierFlag)
 	if err != nil {

@@ -31,7 +31,6 @@ import (
 	"gcbench/internal/gen"
 	"gcbench/internal/graph"
 	"gcbench/internal/jobs"
-	"gcbench/internal/loadtest"
 	"gcbench/internal/model"
 	"gcbench/internal/obs"
 	"gcbench/internal/obs/otrace"
@@ -336,31 +335,6 @@ var (
 	NewShardSupervisor = shard.NewSupervisor
 	ShardRPCHandler    = shard.RPCHandler
 	NewProcessShard    = shard.NewProcessShard
-)
-
-// --- Load testing ---
-
-// LoadTestConfig parameterizes RunLoadTest: a target (live base URL or
-// in-process handler), worker count, a duration or request budget, and
-// a weighted operation mix.
-type LoadTestConfig = loadtest.Config
-
-// LoadTestOp is one weighted operation of a load-test traffic mix.
-type LoadTestOp = loadtest.Op
-
-// LoadTestReport is a load run's distilled result: per-route latency
-// percentiles, status-class counts and throughput.
-type LoadTestReport = loadtest.Report
-
-// LoadTestGate is one pass/fail criterion (p99 ceiling, request floor)
-// checked against a LoadTestReport.
-type LoadTestGate = loadtest.Gate
-
-// Load-test entry points. ServeLoadMix is the default mixed-traffic
-// profile against a `gcbench serve` deployment.
-var (
-	RunLoadTest        = loadtest.Run
-	ServeLoadMixModels = loadtest.ServeMixModels
 )
 
 // --- Async campaign jobs ---

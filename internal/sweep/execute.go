@@ -42,7 +42,7 @@ type Config struct {
 	// limit). Enforced cooperatively at engine iteration barriers.
 	Timeout time.Duration
 	// Retries is how many extra attempts a failed or timed-out run gets
-	// before it is recorded as failed (0 = single attempt).
+	// before it is recorded as failed (0 or less = single attempt).
 	Retries int
 	// RetryBackoff is the wait before the first retry, doubling per
 	// subsequent attempt (default 100ms when Retries > 0).

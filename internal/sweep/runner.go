@@ -252,7 +252,7 @@ func runResilient(ctx context.Context, spec Spec, cfg Config, cache *graphCache)
 	if backoff <= 0 {
 		backoff = 100 * time.Millisecond
 	}
-	attempts := cfg.Retries + 1
+	attempts := max(cfg.Retries, 0) + 1
 	var lastErr error
 	for attempt := 1; attempt <= attempts; attempt++ {
 		if attempt > 1 {
