@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gcbench"
@@ -92,6 +93,20 @@ func TestCmdSweepListenFlag(t *testing.T) {
 		"-quiet", "-listen", "256.256.256.256:0"})
 	if err == nil {
 		t.Fatal("unbindable -listen address accepted")
+	}
+}
+
+// TestCmdSweepRejectsNegativeRetries: -retries below zero is refused
+// with the campaign API's wording before any run executes.
+func TestCmdSweepRejectsNegativeRetries(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "runs.json")
+	err := cmdSweep([]string{"-profile", "quick", "-out", out, "-journal", "none",
+		"-quiet", "-retries", "-1"})
+	if err == nil || !strings.Contains(err.Error(), "retries must be ≥ 0") {
+		t.Fatalf("err = %v, want a retries must be ≥ 0 refusal", err)
+	}
+	if _, statErr := os.Stat(out); !os.IsNotExist(statErr) {
+		t.Fatalf("refused sweep wrote %s (stat err %v)", out, statErr)
 	}
 }
 
