@@ -51,10 +51,48 @@ type ddProgram struct {
 	step0   float64
 	step    float64
 	theta   [][]float64 // negative log unary: θ_v(x) = -log ψ_v(x)
+	// thetaE is the negative log pairwise potential per arc, numArcs ×
+	// states²: θ_e(x_v, x_u) = -log φ(x_v, x_u) at a*n² + x_v*n + x_u for
+	// arc a = v→u, computed once instead of on every gather.
+	thetaE []float64
 
 	// bestDual is the best (largest) dual lower bound seen so far — by
 	// weak duality it never exceeds the MAP energy.
 	bestDual float64
+}
+
+// newDDProgram sets up DD on an MRF of uniform cardinality: zero duals
+// and the negative log potentials, unary and per arc.
+func newDDProgram(m *graph.MRF, step0 float64) *ddProgram {
+	n, arcs := m.Card[0], m.G.NumArcs()
+	theta := make([][]float64, m.G.NumVertices())
+	for v := range theta {
+		theta[v] = make([]float64, n)
+		for x := 0; x < n; x++ {
+			theta[v][x] = -math.Log(m.Unary[v][x])
+		}
+	}
+	thetaE := make([]float64, 0, arcs*int64(n*n))
+	for v := uint32(0); int(v) < m.G.NumVertices(); v++ {
+		lo, hi := m.G.OutArcRange(v)
+		for a := lo; a < hi; a++ {
+			for xv := 0; xv < n; xv++ {
+				for xu := 0; xu < n; xu++ {
+					thetaE = append(thetaE, -math.Log(m.PairwiseFor(a, v, xv, xu)))
+				}
+			}
+		}
+	}
+	return &ddProgram{
+		m:       m,
+		rev:     m.G.ReverseArcs(),
+		dual:    make([]float64, arcs*int64(n)),
+		edgeMin: make([]int32, arcs),
+		step0:   step0,
+		step:    step0,
+		theta:   theta,
+		thetaE:  thetaE,
+	}
 }
 
 func (p *ddProgram) states() int { return p.m.Card[0] }
@@ -65,79 +103,104 @@ func (p *ddProgram) Init(_ *graph.Graph, _ uint32) (ddState, bool) {
 
 func (p *ddProgram) GatherDirection() engine.Direction { return engine.Out }
 
-// Gather solves one edge subproblem from v's perspective and records the
-// minimizing x_v. The accumulated value is the subproblem minimum — the
-// edge's contribution to the dual objective.
-func (p *ddProgram) Gather(v uint32, e engine.Arc, _, _ ddState) float64 {
-	n := p.states()
-	nu := p.m.Card[e.Other]
-	myDual := p.dual[e.Index*int64(n) : e.Index*int64(n)+int64(n)]
-	otherDual := p.dual[p.rev[e.Index]*int64(nu) : p.rev[e.Index]*int64(nu)+int64(nu)]
+// Gather solves the edge subproblem of each arc of a granule vertex's run
+// and sums their minima left to right in CSR order. Out is one side on
+// the undirected MRF graph, so the first minimum starts the fold.
+func (p *ddProgram) Gather(vs []uint32, side *graph.CSR, state []ddState, acc []float64, hasAcc []bool) {
+	nb := engine.NewEdges(side, state)
+	for _, v := range vs {
+		if !nb.Of(v) {
+			continue
+		}
+		sum := p.solveEdge(nb.Index(0))
+		for i := 1; i < len(nb.Other); i++ {
+			sum += p.solveEdge(nb.Index(i))
+		}
+		acc[v], hasAcc[v] = sum, true
+	}
+}
+
+// solveEdge solves arc a's edge subproblem from its source vertex's
+// perspective and records the minimizing x_v. It returns the subproblem
+// minimum — the edge's contribution to the dual objective — halved.
+func (p *ddProgram) solveEdge(a int64) float64 {
+	n := int64(p.states())
+	myDual := p.dual[a*n : a*n+n]
+	otherDual := p.dual[p.rev[a]*n : p.rev[a]*n+n]
+	thetaE := p.thetaE[a*n*n : (a+1)*n*n]
 	best := math.Inf(1)
 	bestXv := int32(0)
-	for xv := 0; xv < n; xv++ {
-		for xu := 0; xu < nu; xu++ {
+	for xv, md := range myDual {
+		for xu, od := range otherDual {
 			// θ_e = -log φ; duals shift the endpoint costs.
-			cost := -math.Log(p.m.PairwiseFor(e.Index, v, xv, xu)) +
-				myDual[xv] + otherDual[xu]
-			if cost < best {
+			if cost := thetaE[int64(xv)*n+int64(xu)] + md + od; cost < best {
 				best = cost
 				bestXv = int32(xv)
 			}
 		}
 	}
-	p.edgeMin[e.Index] = bestXv
+	p.edgeMin[a] = bestXv
 	// Each edge subproblem is shared by two endpoints; halve so the dual
 	// objective counts it once.
 	return best / 2
 }
 
-func (p *ddProgram) Sum(a, b float64) float64 { return a + b }
-
-// Apply solves the vertex subproblem and counts edge disagreements.
-func (p *ddProgram) Apply(v uint32, _ ddState, acc float64, hasAcc bool) ddState {
+// Apply solves each granule vertex's subproblem and counts its edge
+// disagreements.
+func (p *ddProgram) Apply(vs []uint32, state []ddState, acc []float64, hasAcc []bool) {
 	n := p.states()
-	lo, hi := p.m.G.OutArcRange(v)
-	best := math.Inf(1)
-	bestX := int32(0)
-	for x := 0; x < n; x++ {
-		cost := p.theta[v][x]
+	for _, v := range vs {
+		lo, hi := p.m.G.OutArcRange(v)
+		best := math.Inf(1)
+		bestX := int32(0)
+		for x := 0; x < n; x++ {
+			cost := p.theta[v][x]
+			for a := lo; a < hi; a++ {
+				cost -= p.dual[a*int64(n)+int64(x)]
+			}
+			if cost < best {
+				best = cost
+				bestX = int32(x)
+			}
+		}
+		var dis int32
 		for a := lo; a < hi; a++ {
-			cost -= p.dual[a*int64(n)+int64(x)]
+			if p.edgeMin[a] != bestX {
+				dis++
+			}
 		}
-		if cost < best {
-			best = cost
-			bestX = int32(x)
+		dual := best
+		if hasAcc[v] {
+			dual += acc[v] // the halved incident-edge subproblem minima
 		}
+		state[v] = ddState{Assign: bestX, Disagree: dis, DualPart: dual}
 	}
-	var dis int32
-	for a := lo; a < hi; a++ {
-		if p.edgeMin[a] != bestX {
-			dis++
-		}
-	}
-	dual := best
-	if hasAcc {
-		dual += acc // the halved incident-edge subproblem minima
-	}
-	return ddState{Assign: bestX, Disagree: dis, DualPart: dual}
 }
 
 func (p *ddProgram) ScatterDirection() engine.Direction { return engine.Out }
 
-// Scatter applies the subgradient step on the vertex's own duals and keeps
-// the whole graph active.
-func (p *ddProgram) Scatter(v uint32, e engine.Arc, self, _ ddState) bool {
-	n := p.states()
-	d := p.dual[e.Index*int64(n) : e.Index*int64(n)+int64(n)]
-	em := p.edgeMin[e.Index]
-	if em != self.Assign {
-		// Push the edge minimizer up and the vertex minimizer down so the
-		// two subproblems move toward agreement.
-		d[em] += p.step
-		d[self.Assign] -= p.step
+// Scatter applies the subgradient step on each granule vertex's own duals
+// and keeps the whole graph active.
+func (p *ddProgram) Scatter(vs []uint32, side *graph.CSR, state []ddState, out *engine.Signals) {
+	n := int64(p.states())
+	nb := engine.NewEdges(side, state)
+	for _, v := range vs {
+		if !nb.Of(v) {
+			continue
+		}
+		assign := state[v].Assign
+		for i, u := range nb.Other {
+			a := nb.Index(i)
+			if em := p.edgeMin[a]; em != assign {
+				// Push the edge minimizer up and the vertex minimizer down
+				// so the two subproblems move toward agreement.
+				d := p.dual[a*n : a*n+n]
+				d[em] += p.step
+				d[assign] -= p.step
+			}
+			out.Send(u)
+		}
 	}
-	return true
 }
 
 func (p *ddProgram) PostIteration(c *engine.Control[ddState]) bool {
@@ -189,24 +252,8 @@ func DualDecomposition(m *graph.MRF, opt DDOptions) (*Output, []int, error) {
 	if opt.MaxIterations == 0 {
 		opt.MaxIterations = 3000
 	}
-	arcs := m.G.NumArcs()
-	theta := make([][]float64, m.G.NumVertices())
-	for v := range theta {
-		theta[v] = make([]float64, n)
-		for x := 0; x < n; x++ {
-			theta[v][x] = -math.Log(m.Unary[v][x])
-		}
-	}
-	p := &ddProgram{
-		m:       m,
-		rev:     m.G.ReverseArcs(),
-		dual:    make([]float64, arcs*int64(n)),
-		edgeMin: make([]int32, arcs),
-		step0:   step0,
-		step:    step0,
-		theta:   theta,
-	}
-	res, err := engine.Run(m.G, engine.PerEdge[ddState, float64](p), opt.engineOptions())
+	p := newDDProgram(m, step0)
+	res, err := engine.Run[ddState, float64](m.G, p, opt.engineOptions())
 	if err != nil {
 		return nil, nil, err
 	}

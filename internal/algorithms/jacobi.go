@@ -31,28 +31,44 @@ func (p *jacobiProgram) Init(_ *graph.Graph, _ uint32) (jacobiState, bool) {
 
 func (p *jacobiProgram) GatherDirection() engine.Direction { return engine.Out }
 
-// Gather reads one row entry: a_ij · x_j.
-func (p *jacobiProgram) Gather(_ uint32, e engine.Arc, _, other jacobiState) float64 {
-	return e.Weight * other.X
+// Gather sums each granule row's entries a_ij · x_j left to right in CSR
+// order. Out is one side on any graph, so the first entry starts the
+// fold.
+func (p *jacobiProgram) Gather(vs []uint32, side *graph.CSR, state []jacobiState, acc []float64, hasAcc []bool) {
+	nb := engine.NewEdges(side, state)
+	for _, v := range vs {
+		if !nb.Of(v) {
+			continue
+		}
+		sum := nb.Weight(0) * state[nb.Other[0]].X
+		for i := 1; i < len(nb.Other); i++ {
+			sum += nb.Weight(i) * state[nb.Other[i]].X
+		}
+		acc[v], hasAcc[v] = sum, true
+	}
 }
 
-func (p *jacobiProgram) Sum(a, b float64) float64 { return a + b }
-
-func (p *jacobiProgram) Apply(v uint32, self jacobiState, acc float64, hasAcc bool) jacobiState {
-	sum := 0.0
-	if hasAcc {
-		sum = acc
+func (p *jacobiProgram) Apply(vs []uint32, state []jacobiState, acc []float64, hasAcc []bool) {
+	for _, v := range vs {
+		sum := 0.0
+		if hasAcc[v] {
+			sum = acc[v]
+		}
+		x := (p.b[v] - sum) / p.diag[v]
+		state[v] = jacobiState{X: x, Delta: math.Abs(x - state[v].X)}
 	}
-	x := (p.b[v] - sum) / p.diag[v]
-	return jacobiState{X: x, Delta: math.Abs(x - self.X)}
 }
 
 func (p *jacobiProgram) ScatterDirection() engine.Direction { return engine.In }
 
-// Scatter signals the rows that reference this component while it still
+// Scatter signals the rows that reference a component while it still
 // moves.
-func (p *jacobiProgram) Scatter(_ uint32, _ engine.Arc, self, _ jacobiState) bool {
-	return self.Delta > p.tol
+func (p *jacobiProgram) Scatter(vs []uint32, side *graph.CSR, state []jacobiState, out *engine.Signals) {
+	for _, v := range vs {
+		if state[v].Delta > p.tol {
+			sendRun(side, v, out)
+		}
+	}
 }
 
 func (p *jacobiProgram) PostIteration(c *engine.Control[jacobiState]) bool {
@@ -99,7 +115,7 @@ func JacobiSolve(sys *gen.MatrixSystem, opt JacobiOptions) (*Output, []float64, 
 		opt.MaxIterations = 10000
 	}
 	p := &jacobiProgram{diag: sys.Diag, b: sys.B, tol: tol}
-	res, err := engine.Run(g, engine.PerEdge[jacobiState, float64](p), opt.engineOptions())
+	res, err := engine.Run[jacobiState, float64](g, p, opt.engineOptions())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -30,38 +30,50 @@ func (p *kcProgram) Init(_ *graph.Graph, _ uint32) (kcState, bool) {
 
 func (p *kcProgram) GatherDirection() engine.Direction { return engine.In }
 
-// Gather counts surviving neighbors — the vertex's effective degree.
-func (p *kcProgram) Gather(_ uint32, _ engine.Arc, _, other kcState) int32 {
-	if other.Alive {
-		return 1
+// Gather counts each granule vertex's surviving neighbors — its
+// effective degree — from zero on the one side In visits (see
+// tcProgram.Gather).
+func (p *kcProgram) Gather(vs []uint32, side *graph.CSR, state []kcState, acc []int32, _ []bool) {
+	off, adj := side.Off, side.Adj
+	for _, v := range vs {
+		var deg int32
+		for _, o := range adj[off[v]:off[v+1]] {
+			if state[o].Alive {
+				deg++
+			}
+		}
+		acc[v] = deg
 	}
-	return 0
 }
 
-func (p *kcProgram) Sum(a, b int32) int32 { return a + b }
-
-func (p *kcProgram) Apply(_ uint32, self kcState, acc int32, hasAcc bool) kcState {
-	if !self.Alive {
-		self.Dying = false
-		return self
+func (p *kcProgram) Apply(vs []uint32, state []kcState, acc []int32, _ []bool) {
+	for _, v := range vs {
+		switch s := &state[v]; {
+		case !s.Alive:
+			s.Dying = false
+		case acc[v] < p.k:
+			*s = kcState{Alive: false, Dying: true, Core: p.k - 1}
+		default:
+			*s = kcState{Alive: true}
+		}
 	}
-	deg := int32(0)
-	if hasAcc {
-		deg = acc
-	}
-	if deg < p.k {
-		return kcState{Alive: false, Dying: true, Core: p.k - 1}
-	}
-	return kcState{Alive: true}
 }
 
 func (p *kcProgram) ScatterDirection() engine.Direction { return engine.Out }
 
-// Scatter: a dying vertex notifies its neighbors so they re-check their
-// effective degree ("vertices only receive data from neighbors that
-// activate it").
-func (p *kcProgram) Scatter(_ uint32, _ engine.Arc, self, other kcState) bool {
-	return self.Dying && other.Alive
+// Scatter: a dying vertex notifies its surviving neighbors so they
+// re-check their effective degree ("vertices only receive data from
+// neighbors that activate it").
+func (p *kcProgram) Scatter(vs []uint32, side *graph.CSR, state []kcState, out *engine.Signals) {
+	off, adj := side.Off, side.Adj
+	for _, v := range vs {
+		if !state[v].Dying {
+			continue
+		}
+		for _, o := range adj[off[v]:off[v+1]] {
+			out.SendIf(o, state[o].Alive)
+		}
+	}
 }
 
 // PostIteration advances the peeling level once level k is stable: if no
@@ -94,7 +106,7 @@ func KCoreDecomposition(g *graph.Graph, opt Options) (*Output, []int32, error) {
 		return nil, nil, fmt.Errorf("algorithms: KC requires an undirected graph")
 	}
 	p := &kcProgram{k: 1}
-	res, err := engine.Run(g, engine.PerEdge[kcState, int32](p), opt.engineOptions())
+	res, err := engine.Run[kcState, int32](g, p, opt.engineOptions())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -31,25 +31,44 @@ func (p *prProgram) Init(_ *graph.Graph, _ uint32) (prState, bool) {
 
 func (p *prProgram) GatherDirection() engine.Direction { return engine.In }
 
-func (p *prProgram) Gather(_ uint32, e engine.Arc, _, other prState) float64 {
-	return other.Rank / float64(p.g.OutDegree(e.Other))
+// Gather sums each granule vertex's in-neighbor ranks over their
+// out-degrees left to right in CSR order. In is one side on any graph,
+// so the first contribution starts the fold.
+func (p *prProgram) Gather(vs []uint32, side *graph.CSR, state []prState, acc []float64, hasAcc []bool) {
+	off, adj := side.Off, side.Adj
+	for _, v := range vs {
+		run := adj[off[v]:off[v+1]]
+		if len(run) == 0 {
+			continue
+		}
+		sum := state[run[0]].Rank / float64(p.g.OutDegree(run[0]))
+		for _, o := range run[1:] {
+			sum += state[o].Rank / float64(p.g.OutDegree(o))
+		}
+		acc[v], hasAcc[v] = sum, true
+	}
 }
 
-func (p *prProgram) Sum(a, b float64) float64 { return a + b }
-
-func (p *prProgram) Apply(_ uint32, self prState, acc float64, hasAcc bool) prState {
-	sum := 0.0
-	if hasAcc {
-		sum = acc
+func (p *prProgram) Apply(vs []uint32, state []prState, acc []float64, hasAcc []bool) {
+	for _, v := range vs {
+		sum := 0.0
+		if hasAcc[v] {
+			sum = acc[v]
+		}
+		newRank := (1 - p.damping) + p.damping*sum
+		state[v] = prState{Rank: newRank, Delta: math.Abs(newRank - state[v].Rank)}
 	}
-	newRank := (1 - p.damping) + p.damping*sum
-	return prState{Rank: newRank, Delta: math.Abs(newRank - self.Rank)}
 }
 
 func (p *prProgram) ScatterDirection() engine.Direction { return engine.Out }
 
-func (p *prProgram) Scatter(_ uint32, _ engine.Arc, self, _ prState) bool {
-	return self.Delta > p.tol
+// Scatter signals every out-neighbor of a vertex whose rank still moves.
+func (p *prProgram) Scatter(vs []uint32, side *graph.CSR, state []prState, out *engine.Signals) {
+	for _, v := range vs {
+		if state[v].Delta > p.tol {
+			sendRun(side, v, out)
+		}
+	}
 }
 
 // PageRankOptions extends Options with the damping factor and stability
@@ -73,7 +92,7 @@ func PageRank(g *graph.Graph, opt PageRankOptions) (*Output, []float64, error) {
 		tol = 1e-3
 	}
 	p := &prProgram{g: g, damping: damping, tol: tol}
-	res, err := engine.Run(g, engine.PerEdge[prState, float64](p), opt.engineOptions())
+	res, err := engine.Run[prState, float64](g, p, opt.engineOptions())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"gcbench/internal/engine"
 	"gcbench/internal/graph"
 	"gcbench/internal/trace"
 )
@@ -68,15 +69,95 @@ func floorMinPropagation[T uint32 | float64](g *graph.Graph, state []T, active [
 		tot.gather += t1.Sub(t0)
 		tot.apply += t2.Sub(t1)
 		tot.scatter += time.Since(t2)
-		active = active[:0]
-		for wi, w := range next {
-			for ; w != 0; w &= w - 1 {
-				active = append(active, uint32(wi<<6+bits.TrailingZeros64(w)))
-			}
-			next[wi] = 0
-		}
+		active = drainFrontier(next, active)
 	}
 	return tot
+}
+
+// drainFrontier lists next's set vertices in ascending order into
+// active's storage and clears next: the floors' frontier swap.
+func drainFrontier(next []uint64, active []uint32) []uint32 {
+	active = active[:0]
+	for wi, w := range next {
+		for ; w != 0; w &= w - 1 {
+			active = append(active, uint32(wi<<6+bits.TrailingZeros64(w)))
+		}
+		next[wi] = 0
+	}
+	return active
+}
+
+// floorPageRank is PR's floor: the same delta-driven pull iteration,
+// written against the CSR arrays on one goroutine with the ranks and
+// deltas in arrays of their own. Each active vertex sums
+// rank[o]/outdeg(o) over its in-run in CSR order into acc, from +0 —
+// which adds nothing to a first term that is never −0 — so its ranks are
+// bit-equal to the engine's.
+func floorPageRank(g *graph.Graph, damping, tol float64) ([]float64, runTotals) {
+	in, out := g.InCSR(), g.OutCSR()
+	n := g.NumVertices()
+	rank, delta, acc := make([]float64, n), make([]float64, n), make([]float64, n)
+	active := make([]uint32, n)
+	for v := range rank {
+		rank[v], active[v] = 1, uint32(v)
+	}
+	next := make([]uint64, (n+63)/64)
+	var tot runTotals
+	for len(active) > 0 && tot.iterations < trace.DefaultMaxSteps {
+		tot.iterations++
+		t0 := time.Now()
+		for _, v := range active {
+			sum := 0.0
+			for _, o := range in.Adj[in.Off[v]:in.Off[v+1]] {
+				sum += rank[o] / float64(out.Off[o+1]-out.Off[o])
+			}
+			acc[v] = sum
+			tot.edgeReads += in.Off[v+1] - in.Off[v]
+		}
+		t1 := time.Now()
+		for _, v := range active {
+			r := (1 - damping) + damping*acc[v]
+			rank[v], delta[v] = r, math.Abs(r-rank[v])
+		}
+		tot.updates += int64(len(active))
+		t2 := time.Now()
+		for _, v := range active {
+			if delta[v] > tol {
+				run := out.Adj[out.Off[v]:out.Off[v+1]]
+				for _, o := range run {
+					next[o>>6] |= 1 << (o & 63)
+				}
+				tot.messages += int64(len(run))
+			}
+		}
+		tot.gather += t1.Sub(t0)
+		tot.apply += t2.Sub(t1)
+		tot.scatter += time.Since(t2)
+		active = drainFrontier(next, active)
+	}
+	return rank, tot
+}
+
+// floorTriangles is TC's floor: one pass over every vertex's sorted
+// neighbor list, intersecting it with the list of each neighbor at or
+// above it — the per-vertex counts the engine's one gather/apply
+// iteration leaves, with nothing to scatter.
+func floorTriangles(g *graph.Graph) ([]int64, runTotals) {
+	csr := g.OutCSR() // undirected: both sides
+	off, adj := csr.Off, csr.Adj
+	count := make([]int64, g.NumVertices())
+	tot := runTotals{iterations: 1, updates: int64(len(count)), edgeReads: int64(len(adj))}
+	t0 := time.Now()
+	for v := range count {
+		mine := adj[off[v]:off[v+1]]
+		for _, u := range mine {
+			if uint32(v) <= u {
+				count[v] += intersectSize(mine, adj[off[u]:off[u+1]])
+			}
+		}
+	}
+	tot.gather = time.Since(t0)
+	return count, tot
 }
 
 func floorCC(g *graph.Graph) ([]uint32, runTotals) {
@@ -137,6 +218,26 @@ func TestFloorMatchesEngine(t *testing.T) {
 		t.Fatal("SSSP: engine and floor distances differ")
 	}
 	sameCounters(t, "SSSP", traceTotals(out.Trace), floor)
+
+	out, ranks, err := PageRank(g, PageRankOptions{Options: Options{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	floorRanks, floor := floorPageRank(g, 0.85, 1e-3)
+	if !slices.Equal(ranks, floorRanks) {
+		t.Fatal("PR: engine and floor ranks differ")
+	}
+	sameCounters(t, "PR", traceTotals(out.Trace), floor)
+
+	res, err := engine.Run[int64, int64](g, tcProgram{}, engine.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	floorCounts, floor := floorTriangles(g)
+	if !slices.Equal(res.States, floorCounts) {
+		t.Fatal("TC: engine and floor per-vertex counts differ")
+	}
+	sameCounters(t, "TC", traceTotals(res.Trace), floor)
 }
 
 func sameCounters(t testing.TB, name string, eng, floor runTotals) {
@@ -149,9 +250,9 @@ func sameCounters(t testing.TB, name string, eng, floor runTotals) {
 	}
 }
 
-// BenchmarkEngineScale runs CC and SSSP (from the max-degree vertex) on
-// 1e6-edge power-law graphs — campaign-scale's runs — on one worker, each
-// beside the hand-coded floor with asserted-equal counters. ns/edge-read
+// BenchmarkEngineScale runs CC, SSSP (from the max-degree vertex), PR
+// and TC on 1e6-edge power-law graphs — campaign-scale's graphs — on one
+// worker, each beside its hand-coded floor with asserted-equal counters. ns/edge-read
 // and the per-phase milliseconds are per run; engine minus floor is the
 // engine layer's own cost.
 func BenchmarkEngineScale(b *testing.B) {
@@ -176,6 +277,14 @@ func BenchmarkEngineScale(b *testing.B) {
 				out, _, err := SingleSourceShortestPath(g, src, Options{Workers: 1})
 				return engine(out, err)
 			}, func() runTotals { _, tot := floorSSSP(g, src); return tot }},
+			{"PR", func() runTotals {
+				out, _, err := PageRank(g, PageRankOptions{Options: Options{Workers: 1}})
+				return engine(out, err)
+			}, func() runTotals { _, tot := floorPageRank(g, 0.85, 1e-3); return tot }},
+			{"TC", func() runTotals {
+				out, _, err := TriangleCounting(g, Options{Workers: 1})
+				return engine(out, err)
+			}, func() runTotals { _, tot := floorTriangles(g); return tot }},
 		}
 		for _, alg := range algs {
 			sameCounters(b, alg.name, alg.engine(), alg.floor())
@@ -204,8 +313,7 @@ func BenchmarkEngineScale(b *testing.B) {
 }
 
 // BenchmarkWideGather runs the algorithms whose gather folds an
-// accumulator wider than a couple of words — the ones that leave PerEdge
-// for a granule-shaped Program — on one worker: ALS, NMF and SGD on a
+// accumulator wider than a couple of words on one worker: ALS, NMF and SGD on a
 // 1e5-rating bipartite graph, KM and AD on a 1e5-edge α = 2.5 graph.
 // ns/edge-read is the whole run over its edge reads; allocs/op is per
 // run — set-up and the per-iteration trace, nothing per vertex or edge.

@@ -81,39 +81,57 @@ func (p *svdProgram) Init(_ *graph.Graph, v uint32) (svdState, bool) {
 
 func (p *svdProgram) GatherDirection() engine.Direction { return engine.Both }
 
-// Gather is the matvec: rating × the counterpart's current component.
-func (p *svdProgram) Gather(_ uint32, e engine.Arc, _, other svdState) float64 {
-	return e.Weight * other.X
+// Gather is the matvec: rating × the counterpart's current component,
+// summed left to right in CSR order — on a directed graph over the
+// out-run and then, continuing the same fold, the in-run.
+func (p *svdProgram) Gather(vs []uint32, side *graph.CSR, state []svdState, acc []float64, hasAcc []bool) {
+	nb := engine.NewEdges(side, state)
+	for _, v := range vs {
+		if !nb.Of(v) {
+			continue
+		}
+		sum, has := acc[v], hasAcc[v]
+		for i, o := range nb.Other {
+			if c := nb.Weight(i) * state[o].X; has {
+				sum += c
+			} else {
+				sum, has = c, true
+			}
+		}
+		acc[v], hasAcc[v] = sum, true
+	}
 }
 
-func (p *svdProgram) Sum(a, b float64) float64 { return a + b }
-
-func (p *svdProgram) Apply(v uint32, self svdState, acc float64, hasAcc bool) svdState {
-	isUser := int(v) < p.numUsers
-	if (p.phase == 0) != isUser {
-		return self // the other side's half-step
-	}
-	raw := 0.0
-	if hasAcc {
-		raw = acc
-	}
+func (p *svdProgram) Apply(vs []uint32, state []svdState, acc []float64, hasAcc []bool) {
 	var coef float64
 	if p.phase == 0 {
-		// u_j = A·v_j − β_{j-1}·u_{j-1}; self.X holds u_{j-1}.
+		// u_j = A·v_j − β_{j-1}·u_{j-1}; X holds u_{j-1}.
 		if len(p.betas) > 0 {
 			coef = p.betas[len(p.betas)-1]
 		}
 	} else {
-		// v_{j+1} = Aᵀ·u_j − α_j·v_j; self.X holds v_j.
+		// v_{j+1} = Aᵀ·u_j − α_j·v_j; X holds v_j.
 		coef = p.alphas[len(p.alphas)-1]
 	}
-	return svdState{X: raw - coef*self.X, Xprev: self.X}
+	for _, v := range vs {
+		if (p.phase == 0) != (int(v) < p.numUsers) {
+			continue // the other side's half-step
+		}
+		raw := 0.0
+		if hasAcc[v] {
+			raw = acc[v]
+		}
+		x := state[v].X
+		state[v] = svdState{X: raw - coef*x, Xprev: x}
+	}
 }
 
 func (p *svdProgram) ScatterDirection() engine.Direction { return engine.Both }
 
-func (p *svdProgram) Scatter(uint32, engine.Arc, svdState, svdState) bool {
-	return !p.converged
+func (p *svdProgram) Scatter(vs []uint32, side *graph.CSR, _ []svdState, out *engine.Signals) {
+	if !p.converged {
+		sendAll(vs, side, out)
+	}
 }
 
 // PostIteration normalizes the just-computed half-vector, records α or β,
@@ -226,7 +244,7 @@ func SingularValueDecomposition(g *graph.Graph, numUsers int, opt SVDOptions) (*
 		tol:           tol,
 		needNormalize: true,
 	}
-	res, err := engine.Run(g, engine.PerEdge[svdState, float64](p), opt.engineOptions())
+	res, err := engine.Run[svdState, float64](g, p, opt.engineOptions())
 	if err != nil {
 		return nil, 0, err
 	}

@@ -12,36 +12,44 @@ import (
 // endpoints" (§2.1). Adjacency must be sorted so the intersection is a
 // linear merge. The computation finishes in one gather/apply pass; scatter
 // sends nothing, so the frontier empties and the run converges.
-type tcProgram struct {
-	g *graph.Graph
-}
+type tcProgram struct{}
 
-func (p *tcProgram) Init(_ *graph.Graph, _ uint32) (int64, bool) { return 0, true }
+func (tcProgram) Init(_ *graph.Graph, _ uint32) (int64, bool) { return 0, true }
 
-func (p *tcProgram) GatherDirection() engine.Direction { return engine.Out }
+func (tcProgram) GatherDirection() engine.Direction { return engine.Out }
 
-// Gather intersects the two endpoint neighbor sets, counting each
-// unordered edge once (from its lower endpoint) so every triangle is
-// counted exactly three times globally — once per corner edge pair.
-func (p *tcProgram) Gather(v uint32, e engine.Arc, _, _ int64) int64 {
-	if v > e.Other {
-		return 0
+// Gather intersects, across each arc of a granule vertex's run, the two
+// endpoint neighbor sets, counting each unordered edge once (from its
+// lower endpoint) so every triangle is counted exactly three times
+// globally — once per corner edge pair. Out is one side on the
+// undirected graphs TC runs on, so the count starts at zero, which is
+// also what an empty run leaves, and acc[v] holds it for every granule
+// vertex.
+func (tcProgram) Gather(vs []uint32, side *graph.CSR, _, acc []int64, _ []bool) {
+	off, adj := side.Off, side.Adj
+	for _, v := range vs {
+		mine := adj[off[v]:off[v+1]]
+		var n int64
+		for _, u := range mine {
+			if v <= u {
+				n += intersectSize(mine, adj[off[u]:off[u+1]])
+			}
+		}
+		acc[v] = n
 	}
-	return intersectSize(p.g.OutNeighbors(v), p.g.OutNeighbors(e.Other))
 }
 
-func (p *tcProgram) Sum(a, b int64) int64 { return a + b }
-
-func (p *tcProgram) Apply(_ uint32, _, acc int64, hasAcc bool) int64 {
-	if !hasAcc {
-		return 0
+// Apply keeps the count; see ccProgram.Apply on hasAcc.
+func (tcProgram) Apply(vs []uint32, state, acc []int64, _ []bool) {
+	for _, v := range vs {
+		state[v] = acc[v]
 	}
-	return acc
 }
 
-func (p *tcProgram) ScatterDirection() engine.Direction { return engine.None }
+func (tcProgram) ScatterDirection() engine.Direction { return engine.None }
 
-func (p *tcProgram) Scatter(uint32, engine.Arc, int64, int64) bool { return false }
+// Scatter is never called: the direction is None.
+func (tcProgram) Scatter([]uint32, *graph.CSR, []int64, *engine.Signals) {}
 
 // intersectSize merges two sorted neighbor lists.
 func intersectSize(a, b []uint32) int64 {
@@ -71,8 +79,7 @@ func TriangleCounting(g *graph.Graph, opt Options) (*Output, int64, error) {
 	if !g.AdjSorted() {
 		return nil, 0, fmt.Errorf("algorithms: TC requires sorted adjacency (build with SortAdjacency)")
 	}
-	p := &tcProgram{g: g}
-	res, err := engine.Run(g, engine.PerEdge[int64, int64](p), opt.engineOptions())
+	res, err := engine.Run[int64, int64](g, tcProgram{}, opt.engineOptions())
 	if err != nil {
 		return nil, 0, err
 	}

@@ -7,9 +7,9 @@ import (
 )
 
 // Edges walks a granule's arc runs on one CSR side one vertex at a time,
-// for programs whose edge work is written per run (PerEdge and the
-// wide-accumulator programs): NewEdges once per granule and side, then Of
-// per vertex. A program builds its own, on its stack.
+// for programs whose edge work needs an arc's canonical index or weight
+// on either side: NewEdges once per granule and side, then Of per vertex.
+// A program builds its own, on its stack.
 type Edges[S any] struct {
 	// Other[i] is the neighbor across the run's i-th arc, in CSR order.
 	Other []uint32
@@ -51,15 +51,6 @@ func (e *Edges[S]) Weight(i int) float64 {
 		return 1
 	}
 	return w[e.Index(i)]
-}
-
-// Arc returns the run's i-th arc in per-edge form.
-func (e *Edges[S]) Arc(i int) Arc {
-	a := Arc{Index: e.Index(i), Other: e.Other[i], Weight: 1}
-	if w := e.side.W; w != nil {
-		a.Weight = w[a.Index]
-	}
-	return a
 }
 
 // Signals collects one worker's scatter activations for the next

@@ -74,9 +74,8 @@ const (
 // arc runs (side.Adj[side.Off[v]:side.Off[v+1]]) itself. The engine makes
 // one call per granule and side, so a compare-per-edge algorithm runs as
 // one loop nest with nothing opaque in it and a wide accumulator is
-// folded where it lives. Programs with a scalar accumulator are simpler
-// to write as an EdgeProgram and wrap with PerEdge; programs with a wide
-// one keep a per-run body behind a short loop over NewEdges(...).Of(v).
+// folded where it lives. A program that needs an arc's canonical index or
+// weight walks its runs with NewEdges(...).Of(v).
 //
 // Within one iteration, Gather for every active vertex runs before any
 // Apply, and every Apply before any Scatter, so Gather observes the state
