@@ -35,7 +35,9 @@ type Config struct {
 	// Progress, when non-nil, is called after every finished spec —
 	// succeeded, failed, timed out, cancelled, or skipped via resume —
 	// so done reaches total even on an all-failure campaign. Calls are
-	// serialized; id is the finished spec's ID.
+	// serialized; id is the finished spec's ID. Progress calls, journal
+	// records and run spans arrive in dispatch (structure-major) order,
+	// not spec order.
 	Progress func(done, total int, id string)
 
 	// Timeout is the per-attempt wall-clock budget of one run (0 = no

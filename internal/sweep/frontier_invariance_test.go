@@ -174,9 +174,8 @@ func TestGraphCacheRetainRelease(t *testing.T) {
 }
 
 // TestCampaignReleasesGraphs: after a campaign finishes — including specs
-// that share graphs — every shared graph has been released and the cache
-// is empty, so campaign peak memory is bounded by in-flight specs, not
-// plan size.
+// that share graphs and an uncached per-run workload — every shared graph
+// has been released and the cache is empty.
 func TestCampaignReleasesGraphs(t *testing.T) {
 	var captured *graphCache
 	campaignCacheHook = func(c *graphCache) { captured = c }
@@ -200,5 +199,65 @@ func TestCampaignReleasesGraphs(t *testing.T) {
 	}
 	if n := captured.entries(); n != 0 {
 		t.Fatalf("campaign finished with %d graphs still cached, want 0", n)
+	}
+}
+
+// TestCampaignStructureMajorPeak: a campaign over several families holds
+// at most Parallel shared graphs at any attempt start, because specs that
+// share a graph are dispatched back to back. Plan (algorithm-major) order
+// would hold all 20 GA graphs from CC until PR. The dispatch order differs
+// from spec order, while the corpus stays in spec order.
+func TestCampaignStructureMajorPeak(t *testing.T) {
+	plan, err := BuildPlan(ProfileQuick, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var specs []Spec
+	for _, s := range plan {
+		switch s.Algorithm {
+		case algorithms.CC, algorithms.SSSP, algorithms.PR, algorithms.ALS, algorithms.Jacobi:
+			specs = append(specs, s)
+		}
+	}
+	if len(specs) != 84 {
+		t.Fatalf("plan has %d specs, want 84 (20 GA graphs × CC/SSSP/PR, 20 CF graphs, 4 Jacobi)", len(specs))
+	}
+	for _, par := range []int{1, 2} {
+		var captured *graphCache
+		campaignCacheHook = func(c *graphCache) { captured = c }
+		var mu sync.Mutex
+		peak := 0
+		var dispatched []string
+		res, err := ExecuteCampaign(context.Background(), specs, Config{
+			Parallel: par, Workers: 1,
+			InjectFault: func(s Spec) error {
+				mu.Lock()
+				defer mu.Unlock()
+				peak = max(peak, captured.entries())
+				dispatched = append(dispatched, s.ID())
+				return nil
+			},
+		})
+		campaignCacheHook = nil
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Completed != len(specs) {
+			t.Fatalf("parallel %d: completed %d/%d specs", par, res.Completed, len(specs))
+		}
+		if peak > par {
+			t.Errorf("parallel %d: %d shared graphs cached at once, want ≤ %d", par, peak, par)
+		}
+		inSpecOrder := true
+		for i, s := range specs {
+			inSpecOrder = inSpecOrder && dispatched[i] == s.ID()
+			r := res.Runs[i]
+			if r.Algorithm != string(s.Algorithm) || r.SizeLabel != s.SizeLabel || r.Alpha != s.Alpha {
+				t.Fatalf("parallel %d: Runs[%d] is %s %s %.2f, spec is %s", par, i, r.Algorithm, r.SizeLabel, r.Alpha, s.ID())
+			}
+		}
+		if inSpecOrder {
+			t.Errorf("parallel %d: specs were dispatched in spec order", par)
+		}
 	}
 }

@@ -18,7 +18,9 @@
 // Two parallelism knobs compose (see Config): Parallel bounds concurrent
 // *runs*, Workers bounds engine goroutines *within* each run, so peak
 // engine parallelism is roughly Parallel × Workers. Graph construction is
-// cached per structure and shared between concurrent runs.
+// cached per structure and shared between concurrent runs; specs are
+// dispatched structure-major, so at most Parallel shared graphs are
+// resident, while results and the corpus stay in plan order.
 package sweep
 
 import (
@@ -185,9 +187,9 @@ func BuildPlan(p Profile, seed uint64) ([]Spec, error) {
 // algorithms that model implements. GAS specs carry an empty Model tag
 // (the pre-model-axis encoding), so BuildPlanModels(p, seed, [gas]) is
 // spec-for-spec identical to BuildPlan(p, seed). Duplicate model names
-// collapse; specs are grouped model-major in AllNames order so the
-// campaign's shared-graph cache drains one model's working set before
-// the next begins.
+// collapse; specs are grouped model-major in AllNames order. That is the
+// corpus order only: ExecuteCampaign dispatches structure-major, across
+// models, whatever order the plan lists.
 func BuildPlanModels(p Profile, seed uint64, models []model.Name) ([]Spec, error) {
 	if len(models) == 0 {
 		return BuildPlan(p, seed)

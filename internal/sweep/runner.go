@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -97,6 +98,10 @@ func (r *CampaignResult) FirstFailure() *RunResult {
 // specs are checkpointed as they finish and previously completed specs
 // are restored instead of re-executed.
 //
+// Specs are dispatched structure-major — all specs sharing one graph back
+// to back — so at most cfg.Parallel shared graphs are resident at once;
+// Results and Runs are still in spec order.
+//
 // Cancelling ctx stops the campaign cooperatively: in-flight runs stop at
 // their next iteration barrier, queued specs are marked cancelled without
 // starting, and the returned CampaignResult (with its journal) reflects
@@ -118,14 +123,26 @@ func ExecuteCampaign(ctx context.Context, specs []Spec, cfg Config) (*CampaignRe
 	results := make([]RunResult, len(specs))
 	cache := &graphCache{}
 	// Refcount shared graphs from the plan so each is released (and its
-	// memory reclaimed) as soon as no remaining spec needs it — a full
-	// sizes × alphas campaign must not retain every graph at once.
+	// memory reclaimed) as soon as no remaining spec needs it, and order
+	// dispatch so that comes early: the specs of one cache key back to
+	// back, groups by first appearance, uncached specs at their plan
+	// position. Plan order would hold each graph from its first algorithm
+	// to its last.
 	refs := make(map[string]int)
+	first := make(map[string]int)
+	rank := make([]int, len(specs))
+	order := make([]int, len(specs))
 	for i := range specs {
+		rank[i], order[i] = i, i
 		if k := specs[i].cacheKey(); k != "" {
+			if _, ok := first[k]; !ok {
+				first[k] = i
+			}
+			rank[i] = first[k]
 			refs[k]++
 		}
 	}
+	slices.SortStableFunc(order, func(a, b int) int { return rank[a] - rank[b] })
 	cache.retain(refs)
 	if campaignCacheHook != nil {
 		campaignCacheHook(cache)
@@ -170,7 +187,7 @@ func ExecuteCampaign(ctx context.Context, specs []Spec, cfg Config) (*CampaignRe
 		}
 	}
 
-	for i := range specs {
+	for _, i := range order {
 		// Resume: restore journaled runs without taking an execution slot.
 		if cfg.Journal != nil {
 			if run, ok := cfg.Journal.Completed(specs[i]); ok {
