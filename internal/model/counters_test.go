@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -23,6 +25,12 @@ import (
 // There is deliberately no -update path: a change that means to move a
 // counter replaces that line's hash by hand, where review sees it.
 const frozenCountersPath = "testdata/model_counters.sha256"
+
+// The frozen result oracle, in the same format: one SHA-256 per run of the
+// support matrix over its Summary (see summaryDigest), recorded at 5a458c0,
+// before Pregel and X-Stream programs became run-shaped. The same rule
+// holds: no -update path.
+const frozenSummariesPath = "testdata/model_summaries.sha256"
 
 // counterInput is one named workload of the oracle and the algorithms
 // that run on it (under every model that supports them).
@@ -81,13 +89,12 @@ func counterInputs(t testing.TB) []counterInput {
 	return ins
 }
 
-// modelCounterSums runs the whole support matrix on one worker and
-// returns the digest of each run's counters by "<model>/<alg>/<input>",
-// plus the IDs in run order.
-func modelCounterSums(t testing.TB) (map[string]string, []string) {
+// modelRunSums runs the whole support matrix on one worker and returns,
+// by "<model>/<alg>/<input>", the digest of each run's counters and of its
+// Summary, plus the IDs in run order.
+func modelRunSums(t testing.TB) (counters, summaries map[string]string, ids []string) {
 	t.Helper()
-	sums := map[string]string{}
-	var ids []string
+	counters, summaries = map[string]string{}, map[string]string{}
 	for _, in := range counterInputs(t) {
 		for _, alg := range in.algs {
 			for _, n := range Supporting(alg) {
@@ -105,20 +112,37 @@ func modelCounterSums(t testing.TB) (map[string]string, []string) {
 				for _, it := range res.Trace.Iterations {
 					fmt.Fprintf(&sb, "%d %d %d %d\n", it.Active, it.Updates, it.EdgeReads, it.Messages)
 				}
-				sums[id] = fmt.Sprintf("%x", sha256.Sum256([]byte(sb.String())))
+				counters[id] = fmt.Sprintf("%x", sha256.Sum256([]byte(sb.String())))
+				summaries[id] = summaryDigest(res.Summary)
 				ids = append(ids, id)
 			}
 		}
 	}
-	return sums, ids
+	return counters, summaries, ids
 }
 
-// TestModelCountersFrozen holds every (model, algorithm) of the support
-// matrix to the counters it produced before CC and SSSP were derived
-// from one kernel: the behavior series the corpus is built from may not
-// move under a refactor of how a model's programs are written.
-func TestModelCountersFrozen(t *testing.T) {
-	raw, err := os.ReadFile(frozenCountersPath)
+// summaryDigest hashes a Summary as "<key>=<value>\n" lines in key order,
+// each float in its shortest round-trip form, so a digest moves with any
+// bit of any value.
+func summaryDigest(summary map[string]float64) string {
+	keys := make([]string, 0, len(summary))
+	for k := range summary {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var sb strings.Builder
+	for _, k := range keys {
+		fmt.Fprintf(&sb, "%s=%s\n", k, strconv.FormatFloat(summary[k], 'g', -1, 64))
+	}
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(sb.String())))
+}
+
+// checkFrozen compares one digest per run against the oracle file at path
+// ("<sha256>  <id>" lines, '#' comments); what names the digested field
+// in failures.
+func checkFrozen(t *testing.T, path, what string, sums map[string]string, ids []string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,19 +153,37 @@ func TestModelCountersFrozen(t *testing.T) {
 		}
 		sum, id, ok := strings.Cut(line, "  ")
 		if !ok {
-			t.Fatalf("%s: malformed line %q", frozenCountersPath, line)
+			t.Fatalf("%s: malformed line %q", path, line)
 		}
 		oracle[id] = sum
 	}
-	sums, ids := modelCounterSums(t)
 	if len(sums) != len(oracle) {
-		t.Errorf("%d runs, %s freezes %d", len(sums), frozenCountersPath, len(oracle))
+		t.Errorf("%d runs, %s freezes %d", len(sums), path, len(oracle))
 	}
 	for _, id := range ids {
 		if want, ok := oracle[id]; !ok {
-			t.Errorf("%s: no frozen counters in %s", id, frozenCountersPath)
+			t.Errorf("%s: nothing frozen in %s", id, path)
 		} else if sums[id] != want {
-			t.Errorf("%s: counters diverge from the frozen series (sha256 %s, want %s)", id, sums[id], want)
+			t.Errorf("%s: %s diverge from the frozen run (sha256 %s, want %s)", id, what, sums[id], want)
 		}
 	}
+}
+
+// TestModelCountersFrozen holds every (model, algorithm) of the support
+// matrix to the counters it produced before CC and SSSP were derived
+// from one kernel: the behavior series the corpus is built from may not
+// move under a refactor of how a model's programs are written.
+func TestModelCountersFrozen(t *testing.T) {
+	counters, _, ids := modelRunSums(t)
+	checkFrozen(t, frozenCountersPath, "counters", counters, ids)
+}
+
+// TestModelSummariesFrozen holds every run of the support matrix to the
+// Summary it produced at 5a458c0 — what the counters cannot see. Pregel
+// PageRank runs a fixed superstep budget, so its counters are the same
+// whatever its ranks are; a reordered rank sum or a share computed as
+// s*(1/d) moves only this digest.
+func TestModelSummariesFrozen(t *testing.T) {
+	_, summaries, ids := modelRunSums(t)
+	checkFrozen(t, frozenSummariesPath, "summaries", summaries, ids)
 }

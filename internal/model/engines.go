@@ -82,7 +82,7 @@ func pregelPageRank(_ Name, w Workload, opt Options) (*Result, error) {
 	if steps <= 0 {
 		steps = pregelPRSupersteps
 	}
-	p := pregel.PRProgram{G: g, Damping: 0.85, Supersteps: steps}
+	p := pregel.PRProgram{Damping: 0.85, Supersteps: steps}
 	res, err := pregel.Run[float64, float64](g, p, pregelOptions(opt))
 	if err != nil {
 		return nil, err
@@ -99,7 +99,7 @@ const xstreamPRTolerance = 1e-6
 
 func xstreamPageRank(_ Name, w Workload, opt Options) (*Result, error) {
 	g := w.Graph
-	p := xstream.PRProgram{G: g, Damping: 0.85, Tolerance: xstreamPRTolerance}
+	p := xstream.PRProgram{Damping: 0.85, Tolerance: xstreamPRTolerance}
 	res, err := xstream.Run[xstream.PRState, float64](g, p, xstreamOptions(opt))
 	if err != nil {
 		return nil, err

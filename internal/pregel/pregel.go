@@ -12,6 +12,12 @@
 // Compute time. The package tests validate result equivalence with the
 // GAS implementations, extending the §3.3 model-conservation check to
 // the third member of the vertex-centric family.
+//
+// Programs are range-shaped, like the GAS engine's granules: each
+// superstep the engine makes one Compute call per worker, handing it the
+// worker's active vertices, and the program loops over them and their arc
+// runs itself, folding every send straight into the worker's combining
+// outbox.
 package pregel
 
 import (
@@ -24,64 +30,49 @@ import (
 	"gcbench/internal/trace"
 )
 
-// Context lets a vertex send messages during Compute.
-type Context[M any] struct {
-	g      *graph.Graph
-	out    *outbox[M]
-	halted bool
+// Worker is what one worker's Compute call sees: the graph's out side,
+// the shared vertex state and combined inbox, and the worker's own
+// outbox and tallies. Compute may write State[v] and Active[v] for the v
+// it was handed, and the worker's outbox and tallies; nothing else.
+type Worker[S, M any] struct {
+	// Out is the out-adjacency: v's arc run is Out.Adj[Out.Off[v]:Out.Off[v+1]].
+	Out   graph.CSR
+	State []S
+	// Active[v] is true while v computes each superstep; Compute clears
+	// it when v votes to halt, and a message sets it again.
+	Active []bool
+	// InMsg[v] is the combined message sent to v in the previous
+	// superstep, when InHas[v].
+	InMsg []M
+	InHas []bool
+	// Msg and Has are the worker's outbox, one combining slot per
+	// destination: a send of m to t sets Msg[t] = m when !Has[t] (and
+	// sets Has[t]), and Msg[t] = Combine(Msg[t], m) otherwise — old ⊕ new.
+	// A slot whose Has is false holds M's zero value, so a combiner whose
+	// identity that is may fold without testing Has.
+	Msg []M
+	Has []bool
+	// Messages and EdgeReads tally the sends and the arcs read to address
+	// them; Compute adds to them.
+	Messages, EdgeReads int64
+
+	lo, hi int      // the worker's vertex range
+	vs     []uint32 // its active vertices this superstep, ascending
 }
-
-// SendTo queues a message for vertex dst, delivered next superstep.
-func (c *Context[M]) SendTo(dst uint32, m M) {
-	c.out.add(dst, m)
-	c.out.messages++
-}
-
-// SendToNeighbors queues a message along every out-edge of v.
-func (c *Context[M]) SendToNeighbors(v uint32, m M) {
-	lo, hi := c.g.OutArcRange(v)
-	for a := lo; a < hi; a++ {
-		c.out.add(c.g.ArcTarget(a), m)
-		c.out.messages++
-		c.out.edgeReads++
-	}
-}
-
-// Degree returns v's out-degree (Pregel vertices know their edges).
-func (c *Context[M]) Degree(v uint32) int { return c.g.OutDegree(v) }
-
-// VoteToHalt deactivates the vertex until a message arrives.
-func (c *Context[M]) VoteToHalt() { c.halted = true }
 
 // Program is a Pregel vertex program over state S and message M.
 type Program[S, M any] interface {
 	// Init returns vertex v's initial state; all vertices start active.
 	Init(g *graph.Graph, v uint32) S
-	// Compute processes the superstep: consume msgs, optionally send
-	// messages and vote to halt, and return the new state.
-	Compute(ctx *Context[M], superstep int, v uint32, s S, msgs []M) S
-	// Combine merges two messages addressed to the same vertex (Pregel's
-	// combiner). Message order is unspecified, so Combine must be
-	// commutative and associative.
+	// Compute runs superstep step for each vertex of vs (active,
+	// ascending, all in one worker's range): consume InMsg, update State,
+	// fold sends into the outbox, and clear Active to vote to halt.
+	Compute(step int, vs []uint32, w *Worker[S, M])
+	// Combine merges two workers' messages to the same vertex (Pregel's
+	// combiner). The merge order is fixed, but the message a worker holds
+	// depends on the worker count, so Combine must be commutative and
+	// associative.
 	Combine(a, b M) M
-}
-
-// outbox accumulates one worker's sends with per-destination combining.
-type outbox[M any] struct {
-	combine   func(a, b M) M
-	msg       []M
-	has       []bool
-	messages  int64
-	edgeReads int64
-}
-
-func (o *outbox[M]) add(dst uint32, m M) {
-	if o.has[dst] {
-		o.msg[dst] = o.combine(o.msg[dst], m)
-	} else {
-		o.msg[dst] = m
-		o.has[dst] = true
-	}
 }
 
 // Options configures a run.
@@ -104,9 +95,8 @@ func Run[S, M any](g *graph.Graph, p Program[S, M], opt Options) (*trace.Result[
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
-		if workers > n {
-			workers = n
-		}
+		workers = min(workers, n)
+		chunk := (n + workers - 1) / workers
 
 		state := make([]S, n)
 		active := make([]bool, n)
@@ -118,84 +108,80 @@ func Run[S, M any](g *graph.Graph, p Program[S, M], opt Options) (*trace.Result[
 		// Combined inbox: one message slot per vertex (combiner semantics).
 		inMsg := make([]M, n)
 		inHas := make([]bool, n)
+		var zero M
 
-		outboxes := make([]*outbox[M], workers)
-		for w := range outboxes {
-			outboxes[w] = &outbox[M]{
-				combine: p.Combine,
-				msg:     make([]M, n),
-				has:     make([]bool, n),
+		// One worker per contiguous vertex range, each with its own outbox
+		// (merged afterward); every vertex starts active.
+		var ws []*Worker[S, M]
+		for lo := 0; lo < n; lo += chunk {
+			w := &Worker[S, M]{Out: g.OutCSR(), State: state, Active: active, InMsg: inMsg, InHas: inHas,
+				Msg: make([]M, n), Has: make([]bool, n), lo: lo, hi: min(lo+chunk, n)}
+			for v := w.lo; v < w.hi; v++ {
+				w.vs = append(w.vs, uint32(v))
 			}
+			ws = append(ws, w)
 		}
-		updatesPer := make([]int64, workers)
-		chunk := (n + workers - 1) / workers
 
 		return state, int64(n), func(step int) trace.Superstep {
-			// Compute phase: contiguous vertex ranges per worker, each
-			// with its own outbox (merged afterward).
+			// Compute phase: one call per worker, on the caller's goroutine
+			// when there is one worker.
 			applyStart := time.Now()
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				lo := w * chunk
-				hi := min(lo+chunk, n)
-				if lo >= hi {
-					break
+			if len(ws) == 1 {
+				p.Compute(step, ws[0].vs, ws[0])
+			} else {
+				var wg sync.WaitGroup
+				for _, w := range ws {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						p.Compute(step, w.vs, w)
+					}()
 				}
-				wg.Add(1)
-				go func(w, lo, hi int) {
-					defer wg.Done()
-					ctx := &Context[M]{g: g, out: outboxes[w]}
-					var msgBuf [1]M
-					for v := lo; v < hi; v++ {
-						if !active[v] {
-							continue
-						}
-						var msgs []M
-						if inHas[v] {
-							msgBuf[0] = inMsg[v]
-							msgs = msgBuf[:1]
-						}
-						ctx.halted = false
-						state[v] = p.Compute(ctx, step, uint32(v), state[v], msgs)
-						updatesPer[w]++
-						if ctx.halted {
-							active[v] = false
-						}
-					}
-				}(w, lo, hi)
+				wg.Wait()
 			}
-			wg.Wait()
 			s := trace.Superstep{ApplyTime: time.Since(applyStart)}
 
-			// Delivery: merge worker outboxes into the next inbox.
+			// Delivery: the first worker's outbox becomes the next inbox —
+			// swapped with it, not copied; the old inbox, cleared, is its
+			// next outbox — and the others merge into it in worker order.
+			clear(inMsg)
 			clear(inHas)
-			for w, ob := range outboxes {
-				s.Updates += updatesPer[w]
-				s.Messages += ob.messages
-				s.EdgeReads += ob.edgeReads
-				updatesPer[w], ob.messages, ob.edgeReads = 0, 0, 0
+			inMsg, inHas, ws[0].Msg, ws[0].Has = ws[0].Msg, ws[0].Has, inMsg, inHas
+			for _, w := range ws {
+				w.InMsg, w.InHas = inMsg, inHas
+				s.Updates += int64(len(w.vs))
+				s.Messages += w.Messages
+				s.EdgeReads += w.EdgeReads
+				w.Messages, w.EdgeReads = 0, 0
+			}
+			for _, w := range ws[1:] {
 				for v := 0; v < n; v++ {
-					if !ob.has[v] {
+					if !w.Has[v] {
 						continue
 					}
-					ob.has[v] = false
 					if inHas[v] {
-						inMsg[v] = p.Combine(inMsg[v], ob.msg[v])
+						inMsg[v] = p.Combine(inMsg[v], w.Msg[v])
 					} else {
-						inMsg[v] = ob.msg[v]
+						inMsg[v] = w.Msg[v]
 						inHas[v] = true
 					}
+					w.Msg[v], w.Has[v] = zero, false
 				}
 			}
 
-			// Reactivation: messages wake halted vertices.
-			for v := 0; v < n; v++ {
-				if inHas[v] {
-					active[v] = true
+			// Reactivation: messages wake halted vertices; each worker's
+			// active vertices are its next Compute call.
+			for _, w := range ws {
+				w.vs = w.vs[:0]
+				for v := w.lo; v < w.hi; v++ {
+					if inHas[v] {
+						active[v] = true
+					}
+					if active[v] {
+						w.vs = append(w.vs, uint32(v))
+					}
 				}
-				if active[v] {
-					s.NextActive++
-				}
+				s.NextActive += int64(len(w.vs))
 			}
 			return s
 		}

@@ -2,11 +2,13 @@ package pregel
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"gcbench/internal/algorithms"
 	"gcbench/internal/gen"
 	"gcbench/internal/graph"
+	"gcbench/internal/trace"
 )
 
 func testGraph(t *testing.T, edges int64, alpha float64, seed uint64) *graph.Graph {
@@ -58,7 +60,7 @@ func TestSSSPMatchesGAS(t *testing.T) {
 func TestPageRankMatchesPowerIteration(t *testing.T) {
 	g := testGraph(t, 2000, 2.5, 7)
 	const steps = 60
-	res, err := Run[float64, float64](g, PRProgram{G: g, Damping: 0.85, Supersteps: steps},
+	res, err := Run[float64, float64](g, PRProgram{Damping: 0.85, Supersteps: steps},
 		Options{MaxSupersteps: steps + 2})
 	if err != nil {
 		t.Fatal(err)
@@ -141,24 +143,49 @@ func TestCombinerReducesDelivery(t *testing.T) {
 	}
 }
 
+// TestDeterministicAcrossWorkers runs each program at 1, 2 and 8 workers,
+// where sends fold into per-worker outboxes concurrently (go test -race
+// covers the in-place fold) and merge in worker order. CC labels and SSSP
+// distances are minima, so they agree exactly; PR ranks are sums, and a
+// worker's partial sum can round differently, so they agree to 1e-12
+// relative. The counters do not depend on the worker count at all.
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	g := testGraph(t, 3000, 2.3, 9)
-	var base []uint32
+	acrossWorkers(t, g, FromKernel[uint32](algorithms.MinLabel{}), 0)
+	acrossWorkers(t, g, FromKernel[float64](algorithms.Relax{Source: g.MaxDegreeVertex()}), 0)
+	acrossWorkers[float64, float64](t, g, PRProgram{Damping: 0.85, Supersteps: 30}, 1e-12)
+}
+
+func acrossWorkers[S interface{ ~uint32 | ~float64 }, M any](t *testing.T, g *graph.Graph, p Program[S, M], rel float64) {
+	t.Helper()
+	var base *trace.Result[S]
 	for _, workers := range []int{1, 2, 8} {
-		res, err := Run(g, FromKernel[uint32](algorithms.MinLabel{}), Options{Workers: workers})
+		res, err := Run(g, p, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if base == nil {
-			base = res.States
+			base = res
 			continue
 		}
-		for v := range base {
-			if res.States[v] != base[v] {
-				t.Fatalf("workers=%d: vertex %d differs", workers, v)
+		for v, want := range base.States {
+			if got := res.States[v]; got != want && math.Abs(float64(got-want)) > rel*math.Abs(float64(want)) {
+				t.Fatalf("%T, workers=%d: vertex %d = %v, at one worker %v", p, workers, v, got, want)
 			}
 		}
+		if !reflect.DeepEqual(counters(res.Trace), counters(base.Trace)) {
+			t.Fatalf("%T, workers=%d: counters differ from one worker's", p, workers)
+		}
 	}
+}
+
+// counters strips the wall times from a trace.
+func counters(tr *trace.RunTrace) [][4]int64 {
+	var c [][4]int64
+	for _, it := range tr.Iterations {
+		c = append(c, [4]int64{it.Active, it.Updates, it.EdgeReads, it.Messages})
+	}
+	return c
 }
 
 func TestRunValidation(t *testing.T) {

@@ -26,27 +26,29 @@ func (p kernelProgram[S]) Init(_ *graph.Graph, v uint32) S {
 	return s
 }
 
-func (p kernelProgram[S]) Compute(ctx *Context[S], step int, v uint32, s S, msgs []S) S {
-	improved := false
-	if step == 0 {
-		_, improved = p.k.Init(v)
-	}
-	for _, m := range msgs {
-		if p.k.Better(m, s) {
-			s = m
-			improved = true
+// Compute adopts each vertex's best message and, when that (or, in
+// superstep 0, the kernel's start) improved it, folds its offer along
+// every out-arc into the outbox through the kernel's OfferRun.
+func (p kernelProgram[S]) Compute(step int, vs []uint32, w *Worker[S, S]) {
+	off := w.Out.Off
+	var sent int64
+	for _, v := range vs {
+		s, improved := w.State[v], false
+		if step == 0 {
+			_, improved = p.k.Init(v)
 		}
-	}
-	if improved {
-		g := ctx.g
-		lo, hi := g.OutArcRange(v)
-		for a := lo; a < hi; a++ {
-			ctx.SendTo(g.ArcTarget(a), p.k.Along(s, g.ArcWeight(a)))
-			ctx.out.edgeReads++
+		if w.InHas[v] && p.k.Better(w.InMsg[v], s) {
+			s, improved = w.InMsg[v], true
+			w.State[v] = s
 		}
+		if improved {
+			p.k.OfferRun(s, &w.Out, v, w.Msg, w.Has)
+			sent += off[v+1] - off[v]
+		}
+		w.Active[v] = false
 	}
-	ctx.VoteToHalt()
-	return s
+	w.Messages += sent
+	w.EdgeReads += sent
 }
 
 // Combine keeps the better offer.
@@ -60,7 +62,6 @@ func (p kernelProgram[S]) Combine(a, b S) S {
 // PRProgram is the Pregel paper's PageRank: run a fixed number of
 // supersteps, each vertex dividing its rank among its neighbors.
 type PRProgram struct {
-	G          *graph.Graph
 	Damping    float64
 	Supersteps int
 }
@@ -68,23 +69,41 @@ type PRProgram struct {
 // Init gives every vertex unit rank.
 func (p PRProgram) Init(_ *graph.Graph, _ uint32) float64 { return 1 }
 
-// Compute sums incoming shares, applies damping, and re-shares.
-func (p PRProgram) Compute(ctx *Context[float64], step int, v uint32, s float64, msgs []float64) float64 {
-	if step > 0 {
-		sum := 0.0
-		for _, m := range msgs {
-			sum += m
+// Compute sums incoming shares, applies damping, and re-shares: each
+// vertex's share is added to the outbox slot of each out-neighbor in arc
+// order, until the last superstep, where every vertex votes to halt.
+// Shares are never −0, so adding the first to an empty slot's zero is
+// exact.
+func (p PRProgram) Compute(step int, vs []uint32, w *Worker[float64, float64]) {
+	off, adj := w.Out.Off, w.Out.Adj
+	var sent int64
+	for _, v := range vs {
+		s := w.State[v]
+		if step > 0 {
+			sum := 0.0
+			if w.InHas[v] {
+				sum += w.InMsg[v]
+			}
+			s = (1 - p.Damping) + p.Damping*sum
+			w.State[v] = s
 		}
-		s = (1 - p.Damping) + p.Damping*sum
-	}
-	if step < p.Supersteps-1 {
-		if d := ctx.Degree(v); d > 0 {
-			ctx.SendToNeighbors(v, s/float64(d))
+		if step >= p.Supersteps-1 {
+			w.Active[v] = false
+			continue
 		}
-	} else {
-		ctx.VoteToHalt()
+		run := adj[off[v]:off[v+1]]
+		if len(run) == 0 {
+			continue
+		}
+		share := s / float64(len(run))
+		for _, t := range run {
+			w.Msg[t] += share // on 0 when !Has[t]: 0 + share is share
+			w.Has[t] = true
+		}
+		sent += int64(len(run))
 	}
-	return s
+	w.Messages += sent
+	w.EdgeReads += sent
 }
 
 // Combine sums rank shares.

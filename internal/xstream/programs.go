@@ -23,24 +23,25 @@ func FromKernel[S any](k algorithms.Kernel[S]) Program[S, S] {
 
 func (p kernelProgram[S]) Init(_ *graph.Graph, v uint32) (S, bool) { return p.k.Init(v) }
 
-func (p kernelProgram[S]) ScatterEdge(e Edge, src S) (S, bool) {
-	return p.k.Along(src, e.Weight), true
+// Scatter offers each source's state along each arc of its run; offers
+// merge to the best one through the kernel's OfferRun.
+func (p kernelProgram[S]) Scatter(vs []uint32, out *graph.CSR, state, acc []S, has []bool) (emitted int64) {
+	for _, v := range vs {
+		p.k.OfferRun(state[v], out, v, acc, has)
+		emitted += out.Off[v+1] - out.Off[v]
+	}
+	return emitted
 }
 
-// Merge keeps the better offer.
-func (p kernelProgram[S]) Merge(a, b S) S {
-	if p.k.Better(a, b) {
-		return a
+// Apply adopts each improving offer.
+func (p kernelProgram[S]) Apply(vs []uint32, state, acc []S, next []bool) (changed int64) {
+	for _, v := range vs {
+		if p.k.Better(acc[v], state[v]) {
+			state[v], next[v] = acc[v], true
+			changed++
+		}
 	}
-	return b
-}
-
-// Apply adopts an improving offer.
-func (p kernelProgram[S]) Apply(_ uint32, s, u S) (S, bool) {
-	if p.k.Better(u, s) {
-		return u, true
-	}
-	return s, false
+	return changed
 }
 
 // PRState carries accumulated rank and the still-unpropagated delta.
@@ -54,7 +55,6 @@ type PRState struct {
 // (converged) vertices need not re-send their contribution. It converges
 // to the same fixed point r = 0.15 + 0.85·M·r as the GAS pull version.
 type PRProgram struct {
-	G         *graph.Graph
 	Damping   float64
 	Tolerance float64
 }
@@ -65,20 +65,34 @@ func (p PRProgram) Init(_ *graph.Graph, _ uint32) (PRState, bool) {
 	return PRState{Rank: base, Delta: base}, true
 }
 
-// ScatterEdge forwards the damped share of the source's delta.
-func (p PRProgram) ScatterEdge(e Edge, src PRState) (float64, bool) {
-	d := p.G.OutDegree(e.Src)
-	if d == 0 {
-		return 0, false
+// Scatter forwards the damped share of each source's delta along each
+// arc of its run, summing increments per target. acc starts zeroed and
+// Apply zeroes what it reads, so the first share lands on 0 without a
+// branch on has; shares are never −0, so 0 + share is share exactly.
+func (p PRProgram) Scatter(vs []uint32, out *graph.CSR, state []PRState, acc []float64, has []bool) (emitted int64) {
+	for _, v := range vs {
+		run := out.Adj[out.Off[v]:out.Off[v+1]]
+		share := p.Damping * state[v].Delta / float64(len(run))
+		for _, t := range run {
+			acc[t] += share
+			has[t] = true
+		}
+		emitted += int64(len(run))
 	}
-	return p.Damping * src.Delta / float64(d), true
+	return emitted
 }
 
-// Merge sums incoming increments.
-func (p PRProgram) Merge(a, b float64) float64 { return a + b }
-
-// Apply folds the increment and stays active while it is material.
-func (p PRProgram) Apply(_ uint32, s PRState, u float64) (PRState, bool) {
-	next := PRState{Rank: s.Rank + u, Delta: u}
-	return next, math.Abs(u) > p.Tolerance
+// Apply folds each increment; a vertex stays active while its increment
+// is material.
+func (p PRProgram) Apply(vs []uint32, state []PRState, acc []float64, next []bool) (changed int64) {
+	for _, v := range vs {
+		u := acc[v]
+		acc[v] = 0
+		state[v] = PRState{Rank: state[v].Rank + u, Delta: u}
+		if math.Abs(u) > p.Tolerance {
+			next[v] = true
+			changed++
+		}
+	}
+	return changed
 }

@@ -6,15 +6,19 @@
 // transferring information through edges, performing computation on an
 // independent unit, and activations."
 //
-// Instead of iterating active vertices over their adjacency (CSR), each
-// iteration streams the entire unordered edge list: edges whose source is
-// active emit updates toward their targets, updates are merged per target,
-// and targets apply them — becoming active when they change. Both phases
-// run sequentially, as in a single streaming partition. The same five
-// behavior quantities are measured, so this package lets the conservation
-// claim be checked quantitatively (see the package tests, which run
-// CC/PR/SSSP under both models and compare results and activation
-// behavior).
+// Instead of iterating active vertices over their adjacency, each
+// iteration streams the entire edge list — the CSR's arc arrays in
+// storage order, an arbitrary but fixed order, as a streaming engine sees
+// it: arcs whose source is active emit updates toward their targets,
+// updates are merged per target, and targets apply them — becoming active
+// when they change. A source's arcs are one contiguous run, so its
+// activity is tested once per run. Both phases run sequentially, as in a
+// single streaming partition, and each is one program call over the
+// iteration's runs or targets: the program loops over them and folds in
+// place. The same five behavior quantities are measured, so this package
+// lets the conservation claim be checked quantitatively (see the package
+// tests, which run CC/PR/SSSP under both models and compare results and
+// activation behavior).
 package xstream
 
 import (
@@ -25,26 +29,23 @@ import (
 	"gcbench/internal/trace"
 )
 
-// Edge is one streamed edge.
-type Edge struct {
-	Src, Dst uint32
-	Weight   float64
-}
-
 // Program is an edge-centric vertex program over state S and update U.
 type Program[S, U any] interface {
 	// Init returns vertex v's initial state and activity.
 	Init(g *graph.Graph, v uint32) (S, bool)
-	// ScatterEdge runs for every streamed edge whose source is active,
-	// reading the source state and optionally emitting an update toward
-	// the target.
-	ScatterEdge(e Edge, src S) (U, bool)
-	// Merge combines two updates destined for the same target (must be
-	// commutative and associative).
-	Merge(a, b U) U
-	// Apply folds the merged update into the target's state, reporting
-	// whether the vertex changed (and so is active next iteration).
-	Apply(v uint32, s S, u U) (S, bool)
+	// Scatter streams the out-arc run on out of each source in vs — the
+	// iteration's active sources that have arcs, in storage order —
+	// reading the source's state and folding the update it emits along
+	// each arc into acc[t] for the arc's target t: acc[t] = u when has[t]
+	// is false (and has[t] is set), else acc[t] = acc[t] ⊕ u for a
+	// commutative, associative ⊕. It returns the number of updates
+	// emitted. acc is the program's: the engine allocates it zeroed and
+	// never writes it.
+	Scatter(vs []uint32, out *graph.CSR, state []S, acc []U, has []bool) int64
+	// Apply folds the merged update acc[v] into state[v] for each target v
+	// in vs (ascending), sets next[v] for each that changed (and so is
+	// active next iteration) and returns how many did.
+	Apply(vs []uint32, state []S, acc []U, next []bool) int64
 }
 
 // Options configures a run.
@@ -60,21 +61,12 @@ type Options struct {
 func Run[S, U any](g *graph.Graph, p Program[S, U], opt Options) (*trace.Result[S], error) {
 	loop := trace.Barrier{Model: "xstream", Step: "iteration", MaxSteps: opt.MaxIterations, Context: opt.Context}
 	return trace.RunBarrier(loop, g, func(n int) ([]S, int64, func(int) trace.Superstep) {
-		// Materialize the flat edge stream: every arc once, in CSR storage
-		// order (an arbitrary but fixed order, as a streaming engine sees it).
-		edges := make([]Edge, 0, g.NumArcs())
-		for u := uint32(0); int(u) < n; u++ {
-			lo, hi := g.OutArcRange(u)
-			for a := lo; a < hi; a++ {
-				edges = append(edges, Edge{Src: u, Dst: g.ArcTarget(a), Weight: g.ArcWeight(a)})
-			}
-		}
-
+		out := g.OutCSR()
 		state := make([]S, n)
 		active := make([]bool, n)
-		nextActive := make([]bool, n)
 		acc := make([]U, n)
 		has := make([]bool, n)
+		var runs, targets []uint32
 
 		var activeCount int64
 		for v := uint32(0); int(v) < n; v++ {
@@ -86,42 +78,31 @@ func Run[S, U any](g *graph.Graph, p Program[S, U], opt Options) (*trace.Result[
 
 		return state, activeCount, func(int) trace.Superstep {
 			var s trace.Superstep
-			// Stream phase: scan every edge, scatter from active sources.
-			for i := range edges {
-				e := &edges[i]
-				if !active[e.Src] {
-					continue
-				}
-				s.EdgeReads++ // one source-state read through an edge
-				u, ok := p.ScatterEdge(*e, state[e.Src])
-				if !ok {
-					continue
-				}
-				s.Messages++
-				if has[e.Dst] {
-					acc[e.Dst] = p.Merge(acc[e.Dst], u)
-				} else {
-					acc[e.Dst] = u
-					has[e.Dst] = true
+			// Stream phase: every source's run in storage order, its
+			// activity tested once; each arc of an active run is one
+			// source-state read.
+			runs = runs[:0]
+			for v, on := range active {
+				if reads := out.Off[v+1] - out.Off[v]; on && reads > 0 {
+					s.EdgeReads += reads
+					runs = append(runs, uint32(v))
 				}
 			}
+			s.Messages = p.Scatter(runs, &out, state, acc, has)
 
 			// Apply phase: fold updates, decide next activity.
 			applyStart := time.Now()
-			for v := uint32(0); int(v) < n; v++ {
-				if !has[v] {
-					continue
-				}
-				has[v] = false
-				state[v], nextActive[v] = p.Apply(v, state[v], acc[v])
-				s.Updates++
-				if nextActive[v] {
-					s.NextActive++
+			targets = targets[:0]
+			for v, h := range has {
+				if h {
+					targets = append(targets, uint32(v))
+					has[v] = false
 				}
 			}
-			s.ApplyTime = time.Since(applyStart)
 			clear(active)
-			active, nextActive = nextActive, active
+			s.Updates = int64(len(targets))
+			s.NextActive = p.Apply(targets, state, acc, active)
+			s.ApplyTime = time.Since(applyStart)
 			return s
 		}
 	})

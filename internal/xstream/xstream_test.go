@@ -60,7 +60,7 @@ func TestSSSPMatchesGASExactly(t *testing.T) {
 
 func TestPRMatchesGASWithinTolerance(t *testing.T) {
 	g := testGraph(t, 2000, 2.3, 9)
-	p := PRProgram{G: g, Damping: 0.85, Tolerance: 1e-10}
+	p := PRProgram{Damping: 0.85, Tolerance: 1e-10}
 	res, err := Run[PRState, float64](g, p, Options{MaxIterations: 2000})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestRunValidation(t *testing.T) {
 
 func TestMaxIterationsCap(t *testing.T) {
 	g := testGraph(t, 500, 2.5, 13)
-	p := PRProgram{G: g, Damping: 0.85, Tolerance: 0} // never converges
+	p := PRProgram{Damping: 0.85, Tolerance: 0} // never converges
 	res, err := Run[PRState, float64](g, p, Options{MaxIterations: 4})
 	if err != nil {
 		t.Fatal(err)
