@@ -28,7 +28,14 @@ import (
 	"syscall"
 	"time"
 
-	"gcbench"
+	"gcbench/internal/algorithms"
+	"gcbench/internal/behavior"
+	"gcbench/internal/ensemble"
+	"gcbench/internal/model"
+	"gcbench/internal/obs"
+	"gcbench/internal/predict"
+	"gcbench/internal/report"
+	"gcbench/internal/sweep"
 )
 
 func main() {
@@ -90,7 +97,7 @@ func cmdPlan(args []string) error {
 	seed := fs.Uint64("seed", 42, "campaign seed")
 	fs.Parse(args)
 
-	specs, err := gcbench.BuildPlan(gcbench.Profile(*profile), *seed)
+	specs, err := sweep.BuildPlan(sweep.Profile(*profile), *seed)
 	if err != nil {
 		return err
 	}
@@ -127,7 +134,7 @@ func cmdSweep(args []string) error {
 		return fmt.Errorf("retries must be ≥ 0, got %d", *retries)
 	}
 
-	frontier, err := gcbench.ParseFrontierMode(*frontierFlag)
+	frontier, err := algorithms.ParseFrontierMode(*frontierFlag)
 	if err != nil {
 		return err
 	}
@@ -136,14 +143,14 @@ func cmdSweep(args []string) error {
 	if err != nil {
 		return err
 	}
-	specs, err := gcbench.BuildPlanModels(gcbench.Profile(*profile), *seed, models)
+	specs, err := sweep.BuildPlanModels(sweep.Profile(*profile), *seed, models)
 	if err != nil {
 		return err
 	}
 	if *algsFlag != "" {
-		keep := map[gcbench.AlgorithmName]bool{}
+		keep := map[algorithms.Name]bool{}
 		for _, a := range strings.Split(*algsFlag, ",") {
-			name, err := gcbench.ParseAlgorithm(strings.TrimSpace(a))
+			name, err := algorithms.Parse(strings.TrimSpace(a))
 			if err != nil {
 				return err
 			}
@@ -169,7 +176,7 @@ func cmdSweep(args []string) error {
 	} else if jpath == "" {
 		jpath = *out + ".journal"
 	}
-	var journal *gcbench.Journal
+	var journal *sweep.Journal
 	if jpath != "none" {
 		if *resume == "" {
 			os.Remove(jpath)
@@ -177,7 +184,7 @@ func cmdSweep(args []string) error {
 			// A typo'd -resume path must not silently start from scratch.
 			return fmt.Errorf("resume journal: %w", err)
 		}
-		journal, err = gcbench.OpenJournal(jpath)
+		journal, err = sweep.OpenJournal(jpath)
 		if err != nil {
 			return err
 		}
@@ -192,20 +199,20 @@ func cmdSweep(args []string) error {
 	defer stop()
 
 	start := time.Now()
-	cfg := gcbench.SweepConfig{
+	cfg := sweep.Config{
 		Parallel: *parallel, Workers: *workers,
 		Timeout: *timeout, Retries: *retries, RetryBackoff: *backoff,
 		Journal:     journal,
-		InjectFault: gcbench.FaultRate(*faultRate, *faultSeed),
+		InjectFault: sweep.FaultRate(*faultRate, *faultSeed),
 		Frontier:    frontier,
 	}
 
 	// -listen attaches the observability surface to this campaign: the
 	// tracker feeds /statusz, the default metric registry feeds /metrics.
 	if *listen != "" {
-		tracker := gcbench.NewCampaignTracker()
+		tracker := sweep.NewTracker()
 		cfg.Tracker = tracker
-		srv, err := gcbench.StartObsServer(*listen, gcbench.ObsServerOptions{
+		srv, err := obs.StartServer(*listen, obs.ServerOptions{
 			Status: func() any { return tracker.Snapshot() },
 		})
 		if err != nil {
@@ -228,33 +235,12 @@ func cmdSweep(args []string) error {
 			fmt.Fprintf(os.Stderr, "\r[%3d/%3d] %-40s", done, total, id)
 		}
 	}
-	// The CLI executes through the same jobs engine as the serve API's
-	// POST /api/campaigns — one campaign execution path, two front ends.
-	// A single-slot manager running exactly one job preserves the old
-	// synchronous semantics (cfg, including Journal/Tracker/Progress,
-	// passes through unchanged).
-	mgr := gcbench.NewJobManager(gcbench.JobManagerConfig{MaxRunning: 1})
-	job, err := mgr.Submit(gcbench.JobRequest{
-		Specs:  specs,
-		Config: cfg,
-		Label:  fmt.Sprintf("cli sweep profile=%s seed=%d", *profile, *seed),
-	})
-	if err != nil {
-		return err
-	}
-	go func() {
-		<-ctx.Done() // Ctrl-C / SIGTERM
-		mgr.Cancel(job.ID())
-	}()
-	if _, err := job.Wait(context.Background()); err != nil {
-		return err
-	}
-	res, cerr := job.Result()
+	res, cerr := sweep.ExecuteCampaign(ctx, specs, cfg)
 	if !*quiet && !*vb.verbose {
 		fmt.Fprintln(os.Stderr)
 	}
 	if len(res.Runs) > 0 {
-		if err := gcbench.SaveRuns(*out, res.Runs); err != nil {
+		if err := sweep.SaveRunsFile(*out, res.Runs); err != nil {
 			return err
 		}
 	}
@@ -262,7 +248,7 @@ func cmdSweep(args []string) error {
 		len(res.Runs), len(specs), time.Since(start).Round(time.Millisecond), *out,
 		res.Completed, res.Skipped, res.Failed, res.Cancelled)
 	for _, r := range res.Results {
-		if r.Status == gcbench.RunFailed || r.Status == gcbench.RunTimeout {
+		if r.Status == behavior.StatusFailed || r.Status == behavior.StatusTimeout {
 			fmt.Printf("  %s %s after %d attempt(s) in %s: %s\n",
 				r.Status, r.Spec.ID(), r.Attempts, r.Duration.Round(time.Millisecond), r.Err)
 		}
@@ -297,27 +283,27 @@ func cmdRun(args []string) error {
 	fs.Parse(args)
 	vb.setup()
 
-	name, err := gcbench.ParseAlgorithm(*alg)
+	name, err := algorithms.Parse(*alg)
 	if err != nil {
 		return err
 	}
-	frontier, err := gcbench.ParseFrontierMode(*frontierFlag)
+	frontier, err := algorithms.ParseFrontierMode(*frontierFlag)
 	if err != nil {
 		return err
 	}
-	mname, err := gcbench.ParseModel(*modelFlag)
+	mname, err := model.Parse(*modelFlag)
 	if err != nil {
 		return err
 	}
-	spec := gcbench.Spec{Algorithm: name, Seed: *seed}
-	if mname != gcbench.ModelGAS {
-		impl, err := gcbench.ModelForName(mname)
+	spec := sweep.Spec{Algorithm: name, Seed: *seed}
+	if mname != model.GAS {
+		impl, err := model.ForName(mname)
 		if err != nil {
 			return err
 		}
 		if !impl.Supports(name) {
 			return fmt.Errorf("model %s does not implement algorithm %s (models implementing it: %v)",
-				mname, name, gcbench.ModelsSupporting(name))
+				mname, name, model.Supporting(name))
 		}
 		spec.Model = mname
 	}
@@ -333,7 +319,7 @@ func cmdRun(args []string) error {
 		spec.Alpha = *alpha
 		spec.SizeLabel = fmt.Sprint(*edges)
 	}
-	r, tr, err := gcbench.RunSpecTrace(context.Background(), spec, 0, frontier)
+	r, tr, err := sweep.RunSpecTrace(context.Background(), spec, 0, frontier)
 	if err != nil {
 		return err
 	}
@@ -342,7 +328,7 @@ func cmdRun(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := gcbench.WriteChromeTrace(f, tr.Spans(0)); err != nil {
+		if err := obs.WriteChromeTrace(f, tr.Spans(0)); err != nil {
 			f.Close()
 			return err
 		}
@@ -377,21 +363,21 @@ func cmdFigures(args []string) error {
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	fs.Parse(args)
 
-	runs, err := gcbench.LoadRuns(*runsPath)
+	runs, err := sweep.LoadRunsFile(*runsPath)
 	if err != nil {
 		return fmt.Errorf("loading corpus (run 'gcbench sweep' first): %w", err)
 	}
-	corpus, err := gcbench.NewCorpus(runs)
+	corpus, err := report.NewCorpus(runs)
 	if err != nil {
 		return err
 	}
-	opt := gcbench.FigureOptions{CoverageSamples: *samples, MaxSize: *maxSize}
+	opt := report.FigureOptions{CoverageSamples: *samples, MaxSize: *maxSize}
 	ids := []string{*fig}
 	if *fig == "all" {
-		ids = gcbench.FigureIDs()
+		ids = report.FigureIDs()
 	}
 	for _, id := range ids {
-		rep, err := gcbench.Figure(corpus, id, opt)
+		rep, err := report.Figure(corpus, id, opt)
 		if err != nil {
 			return err
 		}
@@ -420,11 +406,11 @@ func cmdEnsemble(args []string) error {
 	export := fs.String("export", "", "directory to export the designed suites' workload files")
 	fs.Parse(args)
 
-	runs, err := gcbench.LoadRuns(*runsPath)
+	runs, err := sweep.LoadRunsFile(*runsPath)
 	if err != nil {
 		return fmt.Errorf("loading corpus (run 'gcbench sweep' first): %w", err)
 	}
-	corpus, err := gcbench.NewCorpus(runs)
+	corpus, err := report.NewCorpus(runs)
 	if err != nil {
 		return err
 	}
@@ -433,37 +419,44 @@ func cmdEnsemble(args []string) error {
 	for i := range idx {
 		idx[i] = i
 	}
-	spreadSets := gcbench.BestSpreadGreedy(pool.Points, idx, *size)
+	ctx := context.Background()
+	spreadSets, err := ensemble.BestSpreadGreedyCtx(ctx, pool.Points, idx, *size)
+	if err != nil {
+		return err
+	}
 	spreadMembers := spreadSets[*size]
 	if *anneal {
-		refined, score, err := gcbench.AnnealSpread(pool.Points, idx, gcbench.AnnealOptions{Size: *size, Seed: 1})
+		refined, score, err := ensemble.AnnealSpreadCtx(ctx, pool.Points, idx, ensemble.AnnealOptions{Size: *size, Seed: 1})
 		if err != nil {
 			return err
 		}
 		spreadMembers = refined
 		fmt.Printf("annealed spread: %.4f (greedy+exchange: %.4f)\n",
-			score, gcbench.SpreadOf(pool.Points, spreadSets[*size]))
+			score, ensemble.SpreadOf(pool.Points, spreadSets[*size]))
 	}
 	fmt.Printf("Best-spread ensemble of size %d (spread %.4f):\n", *size,
-		gcbench.SpreadOf(pool.Points, spreadMembers))
+		ensemble.SpreadOf(pool.Points, spreadMembers))
 	for _, m := range spreadMembers {
 		fmt.Printf("  %s\n", pool.Runs[m].ID())
 	}
 
-	cov, err := gcbench.NewCoverageEstimator(*samples, 0x5eed)
+	cov, err := ensemble.NewCoverageEstimator(*samples, 0x5eed)
 	if err != nil {
 		return err
 	}
-	covSets := gcbench.BestCoverageGreedy(cov, pool.Points, idx, *size)
+	covSets, err := ensemble.BestCoverageGreedyCtx(ctx, cov, pool.Points, idx, *size)
+	if err != nil {
+		return err
+	}
 	covMembers := covSets[*size]
 	if *anneal {
-		refined, _, err := gcbench.AnnealCoverage(cov, pool.Points, idx, gcbench.AnnealOptions{Size: *size, Seed: 1, Steps: 500})
+		refined, _, err := ensemble.AnnealCoverageCtx(ctx, cov, pool.Points, idx, ensemble.AnnealOptions{Size: *size, Seed: 1, Steps: 500})
 		if err != nil {
 			return err
 		}
 		covMembers = refined
 	}
-	pts := make([]gcbench.Vector, len(covMembers))
+	pts := make([]behavior.Vector, len(covMembers))
 	for i, m := range covMembers {
 		pts[i] = pool.Points[m]
 	}
@@ -474,7 +467,7 @@ func cmdEnsemble(args []string) error {
 	}
 
 	if *export != "" {
-		members := make([]*gcbench.Run, 0, len(spreadMembers)+len(covMembers))
+		members := make([]*behavior.Run, 0, len(spreadMembers)+len(covMembers))
 		seen := map[int]bool{}
 		for _, m := range append(append([]int(nil), spreadMembers...), covMembers...) {
 			if seen[m] {
@@ -483,7 +476,7 @@ func cmdEnsemble(args []string) error {
 			seen[m] = true
 			members = append(members, pool.Runs[m])
 		}
-		if err := gcbench.ExportSuite(*export, members, nil); err != nil {
+		if err := sweep.ExportSuite(*export, members, nil); err != nil {
 			return err
 		}
 		fmt.Printf("exported %d workload files to %s\n", len(members), *export)
@@ -500,19 +493,19 @@ func cmdPredict(args []string) error {
 	loo := fs.Bool("loo", false, "also report leave-one-out error over the corpus")
 	fs.Parse(args)
 
-	runs, err := gcbench.LoadRuns(*runsPath)
+	runs, err := sweep.LoadRunsFile(*runsPath)
 	if err != nil {
 		return fmt.Errorf("loading corpus (run 'gcbench sweep' first): %w", err)
 	}
-	name, err := gcbench.ParseAlgorithm(*alg)
+	name, err := algorithms.Parse(*alg)
 	if err != nil {
 		return err
 	}
-	p, err := gcbench.NewPredictor(runs)
+	p, err := predict.New(runs)
 	if err != nil {
 		return err
 	}
-	pred, err := p.Predict(gcbench.PredictQuery{
+	pred, err := p.Predict(predict.Query{
 		Algorithm: string(name), NumEdges: *edges, Alpha: *alpha,
 	})
 	if err != nil {
@@ -523,7 +516,7 @@ func cmdPredict(args []string) error {
 	fmt.Printf("  UPDT=%.3e WORK=%.3e EREAD=%.3e MSG=%.3e  iterations≈%.0f\n",
 		pred.Raw[0], pred.Raw[1], pred.Raw[2], pred.Raw[3], pred.Iterations)
 	if *loo {
-		errs, err := gcbench.PredictLeaveOneOut(runs)
+		errs, err := predict.LeaveOneOut(runs)
 		if err != nil {
 			return err
 		}
@@ -535,21 +528,21 @@ func cmdPredict(args []string) error {
 
 // parseModelList resolves a comma-separated -models flag value; "all"
 // expands to every execution model.
-func parseModelList(s string) ([]gcbench.ModelName, error) {
+func parseModelList(s string) ([]model.Name, error) {
 	if s == "" {
 		return nil, nil
 	}
-	var models []gcbench.ModelName
+	var models []model.Name
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}
 		if strings.EqualFold(part, "all") {
-			models = append(models, gcbench.AllModels()...)
+			models = append(models, model.AllNames()...)
 			continue
 		}
-		n, err := gcbench.ParseModel(part)
+		n, err := model.Parse(part)
 		if err != nil {
 			return nil, err
 		}

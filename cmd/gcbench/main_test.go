@@ -7,17 +7,18 @@ import (
 	"strings"
 	"testing"
 
-	"gcbench"
+	"gcbench/internal/algorithms"
+	"gcbench/internal/sweep"
 )
 
 // writeTinyCorpus sweeps a minimal campaign and saves it for the
 // figure/ensemble subcommand tests.
 func writeTinyCorpus(t *testing.T) string {
 	t.Helper()
-	var specs []gcbench.Spec
-	for _, alg := range []gcbench.AlgorithmName{"CC", "PR", "TC", "KM", "ALS", "SGD"} {
+	var specs []sweep.Spec
+	for _, alg := range []algorithms.Name{"CC", "PR", "TC", "KM", "ALS", "SGD"} {
 		for _, alpha := range []float64{2.0, 3.0} {
-			s := gcbench.Spec{Algorithm: alg, NumEdges: 300, Alpha: alpha,
+			s := sweep.Spec{Algorithm: alg, NumEdges: 300, Alpha: alpha,
 				SizeLabel: "300", Seed: uint64(alpha * 7)}
 			if alg == "ALS" || alg == "SGD" {
 				s.NumEdges = 150
@@ -25,12 +26,12 @@ func writeTinyCorpus(t *testing.T) string {
 			specs = append(specs, s)
 		}
 	}
-	runs, err := gcbench.Sweep(specs, gcbench.SweepConfig{})
+	runs, err := sweep.Execute(specs, sweep.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "runs.json")
-	if err := gcbench.SaveRuns(path, runs); err != nil {
+	if err := sweep.SaveRunsFile(path, runs); err != nil {
 		t.Fatal(err)
 	}
 	return path

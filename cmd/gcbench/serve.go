@@ -10,7 +10,12 @@ import (
 	"syscall"
 	"time"
 
-	"gcbench"
+	"gcbench/internal/corpus"
+	"gcbench/internal/ensemble"
+	"gcbench/internal/jobs"
+	"gcbench/internal/obs/otrace"
+	"gcbench/internal/serve"
+	"gcbench/internal/shard"
 )
 
 // cmdServe runs the ensemble-design API server over a measured corpus:
@@ -23,7 +28,7 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	runsPath := fs.String("runs", "runs.json", "behavior corpus: runs JSON (from 'gcbench sweep') or a checkpoint journal")
 	listen := fs.String("listen", ":8080", "API listen address")
-	samples := fs.Int("samples", gcbench.DefaultCoverageSamples, "coverage Monte-Carlo samples (paper: 1e6)")
+	samples := fs.Int("samples", ensemble.DefaultSamples, "coverage Monte-Carlo samples (paper: 1e6)")
 	workers := fs.Int("workers", 0, "concurrent ensemble searches (0 = all cores)")
 	queue := fs.Int("queue", 64, "design requests queued before shedding with 429")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request deadline (plumbed into search loops)")
@@ -41,7 +46,7 @@ func cmdServe(args []string) error {
 	fs.Parse(args)
 	vb.setup()
 
-	snap, err := gcbench.LoadCorpusSnapshot(*runsPath)
+	snap, err := corpus.LoadFile(*runsPath)
 	if err != nil {
 		return fmt.Errorf("loading corpus (run 'gcbench sweep' first): %w", err)
 	}
@@ -51,8 +56,8 @@ func cmdServe(args []string) error {
 	// shard replica into its own OS process over TCP. Every /api response
 	// stays byte-identical across all of them (the differential harness's
 	// guarantee).
-	opts := gcbench.ShardClusterOptions{Shards: *shards, Replicas: *replicas}
-	var sup *gcbench.ShardSupervisor
+	opts := shard.Options{Shards: *shards, Replicas: *replicas}
+	var sup *shard.Supervisor
 	switch {
 	case *shardSpawn:
 		var groups [][]string
@@ -73,7 +78,7 @@ func cmdServe(args []string) error {
 			return err
 		}
 	}
-	cluster, err := gcbench.NewShardCluster(opts)
+	cluster, err := shard.New(opts)
 	if err != nil {
 		return err
 	}
@@ -84,24 +89,24 @@ func cmdServe(args []string) error {
 		// A restarted replica process comes back empty (version 0); the
 		// restore hook republishes its partition above the epoch fence so
 		// the version vector never regresses.
-		sup.SetOnRestore(func(ctx context.Context, spec gcbench.ShardProcSpec) error {
+		sup.SetOnRestore(func(ctx context.Context, spec shard.ProcSpec) error {
 			_, err := cluster.Rehydrate(ctx, spec.Shard)
 			return err
 		})
 		slog.Info("spawned shard processes", "shards", cluster.Shards(), "replicas", cluster.Replicas())
 	}
-	var mgr *gcbench.JobManager
+	var mgr *jobs.Manager
 	if *jobsOn {
-		mgr = gcbench.NewJobManager(gcbench.JobManagerConfig{
+		mgr = jobs.NewManager(jobs.Config{
 			MaxRunning: *maxRunning,
 			QueueDepth: *queueDepth,
 		})
 	}
-	var traces *gcbench.TraceStore
+	var traces *otrace.Store
 	if *traceCap > 0 {
-		traces = gcbench.NewTraceStore(*traceCap)
+		traces = otrace.NewStore(*traceCap)
 	}
-	srv, err := gcbench.NewAPIServer(gcbench.APIServerConfig{
+	srv, err := serve.New(serve.Config{
 		Cluster:        cluster,
 		Samples:        *samples,
 		Workers:        *workers,

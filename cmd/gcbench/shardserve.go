@@ -14,7 +14,7 @@ import (
 	"syscall"
 	"time"
 
-	"gcbench"
+	"gcbench/internal/shard"
 )
 
 // cmdShardServe runs ONE shard replica as its own OS process:
@@ -43,7 +43,7 @@ func cmdShardServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: gcbench.ShardRPCHandler(gcbench.NewProcessShard(*shardID))}
+	srv := &http.Server{Handler: shard.RPCHandler(shard.NewProcessShard(*shardID))}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	slog.Info("shard replica serving", "shard", *shardID, "addr", ln.Addr().String())
@@ -86,14 +86,14 @@ func parseShardAddrs(spec string) ([][]string, error) {
 // wireClients builds the per-shard logical clients for a wire topology:
 // one RemoteShard per replica endpoint, aggregated per shard by a
 // ReplicaSet (failover reads, fan-out publish).
-func wireClients(groups [][]string) ([]gcbench.ShardClient, error) {
-	clients := make([]gcbench.ShardClient, len(groups))
+func wireClients(groups [][]string) ([]shard.ShardClient, error) {
+	clients := make([]shard.ShardClient, len(groups))
 	for i, addrs := range groups {
-		replicas := make([]gcbench.ShardClient, len(addrs))
+		replicas := make([]shard.ShardClient, len(addrs))
 		for j, addr := range addrs {
-			replicas[j] = gcbench.NewRemoteShard(addr, gcbench.RemoteShardOptions{Shard: i})
+			replicas[j] = shard.NewRemoteShard(addr, shard.RemoteOptions{Shard: i})
 		}
-		rs, err := gcbench.NewShardReplicaSet(i, replicas, nil)
+		rs, err := shard.NewReplicaSet(i, replicas, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -129,7 +129,7 @@ func freeLoopbackAddrs(n int) ([]string, error) {
 // child processes under a supervisor, waits for them to come up, and
 // returns the supervisor plus the per-shard topology. The caller wires
 // the restore hook (Cluster.Rehydrate) once the cluster exists.
-func spawnWireCluster(ctx context.Context, shards, replicas int) (*gcbench.ShardSupervisor, [][]string, error) {
+func spawnWireCluster(ctx context.Context, shards, replicas int) (*shard.Supervisor, [][]string, error) {
 	self, err := os.Executable()
 	if err != nil {
 		return nil, nil, err
@@ -139,17 +139,17 @@ func spawnWireCluster(ctx context.Context, shards, replicas int) (*gcbench.Shard
 		return nil, nil, err
 	}
 	groups := make([][]string, shards)
-	specs := make([]gcbench.ShardProcSpec, 0, shards*replicas)
+	specs := make([]shard.ProcSpec, 0, shards*replicas)
 	for s := 0; s < shards; s++ {
 		for r := 0; r < replicas; r++ {
 			addr := addrs[s*replicas+r]
 			groups[s] = append(groups[s], addr)
-			specs = append(specs, gcbench.ShardProcSpec{Shard: s, Replica: r, Addr: addr})
+			specs = append(specs, shard.ProcSpec{Shard: s, Replica: r, Addr: addr})
 		}
 	}
-	sup, err := gcbench.NewShardSupervisor(specs, gcbench.ShardSupervisorOptions{
+	sup, err := shard.NewSupervisor(specs, shard.SupervisorOptions{
 		Binary: self,
-		Args: func(spec gcbench.ShardProcSpec) []string {
+		Args: func(spec shard.ProcSpec) []string {
 			return []string{"shard-serve", "-listen", spec.Addr, "-shard", strconv.Itoa(spec.Shard)}
 		},
 	})

@@ -13,7 +13,8 @@ import (
 	"fmt"
 	"os"
 
-	"gcbench"
+	"gcbench/internal/gen"
+	"gcbench/internal/graph"
 )
 
 var (
@@ -47,52 +48,52 @@ func run() error {
 	}
 	switch *kind {
 	case "powerlaw":
-		g, err := gcbench.PowerLaw(gcbench.PowerLawConfig{
+		g, err := gen.PowerLaw(gen.PowerLawConfig{
 			NumEdges: *edges, Alpha: *alpha, Seed: *seed, SortAdjacency: true,
 		})
 		if err != nil {
 			return err
 		}
-		return gcbench.WriteEdgeList(w, g)
+		return graph.WriteEdgeList(w, g)
 	case "bipartite":
-		g, users, err := gcbench.Bipartite(gcbench.BipartiteConfig{
+		g, users, err := gen.Bipartite(gen.BipartiteConfig{
 			NumEdges: *edges, Alpha: *alpha, Seed: *seed,
 		})
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "users: %d (vertices [0,%d) are users, rest items)\n", users, users)
-		return gcbench.WriteEdgeList(w, g)
+		return graph.WriteEdgeList(w, g)
 	case "mrf":
-		m, err := gcbench.RandomMRF(gcbench.MRFConfig{NumEdges: *edges, Seed: *seed})
+		m, err := gen.MRF(gen.MRFConfig{NumEdges: *edges, Seed: *seed})
 		if err != nil {
 			return err
 		}
-		return gcbench.WriteUAI(w, m)
+		return graph.WriteUAI(w, m)
 	case "grid":
-		m, err := gcbench.Grid(gcbench.GridConfig{Rows: *rows, Seed: *seed})
+		m, err := gen.Grid(gen.GridConfig{Rows: *rows, Seed: *seed})
 		if err != nil {
 			return err
 		}
-		return gcbench.WriteUAI(w, m)
+		return graph.WriteUAI(w, m)
 	case "rmat":
-		g, err := gcbench.RMAT(gcbench.RMATConfig{
+		g, err := gen.RMAT(gen.RMATConfig{
 			Scale: *scale, NumEdges: *edges, Seed: *seed, SortAdjacency: true,
 		})
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "degree CV: %.2f\n", gcbench.DegreeCV(g))
-		return gcbench.WriteEdgeList(w, g)
+		fmt.Fprintf(os.Stderr, "degree CV: %.2f\n", gen.DegreeCV(g))
+		return graph.WriteEdgeList(w, g)
 	case "er":
-		g, err := gcbench.ErdosRenyi(gcbench.ErdosRenyiConfig{
+		g, err := gen.ErdosRenyi(gen.ErdosRenyiConfig{
 			NumVertices: *verts, NumEdges: *edges, Seed: *seed, SortAdjacency: true,
 		})
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "degree CV: %.2f\n", gcbench.DegreeCV(g))
-		return gcbench.WriteEdgeList(w, g)
+		fmt.Fprintf(os.Stderr, "degree CV: %.2f\n", gen.DegreeCV(g))
+		return graph.WriteEdgeList(w, g)
 	default:
 		return fmt.Errorf("unknown kind %q", *kind)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -44,7 +45,11 @@ func main() {
 
 	// Design a 5-member suite for spread (dispersion across the space).
 	const suiteSize = 5
-	spreadSets := gcbench.BestSpreadGreedy(pool.Points, idx, suiteSize)
+	ctx := context.Background()
+	spreadSets, err := gcbench.BestSpreadGreedy(ctx, pool.Points, idx, suiteSize)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("designed suite (max spread = %.3f):\n", gcbench.SpreadOf(pool.Points, spreadSets[suiteSize]))
 	for _, m := range spreadSets[suiteSize] {
 		fmt.Printf("  %s\n", pool.Runs[m].ID())
@@ -55,7 +60,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	covSets := gcbench.BestCoverageGreedy(cov, pool.Points, idx, suiteSize)
+	covSets, err := gcbench.BestCoverageGreedy(ctx, cov, pool.Points, idx, suiteSize)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\ndesigned suite (max coverage = %.3f):\n",
 		coverageOf(cov, pool.Points, covSets[suiteSize]))
 	for _, m := range covSets[suiteSize] {
@@ -70,7 +78,7 @@ func main() {
 			prIdx = append(prIdx, i)
 		}
 	}
-	naive, err := gcbench.BestSpreadExhaustive(pool.Points, prIdx, suiteSize)
+	naive, err := gcbench.BestSpreadExhaustive(ctx, pool.Points, prIdx, suiteSize)
 	if err != nil {
 		log.Fatal(err)
 	}

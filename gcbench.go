@@ -20,24 +20,19 @@
 //
 // Vertex-program authors who want to add algorithms use the generic engine
 // in internal/engine by vendoring or forking; the stable surface here is
-// the benchmarking methodology.
+// the benchmarking methodology. The commands under cmd/ import the
+// internal packages directly; every name here has a caller among the
+// examples, the root tests or README.md (TestFacadeNamesHaveCallers).
 package gcbench
 
 import (
 	"gcbench/internal/algorithms"
 	"gcbench/internal/behavior"
-	"gcbench/internal/corpus"
 	"gcbench/internal/ensemble"
 	"gcbench/internal/gen"
 	"gcbench/internal/graph"
-	"gcbench/internal/jobs"
 	"gcbench/internal/model"
-	"gcbench/internal/obs"
-	"gcbench/internal/obs/otrace"
-	"gcbench/internal/predict"
 	"gcbench/internal/report"
-	"gcbench/internal/serve"
-	"gcbench/internal/shard"
 	"gcbench/internal/sweep"
 )
 
@@ -45,12 +40,6 @@ import (
 
 // Graph is the immutable CSR graph all algorithms run on.
 type Graph = graph.Graph
-
-// WriteEdgeList and WriteUAI are the graph output entry points.
-var (
-	WriteEdgeList = graph.WriteEdgeList
-	WriteUAI      = graph.WriteUAI
-)
 
 // --- Generators (§3.2 datasets) ---
 
@@ -69,12 +58,6 @@ type GridConfig = gen.GridConfig
 // MRFConfig parameterizes the DD random-field workload.
 type MRFConfig = gen.MRFConfig
 
-// RMATConfig parameterizes a recursive-matrix (Graph 500 style) graph.
-type RMATConfig = gen.RMATConfig
-
-// ErdosRenyiConfig parameterizes a uniform random graph.
-type ErdosRenyiConfig = gen.ErdosRenyiConfig
-
 // Generator entry points for each workload domain.
 var (
 	PowerLaw         = gen.PowerLaw
@@ -83,18 +66,12 @@ var (
 	Grid             = gen.Grid
 	RandomMRF        = gen.MRF
 	GaussianPoints2D = gen.GaussianPoints2D
-	RMAT             = gen.RMAT
-	ErdosRenyi       = gen.ErdosRenyi
-	DegreeCV         = gen.DegreeCV
 )
 
 // --- Algorithms (§2.1) ---
 
 // AlgorithmOptions configures any algorithm run.
 type AlgorithmOptions = algorithms.Options
-
-// ParseFrontierMode resolves a case-insensitive -frontier flag value.
-var ParseFrontierMode = algorithms.ParseFrontierMode
 
 // Output bundles a run's behavior trace and summary statistics.
 type Output = algorithms.Output
@@ -160,15 +137,8 @@ type ModelOptions = model.Options
 // ModelWorkload bundles the prepared inputs an ExecutionModel runs on.
 type ModelWorkload = model.Workload
 
-// Execution-model helpers. ParseModel resolves a case-insensitive
-// -model flag value ("" = gas); ForName returns the named model's
-// implementation.
-var (
-	AllModels        = model.AllNames
-	ParseModel       = model.Parse
-	ModelForName     = model.ForName
-	ModelsSupporting = model.Supporting
-)
+// ModelForName returns the named execution model's implementation.
+var ModelForName = model.ForName
 
 // --- Behavior space (§5.1) ---
 
@@ -186,64 +156,23 @@ var BehaviorFromTrace = behavior.FromTrace
 // Spec identifies one graph computation of the campaign.
 type Spec = sweep.Spec
 
-// Profile selects the campaign scale.
-type Profile = sweep.Profile
-
 // ProfileQuick is the seconds-scale campaign profile; "standard" and
-// "large" are the other Profile values.
+// "large" are the other profiles.
 const ProfileQuick = sweep.ProfileQuick
 
 // SweepConfig controls campaign execution, including the resilience
-// knobs (per-run Timeout, Retries, RetryBackoff, checkpoint Journal and
-// the InjectFault test hook).
+// knobs (per-run Timeout, Retries, RetryBackoff and the InjectFault test
+// hook). The checkpoint Journal is opened by `gcbench sweep`.
 type SweepConfig = sweep.Config
 
-// Journal is the campaign checkpoint (append-only JSONL, atomically
-// rewritten) that enables resume after interruption.
-type Journal = sweep.Journal
-
-// Campaign run outcomes.
-const (
-	RunFailed  = behavior.StatusFailed
-	RunTimeout = behavior.StatusTimeout
-)
-
-// Campaign construction, execution and persistence. Sweep fails if any
-// run failed (after finishing the rest); SweepCampaign isolates per-run
-// failures and returns a partial corpus. ExportSuite writes a designed
-// ensemble's workload files (edge lists, UAI MRFs) so the suite can be
-// carried to any graph-processing system.
+// Campaign construction, execution and persistence. Sweep finishes
+// every run — and, with a checkpoint Journal, checkpoints it — before it
+// reports a failure, so rerunning the same campaign resumes.
 var (
-	BuildPlan       = sweep.BuildPlan
-	BuildPlanModels = sweep.BuildPlanModels
-	Sweep           = sweep.Execute
-	OpenJournal     = sweep.OpenJournal
-	FaultRate       = sweep.FaultRate
-	SaveRuns        = sweep.SaveRunsFile
-	LoadRuns        = sweep.LoadRunsFile
-	ExportSuite     = sweep.ExportSuite
-)
-
-// --- Observability ---
-
-// ObsServerOptions configures StartObsServer.
-type ObsServerOptions = obs.ServerOptions
-
-// TraceStore is the bounded in-memory store of request-scoped traces
-// with tail-based sampling (error, shed and slowest-decile traces are
-// retained preferentially). Attach one via APIServerConfig.Traces to
-// trace serve → jobs → sweep → engine and query /debug/traces.
-type TraceStore = otrace.Store
-
-// Observability entry points. RunSpecTrace is the single-run engine
-// entry that also returns the full trace; WriteChromeTrace exports the
-// spans that trace's Spans method converts it to.
-var (
-	StartObsServer     = obs.StartServer
-	WriteChromeTrace   = obs.WriteChromeTrace
-	NewCampaignTracker = sweep.NewTracker
-	RunSpecTrace       = sweep.RunSpecTrace
-	NewTraceStore      = otrace.NewStore
+	BuildPlan = sweep.BuildPlan
+	Sweep     = sweep.Execute
+	SaveRuns  = sweep.SaveRunsFile
+	LoadRuns  = sweep.LoadRunsFile
 )
 
 // --- Ensembles (§5) ---
@@ -251,119 +180,15 @@ var (
 // CoverageEstimator Monte-Carlo-estimates ensemble coverage.
 type CoverageEstimator = ensemble.CoverageEstimator
 
-// Ensemble metrics and searches.
+// Ensemble metrics and searches. The searches take a context, checked
+// between search steps.
 var (
 	Spread               = ensemble.Spread
 	SpreadOf             = ensemble.SpreadOf
 	NewCoverageEstimator = ensemble.NewCoverageEstimator
-	BestSpreadExhaustive = ensemble.BestSpreadExhaustive
-	BestSpreadGreedy     = ensemble.BestSpreadGreedy
-	BestCoverageGreedy   = ensemble.BestCoverageGreedy
-)
-
-// AnnealOptions configures simulated-annealing ensemble design.
-type AnnealOptions = ensemble.AnnealOptions
-
-// Simulated-annealing searches (stronger than greedy+exchange; see §7).
-var (
-	AnnealSpread   = ensemble.AnnealSpread
-	AnnealCoverage = ensemble.AnnealCoverage
-)
-
-// --- Corpus & serving ---
-
-// APIServerConfig parameterizes NewAPIServer, the ensemble-design HTTP
-// server behind `gcbench serve`.
-type APIServerConfig = serve.Config
-
-// DefaultCoverageSamples is the paper's coverage sample count (10^6).
-const DefaultCoverageSamples = ensemble.DefaultSamples
-
-// Corpus and API-server entry points. LoadCorpusSnapshot accepts either
-// corpus format: a runs JSON array or a checkpoint journal.
-var (
-	LoadCorpusSnapshot = corpus.LoadFile
-	NewAPIServer       = serve.New
-)
-
-// --- Corpus backend: the shard cluster ---
-
-// ShardCluster is the one corpus backend of the API server
-// (APIServerConfig.Cluster): it partitions a corpus across
-// consistent-hash shards, each serving reads from replicated immutable
-// snapshots, with scatter-gather search and versioned per-shard hot
-// publish. The zero-valued options give the single-node 1 shard × 1
-// replica deployment; the API's JSON responses are byte-identical for
-// every shard count, replica count and transport.
-type ShardCluster = shard.Cluster
-
-// ShardClusterOptions parameterizes NewShardCluster.
-type ShardClusterOptions = shard.Options
-
-// NewShardCluster builds an empty cluster; Load publishes the first
-// corpus version to every shard and makes the cluster ready.
-var NewShardCluster = shard.New
-
-// --- Wire-transport shard processes ---
-
-// ShardClient is the RPC-shaped interface every shard transport
-// implements: in-process, over the wire (NewRemoteShard), or
-// replica-aggregating (NewShardReplicaSet). Inject transports via
-// ShardClusterOptions.Clients.
-type ShardClient = shard.ShardClient
-
-// RemoteShardOptions parameterizes NewRemoteShard.
-type RemoteShardOptions = shard.RemoteOptions
-
-// ShardSupervisor owns a fleet of shard replica processes: spawn,
-// health-check, restart on crash, and rehydrate (epoch-fenced) via the
-// restore hook.
-type ShardSupervisor = shard.Supervisor
-
-// ShardSupervisorOptions parameterizes NewShardSupervisor.
-type ShardSupervisorOptions = shard.SupervisorOptions
-
-// ShardProcSpec names one supervised shard replica process.
-type ShardProcSpec = shard.ProcSpec
-
-// Wire-transport entry points. ShardRPCHandler serves a ShardClient
-// over the wire protocol; NewProcessShard is the single-replica shard a
-// standalone `gcbench shard-serve` process wraps in it.
-var (
-	NewRemoteShard     = shard.NewRemoteShard
-	NewShardReplicaSet = shard.NewReplicaSet
-	NewShardSupervisor = shard.NewSupervisor
-	ShardRPCHandler    = shard.RPCHandler
-	NewProcessShard    = shard.NewProcessShard
-)
-
-// --- Async campaign jobs ---
-
-// JobManager queues and executes sweep campaigns asynchronously: FIFO
-// admission behind a bounded running-slot/queue pair, per-job
-// cancellation, a replayable event stream and terminal-state retention.
-// Both `gcbench sweep` and the serve API's POST /api/campaigns execute
-// through it.
-type JobManager = jobs.Manager
-
-// JobManagerConfig parameterizes a JobManager.
-type JobManagerConfig = jobs.Config
-
-// JobRequest is the campaign submitted to a JobManager.
-type JobRequest = jobs.Request
-
-// NewJobManager starts a JobManager.
-var NewJobManager = jobs.NewManager
-
-// --- Behavior prediction (§7 future work) ---
-
-// PredictQuery identifies the computation to predict.
-type PredictQuery = predict.Query
-
-// Predictor construction and evaluation.
-var (
-	NewPredictor       = predict.New
-	PredictLeaveOneOut = predict.LeaveOneOut
+	BestSpreadExhaustive = ensemble.BestSpreadExhaustiveCtx
+	BestSpreadGreedy     = ensemble.BestSpreadGreedyCtx
+	BestCoverageGreedy   = ensemble.BestCoverageGreedyCtx
 )
 
 // --- Reports (figures and tables) ---
@@ -378,5 +203,4 @@ type FigureOptions = report.FigureOptions
 var (
 	NewCorpus = report.NewCorpus
 	Figure    = report.Figure
-	FigureIDs = report.FigureIDs
 )

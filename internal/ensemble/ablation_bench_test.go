@@ -1,6 +1,7 @@
 package ensemble
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -128,7 +129,7 @@ func BenchmarkBestSpreadExhaustive20(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BestSpreadExhaustive(pool, idx, 10); err != nil {
+		if _, err := BestSpreadExhaustiveCtx(context.Background(), pool, idx, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -142,6 +143,8 @@ func BenchmarkBestSpreadGreedy220(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BestSpreadGreedy(pool, idx, 10)
+		if _, err := BestSpreadGreedyCtx(context.Background(), pool, idx, 10); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

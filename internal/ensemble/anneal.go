@@ -23,27 +23,23 @@ type AnnealOptions struct {
 	// Steps is the number of proposal steps (default 20000 for spread,
 	// 2000 for coverage).
 	Steps int
-	// InitTemp is the initial temperature relative to the objective scale
-	// (default 0.1).
-	InitTemp float64
 	// Seed selects the proposal stream.
 	Seed uint64
 }
 
-// AnnealSpread searches for a maximum-spread ensemble of the given size
-// from pool[idx], seeded by the greedy solution. Returns the best member
-// set found and its spread.
-func AnnealSpread(pool []behavior.Vector, idx []int, opt AnnealOptions) ([]int, float64, error) {
-	return AnnealSpreadCtx(context.Background(), pool, idx, opt)
-}
+// annealInitTemp is the initial temperature relative to the objective
+// scale; it cools linearly to zero over the schedule.
+const annealInitTemp = 0.1
 
 // annealCancelStride is how many cheap (O(k)) spread proposals run
 // between cancellation checks; coverage proposals check every step
 // because each one is a full Monte-Carlo pass.
 const annealCancelStride = 64
 
-// AnnealSpreadCtx is AnnealSpread with cooperative cancellation, checked
-// every annealCancelStride proposal steps.
+// AnnealSpreadCtx searches for a maximum-spread ensemble of the given
+// size from pool[idx], seeded by the greedy solution. Returns the best
+// member set found and its spread. ctx is checked every
+// annealCancelStride proposal steps.
 func AnnealSpreadCtx(ctx context.Context, pool []behavior.Vector, idx []int, opt AnnealOptions) ([]int, float64, error) {
 	if opt.Size < 2 {
 		return nil, 0, fmt.Errorf("ensemble: annealing needs size ≥ 2, got %d", opt.Size)
@@ -54,10 +50,6 @@ func AnnealSpreadCtx(ctx context.Context, pool []behavior.Vector, idx []int, opt
 	steps := opt.Steps
 	if steps == 0 {
 		steps = 20000
-	}
-	temp := opt.InitTemp
-	if temp == 0 {
-		temp = 0.1
 	}
 	r := rng.New(opt.Seed ^ 0xa11ea1)
 
@@ -90,7 +82,7 @@ func AnnealSpreadCtx(ctx context.Context, pool []behavior.Vector, idx []int, opt
 				return nil, 0, err
 			}
 		}
-		t := temp * (1 - float64(step)/float64(steps))
+		t := annealInitTemp * (1 - float64(step)/float64(steps))
 		pos := r.Intn(k)
 		cand := candidates[r.Intn(len(candidates))]
 		if inSet[cand] {
@@ -121,16 +113,11 @@ func AnnealSpreadCtx(ctx context.Context, pool []behavior.Vector, idx []int, opt
 	return best, bestSum / pairs, nil
 }
 
-// AnnealCoverage searches for a maximum-coverage ensemble. Each proposal
-// re-evaluates coverage over the estimator's samples, so pass a
+// AnnealCoverageCtx searches for a maximum-coverage ensemble. Each
+// proposal re-evaluates coverage over the estimator's samples, so pass a
 // moderately sized estimator (~20k samples) and refine the winner with a
-// larger one if needed.
-func AnnealCoverage(cov *CoverageEstimator, pool []behavior.Vector, idx []int, opt AnnealOptions) ([]int, float64, error) {
-	return AnnealCoverageCtx(context.Background(), cov, pool, idx, opt)
-}
-
-// AnnealCoverageCtx is AnnealCoverage with cooperative cancellation,
-// checked before every proposal's Monte-Carlo evaluation.
+// larger one if needed. ctx is checked before every proposal's
+// Monte-Carlo evaluation.
 func AnnealCoverageCtx(ctx context.Context, cov *CoverageEstimator, pool []behavior.Vector, idx []int, opt AnnealOptions) ([]int, float64, error) {
 	if opt.Size < 1 {
 		return nil, 0, fmt.Errorf("ensemble: annealing needs size ≥ 1, got %d", opt.Size)
@@ -144,10 +131,6 @@ func AnnealCoverageCtx(ctx context.Context, cov *CoverageEstimator, pool []behav
 	steps := opt.Steps
 	if steps == 0 {
 		steps = 2000
-	}
-	temp := opt.InitTemp
-	if temp == 0 {
-		temp = 0.1
 	}
 	r := rng.New(opt.Seed ^ 0xc0ffee51)
 
@@ -182,7 +165,7 @@ func AnnealCoverageCtx(ctx context.Context, cov *CoverageEstimator, pool []behav
 		if err := ctx.Err(); err != nil {
 			return nil, 0, err
 		}
-		t := temp * (1 - float64(step)/float64(steps))
+		t := annealInitTemp * (1 - float64(step)/float64(steps))
 		pos := r.Intn(k)
 		cand := idx[r.Intn(len(idx))]
 		if inSet[cand] {

@@ -1,6 +1,7 @@
 package ensemble
 
 import (
+	"context"
 	"gcbench/internal/behavior"
 	"math"
 	"testing"
@@ -9,9 +10,12 @@ import (
 func TestAnnealSpreadAtLeastGreedy(t *testing.T) {
 	pool := randomPoolB(60, 21)
 	idx := allIdx(60)
-	greedySets := BestSpreadGreedy(pool, idx, 8)
+	greedySets, err := BestSpreadGreedyCtx(context.Background(), pool, idx, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	greedySpread := SpreadOf(pool, greedySets[8])
-	members, annealSpread, err := AnnealSpread(pool, idx, AnnealOptions{Size: 8, Seed: 1})
+	members, annealSpread, err := AnnealSpreadCtx(context.Background(), pool, idx, AnnealOptions{Size: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,12 +44,12 @@ func TestAnnealSpreadAtLeastGreedy(t *testing.T) {
 func TestAnnealSpreadMatchesExactOnSmallPool(t *testing.T) {
 	pool := randomPoolB(14, 23)
 	idx := allIdx(14)
-	exact, err := BestSpreadExhaustive(pool, idx, 4)
+	exact, err := BestSpreadExhaustiveCtx(context.Background(), pool, idx, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := SpreadOf(pool, exact[4])
-	_, got, err := AnnealSpread(pool, idx, AnnealOptions{Size: 4, Seed: 5, Steps: 50000})
+	_, got, err := AnnealSpreadCtx(context.Background(), pool, idx, AnnealOptions{Size: 4, Seed: 5, Steps: 50000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +61,11 @@ func TestAnnealSpreadMatchesExactOnSmallPool(t *testing.T) {
 func TestAnnealSpreadDeterministic(t *testing.T) {
 	pool := randomPoolB(40, 25)
 	idx := allIdx(40)
-	a, sa, err := AnnealSpread(pool, idx, AnnealOptions{Size: 6, Seed: 9})
+	a, sa, err := AnnealSpreadCtx(context.Background(), pool, idx, AnnealOptions{Size: 6, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, sb, err := AnnealSpread(pool, idx, AnnealOptions{Size: 6, Seed: 9})
+	b, sb, err := AnnealSpreadCtx(context.Background(), pool, idx, AnnealOptions{Size: 6, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +81,10 @@ func TestAnnealSpreadDeterministic(t *testing.T) {
 
 func TestAnnealSpreadErrors(t *testing.T) {
 	pool := randomPoolB(5, 1)
-	if _, _, err := AnnealSpread(pool, allIdx(5), AnnealOptions{Size: 1}); err == nil {
+	if _, _, err := AnnealSpreadCtx(context.Background(), pool, allIdx(5), AnnealOptions{Size: 1}); err == nil {
 		t.Fatal("size 1 accepted")
 	}
-	if _, _, err := AnnealSpread(pool, allIdx(5), AnnealOptions{Size: 9}); err == nil {
+	if _, _, err := AnnealSpreadCtx(context.Background(), pool, allIdx(5), AnnealOptions{Size: 9}); err == nil {
 		t.Fatal("oversize accepted")
 	}
 }
@@ -89,11 +93,14 @@ func TestAnnealCoverageAtLeastGreedy(t *testing.T) {
 	cov := newCov(t, 5000)
 	pool := randomPoolB(40, 27)
 	idx := allIdx(40)
-	greedySets := BestCoverageGreedy(cov, pool, idx, 5)
+	greedySets, err := BestCoverageGreedyCtx(context.Background(), cov, pool, idx, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pts := make([]int, len(greedySets[5]))
 	copy(pts, greedySets[5])
 	greedyCov := coverageOfIdx(cov, pool, pts)
-	members, annealCov, err := AnnealCoverage(cov, pool, idx, AnnealOptions{Size: 5, Seed: 3, Steps: 500})
+	members, annealCov, err := AnnealCoverageCtx(context.Background(), cov, pool, idx, AnnealOptions{Size: 5, Seed: 3, Steps: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +122,11 @@ func coverageOfIdx(cov *CoverageEstimator, pool []behavior.Vector, idx []int) fl
 
 func TestAnnealCoverageErrors(t *testing.T) {
 	pool := randomPoolB(5, 1)
-	if _, _, err := AnnealCoverage(nil, pool, allIdx(5), AnnealOptions{Size: 2}); err == nil {
+	if _, _, err := AnnealCoverageCtx(context.Background(), nil, pool, allIdx(5), AnnealOptions{Size: 2}); err == nil {
 		t.Fatal("nil estimator accepted")
 	}
 	cov := newCov(t, 1000)
-	if _, _, err := AnnealCoverage(cov, pool, allIdx(5), AnnealOptions{Size: 0}); err == nil {
+	if _, _, err := AnnealCoverageCtx(context.Background(), cov, pool, allIdx(5), AnnealOptions{Size: 0}); err == nil {
 		t.Fatal("size 0 accepted")
 	}
 }

@@ -140,28 +140,6 @@ func TestAnnealCoverageDeadlinePrompt(t *testing.T) {
 	}
 }
 
-// TestCtxVariantsMatchPlainResults pins the Ctx variants to the plain
-// entry points on an uncancelled context — the wrappers must be pure
-// plumbing, not a second implementation.
-func TestCtxVariantsMatchPlainResults(t *testing.T) {
-	pool, idx := ctxTestPool(30, 3)
-	plain := BestSpreadGreedy(pool, idx, 6)
-	withCtx, err := BestSpreadGreedyCtx(context.Background(), pool, idx, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 1; k <= 6; k++ {
-		if len(plain[k]) != len(withCtx[k]) {
-			t.Fatalf("size %d: plain %v != ctx %v", k, plain[k], withCtx[k])
-		}
-		for i := range plain[k] {
-			if plain[k][i] != withCtx[k][i] {
-				t.Fatalf("size %d: plain %v != ctx %v", k, plain[k], withCtx[k])
-			}
-		}
-	}
-}
-
 // TestEmptyAndSingletonMetricValues pins the defined-value contract for
 // degenerate ensembles: 0, never NaN and never a panic.
 func TestEmptyAndSingletonMetricValues(t *testing.T) {

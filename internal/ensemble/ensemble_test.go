@@ -1,6 +1,7 @@
 package ensemble
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -146,7 +147,7 @@ func bruteBestSpread(pool []behavior.Vector, k int) ([]int, float64) {
 
 func TestBestSpreadExhaustiveMatchesBrute(t *testing.T) {
 	pool := randomPool(12, 3)
-	sets, err := BestSpreadExhaustive(pool, allIdx(12), 6)
+	sets, err := BestSpreadExhaustiveCtx(context.Background(), pool, allIdx(12), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,18 +162,21 @@ func TestBestSpreadExhaustiveMatchesBrute(t *testing.T) {
 
 func TestBestSpreadExhaustiveRejectsLargePool(t *testing.T) {
 	pool := randomPool(30, 1)
-	if _, err := BestSpreadExhaustive(pool, allIdx(30), 5); err == nil {
+	if _, err := BestSpreadExhaustiveCtx(context.Background(), pool, allIdx(30), 5); err == nil {
 		t.Fatal("oversized pool accepted")
 	}
 }
 
 func TestBestSpreadGreedyNearExhaustive(t *testing.T) {
 	pool := randomPool(16, 9)
-	exact, err := BestSpreadExhaustive(pool, allIdx(16), 5)
+	exact, err := BestSpreadExhaustiveCtx(context.Background(), pool, allIdx(16), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy := BestSpreadGreedy(pool, allIdx(16), 5)
+	greedy, err := BestSpreadGreedyCtx(context.Background(), pool, allIdx(16), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for k := 2; k <= 5; k++ {
 		e := SpreadOf(pool, exact[k])
 		g := SpreadOf(pool, greedy[k])
@@ -186,7 +190,10 @@ func TestSpreadDecreasesWithSize(t *testing.T) {
 	// The paper's Figures 14/16/18: best-achievable spread declines as
 	// ensembles grow (new members are never farther than the initial pair).
 	pool := randomPool(40, 11)
-	sets := BestSpreadGreedy(pool, allIdx(40), 10)
+	sets, err := BestSpreadGreedyCtx(context.Background(), pool, allIdx(40), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	prev := math.Inf(1)
 	for k := 2; k <= 10; k++ {
 		s := SpreadOf(pool, sets[k])
@@ -200,7 +207,10 @@ func TestSpreadDecreasesWithSize(t *testing.T) {
 func TestBestCoverageGreedyImproves(t *testing.T) {
 	cov := newCov(t, 20000)
 	pool := randomPool(30, 13)
-	sets := BestCoverageGreedy(cov, pool, allIdx(30), 8)
+	sets, err := BestCoverageGreedyCtx(context.Background(), cov, pool, allIdx(30), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	prev := -1.0
 	for k := 1; k <= 8; k++ {
 		pts := make([]behavior.Vector, len(sets[k]))
@@ -219,7 +229,10 @@ func TestImproveSpreadExchangeNeverWorsens(t *testing.T) {
 	pool := randomPool(25, 17)
 	members := []int{0, 1, 2, 3}
 	before := SpreadOf(pool, members)
-	after := ImproveSpreadExchange(pool, members, allIdx(25))
+	after, err := ImproveSpreadExchangeCtx(context.Background(), pool, members, allIdx(25))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if SpreadOf(pool, after) < before-1e-12 {
 		t.Fatal("exchange worsened spread")
 	}
@@ -230,7 +243,7 @@ func TestImproveSpreadExchangeNeverWorsens(t *testing.T) {
 
 func TestTopEnsemblesSpread(t *testing.T) {
 	pool := randomPool(12, 19)
-	tops, err := TopEnsembles(MetricSpread, pool, allIdx(12), TopKOptions{Size: 3, K: 10, BeamWidth: 500})
+	tops, err := TopEnsemblesCtx(context.Background(), MetricSpread, pool, allIdx(12), TopKOptions{Size: 3, K: 10, BeamWidth: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +277,7 @@ func TestTopEnsemblesSpread(t *testing.T) {
 func TestTopEnsemblesCoverage(t *testing.T) {
 	cov := newCov(t, 5000)
 	pool := randomPool(10, 23)
-	tops, err := TopEnsembles(MetricCoverage, pool, allIdx(10), TopKOptions{Size: 2, K: 5, BeamWidth: 100, Cov: cov})
+	tops, err := TopEnsemblesCtx(context.Background(), MetricCoverage, pool, allIdx(10), TopKOptions{Size: 2, K: 5, BeamWidth: 100, Cov: cov})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,13 +298,13 @@ func TestTopEnsemblesCoverage(t *testing.T) {
 
 func TestTopEnsemblesErrors(t *testing.T) {
 	pool := randomPool(5, 1)
-	if _, err := TopEnsembles(MetricSpread, pool, allIdx(5), TopKOptions{Size: 0}); err == nil {
+	if _, err := TopEnsemblesCtx(context.Background(), MetricSpread, pool, allIdx(5), TopKOptions{Size: 0}); err == nil {
 		t.Fatal("size 0 accepted")
 	}
-	if _, err := TopEnsembles(MetricSpread, pool, allIdx(5), TopKOptions{Size: 9}); err == nil {
+	if _, err := TopEnsemblesCtx(context.Background(), MetricSpread, pool, allIdx(5), TopKOptions{Size: 9}); err == nil {
 		t.Fatal("size beyond pool accepted")
 	}
-	if _, err := TopEnsembles(MetricCoverage, pool, allIdx(5), TopKOptions{Size: 2}); err == nil {
+	if _, err := TopEnsemblesCtx(context.Background(), MetricCoverage, pool, allIdx(5), TopKOptions{Size: 2}); err == nil {
 		t.Fatal("coverage without estimator accepted")
 	}
 }
@@ -313,8 +326,14 @@ func TestUpperBoundsDominateRandomEnsembles(t *testing.T) {
 	ubS := UpperBoundSpread(8, 29)
 	ubC := UpperBoundCoverage(cov, 8, 29)
 	pool := randomPool(40, 31)
-	sets := BestSpreadGreedy(pool, allIdx(40), 8)
-	csets := BestCoverageGreedy(cov, pool, allIdx(40), 8)
+	sets, err := BestSpreadGreedyCtx(context.Background(), pool, allIdx(40), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csets, err := BestCoverageGreedyCtx(context.Background(), cov, pool, allIdx(40), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for k := 2; k <= 8; k++ {
 		if s := SpreadOf(pool, sets[k]); s > ubS[k]+1e-9 {
 			t.Fatalf("size %d: random-pool spread %v exceeds upper bound %v", k, s, ubS[k])

@@ -281,10 +281,6 @@ func naiveCoverageExchange(cov *CoverageEstimator, pool []behavior.Vector, membe
 func naiveAnnealCoverage(t *testing.T, cov *CoverageEstimator, pool []behavior.Vector, idx []int, opt AnnealOptions) ([]int, float64) {
 	t.Helper()
 	steps := opt.Steps
-	temp := opt.InitTemp
-	if temp == 0 {
-		temp = 0.1
-	}
 	r := rng.New(opt.Seed ^ 0xc0ffee51)
 	seedSets, _ := naiveCoverageGreedy(cov, pool, idx, opt.Size)
 	cur := append([]int(nil), seedSets[opt.Size]...)
@@ -304,7 +300,7 @@ func naiveAnnealCoverage(t *testing.T, cov *CoverageEstimator, pool []behavior.V
 	best := append([]int(nil), cur...)
 	bestCov := curCov
 	for step := 0; step < steps; step++ {
-		t_ := temp * (1 - float64(step)/float64(steps))
+		t_ := annealInitTemp * (1 - float64(step)/float64(steps))
 		pos := r.Intn(k)
 		cand := idx[r.Intn(len(idx))]
 		if inSet[cand] {
@@ -346,7 +342,10 @@ func TestCoverageExchangeTraceMatchesNaive(t *testing.T) {
 			pool := randomPool(25, 223*seed)
 			members := []int{0, 1, 2, 3, 4}
 			want := naiveCoverageExchange(est, pool, members, allIdx(25))
-			got := ImproveCoverageExchange(est, pool, members, allIdx(25))
+			got, err := ImproveCoverageExchangeCtx(context.Background(), est, pool, members, allIdx(25))
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !equalInts(got, want) {
 				t.Fatalf("n=%d seed %d: exchange %v, naive %v", est.NumSamples(), seed, got, want)
 			}
@@ -362,7 +361,7 @@ func TestAnnealCoverageTraceMatchesNaive(t *testing.T) {
 		pool := randomPool(30, 227)
 		opt := AnnealOptions{Size: 5, Steps: 300, Seed: 99}
 		wantSet, wantCov := naiveAnnealCoverage(t, est, pool, allIdx(30), opt)
-		gotSet, gotCov, err := AnnealCoverage(est, pool, allIdx(30), opt)
+		gotSet, gotCov, err := AnnealCoverageCtx(context.Background(), est, pool, allIdx(30), opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package ensemble
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -111,7 +112,10 @@ func TestGreedySetsAreNested(t *testing.T) {
 	for i := range idx {
 		idx[i] = i
 	}
-	sets := BestCoverageGreedy(cov, pool, idx, 6)
+	sets, err := BestCoverageGreedyCtx(context.Background(), cov, pool, idx, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for k := 2; k <= 6; k++ {
 		prev := map[int]bool{}
 		for _, m := range sets[k-1] {

@@ -15,25 +15,20 @@ import (
 // (2^22 subset DFS nodes stay well under a second).
 const maxExhaustivePool = 22
 
-// Cancellation contract: every search in this package has a Ctx variant
-// that checks ctx between search steps — one greedy growth round, one
+// Cancellation contract: every search in this package takes a context
+// and checks it between search steps — one greedy growth round, one
 // exchange pass, one annealing proposal, one beam extension — so a
 // deadline-exceeded design request returns within a single step rather
-// than running the search to completion. The non-Ctx names wrap the Ctx
-// variants with context.Background() and keep their historical
-// signatures.
+// than running the search to completion. Each search has exactly one
+// entry point; callers without a deadline pass context.Background().
+// The Ctx suffix is historical.
 
-// BestSpreadExhaustive finds, for every size 1..maxSize, the subset of
+// BestSpreadExhaustiveCtx finds, for every size 1..maxSize, the subset of
 // pool[idx] with maximum spread, by a single DFS over all subsets with an
 // incrementally maintained pairwise-distance sum. Exact, usable for the
 // single-algorithm pools of Figure 14 (20 runs each). Returns best[k] for
-// ensemble size k (best[0] and best[1] are trivial).
-func BestSpreadExhaustive(pool []behavior.Vector, idx []int, maxSize int) ([][]int, error) {
-	return BestSpreadExhaustiveCtx(context.Background(), pool, idx, maxSize)
-}
-
-// BestSpreadExhaustiveCtx is BestSpreadExhaustive with cooperative
-// cancellation, checked at every top-level DFS branch.
+// ensemble size k (best[0] and best[1] are trivial). ctx is checked at
+// every top-level DFS branch.
 func BestSpreadExhaustiveCtx(ctx context.Context, pool []behavior.Vector, idx []int, maxSize int) ([][]int, error) {
 	n := len(idx)
 	if n > maxExhaustivePool {
@@ -96,18 +91,12 @@ func BestSpreadExhaustiveCtx(ctx context.Context, pool []behavior.Vector, idx []
 	return out, nil
 }
 
-// BestSpreadGreedy grows an ensemble by repeatedly adding the candidate
-// maximizing the resulting spread, then refines each size with pairwise
-// exchange (ImproveSpreadExchange). Used for pools too large to enumerate
-// (the unrestricted 215-run corpus of Figure 18). Returns best[k] for
-// k = 1..maxSize.
-func BestSpreadGreedy(pool []behavior.Vector, idx []int, maxSize int) [][]int {
-	out, _ := BestSpreadGreedyCtx(context.Background(), pool, idx, maxSize)
-	return out
-}
-
-// BestSpreadGreedyCtx is BestSpreadGreedy with cooperative cancellation,
-// checked before every growth round and inside the exchange refinement.
+// BestSpreadGreedyCtx grows an ensemble by repeatedly adding the
+// candidate maximizing the resulting spread, then refines each size with
+// pairwise exchange (ImproveSpreadExchangeCtx). Used for pools too large
+// to enumerate (the unrestricted 215-run corpus of Figure 18). Returns
+// best[k] for k = 1..maxSize. ctx is checked before every growth round
+// and inside the exchange refinement.
 func BestSpreadGreedyCtx(ctx context.Context, pool []behavior.Vector, idx []int, maxSize int) ([][]int, error) {
 	n := len(idx)
 	if maxSize > n {
@@ -186,17 +175,10 @@ func BestSpreadGreedyCtx(ctx context.Context, pool []behavior.Vector, idx []int,
 	return out, nil
 }
 
-// ImproveSpreadExchange refines an ensemble by swapping members with
+// ImproveSpreadExchangeCtx refines an ensemble by swapping members with
 // outside candidates while any swap improves spread. Deterministic:
 // candidates are scanned in order and the best single swap is applied per
-// pass, up to a fixed pass budget.
-func ImproveSpreadExchange(pool []behavior.Vector, members, candidates []int) []int {
-	out, _ := ImproveSpreadExchangeCtx(context.Background(), pool, members, candidates)
-	return out
-}
-
-// ImproveSpreadExchangeCtx is ImproveSpreadExchange with cooperative
-// cancellation, checked once per exchange pass.
+// pass, up to a fixed pass budget. ctx is checked once per exchange pass.
 //
 // Spread is the mean pairwise distance, so a single swap's effect on the
 // pair total can be scored from two maintained aggregates instead of a
@@ -280,18 +262,12 @@ func ImproveSpreadExchangeCtx(ctx context.Context, pool []behavior.Vector, membe
 	return cur, nil
 }
 
-// BestCoverageGreedy grows an ensemble by repeatedly adding the candidate
-// that maximizes coverage, using incremental min-distance maintenance.
-// Greedy is the standard near-optimal heuristic for this k-median-style
-// objective. Returns best[k] for k = 1..maxSize.
-func BestCoverageGreedy(cov *CoverageEstimator, pool []behavior.Vector, idx []int, maxSize int) [][]int {
-	out, _ := BestCoverageGreedyCtx(context.Background(), cov, pool, idx, maxSize)
-	return out
-}
-
-// BestCoverageGreedyCtx is BestCoverageGreedy with cooperative
-// cancellation, checked before every candidate's evaluation (the
-// dominant cost of a coverage search step). It returns exactly what a
+// BestCoverageGreedyCtx grows an ensemble by repeatedly adding the
+// candidate that maximizes coverage, using incremental min-distance
+// maintenance. Greedy is the standard near-optimal heuristic for this
+// k-median-style objective. Returns best[k] for k = 1..maxSize. ctx is
+// checked before every candidate's evaluation (the dominant cost of a
+// coverage search step). It returns exactly what a
 // full scan — every remaining candidate evaluated every round, ties to
 // the lowest pool position — returns (naiveCoverageGreedy in the tests
 // is that scan), while evaluating about half the candidates.
@@ -381,20 +357,14 @@ func coverageGreedy(ctx context.Context, cov *CoverageEstimator, pool []behavior
 	return out, evals, nil
 }
 
-// ImproveCoverageExchange refines a coverage ensemble by swapping members
-// with outside candidates while any swap improves coverage. Swap
+// ImproveCoverageExchangeCtx refines a coverage ensemble by swapping
+// members with outside candidates while any swap improves coverage. Swap
 // proposals are scored through IncrementalCoverage.EvalSwap — dirty-cell
 // rescoring instead of a full Monte-Carlo pass — with results
 // bit-identical to the fresh estimates the full-recompute implementation
 // used (pinned by TestCoverageExchangeTraceMatchesNaive), so the pass
-// budget no longer needs to be tight. Deterministic.
-func ImproveCoverageExchange(cov *CoverageEstimator, pool []behavior.Vector, members, candidates []int) []int {
-	out, _ := ImproveCoverageExchangeCtx(context.Background(), cov, pool, members, candidates)
-	return out
-}
-
-// ImproveCoverageExchangeCtx is ImproveCoverageExchange with cooperative
-// cancellation, checked before every candidate evaluation.
+// budget no longer needs to be tight. Deterministic. ctx is checked
+// before every candidate evaluation.
 func ImproveCoverageExchangeCtx(ctx context.Context, cov *CoverageEstimator, pool []behavior.Vector, members, candidates []int) ([]int, error) {
 	cur := append([]int(nil), members...)
 	if err := ctx.Err(); err != nil {

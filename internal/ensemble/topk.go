@@ -32,7 +32,7 @@ func (m Metric) String() string {
 	return "spread"
 }
 
-// TopKOptions configures TopEnsembles.
+// TopKOptions configures TopEnsemblesCtx.
 type TopKOptions struct {
 	// Size is the ensemble size to enumerate (the paper uses the 100 best
 	// ensembles of each size n, §5.5).
@@ -46,18 +46,13 @@ type TopKOptions struct {
 	Cov *CoverageEstimator
 }
 
-// TopEnsembles enumerates (approximately, by beam search) the K best
+// TopEnsemblesCtx enumerates (approximately, by beam search) the K best
 // ensembles of the given size from pool[idx] under the chosen metric —
 // the input to the §5.5 "frequency of appearance" diversity analysis.
 // To minimize the shadowing the paper worries about, the beam keeps many
-// more partials than K.
-func TopEnsembles(metric Metric, pool []behavior.Vector, idx []int, opt TopKOptions) ([]Scored, error) {
-	return TopEnsemblesCtx(context.Background(), metric, pool, idx, opt)
-}
-
-// TopEnsemblesCtx is TopEnsembles with cooperative cancellation, checked
-// before each frontier partial's extension (coverage scoring makes one
-// Monte-Carlo pass per extension, so that is the step granularity).
+// more partials than K. ctx is checked before each frontier partial's
+// extension (coverage scoring makes one Monte-Carlo pass per extension,
+// so that is the step granularity).
 func TopEnsemblesCtx(ctx context.Context, metric Metric, pool []behavior.Vector, idx []int, opt TopKOptions) ([]Scored, error) {
 	if opt.Size < 1 {
 		return nil, fmt.Errorf("ensemble: top-K size must be positive, got %d", opt.Size)
@@ -192,7 +187,8 @@ func UpperBoundSpread(maxSize int, seed uint64) []float64 {
 	for i := range idx {
 		idx[i] = i
 	}
-	sets := BestSpreadGreedy(pool, idx, maxSize)
+	// Without a deadline or cancellation the search cannot fail.
+	sets, _ := BestSpreadGreedyCtx(context.TODO(), pool, idx, maxSize)
 	out := make([]float64, maxSize+1)
 	for k := 1; k <= maxSize && k < len(sets); k++ {
 		if sets[k] != nil {
@@ -212,7 +208,8 @@ func UpperBoundCoverage(cov *CoverageEstimator, maxSize int, seed uint64) []floa
 	for i := range idx {
 		idx[i] = i
 	}
-	sets := BestCoverageGreedy(cov, pool, idx, maxSize)
+	// Without a deadline or cancellation the search cannot fail.
+	sets, _ := BestCoverageGreedyCtx(context.TODO(), cov, pool, idx, maxSize)
 	out := make([]float64, maxSize+1)
 	for k := 1; k <= maxSize && k < len(sets); k++ {
 		if sets[k] == nil {

@@ -1,8 +1,10 @@
 // Package jobs is the asynchronous campaign-execution subsystem: a
 // bounded-queue job manager that wraps the resilient sweep runner
 // (sweep.ExecuteCampaign) so campaigns can be submitted, observed,
-// cancelled and garbage-collected while the rest of the process — most
-// importantly the `gcbench serve` API — keeps running.
+// cancelled and garbage-collected while the rest of the process keeps
+// running. Its one caller is the `gcbench serve` campaign API; `gcbench
+// sweep` calls sweep.ExecuteCampaign directly, so its -listen /metrics
+// has no gcbench_jobs_* families.
 //
 // The manager is a FIFO scheduler with two bounds: MaxRunning campaigns
 // execute concurrently, and at most QueueDepth more wait behind them.

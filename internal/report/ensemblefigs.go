@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -57,15 +58,13 @@ func sortedKeys[V any](m map[string]V) []string {
 func bestSpreadPerGroup(pool []behavior.Vector, groups map[string][]int, maxSize int) (map[string][]float64, error) {
 	out := make(map[string][]float64, len(groups))
 	for key, idx := range groups {
-		var sets [][]int
+		search := ensemble.BestSpreadGreedyCtx
 		if len(idx) <= 22 {
-			var err error
-			sets, err = ensemble.BestSpreadExhaustive(pool, idx, maxSize)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			sets = ensemble.BestSpreadGreedy(pool, idx, maxSize)
+			search = ensemble.BestSpreadExhaustiveCtx
+		}
+		sets, err := search(context.TODO(), pool, idx, maxSize)
+		if err != nil {
+			return nil, err
 		}
 		curve := make([]float64, maxSize+1)
 		for k := 1; k <= maxSize && k < len(sets); k++ {
@@ -79,10 +78,13 @@ func bestSpreadPerGroup(pool []behavior.Vector, groups map[string][]int, maxSize
 }
 
 // bestCoveragePerGroup computes greedy best-coverage curves per group.
-func bestCoveragePerGroup(cov *ensemble.CoverageEstimator, pool []behavior.Vector, groups map[string][]int, maxSize int) map[string][]float64 {
+func bestCoveragePerGroup(cov *ensemble.CoverageEstimator, pool []behavior.Vector, groups map[string][]int, maxSize int) (map[string][]float64, error) {
 	out := make(map[string][]float64, len(groups))
 	for key, idx := range groups {
-		sets := ensemble.BestCoverageGreedy(cov, pool, idx, maxSize)
+		sets, err := ensemble.BestCoverageGreedyCtx(context.TODO(), cov, pool, idx, maxSize)
+		if err != nil {
+			return nil, err
+		}
 		curve := make([]float64, maxSize+1)
 		for k := 1; k <= maxSize && k < len(sets); k++ {
 			if sets[k] == nil {
@@ -96,7 +98,7 @@ func bestCoveragePerGroup(cov *ensemble.CoverageEstimator, pool []behavior.Vecto
 		}
 		out[key] = curve
 	}
-	return out
+	return out, nil
 }
 
 // curveTable renders per-size curves, one column per group plus an
@@ -147,7 +149,10 @@ func figCoverageSingleAlg(c *Corpus, opt FigureOptions) (*Report, error) {
 		return nil, err
 	}
 	groups := c.PoolIdxByAlgorithm()
-	curves := bestCoveragePerGroup(cov, c.Pool.Points, groups, opt.MaxSize)
+	curves, err := bestCoveragePerGroup(cov, c.Pool.Points, groups, opt.MaxSize)
+	if err != nil {
+		return nil, err
+	}
 	upper := c.upperBoundCoverage(cov, opt.MaxSize)
 	rep := &Report{ID: "Figure 15", Title: "Coverage: Single Algorithm Ensembles",
 		Notes: []string{
@@ -195,7 +200,10 @@ func figCoverageSingleGraph(c *Corpus, opt FigureOptions) (*Report, error) {
 		return nil, err
 	}
 	groups := singleGraphGroups(c)
-	curves := bestCoveragePerGroup(cov, c.Pool.Points, groups, opt.MaxSize)
+	curves, err := bestCoveragePerGroup(cov, c.Pool.Points, groups, opt.MaxSize)
+	if err != nil {
+		return nil, err
+	}
 	upper := c.upperBoundCoverage(cov, opt.MaxSize)
 	rep := &Report{ID: "Figure 17", Title: "Coverage: Single Graph Ensembles",
 		Notes: []string{
@@ -228,7 +236,10 @@ func summarizeBest(curves map[string][]float64, maxSize int) []float64 {
 }
 
 func figSpreadUnrestricted(c *Corpus, opt FigureOptions) (*Report, error) {
-	sets := ensemble.BestSpreadGreedy(c.Pool.Points, allPoolIdx(c), opt.MaxSize)
+	sets, err := ensemble.BestSpreadGreedyCtx(context.TODO(), c.Pool.Points, allPoolIdx(c), opt.MaxSize)
+	if err != nil {
+		return nil, err
+	}
 	unrestricted := make([]float64, opt.MaxSize+1)
 	for k := 1; k <= opt.MaxSize && k < len(sets); k++ {
 		if sets[k] != nil {
@@ -264,11 +275,20 @@ func figCoverageUnrestricted(c *Corpus, opt FigureOptions) (*Report, error) {
 		return nil, err
 	}
 	all := map[string][]int{"Unrestricted": allPoolIdx(c)}
-	unrestricted := bestCoveragePerGroup(cov, c.Pool.Points, all, opt.MaxSize)["Unrestricted"]
-	algCurves := bestCoveragePerGroup(cov, c.Pool.Points, c.PoolIdxByAlgorithm(), opt.MaxSize)
-	graphCurves := bestCoveragePerGroup(cov, c.Pool.Points, singleGraphGroups(c), opt.MaxSize)
+	unrestricted, err := bestCoveragePerGroup(cov, c.Pool.Points, all, opt.MaxSize)
+	if err != nil {
+		return nil, err
+	}
+	algCurves, err := bestCoveragePerGroup(cov, c.Pool.Points, c.PoolIdxByAlgorithm(), opt.MaxSize)
+	if err != nil {
+		return nil, err
+	}
+	graphCurves, err := bestCoveragePerGroup(cov, c.Pool.Points, singleGraphGroups(c), opt.MaxSize)
+	if err != nil {
+		return nil, err
+	}
 	curves := map[string][]float64{
-		"Unrestricted":    unrestricted,
+		"Unrestricted":    unrestricted["Unrestricted"],
 		"BestSingleAlg":   summarizeBest(algCurves, opt.MaxSize),
 		"BestSingleGraph": summarizeBest(graphCurves, opt.MaxSize),
 	}
@@ -291,8 +311,14 @@ func table3(c *Corpus, opt FigureOptions) (*Report, error) {
 	rep := &Report{ID: "Table 3", Title: "Members of Ensembles Achieving Best Spread and Coverage",
 		Notes: []string{"Runs are <algorithm, size, alpha> tuples; sizes ≥ 10 list algorithms only, as in the paper."}}
 	idx := allPoolIdx(c)
-	spreadSets := ensemble.BestSpreadGreedy(c.Pool.Points, idx, opt.MaxSize)
-	covSets := ensemble.BestCoverageGreedy(cov, c.Pool.Points, idx, opt.MaxSize)
+	spreadSets, err := ensemble.BestSpreadGreedyCtx(context.TODO(), c.Pool.Points, idx, opt.MaxSize)
+	if err != nil {
+		return nil, err
+	}
+	covSets, err := ensemble.BestCoverageGreedyCtx(context.TODO(), cov, c.Pool.Points, idx, opt.MaxSize)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{Header: []string{"type", "size", "runs"}}
 	for _, size := range []int{5, 10, 15, 20} {
 		if size <= opt.MaxSize && size < len(spreadSets) && spreadSets[size] != nil {
@@ -336,7 +362,7 @@ func figFrequency(c *Corpus, opt FigureOptions, metric ensemble.Metric) (*Report
 		tkOpt.Cov = cov
 		tkOpt.BeamWidth = 500
 	}
-	tops, err := ensemble.TopEnsembles(metric, c.Pool.Points, allPoolIdx(c), tkOpt)
+	tops, err := ensemble.TopEnsemblesCtx(context.TODO(), metric, c.Pool.Points, allPoolIdx(c), tkOpt)
 	if err != nil {
 		return nil, err
 	}
@@ -416,7 +442,10 @@ func figLimited(c *Corpus, opt FigureOptions, metric ensemble.Metric) (*Report, 
 		if err != nil {
 			return nil, err
 		}
-		curves = bestCoveragePerGroup(cov, c.Pool.Points, pools, opt.MaxSize)
+		curves, err = bestCoveragePerGroup(cov, c.Pool.Points, pools, opt.MaxSize)
+		if err != nil {
+			return nil, err
+		}
 		upper = c.upperBoundCoverage(cov, opt.MaxSize)
 		figID, title = "Figure 23", "Coverage: Limited Algorithms, Graphs, Runtime"
 	}

@@ -387,43 +387,38 @@ func (s *Server) runDesign(ctx context.Context, snap *corpus.Snapshot, req *desi
 func (s *Server) search(ctx context.Context, snap *corpus.Snapshot, req *designRequest, poolIdx []int) ([]int, float64, error) {
 	pts := snap.Pool.Points
 	var members []int
+	var err error
+	// "exchange" is greedy followed by one more exchange refinement.
 	switch req.Metric {
 	case "spread":
-		var err error
 		switch req.Method {
-		case "greedy":
-			sets, e := ensemble.BestSpreadGreedyCtx(ctx, pts, poolIdx, req.N)
-			if e != nil {
-				return nil, 0, e
+		case "greedy", "exchange":
+			var sets [][]int
+			if sets, err = ensemble.BestSpreadGreedyCtx(ctx, pts, poolIdx, req.N); err != nil {
+				return nil, 0, err
 			}
 			members = sets[req.N]
-		case "exchange":
-			sets, e := ensemble.BestSpreadGreedyCtx(ctx, pts, poolIdx, req.N)
-			if e != nil {
-				return nil, 0, e
-			}
-			members, err = ensemble.ImproveSpreadExchangeCtx(ctx, pts, sets[req.N], poolIdx)
-			if err != nil {
-				return nil, 0, err
+			if req.Method == "exchange" {
+				members, err = ensemble.ImproveSpreadExchangeCtx(ctx, pts, members, poolIdx)
 			}
 		case "anneal":
 			members, _, err = ensemble.AnnealSpreadCtx(ctx, pts, poolIdx, ensemble.AnnealOptions{
 				Size: req.N, Steps: req.Steps, Seed: req.Seed,
 			})
-			if err != nil {
-				return nil, 0, err
-			}
 		case "beam":
-			tops, e := ensemble.TopEnsemblesCtx(ctx, ensemble.MetricSpread, pts, poolIdx, ensemble.TopKOptions{
+			var tops []ensemble.Scored
+			if tops, err = ensemble.TopEnsemblesCtx(ctx, ensemble.MetricSpread, pts, poolIdx, ensemble.TopKOptions{
 				Size: req.N, K: 1,
-			})
-			if e != nil {
-				return nil, 0, e
+			}); err != nil {
+				return nil, 0, err
 			}
 			if len(tops) == 0 {
 				return nil, 0, fmt.Errorf("beam search returned no ensemble")
 			}
 			members = tops[0].Members
+		}
+		if err != nil {
+			return nil, 0, err
 		}
 		return members, ensemble.SpreadOf(pts, members), nil
 
@@ -433,28 +428,22 @@ func (s *Server) search(ctx context.Context, snap *corpus.Snapshot, req *designR
 			return nil, 0, err
 		}
 		switch req.Method {
-		case "greedy":
-			sets, e := ensemble.BestCoverageGreedyCtx(ctx, cov, pts, poolIdx, req.N)
-			if e != nil {
-				return nil, 0, e
+		case "greedy", "exchange":
+			var sets [][]int
+			if sets, err = ensemble.BestCoverageGreedyCtx(ctx, cov, pts, poolIdx, req.N); err != nil {
+				return nil, 0, err
 			}
 			members = sets[req.N]
-		case "exchange":
-			sets, e := ensemble.BestCoverageGreedyCtx(ctx, cov, pts, poolIdx, req.N)
-			if e != nil {
-				return nil, 0, e
-			}
-			members, err = ensemble.ImproveCoverageExchangeCtx(ctx, cov, pts, sets[req.N], poolIdx)
-			if err != nil {
-				return nil, 0, err
+			if req.Method == "exchange" {
+				members, err = ensemble.ImproveCoverageExchangeCtx(ctx, cov, pts, members, poolIdx)
 			}
 		case "anneal":
 			members, _, err = ensemble.AnnealCoverageCtx(ctx, cov, pts, poolIdx, ensemble.AnnealOptions{
 				Size: req.N, Steps: req.Steps, Seed: req.Seed,
 			})
-			if err != nil {
-				return nil, 0, err
-			}
+		}
+		if err != nil {
+			return nil, 0, err
 		}
 		memberPts := make([]behavior.Vector, len(members))
 		for i, m := range members {

@@ -187,7 +187,7 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 // handleJobEvents serves GET /api/jobs/{id}/events: the job's progress
 // stream as NDJSON — one JSON event per line, past events replayed
 // first, then live ones as they happen, with heartbeat lines every
-// JobsHeartbeat of silence so intermediaries keep the connection open.
+// 15 s of silence so intermediaries keep the connection open.
 // The stream ends after the terminal state event, or when the client
 // disconnects.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
@@ -210,7 +210,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		return true
 	}
 
-	heartbeat := time.NewTicker(s.cfg.JobsHeartbeat)
+	heartbeat := time.NewTicker(s.jobsHeartbeat)
 	defer heartbeat.Stop()
 	events := job.Watch(r.Context())
 	for {
@@ -222,7 +222,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			if !writeEvent(e) {
 				return
 			}
-			heartbeat.Reset(s.cfg.JobsHeartbeat)
+			heartbeat.Reset(s.jobsHeartbeat)
 		case <-heartbeat.C:
 			if !writeEvent(jobs.Event{Type: "heartbeat", JobID: job.ID(), Time: time.Now().UTC()}) {
 				return

@@ -331,9 +331,8 @@ func TestJobCancelViaHTTP(t *testing.T) {
 func TestJobEventsHeartbeatAndDisconnect(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	s, mgr := newJobsServer(t, jobs.Config{Execute: blockingExecute(release)}, func(cfg *Config) {
-		cfg.JobsHeartbeat = 20 * time.Millisecond
-	})
+	s, mgr := newJobsServer(t, jobs.Config{Execute: blockingExecute(release)}, nil)
+	s.jobsHeartbeat = 20 * time.Millisecond
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

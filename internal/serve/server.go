@@ -81,9 +81,6 @@ type Config struct {
 	// appended to Cluster (renormalized corpus-wide), so new runs are
 	// servable without a restart.
 	Jobs *jobs.Manager
-	// JobsHeartbeat is the NDJSON event-stream keepalive interval
-	// (default 15s).
-	JobsHeartbeat time.Duration
 	// Traces, when non-nil, enables request-scoped tracing: every request
 	// parses/generates a W3C traceparent, opens a root span in this store,
 	// and the span context propagates through singleflight, the worker
@@ -129,6 +126,9 @@ type Server struct {
 	// searchDelay is a test hook: extra latency inside the worker slot,
 	// honoring cancellation, to make queue saturation reproducible.
 	searchDelay time.Duration
+	// jobsHeartbeat is the NDJSON event-stream keepalive interval; tests
+	// shorten it.
+	jobsHeartbeat time.Duration
 
 	mRequests  *obs.Counter
 	mLatency   *obs.Histogram
@@ -186,17 +186,15 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = obs.Default()
 	}
-	if cfg.JobsHeartbeat == 0 {
-		cfg.JobsHeartbeat = 15 * time.Second
-	}
 	reg := cfg.Registry
 	s := &Server{
-		cfg:     cfg,
-		cluster: cfg.Cluster,
-		reg:     reg,
-		cache:   newLRUCache(cfg.CacheSize),
-		pool:    newWorkPool(cfg.Workers, cfg.QueueDepth, reg),
-		start:   time.Now(),
+		cfg:           cfg,
+		cluster:       cfg.Cluster,
+		reg:           reg,
+		cache:         newLRUCache(cfg.CacheSize),
+		pool:          newWorkPool(cfg.Workers, cfg.QueueDepth, reg),
+		start:         time.Now(),
+		jobsHeartbeat: 15 * time.Second,
 
 		mRequests: reg.Counter("gcbench_serve_requests_total", "API requests served."),
 		mLatency: reg.Histogram("gcbench_serve_request_seconds",

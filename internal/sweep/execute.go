@@ -68,18 +68,12 @@ type Config struct {
 }
 
 // Execute runs every spec and returns the behavior corpus in spec order.
-// It is ExecuteContext with a background context.
+// Unlike ExecuteCampaign it fails the whole sweep if any run failed — but
+// only after every other run has completed (and, when cfg.Journal is
+// set, been checkpointed), so a retry of the same campaign can resume
+// rather than start over.
 func Execute(specs []Spec, cfg Config) ([]*behavior.Run, error) {
-	return ExecuteContext(context.Background(), specs, cfg)
-}
-
-// ExecuteContext runs every spec and returns the behavior corpus in spec
-// order. Unlike ExecuteCampaign it fails the whole sweep if any run
-// failed — but only after every other run has completed (and, when
-// cfg.Journal is set, been checkpointed), so a retry of the same
-// campaign can resume rather than start over.
-func ExecuteContext(ctx context.Context, specs []Spec, cfg Config) ([]*behavior.Run, error) {
-	res, err := ExecuteCampaign(ctx, specs, cfg)
+	res, err := ExecuteCampaign(context.TODO(), specs, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -178,20 +172,6 @@ func (s Spec) cacheKey() string {
 		return ""
 	}
 	return fmt.Sprintf("%s/%d/%.2f/%d", s.Algorithm.Family(), s.NumEdges, s.Alpha, s.Seed)
-}
-
-// RunSpec executes one graph computation and converts its trace into a
-// behavior run. cache may be nil.
-func RunSpec(spec Spec, workers int, cache *graphCache) (*behavior.Run, error) {
-	return RunSpecContext(context.Background(), spec, workers, cache)
-}
-
-// RunSpecContext is RunSpec under a context: a cancelled or expired ctx
-// stops the computation at its next engine iteration barrier and returns
-// an error wrapping ctx.Err().
-func RunSpecContext(ctx context.Context, spec Spec, workers int, cache *graphCache) (*behavior.Run, error) {
-	run, _, err := runSpecTrace(ctx, spec, workers, algorithms.FrontierAuto, cache)
-	return run, err
 }
 
 // RunSpecTrace executes one spec under the given frontier schedule and

@@ -57,7 +57,7 @@ func TestGAFeaturesConcurrentFirstUse(t *testing.T) {
 	}
 	ref := base
 	ref.Algorithm = algorithms.KM
-	want, err := RunSpec(ref, 1, nil)
+	want, _, err := runSpecTrace(context.Background(), ref, 1, algorithms.FrontierAuto, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestGAFeaturesConcurrentFirstUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			run, err := RunSpecContext(context.Background(), s, 1, cache)
+			run, _, err := runSpecTrace(context.Background(), s, 1, algorithms.FrontierAuto, cache)
 			if err != nil {
 				t.Errorf("%s: %v", s.ID(), err)
 				return

@@ -1,10 +1,12 @@
 package sweep
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
 
+	"gcbench/internal/algorithms"
 	"gcbench/internal/behavior"
 )
 
@@ -47,7 +49,7 @@ func TestGoldenCorpusSubset(t *testing.T) {
 		if !ok {
 			t.Fatalf("golden corpus lacks %s", k)
 		}
-		got, err := RunSpec(spec, 0, cache)
+		got, _, err := runSpecTrace(context.Background(), spec, 0, algorithms.FrontierAuto, cache)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.ID(), err)
 		}

@@ -193,13 +193,13 @@ func TestMultiModelCampaignAndResume(t *testing.T) {
 func TestModelBehaviorDiffersOnSharedGraph(t *testing.T) {
 	base := Spec{Algorithm: algorithms.CC, NumEdges: 400, Alpha: 2.2, SizeLabel: "m", Seed: 3}
 	cache := &graphCache{}
-	gas, err := RunSpec(base, 1, cache)
+	gas, _, err := runSpecTrace(context.Background(), base, 1, algorithms.FrontierAuto, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pre := base
 	pre.Model = model.Pregel
-	pregel, err := RunSpec(pre, 1, cache)
+	pregel, _, err := runSpecTrace(context.Background(), pre, 1, algorithms.FrontierAuto, cache)
 	if err != nil {
 		t.Fatal(err)
 	}

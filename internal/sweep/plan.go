@@ -11,9 +11,9 @@
 // ExecuteCampaign is the resilient entry point: per-run wall-clock
 // timeouts, bounded retry with exponential backoff, panic isolation, and
 // an optional checkpoint Journal that lets an interrupted campaign resume
-// with zero re-execution of completed runs. Execute/ExecuteContext wrap
-// it with fail-if-anything-failed semantics for callers that need a
-// complete corpus.
+// with zero re-execution of completed runs. Execute wraps it with
+// fail-if-anything-failed semantics for callers that need a complete
+// corpus.
 //
 // Two parallelism knobs compose (see Config): Parallel bounds concurrent
 // *runs*, Workers bounds engine goroutines *within* each run, so peak

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"gcbench/internal/algorithms"
@@ -95,7 +96,7 @@ func TestRunSpecEveryAlgorithm(t *testing.T) {
 			spec.NumEdges = 500
 			spec.Alpha = 2.5
 		}
-		r, err := RunSpec(spec, 2, cache)
+		r, _, err := runSpecTrace(context.Background(), spec, 2, algorithms.FrontierAuto, cache)
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
