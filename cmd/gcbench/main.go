@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -212,14 +213,18 @@ func cmdSweep(args []string) error {
 	if *listen != "" {
 		tracker := sweep.NewTracker()
 		cfg.Tracker = tracker
-		srv, err := obs.StartServer(*listen, obs.ServerOptions{
+		mux := http.NewServeMux()
+		obs.RegisterRoutes(mux, obs.ServerOptions{
 			Status: func() any { return tracker.Snapshot() },
 		})
+		url, stopHTTP, err := serveHTTP(*listen, mux)
 		if err != nil {
 			return err
 		}
-		defer srv.Close()
-		slog.Info("observability server listening", "url", srv.URL(),
+		// Close, not drain: campaign shutdown must not wait on a
+		// 30-second pprof capture.
+		defer stopHTTP(0)
+		slog.Info("observability server listening", "url", url,
 			"endpoints", "/metrics /statusz /healthz /debug/pprof/")
 	}
 

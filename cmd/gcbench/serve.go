@@ -123,7 +123,8 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := srv.Start(*listen); err != nil {
+	url, stopHTTP, err := serveHTTP(*listen, srv.Handler())
+	if err != nil {
 		return err
 	}
 	endpoints := "/api/runs /api/behavior/{key} /api/ensemble/design /api/ensemble/best /api/predict /api/corpus /metrics /statusz /debug/pprof/"
@@ -134,7 +135,7 @@ func cmdServe(args []string) error {
 		endpoints += " /debug/traces"
 	}
 	slog.Info("ensemble-design API listening",
-		"url", srv.URL(),
+		"url", url,
 		"corpus", *runsPath,
 		"records", len(snap.Records),
 		"okRuns", snap.OKCount(),
@@ -144,24 +145,34 @@ func cmdServe(args []string) error {
 		"jobs", *jobsOn,
 		"endpoints", endpoints)
 
-	// Serve until SIGINT/SIGTERM, then drain in-flight requests —
-	// including design searches holding worker slots — within the
-	// -drain budget.
+	// Serve until SIGINT/SIGTERM, then drain within the -drain budget.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	<-ctx.Done()
 	slog.Info("shutting down; draining in-flight requests", "budget", *drain)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
+	return stopServe(mgr, stopHTTP, *drain)
+}
+
+// stopServe is serve's shutdown sequence, both steps within one drain
+// budget. The job manager closes first: it refuses new campaigns,
+// cancels queued and running ones and waits for them to finalize, so
+// their checkpoints are flushed and their NDJSON event streams — which
+// no request deadline bounds — end. Then HTTP drains the remaining
+// in-flight requests, design searches holding worker slots included.
+// In the other order the drain would wait out the budget on any open
+// event stream.
+func stopServe(mgr *jobs.Manager, stopHTTP func(time.Duration) error, drain time.Duration) error {
+	deadline := time.Now().Add(drain)
 	if mgr != nil {
-		// Stop accepting campaigns, cancel queued and running ones, and
-		// wait for them to finalize so their checkpoints are flushed.
-		if err := mgr.Close(shutdownCtx); err != nil {
+		ctx, cancel := context.WithDeadline(context.Background(), deadline)
+		err := mgr.Close(ctx)
+		cancel()
+		if err != nil {
 			slog.Warn("job manager drain incomplete", "err", err)
 		}
 	}
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("drain exceeded %s: %w", *drain, err)
+	if err := stopHTTP(time.Until(deadline)); err != nil {
+		return fmt.Errorf("drain exceeded %s: %w", drain, err)
 	}
 	return nil
 }

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"net/http"
 	"os"
+	"os/exec"
 	"os/signal"
 	"strconv"
 	"strings"
@@ -39,25 +39,16 @@ func cmdShardServe(args []string) error {
 	if *shardID < 0 {
 		return fmt.Errorf("shard-serve: -shard must be ≥ 0, got %d", *shardID)
 	}
-	ln, err := net.Listen("tcp", *listen)
+	url, stopHTTP, err := serveHTTP(*listen, shard.RPCHandler(shard.NewProcessShard(*shardID)))
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: shard.RPCHandler(shard.NewProcessShard(*shardID))}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	slog.Info("shard replica serving", "shard", *shardID, "addr", ln.Addr().String())
+	slog.Info("shard replica serving", "shard", *shardID, "url", url)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	select {
-	case <-ctx.Done():
-	case err := <-errc:
-		return err
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return srv.Shutdown(shutdownCtx)
+	<-ctx.Done()
+	return stopHTTP(5 * time.Second)
 }
 
 // parseShardAddrs parses the -shard-addrs topology string: shard groups
@@ -148,9 +139,14 @@ func spawnWireCluster(ctx context.Context, shards, replicas int) (*shard.Supervi
 		}
 	}
 	sup, err := shard.NewSupervisor(specs, shard.SupervisorOptions{
-		Binary: self,
-		Args: func(spec shard.ProcSpec) []string {
-			return []string{"shard-serve", "-listen", spec.Addr, "-shard", strconv.Itoa(spec.Shard)}
+		Spawn: func(spec shard.ProcSpec) (func() error, func(), error) {
+			cmd := exec.Command(self, "shard-serve", "-listen", spec.Addr, "-shard", strconv.Itoa(spec.Shard))
+			cmd.Stdout = os.Stderr
+			cmd.Stderr = os.Stderr
+			if err := cmd.Start(); err != nil {
+				return nil, nil, err
+			}
+			return cmd.Wait, func() { _ = cmd.Process.Kill() }, nil
 		},
 	})
 	if err != nil {

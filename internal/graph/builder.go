@@ -62,9 +62,6 @@ func (b *Builder) AddWeightedEdge(u, v uint32, w float64) {
 	}
 }
 
-// NumPending returns the number of edges recorded so far.
-func (b *Builder) NumPending() int { return len(b.src) }
-
 // Grow reserves room for m more edges: one allocation per column instead
 // of append's doublings. Call it after Weighted.
 func (b *Builder) Grow(m int) *Builder {

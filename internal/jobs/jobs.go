@@ -101,8 +101,8 @@ type Request struct {
 	// Specs is the campaign plan; must be non-empty.
 	Specs []sweep.Spec
 	// Config is the resilient-runner configuration (timeout, retries,
-	// journal, parallelism). The manager chains its own event emission
-	// onto Config.Progress; a caller-supplied Progress still fires.
+	// journal, parallelism). The manager sets Config.Progress to its own
+	// event emission.
 	Config sweep.Config
 	// Label is a human-readable tag echoed in Status ("sweep -profile
 	// quick", "PR smoke", ...).
@@ -429,13 +429,9 @@ func (m *Manager) run(ctx context.Context, j *Job) {
 	ctx = otrace.ContextWithSpan(ctx, jobSpan)
 
 	cfg := j.req.Config
-	userProgress := cfg.Progress
 	cfg.Progress = func(done, total int, id string) {
 		j.noteProgress(done)
 		j.emit(Event{Type: "progress", Done: done, Total: total, RunID: id})
-		if userProgress != nil {
-			userProgress(done, total, id)
-		}
 	}
 
 	res, err := m.cfg.Execute(ctx, j.req.Specs, cfg)

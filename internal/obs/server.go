@@ -4,15 +4,13 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
-	"time"
 
 	"gcbench/internal/obs/otrace"
 )
 
-// ServerOptions configures StartServer.
+// ServerOptions configures RegisterRoutes.
 type ServerOptions struct {
 	// Registry backs /metrics; nil means Default().
 	Registry *Registry
@@ -33,7 +31,9 @@ type ServerOptions struct {
 	Traces *otrace.Store
 }
 
-// Server is a running observability HTTP server. It serves:
+// RegisterRoutes registers the observability endpoints on a
+// caller-supplied mux — the package's one entry point, shared by the
+// sweep campaign's -listen surface and the `gcbench serve` API:
 //
 //	/metrics       Prometheus text-format metric exposition
 //	/statusz       live JSON status (campaign progress when attached)
@@ -41,16 +41,9 @@ type ServerOptions struct {
 //	/readyz        readiness probe (503 until ServerOptions.Ready says yes)
 //	/debug/pprof/  the standard net/http/pprof profile handlers
 //	/debug/vars    expvar (runtime memstats + the gcbench metric bridge)
-type Server struct {
-	ln  net.Listener
-	srv *http.Server
-}
-
-// RegisterRoutes registers the observability endpoints — /metrics,
-// /statusz, /healthz, /readyz, /debug/vars and /debug/pprof/* — on a
-// caller-supplied mux, so servers that add their own routes (the sweep
-// campaign's -listen surface, the `gcbench serve` API) share one route
-// implementation instead of duplicating it.
+//	/debug/traces  the request-trace store, when ServerOptions.Traces is set
+//
+// The caller owns the listener and its shutdown.
 func RegisterRoutes(mux *http.ServeMux, opts ServerOptions) {
 	reg := opts.Registry
 	if reg == nil {
@@ -108,36 +101,3 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.WriteHeader(status)
 	_, _ = w.Write(append(body, '\n'))
 }
-
-// StartServer listens on addr (host:port; ":0" picks a free port) and
-// serves the observability endpoints until Close. It returns once the
-// listener is bound, so Addr is immediately usable.
-func StartServer(addr string, opts ServerOptions) (*Server, error) {
-	mux := http.NewServeMux()
-	RegisterRoutes(mux, opts)
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
-	}
-	s := &Server{
-		ln: ln,
-		srv: &http.Server{
-			Handler:           mux,
-			ReadHeaderTimeout: 10 * time.Second,
-		},
-	}
-	go func() { _ = s.srv.Serve(ln) }()
-	return s, nil
-}
-
-// Addr returns the bound listen address (useful with ":0").
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// URL returns the server's base URL.
-func (s *Server) URL() string { return "http://" + s.Addr() }
-
-// Close stops the server immediately. In-flight pprof profile captures
-// are cut off rather than awaited — campaign shutdown must not block on
-// a 30-second CPU profile.
-func (s *Server) Close() error { return s.srv.Close() }

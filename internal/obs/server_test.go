@@ -23,28 +23,34 @@ func get(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
+// routeServer serves RegisterRoutes(opts) alone on a test listener.
+func routeServer(t *testing.T, opts ServerOptions) *httptest.Server {
+	t.Helper()
+	mux := http.NewServeMux()
+	RegisterRoutes(mux, opts)
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	return srv
+}
+
 func TestServerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("test_requests_total", "test").Add(3)
-	srv, err := StartServer("127.0.0.1:0", ServerOptions{
+	srv := routeServer(t, ServerOptions{
 		Registry: reg,
 		Status:   func() any { return map[string]int{"answer": 42} },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
 
-	if code, body := get(t, srv.URL()+"/healthz"); code != 200 || body != "ok\n" {
+	if code, body := get(t, srv.URL+"/healthz"); code != 200 || body != "ok\n" {
 		t.Fatalf("/healthz: %d %q", code, body)
 	}
 
-	code, body := get(t, srv.URL()+"/metrics")
+	code, body := get(t, srv.URL+"/metrics")
 	if code != 200 || !strings.Contains(body, "test_requests_total 3") {
 		t.Fatalf("/metrics: %d %q", code, body)
 	}
 
-	code, body = get(t, srv.URL()+"/statusz")
+	code, body = get(t, srv.URL+"/statusz")
 	if code != 200 {
 		t.Fatalf("/statusz: %d", code)
 	}
@@ -56,21 +62,17 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatalf("/statusz = %v", status)
 	}
 
-	if code, _ := get(t, srv.URL()+"/debug/pprof/"); code != 200 {
+	if code, _ := get(t, srv.URL+"/debug/pprof/"); code != 200 {
 		t.Fatalf("/debug/pprof/: %d", code)
 	}
-	if code, body := get(t, srv.URL()+"/debug/vars"); code != 200 || !strings.Contains(body, "gcbench") {
+	if code, body := get(t, srv.URL+"/debug/vars"); code != 200 || !strings.Contains(body, "gcbench") {
 		t.Fatalf("/debug/vars: %d (gcbench expvar bridge missing)", code)
 	}
 }
 
 func TestServerNilStatus(t *testing.T) {
-	srv, err := StartServer("127.0.0.1:0", ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	code, body := get(t, srv.URL()+"/statusz")
+	srv := routeServer(t, ServerOptions{})
+	code, body := get(t, srv.URL+"/statusz")
 	if code != 200 || !strings.Contains(body, "idle") {
 		t.Fatalf("/statusz without status source: %d %q", code, body)
 	}

@@ -1,7 +1,6 @@
 package report
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -164,15 +163,4 @@ func (c *Corpus) upperBoundCoverage(cov *ensemble.CoverageEstimator, maxSize int
 // PoolIdxByAlgorithm returns pool indices per algorithm.
 func (c *Corpus) PoolIdxByAlgorithm() map[string][]int {
 	return c.Pool.ByAlgorithm()
-}
-
-// PoolIdxByGraph groups pool indices by (size-rank, alpha) graph
-// structure keys, the single-graph ensembles of §5.3.
-func (c *Corpus) PoolIdxByGraph() map[string][]int {
-	m := make(map[string][]int)
-	for i, r := range c.Pool.Runs {
-		key := fmt.Sprintf("size#%d/α=%.2f", c.SizeRank(r), r.Alpha)
-		m[key] = append(m[key], i)
-	}
-	return m
 }

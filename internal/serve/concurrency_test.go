@@ -165,14 +165,14 @@ func TestDeadlineExceededReturnsPromptly(t *testing.T) {
 	}
 }
 
-// TestGracefulShutdownDrains: Shutdown completes only after in-flight
-// design searches finish, and those requests get full 200 responses.
+// TestGracefulShutdownDrains: a draining shutdown of the listener
+// serving the handler completes only after in-flight design searches
+// finish, and those requests get full 200 responses.
 func TestGracefulShutdownDrains(t *testing.T) {
 	s := newTestServer(t, nil)
 	s.searchDelay = 200 * time.Millisecond
-	if err := s.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 
 	type outcome struct {
 		status int
@@ -180,7 +180,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		resp, err := http.Post(s.URL()+"/api/ensemble/design", "application/json",
+		resp, err := http.Post(ts.URL+"/api/ensemble/design", "application/json",
 			strings.NewReader(`{"n": 3}`))
 		if err != nil {
 			done <- outcome{err: err}
@@ -194,7 +194,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	time.Sleep(80 * time.Millisecond)
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := s.Shutdown(shutdownCtx); err != nil {
+	if err := ts.Config.Shutdown(shutdownCtx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	out := <-done

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"slices"
 	"sort"
 	"strings"
@@ -15,9 +16,9 @@ import (
 	"gcbench/internal/jobs"
 )
 
-// TestServeLoadSmoke is the CI load-smoke: a real listening server over
-// the shipped standard corpus, a burst of mixed concurrent traffic, and
-// two assertions — zero 5xx responses, and p99 latency under a bound
+// TestServeLoadSmoke is the CI load-smoke: the handler on a real
+// listener over the shipped standard corpus, a burst of mixed concurrent
+// traffic, and two assertions — zero 5xx responses, and p99 latency under a bound
 // generous enough for a loaded CI machine yet tight enough to catch a
 // lost-wakeup or lock-convoy regression. The 4×2 deployment adds
 // campaign submissions (429 from the full queue is fine) and keeps the
@@ -40,13 +41,12 @@ func TestServeLoadSmoke(t *testing.T) {
 
 func testServeLoad(t *testing.T, build func(t *testing.T) (*Server, *jobs.Manager)) {
 	s, mgr := build(t)
-	if err := s.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		if err := s.Shutdown(ctx); err != nil {
+		if err := ts.Config.Shutdown(ctx); err != nil {
 			t.Errorf("shutdown: %v", err)
 		}
 	}()
@@ -57,7 +57,7 @@ func testServeLoad(t *testing.T, build func(t *testing.T) (*Server, *jobs.Manage
 		p99Bound    = 5 * time.Second
 		totalBudget = 60 * time.Second
 	)
-	base := s.URL()
+	base := ts.URL
 	client := &http.Client{Timeout: totalBudget}
 	version := func() int64 {
 		var c struct{ CorpusVersion int64 }

@@ -21,7 +21,8 @@
 // and per-request deadlines plumbed as context.Context into the ensemble
 // search loops so an expired request aborts within one search step. The
 // 10^6-sample Monte-Carlo coverage estimator is built once, lazily, and
-// shared by every request. Shutdown drains in-flight requests.
+// shared by every request. The package is handler-only: Handler is the
+// server's surface, and the caller owns the listener and its shutdown.
 package serve
 
 import (
@@ -31,7 +32,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"net"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -113,12 +113,6 @@ type Server struct {
 	mux     *http.ServeMux
 	handler http.Handler
 	start   time.Time
-
-	mu      sync.Mutex
-	httpSrv *http.Server
-	ln      net.Listener
-
-	draining atomic.Bool
 
 	// searches counts underlying ensemble searches executed (not
 	// coalesced, not cached) — the concurrency tests' ground truth.
@@ -275,7 +269,8 @@ func (s *Server) estimator() (*ensemble.CoverageEstimator, error) {
 }
 
 // Handler returns the server's full HTTP handler (API + observability
-// routes), usable with httptest or a caller-owned http.Server.
+// routes) — its one surface, served by a caller-owned listener or by
+// httptest.
 func (s *Server) Handler() http.Handler { return s.handler }
 
 // statusRecorder captures the response status and byte count for
@@ -414,7 +409,6 @@ func (s *Server) Status() map[string]any {
 	st := map[string]any{
 		"service":       "gcbench-serve",
 		"uptimeSeconds": time.Since(s.start).Seconds(),
-		"draining":      s.draining.Load(),
 		"cacheEntries":  s.cache.Len(),
 		"designPending": s.pool.Pending(),
 		"workers":       s.cfg.Workers,
@@ -444,63 +438,6 @@ func (s *Server) Status() map[string]any {
 		st["jobs"] = byState
 	}
 	return st
-}
-
-// Start binds addr (":0" picks a free port) and serves until Shutdown.
-// It returns once the listener is bound, so Addr is immediately usable.
-func (s *Server) Start(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("serve: listen %s: %w", addr, err)
-	}
-	srv := &http.Server{
-		Handler:           s.handler,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	s.mu.Lock()
-	s.ln, s.httpSrv = ln, srv
-	s.mu.Unlock()
-	go func() { _ = srv.Serve(ln) }()
-	return nil
-}
-
-// Addr returns the bound listen address.
-func (s *Server) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
-// URL returns the server's base URL.
-func (s *Server) URL() string { return "http://" + s.Addr() }
-
-// Shutdown stops accepting connections and drains in-flight requests —
-// including design searches holding worker slots — until they finish or
-// ctx expires. Safe to call without a prior Start (no-op).
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	s.mu.Lock()
-	srv := s.httpSrv
-	s.mu.Unlock()
-	if srv == nil {
-		return nil
-	}
-	return srv.Shutdown(ctx)
-}
-
-// Close stops the server immediately without draining.
-func (s *Server) Close() error {
-	s.draining.Store(true)
-	s.mu.Lock()
-	srv := s.httpSrv
-	s.mu.Unlock()
-	if srv == nil {
-		return nil
-	}
-	return srv.Close()
 }
 
 // Searches returns how many underlying ensemble searches have executed —

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"os"
-	"os/exec"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -27,14 +25,10 @@ type ProcSpec struct {
 
 // SupervisorOptions parameterizes process supervision.
 type SupervisorOptions struct {
-	// Binary is the executable to spawn for each replica (typically
-	// os.Executable(), re-entering as `gcbench shard-serve`).
-	Binary string
-	// Args builds the argv (after the binary name) for a spec.
-	Args func(ProcSpec) []string
-	// Spawn overrides process creation entirely (tests). When set,
-	// Binary/Args are unused. The returned function blocks until the
-	// process exits, like (*exec.Cmd).Wait.
+	// Spawn starts one replica process for a spec (required; `gcbench
+	// serve -shard-spawn` re-enters its own binary as `gcbench
+	// shard-serve`). wait blocks until the process exits, like
+	// (*exec.Cmd).Wait; kill terminates it.
 	Spawn func(ProcSpec) (wait func() error, kill func(), err error)
 	// HealthInterval is the probe period per process (default 500ms).
 	HealthInterval time.Duration
@@ -122,8 +116,8 @@ func NewSupervisor(specs []ProcSpec, opts SupervisorOptions) (*Supervisor, error
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("supervisor: no processes to supervise")
 	}
-	if opts.Spawn == nil && (opts.Binary == "" || opts.Args == nil) {
-		return nil, fmt.Errorf("supervisor: need Binary+Args or a Spawn hook")
+	if opts.Spawn == nil {
+		return nil, fmt.Errorf("supervisor: no Spawn hook")
 	}
 	if opts.HealthInterval == 0 {
 		opts.HealthInterval = 500 * time.Millisecond
@@ -202,16 +196,21 @@ func (s *Supervisor) Start(ctx context.Context) error {
 	return nil
 }
 
-// Stop terminates every process and waits for monitors to exit. Safe to
-// call more than once.
+// Stop waits for the monitors to return, so none respawns a process,
+// then terminates every process and waits for it to exit: none outlives
+// the caller. Safe to call more than once.
 func (s *Supervisor) Stop() {
 	if s.cancel != nil {
 		s.cancel()
 	}
-	for _, p := range s.procs {
-		p.terminate()
-	}
 	s.wg.Wait()
+	for _, p := range s.procs {
+		exited := p.exitedCh()
+		p.terminate()
+		if exited != nil {
+			<-exited
+		}
+	}
 }
 
 // Kill forcibly terminates the process serving (shard, replica) — the
@@ -231,21 +230,7 @@ func (s *Supervisor) Kill(shardID, replica int) error {
 // spawn starts one incarnation of p and hands its wait/kill handles to
 // the slot. exited is signalled (once) when the process ends.
 func (s *Supervisor) spawn(p *superProc) error {
-	var wait func() error
-	var kill func()
-	var err error
-	if s.opts.Spawn != nil {
-		wait, kill, err = s.opts.Spawn(p.spec)
-	} else {
-		cmd := exec.Command(s.opts.Binary, s.opts.Args(p.spec)...)
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			return err
-		}
-		wait = cmd.Wait
-		kill = func() { _ = cmd.Process.Kill() }
-	}
+	wait, kill, err := s.opts.Spawn(p.spec)
 	if err != nil {
 		return err
 	}

@@ -92,19 +92,6 @@ func (j *Journal) Len() int {
 	return len(j.entries)
 }
 
-// CompletedCount returns how many recorded entries are StatusOK.
-func (j *Journal) CompletedCount() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	n := 0
-	for _, e := range j.entries {
-		if e.Status == behavior.StatusOK {
-			n++
-		}
-	}
-	return n
-}
-
 // Completed returns the journaled behavior run for spec if a successful
 // entry exists for the same spec identity (ID and seed — a journal from a
 // different campaign seed never satisfies a resume). Failed or timed-out

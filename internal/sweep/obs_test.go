@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"strings"
@@ -70,12 +71,11 @@ func scrapeStatus(t *testing.T, url string) CampaignStatus {
 func TestCampaignLiveObservability(t *testing.T) {
 	specs := campaignSpecs(10)
 	tracker := NewTracker()
-	srv, err := obs.StartServer("127.0.0.1:0", obs.ServerOptions{
+	mux := http.NewServeMux()
+	obs.RegisterRoutes(mux, obs.ServerOptions{
 		Status: func() any { return tracker.Snapshot() },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
 	// Throttle the campaign so the mid-flight scrapes observe it live.
@@ -106,16 +106,16 @@ func TestCampaignLiveObservability(t *testing.T) {
 		"gcbench_engine_iterations_total",
 		"gcbench_engine_updates_total",
 	}
-	prev := scrapeMetrics(t, srv.URL())
+	prev := scrapeMetrics(t, srv.URL)
 	for i := 0; i < 5; i++ {
 		time.Sleep(10 * time.Millisecond)
-		cur := scrapeMetrics(t, srv.URL())
+		cur := scrapeMetrics(t, srv.URL)
 		for _, c := range counters {
 			if cur[c] < prev[c] {
 				t.Errorf("scrape %d: counter %s went backwards: %v -> %v", i, c, prev[c], cur[c])
 			}
 		}
-		st := scrapeStatus(t, srv.URL())
+		st := scrapeStatus(t, srv.URL)
 		if st.Total != len(specs) {
 			t.Errorf("scrape %d: statusz total = %d, want %d", i, st.Total, len(specs))
 		}
@@ -131,14 +131,14 @@ func TestCampaignLiveObservability(t *testing.T) {
 	}
 
 	// Final scrape must agree with the saved corpus.
-	st := scrapeStatus(t, srv.URL())
+	st := scrapeStatus(t, srv.URL)
 	if st.Completed != len(out.res.Runs) {
 		t.Fatalf("final statusz completed = %d, corpus has %d runs", st.Completed, len(out.res.Runs))
 	}
 	if st.Pending != 0 || st.Running != 0 || st.Failed != 0 {
 		t.Fatalf("final statusz not settled: %+v", st)
 	}
-	final := scrapeMetrics(t, srv.URL())
+	final := scrapeMetrics(t, srv.URL)
 	for _, c := range counters {
 		if final[c] < prev[c] {
 			t.Fatalf("final counter %s went backwards: %v -> %v", c, prev[c], final[c])
