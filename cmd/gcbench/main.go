@@ -131,13 +131,20 @@ func cmdSweep(args []string) error {
 	fs.Parse(args)
 	vb.setup()
 	quiet := vb.quiet
-	if *retries < 0 {
-		return fmt.Errorf("retries must be ≥ 0, got %d", *retries)
-	}
-
 	frontier, err := algorithms.ParseFrontierMode(*frontierFlag)
 	if err != nil {
 		return err
+	}
+	cfg := sweep.Config{
+		Parallel: *parallel, Workers: *workers,
+		Timeout: *timeout, Retries: *retries, RetryBackoff: *backoff,
+		Frontier: frontier,
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if !(*faultRate >= 0 && *faultRate <= 1) {
+		return fmt.Errorf("faultrate must be in [0,1], got %g", *faultRate)
 	}
 
 	models, err := parseModelList(*modelsFlag)
@@ -200,13 +207,7 @@ func cmdSweep(args []string) error {
 	defer stop()
 
 	start := time.Now()
-	cfg := sweep.Config{
-		Parallel: *parallel, Workers: *workers,
-		Timeout: *timeout, Retries: *retries, RetryBackoff: *backoff,
-		Journal:     journal,
-		InjectFault: sweep.FaultRate(*faultRate, *faultSeed),
-		Frontier:    frontier,
-	}
+	cfg.Journal, cfg.InjectFault = journal, sweep.FaultRate(*faultRate, *faultSeed)
 
 	// -listen attaches the observability surface to this campaign: the
 	// tracker feeds /statusz, the default metric registry feeds /metrics.

@@ -111,6 +111,36 @@ func TestCmdSweepRejectsNegativeRetries(t *testing.T) {
 	}
 }
 
+// TestCmdSweepRejectsOutOfRangeFlags: the campaign knobs beside -retries
+// are refused out of range before any run executes, with
+// sweep.Config.Validate's wording for those POST /api/campaigns shares.
+func TestCmdSweepRejectsOutOfRangeFlags(t *testing.T) {
+	for _, tc := range []struct {
+		flag, value, want string
+	}{
+		{"-parallel", "-1", "parallel must be ≥ 0, got -1"},
+		{"-workers", "-3", "workers must be ≥ 0, got -3"},
+		{"-timeout", "-1s", "timeout must be ≥ 0, got -1s"},
+		{"-backoff", "-5ms", "backoff must be ≥ 0, got -5ms"},
+		{"-faultrate", "2", "faultrate must be in [0,1], got 2"},
+		{"-faultrate", "-0.5", "faultrate must be in [0,1], got -0.5"},
+		{"-faultrate", "NaN", "faultrate must be in [0,1], got NaN"},
+	} {
+		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "runs.json")
+			err := cmdSweep([]string{"-profile", "quick", "-out", out, "-quiet", tc.flag, tc.value})
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+			for _, p := range []string{out, out + ".journal"} {
+				if _, statErr := os.Stat(p); !os.IsNotExist(statErr) {
+					t.Fatalf("refused sweep wrote %s (stat err %v)", p, statErr)
+				}
+			}
+		})
+	}
+}
+
 func TestCmdFiguresAndEnsemble(t *testing.T) {
 	path := writeTinyCorpus(t)
 	for _, fig := range []string{"table2", "13", "18"} {

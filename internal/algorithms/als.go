@@ -51,7 +51,7 @@ func cfDot(a, b *cfFactor) float64 {
 // f·fᵀ is symmetric bit for bit and the solver reads nothing above the
 // diagonal.
 type alsAccum struct {
-	A [cfRank * cfRank]float64
+	A [cfRank][cfRank]float64
 	B cfFactor
 	N float64
 }
@@ -95,8 +95,9 @@ func (p *alsProgram) gatherRun(nb *engine.Edges[cfState], acc *alsAccum, has boo
 		if !has {
 			for i, fi := range f {
 				acc.B[i] = w * fi
+				row := &acc.A[i]
 				for j, fj := range f[:i+1] {
-					acc.A[i*cfRank+j] = fi * fj
+					row[j] = fi * fj
 				}
 			}
 			acc.N, has = 1, true
@@ -104,8 +105,9 @@ func (p *alsProgram) gatherRun(nb *engine.Edges[cfState], acc *alsAccum, has boo
 		}
 		for i, fi := range f {
 			acc.B[i] += float64(w * fi)
+			row := &acc.A[i]
 			for j, fj := range f[:i+1] {
-				acc.A[i*cfRank+j] += float64(fi * fj)
+				row[j] += float64(fi * fj)
 			}
 		}
 		acc.N++
@@ -113,33 +115,66 @@ func (p *alsProgram) gatherRun(nb *engine.Edges[cfState], acc *alsAccum, has boo
 	return true
 }
 
+// Apply solves the granule's normal equations four at a time. A final
+// group of one to three is padded with identity systems of its own, never
+// a second reference to a real accumulator, since the solve factors in
+// place.
 func (p *alsProgram) Apply(vs []uint32, state []cfState, acc []alsAccum, hasAcc []bool) {
+	var (
+		group [4]uint32
+		a     [4]*[cfRank][cfRank]float64
+		b     [4]*[cfRank]float64
+		n     int
+	)
 	for _, v := range vs {
-		state[v] = p.solve(&state[v], &acc[v], hasAcc[v])
+		if !hasAcc[v] {
+			state[v].Delta = 0
+			continue
+		}
+		// Ridge: (A + λ·n·I) f = b, weighted-λ ALS regularization. acc is
+		// dead after Apply, so the solve may factor in it.
+		ac := &acc[v]
+		for i := range ac.A {
+			ac.A[i][i] += p.lambda * ac.N
+		}
+		group[n], a[n], b[n] = v, &ac.A, (*[cfRank]float64)(&ac.B)
+		if n++; n == len(group) {
+			p.solve(group[:], &a, &b, state)
+			n = 0
+		}
+	}
+	if n > 0 {
+		var pad [3][cfRank][cfRank]float64
+		var zero [cfRank]float64
+		for s := n; s < len(group); s++ {
+			for i := range pad[s-n] {
+				pad[s-n][i][i] = 1
+			}
+			a[s], b[s] = &pad[s-n], &zero
+		}
+		p.solve(group[:n], &a, &b, state)
 	}
 }
 
-// solve returns a vertex's next state from its normal equations.
-func (p *alsProgram) solve(self *cfState, acc *alsAccum, hasAcc bool) cfState {
-	if !hasAcc {
-		return cfState{F: self.F}
-	}
-	// Ridge: (A + λ·n·I) f = b, weighted-λ ALS regularization. acc is dead
-	// after Apply, so the solve may factor in it.
-	for i := 0; i < cfRank; i++ {
-		acc.A[i*cfRank+i] += p.lambda * acc.N
-	}
-	var next cfState
-	if err := linalg.CholeskySolve(acc.A[:], acc.B[:], next.F[:]); err != nil {
-		// Numerically degenerate system: keep the old factor.
-		return cfState{F: self.F}
-	}
-	for i, f := range next.F {
-		if d := math.Abs(f - self.F[i]); d > next.Delta {
-			next.Delta = d
+// solve runs one batched solve and moves each of the group's vertices to
+// its solution; a numerically degenerate system keeps the old factor.
+func (p *alsProgram) solve(group []uint32, a *[4]*[cfRank][cfRank]float64, b *[4]*[cfRank]float64, state []cfState) {
+	var x [4][cfRank]float64
+	ok := linalg.CholeskySolve8x4(a, b, &x)
+	for s, v := range group {
+		self := &state[v]
+		if !ok[s] {
+			self.Delta = 0
+			continue
 		}
+		next := cfState{F: x[s]}
+		for i, f := range next.F {
+			if d := math.Abs(f - self.F[i]); d > next.Delta {
+				next.Delta = d
+			}
+		}
+		*self = next
 	}
-	return next
 }
 
 func (p *alsProgram) ScatterDirection() engine.Direction { return engine.Both }

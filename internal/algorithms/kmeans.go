@@ -48,21 +48,28 @@ func (p *kmProgram) Init(g *graph.Graph, v uint32) (kmState, bool) {
 	return kmState{Assign: p.nearest(g.Features(v), nil), Changed: true}, true
 }
 
-// nearest returns the centroid index minimizing cost for the point,
-// with optional neighbor votes.
+// nearest returns the centroid index minimizing cost for the point, with
+// optional neighbor votes (nil scores as zero votes). The scan is a
+// compare-and-select running minimum over a local copy of the votes, with
+// no data-dependent branch: a tie keeps the lower index and a NaN cost
+// never wins.
 func (p *kmProgram) nearest(pt []float64, votes *kmVotes) int32 {
-	best := int32(0)
-	bestCost := math.Inf(1)
-	for c := 0; c < p.k; c++ {
-		dx := pt[0] - p.centroids[c][0]
-		dy := pt[1] - p.centroids[c][1]
+	var w kmVotes
+	if votes != nil {
+		w = *votes
+	}
+	x, y := pt[0], pt[1]
+	best, bestBits := int32(0), math.Float64bits(math.Inf(1))
+	for c, m := range p.centroids[:p.k] {
+		dx := x - m[0]
+		dy := y - m[1]
 		cost := dx*dx + dy*dy
-		if votes != nil {
-			cost -= p.lambda * votes[c]
-		}
-		if cost < bestCost {
-			bestCost = cost
-			best = int32(c)
+		cost -= p.lambda * w[c]
+		// Selecting the bits and the index as integers keeps the select a
+		// conditional move.
+		bits := math.Float64bits(cost)
+		if cost < math.Float64frombits(bestBits) {
+			best, bestBits = int32(c), bits
 		}
 	}
 	return best

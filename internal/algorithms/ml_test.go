@@ -6,6 +6,7 @@ import (
 
 	"gcbench/internal/gen"
 	"gcbench/internal/graph"
+	"gcbench/internal/rng"
 )
 
 // ratingGraph builds a small bipartite rating graph for CF tests.
@@ -164,6 +165,98 @@ func TestKMeansValidation(t *testing.T) {
 	}
 }
 
+// nearestLoopOracle is kmProgram.nearest before it became a
+// compare-and-select scan, verbatim.
+func nearestLoopOracle(p *kmProgram, pt []float64, votes *kmVotes) int32 {
+	best := int32(0)
+	bestCost := math.Inf(1)
+	for c := 0; c < p.k; c++ {
+		dx := pt[0] - p.centroids[c][0]
+		dy := pt[1] - p.centroids[c][1]
+		cost := dx*dx + dy*dy
+		if votes != nil {
+			cost -= p.lambda * votes[c]
+		}
+		if cost < bestCost {
+			bestCost = cost
+			best = int32(c)
+		}
+	}
+	return best
+}
+
+// TestKMeansNearestMatchesLoop holds nearest to the loop it replaced:
+// over random points, centroids and votes at k = 1 to 16, and over exact
+// ties, ±0 costs and ±Inf and NaN votes. nil votes score as zero votes.
+func TestKMeansNearestMatchesLoop(t *testing.T) {
+	check := func(t *testing.T, p *kmProgram, pt []float64, votes *kmVotes) {
+		t.Helper()
+		if got, want := p.nearest(pt, votes), nearestLoopOracle(p, pt, votes); got != want {
+			t.Fatalf("nearest(%v, %v) over %v = %d, loop %d", pt, votes, p.centroids, got, want)
+		}
+		if got, want := p.nearest(pt, nil), p.nearest(pt, &kmVotes{}); got != want {
+			t.Fatalf("nearest(%v, nil) = %d, zero votes %d", pt, got, want)
+		}
+	}
+	program := func(lambda float64, centroids ...[2]float64) *kmProgram {
+		return &kmProgram{k: len(centroids), lambda: lambda, centroids: centroids}
+	}
+	t.Run("random", func(t *testing.T) {
+		r := rng.New(37)
+		special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+		for _, k := range []int{1, 2, 3, 8, 16} {
+			for trial := 0; trial < 2000; trial++ {
+				p := program(0.1*float64(1+r.Intn(10)), make([][2]float64, k)...)
+				for c := range p.centroids {
+					p.centroids[c] = [2]float64{r.NormFloat64(), r.NormFloat64()}
+				}
+				var votes kmVotes
+				for c := range votes {
+					switch r.Intn(8) {
+					case 0:
+						votes[c] = special[r.Intn(len(special))]
+					case 1, 2, 3:
+						votes[c] = float64(r.Intn(4))
+					}
+				}
+				check(t, p, []float64{r.NormFloat64(), r.NormFloat64()}, &votes)
+				check(t, p, []float64{r.NormFloat64(), r.NormFloat64()}, nil)
+			}
+		}
+	})
+	origin := []float64{0, 0}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name  string
+		p     *kmProgram
+		votes kmVotes
+	}{
+		{"tie: equal centroids", program(0.1, [2]float64{1, 1}, [2]float64{1, 1}, [2]float64{1, 1}), kmVotes{}},
+		{"tie: equal distances", program(0.1, [2]float64{2, 0}, [2]float64{1, 0}, [2]float64{0, -1}, [2]float64{-1, 0}), kmVotes{}},
+		{"tie: votes even out distance", program(0.5, [2]float64{1, 0}, [2]float64{2, 0}), kmVotes{0, 6}},
+		{"zero costs: +0 and a -0 vote", program(0.5, [2]float64{1, 0}, [2]float64{0, 0}), kmVotes{2, math.Copysign(0, -1)}},
+		{"zero costs: -0 vote first", program(0.5, [2]float64{0, 0}, [2]float64{1, 0}), kmVotes{math.Copysign(0, -1), 2}},
+		{"+Inf vote wins", program(0.1, [2]float64{0, 0}, [2]float64{5, 5}), kmVotes{0, inf}},
+		{"two +Inf votes tie", program(0.1, [2]float64{0, 0}, [2]float64{5, 5}, [2]float64{9, 9}), kmVotes{0, inf, inf}},
+		{"-Inf votes never win", program(0.1, [2]float64{0, 0}, [2]float64{5, 5}), kmVotes{-inf, -inf}},
+		{"NaN vote never wins", program(0.1, [2]float64{0, 0}, [2]float64{5, 5}), kmVotes{nan, 0}},
+		{"all NaN votes", program(0.1, [2]float64{0, 0}, [2]float64{5, 5}), kmVotes{nan, nan}},
+		{"k = 1", program(0.1, [2]float64{3, 4}), kmVotes{nan}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { check(t, tc.p, origin, &tc.votes) })
+	}
+	t.Run("k = 16, best last", func(t *testing.T) {
+		p := program(0.1, make([][2]float64, maxK)...)
+		for c := range p.centroids {
+			p.centroids[c] = [2]float64{float64(maxK - c), 0}
+		}
+		check(t, p, origin, nil)
+		if got := p.nearest(origin, nil); got != maxK-1 {
+			t.Fatalf("nearest = %d, want %d", got, maxK-1)
+		}
+	})
+}
+
 // --- ALS ---
 
 func TestALSFitsLowRankMatrix(t *testing.T) {
@@ -203,7 +296,7 @@ func TestALSApplyDoesNotAllocate(t *testing.T) {
 	acc := alsAccum{B: f, N: 1}
 	for i, fi := range f {
 		for j, fj := range f[:i+1] {
-			acc.A[i*cfRank+j] = fi * fj
+			acc.A[i][j] = fi * fj
 		}
 	}
 	vs, state, accs, hasAcc := []uint32{0}, make([]cfState, 1), make([]alsAccum, 1), []bool{true}
@@ -216,6 +309,79 @@ func TestALSApplyDoesNotAllocate(t *testing.T) {
 	}
 	if next := state[0]; next.Delta == 0 {
 		t.Fatal("Apply kept the old factor: the solve failed")
+	}
+}
+
+// TestALSApplyGranules solves granules of 1 to 9 vertices that mix
+// hasAcc true and false and hold one system that is not positive
+// definite. Every vertex must match the same Apply on a one-vertex
+// granule bit for bit, so grouping by four and the identity padding
+// change nothing; each solution must solve its ridged normal equations,
+// which padding that aliased a real accumulator would break; a vertex
+// without an accumulator, or with a failed solve, keeps its factor with
+// Delta 0.
+func TestALSApplyGranules(t *testing.T) {
+	p := &alsProgram{numUsers: 1, lambda: 0.05, tol: 5e-3}
+	r := rng.New(29)
+	for size := 1; size <= 9; size++ {
+		n := 2 * size
+		state, acc, hasAcc := make([]cfState, n), make([]alsAccum, n), make([]bool, n)
+		var vs []uint32
+		for v := range n {
+			state[v] = cfState{F: initFactor(uint32(v+100*size), 1), Delta: 1}
+			for range 1 + r.Intn(12) {
+				f := initFactor(uint32(r.Intn(1<<20)), 1)
+				w := float64(1 + r.Intn(5))
+				for i, fi := range f {
+					acc[v].B[i] += w * fi
+					for j, fj := range f[:i+1] {
+						acc[v].A[i][j] += fi * fj
+					}
+				}
+				acc[v].N++
+			}
+			hasAcc[v] = r.Intn(4) != 0
+			if len(vs) < size && (r.Intn(2) == 0 || n-v <= size-len(vs)) {
+				vs = append(vs, uint32(v))
+			}
+		}
+		bad := vs[r.Intn(len(vs))]
+		acc[bad] = alsAccum{N: 1}
+		for i := range acc[bad].A {
+			acc[bad].A[i][i] = -1
+		}
+		hasAcc[bad] = true
+		orig := append([]alsAccum(nil), acc...)
+
+		want := append([]cfState(nil), state...)
+		wantAcc := append([]alsAccum(nil), acc...)
+		for _, v := range vs {
+			p.Apply([]uint32{v}, want, wantAcc, hasAcc)
+		}
+		got := append([]cfState(nil), state...)
+		p.Apply(vs, got, acc, hasAcc)
+		for _, v := range vs {
+			if got[v] != want[v] {
+				t.Fatalf("granule of %d: vertex %d = %+v, one-vertex granule %+v", size, v, got[v], want[v])
+			}
+			if !hasAcc[v] || v == bad {
+				if got[v] != (cfState{F: state[v].F}) {
+					t.Fatalf("granule of %d: vertex %d (hasAcc %v) = %+v, want its old factor with Delta 0", size, v, hasAcc[v], got[v])
+				}
+				continue
+			}
+			a := &orig[v]
+			for i := range cfRank {
+				lhs := p.lambda * a.N * got[v].F[i]
+				for j := range cfRank {
+					aij := a.A[max(i, j)][min(i, j)]
+					lhs += aij * got[v].F[j]
+				}
+				if math.Abs(lhs-a.B[i]) > 1e-8*(1+math.Abs(a.B[i])) {
+					t.Fatalf("granule of %d: vertex %d row %d residual %g", size, v, i, lhs-a.B[i])
+				}
+			}
+		}
 	}
 }
 

@@ -176,7 +176,7 @@ func (alsEdgeOracle) Gather(_ uint32, e arc, _, other cfState) alsAccum {
 	for i := 0; i < cfRank; i++ {
 		fi := other.F[i]
 		acc.B[i] = e.Weight * fi
-		row := acc.A[i*cfRank : (i+1)*cfRank]
+		row := &acc.A[i]
 		for j := 0; j < cfRank; j++ {
 			row[j] = fi * other.F[j]
 		}
@@ -187,7 +187,9 @@ func (alsEdgeOracle) Gather(_ uint32, e arc, _, other cfState) alsAccum {
 
 func (alsEdgeOracle) Sum(a, b alsAccum) alsAccum {
 	for i := range a.A {
-		a.A[i] += b.A[i]
+		for j := range a.A[i] {
+			a.A[i][j] += b.A[i][j]
+		}
 	}
 	for i := range a.B {
 		a.B[i] += b.B[i]

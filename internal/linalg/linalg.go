@@ -1,10 +1,11 @@
 // Package linalg provides the small dense linear algebra kernels the
-// collaborative-filtering algorithms need: SPD Cholesky solves for the
-// per-vertex normal equations of Alternating Least Squares, and a
-// symmetric tridiagonal eigensolver for the Restarted Lanczos SVD.
+// collaborative-filtering algorithms need: a batched rank-8 Cholesky
+// solve for the per-vertex normal equations of Alternating Least Squares,
+// and a symmetric tridiagonal eigensolver for the Restarted Lanczos SVD.
 //
-// Matrices are row-major flat slices. Problem sizes are tiny (the factor
-// rank d, typically ≤ 32), so clarity beats blocking.
+// Problem sizes are tiny (the factor rank d, typically ≤ 32), so clarity
+// beats blocking; the one exception is the Cholesky, whose fixed rank lets
+// four solves share one pass.
 package linalg
 
 import (
@@ -50,57 +51,76 @@ func AddOuter(a []float64, x []float64) {
 	}
 }
 
-// CholeskySolve solves A·x = b for symmetric positive-definite A (n×n
-// row-major) without allocating. Only the lower triangle of a is read; it
-// is overwritten with the factor L of A = L·Lᵀ. b is left alone unless x
-// aliases it, which is allowed. A tiny ridge can be added by the caller to
+// CholeskySolve8x4 solves the four symmetric positive-definite 8×8
+// systems a[s]·x[s] = b[s] at once, without allocating. Only the lower
+// triangles are read; each is overwritten with its factor L of A = L·Lᵀ,
+// so the four matrices must be distinct. Each system runs the textbook
+// column Cholesky and the two substitutions in their usual order, so its
+// solution is the one a single solve gives, bit for bit; the four are
+// interleaved so their sqrt and divide chains overlap. ok[s] is false
+// when a pivot of system s is ≤ 0 (x[s] is then meaningless); a NaN
+// pivot is not caught. A tiny ridge can be added by the caller to
 // guarantee positive-definiteness.
-func CholeskySolve(a, b, x []float64) error {
-	n := len(b)
-	if len(a) != n*n {
-		return fmt.Errorf("linalg: matrix is %d entries, want %d×%d", len(a), n, n)
-	}
-	if len(x) != n {
-		return fmt.Errorf("linalg: solution is %d entries, want %d", len(x), n)
-	}
-	for j := 0; j < n; j++ {
-		rj := a[j*n : j*n+j+1]
-		d := rj[j]
-		for _, l := range rj[:j] {
-			d -= l * l
+func CholeskySolve8x4(a *[4]*[8][8]float64, b *[4]*[8]float64, x *[4][8]float64) (ok [4]bool) {
+	ok = [4]bool{true, true, true, true}
+	m0, m1, m2, m3 := a[0], a[1], a[2], a[3]
+	for j := 0; j < 8; j++ {
+		d0, d1, d2, d3 := m0[j][j], m1[j][j], m2[j][j], m3[j][j]
+		for k := 0; k < j; k++ {
+			l0, l1, l2, l3 := m0[j][k], m1[j][k], m2[j][k], m3[j][k]
+			d0 -= l0 * l0
+			d1 -= l1 * l1
+			d2 -= l2 * l2
+			d3 -= l3 * l3
 		}
-		if d <= 0 {
-			return fmt.Errorf("linalg: matrix not positive definite at pivot %d (d=%g)", j, d)
+		if d0 <= 0 {
+			ok[0] = false
 		}
-		d = math.Sqrt(d)
-		rj[j] = d
-		for i := j + 1; i < n; i++ {
-			ri := a[i*n : i*n+j+1]
-			s := ri[j]
-			for k, l := range rj[:j] {
-				s -= ri[k] * l
+		if d1 <= 0 {
+			ok[1] = false
+		}
+		if d2 <= 0 {
+			ok[2] = false
+		}
+		if d3 <= 0 {
+			ok[3] = false
+		}
+		d0, d1, d2, d3 = math.Sqrt(d0), math.Sqrt(d1), math.Sqrt(d2), math.Sqrt(d3)
+		m0[j][j], m1[j][j], m2[j][j], m3[j][j] = d0, d1, d2, d3
+		for i := j + 1; i < 8; i++ {
+			t0, t1, t2, t3 := m0[i][j], m1[i][j], m2[i][j], m3[i][j]
+			for k := 0; k < j; k++ {
+				t0 -= m0[i][k] * m0[j][k]
+				t1 -= m1[i][k] * m1[j][k]
+				t2 -= m2[i][k] * m2[j][k]
+				t3 -= m3[i][k] * m3[j][k]
 			}
-			ri[j] = s / d
+			m0[i][j], m1[i][j], m2[i][j], m3[i][j] = t0/d0, t1/d1, t2/d2, t3/d3
 		}
 	}
-	// Forward substitution L·y = b, y held in x.
-	for i := 0; i < n; i++ {
-		ri := a[i*n : i*n+i+1]
-		s := b[i]
-		for k, l := range ri[:i] {
-			s -= l * x[k]
+	b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
+	x0, x1, x2, x3 := &x[0], &x[1], &x[2], &x[3]
+	for i := 0; i < 8; i++ {
+		t0, t1, t2, t3 := b0[i], b1[i], b2[i], b3[i]
+		for k := 0; k < i; k++ {
+			t0 -= m0[i][k] * x0[k]
+			t1 -= m1[i][k] * x1[k]
+			t2 -= m2[i][k] * x2[k]
+			t3 -= m3[i][k] * x3[k]
 		}
-		x[i] = s / ri[i]
+		x0[i], x1[i], x2[i], x3[i] = t0/m0[i][i], t1/m1[i][i], t2/m2[i][i], t3/m3[i][i]
 	}
-	// Back substitution Lᵀ·x = y, in place: x[k] is final for k > i.
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for k := i + 1; k < n; k++ {
-			s -= a[k*n+i] * x[k]
+	for i := 7; i >= 0; i-- {
+		t0, t1, t2, t3 := x0[i], x1[i], x2[i], x3[i]
+		for k := i + 1; k < 8; k++ {
+			t0 -= m0[k][i] * x0[k]
+			t1 -= m1[k][i] * x1[k]
+			t2 -= m2[k][i] * x2[k]
+			t3 -= m3[k][i] * x3[k]
 		}
-		x[i] = s / a[i*n+i]
+		x0[i], x1[i], x2[i], x3[i] = t0/m0[i][i], t1/m1[i][i], t2/m2[i][i], t3/m3[i][i]
 	}
-	return nil
+	return ok
 }
 
 // SymTriEigenvalues returns the eigenvalues (ascending) of the symmetric

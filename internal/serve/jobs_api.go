@@ -45,6 +45,16 @@ type campaignRequest struct {
 	Retries int `json:"retries"`
 }
 
+// config is the request's sweep.Config knobs.
+func (req *campaignRequest) config() sweep.Config {
+	return sweep.Config{
+		Parallel: req.Parallel,
+		Workers:  req.Workers,
+		Timeout:  time.Duration(req.TimeoutSeconds * float64(time.Second)),
+		Retries:  req.Retries,
+	}
+}
+
 // buildSpecs validates the request and materializes its campaign plan.
 func (req *campaignRequest) buildSpecs() ([]sweep.Spec, error) {
 	if req.Profile == "" {
@@ -56,8 +66,8 @@ func (req *campaignRequest) buildSpecs() ([]sweep.Spec, error) {
 	if req.TimeoutSeconds < 0 {
 		return nil, errInvalidf("timeoutSeconds must be ≥ 0, got %g", req.TimeoutSeconds)
 	}
-	if req.Retries < 0 {
-		return nil, errInvalidf("retries must be ≥ 0, got %d", req.Retries)
+	if err := req.config().Validate(); err != nil {
+		return nil, errInvalidf("%v", err)
 	}
 	for i, a := range req.Algorithms {
 		name, err := algorithms.Parse(a)
@@ -112,15 +122,10 @@ func (s *Server) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 		label = fmt.Sprintf("campaign profile=%s seed=%d (%d specs)", req.Profile, req.Seed, len(specs))
 	}
 	job, err := s.cfg.Jobs.Submit(jobs.Request{
-		Specs: specs,
-		Label: label,
-		Span:  otrace.FromContext(r.Context()),
-		Config: sweep.Config{
-			Parallel: req.Parallel,
-			Workers:  req.Workers,
-			Timeout:  time.Duration(req.TimeoutSeconds * float64(time.Second)),
-			Retries:  req.Retries,
-		},
+		Specs:  specs,
+		Label:  label,
+		Span:   otrace.FromContext(r.Context()),
+		Config: req.config(),
 	})
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):

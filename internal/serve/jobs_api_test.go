@@ -238,6 +238,9 @@ func TestCampaignValidation(t *testing.T) {
 		{"bad algorithm", `{"algorithms":["PAGERANKZ"]}`},
 		{"empty plan", `{"profile":"quick","algorithms":["PR"],"sizes":["1e9"]}`},
 		{"negative retries", `{"retries":-1}`},
+		{"negative parallel", `{"profile":"quick","parallel":-1}`},
+		{"negative workers", `{"profile":"quick","workers":-2}`},
+		{"negative timeout", `{"profile":"quick","timeoutSeconds":-0.5}`},
 	} {
 		w := postCampaign(t, s, tc.body)
 		if w.Code != http.StatusBadRequest {

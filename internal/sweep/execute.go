@@ -67,6 +67,26 @@ type Config struct {
 	Frontier algorithms.FrontierMode
 }
 
+// Validate refuses a negative Parallel, Workers, Timeout, Retries or
+// RetryBackoff, the knobs a campaign's entry points take from a user:
+// each reads 0 as its default, and a negative value would quietly mean
+// the same.
+func (c Config) Validate() error {
+	switch {
+	case c.Parallel < 0:
+		return fmt.Errorf("parallel must be ≥ 0, got %d", c.Parallel)
+	case c.Workers < 0:
+		return fmt.Errorf("workers must be ≥ 0, got %d", c.Workers)
+	case c.Timeout < 0:
+		return fmt.Errorf("timeout must be ≥ 0, got %v", c.Timeout)
+	case c.Retries < 0:
+		return fmt.Errorf("retries must be ≥ 0, got %d", c.Retries)
+	case c.RetryBackoff < 0:
+		return fmt.Errorf("backoff must be ≥ 0, got %v", c.RetryBackoff)
+	}
+	return nil
+}
+
 // Execute runs every spec and returns the behavior corpus in spec order.
 // Unlike ExecuteCampaign it fails the whole sweep if any run failed — but
 // only after every other run has completed (and, when cfg.Journal is
