@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -42,6 +43,24 @@ func getAsync(url string) <-chan int {
 		status <- resp.StatusCode
 	}()
 	return status
+}
+
+// standardCluster is a 1×1 shard cluster over the shipped measured
+// corpus.
+func standardCluster(t *testing.T, reg *obs.Registry) *shard.Cluster {
+	t.Helper()
+	snap, err := corpus.LoadFile("../../runs-standard.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster, err := shard.New(shard.Options{Shards: 1, Replicas: 1, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cluster.Load(context.Background(), snap); err != nil {
+		t.Fatal(err)
+	}
+	return cluster
 }
 
 // assertRefused fails unless nothing accepts connections at url.
@@ -131,18 +150,8 @@ func TestServeHTTPStopZeroCloses(t *testing.T) {
 // sequence returns promptly only if the manager is closed — ending the
 // stream on a terminal cancelled event — before HTTP drains.
 func TestStopServeClosesJobsFirst(t *testing.T) {
-	snap, err := corpus.LoadFile("../../runs-standard.json")
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := obs.NewRegistry()
-	cluster, err := shard.New(shard.Options{Shards: 1, Replicas: 1, Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cluster.Load(context.Background(), snap); err != nil {
-		t.Fatal(err)
-	}
+	cluster := standardCluster(t, reg)
 	mgr := jobs.NewManager(jobs.Config{
 		Registry: reg,
 		Execute: func(ctx context.Context, _ []sweep.Spec, _ sweep.Config) (*sweep.CampaignResult, error) {
@@ -183,7 +192,7 @@ func TestStopServeClosesJobsFirst(t *testing.T) {
 
 	const drain = 5 * time.Second
 	start := time.Now()
-	if err := stopServe(mgr, stopHTTP, drain); err != nil {
+	if err := stopServe(mgr, stopHTTP, startAccessLog(io.Discard, time.Hour), drain); err != nil {
 		t.Fatalf("stopServe: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > drain/5 {

@@ -24,8 +24,8 @@ func verbosityFlags(fs *flag.FlagSet) *verbosity {
 	}
 }
 
-// setup installs the process-wide slog default at the selected level.
-func (v *verbosity) setup() {
+// setup installs the process-wide slog default and returns its level.
+func (v *verbosity) setup() slog.Level {
 	level := slog.LevelInfo
 	if *v.verbose {
 		level = slog.LevelDebug
@@ -34,4 +34,5 @@ func (v *verbosity) setup() {
 		level = slog.LevelWarn
 	}
 	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level})))
+	return level
 }

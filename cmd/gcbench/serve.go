@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -32,7 +35,7 @@ func cmdServe(args []string) error {
 	workers := fs.Int("workers", 0, "concurrent ensemble searches (0 = all cores)")
 	queue := fs.Int("queue", 64, "design requests queued before shedding with 429")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request deadline (plumbed into search loops)")
-	cacheSize := fs.Int("cache", 256, "design-response LRU cache entries")
+	cacheSize := fs.Int("cache", 256, "response LRU cache entries (design and predict bodies, behavior records)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	shards := fs.Int("shards", 1, "partition the corpus across this many consistent-hash shards (responses stay byte-identical for any count)")
 	replicas := fs.Int("replicas", 1, "read replicas per shard, each answering from its own immutable snapshot")
@@ -44,7 +47,7 @@ func cmdServe(args []string) error {
 	traceCap := fs.Int("traces", 512, "request traces retained for /debug/traces, tail-sampled (errors, 429s and slowest decile kept preferentially); 0 disables tracing")
 	vb := verbosityFlags(fs)
 	fs.Parse(args)
-	vb.setup()
+	level := vb.setup()
 
 	snap, err := corpus.LoadFile(*runsPath)
 	if err != nil {
@@ -106,6 +109,8 @@ func cmdServe(args []string) error {
 	if *traceCap > 0 {
 		traces = otrace.NewStore(*traceCap)
 	}
+	// At the process logger's level: -quiet (Warn) writes no access log.
+	alog := startAccessLog(os.Stderr, accessLogFlush)
 	srv, err := serve.New(serve.Config{
 		Cluster:        cluster,
 		Samples:        *samples,
@@ -115,16 +120,15 @@ func cmdServe(args []string) error {
 		CacheSize:      *cacheSize,
 		Jobs:           mgr,
 		Traces:         traces,
-		// The access log emits at Info through the process logger, so
-		// -quiet (level Warn) suppresses it and -v keeps it alongside
-		// debug logs — one wide event per request either way.
-		AccessLog: slog.Default(),
+		AccessLog:      slog.New(slog.NewTextHandler(alog, &slog.HandlerOptions{Level: level})),
 	})
 	if err != nil {
+		alog.Close()
 		return err
 	}
 	url, stopHTTP, err := serveHTTP(*listen, srv.Handler())
 	if err != nil {
+		alog.Close()
 		return err
 	}
 	endpoints := "/api/runs /api/behavior/{key} /api/ensemble/design /api/ensemble/best /api/predict /api/corpus /metrics /statusz /debug/pprof/"
@@ -150,7 +154,7 @@ func cmdServe(args []string) error {
 	defer stop()
 	<-ctx.Done()
 	slog.Info("shutting down; draining in-flight requests", "budget", *drain)
-	return stopServe(mgr, stopHTTP, *drain)
+	return stopServe(mgr, stopHTTP, alog, *drain)
 }
 
 // stopServe is serve's shutdown sequence, both steps within one drain
@@ -160,8 +164,8 @@ func cmdServe(args []string) error {
 // no request deadline bounds — end. Then HTTP drains the remaining
 // in-flight requests, design searches holding worker slots included.
 // In the other order the drain would wait out the budget on any open
-// event stream.
-func stopServe(mgr *jobs.Manager, stopHTTP func(time.Duration) error, drain time.Duration) error {
+// event stream. Last, the access log writes out the lines it holds.
+func stopServe(mgr *jobs.Manager, stopHTTP func(time.Duration) error, alog *batchedLog, drain time.Duration) error {
 	deadline := time.Now().Add(drain)
 	if mgr != nil {
 		ctx, cancel := context.WithDeadline(context.Background(), deadline)
@@ -171,8 +175,57 @@ func stopServe(mgr *jobs.Manager, stopHTTP func(time.Duration) error, drain time
 			slog.Warn("job manager drain incomplete", "err", err)
 		}
 	}
-	if err := stopHTTP(time.Until(deadline)); err != nil {
+	err := stopHTTP(time.Until(deadline))
+	alog.Close()
+	if err != nil {
 		return fmt.Errorf("drain exceeded %s: %w", drain, err)
 	}
 	return nil
+}
+
+// The access log holds back at most 64 KiB of lines, for at most 100 ms.
+const accessLogBuffer, accessLogFlush = 64 << 10, 100 * time.Millisecond
+
+// batchedLog is the access log's writer. Its buffer goes out before a
+// line that would not fit (so the process's unbuffered logs cannot cut a
+// line in half), on every tick and on Close; a SIGKILL loses one tick.
+type batchedLog struct {
+	mu         sync.Mutex
+	buf        *bufio.Writer
+	stop, done chan struct{} // done: the ticker goroutine has flushed and returned
+}
+
+func startAccessLog(w io.Writer, every time.Duration) *batchedLog {
+	b := &batchedLog{buf: bufio.NewWriterSize(w, accessLogBuffer), stop: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(b.done)
+		tick := time.NewTicker(every)
+		defer tick.Stop()
+		for stopped := false; !stopped; {
+			select {
+			case <-tick.C:
+			case <-b.stop:
+				stopped = true
+			}
+			b.mu.Lock()
+			_ = b.buf.Flush() // stderr: a failed write has nowhere to be reported
+			b.mu.Unlock()
+		}
+	}()
+	return b
+}
+
+func (b *batchedLog) Write(line []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(line) > b.buf.Available() {
+		_ = b.buf.Flush() // a failure sticks: the Write below returns it
+	}
+	return b.buf.Write(line)
+}
+
+// Close stops the ticker and returns once the lines it held are written.
+func (b *batchedLog) Close() {
+	close(b.stop)
+	<-b.done
 }

@@ -1,6 +1,9 @@
 package gen
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // PowerLaw makes a fixed number of allocations — weight and alias tables,
 // the builder's columns, the CSR arrays — whatever the graph's size: none
@@ -44,6 +47,20 @@ func TestPowerLawMeanMemoIsExact(t *testing.T) {
 	meanMemo.Unlock()
 	if size > meanMemoCap {
 		t.Fatalf("memo holds %d entries, cap is %d", size, meanMemoCap)
+	}
+}
+
+// The constants powerLawMean returns for the paper's alphas are the sum's
+// own results, bit for bit.
+func TestPowerLawMeanConstantsAreExact(t *testing.T) {
+	if len(paperMeanBits) != 5 {
+		t.Fatalf("paperMeanBits has %d alphas, want the paper's 5", len(paperMeanBits))
+	}
+	for alpha, bits := range paperMeanBits {
+		want := sumPowerLawMean(100000, alpha)
+		if got := powerLawMean(100000, alpha); math.Float64bits(got) != math.Float64bits(want) || bits != math.Float64bits(want) {
+			t.Errorf("powerLawMean(1e5, %v) = %#x, term-by-term sum is %#x", alpha, math.Float64bits(got), math.Float64bits(want))
+		}
 	}
 }
 

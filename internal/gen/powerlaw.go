@@ -131,6 +131,9 @@ func vertexCountFor(nedges int64, alpha float64) int {
 // results are memoized. The memo returns what the sum returned, bit for
 // bit; vertex counts, and so whole graphs, hang on it.
 func powerLawMean(kmax int, alpha float64) float64 {
+	if bits, ok := paperMeanBits[alpha]; ok && kmax == 100000 {
+		return math.Float64frombits(bits)
+	}
 	key := meanKey{kmax, alpha}
 	meanMemo.Lock()
 	defer meanMemo.Unlock()
@@ -144,6 +147,11 @@ func powerLawMean(kmax int, alpha float64) float64 {
 	}
 	return mean
 }
+
+// paperMeanBits holds sumPowerLawMean(100000, α) for the paper's five
+// alphas as float64 bits, so a sweep process sums none of them.
+var paperMeanBits = map[float64]uint64{2: 0x401d665f1b6de78e, 2.25: 0x4007f154d202c772,
+	2.5: 0x3fff152079a88ee2, 2.75: 0x3ff8e957fd61dff7, 3: 0x3ff5e5110b8ed17a}
 
 type meanKey struct {
 	kmax  int

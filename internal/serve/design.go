@@ -275,10 +275,8 @@ func (s *Server) serveDesign(w http.ResponseWriter, r *http.Request, req *design
 }
 
 func (s *Server) writeDesignBody(w http.ResponseWriter, body []byte, cacheTag string) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.Header().Set("X-Cache", cacheTag)
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
+	writeBody(w, http.StatusOK, body)
 }
 
 // retryAfterJitter renders a Retry-After value drawn uniformly from

@@ -300,6 +300,7 @@ func writeRun(w http.ResponseWriter, version int64, frag []byte) {
 // the whole corpus, so it is built from the merged view — the same
 // insertion-order float summation for every shard count, keeping
 // predictions bit-identical across deployments.
+// A rendered body is cached under the parsed query and the version vector.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	view, okc := s.currentCorpus(w)
 	if !okc {
@@ -329,16 +330,26 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// (prediction never mixes engines); absent, the pre-model-axis
 	// whole-corpus predictor answers, so existing queries against
 	// GAS-only corpora keep their exact bytes.
+	var mName model.Name
+	if m := q.Get("model"); m != "" {
+		if mName, err = model.Parse(m); err != nil {
+			writeError(w, http.StatusBadRequest, "invalid_request", "%v", err)
+			return
+		}
+	}
+	key := "predict|vv" + view.VVString() + "|alg=" + string(algName) + "|edges=" + strconv.FormatInt(edges, 10) +
+		"|alpha=" + strconv.FormatFloat(alpha, 'g', -1, 64) + "|model=" + string(mName)
+	if body, ok := s.cache.Get(key); ok {
+		s.mCacheHit.Inc()
+		reqInfoFrom(r.Context()).setCache("hit")
+		writeBody(w, http.StatusOK, body)
+		return
+	}
 	var p *predict.Predictor
 	query := map[string]any{
 		"algorithm": string(algName), "edges": edges, "alpha": alpha,
 	}
-	if m := q.Get("model"); m != "" {
-		mName, merr := model.Parse(m)
-		if merr != nil {
-			writeError(w, http.StatusBadRequest, "invalid_request", "%v", merr)
-			return
-		}
+	if mName != "" {
 		query["model"] = string(mName)
 		p, err = snap.PredictorFor(string(mName))
 	} else {
@@ -353,13 +364,17 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid_request", "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	if body := writeJSON(w, http.StatusOK, map[string]any{
 		"corpusVersion": snap.Version,
 		"query":         query,
 		"raw":           pred.Raw,
 		"iterations":    pred.Iterations,
 		"support":       pred.Support,
-	})
+	}); body != nil {
+		s.mCacheMiss.Inc()
+		s.cache.Put(key, body)
+		reqInfoFrom(r.Context()).setCache("miss")
+	}
 }
 
 // handleCorpusInfo serves GET /api/corpus: snapshot metadata plus the

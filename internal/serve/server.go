@@ -70,7 +70,8 @@ type Config struct {
 	// RequestTimeout is the per-request deadline plumbed into search
 	// loops (default 30s).
 	RequestTimeout time.Duration
-	// CacheSize bounds the design-response LRU (default 256 entries).
+	// CacheSize bounds the response LRU (default 256 entries): rendered
+	// design and /api/predict bodies and /api/behavior record fragments.
 	CacheSize int
 	// Registry receives the gcbench_serve_* metrics (default obs.Default()).
 	Registry *obs.Registry
@@ -198,8 +199,8 @@ func New(cfg Config) (*Server, error) {
 			[]string{"route", "code"}, routeLatencyBuckets),
 		mDesignLat: reg.Histogram("gcbench_serve_design_seconds",
 			"Underlying ensemble-search latency in seconds (cache misses only).", latencyBuckets),
-		mCacheHit:  reg.Counter("gcbench_serve_cache_hits_total", "Design responses served from the LRU cache."),
-		mCacheMiss: reg.Counter("gcbench_serve_cache_misses_total", "Design requests that missed the LRU cache."),
+		mCacheHit:  reg.Counter("gcbench_serve_cache_hits_total", "Responses (designs, predictions, behavior records) served from the LRU cache."),
+		mCacheMiss: reg.Counter("gcbench_serve_cache_misses_total", "Cacheable requests (designs, predictions, behavior records) that missed the LRU cache."),
 		mCoalesced: reg.Counter("gcbench_serve_coalesced_total", "Design requests coalesced onto an identical in-flight search."),
 		mShed:      reg.Counter("gcbench_serve_shed_total", "Design requests shed with 429 because the queue was full."),
 		mErrors:    reg.Counter("gcbench_serve_errors_total", "API responses with a 5xx status."),
@@ -328,9 +329,11 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			// caller's trace; a missing or malformed header starts a fresh
 			// one. The remote parent id is recorded on the root span without
 			// pretending the remote span is locally known.
-			tid, parent, _, err := otrace.ParseTraceparent(r.Header.Get("traceparent"))
-			if err != nil {
-				tid, parent = otrace.TraceID{}, otrace.SpanID{}
+			tid, parent := otrace.TraceID{}, otrace.SpanID{}
+			if h := r.Header.Get("traceparent"); h != "" {
+				if t, p, _, err := otrace.ParseTraceparent(h); err == nil {
+					tid, parent = t, p
+				}
 			}
 			tr, root = s.cfg.Traces.StartTrace(r.Method+" "+route, "server", tid, parent,
 				otrace.String("route", route),
@@ -455,14 +458,10 @@ type apiErrorBody struct {
 	Message string `json:"message"`
 }
 
-// writeError emits a structured JSON error with the given status.
+// writeError emits a structured JSON error, as json.Encoder lays it out.
 func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(apiError{Error: apiErrorBody{
-		Code:    code,
-		Message: fmt.Sprintf(format, args...),
-	}})
+	body, _ := json.Marshal(apiError{Error: apiErrorBody{Code: code, Message: fmt.Sprintf(format, args...)}}) // strings always encode
+	writeBody(w, status, append(body, '\n'))
 }
 
 // maxRequestBody bounds the JSON bodies of POST /api/ensemble/design and
@@ -489,14 +488,16 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // writeJSON emits v as indented JSON (indented so golden files and curl
-// output stay human-readable).
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// output stay human-readable) and returns it, nil if v did not encode.
+func writeJSON(w http.ResponseWriter, status int, v any) []byte {
 	body, err := json.MarshalIndent(v, "", " ")
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encoding_failed", "encoding response: %v", err)
-		return
+		return nil
 	}
-	writeBody(w, status, append(body, '\n'))
+	body = append(body, '\n')
+	writeBody(w, status, body)
+	return body
 }
 
 // appendEnvelope opens a body assembled from already-rendered fragments
@@ -507,8 +508,11 @@ func appendEnvelope(buf []byte, corpusVersion int64) []byte {
 	return strconv.AppendInt(append(buf, "{\n \"corpusVersion\": "...), corpusVersion, 10)
 }
 
+// writeBody writes every buffered /api body in one Write behind a
+// Content-Length, so net/http never chunks it.
 func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
 }
