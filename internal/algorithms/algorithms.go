@@ -177,11 +177,12 @@ func AllNames() []Name {
 	return names
 }
 
-// Parse resolves a case-insensitive algorithm name.
+// Parse resolves a case-insensitive algorithm name. A known name costs
+// no allocation: it ranges over the table, not a fresh AllNames.
 func Parse(s string) (Name, error) {
-	for _, n := range AllNames() {
-		if strings.EqualFold(s, string(n)) {
-			return n, nil
+	for _, r := range table {
+		if strings.EqualFold(s, string(r.name)) {
+			return r.name, nil
 		}
 	}
 	return "", fmt.Errorf("algorithms: unknown algorithm %q (known: %v)", s, AllNames())

@@ -63,3 +63,22 @@ func TestTable(t *testing.T) {
 		t.Errorf("unknown name reads as %q/%q/%t/%t", n.Domain(), n.Family(), n.GraphVarying(), n.ConstantBehavior())
 	}
 }
+
+// TestParseAllocs: resolving a known name allocates nothing (a cold
+// design parses every pool algorithm, the read path every
+// ?algorithm= filter), and an unknown one keeps its error text.
+func TestParseAllocs(t *testing.T) {
+	for _, s := range []string{"CC", "pr", "als", "Jacobi", "DD"} {
+		if a := testing.AllocsPerRun(100, func() {
+			if _, err := Parse(s); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("Parse(%q): %v allocs, want 0", s, a)
+		}
+	}
+	const want = `algorithms: unknown algorithm "bogus" (known: [CC KC TC SSSP PR AD KM ALS NMF SGD SVD Jacobi LBP DD])`
+	if _, err := Parse("bogus"); err == nil || err.Error() != want {
+		t.Fatalf("Parse(bogus) error = %v, want %s", err, want)
+	}
+}

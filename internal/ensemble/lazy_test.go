@@ -3,6 +3,7 @@ package ensemble
 import (
 	"context"
 	"flag"
+	"fmt"
 	"math"
 	"testing"
 
@@ -16,16 +17,18 @@ import (
 // force ties.
 
 var allPools = flag.Bool("allpools", false,
-	"TestLazyGreedyColdPools checks all 825 cold pools instead of five (≈ 5 min)")
+	"TestLazyGreedyColdPools checks all 825 cold pools instead of five (≈ 7.5 min)")
 
 // coldShape returns what a serve-design-cold search runs on: the
 // estimator `gcbench serve -samples 10000` builds, the standard corpus's
 // design pool, and the 825 restrictions of it the workload requests
 // (bench/schedule.go) — three of the eleven grid algorithms and one of
-// the five alphas left out, 128 of the 220 pool runs each.
-func coldShape(tb testing.TB) (*CoverageEstimator, []behavior.Vector, [][]int) {
+// the five alphas left out, 128 of the 220 pool runs each. samples is
+// the estimator's size: 10⁴ for the workload, DefaultSamples for the
+// serve default.
+func coldShape(tb testing.TB, samples int) (*CoverageEstimator, []behavior.Vector, [][]int) {
 	tb.Helper()
-	est, err := NewCoverageEstimator(10000, 0x5eed)
+	est, err := NewCoverageEstimator(samples, 0x5eed)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -106,7 +109,7 @@ func checkLazyAgainstFullScan(t *testing.T, est *CoverageEstimator, pool []behav
 // deterministic, so any change to the bound or the visiting order shows
 // there.
 func TestLazyGreedyColdPools(t *testing.T) {
-	est, pts, pools := coldShape(t)
+	est, pts, pools := coldShape(t, 10000)
 	stride := 199 // prime, so the five pools meet all five alpha restrictions
 	if *allPools {
 		stride = 1
@@ -116,8 +119,82 @@ func TestLazyGreedyColdPools(t *testing.T) {
 		if i > 0 {
 			continue
 		}
-		if lazy != 461 || full != 996 { // 46 %
-			t.Fatalf("pool 0: %d evaluations against the full scan's %d, recorded 461 against 996", lazy, full)
+		if lazy != 357 || full != 996 { // 36 %
+			t.Fatalf("pool 0: %d evaluations against the full scan's %d, recorded 357 against 996", lazy, full)
+		}
+	}
+}
+
+// TestLazyGreedyRoundOneColdPools: round 1 is the one round bounded by
+// the estimator's bound grid rather than a measured reduction, so it
+// gets every cold pool on its own. A one-member ensemble's coverage is
+// the candidate's alone, so the full scan's pick is the argmax of the
+// 220 pool coverages over the pool's positions (highest coverage, then
+// lowest position); those coverages are computed once.
+func TestLazyGreedyRoundOneColdPools(t *testing.T) {
+	est, pts, pools := coldShape(t, 10000)
+	single := make([]float64, len(pts))
+	for i, p := range pts {
+		single[i] = est.Coverage([]behavior.Vector{p})
+	}
+	var evals int
+	for i, idx := range pools {
+		best := 0
+		for j := range idx {
+			if single[idx[j]] > single[idx[best]] {
+				best = j
+			}
+		}
+		got, e, err := coverageGreedy(context.Background(), est, pts, idx, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got[1]) != 1 || got[1][0] != idx[best] {
+			t.Fatalf("pool %d: round 1 picks %v, full scan [%d]", i, got[1], idx[best])
+		}
+		evals += e
+	}
+	t.Logf("round 1: %d evaluations over %d pools of 128", evals, len(pools))
+}
+
+// TestLowerTotalBoundsRoundOne: lowerTotal(p), slack included, never
+// exceeds the total the empty ensemble's evalAdd(p) computes — on the
+// one-cell estimator and gridded ones, for the standard corpus's pool
+// points, random points, points on cell faces of both grids, and points
+// outside the unit cube (far enough out that the bound is tight).
+func TestLowerTotalBoundsRoundOne(t *testing.T) {
+	snap, err := corpus.LoadFile("../../runs-standard.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := append([]behavior.Vector(nil), snap.Pool.Points...)
+	points = append(points, randomPool(64, 0xb0)...)
+	r := randomPool(64, 0xb1)
+	for _, g := range []int{2, 3, 5, 10} {
+		for i := 0; i < 16; i++ {
+			var p behavior.Vector
+			for d := range p {
+				p[d] = math.Floor(r[i][d]*float64(g+1)) / float64(g) // a face, 0 and 1 included
+			}
+			points = append(points, p)
+		}
+	}
+	for _, v := range []float64{-0.5, 1.5, -3, 40, 1e3} {
+		points = append(points, behavior.Vector{v, v, v, v}, behavior.Vector{v, 0.5, 1 - v, 0.25})
+	}
+	for _, ns := range []int{1000, 5000, 10000, 100000} {
+		est, err := NewCoverageEstimator(ns, 0x5eed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ic, err := NewIncrementalCoverage(est, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range points {
+			if lb, sum := est.lowerTotal(p), ic.evalAdd(p); !(lb <= sum) {
+				t.Fatalf("%d samples, p = %v: lowerTotal %v exceeds the total %v", ns, p, lb, sum)
+			}
 		}
 	}
 }
@@ -164,20 +241,25 @@ func TestLazyGreedyRandomPools(t *testing.T) {
 }
 
 // BenchmarkCoverageGreedyCold is one serve-design-cold search per
-// iteration on the server's estimator: the workload's pools in order, n
-// cycling 4…8 and shifting by one each pass over the pools, so
-// -benchtime=4125x walks the workload's whole request list once. evals/op
-// is the mean number of candidate evaluations.
+// iteration: the workload's pools in order, n cycling 4…8 and shifting
+// by one each pass over the pools, so -benchtime=4125x walks the
+// workload's whole request list once. samples=10000 is the workload's
+// estimator, samples=1000000 the serve default's. evals/op is the mean
+// number of candidate evaluations.
 func BenchmarkCoverageGreedyCold(b *testing.B) {
-	est, pts, pools := coldShape(b)
-	var evals int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, e, err := coverageGreedy(context.Background(), est, pts, pools[i%len(pools)], 4+(i+i/len(pools))%5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		evals += e
+	for _, samples := range []int{10000, DefaultSamples} {
+		b.Run(fmt.Sprintf("samples=%d", samples), func(b *testing.B) {
+			est, pts, pools := coldShape(b, samples)
+			var evals int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, e, err := coverageGreedy(context.Background(), est, pts, pools[i%len(pools)], 4+(i+i/len(pools))%5)
+				if err != nil {
+					b.Fatal(err)
+				}
+				evals += e
+			}
+			b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+		})
 	}
-	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
 }

@@ -71,6 +71,10 @@ func SpreadOf(pool []behavior.Vector, idx []int) float64 {
 // accumulated per cell and then across cells in cell order — the
 // canonical summation both the fresh and incremental paths share, which
 // is what makes them bit-identical (see DESIGN.md §13).
+//
+// A second, finer grid serves bounds only (lowerTotal): per non-empty
+// cell, its sample count and tight box. Nothing is summed over it, so it
+// leaves the canonical order and every coverage bit alone.
 type CoverageEstimator struct {
 	samples []behavior.Vector
 	workers int
@@ -80,6 +84,11 @@ type CoverageEstimator struct {
 	cellStart []int
 	cellLo    []behavior.Vector
 	cellHi    []behavior.Vector
+	// boundN[f] samples lie in the box boundLo[f]..boundHi[f]: the
+	// non-empty cells of the bound grid (boundResolution per axis).
+	boundN  []float64
+	boundLo []behavior.Vector
+	boundHi []behavior.Vector
 }
 
 // DefaultSamples matches the paper's sample count.
@@ -89,9 +98,20 @@ const DefaultSamples = 1_000_000
 // average (enough to amortize the per-cell box test), capped at 10 per
 // axis. Below 4096 samples the grid degenerates to a single cell and the
 // estimator behaves exactly like the historical flat implementation.
-func gridResolution(numSamples int) int {
+func gridResolution(numSamples int) int { return cellsPerAxis(numSamples, 256) }
+
+// boundResolution picks the bound grid's cells-per-axis so a cell holds
+// ≥8 samples on average, capped at 10 per axis: 5 at 10⁴ samples, 10
+// from 80 000. A finer grid gives tighter boxes; a bound costs one box
+// distance per cell, against one distance per sample for the total it
+// bounds.
+func boundResolution(numSamples int) int { return cellsPerAxis(numSamples, 8) }
+
+// cellsPerAxis is the largest g ≤ 10 whose g⁴ cells average at least
+// perCell samples (1 when even one cell cannot).
+func cellsPerAxis(numSamples, perCell int) int {
 	g := 1
-	for g < 10 && (g+1)*(g+1)*(g+1)*(g+1)*256 <= numSamples {
+	for g < 10 && (g+1)*(g+1)*(g+1)*(g+1)*perCell <= numSamples {
 		g++
 	}
 	return g
@@ -111,34 +131,57 @@ func NewCoverageEstimator(numSamples int, seed uint64) (*CoverageEstimator, erro
 	}
 	c := &CoverageEstimator{samples: samples, workers: runtime.GOMAXPROCS(0)}
 	c.buildGrid(gridResolution(numSamples))
+	c.buildBounds(boundResolution(numSamples))
 	return c, nil
 }
 
-// cellOf buckets a point into its grid cell id (dim-major).
-func (c *CoverageEstimator) cellOf(s behavior.Vector) int {
+// cellOf buckets a point into its cell id (dim-major) on a grid of g
+// cells per axis.
+func cellOf(s behavior.Vector, g int) int {
 	id := 0
 	for d := 0; d < behavior.Dims; d++ {
-		b := int(s[d] * float64(c.grid))
-		if b >= c.grid {
-			b = c.grid - 1
+		b := int(s[d] * float64(g))
+		if b >= g {
+			b = g - 1
 		}
 		if b < 0 {
 			b = 0
 		}
-		id = id*c.grid + b
+		id = id*g + b
 	}
 	return id
+}
+
+// cellBoxes returns, per cell of a grid of g cells per axis, the
+// estimator's sample count and the samples' tight bounding box (+Inf to
+// -Inf on every axis for an empty cell).
+func (c *CoverageEstimator) cellBoxes(g int) (counts []int, lo, hi []behavior.Vector) {
+	numCells := g * g * g * g
+	counts = make([]int, numCells)
+	lo = make([]behavior.Vector, numCells)
+	hi = make([]behavior.Vector, numCells)
+	for ci := range lo {
+		for d := 0; d < behavior.Dims; d++ {
+			lo[ci][d], hi[ci][d] = math.Inf(1), math.Inf(-1)
+		}
+	}
+	for _, s := range c.samples {
+		ci := cellOf(s, g)
+		counts[ci]++
+		for d := 0; d < behavior.Dims; d++ {
+			lo[ci][d] = min(lo[ci][d], s[d])
+			hi[ci][d] = max(hi[ci][d], s[d])
+		}
+	}
+	return counts, lo, hi
 }
 
 // buildGrid regroups the samples cell-major (stable: draw order is kept
 // within each cell) and computes per-cell tight bounding boxes.
 func (c *CoverageEstimator) buildGrid(g int) {
 	c.grid = g
-	numCells := g * g * g * g
-	counts := make([]int, numCells)
-	for _, s := range c.samples {
-		counts[c.cellOf(s)]++
-	}
+	counts, lo, hi := c.cellBoxes(g)
+	numCells := len(counts)
 	c.cellStart = make([]int, numCells+1)
 	for ci := 0; ci < numCells; ci++ {
 		c.cellStart[ci+1] = c.cellStart[ci] + counts[ci]
@@ -146,30 +189,24 @@ func (c *CoverageEstimator) buildGrid(g int) {
 	ordered := make([]behavior.Vector, len(c.samples))
 	next := append([]int(nil), c.cellStart[:numCells]...)
 	for _, s := range c.samples {
-		ci := c.cellOf(s)
+		ci := cellOf(s, g)
 		ordered[next[ci]] = s
 		next[ci]++
 	}
 	c.samples = ordered
+	c.cellLo, c.cellHi = lo, hi
+}
 
-	c.cellLo = make([]behavior.Vector, numCells)
-	c.cellHi = make([]behavior.Vector, numCells)
-	for ci := 0; ci < numCells; ci++ {
-		lo, hi := c.cellLo[ci], c.cellHi[ci]
-		for d := 0; d < behavior.Dims; d++ {
-			lo[d], hi[d] = math.Inf(1), math.Inf(-1)
+// buildBounds keeps the non-empty cells of a grid of g cells per axis
+// as the bound grid lowerTotal reads.
+func (c *CoverageEstimator) buildBounds(g int) {
+	counts, lo, hi := c.cellBoxes(g)
+	for ci, n := range counts {
+		if n > 0 {
+			c.boundN = append(c.boundN, float64(n))
+			c.boundLo = append(c.boundLo, lo[ci])
+			c.boundHi = append(c.boundHi, hi[ci])
 		}
-		for _, s := range c.samples[c.cellStart[ci]:c.cellStart[ci+1]] {
-			for d := 0; d < behavior.Dims; d++ {
-				if s[d] < lo[d] {
-					lo[d] = s[d]
-				}
-				if s[d] > hi[d] {
-					hi[d] = s[d]
-				}
-			}
-		}
-		c.cellLo[ci], c.cellHi[ci] = lo, hi
 	}
 }
 
@@ -189,7 +226,12 @@ func (c *CoverageEstimator) numCells() int {
 // behavior.Distance of every sample in the box, so comparisons against
 // it never wrongly skip a cell.
 func (c *CoverageEstimator) boxDistance(ci int, p behavior.Vector) float64 {
-	lo, hi := &c.cellLo[ci], &c.cellHi[ci]
+	return boxDist(&c.cellLo[ci], &c.cellHi[ci], p)
+}
+
+// boxDist is the distance from p to the box lo..hi, accumulated like
+// behavior.Distance (see boxDistance).
+func boxDist(lo, hi *behavior.Vector, p behavior.Vector) float64 {
 	var s float64
 	for d := 0; d < behavior.Dims; d++ {
 		var diff float64
@@ -201,6 +243,28 @@ func (c *CoverageEstimator) boxDistance(ci int, p behavior.Vector) float64 {
 		s += diff * diff
 	}
 	return math.Sqrt(s)
+}
+
+// lowerTotal returns a lower bound on the sample-distance total of the
+// one-member ensemble {p} — what IncrementalCoverage.evalAdd(p) returns
+// on an empty ensemble — from the bound grid alone: Σ_f n_f ·
+// boxDist(f, p), less roundingSlack. Every sample of cell f is at
+// computed distance ≥ boxDist(f, p) (see boxDistance), so the bound
+// holds in real arithmetic; the slack covers the rounding of both float
+// sums (at most NS terms each), so it holds for the computed totals too.
+func (c *CoverageEstimator) lowerTotal(p behavior.Vector) float64 {
+	var sum float64
+	for f, n := range c.boundN {
+		sum += n * boxDist(&c.boundLo[f], &c.boundHi[f], p)
+	}
+	return sum - c.roundingSlack(sum)
+}
+
+// roundingSlack is 4·NS·2⁻⁵³·total: twice the worst-case rounding error
+// of two float sums of NS non-negative terms that come to about total.
+// Bounds that relate two computed totals give up this much.
+func (c *CoverageEstimator) roundingSlack(total float64) float64 {
+	return 4 * float64(len(c.samples)) * 0x1p-53 * total
 }
 
 // NumSamples returns the sample count.

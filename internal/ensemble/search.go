@@ -270,7 +270,7 @@ func ImproveSpreadExchangeCtx(ctx context.Context, pool []behavior.Vector, membe
 // coverage search step). It returns exactly what a
 // full scan — every remaining candidate evaluated every round, ties to
 // the lowest pool position — returns (naiveCoverageGreedy in the tests
-// is that scan), while evaluating about half the candidates.
+// is that scan), while evaluating about 40 % of the candidates.
 func BestCoverageGreedyCtx(ctx context.Context, cov *CoverageEstimator, pool []behavior.Vector, idx []int, maxSize int) ([][]int, error) {
 	out, _, err := coverageGreedy(ctx, cov, pool, idx, maxSize)
 	return out, err
@@ -290,15 +290,17 @@ func BestCoverageGreedyCtx(ctx context.Context, cov *CoverageEstimator, pool []b
 //   - the totals are float sums of NS terms, so the real-number bound
 //     holds for them only up to rounding: the stale reduction carries
 //     the slack of the two sums it was measured from, and the bound
-//     subtracts the slack of the two it is applied to (a slack is
-//     4·NS·2⁻⁵³·total, twice the worst-case rounding of two such sums);
+//     subtracts the slack of the two it is applied to (roundingSlack);
 //   - the test compares coverages, not totals, because two totals can
 //     round to one coverage and the full scan breaks coverage ties by
 //     pool position — so a tying candidate is still evaluated, and the
 //     winner is the highest coverage, then the lowest position.
 //
-// Rounds 1 and 2 evaluate everyone: the empty ensemble's total is +Inf,
-// so no finite reduction exists before round 2 has measured one.
+// The empty ensemble's total is +Inf, so round 1 has no reduction to
+// bound with. Its floor is the estimator's lowerTotal instead: round 1
+// visits by ascending lowerTotal (then pool position) and stops with the
+// same test. Every round-1 gain is +Inf, evaluated or not, so round 2
+// evaluates everyone in pool order, as the full scan would.
 func coverageGreedy(ctx context.Context, cov *CoverageEstimator, pool []behavior.Vector, idx []int, maxSize int) (out [][]int, evals int, err error) {
 	n := len(idx)
 	if maxSize > n {
@@ -316,24 +318,28 @@ func coverageGreedy(ctx context.Context, cov *CoverageEstimator, pool []behavior
 		return nil, 0, err
 	}
 	var members []int
-	rest := make([]int, n)     // candidates not yet chosen, as positions in idx
-	gain := make([]float64, n) // per position: upper bound on its reduction
+	rest := make([]int, n)      // candidates not yet chosen, as positions in idx
+	gain := make([]float64, n)  // per position: upper bound on its reduction
+	first := make([]float64, n) // per position: lower bound on its round-1 total
 	for j := range rest {
 		rest[j], gain[j] = j, math.Inf(1)
+		first[j] = cov.lowerTotal(pool[idx[j]])
 	}
-	slackPerUnit := 4 * float64(cov.NumSamples()) * 0x1p-53
 	for k := 1; k <= maxSize; k++ {
-		slices.SortFunc(rest, func(a, b int) int {
-			if c := cmp.Compare(gain[b], gain[a]); c != 0 {
-				return c
-			}
-			return a - b
-		})
+		if k == 1 {
+			slices.SortFunc(rest, func(a, b int) int { return cmp.Or(cmp.Compare(first[a], first[b]), a-b) })
+		} else {
+			slices.SortFunc(rest, func(a, b int) int { return cmp.Or(cmp.Compare(gain[b], gain[a]), a-b) })
+		}
 		cur := ic.total()
-		slack := slackPerUnit * cur
+		slack := cov.roundingSlack(cur)
 		best, bestCov := -1, -1.0
 		for at, j := range rest {
-			if floor := cur - gain[j] - slack; floor > 0 && ic.finish(floor) < bestCov {
+			floor := cur - gain[j] - slack
+			if k == 1 {
+				floor = first[j]
+			}
+			if floor > 0 && ic.finish(floor) < bestCov {
 				break
 			}
 			if err := ctx.Err(); err != nil {

@@ -339,3 +339,21 @@ func TestConvergedInLastPermittedStep(t *testing.T) {
 		t.Fatalf("%d supersteps, converged=%t; want 5, true", n, res.Trace.Converged)
 	}
 }
+
+// TestParseAllocs: resolving a known name allocates nothing, and an
+// unknown one keeps its error text.
+func TestParseAllocs(t *testing.T) {
+	for _, s := range []string{"", "gas", "Pregel", "XSTREAM", "graphcentric"} {
+		if a := testing.AllocsPerRun(100, func() {
+			if _, err := Parse(s); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("Parse(%q): %v allocs, want 0", s, a)
+		}
+	}
+	const want = `model: unknown execution model "giraph" (known: [gas pregel xstream graphcentric])`
+	if _, err := Parse("giraph"); err == nil || err.Error() != want {
+		t.Fatalf("Parse(giraph) error = %v, want %s", err, want)
+	}
+}
