@@ -225,6 +225,40 @@ func TestLoadFileDetectsJournal(t *testing.T) {
 	}
 }
 
+// TestLoadFileJournalRerecordIsOneRecord: a spec that failed and was
+// re-recorded ok by a resumed campaign appends a second journal line for
+// its ID; the corpus holds one record for it, the ok one, and no "_2" key.
+func TestLoadFileJournalRerecordIsOneRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "runs.json.journal")
+	j, err := sweep.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := sweep.Spec{Algorithm: "PR", SizeLabel: "1e5", Alpha: 2.5}
+	for _, e := range []sweep.JournalEntry{
+		{ID: spec.ID(), Spec: spec, Status: behavior.StatusFailed, Err: "boom"},
+		{ID: "<CC, 1e3, 2.00>", Status: behavior.StatusOK, Run: fakeRun("CC", "1e3", 2)},
+		{ID: spec.ID(), Spec: spec, Status: behavior.StatusOK, Run: fakeRun("PR", "1e5", 2.5)},
+	} {
+		if err := j.Record(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Records) != 2 || snap.OKCount() != 2 {
+		t.Fatalf("records = %d ok = %d, want 2/2", len(snap.Records), snap.OKCount())
+	}
+	if k := snap.Records[0].Key; k != "PR_1e5_a2.5" {
+		t.Errorf("re-recorded spec keyed %q, want PR_1e5_a2.5 at its first position", k)
+	}
+	if _, ok := snap.Lookup("PR_1e5_a2.5_2"); ok {
+		t.Error("re-recorded spec gave a second corpus record")
+	}
+}
+
 func TestStoreSwapVersionsAndReload(t *testing.T) {
 	runs := []*behavior.Run{fakeRun("PR", "1e5", 2.5)}
 	body, _ := json.Marshal(runs)

@@ -2,18 +2,18 @@ package sweep
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"gcbench/internal/behavior"
 	"gcbench/internal/obs"
 )
 
-// metricJournalWrites counts atomic journal rewrites (one per Record).
-var metricJournalWrites = obs.Default().Counter("gcbench_sweep_journal_writes_total", "Checkpoint journal rewrites.")
+// metricJournalWrites counts journal appends (one per Record).
+var metricJournalWrites = obs.Default().Counter("gcbench_sweep_journal_writes_total", "Checkpoint journal appends.")
 
 // JournalEntry is one checkpoint record: the final outcome of one spec,
 // keyed by the spec's ID. Successful entries embed the measured behavior
@@ -48,35 +48,35 @@ func entryOf(r RunResult) JournalEntry {
 	}
 }
 
-// Journal is a campaign checkpoint: an append-only JSONL file with one
-// JournalEntry per line, rewritten atomically (temp file + rename in the
-// journal's directory) on every Record so a killed process never leaves a
-// torn file behind. Re-recording a spec ID (a failed run retried by a
-// resumed campaign) replaces the earlier entry.
+// Journal is a campaign checkpoint: a JSONL file with one JournalEntry
+// per line. Record appends one line per finished spec and fsyncs it, so a
+// kill leaves at most a torn final line, which LoadJournal drops.
+// Re-recording a spec ID (a failed run retried by a resumed campaign)
+// appends again, and the last line for an ID wins.
 type Journal struct {
 	path string
 
 	mu      sync.Mutex
-	order   []string
 	entries map[string]JournalEntry
+	err     error // sticky: a failed append may have left a torn line
 }
 
 // OpenJournal opens (or creates) the journal at path, loading any
-// existing entries for resume. A trailing partial line — a write cut off
-// by a kill before the atomic rewrite landed — is tolerated and dropped.
+// existing entries for resume. A torn final line is cut from the file so
+// the next append starts a line of its own.
 func OpenJournal(path string) (*Journal, error) {
 	j := &Journal{path: path, entries: make(map[string]JournalEntry)}
-	entries, err := LoadJournal(path)
+	entries, complete, torn, err := loadJournal(path)
+	if os.IsNotExist(err) {
+		return j, nil
+	}
+	if err == nil && torn {
+		err = os.Truncate(path, complete)
+	}
 	if err != nil {
-		if os.IsNotExist(err) {
-			return j, nil
-		}
 		return nil, err
 	}
 	for _, e := range entries {
-		if _, ok := j.entries[e.ID]; !ok {
-			j.order = append(j.order, e.ID)
-		}
 		j.entries[e.ID] = e
 	}
 	return j, nil
@@ -106,107 +106,104 @@ func (j *Journal) Completed(spec Spec) (*behavior.Run, bool) {
 	return e.Run, true
 }
 
-// Entries returns the recorded entries in first-recorded order.
-func (j *Journal) Entries() []JournalEntry {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]JournalEntry, 0, len(j.order))
-	for _, id := range j.order {
-		out = append(out, j.entries[id])
-	}
-	return out
-}
-
-// Record checkpoints one finished spec and atomically persists the
-// journal. Safe for concurrent use by campaign worker goroutines.
+// Record checkpoints one finished spec: it appends the entry as one JSON
+// line and fsyncs it. After a failed append every later Record fails too,
+// so a partial line can only ever be the file's last. Safe for concurrent
+// use by campaign worker goroutines.
 func (j *Journal) Record(e JournalEntry) error {
+	line, err := json.Marshal(e)
+	if err != nil {
+		return err
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, ok := j.entries[e.ID]; !ok {
-		j.order = append(j.order, e.ID)
+	if j.err != nil {
+		return j.err
+	}
+	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(append(line, '\n')); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		j.err = err
+		return err
 	}
 	j.entries[e.ID] = e
 	metricJournalWrites.Inc()
-	return j.flushLocked()
+	return nil
 }
 
-// flushLocked writes every entry as one JSON line to a temp file in the
-// journal's directory, fsyncs, and renames it over the journal path.
-func (j *Journal) flushLocked() error {
-	dir := filepath.Dir(j.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(j.path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	bw := bufio.NewWriter(tmp)
-	enc := json.NewEncoder(bw)
-	for _, id := range j.order {
-		if err := enc.Encode(j.entries[id]); err != nil {
-			tmp.Close()
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), j.path)
-}
-
-// LoadJournal reads a journal file's entries in file order. A final
-// partial line is dropped; a malformed line elsewhere is an error.
+// LoadJournal reads a journal's entries, one per spec ID: the last line
+// for an ID wins, at the position of the ID's first line. A final line
+// without its newline is a torn append and is dropped even if it parses;
+// a malformed line that ends in a newline is an error.
 func LoadJournal(path string) ([]JournalEntry, error) {
+	entries, _, _, err := loadJournal(path)
+	return entries, err
+}
+
+// loadJournal is LoadJournal, also reporting the byte length of the
+// file's complete lines and whether a torn tail follows them.
+func loadJournal(path string) (entries []JournalEntry, complete int64, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, 0, false, err
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	var entries []JournalEntry
-	var pendingErr error
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if len(text) == 0 {
+	sc.Buffer(make([]byte, 64<<10), 64<<20) // at most 64 MiB a line
+	// Lines keep their newline, so a torn tail is the one token without.
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			return i + 1, data[:i+1], nil
+		}
+		if atEOF && len(data) > 0 {
+			return len(data), data, nil
+		}
+		return 0, nil, nil
+	})
+	at := map[string]int{}
+	for line := 1; sc.Scan(); line++ {
+		b := sc.Bytes()
+		if b[len(b)-1] != '\n' {
+			return entries, complete, true, nil
+		}
+		complete += int64(len(b))
+		if len(bytes.TrimSpace(b)) == 0 {
 			continue
 		}
 		var e JournalEntry
-		if err := json.Unmarshal([]byte(text), &e); err != nil {
-			// Only tolerate corruption on the final line (torn write).
-			pendingErr = fmt.Errorf("sweep: journal %s line %d: %w", path, line, err)
+		if err := json.Unmarshal(b, &e); err != nil {
+			return nil, 0, false, fmt.Errorf("sweep: journal %s line %d: %w", path, line, err)
+		}
+		if i, ok := at[e.ID]; ok {
+			entries[i] = e
 			continue
 		}
-		if pendingErr != nil {
-			return nil, pendingErr
-		}
+		at[e.ID] = len(entries)
 		entries = append(entries, e)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("sweep: reading journal %s: %w", path, err)
+		return nil, 0, false, fmt.Errorf("sweep: reading journal %s: %w", path, err)
 	}
-	return entries, nil
+	return entries, complete, false, nil
 }
 
 // Summary renders a one-line résumé of the journal for CLI output.
 func (j *Journal) Summary() string {
-	entries := j.Entries()
-	ok, failed := 0, 0
-	for _, e := range entries {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	ok := 0
+	for _, e := range j.entries {
 		if e.Status == behavior.StatusOK {
 			ok++
-		} else {
-			failed++
 		}
 	}
-	return fmt.Sprintf("%d checkpointed (%d ok, %d failed)", len(entries), ok, failed)
+	return fmt.Sprintf("%d checkpointed (%d ok, %d failed)", len(j.entries), ok, len(j.entries)-ok)
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -355,12 +356,29 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	if len(entries) != 2 {
 		t.Fatalf("got %d entries, want 2", len(entries))
 	}
-	// Corruption anywhere else is a real error, not silently dropped.
-	if err := os.WriteFile(jpath, []byte("garbage\n{\"id\":\"x\"}\n"), 0o644); err != nil {
+	good, err := os.ReadFile(jpath)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadJournal(jpath); err == nil {
-		t.Fatal("mid-file corruption accepted")
+	good = good[:bytes.LastIndexByte(good, '\n')+1]
+	// A final line without its newline is torn even when it parses: the
+	// append that wrote it never reached its fsync.
+	whole := bytes.SplitAfter(good, []byte("\n"))[0]
+	if err := os.WriteFile(jpath, append(good, whole[:len(whole)-1]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if entries, err := LoadJournal(jpath); err != nil || len(entries) != 2 {
+		t.Fatalf("parsing torn tail: %d entries, err %v; want 2, nil", len(entries), err)
+	}
+	// Corruption anywhere else is a real error, not silently dropped —
+	// also when a torn line follows it.
+	for _, tail := range []string{"garbage\n{\"id\":\"x\"}\n", "garbage\n{\"id\":\"<CC, trun"} {
+		if err := os.WriteFile(jpath, append(good, tail...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadJournal(jpath); err == nil {
+			t.Fatalf("mid-file corruption accepted before %q", tail)
+		}
 	}
 }
 
