@@ -42,8 +42,7 @@ func cmdServe(args []string) error {
 	shardAddrs := fs.String("shard-addrs", "", "serve over externally-started shard processes: shard groups separated by ';', replica endpoints by ',' (e.g. \"h:9301,h:9302;h:9303,h:9304\" = 2 shards × 2 replicas); see 'gcbench shard-serve'")
 	shardSpawn := fs.Bool("shard-spawn", false, "spawn -shards × -replicas 'gcbench shard-serve' child processes on loopback ports, supervised: crashed shards are restarted and rehydrated (epoch-fenced)")
 	jobsOn := fs.Bool("jobs", false, "enable the async campaign API (POST /api/campaigns, /api/jobs): completed campaigns publish into the live corpus")
-	maxRunning := fs.Int("max-running", 1, "concurrently executing campaigns (with -jobs)")
-	queueDepth := fs.Int("queue-depth", 16, "campaigns queued behind the running ones before POST /api/campaigns sheds with 429 (with -jobs)")
+	queueDepth := fs.Int("queue-depth", 16, "campaigns queued behind the running one before POST /api/campaigns sheds with 429 (with -jobs)")
 	traceCap := fs.Int("traces", 512, "request traces retained for /debug/traces, tail-sampled (errors, 429s and slowest decile kept preferentially); 0 disables tracing")
 	vb := verbosityFlags(fs)
 	fs.Parse(args)
@@ -100,10 +99,7 @@ func cmdServe(args []string) error {
 	}
 	var mgr *jobs.Manager
 	if *jobsOn {
-		mgr = jobs.NewManager(jobs.Config{
-			MaxRunning: *maxRunning,
-			QueueDepth: *queueDepth,
-		})
+		mgr = jobs.NewManager(jobs.Config{QueueDepth: *queueDepth})
 	}
 	var traces *otrace.Store
 	if *traceCap > 0 {
@@ -159,9 +155,10 @@ func cmdServe(args []string) error {
 
 // stopServe is serve's shutdown sequence, both steps within one drain
 // budget. The job manager closes first: it refuses new campaigns,
-// cancels queued and running ones and waits for them to finalize, so
-// their checkpoints are flushed and their NDJSON event streams — which
-// no request deadline bounds — end. Then HTTP drains the remaining
+// cancels the queued ones and the running one and waits for it to
+// finalize, so every NDJSON event stream — which no request deadline
+// bounds — ends. API campaigns keep no journal: the finished runs of a
+// job cut short are dropped, not published. Then HTTP drains the remaining
 // in-flight requests, design searches holding worker slots included.
 // In the other order the drain would wait out the budget on any open
 // event stream. Last, the access log writes out the lines it holds.

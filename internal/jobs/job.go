@@ -8,81 +8,95 @@ import (
 	"gcbench/internal/sweep"
 )
 
-// Job is one tracked campaign. All methods are safe for concurrent use;
+// Job is one tracked campaign. Its append-only event log, plus the
+// campaign's result once there is one, is all the state it has: State
+// and Status fold the log. All methods are safe for concurrent use;
 // obtain jobs from Manager.Submit or Manager.Get.
 type Job struct {
-	id        string
-	label     string
-	req       Request
-	total     int
-	createdAt time.Time
+	id  string
+	req Request
+	// ctx is the campaign's context, independent of the submitting
+	// request so an HTTP-submitted campaign outlives its 202.
+	ctx    context.Context
+	cancel context.CancelFunc
+	done   chan struct{} // closed by the terminal state event
 
-	mu              sync.Mutex
-	state           State
-	startedAt       time.Time
-	finishedAt      time.Time
-	doneCount       int
-	err             string
-	corpusVersion   int64
-	cancel          context.CancelFunc
-	cancelRequested bool
-	res             *sweep.CampaignResult
-	resErr          error
-	events          []Event
-	updated         chan struct{} // closed and replaced on every event append
-	watchers        int
+	mu      sync.Mutex
+	events  []Event
+	updated chan struct{} // closed and replaced on every append
+	res     *sweep.CampaignResult
+	resErr  error
+}
 
-	done chan struct{} // closed when the job reaches a terminal state
+// newJob builds a job whose log opens with its queued event.
+func newJob(id string, req Request) *Job {
+	ctx, cancel := context.WithCancel(context.Background())
+	j := &Job{id: id, req: req, ctx: ctx, cancel: cancel, done: make(chan struct{}), updated: make(chan struct{})}
+	j.emit(Event{Type: "state", State: StateQueued})
+	return j
 }
 
 // ID returns the job's manager-assigned identifier ("j1", "j2", ...).
 func (j *Job) ID() string { return j.id }
 
-// State returns the job's current lifecycle state.
+// State returns the job's current lifecycle state: that of its last
+// state event.
 func (j *Job) State() State {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state
+	for i := len(j.events) - 1; ; i-- {
+		if j.events[i].Type == "state" {
+			return j.events[i].State
+		}
+	}
 }
 
-// Status renders a point-in-time snapshot (without queue position; see
-// Manager.StatusOf for the queue-aware variant).
+// Status folds the log into a point-in-time snapshot (without queue
+// position; see Manager.StatusOf for the queue-aware variant).
 func (j *Job) Status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := Status{
-		ID:            j.id,
-		Label:         j.label,
-		State:         j.state,
-		Total:         j.total,
-		Done:          j.doneCount,
-		Error:         j.err,
-		CorpusVersion: j.corpusVersion,
-		CreatedAt:     j.createdAt,
-		StartedAt:     j.startedAt,
-		FinishedAt:    j.finishedAt,
+	st := Status{ID: j.id, Label: j.req.Label, Total: len(j.req.Specs), CreatedAt: j.events[0].Time}
+	for _, e := range j.events {
+		switch e.Type {
+		case "state":
+			st.State, st.Error = e.State, e.Error
+			if e.State == StateRunning {
+				st.StartedAt = e.Time
+			} else if e.State.Terminal() {
+				st.FinishedAt = e.Time
+			}
+		case "progress":
+			st.Done = max(st.Done, e.Done)
+		case "published":
+			st.CorpusVersion = e.CorpusVersion
+		}
 	}
-	if j.res != nil {
-		st.Completed = j.res.Completed
-		st.Skipped = j.res.Skipped
-		st.FailedRuns = j.res.Failed
-		st.CancelledRuns = j.res.Cancelled
-		st.Done = len(j.res.Results)
+	if r := j.res; r != nil {
+		st.Completed, st.Skipped, st.FailedRuns, st.CancelledRuns = r.Completed, r.Skipped, r.Failed, r.Cancelled
+		st.Done = len(r.Results)
 	}
 	return st
 }
 
+// Log returns the events from index from on, and a channel closed at the
+// next append. Appended events never change, so a reader replays the log
+// in place and waits on the channel for more.
+func (j *Job) Log(from int) ([]Event, <-chan struct{}) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	n := len(j.events)
+	return j.events[from:n:n], j.updated
+}
+
 // Result returns the campaign outcome exactly as sweep.ExecuteCampaign
-// produced it (nil result for jobs cancelled before starting). Valid
-// once the job is terminal; callers usually Wait first.
+// produced it; a job cancelled before starting has every spec cancelled.
+// Valid once the job is terminal; callers usually Wait first.
 func (j *Job) Result() (*sweep.CampaignResult, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.res, j.resErr
 }
-
-// Done returns a channel closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Wait blocks until the job is terminal or ctx expires, returning the
 // job's final state (or its current state with ctx's error on timeout).
@@ -95,136 +109,22 @@ func (j *Job) Wait(ctx context.Context) (State, error) {
 	}
 }
 
-// Watchers returns how many Watch streams are currently attached.
-func (j *Job) Watchers() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.watchers
-}
-
-// Watch streams the job's events: everything already emitted is
-// replayed in order, then live events follow. The channel closes after
-// the terminal "state" event has been delivered, or when ctx is
-// cancelled (client disconnect). Any number of watchers may be active.
-func (j *Job) Watch(ctx context.Context) <-chan Event {
-	ch := make(chan Event)
-	j.mu.Lock()
-	j.watchers++
-	j.mu.Unlock()
-	go func() {
-		defer close(ch)
-		defer func() {
-			j.mu.Lock()
-			j.watchers--
-			j.mu.Unlock()
-		}()
-		next := 0
-		for {
-			j.mu.Lock()
-			pending := j.events[next:]
-			updated := j.updated
-			j.mu.Unlock()
-			for _, e := range pending {
-				select {
-				case ch <- e:
-				case <-ctx.Done():
-					return
-				}
-				next++
-				if e.Type == "state" && e.State.Terminal() {
-					return
-				}
-			}
-			select {
-			case <-updated:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return ch
-}
-
-// Events returns a copy of everything emitted so far.
-func (j *Job) Events() []Event {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]Event(nil), j.events...)
-}
-
-// emit appends one event and wakes every watcher.
+// emit appends one event to the log and wakes its readers; the terminal
+// state event also releases Wait.
 func (j *Job) emit(e Event) {
 	j.mu.Lock()
-	e.Seq = len(j.events) + 1
-	e.Time = time.Now().UTC()
-	e.JobID = j.id
+	defer j.mu.Unlock()
+	e.Seq, e.Time, e.JobID = len(j.events)+1, time.Now().UTC(), j.id
 	j.events = append(j.events, e)
 	close(j.updated)
 	j.updated = make(chan struct{})
-	j.mu.Unlock()
-}
-
-// markRunning transitions queued → running.
-func (j *Job) markRunning() {
-	j.mu.Lock()
-	j.state = StateRunning
-	j.startedAt = time.Now().UTC()
-	j.mu.Unlock()
-	j.emit(Event{Type: "state", State: StateRunning})
-}
-
-// finish transitions to a terminal state and releases waiters. Called
-// exactly once per job, by Manager.finalize.
-func (j *Job) finish(state State, msg string) {
-	j.mu.Lock()
-	j.state = state
-	j.err = msg
-	j.finishedAt = time.Now().UTC()
-	j.mu.Unlock()
-	j.emit(Event{Type: "state", State: state, Error: msg})
-	close(j.done)
-}
-
-func (j *Job) noteProgress(done int) {
-	j.mu.Lock()
-	if done > j.doneCount {
-		j.doneCount = done
-	}
-	j.mu.Unlock()
-}
-
-func (j *Job) setCancel(fn context.CancelFunc) {
-	j.mu.Lock()
-	requested := j.cancelRequested
-	j.cancel = fn
-	j.mu.Unlock()
-	// A cancel that raced ahead of the context's installation must still
-	// take effect, or the campaign would run to completion uncancelled.
-	if requested {
-		fn()
-	}
-}
-
-// cancelCtx cancels the job's campaign context. The request is sticky:
-// if the context is not installed yet, it is cancelled on installation.
-func (j *Job) cancelCtx() {
-	j.mu.Lock()
-	j.cancelRequested = true
-	fn := j.cancel
-	j.mu.Unlock()
-	if fn != nil {
-		fn()
+	if e.Type == "state" && e.State.Terminal() {
+		close(j.done)
 	}
 }
 
 func (j *Job) setResult(res *sweep.CampaignResult, err error) {
 	j.mu.Lock()
 	j.res, j.resErr = res, err
-	j.mu.Unlock()
-}
-
-func (j *Job) setCorpusVersion(v int64) {
-	j.mu.Lock()
-	j.corpusVersion = v
 	j.mu.Unlock()
 }

@@ -6,10 +6,11 @@
 // sweep` calls sweep.ExecuteCampaign directly, so its -listen /metrics
 // has no gcbench_jobs_* families.
 //
-// The manager is a FIFO scheduler with two bounds: MaxRunning campaigns
-// execute concurrently, and at most QueueDepth more wait behind them.
-// A submission past both bounds is refused with ErrQueueFull, which the
-// HTTP layer maps to 429 — backpressure instead of unbounded memory.
+// The manager runs one campaign at a time (a campaign is parallel
+// inside already; see sweep.Config) and queues at most QueueDepth more
+// behind it, FIFO. A submission past that bound is refused with
+// ErrQueueFull, which the HTTP layer maps to 429 — backpressure instead
+// of unbounded memory.
 //
 // Every job owns a cancellable context and walks one state machine:
 //
@@ -18,24 +19,24 @@
 //	   │ Cancel               │ Cancel           ▼  demotes to failed)
 //	   └──────────► cancelled ◄┘            failed
 //
-// ok, failed and cancelled are terminal. Terminal jobs are retained
-// (bounded by Retain, oldest evicted first) so clients can read results
-// after completion without the manager growing forever.
+// ok, failed and cancelled are terminal. The 64 newest terminal jobs are
+// retained, so clients can read results after completion without the
+// manager growing forever.
 //
-// Progress is a subscribable event stream: the manager re-emits the
-// sweep runner's per-spec progress callbacks as ordered Events that any
-// number of watchers can replay-then-follow (Job.Watch) — the data
-// source for the serve layer's NDJSON streams. When a publish sink is
-// installed (SetPublish), a job that completes with measured runs pushes
-// them into the live corpus before its terminal state becomes visible,
-// so a client that polls "state == ok" can rely on the corpus already
-// containing the new runs.
+// A job's state is its append-only event log: queued, running, one
+// progress event per finished spec, published, and the terminal state.
+// Status folds it, and the serve layer's NDJSON stream reads it in place
+// (Job.Log). When a publish sink is installed (SetPublish), a job that
+// completes with measured runs pushes them into the live corpus before
+// its terminal state becomes visible, so a client that polls "state ==
+// ok" can rely on the corpus already containing the new runs.
 package jobs
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -64,14 +65,16 @@ func (s State) Terminal() bool {
 
 // Sentinel errors of the submission path.
 var (
-	// ErrQueueFull refuses a submission when MaxRunning jobs are running
-	// and QueueDepth more are already waiting (HTTP 429).
+	// ErrQueueFull refuses a submission when a campaign is running and
+	// QueueDepth more are already waiting (HTTP 429).
 	ErrQueueFull = errors.New("jobs: queue full")
 	// ErrClosed refuses submissions after Close.
 	ErrClosed = errors.New("jobs: manager closed")
-	// ErrNotFound reports an unknown (or GC-evicted) job ID.
-	ErrNotFound = errors.New("jobs: no such job")
 )
+
+// retain bounds how many terminal jobs are kept for later inspection
+// before the oldest are evicted.
+const retain = 64
 
 // Event is one entry in a job's ordered progress stream.
 type Event struct {
@@ -101,8 +104,9 @@ type Request struct {
 	// Specs is the campaign plan; must be non-empty.
 	Specs []sweep.Spec
 	// Config is the resilient-runner configuration (timeout, retries,
-	// journal, parallelism). The manager sets Config.Progress to its own
-	// event emission.
+	// parallelism). The manager sets Config.Progress to its own event
+	// emission. The serve API sets no Journal, so a job cancelled or shut
+	// down mid-campaign drops its finished runs: only an ok job publishes.
 	Config sweep.Config
 	// Label is a human-readable tag echoed in Status ("sweep -profile
 	// quick", "PR smoke", ...).
@@ -151,15 +155,9 @@ type ExecuteFunc func(ctx context.Context, specs []sweep.Spec, cfg sweep.Config)
 
 // Config parameterizes a Manager.
 type Config struct {
-	// MaxRunning bounds concurrently executing campaigns (default 1 —
-	// campaigns are internally parallel already; see sweep.Config).
-	MaxRunning int
-	// QueueDepth bounds jobs waiting behind the running ones before
+	// QueueDepth bounds jobs waiting behind the running one before
 	// Submit refuses with ErrQueueFull (default 16).
 	QueueDepth int
-	// Retain bounds how many terminal jobs are kept for later inspection
-	// before the oldest are evicted (default 64).
-	Retain int
 	// Registry receives the gcbench_jobs_* metrics (default obs.Default()).
 	Registry *obs.Registry
 	// Execute runs a campaign (default sweep.ExecuteCampaign; test seam).
@@ -174,8 +172,8 @@ type Manager struct {
 	mu      sync.Mutex
 	jobs    map[string]*Job
 	order   []string // submission order, for List and GC
-	queue   []*Job   // FIFO of jobs waiting for a running slot
-	running int
+	queue   []*Job   // FIFO of jobs waiting for the runner
+	running *Job     // the campaign executing; nil when the runner is free
 	nextID  int
 	closed  bool
 	publish PublishFunc
@@ -193,14 +191,8 @@ type Manager struct {
 
 // NewManager builds a Manager from cfg, applying defaults.
 func NewManager(cfg Config) *Manager {
-	if cfg.MaxRunning <= 0 {
-		cfg.MaxRunning = 1
-	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 16
-	}
-	if cfg.Retain <= 0 {
-		cfg.Retain = 64
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.Default()
@@ -234,50 +226,34 @@ func (m *Manager) SetPublish(fn PublishFunc) {
 	m.publish = fn
 }
 
-// Submit accepts a campaign for asynchronous execution: immediately
-// started when a running slot is free, otherwise queued FIFO. Returns
-// ErrQueueFull when both bounds are exhausted and ErrClosed after Close.
+// Submit accepts a campaign for asynchronous execution: started at once
+// when no campaign is running, otherwise queued FIFO. Returns
+// ErrQueueFull when the queue is full and ErrClosed after Close.
 func (m *Manager) Submit(req Request) (*Job, error) {
 	if len(req.Specs) == 0 {
 		return nil, fmt.Errorf("jobs: empty campaign (no specs)")
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.closed {
-		m.mu.Unlock()
 		return nil, ErrClosed
 	}
-	start := m.running < m.cfg.MaxRunning
-	if !start && len(m.queue) >= m.cfg.QueueDepth {
-		m.mu.Unlock()
+	if m.running != nil && len(m.queue) >= m.cfg.QueueDepth {
 		m.mShed.Inc()
 		return nil, ErrQueueFull
 	}
 	m.nextID++
-	j := &Job{
-		id:        fmt.Sprintf("j%d", m.nextID),
-		label:     req.Label,
-		req:       req,
-		total:     len(req.Specs),
-		createdAt: time.Now().UTC(),
-		state:     StateQueued,
-		updated:   make(chan struct{}),
-		done:      make(chan struct{}),
-	}
+	j := newJob(fmt.Sprintf("j%d", m.nextID), req)
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
-	if start {
-		m.running++
+	m.mSubmitted.Inc()
+	if m.running == nil {
+		m.running = j
+		go m.run(j)
 	} else {
 		m.queue = append(m.queue, j)
 	}
 	m.updateGaugesLocked()
-	m.mu.Unlock()
-
-	m.mSubmitted.Inc()
-	j.emit(Event{Type: "state", State: StateQueued})
-	if start {
-		m.start(j)
-	}
 	return j, nil
 }
 
@@ -292,10 +268,9 @@ func (m *Manager) Get(id string) (*Job, bool) {
 // List returns every tracked job's status in submission order.
 func (m *Manager) List() []Status {
 	m.mu.Lock()
-	ids := append([]string(nil), m.order...)
-	jobs := make([]*Job, 0, len(ids))
-	for _, id := range ids {
-		jobs = append(jobs, m.jobs[id])
+	jobs := make([]*Job, len(m.order))
+	for i, id := range m.order {
+		jobs[i] = m.jobs[id]
 	}
 	m.mu.Unlock()
 	out := make([]Status, len(jobs))
@@ -310,113 +285,74 @@ func (m *Manager) StatusOf(j *Job) Status {
 	st := j.Status()
 	if st.State == StateQueued {
 		m.mu.Lock()
-		for i, q := range m.queue {
-			if q == j {
-				st.QueuePosition = i + 1
-				break
-			}
-		}
+		st.QueuePosition = slices.Index(m.queue, j) + 1
 		m.mu.Unlock()
 	}
 	return st
 }
 
-// Cancel stops a job: a queued job transitions to cancelled without ever
+// Cancel stops a job: a queued job is retired as cancelled without ever
 // starting, a running one has its context cancelled (the sweep runner
 // stops at its next iteration barriers and the job finalizes
-// asynchronously). Cancelling a terminal job is a no-op. Returns
-// ErrNotFound for unknown IDs.
-func (m *Manager) Cancel(id string) error {
+// asynchronously). Cancelling a terminal job is a no-op.
+func (m *Manager) Cancel(j *Job) {
 	m.mu.Lock()
-	j, ok := m.jobs[id]
-	if !ok {
-		m.mu.Unlock()
-		return ErrNotFound
+	i := slices.Index(m.queue, j)
+	if i >= 0 {
+		m.queue = slices.Delete(m.queue, i, i+1)
+		m.updateGaugesLocked()
 	}
-	wasQueued := false
-	for i, q := range m.queue {
-		if q == j {
-			m.queue = append(m.queue[:i], m.queue[i+1:]...)
-			wasQueued = true
-			break
-		}
-	}
-	m.updateGaugesLocked()
 	m.mu.Unlock()
-
-	if wasQueued {
-		// Mirror what ExecuteCampaign returns under a pre-cancelled
-		// context: every spec accounted for as cancelled, nothing run.
-		res := &sweep.CampaignResult{
-			Results:   make([]sweep.RunResult, len(j.req.Specs)),
-			Cancelled: len(j.req.Specs),
-		}
-		for i, s := range j.req.Specs {
-			res.Results[i] = sweep.RunResult{
-				Spec: s, Status: behavior.StatusCancelled, Err: context.Canceled.Error(),
-			}
-		}
-		j.setResult(res, context.Canceled)
-		m.finalize(j, StateCancelled, "cancelled while queued")
-		return nil
+	if i >= 0 {
+		m.retire(j, "cancelled while queued")
+	} else {
+		j.cancel()
 	}
-	j.cancelCtx()
-	return nil
 }
 
-// Close stops accepting submissions, cancels every queued and running
-// job, and waits for running jobs to finalize until ctx expires.
+// Close stops accepting submissions, retires every queued job, cancels
+// the running one and waits for it to finalize until ctx expires.
 func (m *Manager) Close(ctx context.Context) error {
 	m.mu.Lock()
 	m.closed = true
-	queued := m.queue
+	queued, running := m.queue, m.running
 	m.queue = nil
-	inQueue := make(map[*Job]bool, len(queued))
-	for _, j := range queued {
-		inQueue[j] = true
-	}
-	// Every non-terminal job off the queue has been started (its campaign
-	// goroutine may not have marked it running yet), so it must be
-	// cancelled and awaited, not finalized here.
-	var active []*Job
-	for _, j := range m.jobs {
-		if !inQueue[j] && !j.State().Terminal() {
-			active = append(active, j)
-		}
-	}
 	m.updateGaugesLocked()
 	m.mu.Unlock()
 
 	for _, j := range queued {
-		j.setResult(nil, context.Canceled)
-		m.finalize(j, StateCancelled, "cancelled: manager closed")
+		m.retire(j, "cancelled: manager closed")
 	}
-	for _, j := range active {
-		j.cancelCtx()
+	if running == nil {
+		return nil
 	}
-	for _, j := range active {
-		select {
-		case <-j.done:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+	running.cancel()
+	select {
+	case <-running.done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	return nil
 }
 
-// start launches a job's campaign goroutine. The job context is
-// independent of any submitting request so an HTTP-submitted campaign
-// outlives its submission request.
-func (m *Manager) start(j *Job) {
-	ctx, cancel := context.WithCancel(context.Background())
-	j.setCancel(cancel)
-	go m.run(ctx, j)
+// retire finalizes a job taken off the queue before it started, with
+// what ExecuteCampaign returns under a pre-cancelled context: every spec
+// accounted for as cancelled, nothing run.
+func (m *Manager) retire(j *Job, msg string) {
+	res := &sweep.CampaignResult{Results: make([]sweep.RunResult, len(j.req.Specs)), Cancelled: len(j.req.Specs)}
+	for i, s := range j.req.Specs {
+		res.Results[i] = sweep.RunResult{Spec: s, Status: behavior.StatusCancelled, Err: context.Canceled.Error()}
+	}
+	j.cancel()
+	j.setResult(res, context.Canceled)
+	m.finalize(j, StateCancelled, msg)
 }
 
-// run executes one campaign and finalizes the job.
-func (m *Manager) run(ctx context.Context, j *Job) {
-	defer j.cancelCtx()
-	j.markRunning()
+// run executes one campaign, finalizes the job and hands the runner to
+// the next queued job.
+func (m *Manager) run(j *Job) {
+	defer j.cancel()
+	j.emit(Event{Type: "state", State: StateRunning})
 
 	// The job span survives the submitting request's 202: its parent (the
 	// serve root span) has long ended, but the trace keeps accepting
@@ -425,12 +361,11 @@ func (m *Manager) run(ctx context.Context, j *Job) {
 	// untraced submission propagates a nil span and nothing records.
 	jobSpan := j.req.Span.StartChild("job "+j.id, "job",
 		otrace.Int("specs", len(j.req.Specs)),
-		otrace.String("label", j.label))
-	ctx = otrace.ContextWithSpan(ctx, jobSpan)
+		otrace.String("label", j.req.Label))
+	ctx := otrace.ContextWithSpan(j.ctx, jobSpan)
 
 	cfg := j.req.Config
 	cfg.Progress = func(done, total int, id string) {
-		j.noteProgress(done)
 		j.emit(Event{Type: "progress", Done: done, Total: total, RunID: id})
 	}
 
@@ -459,7 +394,6 @@ func (m *Manager) run(ctx context.Context, j *Job) {
 			if perr != nil {
 				state, msg = StateFailed, fmt.Sprintf("publishing %d runs: %v", len(res.Runs), perr)
 			} else {
-				j.setCorpusVersion(version)
 				m.mPublished.Add(float64(len(res.Runs)))
 				j.emit(Event{Type: "published", CorpusVersion: version})
 			}
@@ -475,13 +409,20 @@ func (m *Manager) run(ctx context.Context, j *Job) {
 	jobSpan.End()
 
 	m.finalize(j, state, msg)
-	m.scheduleNext()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.running = nil
+	if !m.closed && len(m.queue) > 0 {
+		m.running, m.queue = m.queue[0], m.queue[1:]
+		go m.run(m.running)
+	}
+	m.updateGaugesLocked()
 }
 
-// finalize moves a job to a terminal state, bumps the terminal counters,
-// and evicts the oldest retained terminal jobs past the Retain bound.
+// finalize emits a job's terminal state, bumps the terminal counters,
+// and evicts the oldest terminal jobs beyond the retain bound.
 func (m *Manager) finalize(j *Job, state State, msg string) {
-	j.finish(state, msg)
+	j.emit(Event{Type: "state", State: state, Error: msg})
 	switch state {
 	case StateOK:
 		m.mOK.Inc()
@@ -490,55 +431,33 @@ func (m *Manager) finalize(j *Job, state State, msg string) {
 	case StateCancelled:
 		m.mCancelled.Inc()
 	}
-	m.gc()
-}
-
-// scheduleNext frees the finished job's running slot and starts the
-// oldest queued job, if any.
-func (m *Manager) scheduleNext() {
-	m.mu.Lock()
-	m.running--
-	var next *Job
-	if !m.closed && len(m.queue) > 0 {
-		next = m.queue[0]
-		m.queue = m.queue[1:]
-		m.running++
-	}
-	m.updateGaugesLocked()
-	m.mu.Unlock()
-	if next != nil {
-		m.start(next)
-	}
-}
-
-// gc evicts the oldest terminal jobs beyond the Retain bound.
-func (m *Manager) gc() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var terminal []string
-	for _, id := range m.order {
-		if m.jobs[id].State().Terminal() {
-			terminal = append(terminal, id)
+	excess := -retain
+	for _, job := range m.jobs {
+		if job.State().Terminal() {
+			excess++
 		}
 	}
-	for len(terminal) > m.cfg.Retain {
-		id := terminal[0]
-		terminal = terminal[1:]
-		delete(m.jobs, id)
-		for i, o := range m.order {
-			if o == id {
-				m.order = append(m.order[:i], m.order[i+1:]...)
-				break
-			}
+	m.order = slices.DeleteFunc(m.order, func(id string) bool {
+		if excess > 0 && m.jobs[id].State().Terminal() {
+			excess--
+			delete(m.jobs, id)
+			return true
 		}
-	}
+		return false
+	})
 	m.updateGaugesLocked()
 }
 
 // updateGaugesLocked refreshes the queue/running/retained gauges.
 // Callers hold m.mu.
 func (m *Manager) updateGaugesLocked() {
+	running := 0.0
+	if m.running != nil {
+		running = 1
+	}
 	m.gQueued.Set(float64(len(m.queue)))
-	m.gRunning.Set(float64(m.running))
+	m.gRunning.Set(running)
 	m.gRetained.Set(float64(len(m.jobs)))
 }

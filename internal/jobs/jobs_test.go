@@ -115,7 +115,8 @@ func TestJobRunsToOKAndPublishes(t *testing.T) {
 	// The event stream must show the full lifecycle in order: queued,
 	// running, three progress ticks, published, ok.
 	var types []string
-	for _, e := range j.Events() {
+	events, _ := j.Log(0)
+	for _, e := range events {
 		types = append(types, e.Type+"/"+string(e.State))
 	}
 	want := []string{"state/queued", "state/running", "progress/", "progress/", "progress/", "published/", "state/ok"}
@@ -134,7 +135,6 @@ func TestCancelWhileQueuedNeverExecutes(t *testing.T) {
 	executed := make(chan string, 8)
 	exec := blockingExec(release)
 	m := newTestManager(t, Config{
-		MaxRunning: 1,
 		Execute: func(ctx context.Context, specs []sweep.Spec, cfg sweep.Config) (*sweep.CampaignResult, error) {
 			executed <- specs[0].SizeLabel
 			return exec(ctx, specs, cfg)
@@ -152,9 +152,7 @@ func TestCancelWhileQueuedNeverExecutes(t *testing.T) {
 		t.Fatalf("second job not queued at position 1: %+v", st)
 	}
 
-	if err := m.Cancel(queued.ID()); err != nil {
-		t.Fatal(err)
-	}
+	m.Cancel(queued)
 	waitState(t, queued, StateCancelled)
 	res, rerr := queued.Result()
 	if !errors.Is(rerr, context.Canceled) {
@@ -191,16 +189,15 @@ func TestCancelMidRunFinalizesCancelled(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := m.Cancel(j.ID()); err != nil {
-		t.Fatal(err)
-	}
+	m.Cancel(j)
 	waitState(t, j, StateCancelled)
 	if publishCalls != 0 {
 		t.Fatalf("cancelled job published %d times; cancelled runs must not enter the corpus", publishCalls)
 	}
-	// Cancelling again is a no-op, not an error.
-	if err := m.Cancel(j.ID()); err != nil {
-		t.Fatalf("second cancel: %v", err)
+	// Cancelling again is a no-op.
+	m.Cancel(j)
+	if st := j.Status(); st.State != StateCancelled || st.CancelledRuns != 2 {
+		t.Fatalf("status after a second cancel: %+v", st)
 	}
 }
 
@@ -208,7 +205,7 @@ func TestQueueFullSheds(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	reg := obs.NewRegistry()
-	m := newTestManager(t, Config{MaxRunning: 1, QueueDepth: 1, Registry: reg, Execute: blockingExec(release)})
+	m := newTestManager(t, Config{QueueDepth: 1, Registry: reg, Execute: blockingExec(release)})
 	if _, err := m.Submit(Request{Specs: testSpecs(1)}); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +219,7 @@ func TestQueueFullSheds(t *testing.T) {
 
 func TestQueuedJobStartsAfterSlotFrees(t *testing.T) {
 	release := make(chan struct{})
-	m := newTestManager(t, Config{MaxRunning: 1, Execute: blockingExec(release)})
+	m := newTestManager(t, Config{Execute: blockingExec(release)})
 	first, _ := m.Submit(Request{Specs: testSpecs(1)})
 	second, err := m.Submit(Request{Specs: testSpecs(1)})
 	if err != nil {
@@ -265,62 +262,102 @@ func TestPublishErrorDemotesJob(t *testing.T) {
 	}
 }
 
-func TestWatchReplaysAndTerminates(t *testing.T) {
+func TestLogReplaysAndTerminates(t *testing.T) {
 	m := newTestManager(t, Config{Execute: instantExec})
 	j, _ := m.Submit(Request{Specs: testSpecs(2)})
 	waitState(t, j, StateOK)
 
-	// A watcher attached after completion replays everything, then the
-	// channel closes — it must not hang waiting for more.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	var got []Event
-	for e := range j.Watch(ctx) {
-		got = append(got, e)
-	}
-	if ctx.Err() != nil {
-		t.Fatal("watch did not terminate after the terminal event")
-	}
-	if len(got) == 0 || got[len(got)-1].State != StateOK {
-		t.Fatalf("replay ended with %+v, want terminal ok state event", got)
+	// A reader that comes after completion replays everything, ending on
+	// the terminal event; nothing follows it. No publish sink is
+	// installed, so there is no published event.
+	got, _ := j.Log(0)
+	if len(got) != 2+3 || got[len(got)-1].State != StateOK {
+		t.Fatalf("log %+v, want 5 events ending in the terminal ok state event", got)
 	}
 	for i, e := range got {
-		if e.Seq != i+1 {
-			t.Fatalf("event %d has seq %d; stream must be gapless from 1", i, e.Seq)
+		if e.Seq != i+1 || e.JobID != j.ID() {
+			t.Fatalf("event %d has seq %d, job %q; the log must be gapless from 1", i, e.Seq, e.JobID)
 		}
+	}
+	if rest, _ := j.Log(len(got)); len(rest) != 0 {
+		t.Fatalf("log grew after the terminal event: %+v", rest)
 	}
 }
 
-func TestWatchStopsOnClientCancel(t *testing.T) {
+func TestLogWakesOnAppend(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	m := newTestManager(t, Config{Execute: blockingExec(release)})
-	j, _ := m.Submit(Request{Specs: testSpecs(1)})
+	m.Submit(Request{Specs: testSpecs(1)}) // holds the runner
+	queued, _ := m.Submit(Request{Specs: testSpecs(1)})
 
-	ctx, cancel := context.WithCancel(context.Background())
-	ch := j.Watch(ctx)
-	<-ch // queued event arrives
-	cancel()
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case _, open := <-ch:
-			if !open {
-				if j.Watchers() != 0 {
-					t.Fatalf("%d watchers still attached after cancel", j.Watchers())
-				}
-				return
+	events, updated := queued.Log(0)
+	if len(events) != 1 || events[0].State != StateQueued {
+		t.Fatalf("queued job's log %+v, want its one queued event", events)
+	}
+	select {
+	case <-updated:
+		t.Fatal("wake-up channel closed with no new event")
+	default:
+	}
+	m.Cancel(queued)
+	select {
+	case <-updated:
+	case <-time.After(5 * time.Second):
+		t.Fatal("appending the cancelled event did not wake the reader")
+	}
+	if rest, _ := queued.Log(1); len(rest) != 1 || rest[0].State != StateCancelled {
+		t.Fatalf("log after cancel %+v, want one cancelled event", rest)
+	}
+}
+
+// TestQueuedCancelAccountsEveryRun retires a queued job through Cancel
+// and through Close: either way every spec is a cancelled run.
+func TestQueuedCancelAccountsEveryRun(t *testing.T) {
+	for _, path := range []string{"Cancel", "Close"} {
+		release := make(chan struct{})
+		m := newTestManager(t, Config{Execute: blockingExec(release)})
+		m.Submit(Request{Specs: testSpecs(1)})
+		queued, _ := m.Submit(Request{Specs: testSpecs(3)})
+		if path == "Cancel" {
+			m.Cancel(queued)
+		} else {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			if err := m.Close(ctx); err != nil {
+				t.Fatalf("close: %v", err)
 			}
-		case <-deadline:
-			t.Fatal("watch channel never closed after context cancel")
+			cancel()
 		}
+		waitState(t, queued, StateCancelled)
+		st := queued.Status()
+		if st.Done != 3 || st.CancelledRuns != 3 || st.Total != 3 {
+			t.Errorf("%s: done %d, cancelledRuns %d, total %d; want 3 each", path, st.Done, st.CancelledRuns, st.Total)
+		}
+		if res, err := queued.Result(); res == nil || len(res.Results) != 3 || !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: result %+v, %v; want 3 cancelled specs and context.Canceled", path, res, err)
+		}
+		close(release)
+	}
+}
+
+// TestCancelBeforeRunStarts cancels a job the runner has taken but may
+// not have marked running yet: the cancel must still take effect.
+func TestCancelBeforeRunStarts(t *testing.T) {
+	m := newTestManager(t, Config{Execute: blockingExec(nil)})
+	for i := 0; i < 50; i++ {
+		j, err := m.Submit(Request{Specs: testSpecs(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Cancel(j)
+		waitState(t, j, StateCancelled)
 	}
 }
 
 func TestRetainEvictsOldestTerminal(t *testing.T) {
-	m := newTestManager(t, Config{Retain: 2, Execute: instantExec})
+	m := newTestManager(t, Config{Execute: instantExec})
 	var ids []string
-	for i := 0; i < 4; i++ {
+	for i := 0; i < retain+2; i++ {
 		j, err := m.Submit(Request{Specs: testSpecs(1)})
 		if err != nil {
 			t.Fatal(err)
@@ -328,20 +365,22 @@ func TestRetainEvictsOldestTerminal(t *testing.T) {
 		waitState(t, j, StateOK)
 		ids = append(ids, j.ID())
 	}
-	if _, ok := m.Get(ids[0]); ok {
-		t.Fatalf("job %s should have been GC'd (retain=2)", ids[0])
+	for _, id := range ids[:2] {
+		if _, ok := m.Get(id); ok {
+			t.Fatalf("job %s should have been GC'd (retain=%d)", id, retain)
+		}
 	}
-	if _, ok := m.Get(ids[3]); !ok {
-		t.Fatalf("newest job %s must survive GC", ids[3])
+	if _, ok := m.Get(ids[2]); !ok {
+		t.Fatalf("job %s is within the retain bound and must survive GC", ids[2])
 	}
-	if got := len(m.List()); got != 2 {
-		t.Fatalf("%d jobs tracked, want 2", got)
+	if got := len(m.List()); got != retain {
+		t.Fatalf("%d jobs tracked, want %d", got, retain)
 	}
 }
 
 func TestCloseCancelsQueuedAndRefusesSubmits(t *testing.T) {
 	release := make(chan struct{})
-	m := NewManager(Config{MaxRunning: 1, Registry: obs.NewRegistry(), Execute: blockingExec(release)})
+	m := NewManager(Config{Registry: obs.NewRegistry(), Execute: blockingExec(release)})
 	running, _ := m.Submit(Request{Specs: testSpecs(1)})
 	queued, _ := m.Submit(Request{Specs: testSpecs(1)})
 

@@ -49,7 +49,7 @@ func (c countingConn) Write(p []byte) (int, error) {
 func TestAPIFramingAndWriteCount(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	s, _ := newJobsServer(t, jobs.Config{MaxRunning: 1, Execute: blockingExecute(release)},
+	s, _ := newJobsServer(t, jobs.Config{Execute: blockingExecute(release)},
 		func(cfg *Config) { cfg.Traces = otrace.NewStore(16) })
 	var writes atomic.Int64
 	ts := httptest.NewUnstartedServer(s.Handler())

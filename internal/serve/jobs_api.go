@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -65,6 +66,12 @@ func (req *campaignRequest) buildSpecs() ([]sweep.Spec, error) {
 	}
 	if req.TimeoutSeconds < 0 {
 		return nil, errInvalidf("timeoutSeconds must be ≥ 0, got %g", req.TimeoutSeconds)
+	}
+	// A float64 of 2⁶³ or more has no time.Duration; converting it is
+	// implementation-defined, so refuse it before config() does.
+	if req.TimeoutSeconds*float64(time.Second) >= math.MaxInt64 {
+		return nil, errInvalidf("timeoutSeconds must be below %g (the longest time.Duration), got %g",
+			float64(math.MaxInt64)/float64(time.Second), req.TimeoutSeconds)
 	}
 	if err := req.config().Validate(); err != nil {
 		return nil, errInvalidf("%v", err)
@@ -171,30 +178,26 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // handleJobCancel serves DELETE /api/jobs/{id}: cooperative cancellation.
 // Queued jobs are terminal immediately; running ones stop at their next
 // engine iteration barriers and finalize asynchronously — poll the job
-// (or watch its events) for the terminal state.
+// (or read its events) for the terminal state.
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.jobByID(w, r)
 	if !ok {
 		return
 	}
-	if job.State().Terminal() {
+	if state := job.State(); state.Terminal() {
 		writeError(w, http.StatusConflict, "already_terminal",
-			"job %s already finished with state %q", job.ID(), job.State())
+			"job %s already finished with state %q", job.ID(), state)
 		return
 	}
-	if err := s.cfg.Jobs.Cancel(job.ID()); err != nil {
-		writeError(w, http.StatusInternalServerError, "cancel_failed", "%v", err)
-		return
-	}
+	s.cfg.Jobs.Cancel(job)
 	writeJSON(w, http.StatusAccepted, map[string]any{"job": s.cfg.Jobs.StatusOf(job)})
 }
 
-// handleJobEvents serves GET /api/jobs/{id}/events: the job's progress
-// stream as NDJSON — one JSON event per line, past events replayed
-// first, then live ones as they happen, with heartbeat lines every
-// 15 s of silence so intermediaries keep the connection open.
-// The stream ends after the terminal state event, or when the client
-// disconnects.
+// handleJobEvents serves GET /api/jobs/{id}/events: the job's event log
+// as NDJSON — one JSON event per line, read in place from the first,
+// then each as it is appended, with heartbeat lines every 15 s of
+// silence so intermediaries keep the connection open. The stream ends
+// after the terminal state event, or when the client disconnects.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.jobByID(w, r)
 	if !ok {
@@ -217,17 +220,19 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 
 	heartbeat := time.NewTicker(s.jobsHeartbeat)
 	defer heartbeat.Stop()
-	events := job.Watch(r.Context())
-	for {
-		select {
-		case e, open := <-events:
-			if !open {
+	for next := 0; ; {
+		events, updated := job.Log(next)
+		next += len(events)
+		for _, e := range events {
+			if !writeEvent(e) || (e.Type == "state" && e.State.Terminal()) {
 				return
 			}
-			if !writeEvent(e) {
-				return
-			}
+		}
+		if len(events) > 0 {
 			heartbeat.Reset(s.jobsHeartbeat)
+		}
+		select {
+		case <-updated:
 		case <-heartbeat.C:
 			if !writeEvent(jobs.Event{Type: "heartbeat", JobID: job.ID(), Time: time.Now().UTC()}) {
 				return

@@ -30,7 +30,7 @@ func TestServeLoadSmoke(t *testing.T) {
 	}{
 		{"1x1", func(t *testing.T) (*Server, *jobs.Manager) { return newTestServer(t, nil), nil }},
 		{"4x2-publishing", func(t *testing.T) (*Server, *jobs.Manager) {
-			return newJobsServer(t, jobs.Config{MaxRunning: 1, QueueDepth: 2}, func(cfg *Config) {
+			return newJobsServer(t, jobs.Config{QueueDepth: 2}, func(cfg *Config) {
 				cfg.Cluster = clusterOver(t, standardSnapshot(t), 4, 2)
 			})
 		}},
