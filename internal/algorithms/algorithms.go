@@ -64,15 +64,14 @@ func (o Options) engineOptions() engine.Options {
 // sendRun signals every neighbor across v's run on side: the Scatter of a
 // program whose condition, if any, depends on the scattering vertex alone.
 func sendRun(side *graph.CSR, v uint32, out *engine.Signals) {
-	for _, o := range side.Adj[side.Off[v]:side.Off[v+1]] {
-		out.Send(o)
-	}
+	out.SendRun(side.Adj[side.Off[v]:side.Off[v+1]])
 }
 
-// sendAll is the Scatter of a program that signals across every arc.
+// sendAll is the Scatter of a program that signals across every arc. It
+// slices the runs itself: SendRun inlines here, sendRun does not.
 func sendAll(vs []uint32, side *graph.CSR, out *engine.Signals) {
 	for _, v := range vs {
-		sendRun(side, v, out)
+		out.SendRun(side.Adj[side.Off[v]:side.Off[v+1]])
 	}
 }
 

@@ -37,13 +37,11 @@ func initFactor(v uint32, scale float64) cfFactor {
 	return f
 }
 
-// cfDot is ⟨a, b⟩, summed in index order.
+// cfDot is ⟨a, b⟩, summed in index order from +0 with each product
+// rounded before it is added, so no platform fuses a step.
 func cfDot(a, b *cfFactor) float64 {
-	s := 0.0
-	for i, x := range a {
-		s += x * b[i]
-	}
-	return s
+	return 0 + float64(a[0]*b[0]) + float64(a[1]*b[1]) + float64(a[2]*b[2]) + float64(a[3]*b[3]) +
+		float64(a[4]*b[4]) + float64(a[5]*b[5]) + float64(a[6]*b[6]) + float64(a[7]*b[7])
 }
 
 // alsAccum carries the per-vertex normal equations: A = Σ f·fᵀ over rated
@@ -86,32 +84,79 @@ func (p *alsProgram) Gather(vs []uint32, side *graph.CSR, state []cfState, acc [
 	}
 }
 
-// gatherRun adds one run of ratings to the normal equations. Products are
-// rounded before they are added (the float64 conversions), as when each
-// rating's contribution was a value of its own, so no platform fuses them.
+// gatherRun adds one run of ratings to the normal equations: per rating,
+// 8 updates of b and the 36 of A's lower triangle, written out over the
+// rated counterpart's factor in locals. Products are rounded before they
+// are added (the float64 conversions), as when each rating's contribution
+// was a value of its own, so no platform fuses them; each slot sums its
+// ratings in run order. A vertex's first rating of the iteration sets the
+// slots instead. The run is never empty (Of reported it).
 func (p *alsProgram) gatherRun(nb *engine.Edges[cfState], acc *alsAccum, has bool) bool {
-	for e, o := range nb.Other {
-		f, w := &nb.State[o].F, nb.Weight(e)
-		if !has {
-			for i, fi := range f {
-				acc.B[i] = w * fi
-				row := &acc.A[i]
-				for j, fj := range f[:i+1] {
-					row[j] = fi * fj
-				}
-			}
-			acc.N, has = 1, true
-			continue
-		}
-		for i, fi := range f {
-			acc.B[i] += float64(w * fi)
-			row := &acc.A[i]
-			for j, fj := range f[:i+1] {
-				row[j] += float64(fi * fj)
-			}
-		}
-		acc.N++
+	a, b, run := &acc.A, &acc.B, nb.Other
+	e := 0
+	if !has {
+		f, w := &nb.State[run[0]].F, nb.Weight(0)
+		f0, f1, f2, f3, f4, f5, f6, f7 := f[0], f[1], f[2], f[3], f[4], f[5], f[6], f[7]
+		b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7] = w*f0, w*f1, w*f2, w*f3, w*f4, w*f5, w*f6, w*f7
+		a[0][0] = f0 * f0
+		a[1][0], a[1][1] = f1*f0, f1*f1
+		a[2][0], a[2][1], a[2][2] = f2*f0, f2*f1, f2*f2
+		a[3][0], a[3][1], a[3][2], a[3][3] = f3*f0, f3*f1, f3*f2, f3*f3
+		a[4][0], a[4][1], a[4][2], a[4][3], a[4][4] = f4*f0, f4*f1, f4*f2, f4*f3, f4*f4
+		a[5][0], a[5][1], a[5][2], a[5][3], a[5][4], a[5][5] = f5*f0, f5*f1, f5*f2, f5*f3, f5*f4, f5*f5
+		a[6][0], a[6][1], a[6][2], a[6][3], a[6][4], a[6][5], a[6][6] = f6*f0, f6*f1, f6*f2, f6*f3, f6*f4, f6*f5, f6*f6
+		a[7][0], a[7][1], a[7][2], a[7][3], a[7][4], a[7][5], a[7][6], a[7][7] = f7*f0, f7*f1, f7*f2, f7*f3, f7*f4, f7*f5, f7*f6, f7*f7
+		acc.N, e = 0, 1
 	}
+	for ; e < len(run); e++ {
+		f, w := &nb.State[run[e]].F, nb.Weight(e)
+		f0, f1, f2, f3, f4, f5, f6, f7 := f[0], f[1], f[2], f[3], f[4], f[5], f[6], f[7]
+		b[0] += float64(w * f0)
+		b[1] += float64(w * f1)
+		b[2] += float64(w * f2)
+		b[3] += float64(w * f3)
+		b[4] += float64(w * f4)
+		b[5] += float64(w * f5)
+		b[6] += float64(w * f6)
+		b[7] += float64(w * f7)
+		a[0][0] += float64(f0 * f0)
+		a[1][0] += float64(f1 * f0)
+		a[1][1] += float64(f1 * f1)
+		a[2][0] += float64(f2 * f0)
+		a[2][1] += float64(f2 * f1)
+		a[2][2] += float64(f2 * f2)
+		a[3][0] += float64(f3 * f0)
+		a[3][1] += float64(f3 * f1)
+		a[3][2] += float64(f3 * f2)
+		a[3][3] += float64(f3 * f3)
+		a[4][0] += float64(f4 * f0)
+		a[4][1] += float64(f4 * f1)
+		a[4][2] += float64(f4 * f2)
+		a[4][3] += float64(f4 * f3)
+		a[4][4] += float64(f4 * f4)
+		a[5][0] += float64(f5 * f0)
+		a[5][1] += float64(f5 * f1)
+		a[5][2] += float64(f5 * f2)
+		a[5][3] += float64(f5 * f3)
+		a[5][4] += float64(f5 * f4)
+		a[5][5] += float64(f5 * f5)
+		a[6][0] += float64(f6 * f0)
+		a[6][1] += float64(f6 * f1)
+		a[6][2] += float64(f6 * f2)
+		a[6][3] += float64(f6 * f3)
+		a[6][4] += float64(f6 * f4)
+		a[6][5] += float64(f6 * f5)
+		a[6][6] += float64(f6 * f6)
+		a[7][0] += float64(f7 * f0)
+		a[7][1] += float64(f7 * f1)
+		a[7][2] += float64(f7 * f2)
+		a[7][3] += float64(f7 * f3)
+		a[7][4] += float64(f7 * f4)
+		a[7][5] += float64(f7 * f5)
+		a[7][6] += float64(f7 * f6)
+		a[7][7] += float64(f7 * f7)
+	}
+	acc.N += float64(len(run))
 	return true
 }
 

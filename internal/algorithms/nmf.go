@@ -39,24 +39,40 @@ func (p *nmfProgram) Gather(vs []uint32, side *graph.CSR, state []cfState, acc [
 	}
 }
 
-// gatherRun adds one run of ratings; products are rounded before they are
+// gatherRun adds one run of ratings, written out per slot over the rated
+// counterpart's factor in locals; products are rounded before they are
 // added (see alsProgram.gatherRun).
 func (p *nmfProgram) gatherRun(self *cfState, nb *engine.Edges[cfState], acc *nmfAccum, has bool) bool {
-	for e, o := range nb.Other {
-		f, w := &nb.State[o].F, nb.Weight(e)
+	num, den, run := &acc.Num, &acc.Den, nb.Other
+	e := 0
+	if !has {
+		f, w := &nb.State[run[0]].F, nb.Weight(0)
 		pred := cfDot(&self.F, f)
-		if !has {
-			for i, fi := range f {
-				acc.Num[i] = w * fi
-				acc.Den[i] = pred * fi
-			}
-			has = true
-			continue
-		}
-		for i, fi := range f {
-			acc.Num[i] += float64(w * fi)
-			acc.Den[i] += float64(pred * fi)
-		}
+		f0, f1, f2, f3, f4, f5, f6, f7 := f[0], f[1], f[2], f[3], f[4], f[5], f[6], f[7]
+		num[0], num[1], num[2], num[3], num[4], num[5], num[6], num[7] = w*f0, w*f1, w*f2, w*f3, w*f4, w*f5, w*f6, w*f7
+		den[0], den[1], den[2], den[3], den[4], den[5], den[6], den[7] = pred*f0, pred*f1, pred*f2, pred*f3, pred*f4, pred*f5, pred*f6, pred*f7
+		e = 1
+	}
+	for ; e < len(run); e++ {
+		f, w := &nb.State[run[e]].F, nb.Weight(e)
+		pred := cfDot(&self.F, f)
+		f0, f1, f2, f3, f4, f5, f6, f7 := f[0], f[1], f[2], f[3], f[4], f[5], f[6], f[7]
+		num[0] += float64(w * f0)
+		den[0] += float64(pred * f0)
+		num[1] += float64(w * f1)
+		den[1] += float64(pred * f1)
+		num[2] += float64(w * f2)
+		den[2] += float64(pred * f2)
+		num[3] += float64(w * f3)
+		den[3] += float64(pred * f3)
+		num[4] += float64(w * f4)
+		den[4] += float64(pred * f4)
+		num[5] += float64(w * f5)
+		den[5] += float64(pred * f5)
+		num[6] += float64(w * f6)
+		den[6] += float64(pred * f6)
+		num[7] += float64(w * f7)
+		den[7] += float64(pred * f7)
 	}
 	return true
 }

@@ -313,49 +313,62 @@ func BenchmarkEngineScale(b *testing.B) {
 }
 
 // BenchmarkWideGather runs the algorithms whose gather folds an
-// accumulator wider than a couple of words on one worker: ALS, NMF and SGD on a
-// 1e5-rating bipartite graph, KM and AD on a 1e5-edge α = 2.5 graph.
-// ns/edge-read is the whole run over its edge reads; allocs/op is per
-// run — set-up and the per-iteration trace, nothing per vertex or edge.
+// accumulator wider than a couple of words on one worker: ALS, NMF and
+// SGD on a bipartite rating graph, KM and AD on an α = 2.5 graph, each at
+// two sizes. edges=3e3 (CF) and edges=1e4 (KM, AD) are the quick
+// profile's largest graphs, the ones campaign-breadth runs, where the
+// factor state fits in cache and the folds' own instructions set the
+// pace; at edges=1e5 memory does. ns/edge-read is the whole run over its
+// edge reads; allocs/op is per run — set-up and the per-iteration trace,
+// nothing per vertex or edge.
 func BenchmarkWideGather(b *testing.B) {
-	ratings, users := ratingGraph(b, 100_000, 2.5, 1)
-	g := kmGraph(b, 100_000, 0, 1)
-	for _, alg := range []struct {
+	type alg struct {
 		name string
 		run  func() (*Output, error)
+	}
+	for _, size := range []struct {
+		ratings, edges int64
+		cf, ga         string
 	}{
-		{"ALS", func() (*Output, error) {
-			out, _, err := AlternatingLeastSquares(ratings, users, ALSOptions{Options: Options{Workers: 1}})
-			return out, err
-		}},
-		{"NMF", func() (*Output, error) {
-			out, _, err := NonnegativeMatrixFactorization(ratings, users, NMFOptions{Options: Options{Workers: 1}})
-			return out, err
-		}},
-		{"SGD", func() (*Output, error) {
-			out, _, err := StochasticGradientDescent(ratings, users, SGDOptions{Options: Options{Workers: 1}})
-			return out, err
-		}},
-		{"KM", func() (*Output, error) {
-			out, _, err := KMeans(g, KMeansOptions{Options: Options{Workers: 1}, Seed: 1})
-			return out, err
-		}},
-		{"AD", func() (*Output, error) {
-			out, _, err := ApproximateDiameter(g, Options{Workers: 1})
-			return out, err
-		}},
+		{3_000, 10_000, "edges=3e3", "edges=1e4"},
+		{100_000, 100_000, "edges=1e5", "edges=1e5"},
 	} {
-		b.Run(alg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var reads int64
-			for i := 0; i < b.N; i++ {
-				out, err := alg.run()
-				if err != nil {
-					b.Fatal(err)
+		ratings, users := ratingGraph(b, size.ratings, 2.5, 1)
+		g := kmGraph(b, size.edges, 0, 1)
+		for _, alg := range []alg{
+			{"ALS/" + size.cf, func() (*Output, error) {
+				out, _, err := AlternatingLeastSquares(ratings, users, ALSOptions{Options: Options{Workers: 1}})
+				return out, err
+			}},
+			{"NMF/" + size.cf, func() (*Output, error) {
+				out, _, err := NonnegativeMatrixFactorization(ratings, users, NMFOptions{Options: Options{Workers: 1}})
+				return out, err
+			}},
+			{"SGD/" + size.cf, func() (*Output, error) {
+				out, _, err := StochasticGradientDescent(ratings, users, SGDOptions{Options: Options{Workers: 1}})
+				return out, err
+			}},
+			{"KM/" + size.ga, func() (*Output, error) {
+				out, _, err := KMeans(g, KMeansOptions{Options: Options{Workers: 1}, Seed: 1})
+				return out, err
+			}},
+			{"AD/" + size.ga, func() (*Output, error) {
+				out, _, err := ApproximateDiameter(g, Options{Workers: 1})
+				return out, err
+			}},
+		} {
+			b.Run(alg.name, func(b *testing.B) {
+				b.ReportAllocs()
+				var reads int64
+				for i := 0; i < b.N; i++ {
+					out, err := alg.run()
+					if err != nil {
+						b.Fatal(err)
+					}
+					reads += traceTotals(out.Trace).edgeReads
 				}
-				reads += traceTotals(out.Trace).edgeReads
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(reads), "ns/edge-read")
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(reads), "ns/edge-read")
+			})
+		}
 	}
 }

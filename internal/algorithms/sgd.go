@@ -35,22 +35,31 @@ func (p *sgdProgram) Gather(vs []uint32, side *graph.CSR, state []cfState, acc [
 }
 
 // gatherRun adds the gradient contribution of each rating in one run:
-// err·f_other where err = rating − ⟨f_self, f_other⟩, rounded before it is
-// added (see alsProgram.gatherRun).
+// err·f_other where err = rating − ⟨f_self, f_other⟩, written out per
+// slot over f_other in locals and rounded before it is added (see
+// alsProgram.gatherRun).
 func (p *sgdProgram) gatherRun(self *cfState, nb *engine.Edges[cfState], acc *cfFactor, has bool) bool {
-	for e, o := range nb.Other {
-		f := &nb.State[o].F
+	run := nb.Other
+	e := 0
+	if !has {
+		f := &nb.State[run[0]].F
+		errTerm := nb.Weight(0) - cfDot(&self.F, f)
+		f0, f1, f2, f3, f4, f5, f6, f7 := f[0], f[1], f[2], f[3], f[4], f[5], f[6], f[7]
+		acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7] = errTerm*f0, errTerm*f1, errTerm*f2, errTerm*f3, errTerm*f4, errTerm*f5, errTerm*f6, errTerm*f7
+		e = 1
+	}
+	for ; e < len(run); e++ {
+		f := &nb.State[run[e]].F
 		errTerm := nb.Weight(e) - cfDot(&self.F, f)
-		if !has {
-			for i, fi := range f {
-				acc[i] = errTerm * fi
-			}
-			has = true
-			continue
-		}
-		for i, fi := range f {
-			acc[i] += float64(errTerm * fi)
-		}
+		f0, f1, f2, f3, f4, f5, f6, f7 := f[0], f[1], f[2], f[3], f[4], f[5], f[6], f[7]
+		acc[0] += float64(errTerm * f0)
+		acc[1] += float64(errTerm * f1)
+		acc[2] += float64(errTerm * f2)
+		acc[3] += float64(errTerm * f3)
+		acc[4] += float64(errTerm * f4)
+		acc[5] += float64(errTerm * f5)
+		acc[6] += float64(errTerm * f6)
+		acc[7] += float64(errTerm * f7)
 	}
 	return true
 }

@@ -90,56 +90,80 @@ func TestBitsetAppendSetTail(t *testing.T) {
 
 // TestSignalsSerialMatchesShared: the plain-OR path of a one-goroutine
 // phase and the CAS path leave the same next bitset and message count,
-// repeated signals included.
+// repeated signals included — by Send one vertex at a time and by
+// SendRun over the whole run alike.
 func TestSignalsSerialMatchesShared(t *testing.T) {
 	const n = 1000
 	sends := []uint32{0, 63, 64, 64, 999, 5, 5, 5, 512, 0}
-	serial, shared := newBitset(n), newBitset(n)
-	a := Signals{next: serial.words}
-	b := Signals{next: shared.words, shared: true}
-	for _, v := range sends {
-		a.Send(v)
-		b.Send(v)
+	var words [4][]uint64
+	for i, c := range []struct{ shared, run bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		set := newBitset(n)
+		s := Signals{next: set.words, shared: c.shared}
+		if c.run {
+			s.SendRun(sends)
+		} else {
+			for _, v := range sends {
+				s.Send(v)
+			}
+		}
+		if s.sent != int64(len(sends)) {
+			t.Fatalf("shared=%v SendRun=%v: sent %d, want %d", c.shared, c.run, s.sent, len(sends))
+		}
+		if got := set.appendSet(0, n, nil); !slices.Equal(got, []uint32{0, 5, 63, 64, 512, 999}) {
+			t.Fatalf("shared=%v SendRun=%v: signalled set = %v", c.shared, c.run, got)
+		}
+		words[i] = set.words
 	}
-	if a.sent != int64(len(sends)) || b.sent != a.sent {
-		t.Fatalf("sent serial=%d shared=%d, want %d", a.sent, b.sent, len(sends))
-	}
-	if !slices.Equal(serial.words, shared.words) {
-		t.Fatal("serial and shared Send left different bitsets")
-	}
-	if got := serial.appendSet(0, n, nil); !slices.Equal(got, []uint32{0, 5, 63, 64, 512, 999}) {
-		t.Fatalf("signalled set = %v", got)
+	for i := range words[1:] {
+		if !slices.Equal(words[0], words[i+1]) {
+			t.Fatal("Send and SendRun, serial and shared, left different bitsets")
+		}
 	}
 }
 
 // TestSignalsSendIfMatchesSend: on the serial and the shared path alike,
 // SendIf(v, ok) leaves the bitset and message count `if ok { Send(v) }`
-// leaves, over a seeded run of signals that repeats vertices and mixes
-// taken and untaken ones.
+// leaves, and SendRun over the taken signals of a run leaves those of a
+// Send loop over them, over a seeded mix of runs — empty ones included —
+// that repeat vertices, reach the last word and mix taken and untaken
+// signals.
 func TestSignalsSendIfMatchesSend(t *testing.T) {
 	const n = 1000
 	r := rand.New(rand.NewSource(29))
 	for _, shared := range []bool{false, true} {
-		got, want := newBitset(n), newBitset(n)
+		got, want, gotRun := newBitset(n), newBitset(n), newBitset(n)
 		a := Signals{next: got.words, shared: shared}
 		b := Signals{next: want.words, shared: shared}
-		for i := 0; i < 5000; i++ {
-			v, ok := uint32(r.Intn(n)), r.Intn(3) == 0
-			a.SendIf(v, ok)
-			if ok {
-				b.Send(v)
+		c := Signals{next: gotRun.words, shared: shared}
+		for i := 0; i < 1000; i++ {
+			var taken []uint32
+			for k := r.Intn(10); k > 0; k-- {
+				v, ok := uint32(r.Intn(n)), r.Intn(3) == 0
+				a.SendIf(v, ok)
+				if ok {
+					b.Send(v)
+					taken = append(taken, v)
+				}
 			}
+			c.SendRun(taken)
 		}
 		if a.sent != b.sent || !slices.Equal(got.words, want.words) {
 			t.Fatalf("shared=%v: SendIf left %d messages and %d bits, Send %d and %d",
 				shared, a.sent, got.Count(), b.sent, want.Count())
 		}
-		if b.sent == 0 || want.Count() == n {
+		if c.sent != b.sent || !slices.Equal(gotRun.words, want.words) {
+			t.Fatalf("shared=%v: SendRun left %d messages and %d bits, Send %d and %d",
+				shared, c.sent, gotRun.Count(), b.sent, want.Count())
+		}
+		if b.sent == 0 || want.Count() == n || want.words[len(want.words)-1] == 0 {
 			t.Fatalf("shared=%v: %d messages, %d bits: the run proves nothing", shared, b.sent, want.Count())
 		}
 	}
 }
 
+// TestSignalsConcurrentSend: eight goroutines signal into one set on the
+// shared path, half by Send and half by one SendRun each; every bit and
+// every message arrives.
 func TestSignalsConcurrentSend(t *testing.T) {
 	const n = 1 << 16
 	b := newBitset(n)
@@ -150,9 +174,15 @@ func TestSignalsConcurrentSend(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			s := Signals{next: b.words, shared: true}
+			var run []uint32
 			for i := uint32(w); i < n; i += 8 {
-				s.Send(i)
+				if w%2 == 0 {
+					s.Send(i)
+				} else {
+					run = append(run, i)
+				}
 			}
+			s.SendRun(run)
 			sent.Add(s.sent)
 		}(w)
 	}

@@ -91,6 +91,23 @@ func (s *Signals) SendIf(v uint32, ok bool) {
 	}
 }
 
+// SendRun is Send for each vertex of run, in order: it counts len(run)
+// messages at once and, on one goroutine, ORs the bits in a loop with no
+// per-arc test. Shared phases keep the compare-and-swap. It fits the
+// inliner's budget exactly, so a scatter's per-vertex loop makes no call.
+func (s *Signals) SendRun(run []uint32) {
+	s.sent += int64(len(run))
+	if !s.shared {
+		for _, v := range run {
+			s.next[v>>6] |= uint64(1) << (v & 63)
+		}
+		return
+	}
+	for _, v := range run {
+		s.sendShared(v)
+	}
+}
+
 func (s *Signals) sendShared(v uint32) {
 	w := &s.next[v>>6]
 	mask := uint64(1) << (v & 63)

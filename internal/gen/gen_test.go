@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"gcbench/internal/graph"
@@ -126,6 +127,10 @@ func TestPowerLawErrors(t *testing.T) {
 	if _, err := PowerLaw(PowerLawConfig{NumEdges: 100, Alpha: 0.5}); err == nil {
 		t.Fatal("Alpha=0.5 accepted")
 	}
+	// NaN fails the Alpha check itself, not the sampler it would reach.
+	if _, err := PowerLaw(PowerLawConfig{NumEdges: 100, Alpha: math.NaN()}); err == nil || !strings.Contains(err.Error(), "Alpha must exceed 1") {
+		t.Fatalf("Alpha=NaN: %v", err)
+	}
 }
 
 func TestPowerLawWeighted(t *testing.T) {
@@ -210,6 +215,9 @@ func TestBipartiteErrors(t *testing.T) {
 	}
 	if _, _, err := Bipartite(BipartiteConfig{NumEdges: 10, Alpha: 1}); err == nil {
 		t.Fatal("Alpha=1 accepted")
+	}
+	if _, _, err := Bipartite(BipartiteConfig{NumEdges: 10, Alpha: math.NaN()}); err == nil || !strings.Contains(err.Error(), "Alpha must exceed 1") {
+		t.Fatalf("Alpha=NaN: %v", err)
 	}
 }
 

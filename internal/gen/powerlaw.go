@@ -51,7 +51,7 @@ func PowerLaw(cfg PowerLawConfig) (*graph.Graph, error) {
 	if cfg.NumEdges <= 0 {
 		return nil, fmt.Errorf("gen: NumEdges must be positive, got %d", cfg.NumEdges)
 	}
-	if cfg.Alpha <= 1 {
+	if !(cfg.Alpha > 1) { // NaN too
 		return nil, fmt.Errorf("gen: Alpha must exceed 1 for a normalizable degree law, got %v", cfg.Alpha)
 	}
 	r := rng.New(cfg.Seed)

@@ -119,6 +119,9 @@ func (p *Predictor) predict(q Query, indexed bool) (*Prediction, error) {
 	if q.NumEdges <= 0 {
 		return nil, fmt.Errorf("predict: query needs a positive edge count")
 	}
+	if math.IsNaN(q.Alpha) || math.IsInf(q.Alpha, 0) {
+		return nil, fmt.Errorf("predict: query alpha must be finite, got %v", q.Alpha)
+	}
 	qf := featureOf(math.Log10(float64(q.NumEdges)), q.Alpha)
 	feats := p.feats[q.Algorithm]
 
@@ -148,6 +151,11 @@ func (p *Predictor) predict(q Query, indexed bool) (*Prediction, error) {
 			pred.Raw[d] += w * s.raw[d]
 		}
 		pred.Iterations += w * s.iters
+	}
+	// An alpha so far out that every squared distance overflows leaves
+	// every weight 0, and the quotients would be NaN.
+	if !(wSum > 0) || math.IsInf(wSum, 0) {
+		return nil, fmt.Errorf("predict: query alpha %v is too far from the corpus to interpolate", q.Alpha)
 	}
 	for d := 0; d < behavior.Dims; d++ {
 		pred.Raw[d] /= wSum

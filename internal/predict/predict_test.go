@@ -96,6 +96,16 @@ func TestPredictErrors(t *testing.T) {
 	if _, err := p.Predict(Query{Algorithm: "PR", NumEdges: 0}); err == nil {
 		t.Fatal("zero edges accepted")
 	}
+	// A non-finite alpha, or one whose squared distance to every run
+	// overflows (every weight 0), has nothing to interpolate from: an
+	// error, never NaN in the prediction.
+	for _, alpha := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e308} {
+		for _, indexed := range []bool{true, false} {
+			if got, err := p.predict(Query{Algorithm: "PR", NumEdges: 1000, Alpha: alpha}, indexed); err == nil {
+				t.Errorf("alpha %v (indexed %v) accepted: %+v", alpha, indexed, got)
+			}
+		}
+	}
 }
 
 func TestLeaveOneOutSmoothCorpus(t *testing.T) {

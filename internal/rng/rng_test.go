@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -283,6 +284,9 @@ func TestZipfErrors(t *testing.T) {
 	}
 	if _, err := NewZipf(10, -1); err == nil {
 		t.Fatal("NewZipf(_, -1) succeeded")
+	}
+	if _, err := NewZipf(10, math.NaN()); err == nil || !strings.Contains(err.Error(), "alpha >= 0") {
+		t.Fatalf("NewZipf(_, NaN): %v", err)
 	}
 }
 

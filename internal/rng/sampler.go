@@ -144,7 +144,7 @@ func NewZipf(n int, alpha float64) (*Zipf, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("rng: Zipf needs n > 0, got %d", n)
 	}
-	if alpha < 0 {
+	if !(alpha >= 0) { // NaN too
 		return nil, fmt.Errorf("rng: Zipf needs alpha >= 0, got %v", alpha)
 	}
 	a, err := NewAlias(PowerLawWeights(n, alpha))
