@@ -86,16 +86,6 @@ type Snapshot struct {
 	predOnce sync.Once
 	pred     *predict.Predictor
 	predErr  error
-
-	// predBy holds the per-model predictors, built lazily like pred.
-	predMu sync.Mutex
-	predBy map[string]*modelPredictor
-}
-
-// modelPredictor is one lazily built per-model predictor.
-type modelPredictor struct {
-	p   *predict.Predictor
-	err error
 }
 
 // Filter selects records. Empty slices mean "no restriction on this
@@ -487,7 +477,8 @@ func (s *Snapshot) OKCount() int { return len(s.spaceRec) }
 func (s *Snapshot) PoolSize() int { return len(s.poolRec) }
 
 // Predictor returns the snapshot's behavior predictor, built once from
-// the ok runs on first use.
+// the ok runs on first use. A query's Model narrows it to one execution
+// model's runs.
 func (s *Snapshot) Predictor() (*predict.Predictor, error) {
 	s.predOnce.Do(func() {
 		if s.Space == nil {
@@ -497,40 +488,6 @@ func (s *Snapshot) Predictor() (*predict.Predictor, error) {
 		s.pred, s.predErr = predict.New(s.Space.Runs)
 	})
 	return s.pred, s.predErr
-}
-
-// PredictorFor returns a predictor restricted to the measured runs of
-// one execution model (empty or "gas" selects tagged-gas and untagged
-// runs alike), built once per model on first use. Prediction stays
-// within-model: the same computation traverses different event counts
-// under different engines, so mixing models in one nearest-neighbor
-// index would interpolate across incomparable points.
-func (s *Snapshot) PredictorFor(model string) (*predict.Predictor, error) {
-	m := behavior.EffectiveModel(model)
-	s.predMu.Lock()
-	defer s.predMu.Unlock()
-	if s.predBy == nil {
-		s.predBy = map[string]*modelPredictor{}
-	}
-	e, ok := s.predBy[m]
-	if !ok {
-		e = &modelPredictor{}
-		var runs []*behavior.Run
-		if s.Space != nil {
-			for _, r := range s.Space.Runs {
-				if behavior.EffectiveModel(r.Model) == m {
-					runs = append(runs, r)
-				}
-			}
-		}
-		if len(runs) == 0 {
-			e.err = fmt.Errorf("corpus: no measured %s runs to predict from", m)
-		} else {
-			e.p, e.err = predict.New(runs)
-		}
-		s.predBy[m] = e
-	}
-	return e.p, e.err
 }
 
 // Models returns the distinct effective execution models present in the

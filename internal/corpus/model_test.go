@@ -4,12 +4,7 @@ import (
 	"testing"
 
 	"gcbench/internal/behavior"
-	"gcbench/internal/predict"
 )
-
-func predictQuery(alg string, edges int64, alpha float64) predict.Query {
-	return predict.Query{Algorithm: alg, NumEdges: edges, Alpha: alpha}
-}
 
 // fakeModelRun is fakeRun with an execution-model tag.
 func fakeModelRun(alg, size string, alpha float64, model string) *behavior.Run {
@@ -113,63 +108,6 @@ func TestFilterModels(t *testing.T) {
 	}
 }
 
-func TestPredictorForStaysWithinModel(t *testing.T) {
-	var runs []*behavior.Run
-	for _, m := range []string{"", "pregel"} {
-		for _, alpha := range []float64{1.9, 2.2, 2.5} {
-			for _, size := range []string{"1e4", "1e5"} {
-				r := fakeModelRun("PR", size, alpha, m)
-				if size == "1e5" {
-					r.NumEdges = 100000
-				} else {
-					r.NumEdges = 10000
-				}
-				if m == "pregel" {
-					// A deliberately different behavior signature, so a
-					// cross-model mixup would be visible.
-					r.Raw = behavior.Vector{5, 1e-8, 9, 3}
-				}
-				runs = append(runs, r)
-			}
-		}
-	}
-	snap, err := NewSnapshotFromRuns(runs, "test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gas, err := snap.PredictorFor("gas")
-	if err != nil {
-		t.Fatalf("PredictorFor(gas): %v", err)
-	}
-	pre, err := snap.PredictorFor("pregel")
-	if err != nil {
-		t.Fatalf("PredictorFor(pregel): %v", err)
-	}
-	q := struct {
-		alg   string
-		edges int64
-		alpha float64
-	}{"PR", 50000, 2.1}
-	pg, err := gas.Predict(predictQuery(q.alg, q.edges, q.alpha))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp, err := pre.Predict(predictQuery(q.alg, q.edges, q.alpha))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pg.Raw == pp.Raw {
-		t.Error("gas and pregel predictors returned identical vectors; per-model restriction is not applied")
-	}
-	if _, err := snap.PredictorFor("graphcentric"); err == nil {
-		t.Error("PredictorFor(graphcentric) succeeded with no graphcentric runs")
-	}
-	// The default predictor is untouched by the per-model ones.
-	if _, err := snap.Predictor(); err != nil {
-		t.Errorf("Predictor(): %v", err)
-	}
-}
-
 // TestGoldenCorpusMigration is the backward-compat guard: the shipped
 // pre-model-axis corpus must load with byte-identical keys (no model
 // suffixes, no new collisions) and read entirely as effective-GAS.
@@ -191,10 +129,8 @@ func TestGoldenCorpusMigration(t *testing.T) {
 	if got := snap.Models(); len(got) != 1 || got[0] != behavior.ModelGAS {
 		t.Fatalf("Models() = %v, want [gas]", got)
 	}
-	// The per-model gas predictor sees the whole corpus, same as the
-	// default predictor.
-	if _, err := snap.PredictorFor(""); err != nil {
-		t.Fatalf("PredictorFor(\"\"): %v", err)
+	if _, err := snap.Predictor(); err != nil {
+		t.Fatalf("Predictor(): %v", err)
 	}
 	// Version is the Store's to assign: loading alone must not invent one
 	// (a shifted corpusVersion would break cache keys downstream).

@@ -34,8 +34,8 @@ func Bipartite(cfg BipartiteConfig) (*graph.Graph, int, error) {
 	if cfg.NumEdges <= 0 {
 		return nil, 0, fmt.Errorf("gen: NumEdges must be positive, got %d", cfg.NumEdges)
 	}
-	if !(cfg.Alpha > 1) { // NaN too
-		return nil, 0, fmt.Errorf("gen: Alpha must exceed 1, got %v", cfg.Alpha)
+	if err := checkAlpha(cfg.Alpha); err != nil {
+		return nil, 0, err
 	}
 	mean := cfg.RatingMean
 	if mean == 0 {

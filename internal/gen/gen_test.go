@@ -131,6 +131,12 @@ func TestPowerLawErrors(t *testing.T) {
 	if _, err := PowerLaw(PowerLawConfig{NumEdges: 100, Alpha: math.NaN()}); err == nil || !strings.Contains(err.Error(), "Alpha must exceed 1") {
 		t.Fatalf("Alpha=NaN: %v", err)
 	}
+	// From α ≈ 1075 up, 2^-α is 0: every weight past degree 1 vanishes.
+	for _, alpha := range []float64{math.Inf(1), 1e300} {
+		if _, err := PowerLaw(PowerLawConfig{NumEdges: 100, Alpha: alpha}); err == nil {
+			t.Errorf("Alpha=%v accepted", alpha)
+		}
+	}
 }
 
 func TestPowerLawWeighted(t *testing.T) {
@@ -218,6 +224,11 @@ func TestBipartiteErrors(t *testing.T) {
 	}
 	if _, _, err := Bipartite(BipartiteConfig{NumEdges: 10, Alpha: math.NaN()}); err == nil || !strings.Contains(err.Error(), "Alpha must exceed 1") {
 		t.Fatalf("Alpha=NaN: %v", err)
+	}
+	for _, alpha := range []float64{math.Inf(1), 1e300} {
+		if _, _, err := Bipartite(BipartiteConfig{NumEdges: 10, Alpha: alpha}); err == nil {
+			t.Errorf("Alpha=%v accepted", alpha)
+		}
 	}
 }
 

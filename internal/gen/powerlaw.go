@@ -51,8 +51,8 @@ func PowerLaw(cfg PowerLawConfig) (*graph.Graph, error) {
 	if cfg.NumEdges <= 0 {
 		return nil, fmt.Errorf("gen: NumEdges must be positive, got %d", cfg.NumEdges)
 	}
-	if !(cfg.Alpha > 1) { // NaN too
-		return nil, fmt.Errorf("gen: Alpha must exceed 1 for a normalizable degree law, got %v", cfg.Alpha)
+	if err := checkAlpha(cfg.Alpha); err != nil {
+		return nil, err
 	}
 	r := rng.New(cfg.Seed)
 
@@ -110,6 +110,19 @@ func PowerLaw(cfg PowerLawConfig) (*graph.Graph, error) {
 		left -= m
 	}
 	return b.Build()
+}
+
+// checkAlpha refuses an exponent without a usable degree law: at α ≤ 1
+// (or NaN) the law does not normalize, and from α ≈ 1075 up (+Inf
+// included) 2^-α underflows, so every weight past degree 1 is 0.
+func checkAlpha(alpha float64) error {
+	if !(alpha > 1) { // NaN too
+		return fmt.Errorf("gen: Alpha must exceed 1 for a normalizable degree law, got %v", alpha)
+	}
+	if math.Pow(2, -alpha) == 0 {
+		return fmt.Errorf("gen: Alpha %v is too large: every degree past 1 has weight 0", alpha)
+	}
+	return nil
 }
 
 // vertexCountFor sizes the vertex set so that the expected mean degree of

@@ -11,12 +11,10 @@
 // leave-one-out error doubles as a quantitative check of the paper's
 // smoothness observations.
 //
-// Queries are served through a per-algorithm nnindex k-d tree: the
-// exact-hit check (is the queried configuration already measured?) is an
-// O(log n) nearest-neighbor lookup instead of a linear scan, which is
-// the hot path when clients re-query measured configurations. The
-// linear scan stays reachable (predict's indexed=false) as the oracle
-// the differential tests hold Predict bit-identical to.
+// A predictor holds at most a few dozen runs per algorithm (the standard
+// corpus has 20), so every query is one linear pass over the queried
+// algorithm's runs: the pass finds the nearest run for the exact-hit
+// check and accumulates the interpolation weights at the same time.
 package predict
 
 import (
@@ -24,38 +22,30 @@ import (
 	"math"
 
 	"gcbench/internal/behavior"
-	"gcbench/internal/nnindex"
 )
 
 // Predictor interpolates behavior vectors from a corpus. Immutable after
 // New; safe for concurrent queries.
 type Predictor struct {
+	// byAlg holds each algorithm's samples in corpus order.
 	byAlg map[string][]sample
-	// feats embeds each algorithm's samples into the scaled feature
-	// space (featureOf); index is the k-d tree over those points, in the
-	// same order as byAlg's samples.
-	feats map[string][]behavior.Vector
-	index map[string]*nnindex.Index
 }
 
+// sample is one measured run embedded in the feature space: feat is
+// (log10 edges, alphaScale·alpha), model the run's effective model.
 type sample struct {
-	logSize float64
-	alpha   float64
-	raw     behavior.Vector
-	iters   float64
+	feat  [2]float64
+	model string
+	raw   behavior.Vector
+	iters float64
 }
 
 // alphaScale balances the feature axes: alpha spans ~1 while log size
 // spans ~3-4 units.
 const alphaScale = 3.0
 
-// featureOf embeds a (log10 size, alpha) pair into the behavior-vector
-// type the index is built over (the two trailing dimensions stay zero).
-// All distances — hit detection and interpolation weights — are computed
-// between these embedded points, so indexed and naive paths compare
-// identical float64s.
-func featureOf(logSize, alpha float64) behavior.Vector {
-	return behavior.Vector{logSize, alphaScale * alpha}
+func featureOf(numEdges int64, alpha float64) [2]float64 {
+	return [2]float64{math.Log10(float64(numEdges)), alphaScale * alpha}
 }
 
 // Query identifies the computation whose behavior to predict.
@@ -63,6 +53,12 @@ type Query struct {
 	Algorithm string
 	NumEdges  int64
 	Alpha     float64
+	// Model restricts the prediction to the runs of one execution model
+	// (matched by behavior.EffectiveModel); empty uses every run. The
+	// same computation traverses different event counts under different
+	// engines, so interpolating across models would mix incomparable
+	// points.
+	Model string
 }
 
 // Prediction is the interpolated behavior.
@@ -80,40 +76,61 @@ func New(runs []*behavior.Run) (*Predictor, error) {
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("predict: empty corpus")
 	}
-	p := &Predictor{
-		byAlg: map[string][]sample{},
-		feats: map[string][]behavior.Vector{},
-		index: map[string]*nnindex.Index{},
-	}
+	p := &Predictor{byAlg: map[string][]sample{}}
 	for _, r := range runs {
 		if r.NumEdges <= 0 {
 			continue
 		}
-		s := sample{
-			logSize: math.Log10(float64(r.NumEdges)),
-			alpha:   r.Alpha,
-			raw:     r.Raw,
-			iters:   float64(r.Iterations),
-		}
-		p.byAlg[r.Algorithm] = append(p.byAlg[r.Algorithm], s)
-		p.feats[r.Algorithm] = append(p.feats[r.Algorithm], featureOf(s.logSize, s.alpha))
-	}
-	for alg, feats := range p.feats {
-		p.index[alg] = nnindex.Build(feats)
+		p.byAlg[r.Algorithm] = append(p.byAlg[r.Algorithm], sample{
+			feat:  featureOf(r.NumEdges, r.Alpha),
+			model: behavior.EffectiveModel(r.Model),
+			raw:   r.Raw,
+			iters: float64(r.Iterations),
+		})
 	}
 	return p, nil
 }
 
-// Predict interpolates the behavior of the queried computation, using
-// the k-d index for the exact-hit nearest-neighbor check. It errors when
-// the corpus holds no runs of the algorithm.
+// Predict interpolates the behavior of the queried computation. A
+// queried configuration that is (numerically) a measured one returns
+// the nearest such measurement itself, ties going to the earliest run;
+// any other query is the inverse-squared-distance average of the runs.
+// It errors when the corpus holds no runs of the algorithm (under the
+// queried model, if any).
 func (p *Predictor) Predict(q Query) (*Prediction, error) {
-	return p.predict(q, true)
-}
-
-func (p *Predictor) predict(q Query, indexed bool) (*Prediction, error) {
+	qf := featureOf(q.NumEdges, q.Alpha)
+	var hit *sample
+	hitD2 := math.Inf(1)
+	var wSum, iters float64
+	var raw behavior.Vector
+	support := 0
 	samples := p.byAlg[q.Algorithm]
-	if len(samples) == 0 {
+	for i := range samples {
+		s := &samples[i]
+		if q.Model != "" && s.model != q.Model {
+			continue
+		}
+		// The conversion rounds the first square on its own, so a fused
+		// multiply-add cannot regroup the sum: the same float64 as
+		// accumulating the squares one dimension at a time.
+		dl, da := qf[0]-s.feat[0], qf[1]-s.feat[1]
+		d2 := float64(dl*dl) + da*da
+		// Strict < keeps the earliest run among equally near ones.
+		if d2 < hitD2 {
+			hit, hitD2 = s, d2
+		}
+		// At an exact hit w is +Inf; the sums are then discarded below.
+		w := 1 / d2
+		wSum += w
+		for d := 0; d < behavior.Dims; d++ {
+			raw[d] += w * s.raw[d]
+		}
+		iters += w * s.iters
+		support++
+	}
+	// A bad query only makes the pass compute NaNs; checking after it
+	// keeps the errors' order: algorithm, edges, alpha.
+	if support == 0 {
 		return nil, fmt.Errorf("predict: no corpus runs for algorithm %q", q.Algorithm)
 	}
 	if q.NumEdges <= 0 {
@@ -122,35 +139,8 @@ func (p *Predictor) predict(q Query, indexed bool) (*Prediction, error) {
 	if math.IsNaN(q.Alpha) || math.IsInf(q.Alpha, 0) {
 		return nil, fmt.Errorf("predict: query alpha must be finite, got %v", q.Alpha)
 	}
-	qf := featureOf(math.Log10(float64(q.NumEdges)), q.Alpha)
-	feats := p.feats[q.Algorithm]
-
-	// Exact hit: the queried configuration is (numerically) a measured
-	// one — return the nearest such measurement itself. The index and
-	// the scan agree exactly, ties included (nnindex's contract).
-	var hit int
-	var hitD2 float64
-	if indexed {
-		hit, hitD2 = p.index[q.Algorithm].Nearest(qf)
-	} else {
-		hit, hitD2 = nnindex.NearestLinear(feats, qf)
-	}
 	if hitD2 < 1e-12 {
-		s := samples[hit]
-		return &Prediction{Raw: s.raw, Iterations: s.iters, Support: 1}, nil
-	}
-
-	// Inverse-squared-distance interpolation over all runs. The nearest
-	// distance is ≥ 1e-12 here, so no weight divides by zero.
-	var wSum float64
-	var pred Prediction
-	for i, s := range samples {
-		w := 1 / nnindex.Dist2(qf, feats[i])
-		wSum += w
-		for d := 0; d < behavior.Dims; d++ {
-			pred.Raw[d] += w * s.raw[d]
-		}
-		pred.Iterations += w * s.iters
+		return &Prediction{Raw: hit.raw, Iterations: hit.iters, Support: 1}, nil
 	}
 	// An alpha so far out that every squared distance overflows leaves
 	// every weight 0, and the quotients would be NaN.
@@ -158,11 +148,9 @@ func (p *Predictor) predict(q Query, indexed bool) (*Prediction, error) {
 		return nil, fmt.Errorf("predict: query alpha %v is too far from the corpus to interpolate", q.Alpha)
 	}
 	for d := 0; d < behavior.Dims; d++ {
-		pred.Raw[d] /= wSum
+		raw[d] /= wSum
 	}
-	pred.Iterations /= wSum
-	pred.Support = len(samples)
-	return &pred, nil
+	return &Prediction{Raw: raw, Iterations: iters / wSum, Support: support}, nil
 }
 
 // LeaveOneOut evaluates the predictor on its own corpus: each run is

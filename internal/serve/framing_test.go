@@ -177,7 +177,7 @@ func TestPredictCache(t *testing.T) {
 		{"/api/predict?algorithm=NOPE&edges=500000", 400},
 		{"/api/predict?algorithm=PR&edges=500000&alpha=x", 400},
 		{"/api/predict?algorithm=PR&edges=500000&model=nope", 400},
-		{"/api/predict?algorithm=PR&edges=500000&model=pregel", 503},
+		{"/api/predict?algorithm=PR&edges=500000&model=pregel", 400},
 	} {
 		h, m, e := counts()
 		for i := 0; i < 2; i++ {

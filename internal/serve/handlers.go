@@ -327,9 +327,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// An explicit model restricts interpolation to that model's runs
-	// (prediction never mixes engines); absent, the pre-model-axis
-	// whole-corpus predictor answers, so existing queries against
-	// GAS-only corpora keep their exact bytes.
+	// (prediction never mixes engines); absent, every run informs it, so
+	// existing queries against GAS-only corpora keep their exact bytes.
 	var mName model.Name
 	if m := q.Get("model"); m != "" {
 		if mName, err = model.Parse(m); err != nil {
@@ -345,21 +344,18 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeBody(w, http.StatusOK, body)
 		return
 	}
-	var p *predict.Predictor
 	query := map[string]any{
 		"algorithm": string(algName), "edges": edges, "alpha": alpha,
 	}
 	if mName != "" {
 		query["model"] = string(mName)
-		p, err = snap.PredictorFor(string(mName))
-	} else {
-		p, err = snap.Predictor()
 	}
+	p, err := snap.Predictor()
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, "no_corpus", "%v", err)
 		return
 	}
-	pred, err := p.Predict(predict.Query{Algorithm: string(algName), NumEdges: edges, Alpha: alpha})
+	pred, err := p.Predict(predict.Query{Algorithm: string(algName), NumEdges: edges, Alpha: alpha, Model: string(mName)})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_request", "%v", err)
 		return

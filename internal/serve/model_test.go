@@ -183,14 +183,15 @@ func TestPredictModelParam(t *testing.T) {
 	if same {
 		t.Error("gas and pregel predictions identical; per-model restriction not applied")
 	}
-	// Bad model → 400; a model with no runs in this corpus → 503 no_corpus.
+	// Bad model → 400; a model with no runs in this corpus → 400
+	// invalid_request, like a model with runs but none of the algorithm.
 	w := get(t, s, "/api/predict?algorithm=CC&edges=300&model=giraph")
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("bad model: %d", w.Code)
 	}
 	s2 := newTestServer(t, nil) // GAS-only corpus
 	w = get(t, s2, "/api/predict?algorithm=PR&edges=1000&alpha=2.1&model=xstream")
-	if w.Code != http.StatusServiceUnavailable || decodeError(t, w) != "no_corpus" {
+	if w.Code != http.StatusBadRequest || decodeError(t, w) != "invalid_request" {
 		t.Fatalf("predict for absent model: %d %s", w.Code, w.Body.String())
 	}
 }

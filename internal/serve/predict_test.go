@@ -5,10 +5,7 @@ import (
 	"math"
 	"net/http"
 	"net/url"
-	"slices"
 	"testing"
-
-	"gcbench/internal/model"
 )
 
 // TestPredictAlpha: an alpha with nothing to interpolate from — not a
@@ -41,9 +38,8 @@ func TestPredictAlpha(t *testing.T) {
 // FuzzPredictQuery sends GET /api/predict arbitrary algorithm, edges,
 // alpha and model values over the standard corpus. Every answer is a 200
 // whose body parses and holds only finite numbers, or a 4xx with a
-// structured error. The one 5xx allowed is the 503 no_corpus that answers
-// a known model the corpus holds no runs of (the standard corpus is GAS
-// only): the data is missing, the server is not at fault. Answers are
+// structured error — never a 5xx, a known model the corpus holds no
+// runs of (the standard corpus is GAS only) included. Answers are
 // cached, so a replayed input covers the hit path instead of the miss
 // path; run it with a bounded -fuzzminimizetime (CI uses 100x).
 func FuzzPredictQuery(f *testing.F) {
@@ -60,7 +56,6 @@ func FuzzPredictQuery(f *testing.F) {
 		f.Add(seed[0], seed[1], seed[2], seed[3])
 	}
 	s := newTestServer(f, nil)
-	models := standardSnapshot(f).Models()
 	f.Fuzz(func(t *testing.T, alg, edges, alpha, modelName string) {
 		q := url.Values{"algorithm": {alg}, "edges": {edges}, "alpha": {alpha}, "model": {modelName}}
 		w := get(t, s, "/api/predict?"+q.Encode())
@@ -75,11 +70,6 @@ func FuzzPredictQuery(f *testing.F) {
 			}
 		case w.Code >= 400 && w.Code < 500:
 			decodeError(t, w)
-		case w.Code == http.StatusServiceUnavailable && decodeError(t, w) == "no_corpus":
-			m, err := model.Parse(modelName)
-			if modelName == "" || err != nil || slices.Contains(models, string(m)) {
-				t.Fatalf("%s: 503 no_corpus, but the corpus holds runs of model %q", q.Encode(), modelName)
-			}
 		default:
 			t.Fatalf("%s: %d %s", q.Encode(), w.Code, w.Body.String())
 		}
