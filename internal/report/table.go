@@ -132,6 +132,20 @@ func (r *Report) Render(w io.Writer) error {
 	return err
 }
 
+// RenderCSV writes every table of the report as CSV, each under a
+// "# ID: Title — table title" line.
+func (r *Report) RenderCSV(w io.Writer) error {
+	for _, t := range r.Tables {
+		if _, err := fmt.Fprintf(w, "# %s: %s — %s\n", r.ID, r.Title, t.Title); err != nil {
+			return err
+		}
+		if err := t.RenderCSV(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // F formats a float compactly for table cells.
 func F(v float64) string {
 	switch {
