@@ -160,6 +160,33 @@ func TestCmdFiguresAndEnsemble(t *testing.T) {
 	}
 }
 
+// TestCmdRejectsOutOfRangeSizes: an ensemble size outside [1, pool
+// size] and a negative figure size bound are refused with an error, not
+// a panic or an empty ensemble.
+func TestCmdRejectsOutOfRangeSizes(t *testing.T) {
+	path := writeTinyCorpus(t) // a pool of 12 runs
+	for _, tc := range []struct {
+		cmd  func([]string) error
+		args []string
+		want string
+	}{
+		{cmdEnsemble, []string{"-size", "-1"}, "between 1 and the pool's 12 runs, got -1"},
+		{cmdEnsemble, []string{"-size", "0"}, "between 1 and the pool's 12 runs, got 0"},
+		{cmdEnsemble, []string{"-size", "13"}, "between 1 and the pool's 12 runs, got 13"},
+		{cmdEnsemble, []string{"-size", "500"}, "between 1 and the pool's 12 runs, got 500"},
+		{cmdFigures, []string{"-fig", "14", "-maxsize", "-5"}, "must be ≥ 0, got -5"},
+		{cmdFigures, []string{"-fig", "18", "-maxsize", "-1"}, "must be ≥ 0, got -1"},
+		{cmdFigures, []string{"-fig", "table3", "-maxsize", "-2", "-samples", "2000"}, "must be ≥ 0, got -2"},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			err := tc.cmd(append([]string{"-runs", path}, tc.args...))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestCmdPredict(t *testing.T) {
 	path := writeTinyCorpus(t)
 	if err := cmdPredict([]string{"-runs", path, "-alg", "PR", "-edges", "500", "-alpha", "2.5"}); err != nil {

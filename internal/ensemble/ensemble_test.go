@@ -2,8 +2,10 @@ package ensemble
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"gcbench/internal/behavior"
@@ -164,6 +166,39 @@ func TestBestSpreadExhaustiveRejectsLargePool(t *testing.T) {
 	pool := randomPool(30, 1)
 	if _, err := BestSpreadExhaustiveCtx(context.Background(), pool, allIdx(30), 5); err == nil {
 		t.Fatal("oversized pool accepted")
+	}
+}
+
+// TestSearchesRefuseNegativeSize: every subset search answers a
+// negative size bound with an error instead of a panic, and size 0 with
+// no ensemble.
+func TestSearchesRefuseNegativeSize(t *testing.T) {
+	pool := randomPool(12, 5)
+	cov, err := NewCoverageEstimator(2000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	searches := map[string]func(maxSize int) ([][]int, error){
+		"spread-exhaustive": func(m int) ([][]int, error) { return BestSpreadExhaustiveCtx(ctx, pool, allIdx(12), m) },
+		"spread-greedy":     func(m int) ([][]int, error) { return BestSpreadGreedyCtx(ctx, pool, allIdx(12), m) },
+		"coverage-greedy":   func(m int) ([][]int, error) { return BestCoverageGreedyCtx(ctx, cov, pool, allIdx(12), m) },
+	}
+	for name, search := range searches {
+		for _, size := range []int{-1, -2, -5} {
+			t.Run(fmt.Sprintf("%s/size=%d", name, size), func(t *testing.T) {
+				sets, err := search(size)
+				if err == nil || !strings.Contains(err.Error(), "must be ≥ 0") {
+					t.Fatalf("sets %v, err %v; want a size refusal", sets, err)
+				}
+			})
+		}
+		t.Run(name+"/size=0", func(t *testing.T) {
+			sets, err := search(0)
+			if err != nil || len(sets) != 1 || sets[0] != nil {
+				t.Fatalf("sets %v, err %v; want one empty slot", sets, err)
+			}
+		})
 	}
 }
 

@@ -23,6 +23,15 @@ const maxExhaustivePool = 22
 // entry point; callers without a deadline pass context.Background().
 // The Ctx suffix is historical.
 
+// checkMaxSize is the size check every subset search makes first: a
+// negative bound asks for no ensemble size at all.
+func checkMaxSize(maxSize int) error {
+	if maxSize < 0 {
+		return fmt.Errorf("ensemble: maximum ensemble size must be ≥ 0, got %d", maxSize)
+	}
+	return nil
+}
+
 // BestSpreadExhaustiveCtx finds, for every size 1..maxSize, the subset of
 // pool[idx] with maximum spread, by a single DFS over all subsets with an
 // incrementally maintained pairwise-distance sum. Exact, usable for the
@@ -30,6 +39,9 @@ const maxExhaustivePool = 22
 // ensemble size k (best[0] and best[1] are trivial). ctx is checked at
 // every top-level DFS branch.
 func BestSpreadExhaustiveCtx(ctx context.Context, pool []behavior.Vector, idx []int, maxSize int) ([][]int, error) {
+	if err := checkMaxSize(maxSize); err != nil {
+		return nil, err
+	}
 	n := len(idx)
 	if n > maxExhaustivePool {
 		return nil, fmt.Errorf("ensemble: pool of %d too large for exhaustive search (max %d)", n, maxExhaustivePool)
@@ -71,7 +83,7 @@ func BestSpreadExhaustiveCtx(ctx context.Context, pool []behavior.Vector, idx []
 			cur = cur[:len(cur)-1]
 		}
 	}
-	for j := 0; j < n; j++ {
+	for j := 0; j < n && maxSize > 0; j++ { // size 0 has no subset to visit
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -98,6 +110,9 @@ func BestSpreadExhaustiveCtx(ctx context.Context, pool []behavior.Vector, idx []
 // best[k] for k = 1..maxSize. ctx is checked before every growth round
 // and inside the exchange refinement.
 func BestSpreadGreedyCtx(ctx context.Context, pool []behavior.Vector, idx []int, maxSize int) ([][]int, error) {
+	if err := checkMaxSize(maxSize); err != nil {
+		return nil, err
+	}
 	n := len(idx)
 	if maxSize > n {
 		maxSize = n
@@ -302,12 +317,15 @@ func BestCoverageGreedyCtx(ctx context.Context, cov *CoverageEstimator, pool []b
 // same test. Every round-1 gain is +Inf, evaluated or not, so round 2
 // evaluates everyone in pool order, as the full scan would.
 func coverageGreedy(ctx context.Context, cov *CoverageEstimator, pool []behavior.Vector, idx []int, maxSize int) (out [][]int, evals int, err error) {
+	if err := checkMaxSize(maxSize); err != nil {
+		return nil, 0, err
+	}
 	n := len(idx)
 	if maxSize > n {
 		maxSize = n
 	}
 	out = make([][]int, maxSize+1)
-	if n == 0 || maxSize <= 0 {
+	if n == 0 || maxSize == 0 {
 		return out, 0, nil
 	}
 	if err := ctx.Err(); err != nil {
