@@ -113,15 +113,21 @@ func TestResumeAfterTornWrite(t *testing.T) {
 	last := bytes.LastIndexByte(raw[:len(raw)-1], '\n') + 1 // where line k starts
 	// Cut just after the line's first byte, exactly before its newline,
 	// and at seeded offsets between.
-	cuts := []int{last + 1, len(raw) - 1}
-	rng := rand.New(rand.NewPCG(7, 41))
-	for range 3 {
-		cuts = append(cuts, last+1+rng.IntN(len(raw)-last-2))
+	// A subtest is named by its cut's role, not its byte offset, since
+	// the line's length differs from run to run.
+	type cut struct {
+		name string
+		at   int
 	}
-	for _, cut := range cuts {
-		t.Run(fmt.Sprintf("cut=%d", cut-last), func(t *testing.T) {
-			path := filepath.Join(dir, fmt.Sprintf("cut%d.journal", cut))
-			if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
+	cuts := []cut{{"after-first-byte", last + 1}, {"before-newline", len(raw) - 1}}
+	rng := rand.New(rand.NewPCG(7, 41))
+	for i := range 3 {
+		cuts = append(cuts, cut{fmt.Sprintf("seeded-%d", i+1), last + 1 + rng.IntN(len(raw)-last-2)})
+	}
+	for _, c := range cuts {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(dir, c.name+".journal")
+			if err := os.WriteFile(path, raw[:c.at], 0o644); err != nil {
 				t.Fatal(err)
 			}
 			j, err := OpenJournal(path)
