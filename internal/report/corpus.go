@@ -20,18 +20,19 @@ type Corpus struct {
 	Runs  []*behavior.Run
 	Space *behavior.Space
 
-	Pool        *behavior.Space
-	poolRunIdx  []int // Pool index → Runs index
-	sizeRankOf  map[string]int
-	alphaValues []float64
-
-	covCache map[int]*ensemble.CoverageEstimator
+	Pool       *behavior.Space
+	sizeRankOf map[string]int
 
 	// The empirical upper bounds are properties of the unit behavior cube,
-	// not of any particular figure, so they are computed once per
-	// (maxSize, sample-count) and shared across Figures 14-23.
-	ubSpreadCache   map[int][]float64
-	ubCoverageCache map[[2]int][]float64
+	// not of any particular figure, so each is computed once per (metric,
+	// maxSize, sample count) and shared across Figures 14-23.
+	bounds map[boundKey][]float64
+}
+
+// boundKey names one empirical upper bound; samples is 0 for spread.
+type boundKey struct {
+	metric        ensemble.Metric
+	size, samples int
 }
 
 // NewCorpus builds both normalized views.
@@ -41,21 +42,12 @@ func NewCorpus(runs []*behavior.Run) (*Corpus, error) {
 		return nil, err
 	}
 	var poolRuns []*behavior.Run
-	var poolIdx []int
-	for i, r := range runs {
+	for _, r := range runs {
 		if algorithms.Name(r.Algorithm).GraphVarying() {
 			poolRuns = append(poolRuns, r)
-			poolIdx = append(poolIdx, i)
 		}
 	}
-	c := &Corpus{
-		Runs:            runs,
-		Space:           space,
-		poolRunIdx:      poolIdx,
-		covCache:        map[int]*ensemble.CoverageEstimator{},
-		ubSpreadCache:   map[int][]float64{},
-		ubCoverageCache: map[[2]int][]float64{},
-	}
+	c := &Corpus{Runs: runs, Space: space, bounds: map[boundKey][]float64{}}
 	if len(poolRuns) > 0 {
 		pool, err := behavior.NewSpace(poolRuns)
 		if err != nil {
@@ -83,14 +75,6 @@ func (c *Corpus) buildSizeRanks() {
 		seen[key] = true
 		perDomain[r.Domain] = append(perDomain[r.Domain], r.SizeLabel)
 	}
-	alphaSeen := map[float64]bool{}
-	for _, r := range c.Runs {
-		if r.Alpha != 0 && !alphaSeen[r.Alpha] {
-			alphaSeen[r.Alpha] = true
-			c.alphaValues = append(c.alphaValues, r.Alpha)
-		}
-	}
-	sort.Float64s(c.alphaValues)
 	for domain, labels := range perDomain {
 		sort.Slice(labels, func(i, j int) bool { return parseSizeLabel(labels[i]) < parseSizeLabel(labels[j]) })
 		for rank, label := range labels {
@@ -122,45 +106,4 @@ func parseSizeLabel(s string) int64 {
 		return 0
 	}
 	return v
-}
-
-// Coverage returns (building if needed) a deterministic estimator with the
-// given sample count, cached for reuse across figures.
-func (c *Corpus) Coverage(samples int) (*ensemble.CoverageEstimator, error) {
-	if est, ok := c.covCache[samples]; ok {
-		return est, nil
-	}
-	est, err := ensemble.NewCoverageEstimator(samples, 0x5eed)
-	if err != nil {
-		return nil, err
-	}
-	c.covCache[samples] = est
-	return est, nil
-}
-
-// upperBoundSpread returns the cached empirical spread upper bound.
-func (c *Corpus) upperBoundSpread(maxSize int) []float64 {
-	if ub, ok := c.ubSpreadCache[maxSize]; ok {
-		return ub
-	}
-	ub := ensemble.UpperBoundSpread(maxSize, 0xface)
-	c.ubSpreadCache[maxSize] = ub
-	return ub
-}
-
-// upperBoundCoverage returns the cached empirical coverage upper bound for
-// the given estimator sample count.
-func (c *Corpus) upperBoundCoverage(cov *ensemble.CoverageEstimator, maxSize int) []float64 {
-	key := [2]int{maxSize, cov.NumSamples()}
-	if ub, ok := c.ubCoverageCache[key]; ok {
-		return ub
-	}
-	ub := ensemble.UpperBoundCoverage(cov, maxSize, 0xface)
-	c.ubCoverageCache[key] = ub
-	return ub
-}
-
-// PoolIdxByAlgorithm returns pool indices per algorithm.
-func (c *Corpus) PoolIdxByAlgorithm() map[string][]int {
-	return c.Pool.ByAlgorithm()
 }

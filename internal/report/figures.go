@@ -3,8 +3,10 @@ package report
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"gcbench/internal/behavior"
+	"gcbench/internal/ensemble"
 )
 
 // FigureOptions tunes the analysis figures.
@@ -21,10 +23,11 @@ type FigureOptions struct {
 	// TopKSize is the ensemble size of the §5.5 top-100 frequency
 	// analysis (default 5).
 	TopKSize int
-	// ActiveRows caps the number of iteration rows printed for active
-	// fraction figures (default 25; series are downsampled).
-	ActiveRows int
 }
+
+// activeRows caps the iteration rows printed for the active fraction
+// figures; longer series are downsampled.
+const activeRows = 25
 
 func (o FigureOptions) withDefaults() FigureOptions {
 	if o.CoverageSamples == 0 {
@@ -39,71 +42,100 @@ func (o FigureOptions) withDefaults() FigureOptions {
 	if o.TopKSize == 0 {
 		o.TopKSize = 5
 	}
-	if o.ActiveRows == 0 {
-		o.ActiveRows = 25
-	}
 	return o
+}
+
+// figure is one row of the figure table.
+type figure struct {
+	id, title string
+	notes     []string // "{NS}" stands for the coverage sample count
+	algs      []string // the algorithms shown (Figures 1-12)
+	// Curve figures name a metric and their candidate groups; Figures
+	// 20/21 name a metric only.
+	metric ensemble.Metric
+	groups candidates
+	render func(c *Corpus, f figure, opt FigureOptions) (*Report, error)
+}
+
+// figures is the figure table: every reproducible table and figure, in
+// the order `gcbench figures -fig all` prints them.
+var figures = []figure{
+	{id: "table1", title: "Comparative Graph Processing System Evaluations (survey reprint)", render: table1},
+	{id: "table2", title: "Graph Feature Variables", render: table2},
+	{id: "1", title: "GA Active Fraction for All Graphs", algs: []string{"CC", "KC", "TC", "SSSP", "PR", "AD"}, render: activeFractionFigure},
+	{id: "2", title: "KC Metric Values", algs: []string{"KC"}, render: metricFigure},
+	{id: "3", title: "TC Metric Values", algs: []string{"TC"}, render: metricFigure},
+	{id: "4", title: "PR Metric Values", algs: []string{"PR"}, render: metricFigure},
+	{id: "5", title: "KM Active Fraction for All Graphs", algs: []string{"KM"}, render: activeFractionFigure},
+	{id: "6", title: "KM Metric Values", algs: []string{"KM"}, render: metricFigure},
+	{id: "7", title: "ALS Active Fraction for All Graphs", algs: []string{"ALS"}, render: activeFractionFigure},
+	{id: "8", title: "ALS Metric Values", algs: []string{"ALS"}, render: metricFigure},
+	{id: "9", title: "SGD Metric Values", algs: []string{"SGD"}, render: metricFigure},
+	{id: "10", title: "SVD Metric Values", algs: []string{"SVD"}, render: metricFigure},
+	{id: "11", title: "Active Fraction for LBP", algs: []string{"LBP"}, render: activeFractionFigure},
+	{id: "12", title: "Metric Values for Jacobi, LBP, and DD", algs: []string{"Jacobi", "LBP", "DD"}, render: metricFigure},
+	{id: "13", title: "Metric Values for All Algorithms", render: allAlgorithmsFigure},
+	{id: "14", title: "Spread: Single Algorithm Ensembles", metric: ensemble.MetricSpread, groups: byAlgorithm, render: curveFigure,
+		notes: []string{
+			"Best-achievable spread per ensemble size, restricted to one algorithm's runs (exhaustive subset search).",
+			"Upper bound: maximally dispersed synthetic members in the unit behavior cube.",
+		}},
+	{id: "15", title: "Coverage: Single Algorithm Ensembles", metric: ensemble.MetricCoverage, groups: byAlgorithm, render: curveFigure,
+		notes: []string{
+			"Greedy best-coverage per ensemble size, restricted to one algorithm's runs (NS = {NS}).",
+			"Coverage = reciprocal mean distance from a random behavior point to its nearest member (see DESIGN.md §2).",
+		}},
+	{id: "16", title: "Spread: Single Graph Ensembles", metric: ensemble.MetricSpread, groups: singleGraph, render: curveFigure,
+		notes: []string{
+			"Fifteen graph structures (3 size ranks × 5 alphas), 11 algorithm runs each (§5.3).",
+			"Ensemble size is capped by the 11 runs available per graph.",
+		}},
+	{id: "17", title: "Coverage: Single Graph Ensembles", metric: ensemble.MetricCoverage, groups: singleGraph, render: curveFigure,
+		notes: []string{
+			"Fifteen graph structures (3 size ranks × 5 alphas), 11 algorithm runs each (§5.3).",
+		}},
+	{id: "18", title: "Spread: Unrestricted Ensembles", metric: ensemble.MetricSpread, groups: unrestricted, render: curveFigure,
+		notes: []string{
+			"Unrestricted ensembles draw from all graph-varying runs (greedy + exchange search).",
+			"The paper's headline: unrestricted spread stays ~3x above single-algorithm ensembles at size 20.",
+		}},
+	{id: "19", title: "Coverage: Unrestricted Ensembles", metric: ensemble.MetricCoverage, groups: unrestricted, render: curveFigure,
+		notes: []string{
+			"The paper's headline: ~30% better coverage than single-algorithm ensembles, ≈3.9 at 20 members.",
+		}},
+	{id: "table3", title: "Members of Ensembles Achieving Best Spread and Coverage", render: table3,
+		notes: []string{"Runs are <algorithm, size, alpha> tuples; sizes ≥ 10 list algorithms only, as in the paper."}},
+	{id: "20", title: "Frequency of Appearance of Each Algorithm in Top100 Sets for Spread", metric: ensemble.MetricSpread, render: frequencyFigure},
+	{id: "21", title: "Frequency of Appearance of Each Algorithm in Top100 Sets for Coverage", metric: ensemble.MetricCoverage, render: frequencyFigure},
+	{id: "22", title: "Spread: Limited Algorithms, Graphs, Runtime", metric: ensemble.MetricSpread, groups: limited, render: curveFigure, notes: limitedNotes},
+	{id: "23", title: "Coverage: Limited Algorithms, Graphs, Runtime", metric: ensemble.MetricCoverage, groups: limited, render: curveFigure, notes: limitedNotes},
+	// "space" is an extra (behavior-space scatter), not a paper figure.
+	{id: "space", title: "Behavior Space Projections", render: spaceScatter},
+}
+
+var limitedNotes = []string{
+	"LimitedAlgs: only KM, ALS, TC (the top diversity contributors).",
+	"LimitedGraphs: three structures (large sizes, α=2.0) across all algorithms.",
+	"LimitedRuntime: only constant-behavior algorithms (AD, KM, NMF, SGD, SVD), whose runs can be truncated.",
 }
 
 // FigureIDs lists every reproducible table/figure identifier.
 func FigureIDs() []string {
-	ids := []string{"table1", "table2"}
-	for i := 1; i <= 23; i++ {
-		ids = append(ids, fmt.Sprintf("%d", i))
-		if i == 19 {
-			ids = append(ids, "table3")
-		}
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
 	}
-	// "space" is an extra (behavior-space scatter), not a paper figure.
-	ids = append(ids, "space")
 	return ids
 }
 
 // Figure builds the named figure/table reproduction from the corpus.
 func Figure(c *Corpus, id string, opt FigureOptions) (*Report, error) {
-	opt = opt.withDefaults()
-	switch id {
-	case "table1":
-		return Table1(), nil
-	case "table2":
-		return Table2(c), nil
-	case "1":
-		return activeFractionFigure(c, "1", "GA Active Fraction for All Graphs",
-			[]string{"CC", "KC", "TC", "SSSP", "PR", "AD"}, opt), nil
-	case "2":
-		return metricFigure(c, "2", "KC Metric Values", "KC"), nil
-	case "3":
-		return metricFigure(c, "3", "TC Metric Values", "TC"), nil
-	case "4":
-		return metricFigure(c, "4", "PR Metric Values", "PR"), nil
-	case "5":
-		return activeFractionFigure(c, "5", "KM Active Fraction for All Graphs",
-			[]string{"KM"}, opt), nil
-	case "6":
-		return metricFigure(c, "6", "KM Metric Values", "KM"), nil
-	case "7":
-		return activeFractionFigure(c, "7", "ALS Active Fraction for All Graphs",
-			[]string{"ALS"}, opt), nil
-	case "8":
-		return metricFigure(c, "8", "ALS Metric Values", "ALS"), nil
-	case "9":
-		return metricFigure(c, "9", "SGD Metric Values", "SGD"), nil
-	case "10":
-		return metricFigure(c, "10", "SVD Metric Values", "SVD"), nil
-	case "11":
-		return activeFractionFigure(c, "11", "Active Fraction for LBP",
-			[]string{"LBP"}, opt), nil
-	case "12":
-		return solverMetricFigure(c), nil
-	case "13":
-		return allAlgorithmsFigure(c), nil
-	case "14", "15", "16", "17", "18", "19", "table3", "20", "21", "22", "23":
-		return ensembleFigure(c, id, opt)
-	case "space":
-		return SpaceScatter(c), nil
-	default:
-		return nil, fmt.Errorf("report: unknown figure %q (known: %v)", id, FigureIDs())
+	for _, f := range figures {
+		if f.id == id {
+			return f.render(c, f, opt.withDefaults())
+		}
 	}
+	return nil, fmt.Errorf("report: unknown figure %q (known: %v)", id, FigureIDs())
 }
 
 // runsOf returns the corpus runs of one algorithm, sorted by (size, α).
@@ -125,29 +157,25 @@ func runsOf(c *Corpus, alg string) []*behavior.Run {
 }
 
 // activeFractionFigure prints per-iteration active fractions, one column
-// per graph, iterations downsampled to opt.ActiveRows rows.
-func activeFractionFigure(c *Corpus, id, title string, algs []string, opt FigureOptions) *Report {
-	rep := &Report{ID: "Figure " + id, Title: title,
+// per graph, iterations downsampled to activeRows rows.
+func activeFractionFigure(c *Corpus, f figure, _ FigureOptions) (*Report, error) {
+	rep := &Report{ID: "Figure " + f.id, Title: f.title,
 		Notes: []string{
 			"Active fraction = active vertices / all vertices per iteration (§3.4).",
-			"Iterations are downsampled to at most " + fmt.Sprint(opt.ActiveRows) + " rows; column = one graph run.",
+			"Iterations are downsampled to at most " + fmt.Sprint(activeRows) + " rows; column = one graph run.",
 		}}
-	for _, alg := range algs {
+	for _, alg := range f.algs {
 		runs := runsOf(c, alg)
 		if len(runs) == 0 {
 			continue
 		}
-		maxIter := 0
+		maxIter, minIter := 0, runs[0].Iterations
 		for _, r := range runs {
-			if len(r.ActiveFraction) > maxIter {
-				maxIter = len(r.ActiveFraction)
-			}
+			maxIter = max(maxIter, len(r.ActiveFraction))
+			minIter = min(minIter, r.Iterations)
 		}
-		rows := opt.ActiveRows
-		if maxIter < rows {
-			rows = maxIter
-		}
-		t := &Table{Title: fmt.Sprintf("%s (converges in %d-%d iterations)", alg, minIter(runs), maxIter)}
+		rows := min(activeRows, maxIter)
+		t := &Table{Title: fmt.Sprintf("%s (converges in %d-%d iterations)", alg, minIter, maxIter)}
 		t.Header = append(t.Header, "iter")
 		for _, r := range runs {
 			if r.Alpha != 0 {
@@ -173,91 +201,67 @@ func activeFractionFigure(c *Corpus, id, title string, algs []string, opt Figure
 		}
 		rep.Tables = append(rep.Tables, t)
 	}
-	return rep
+	return rep, nil
 }
 
-func minIter(runs []*behavior.Run) int {
-	m := runs[0].Iterations
-	for _, r := range runs {
-		if r.Iterations < m {
-			m = r.Iterations
-		}
-	}
-	return m
-}
-
-// metricFigure prints one algorithm's four per-edge metrics across its
-// graph sweep, max-normalized within the figure as in §3.4.
-func metricFigure(c *Corpus, id, title, alg string) *Report {
-	runs := runsOf(c, alg)
-	rep := &Report{ID: "Figure " + id, Title: title,
-		Notes: []string{
-			"Per-edge metrics (value / iteration / edge), max-normalized to ≤ 1.0 within this figure (§3.4).",
-		}}
+// maxNormalized formats each vector's dimensions divided by that
+// dimension's largest value in vs (0 where it is 0): the within-figure
+// max-normalization of §3.4.
+func maxNormalized(vs []behavior.Vector) [][]string {
 	var maxV behavior.Vector
-	for _, r := range runs {
-		for d := 0; d < behavior.Dims; d++ {
-			if r.Raw[d] > maxV[d] {
-				maxV[d] = r.Raw[d]
-			}
+	for _, v := range vs {
+		for d := range maxV {
+			maxV[d] = max(maxV[d], v[d])
 		}
 	}
-	t := &Table{Header: []string{"size", "alpha", "UPDT", "WORK", "EREAD", "MSG", "iters"}}
-	for _, r := range runs {
-		cells := []string{r.SizeLabel, fmt.Sprintf("%.2f", r.Alpha)}
-		for d := 0; d < behavior.Dims; d++ {
-			v := 0.0
+	out := make([][]string, len(vs))
+	for i, v := range vs {
+		for d := range maxV {
+			x := 0.0
 			if maxV[d] > 0 {
-				v = r.Raw[d] / maxV[d]
+				x = v[d] / maxV[d]
 			}
-			cells = append(cells, fmt.Sprintf("%.4f", v))
+			out[i] = append(out[i], fmt.Sprintf("%.4f", x))
 		}
-		cells = append(cells, fmt.Sprint(r.Iterations))
-		t.AddRow(cells...)
 	}
-	rep.Tables = append(rep.Tables, t)
-	return rep
+	return out
 }
 
-// solverMetricFigure is Figure 12: Jacobi, LBP and DD metrics vs size.
-func solverMetricFigure(c *Corpus) *Report {
-	rep := &Report{ID: "Figure 12", Title: "Metric Values for Jacobi, LBP, and DD",
-		Notes: []string{
-			"Per-edge metrics max-normalized to ≤ 1.0 within this figure (§3.4).",
-		}}
+// metricFigure prints the four per-edge metrics of the figure's runs,
+// max-normalized within the figure: one algorithm across its graph sweep
+// (Figures 2-10, keyed by size and α), or several across their sizes
+// (Figure 12: Jacobi, LBP and DD, keyed by algorithm and size).
+func metricFigure(c *Corpus, f figure, _ FigureOptions) (*Report, error) {
 	var runs []*behavior.Run
-	for _, alg := range []string{"Jacobi", "LBP", "DD"} {
+	for _, alg := range f.algs {
 		runs = append(runs, runsOf(c, alg)...)
 	}
-	var maxV behavior.Vector
-	for _, r := range runs {
-		for d := 0; d < behavior.Dims; d++ {
-			if r.Raw[d] > maxV[d] {
-				maxV[d] = r.Raw[d]
-			}
-		}
+	raw := make([]behavior.Vector, len(runs))
+	for i, r := range runs {
+		raw[i] = r.Raw
 	}
-	t := &Table{Header: []string{"algorithm", "size", "UPDT", "WORK", "EREAD", "MSG", "iters"}}
-	for _, r := range runs {
-		cells := []string{r.Algorithm, r.SizeLabel}
-		for d := 0; d < behavior.Dims; d++ {
-			v := 0.0
-			if maxV[d] > 0 {
-				v = r.Raw[d] / maxV[d]
-			}
-			cells = append(cells, fmt.Sprintf("%.4f", v))
-		}
-		cells = append(cells, fmt.Sprint(r.Iterations))
-		t.AddRow(cells...)
+	metrics := []string{"UPDT", "WORK", "EREAD", "MSG", "iters"}
+	note := "Per-edge metrics (value / iteration / edge), max-normalized to ≤ 1.0 within this figure (§3.4)."
+	t := &Table{Header: append([]string{"size", "alpha"}, metrics...)}
+	if len(f.algs) > 1 {
+		note = "Per-edge metrics max-normalized to ≤ 1.0 within this figure (§3.4)."
+		t.Header = append([]string{"algorithm", "size"}, metrics...)
 	}
-	rep.Tables = append(rep.Tables, t)
-	return rep
+	for i, cells := range maxNormalized(raw) {
+		r := runs[i]
+		key := []string{r.SizeLabel, fmt.Sprintf("%.2f", r.Alpha)}
+		if len(f.algs) > 1 {
+			key = []string{r.Algorithm, r.SizeLabel}
+		}
+		t.AddRow(append(append(key, cells...), fmt.Sprint(r.Iterations))...)
+	}
+	return &Report{ID: "Figure " + f.id, Title: f.title, Notes: []string{note}, Tables: []*Table{t}}, nil
 }
 
 // allAlgorithmsFigure is Figure 13: every algorithm's mean metric values
 // on one normalized scale, plus the §1 "1000-fold variation" check.
-func allAlgorithmsFigure(c *Corpus) *Report {
-	rep := &Report{ID: "Figure 13", Title: "Metric Values for All Algorithms",
+func allAlgorithmsFigure(c *Corpus, f figure, _ FigureOptions) (*Report, error) {
+	rep := &Report{ID: "Figure " + f.id, Title: f.title,
 		Notes: []string{
 			"Mean per-edge metrics per algorithm, max-normalized across all algorithms.",
 		}}
@@ -269,35 +273,20 @@ func allAlgorithmsFigure(c *Corpus) *Report {
 		}
 		byAlg[r.Algorithm] = append(byAlg[r.Algorithm], r)
 	}
-	means := map[string]behavior.Vector{}
-	var maxV behavior.Vector
-	for alg, runs := range byAlg {
-		var m behavior.Vector
-		for _, r := range runs {
-			for d := 0; d < behavior.Dims; d++ {
-				m[d] += r.Raw[d]
+	means := make([]behavior.Vector, len(order))
+	for i, alg := range order {
+		for _, r := range byAlg[alg] {
+			for d := range means[i] {
+				means[i][d] += r.Raw[d]
 			}
 		}
-		for d := 0; d < behavior.Dims; d++ {
-			m[d] /= float64(len(runs))
-			if m[d] > maxV[d] {
-				maxV[d] = m[d]
-			}
+		for d := range means[i] {
+			means[i][d] /= float64(len(byAlg[alg]))
 		}
-		means[alg] = m
 	}
 	t := &Table{Header: []string{"algorithm", "UPDT", "WORK", "EREAD", "MSG"}}
-	for _, alg := range order {
-		m := means[alg]
-		cells := []string{alg}
-		for d := 0; d < behavior.Dims; d++ {
-			v := 0.0
-			if maxV[d] > 0 {
-				v = m[d] / maxV[d]
-			}
-			cells = append(cells, fmt.Sprintf("%.4f", v))
-		}
-		t.AddRow(cells...)
+	for i, cells := range maxNormalized(means) {
+		t.AddRow(append([]string{order[i]}, cells...)...)
 	}
 	rep.Tables = append(rep.Tables, t)
 
@@ -308,13 +297,13 @@ func allAlgorithmsFigure(c *Corpus) *Report {
 		v.AddRow(behavior.DimNames[d], F(rr[d]))
 	}
 	rep.Tables = append(rep.Tables, v)
-	return rep
+	return rep, nil
 }
 
-// Table1 reprints the paper's survey of prior comparative studies — it is
+// table1 reprints the paper's survey of prior comparative studies — it is
 // background, not an experiment, and is included for completeness.
-func Table1() *Report {
-	rep := &Report{ID: "Table 1", Title: "Comparative Graph Processing System Evaluations (survey reprint)",
+func table1(_ *Corpus, f figure, _ FigureOptions) (*Report, error) {
+	rep := &Report{ID: "Table 1", Title: f.title,
 		Notes: []string{"Static background from the paper; nothing to measure."}}
 	t := &Table{Header: []string{"study", "systems", "algorithms", "graphs"}}
 	t.AddRow("M. Han [10]", "Giraph, GPS, Mizan, GraphLab",
@@ -327,13 +316,13 @@ func Table1() *Report {
 		"Statistics, BFS, CC, CD, GE",
 		"Amazon, WikiTalk, KGS, Citation, DotaLeague, Synth, Friendster")
 	rep.Tables = append(rep.Tables, t)
-	return rep
+	return rep, nil
 }
 
-// Table2 prints the realized campaign matrix: the graph feature variables
+// table2 prints the realized campaign matrix: the graph feature variables
 // per domain, as measured from the corpus.
-func Table2(c *Corpus) *Report {
-	rep := &Report{ID: "Table 2", Title: "Graph Feature Variables",
+func table2(c *Corpus, f figure, _ FigureOptions) (*Report, error) {
+	rep := &Report{ID: "Table 2", Title: f.title,
 		Notes: []string{
 			"Scales are the laptop-scale mapping of the paper's Table 2 (see DESIGN.md §3).",
 		}}
@@ -360,7 +349,7 @@ func Table2(c *Corpus) *Report {
 			joinSortedBySize(alphas[d], false))
 	}
 	rep.Tables = append(rep.Tables, t)
-	return rep
+	return rep, nil
 }
 
 func joinSortedBySize(set map[string]bool, numeric bool) string {
@@ -373,12 +362,5 @@ func joinSortedBySize(set map[string]bool, numeric bool) string {
 	} else {
 		sort.Strings(xs)
 	}
-	out := ""
-	for i, x := range xs {
-		if i > 0 {
-			out += ", "
-		}
-		out += x
-	}
-	return out
+	return strings.Join(xs, ", ")
 }

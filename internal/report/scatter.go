@@ -8,12 +8,12 @@ import (
 	"gcbench/internal/behavior"
 )
 
-// SpaceScatter renders ASCII scatter plots of the normalized behavior
+// spaceScatter renders ASCII scatter plots of the normalized behavior
 // space — the six 2-D projections of the 4-D <UPDT, WORK, EREAD, MSG>
 // cube, with one glyph per algorithm. Not a paper figure; a reading aid
 // for the corpus (`gcbench figures -fig space`).
-func SpaceScatter(c *Corpus) *Report {
-	rep := &Report{ID: "Extra", Title: "Behavior Space Projections",
+func spaceScatter(c *Corpus, f figure, _ FigureOptions) (*Report, error) {
+	rep := &Report{ID: "Extra", Title: f.title,
 		Notes: []string{
 			"Six 2-D projections of the normalized 4-D behavior space; one glyph per algorithm.",
 			"An ensemble with good spread/coverage picks points far apart in every panel.",
@@ -36,7 +36,7 @@ func SpaceScatter(c *Corpus) *Report {
 			rep.Tables = append(rep.Tables, scatterPanel(c, xi, yi, glyphOf))
 		}
 	}
-	return rep
+	return rep, nil
 }
 
 // assignGlyphs gives each algorithm a distinct printable glyph, preferring
