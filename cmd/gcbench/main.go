@@ -369,6 +369,10 @@ func cmdFigures(args []string) error {
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	fs.Parse(args)
 
+	opt := report.FigureOptions{CoverageSamples: *samples, MaxSize: *maxSize}
+	if err := opt.Validate(); err != nil {
+		return err
+	}
 	runs, err := sweep.LoadRunsFile(*runsPath)
 	if err != nil {
 		return fmt.Errorf("loading corpus (run 'gcbench sweep' first): %w", err)
@@ -377,7 +381,6 @@ func cmdFigures(args []string) error {
 	if err != nil {
 		return err
 	}
-	opt := report.FigureOptions{CoverageSamples: *samples, MaxSize: *maxSize}
 	ids := []string{*fig}
 	if *fig == "all" {
 		ids = report.FigureIDs()

@@ -161,8 +161,9 @@ func TestCmdFiguresAndEnsemble(t *testing.T) {
 }
 
 // TestCmdRejectsOutOfRangeSizes: an ensemble size outside [1, pool
-// size] and a negative figure size bound are refused with an error, not
-// a panic or an empty ensemble.
+// size] and a negative figure size bound or sample count are refused
+// with an error, not a panic or an empty ensemble, and before anything
+// is printed — `-fig all` included.
 func TestCmdRejectsOutOfRangeSizes(t *testing.T) {
 	path := writeTinyCorpus(t) // a pool of 12 runs
 	for _, tc := range []struct {
@@ -177,14 +178,39 @@ func TestCmdRejectsOutOfRangeSizes(t *testing.T) {
 		{cmdFigures, []string{"-fig", "14", "-maxsize", "-5"}, "must be ≥ 0, got -5"},
 		{cmdFigures, []string{"-fig", "18", "-maxsize", "-1"}, "must be ≥ 0, got -1"},
 		{cmdFigures, []string{"-fig", "table3", "-maxsize", "-2", "-samples", "2000"}, "must be ≥ 0, got -2"},
+		{cmdFigures, []string{"-fig", "all", "-maxsize", "-5"}, "must be ≥ 0, got -5"},
+		{cmdFigures, []string{"-fig", "all", "-samples", "-1"}, "must be ≥ 0, got -1"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
-			err := tc.cmd(append([]string{"-runs", path}, tc.args...))
+			var err error
+			out := captureStdout(t, func() { err = tc.cmd(append([]string{"-runs", path}, tc.args...)) })
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want one containing %q", err, tc.want)
 			}
+			if out != "" {
+				t.Fatalf("printed %d bytes before failing:\n%.200s", len(out), out)
+			}
 		})
 	}
+}
+
+// captureStdout returns what fn writes to os.Stdout.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	orig := os.Stdout
+	os.Stdout = f
+	defer func() { os.Stdout = orig }()
+	fn()
+	b, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 func TestCmdPredict(t *testing.T) {

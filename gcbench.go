@@ -22,7 +22,7 @@
 // in internal/engine by vendoring or forking; the stable surface here is
 // the benchmarking methodology. The commands under cmd/ import the
 // internal packages directly; every name here has a caller among the
-// examples, the root tests or README.md (TestFacadeNamesHaveCallers).
+// examples, the root tests or README.md (TestExportsHaveCallers).
 package gcbench
 
 import (

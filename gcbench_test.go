@@ -4,12 +4,7 @@ package gcbench_test
 import (
 	"bytes"
 	"context"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 
@@ -133,57 +128,5 @@ func TestEnsembleAPIEndToEnd(t *testing.T) {
 	}
 	if len(best[2]) != 2 {
 		t.Fatalf("best pair size %d", len(best[2]))
-	}
-}
-
-// TestFacadeNamesHaveCallers keeps gcbench.go the paper's workflow and
-// nothing more: every exported name must be used as gcbench.<Name> by an
-// example, a root test or README.md. Front ends inside the module (cmd/)
-// import the internal packages directly instead of growing the facade.
-func TestFacadeNamesHaveCallers(t *testing.T) {
-	f, err := parser.ParseFile(token.NewFileSet(), "gcbench.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, d := range f.Decls {
-		g, ok := d.(*ast.GenDecl)
-		if !ok {
-			continue
-		}
-		for _, s := range g.Specs {
-			switch s := s.(type) {
-			case *ast.TypeSpec:
-				names = append(names, s.Name.Name)
-			case *ast.ValueSpec:
-				for _, n := range s.Names {
-					names = append(names, n.Name)
-				}
-			}
-		}
-	}
-	examples, err := filepath.Glob(filepath.Join("examples", "*", "*.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tests, err := filepath.Glob("*_test.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	used := map[string]bool{}
-	ref := regexp.MustCompile(`\bgcbench\.([A-Z]\w*)`)
-	for _, p := range append(append(examples, tests...), "README.md") {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range ref.FindAllSubmatch(b, -1) {
-			used[string(m[1])] = true
-		}
-	}
-	for _, n := range names {
-		if ast.IsExported(n) && !used[n] {
-			t.Errorf("gcbench.%s has no caller in examples/, a root test or README.md", n)
-		}
 	}
 }

@@ -3,6 +3,7 @@ package algorithms
 import (
 	"container/heap"
 	"math"
+	"slices"
 	"testing"
 
 	"gcbench/internal/gen"
@@ -126,7 +127,7 @@ func serialTriangles(g *graph.Graph) int64 {
 				if c <= b {
 					continue
 				}
-				if g.HasEdge(a, c) {
+				if slices.Contains(g.OutNeighbors(a), c) {
 					count++
 				}
 			}
@@ -184,7 +185,8 @@ func densePageRank(g *graph.Graph, damping float64, iters int) []float64 {
 		next := make([]float64, n)
 		for v := uint32(0); int(v) < n; v++ {
 			var sum float64
-			for _, u := range g.InNeighbors(v) {
+			in := g.InCSR()
+			for _, u := range in.Adj[in.Off[v]:in.Off[v+1]] {
 				sum += rank[u] / float64(g.OutDegree(u))
 			}
 			next[v] = (1 - damping) + damping*sum

@@ -535,11 +535,11 @@ func (o ddEdgeOracle) Scatter(v uint32, e arc, self, _ ddState) bool {
 	return true
 }
 
-// randomMultigraph keeps parallel edges and self-loops, and leaves some
+// randomMultigraph keeps parallel edges (self-loops are dropped), and leaves some
 // vertices isolated.
 func randomMultigraph(t *testing.T, r *rand.Rand, n, m int, directed, weighted bool) *graph.Graph {
 	t.Helper()
-	b := graph.NewBuilder(n, directed).KeepSelfLoops()
+	b := graph.NewBuilder(n, directed)
 	if weighted {
 		b.Weighted()
 	}

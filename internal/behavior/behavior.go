@@ -201,33 +201,11 @@ func (s *Space) Point(i int) Vector { return s.Points[i] }
 // Len returns the number of runs.
 func (s *Space) Len() int { return len(s.Runs) }
 
-// Filter returns the indices of runs matching pred.
-func (s *Space) Filter(pred func(*Run) bool) []int {
-	var idx []int
-	for i, r := range s.Runs {
-		if pred(r) {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
 // ByAlgorithm groups run indices by algorithm name.
 func (s *Space) ByAlgorithm() map[string][]int {
 	m := make(map[string][]int)
 	for i, r := range s.Runs {
 		m[r.Algorithm] = append(m[r.Algorithm], i)
-	}
-	return m
-}
-
-// ByGraph groups run indices by the (SizeLabel, Alpha) graph-structure
-// key, the grouping of the single-graph ensembles (§5.3).
-func (s *Space) ByGraph() map[string][]int {
-	m := make(map[string][]int)
-	for i, r := range s.Runs {
-		key := fmt.Sprintf("%s/α=%.2f", r.SizeLabel, r.Alpha)
-		m[key] = append(m[key], i)
 	}
 	return m
 }

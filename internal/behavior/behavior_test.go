@@ -147,14 +147,6 @@ func TestGroupings(t *testing.T) {
 	if len(byAlg["CC"]) != 2 || len(byAlg["PR"]) != 1 {
 		t.Fatalf("ByAlgorithm = %v", byAlg)
 	}
-	byGraph := s.ByGraph()
-	if len(byGraph["1e4/α=2.00"]) != 2 {
-		t.Fatalf("ByGraph = %v", byGraph)
-	}
-	idx := s.Filter(func(r *Run) bool { return r.Algorithm == "PR" })
-	if len(idx) != 1 || idx[0] != 2 {
-		t.Fatalf("Filter = %v", idx)
-	}
 }
 
 func TestRunID(t *testing.T) {

@@ -1,7 +1,6 @@
 package corpus
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -61,27 +60,21 @@ func TestAppendGrowsAndRenormalizes(t *testing.T) {
 	}
 }
 
-// TestAppendReloadConcurrentReaders hammers the store's two publish
-// paths from concurrent writers while readers continuously traverse
-// snapshots — run under -race, it proves readers never observe a torn
-// snapshot and serialized publishers never lose a version.
-func TestAppendReloadConcurrentReaders(t *testing.T) {
-	runs := []*behavior.Run{fakeRun("PR", "1e5", 2.5)}
-	body, _ := json.Marshal(runs)
-	path := filepath.Join(t.TempDir(), "runs.json")
-	if err := os.WriteFile(path, body, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := LoadFile(path)
+// TestAppendConcurrentReaders hammers the store from two concurrent
+// appenders while readers continuously traverse snapshots — run under
+// -race, it proves readers never observe a torn snapshot and serialized
+// publishers never lose a version or a run.
+func TestAppendConcurrentReaders(t *testing.T) {
+	snap, err := NewSnapshotFromRuns([]*behavior.Run{fakeRun("PR", "1e5", 2.5)}, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := NewStore(snap)
 
 	const (
-		readers = 6
-		appends = 40
-		reloads = 40
+		readers   = 6
+		appenders = 2
+		appends   = 40 // per appender
 	)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -121,33 +114,29 @@ func TestAppendReloadConcurrentReaders(t *testing.T) {
 	}
 
 	var pub sync.WaitGroup
-	pub.Add(2)
-	go func() {
-		defer pub.Done()
-		for i := 0; i < appends; i++ {
-			r := fakeRun("CC", fmt.Sprintf("append-%d", i), 2)
-			if _, err := st.Append([]*behavior.Run{r}, "race-test"); err != nil {
-				t.Errorf("append %d: %v", i, err)
-				return
+	for a := 0; a < appenders; a++ {
+		pub.Add(1)
+		go func() {
+			defer pub.Done()
+			for i := 0; i < appends; i++ {
+				r := fakeRun("CC", fmt.Sprintf("append-%d-%d", a, i), 2)
+				if _, err := st.Append([]*behavior.Run{r}, "race-test"); err != nil {
+					t.Errorf("append %d/%d: %v", a, i, err)
+					return
+				}
 			}
-		}
-	}()
-	go func() {
-		defer pub.Done()
-		for i := 0; i < reloads; i++ {
-			if _, err := st.Reload(); err != nil {
-				t.Errorf("reload %d: %v", i, err)
-				return
-			}
-		}
-	}()
+		}()
+	}
 	pub.Wait()
 	close(stop)
 	wg.Wait()
 
-	// Serialized publishers: every publication got its own version.
-	if got := st.Snapshot().Version; got != 1+appends+reloads {
-		t.Fatalf("final version %d, want %d (lost publication)", got, 1+appends+reloads)
+	// Serialized publishers: every publication got its own version, and
+	// no appended run was lost.
+	final := st.Snapshot()
+	if final.Version != 1+appenders*appends || len(final.Records) != 1+appenders*appends {
+		t.Fatalf("final version %d with %d records, want %d and %d (lost publication)",
+			final.Version, len(final.Records), 1+appenders*appends, 1+appenders*appends)
 	}
 }
 
@@ -162,33 +151,5 @@ func TestLoadFileRejectsEmptyFile(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "empty") {
 		t.Fatalf("error %q does not name the zero-byte cause", err)
-	}
-}
-
-// TestReloadKeepsSnapshotOnEmptySource: a source file that shrank to
-// zero bytes (partial rewrite caught mid-flight) must fail the reload
-// and leave the current snapshot published.
-func TestReloadKeepsSnapshotOnEmptySource(t *testing.T) {
-	runs := []*behavior.Run{fakeRun("PR", "1e5", 2.5)}
-	body, _ := json.Marshal(runs)
-	path := filepath.Join(t.TempDir(), "runs.json")
-	if err := os.WriteFile(path, body, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewStore(snap)
-	cur := st.Snapshot()
-
-	if err := os.Truncate(path, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Reload(); err == nil {
-		t.Fatal("reload of zero-byte source succeeded")
-	}
-	if st.Snapshot() != cur {
-		t.Fatal("failed reload replaced the published snapshot")
 	}
 }

@@ -234,8 +234,8 @@ func LoadFile(path string) (*Snapshot, error) {
 	if len(head) == 0 {
 		// A zero-byte corpus is a torn write (a crashed `sweep -out`, a
 		// truncate-then-write editor), never a valid collection; refusing
-		// here keeps Store.Reload serving the previous snapshot instead
-		// of publishing an empty corpus.
+		// here keeps a reload serving the previous snapshot instead of
+		// publishing an empty corpus.
 		return nil, fmt.Errorf("corpus: %s is empty (partial write?); refusing to load", path)
 	}
 	trimmed := strings.TrimLeft(string(head), " \t\r\n")
@@ -454,11 +454,6 @@ func (s *Snapshot) PoolRecord(poolIdx int) *Record {
 	return &s.Records[s.poolRec[poolIdx]]
 }
 
-// SpaceRecord maps a Space index back to its record.
-func (s *Snapshot) SpaceRecord(spaceIdx int) *Record {
-	return &s.Records[s.spaceRec[spaceIdx]]
-}
-
 // SpaceIndexOf returns the Space index of record i, or -1 when the record
 // carries no measurement.
 func (s *Snapshot) SpaceIndexOf(recIdx int) int {
@@ -490,24 +485,13 @@ func (s *Snapshot) Predictor() (*predict.Predictor, error) {
 	return s.pred, s.predErr
 }
 
-// Models returns the distinct effective execution models present in the
-// snapshot, sorted ("gas" covers untagged pre-model-axis records).
-func (s *Snapshot) Models() []string {
-	out := make([]string, 0, len(s.byModel))
-	for m := range s.byModel {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Store publishes corpus snapshots to concurrent readers with atomic
 // swap semantics. The zero value is not usable; construct with NewStore.
 type Store struct {
 	cur     atomic.Pointer[Snapshot]
 	version atomic.Int64
-	// pubMu serializes the read-modify-write publishers (Append, Reload)
-	// against each other; readers never take it.
+	// pubMu serializes Append's read-modify-write publications; readers
+	// never take it.
 	pubMu sync.Mutex
 }
 
@@ -531,30 +515,12 @@ func (st *Store) Swap(snap *Snapshot) *Snapshot {
 	return st.cur.Swap(snap)
 }
 
-// Reload loads the store's configured source path and publishes it. A
-// source file that shrank to zero bytes (a partial rewrite caught
-// mid-flight) is rejected and the current snapshot stays published.
-func (st *Store) Reload() (*Snapshot, error) {
-	st.pubMu.Lock()
-	defer st.pubMu.Unlock()
-	cur := st.Snapshot()
-	if cur == nil || cur.Source == "" {
-		return nil, fmt.Errorf("corpus: store has no reloadable source")
-	}
-	snap, err := LoadFile(cur.Source)
-	if err != nil {
-		return nil, err
-	}
-	st.Swap(snap)
-	return snap, nil
-}
-
 // Append publishes the current snapshot grown by runs (see Grow for the
 // renormalization rule).
 //
 // The swap is atomic: readers holding the previous snapshot finish
-// against a consistent view, and concurrent Append/Reload publishers
-// are serialized so no appended run is lost.
+// against a consistent view, and concurrent Append publishers are
+// serialized so no appended run is lost.
 func (st *Store) Append(runs []*behavior.Run, from string) (*Snapshot, error) {
 	st.pubMu.Lock()
 	defer st.pubMu.Unlock()

@@ -66,7 +66,7 @@ func TestSnapshotIndexesAndPool(t *testing.T) {
 			t.Errorf("pool contains non-graph-varying algorithm %s", alg)
 		}
 	}
-	if si := snap.SpaceIndexOf(i); si < 0 || snap.SpaceRecord(si).Key != "PR_1e5_a2.5" {
+	if si := snap.SpaceIndexOf(i); si < 0 || snap.Records[snap.spaceRec[si]].Key != "PR_1e5_a2.5" {
 		t.Errorf("SpaceIndexOf(%d) = %d does not round-trip", i, si)
 	}
 }
@@ -259,14 +259,8 @@ func TestLoadFileJournalRerecordIsOneRecord(t *testing.T) {
 	}
 }
 
-func TestStoreSwapVersionsAndReload(t *testing.T) {
-	runs := []*behavior.Run{fakeRun("PR", "1e5", 2.5)}
-	body, _ := json.Marshal(runs)
-	path := filepath.Join(t.TempDir(), "runs.json")
-	if err := os.WriteFile(path, body, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := LoadFile(path)
+func TestStoreSwapVersions(t *testing.T) {
+	snap, err := NewSnapshotFromRuns([]*behavior.Run{fakeRun("PR", "1e5", 2.5)}, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,22 +268,15 @@ func TestStoreSwapVersionsAndReload(t *testing.T) {
 	if got := st.Snapshot().Version; got != 1 {
 		t.Fatalf("initial version = %d, want 1", got)
 	}
-
-	// Grow the source file and hot-reload.
-	runs = append(runs, fakeRun("CC", "1e3", 2))
-	body, _ = json.Marshal(runs)
-	if err := os.WriteFile(path, body, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	next, err := st.Reload()
+	next, err := NewSnapshotFromRuns([]*behavior.Run{fakeRun("PR", "1e5", 2.5), fakeRun("CC", "1e3", 2)}, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next.Version != 2 || len(next.Records) != 2 {
-		t.Fatalf("reloaded version = %d records = %d, want 2/2", next.Version, len(next.Records))
+	if prev := st.Swap(next); prev != snap {
+		t.Error("Swap did not return the previous snapshot")
 	}
-	if st.Snapshot() != next {
-		t.Error("Reload did not publish the new snapshot")
+	if next.Version != 2 || st.Snapshot() != next {
+		t.Fatalf("swapped version = %d, published %p, want 2 and %p", next.Version, st.Snapshot(), next)
 	}
 }
 

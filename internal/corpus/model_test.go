@@ -103,8 +103,8 @@ func TestFilterModels(t *testing.T) {
 			}
 		}
 	}
-	if got := snap.Models(); len(got) != 3 || got[0] != "gas" || got[1] != "pregel" || got[2] != "xstream" {
-		t.Errorf("Models() = %v, want [gas pregel xstream]", got)
+	if len(snap.byModel) != 3 || snap.byModel["gas"] == nil || snap.byModel["pregel"] == nil || snap.byModel["xstream"] == nil {
+		t.Errorf("effective models %v, want gas, pregel and xstream", snap.byModel)
 	}
 }
 
@@ -126,8 +126,8 @@ func TestGoldenCorpusMigration(t *testing.T) {
 			t.Errorf("record %d key = %q, want %q (pre-model keying)", i, rec.Key, want)
 		}
 	}
-	if got := snap.Models(); len(got) != 1 || got[0] != behavior.ModelGAS {
-		t.Fatalf("Models() = %v, want [gas]", got)
+	if got := snap.Select(Filter{Models: []string{behavior.ModelGAS}}); len(got) != len(snap.Records) {
+		t.Fatalf("%d of %d records read as effective-GAS", len(got), len(snap.Records))
 	}
 	if _, err := snap.Predictor(); err != nil {
 		t.Fatalf("Predictor(): %v", err)

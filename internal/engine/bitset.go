@@ -18,11 +18,6 @@ func (b *bitset) SetSerial(i uint32) {
 	b.words[i>>6] |= uint64(1) << (i & 63)
 }
 
-// Get reports whether bit i is set.
-func (b *bitset) Get(i uint32) bool {
-	return b.words[i>>6]&(uint64(1)<<(i&63)) != 0
-}
-
 // Clear zeroes the whole set.
 func (b *bitset) Clear() {
 	for i := range b.words {

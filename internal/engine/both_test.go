@@ -99,10 +99,10 @@ func TestBothFoldBitIdenticalToPerEdge(t *testing.T) {
 		for a := lo; a < hi; a++ {
 			outIn += g.ArcWeight(a)
 		}
-		lo, hi = g.InArcRange(v)
-		for a := lo; a < hi; a++ {
-			outIn += g.ArcWeight(g.InArcToOutArc(a))
-			inOut += g.ArcWeight(g.InArcToOutArc(a))
+		in := g.InCSR()
+		for i := in.Off[v]; i < in.Off[v+1]; i++ {
+			outIn += g.ArcWeight(in.Arc[i])
+			inOut += g.ArcWeight(in.Arc[i])
 		}
 		lo, hi = g.OutArcRange(v)
 		for a := lo; a < hi; a++ {

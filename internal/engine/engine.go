@@ -131,7 +131,6 @@ type PostIterator[S any] interface {
 // Control exposes engine state to Pre/PostIteration hooks.
 type Control[S any] struct {
 	eng interface {
-		graphRef() *graph.Graph
 		iterationRef() int
 		stateAny() any
 		activateNext(v uint32)
@@ -139,9 +138,6 @@ type Control[S any] struct {
 		nextCount() int64
 	}
 }
-
-// Graph returns the graph under computation.
-func (c *Control[S]) Graph() *graph.Graph { return c.eng.graphRef() }
 
 // Iteration returns the current 0-based iteration number.
 func (c *Control[S]) Iteration() int { return c.eng.iterationRef() }
@@ -390,12 +386,11 @@ type worker struct {
 }
 
 // Control plumbing (untyped so Control[S] needs no second type parameter).
-func (e *engine[S, A]) graphRef() *graph.Graph { return e.g }
-func (e *engine[S, A]) iterationRef() int      { return e.iter }
-func (e *engine[S, A]) stateAny() any          { return e.state }
-func (e *engine[S, A]) activateNext(v uint32)  { e.next.SetSerial(v) }
-func (e *engine[S, A]) activateAllNext()       { e.next.SetAll() }
-func (e *engine[S, A]) nextCount() int64       { return e.next.Count() }
+func (e *engine[S, A]) iterationRef() int     { return e.iter }
+func (e *engine[S, A]) stateAny() any         { return e.state }
+func (e *engine[S, A]) activateNext(v uint32) { e.next.SetSerial(v) }
+func (e *engine[S, A]) activateAllNext()      { e.next.SetAll() }
+func (e *engine[S, A]) nextCount() int64      { return e.next.Count() }
 
 // chunkSize is the dynamic scheduling granule in vertices. Word-aligned
 // (multiple of 64) so concurrent bitset scans never share a word.

@@ -15,7 +15,7 @@ import (
 
 // CoverageWith evaluates the coverage of prev ∪ {p} given prev's min
 // distances: the flat-sum baseline of the ablation. The searches use
-// IncrementalCoverage.EvalAdd, whose per-cell sum is the canonical one.
+// IncrementalCoverage.evalAdd, whose per-cell sum is the canonical one.
 func (c *CoverageEstimator) CoverageWith(prevMin []float64, p behavior.Vector) float64 {
 	if len(c.samples) == 0 {
 		return 0

@@ -31,7 +31,7 @@ import (
 // Every other cell keeps its cached sum. Totals accumulate per cell and
 // then across cells in cell order — the same canonical summation
 // coverageFromMin uses — and min-of-floats is an exact, order-free
-// value, so Coverage, EvalSwap, and EvalAdd return results
+// value, so Coverage, EvalSwap, and evalAdd return results
 // bit-identical to a fresh CoverageEstimator.Coverage over the same
 // members (the property the differential tests in incremental_test.go
 // pin).
@@ -115,16 +115,8 @@ func allCells(n int) []int {
 	return out
 }
 
-// Members returns a copy of the current member set.
-func (ic *IncrementalCoverage) Members() []behavior.Vector {
-	return append([]behavior.Vector(nil), ic.members...)
-}
-
-// Len returns the current member count.
-func (ic *IncrementalCoverage) Len() int { return len(ic.members) }
-
 // Coverage returns the coverage of the current members, bit-identical
-// to est.Coverage(ic.Members()).
+// to est.Coverage over a copy of them.
 func (ic *IncrementalCoverage) Coverage() float64 {
 	if len(ic.members) == 0 {
 		return 0
@@ -343,14 +335,9 @@ func (ic *IncrementalCoverage) Swap(pos int, p behavior.Vector) float64 {
 	return ic.Coverage()
 }
 
-// EvalAdd returns the coverage the ensemble would have with p appended,
-// bit-identical to a fresh est.Coverage(members+p). No state is mutated.
-func (ic *IncrementalCoverage) EvalAdd(p behavior.Vector) float64 {
-	return ic.finish(ic.evalAdd(p))
-}
-
-// evalAdd is EvalAdd before the reciprocal: the sample-distance total
-// with p appended.
+// evalAdd returns the sample-distance total the ensemble would have with
+// p appended; finish turns it into the coverage, bit-identical to a fresh
+// est.Coverage(members+p). No state is mutated.
 func (ic *IncrementalCoverage) evalAdd(p behavior.Vector) float64 {
 	ic.classify(-1, p, false)
 	ic.evalCells(-1, p)

@@ -3,6 +3,7 @@ package ensemble
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -22,7 +23,7 @@ func TestSpreadPermutationInvariant(t *testing.T) {
 			}
 		}
 		s1 := Spread(pts)
-		perm := r.Perm(n)
+		perm := rand.New(rand.NewSource(int64(r.Uint64()))).Perm(n)
 		shuffled := make([]behavior.Vector, n)
 		for i, p := range perm {
 			shuffled[i] = pts[p]

@@ -83,16 +83,20 @@ func TestPowerLawTailExponent(t *testing.T) {
 	}
 }
 
-// fitTailSlope least-squares fits log P(k) vs log k over k in [2, 30].
+// fitTailSlope least-squares fits log P(k) vs log k over k in [2, 30],
+// where P(k) is the fraction of vertices with out-degree k.
 func fitTailSlope(g *graph.Graph) float64 {
-	p := g.DegreeDistribution()
+	count := make([]int, g.MaxDegree()+1)
+	for v := uint32(0); int(v) < g.NumVertices(); v++ {
+		count[g.OutDegree(v)]++
+	}
 	var xs, ys []float64
-	for k := 2; k < len(p) && k <= 30; k++ {
-		if p[k] <= 0 {
+	for k := 2; k < len(count) && k <= 30; k++ {
+		if count[k] == 0 {
 			continue
 		}
 		xs = append(xs, math.Log(float64(k)))
-		ys = append(ys, math.Log(p[k]))
+		ys = append(ys, math.Log(float64(count[k])/float64(g.NumVertices())))
 	}
 	var sx, sy, sxx, sxy float64
 	for i := range xs {

@@ -12,6 +12,7 @@ import (
 // For undirected graphs, AddEdge(u, v) stores the edge once and Build
 // materializes both arcs. For directed graphs, AddEdge adds a single arc
 // and Build additionally constructs the transposed (in-) adjacency.
+// Self-loops are dropped.
 type Builder struct {
 	n        int
 	directed bool
@@ -21,14 +22,13 @@ type Builder struct {
 	w        []float64
 
 	// Build options.
-	dedup         bool
-	sortAdj       bool
-	dropSelfLoops bool
+	dedup   bool
+	sortAdj bool
 }
 
 // NewBuilder returns a Builder for a graph with n vertices.
 func NewBuilder(n int, directed bool) *Builder {
-	return &Builder{n: n, directed: directed, dropSelfLoops: true}
+	return &Builder{n: n, directed: directed}
 }
 
 // Weighted declares that edges carry weights; must be called before the
@@ -45,9 +45,6 @@ func (b *Builder) Dedup() *Builder { b.dedup = true; return b }
 // without Dedup, parallel arcs to one neighbor keep their recording order.
 // With Dedup the lists come out sorted whether or not this is set.
 func (b *Builder) SortAdjacency() *Builder { b.sortAdj = true; return b }
-
-// KeepSelfLoops retains self-loop edges, which are dropped by default.
-func (b *Builder) KeepSelfLoops() *Builder { b.dropSelfLoops = false; return b }
 
 // AddEdge records an edge (or arc, for directed graphs) from u to v with
 // weight 1.
@@ -105,21 +102,19 @@ func (b *Builder) Build() (*Graph, error) {
 		b.w = []float64{}
 	}
 
-	// Filter self-loops up front.
-	if b.dropSelfLoops {
-		k := 0
-		for i := range b.src {
-			if b.src[i] == b.dst[i] {
-				continue
-			}
-			b.src[k], b.dst[k] = b.src[i], b.dst[i]
-			if b.weighted {
-				b.w[k] = b.w[i]
-			}
-			k++
+	// Self-loops are dropped up front.
+	k := 0
+	for i := range b.src {
+		if b.src[i] == b.dst[i] {
+			continue
 		}
-		b.truncate(k)
+		b.src[k], b.dst[k] = b.src[i], b.dst[i]
+		if b.weighted {
+			b.w[k] = b.w[i]
+		}
+		k++
 	}
+	b.truncate(k)
 
 	if b.dedup {
 		b.dedupEdges()

@@ -32,22 +32,20 @@ func oracleBuild(b *Builder) (*Graph, error) {
 		b.w = []float64{}
 	}
 
-	if b.dropSelfLoops {
-		k := 0
-		for i := range b.src {
-			if b.src[i] == b.dst[i] {
-				continue
-			}
-			b.src[k], b.dst[k] = b.src[i], b.dst[i]
-			if b.weighted {
-				b.w[k] = b.w[i]
-			}
-			k++
+	k := 0
+	for i := range b.src {
+		if b.src[i] == b.dst[i] {
+			continue
 		}
-		b.src, b.dst = b.src[:k], b.dst[:k]
+		b.src[k], b.dst[k] = b.src[i], b.dst[i]
 		if b.weighted {
-			b.w = b.w[:k]
+			b.w[k] = b.w[i]
 		}
+		k++
+	}
+	b.src, b.dst = b.src[:k], b.dst[:k]
+	if b.weighted {
+		b.w = b.w[:k]
 	}
 
 	if b.dedup {
@@ -188,12 +186,12 @@ func oracleSortArcsByTarget(adj []uint32, w []float64) {
 
 // buildOpts is one point of the option matrix.
 type buildOpts struct {
-	directed, weighted, dedup, sortAdj, keepLoops bool
+	directed, weighted, dedup, sortAdj bool
 }
 
 func (o buildOpts) String() string {
-	return fmt.Sprintf("directed=%t weighted=%t dedup=%t sortAdj=%t keepSelfLoops=%t",
-		o.directed, o.weighted, o.dedup, o.sortAdj, o.keepLoops)
+	return fmt.Sprintf("directed=%t weighted=%t dedup=%t sortAdj=%t",
+		o.directed, o.weighted, o.dedup, o.sortAdj)
 }
 
 func (o buildOpts) builder(n int, edges [][2]uint32, weights []float64) *Builder {
@@ -207,20 +205,17 @@ func (o buildOpts) builder(n int, edges [][2]uint32, weights []float64) *Builder
 	if o.sortAdj {
 		b.SortAdjacency()
 	}
-	if o.keepLoops {
-		b.KeepSelfLoops()
-	}
 	for i, e := range edges {
 		b.AddWeightedEdge(e[0], e[1], weights[i])
 	}
 	return b
 }
 
-// allBuildOpts enumerates the 32 option combinations.
+// allBuildOpts enumerates the 16 option combinations.
 func allBuildOpts() []buildOpts {
 	var all []buildOpts
-	for bits := 0; bits < 32; bits++ {
-		all = append(all, buildOpts{bits&1 != 0, bits&2 != 0, bits&4 != 0, bits&8 != 0, bits&16 != 0})
+	for bits := 0; bits < 16; bits++ {
+		all = append(all, buildOpts{bits&1 != 0, bits&2 != 0, bits&4 != 0, bits&8 != 0})
 	}
 	return all
 }
@@ -293,7 +288,7 @@ func FuzzBuilderMatchesReference(f *testing.F) {
 		if len(data) < 2 || len(data) > 1<<12 {
 			t.Skip()
 		}
-		o := allBuildOpts()[data[0]%32]
+		o := allBuildOpts()[data[0]%16]
 		n := int(data[1] % 64)
 		var edges [][2]uint32
 		var weights []float64
@@ -303,27 +298,6 @@ func FuzzBuilderMatchesReference(f *testing.F) {
 		}
 		checkAgainstOracle(t, o, n, edges, weights)
 	})
-}
-
-// An undirected self-loop kept with KeepSelfLoops is stored as two arcs,
-// like any other undirected edge: NumArcs is 2×NumEdges, loops included.
-func TestUndirectedSelfLoopTakesTwoArcs(t *testing.T) {
-	b := NewBuilder(3, false).KeepSelfLoops().Dedup()
-	b.AddEdge(1, 1)
-	b.AddEdge(1, 1)
-	b.AddEdge(0, 1)
-	g := mustBuild(t, b)
-	if g.NumEdges() != 2 || g.NumArcs() != 4 {
-		t.Fatalf("NumEdges=%d NumArcs=%d, want 2 and 4", g.NumEdges(), g.NumArcs())
-	}
-	if got, want := g.OutNeighbors(1), []uint32{0, 1, 1}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("OutNeighbors(1) = %v, want %v", got, want)
-	}
-	d := NewBuilder(3, true).KeepSelfLoops()
-	d.AddEdge(1, 1)
-	if g := mustBuild(t, d); g.NumArcs() != 1 {
-		t.Fatalf("directed self-loop: NumArcs=%d, want 1", g.NumArcs())
-	}
 }
 
 // SortAdjacency without Dedup keeps parallel arcs in recording order, on

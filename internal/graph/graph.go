@@ -14,7 +14,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -58,9 +57,7 @@ func (g *Graph) NumVertices() int { return g.numVertices }
 func (g *Graph) NumEdges() int64 { return g.numEdges }
 
 // NumArcs returns the number of directed CSR slots: NumEdges for directed
-// graphs, 2×NumEdges for undirected ones. That holds for self-loops kept
-// with KeepSelfLoops too: an undirected loop at v is stored as two arcs
-// v→v, a directed one as one.
+// graphs, 2×NumEdges for undirected ones.
 func (g *Graph) NumArcs() int64 { return int64(len(g.outAdj)) }
 
 // Directed reports whether the graph is directed.
@@ -93,32 +90,16 @@ func (g *Graph) MaxDegreeVertex() uint32 {
 	return best
 }
 
-// InDegree returns the number of in-arcs at v. For undirected graphs this
-// equals OutDegree.
-func (g *Graph) InDegree(v uint32) int {
-	return int(g.inOff[v+1] - g.inOff[v])
-}
-
 // OutNeighbors returns v's out-neighbor slice. The slice aliases internal
 // storage and must not be modified.
 func (g *Graph) OutNeighbors(v uint32) []uint32 {
 	return g.outAdj[g.outOff[v]:g.outOff[v+1]]
 }
 
-// InNeighbors returns v's in-neighbor slice (aliases internal storage).
-func (g *Graph) InNeighbors(v uint32) []uint32 {
-	return g.inAdj[g.inOff[v]:g.inOff[v+1]]
-}
-
 // OutArcRange returns the half-open arc index range [lo, hi) of v's
 // out-arcs; arc i connects v to g.ArcTarget(i) with weight g.ArcWeight(i).
 func (g *Graph) OutArcRange(v uint32) (lo, hi int64) {
 	return g.outOff[v], g.outOff[v+1]
-}
-
-// InArcRange returns the half-open in-arc index range of v.
-func (g *Graph) InArcRange(v uint32) (lo, hi int64) {
-	return g.inOff[v], g.inOff[v+1]
 }
 
 // CSR is a read-only view of one adjacency side of a Graph as flat arrays,
@@ -150,18 +131,6 @@ func (g *Graph) InCSR() CSR {
 
 // ArcTarget returns the head vertex of out-arc i.
 func (g *Graph) ArcTarget(i int64) uint32 { return g.outAdj[i] }
-
-// InArcSource returns the tail vertex of in-arc i.
-func (g *Graph) InArcSource(i int64) uint32 { return g.inAdj[i] }
-
-// InArcToOutArc maps in-arc index i to the out-arc index storing the same
-// logical edge. For undirected graphs the identity holds.
-func (g *Graph) InArcToOutArc(i int64) int64 {
-	if g.inArc == nil {
-		return i
-	}
-	return g.inArc[i]
-}
 
 // ArcWeight returns the weight of out-arc i; 1.0 when unweighted.
 func (g *Graph) ArcWeight(i int64) float64 {
@@ -198,22 +167,6 @@ func (g *Graph) SetFeatures(dim int, data []float64) error {
 	return nil
 }
 
-// HasEdge reports whether an out-arc u→v exists. O(log d) on sorted
-// adjacency, O(d) otherwise.
-func (g *Graph) HasEdge(u, v uint32) bool {
-	adj := g.OutNeighbors(u)
-	if g.adjSorted {
-		i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
-		return i < len(adj) && adj[i] == v
-	}
-	for _, w := range adj {
-		if w == v {
-			return true
-		}
-	}
-	return false
-}
-
 // MaxDegree returns the maximum out-degree in the graph.
 func (g *Graph) MaxDegree() int {
 	max := 0
@@ -223,19 +176,4 @@ func (g *Graph) MaxDegree() int {
 		}
 	}
 	return max
-}
-
-// DegreeDistribution returns P(k) for k = 0..MaxDegree: the fraction of
-// vertices with out-degree k (the quantity of Eq. (1) in the paper).
-func (g *Graph) DegreeDistribution() []float64 {
-	counts := make([]int, g.MaxDegree()+1)
-	for v := uint32(0); int(v) < g.numVertices; v++ {
-		counts[g.OutDegree(v)]++
-	}
-	p := make([]float64, len(counts))
-	n := float64(g.numVertices)
-	for k, c := range counts {
-		p[k] = float64(c) / n
-	}
-	return p
 }

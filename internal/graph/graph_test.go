@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -42,15 +43,15 @@ func TestUndirectedBasics(t *testing.T) {
 		if d := g.OutDegree(uint32(v)); d != want {
 			t.Fatalf("OutDegree(%d) = %d, want %d", v, d, want)
 		}
-		if d := g.InDegree(uint32(v)); d != want {
-			t.Fatalf("InDegree(%d) = %d, want %d (undirected symmetry)", v, d, want)
-		}
 	}
-	if !g.HasEdge(1, 0) || !g.HasEdge(0, 1) {
-		t.Fatal("undirected edge not visible from both endpoints")
+	if !reflect.DeepEqual(g.InCSR(), g.OutCSR()) {
+		t.Fatal("undirected InCSR differs from OutCSR")
 	}
-	if g.HasEdge(0, 3) {
-		t.Fatal("phantom edge 0-3")
+	if got := g.OutNeighbors(0); !reflect.DeepEqual(got, []uint32{1}) {
+		t.Fatalf("OutNeighbors(0) = %v, want [1]", got)
+	}
+	if got := g.OutNeighbors(1); !reflect.DeepEqual(got, []uint32{0, 2}) {
+		t.Fatalf("OutNeighbors(1) = %v, want [0 2]", got)
 	}
 }
 
@@ -64,16 +65,17 @@ func TestDirectedBasics(t *testing.T) {
 	if g.NumEdges() != 3 || g.NumArcs() != 3 {
 		t.Fatalf("NumEdges=%d NumArcs=%d, want 3 and 3", g.NumEdges(), g.NumArcs())
 	}
-	if g.OutDegree(0) != 2 || g.InDegree(0) != 0 {
-		t.Fatalf("vertex 0 degrees out=%d in=%d, want 2, 0", g.OutDegree(0), g.InDegree(0))
+	in := g.InCSR()
+	if g.OutDegree(0) != 2 || in.Off[1]-in.Off[0] != 0 {
+		t.Fatalf("vertex 0 degrees out=%d in=%d, want 2, 0", g.OutDegree(0), in.Off[1]-in.Off[0])
 	}
-	if g.OutDegree(1) != 0 || g.InDegree(1) != 2 {
-		t.Fatalf("vertex 1 degrees out=%d in=%d, want 0, 2", g.OutDegree(1), g.InDegree(1))
+	if g.OutDegree(1) != 0 || in.Off[2]-in.Off[1] != 2 {
+		t.Fatalf("vertex 1 degrees out=%d in=%d, want 0, 2", g.OutDegree(1), in.Off[2]-in.Off[1])
 	}
-	ins := append([]uint32(nil), g.InNeighbors(1)...)
+	ins := append([]uint32(nil), in.Adj[in.Off[1]:in.Off[2]]...)
 	sort.Slice(ins, func(i, j int) bool { return ins[i] < ins[j] })
 	if len(ins) != 2 || ins[0] != 0 || ins[1] != 2 {
-		t.Fatalf("InNeighbors(1) = %v, want [0 2]", ins)
+		t.Fatalf("in-neighbors of 1 = %v, want [0 2]", ins)
 	}
 }
 
@@ -84,13 +86,14 @@ func TestInArcToOutArcDirected(t *testing.T) {
 	b.AddWeightedEdge(3, 2, 30)
 	g := mustBuild(t, b)
 
-	lo, hi := g.InArcRange(2)
+	in := g.InCSR()
+	lo, hi := in.Off[2], in.Off[3]
 	if hi-lo != 3 {
 		t.Fatalf("vertex 2 has %d in-arcs, want 3", hi-lo)
 	}
 	for a := lo; a < hi; a++ {
-		src := g.InArcSource(a)
-		out := g.InArcToOutArc(a)
+		src := in.Adj[a]
+		out := in.Arc[a]
 		if g.ArcTarget(out) != 2 {
 			t.Fatalf("cross-indexed out-arc %d targets %d, want 2", out, g.ArcTarget(out))
 		}
@@ -110,11 +113,11 @@ func TestSelfLoopsDroppedByDefault(t *testing.T) {
 		t.Fatalf("NumEdges = %d, want 1 (self-loop dropped)", g.NumEdges())
 	}
 
-	b2 := NewBuilder(2, true).KeepSelfLoops()
+	b2 := NewBuilder(2, true)
 	b2.AddEdge(0, 0)
-	g2 := mustBuild(t, b2)
-	if g2.NumEdges() != 1 {
-		t.Fatalf("KeepSelfLoops: NumEdges = %d, want 1", g2.NumEdges())
+	b2.AddEdge(1, 1)
+	if g2 := mustBuild(t, b2); g2.NumEdges() != 0 || g2.NumArcs() != 0 {
+		t.Fatalf("directed: NumEdges=%d NumArcs=%d, want 0 and 0 (self-loops dropped)", g2.NumEdges(), g2.NumArcs())
 	}
 }
 
@@ -202,24 +205,13 @@ func TestFeatures(t *testing.T) {
 	}
 }
 
-func TestDegreeDistributionSums(t *testing.T) {
+func TestMaxDegree(t *testing.T) {
 	b := NewBuilder(6, false)
 	b.AddEdge(0, 1)
 	b.AddEdge(0, 2)
 	b.AddEdge(0, 3)
 	b.AddEdge(4, 5)
 	g := mustBuild(t, b)
-	p := g.DegreeDistribution()
-	sum := 0.0
-	for _, x := range p {
-		sum += x
-	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Fatalf("degree distribution sums to %v, want 1", sum)
-	}
-	if p[3] != 1.0/6.0 {
-		t.Fatalf("P(3) = %v, want 1/6 (vertex 0)", p[3])
-	}
 	if g.MaxDegree() != 3 {
 		t.Fatalf("MaxDegree = %d, want 3", g.MaxDegree())
 	}
@@ -243,11 +235,15 @@ func TestUndirectedSymmetryProperty(t *testing.T) {
 		if g.NumArcs() != 2*g.NumEdges() {
 			return false
 		}
+		arcs := map[[2]uint32]bool{}
 		for u := uint32(0); int(u) < n; u++ {
 			for _, v := range g.OutNeighbors(u) {
-				if !g.HasEdge(v, u) {
-					return false
-				}
+				arcs[[2]uint32{u, v}] = true
+			}
+		}
+		for a := range arcs {
+			if !arcs[[2]uint32{a[1], a[0]}] {
+				return false
 			}
 		}
 		return true
@@ -271,18 +267,19 @@ func TestTransposeCrossIndexProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		in := g.InCSR()
 		var inArcs int64
 		for v := uint32(0); int(v) < n; v++ {
-			lo, hi := g.InArcRange(v)
+			lo, hi := in.Off[v], in.Off[v+1]
 			inArcs += hi - lo
 			for a := lo; a < hi; a++ {
-				out := g.InArcToOutArc(a)
+				out := in.Arc[a]
 				if g.ArcTarget(out) != v {
 					return false
 				}
 				// The out-arc's source must be the in-arc's source; verify
 				// by range membership.
-				src := g.InArcSource(a)
+				src := in.Adj[a]
 				sLo, sHi := g.OutArcRange(src)
 				if out < sLo || out >= sHi {
 					return false

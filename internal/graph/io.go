@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // WriteEdgeList writes the graph as a whitespace-separated edge list:
@@ -37,90 +35,4 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadEdgeList parses the format produced by WriteEdgeList. Lines starting
-// with '#' other than the header are ignored, as are blank lines.
-func ReadEdgeList(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-
-	n, directed, weighted, err := parseHeader(sc)
-	if err != nil {
-		return nil, err
-	}
-
-	b := NewBuilder(n, directed)
-	if weighted {
-		b.Weighted()
-	}
-	line := 1
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("graph: line %d: want 'src dst [weight]', got %q", line, text)
-		}
-		u, err := strconv.ParseUint(fields[0], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad source %q: %v", line, fields[0], err)
-		}
-		v, err := strconv.ParseUint(fields[1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad target %q: %v", line, fields[1], err)
-		}
-		w := 1.0
-		if weighted {
-			if len(fields) < 3 {
-				return nil, fmt.Errorf("graph: line %d: weighted graph but no weight", line)
-			}
-			w, err = strconv.ParseFloat(fields[2], 64)
-			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad weight %q: %v", line, fields[2], err)
-			}
-		}
-		b.AddWeightedEdge(uint32(u), uint32(v), w)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("graph: reading edge list: %v", err)
-	}
-	return b.Build()
-}
-
-// parseHeader reads the "# gcbench n=..." line.
-func parseHeader(sc *bufio.Scanner) (n int, directed, weighted bool, err error) {
-	if !sc.Scan() {
-		return 0, false, false, fmt.Errorf("graph: empty edge-list input")
-	}
-	header := strings.TrimSpace(sc.Text())
-	if !strings.HasPrefix(header, "# gcbench ") {
-		return 0, false, false, fmt.Errorf("graph: missing '# gcbench' header, got %q", header)
-	}
-	for _, kv := range strings.Fields(header)[2:] {
-		parts := strings.SplitN(kv, "=", 2)
-		if len(parts) != 2 {
-			return 0, false, false, fmt.Errorf("graph: malformed header field %q", kv)
-		}
-		switch parts[0] {
-		case "n":
-			n, err = strconv.Atoi(parts[1])
-		case "directed":
-			directed, err = strconv.ParseBool(parts[1])
-		case "weighted":
-			weighted, err = strconv.ParseBool(parts[1])
-		default:
-			err = fmt.Errorf("graph: unknown header field %q", parts[0])
-		}
-		if err != nil {
-			return 0, false, false, err
-		}
-	}
-	if n <= 0 {
-		return 0, false, false, fmt.Errorf("graph: header vertex count %d must be positive", n)
-	}
-	return n, directed, weighted, nil
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 )
 
 // MRF is a pairwise Markov Random Field: an undirected Graph whose vertices
@@ -116,9 +115,6 @@ func (m *MRF) indexArcs() error {
 	return nil
 }
 
-// ArcEdge returns the logical edge index of arc a.
-func (m *MRF) ArcEdge(a int64) int64 { return m.arcEdge[a] }
-
 // PairwiseFor returns φ(xu, xv) for the edge held by arc a, where a is an
 // out-arc of u targeting v — the orientation lookup the caller would
 // otherwise have to repeat.
@@ -201,228 +197,4 @@ func writeTable(bw *bufio.Writer, t []float64) {
 		fmt.Fprintf(bw, "%g", x)
 	}
 	fmt.Fprintln(bw)
-}
-
-// ReadUAI parses a pairwise UAI MARKOV network. Factors with scope size 1
-// become unary potentials (multiplied together if a variable appears in
-// several), scope size 2 become pairwise tables; larger scopes are
-// rejected, as in the paper only pairwise MRFs are used.
-func ReadUAI(r io.Reader) (*MRF, error) {
-	tok := newTokenizer(r)
-	kind, err := tok.word()
-	if err != nil {
-		return nil, err
-	}
-	if kind != "MARKOV" {
-		return nil, fmt.Errorf("uai: expected MARKOV network, got %q", kind)
-	}
-	n, err := tok.nonNegInt("variable count")
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("uai: zero variables")
-	}
-	card := make([]int, n)
-	for i := range card {
-		c, err := tok.nonNegInt("cardinality")
-		if err != nil {
-			return nil, err
-		}
-		if c < 1 {
-			return nil, fmt.Errorf("uai: variable %d has cardinality %d", i, c)
-		}
-		card[i] = c
-	}
-	numFactors, err := tok.nonNegInt("factor count")
-	if err != nil {
-		return nil, err
-	}
-	scopes := make([][]int, numFactors)
-	for f := 0; f < numFactors; f++ {
-		sz, err := tok.nonNegInt("scope size")
-		if err != nil {
-			return nil, err
-		}
-		if sz < 1 || sz > 2 {
-			return nil, fmt.Errorf("uai: factor %d has scope size %d; only pairwise MRFs supported", f, sz)
-		}
-		scope := make([]int, sz)
-		for i := range scope {
-			v, err := tok.nonNegInt("scope variable")
-			if err != nil {
-				return nil, err
-			}
-			if v >= n {
-				return nil, fmt.Errorf("uai: factor %d references variable %d ≥ n=%d", f, v, n)
-			}
-			scope[i] = v
-		}
-		scopes[f] = scope
-	}
-
-	unary := make([][]float64, n)
-	for v := 0; v < n; v++ {
-		unary[v] = uniformTable(card[v])
-	}
-	// Pairwise factors keyed by canonical (lo, hi) pair; repeated factors
-	// over the same pair multiply together.
-	pairTables := make(map[uint64][]float64)
-	var pairOrder []uint64
-	for f := 0; f < numFactors; f++ {
-		entries, err := tok.nonNegInt("table size")
-		if err != nil {
-			return nil, err
-		}
-		table := make([]float64, entries)
-		for i := range table {
-			x, err := tok.float("table entry")
-			if err != nil {
-				return nil, err
-			}
-			table[i] = x
-		}
-		scope := scopes[f]
-		switch len(scope) {
-		case 1:
-			v := scope[0]
-			if entries != card[v] {
-				return nil, fmt.Errorf("uai: unary factor %d has %d entries, variable %d has cardinality %d",
-					f, entries, v, card[v])
-			}
-			for i := range unary[v] {
-				unary[v][i] *= table[i]
-			}
-		case 2:
-			u, v := scope[0], scope[1]
-			if u == v {
-				return nil, fmt.Errorf("uai: pairwise factor %d has a repeated variable %d", f, u)
-			}
-			if entries != card[u]*card[v] {
-				return nil, fmt.Errorf("uai: pairwise factor %d has %d entries, want %d",
-					f, entries, card[u]*card[v])
-			}
-			// Canonicalize to lo-major order.
-			if u > v {
-				table = transposeTable(table, card[u], card[v])
-				u, v = v, u
-			}
-			key := uint64(uint32(u))<<32 | uint64(uint32(v))
-			if prev, ok := pairTables[key]; ok {
-				for i := range prev {
-					prev[i] *= table[i]
-				}
-			} else {
-				pairTables[key] = table
-				pairOrder = append(pairOrder, key)
-			}
-		}
-	}
-
-	b := NewBuilder(n, false)
-	for _, key := range pairOrder {
-		b.AddEdge(uint32(key>>32), uint32(key))
-	}
-	g, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	m, err := NewMRF(g, card, unary, tablesInScanOrder(g, pairTables))
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// tablesInScanOrder arranges pairwise tables into the MRF's CSR-scan edge
-// numbering (edges numbered in order of first appearance scanning vertices
-// by ID).
-func tablesInScanOrder(g *Graph, byKey map[uint64][]float64) [][]float64 {
-	out := make([][]float64, 0, g.NumEdges())
-	seen := make(map[uint64]bool, len(byKey))
-	for u := uint32(0); int(u) < g.NumVertices(); u++ {
-		lo, hi := g.OutArcRange(u)
-		for a := lo; a < hi; a++ {
-			v := g.ArcTarget(a)
-			cu, cv := u, v
-			if cu > cv {
-				cu, cv = cv, cu
-			}
-			key := uint64(cu)<<32 | uint64(cv)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			out = append(out, byKey[key])
-		}
-	}
-	return out
-}
-
-func uniformTable(n int) []float64 {
-	t := make([]float64, n)
-	for i := range t {
-		t[i] = 1
-	}
-	return t
-}
-
-// transposeTable converts a rows×cols row-major table to cols×rows.
-func transposeTable(t []float64, rows, cols int) []float64 {
-	out := make([]float64, len(t))
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			out[j*rows+i] = t[i*cols+j]
-		}
-	}
-	return out
-}
-
-// tokenizer splits an io.Reader into whitespace-separated tokens with
-// 1-based position tracking for error messages.
-type tokenizer struct {
-	sc  *bufio.Scanner
-	pos int
-}
-
-func newTokenizer(r io.Reader) *tokenizer {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	sc.Split(bufio.ScanWords)
-	return &tokenizer{sc: sc}
-}
-
-func (t *tokenizer) word() (string, error) {
-	if !t.sc.Scan() {
-		if err := t.sc.Err(); err != nil {
-			return "", fmt.Errorf("uai: read error at token %d: %v", t.pos, err)
-		}
-		return "", fmt.Errorf("uai: unexpected end of input at token %d", t.pos)
-	}
-	t.pos++
-	return t.sc.Text(), nil
-}
-
-func (t *tokenizer) nonNegInt(what string) (int, error) {
-	w, err := t.word()
-	if err != nil {
-		return 0, err
-	}
-	v, err := strconv.Atoi(w)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("uai: token %d: bad %s %q", t.pos, what, w)
-	}
-	return v, nil
-}
-
-func (t *tokenizer) float(what string) (float64, error) {
-	w, err := t.word()
-	if err != nil {
-		return 0, err
-	}
-	v, err := strconv.ParseFloat(w, 64)
-	if err != nil {
-		return 0, fmt.Errorf("uai: token %d: bad %s %q", t.pos, what, w)
-	}
-	return v, nil
 }

@@ -13,44 +13,6 @@ import (
 	"math"
 )
 
-// Dot returns the inner product of x and y (which must be equal length).
-func Dot(x, y []float64) float64 {
-	var s float64
-	for i := range x {
-		s += x[i] * y[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 { return math.Sqrt(Dot(x, x)) }
-
-// Axpy computes y += a·x in place.
-func Axpy(a float64, x, y []float64) {
-	for i := range x {
-		y[i] += a * x[i]
-	}
-}
-
-// Scale multiplies x by a in place.
-func Scale(a float64, x []float64) {
-	for i := range x {
-		x[i] *= a
-	}
-}
-
-// AddOuter accumulates A += x·xᵀ for the n×n row-major matrix A.
-func AddOuter(a []float64, x []float64) {
-	n := len(x)
-	for i := 0; i < n; i++ {
-		xi := x[i]
-		row := a[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			row[j] += xi * x[j]
-		}
-	}
-}
-
 // CholeskySolve8x4 solves the four symmetric positive-definite 8×8
 // systems a[s]·x[s] = b[s] at once, without allocating. Only the lower
 // triangles are read; each is overwritten with its factor L of A = L·Lᵀ,
@@ -199,13 +161,4 @@ func SymTriEigenvalues(diag, off []float64) ([]float64, error) {
 		d[j+1] = v
 	}
 	return d, nil
-}
-
-// MatVec computes y = A·x for the rows×cols row-major matrix A.
-func MatVec(a []float64, rows, cols int, x []float64) []float64 {
-	y := make([]float64, rows)
-	for i := 0; i < rows; i++ {
-		y[i] = Dot(a[i*cols:(i+1)*cols], x)
-	}
-	return y
 }

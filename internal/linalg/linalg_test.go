@@ -8,36 +8,6 @@ import (
 	"gcbench/internal/rng"
 )
 
-func TestDotNormAxpyScale(t *testing.T) {
-	x := []float64{1, 2, 3}
-	y := []float64{4, 5, 6}
-	if Dot(x, y) != 32 {
-		t.Fatalf("Dot = %v, want 32", Dot(x, y))
-	}
-	if got := Norm2([]float64{3, 4}); got != 5 {
-		t.Fatalf("Norm2 = %v, want 5", got)
-	}
-	Axpy(2, x, y)
-	if y[0] != 6 || y[1] != 9 || y[2] != 12 {
-		t.Fatalf("Axpy result %v", y)
-	}
-	Scale(0.5, y)
-	if y[0] != 3 || y[1] != 4.5 || y[2] != 6 {
-		t.Fatalf("Scale result %v", y)
-	}
-}
-
-func TestAddOuter(t *testing.T) {
-	a := make([]float64, 4)
-	AddOuter(a, []float64{2, 3})
-	want := []float64{4, 6, 6, 9}
-	for i := range want {
-		if a[i] != want[i] {
-			t.Fatalf("AddOuter = %v, want %v", a, want)
-		}
-	}
-}
-
 // choleskySolveOracle is the general-n allocating solve the batched
 // CholeskySolve8x4 must match bit for bit: it copies a, factors the copy
 // and returns a fresh solution.
@@ -181,7 +151,12 @@ func TestCholeskySolve8x4Known(t *testing.T) {
 		for i := range want[s] {
 			want[s][i] = r.NormFloat64()
 		}
-		copy(sys[s].b[:], MatVec(flat8(&sys[s].a), 8, 8, want[s]))
+		for i := range sys[s].b {
+			sys[s].b[i] = 0
+			for j, w := range want[s] {
+				sys[s].b[i] += sys[s].a[i][j] * w
+			}
+		}
 	}
 	var a [4]*[8][8]float64
 	var b [4]*[8]float64

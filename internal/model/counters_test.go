@@ -64,11 +64,11 @@ func counterInputs(t testing.TB) []counterInput {
 		})
 	}
 
-	// A weighted multigraph with parallel edges, self-loops and isolated
+	// A weighted multigraph with parallel edges, dropped self-loops and isolated
 	// vertices: the only input on which SSSP's edge lengths differ.
 	r := rand.New(rand.NewSource(13))
 	const n = 800
-	b := graph.NewBuilder(n, false).KeepSelfLoops().Weighted()
+	b := graph.NewBuilder(n, false).Weighted()
 	for i := 0; i < 2400; i++ {
 		b.AddWeightedEdge(uint32(r.Intn(n*3/4)), uint32(r.Intn(n*3/4)), 0.25+4*r.Float64())
 	}

@@ -173,22 +173,6 @@ func ForName(n Name) (Model, error) {
 	return nil, fmt.Errorf("model: unknown execution model %q (known: %v)", n, AllNames())
 }
 
-// Supported returns the algorithms a model implements, in the paper's
-// presentation order.
-func Supported(n Name) ([]algorithms.Name, error) {
-	m, err := ForName(n)
-	if err != nil {
-		return nil, err
-	}
-	var algs []algorithms.Name
-	for _, a := range algorithms.AllNames() {
-		if m.Supports(a) {
-			algs = append(algs, a)
-		}
-	}
-	return algs, nil
-}
-
 // Supporting returns the models that implement alg, GAS first.
 func Supporting(alg algorithms.Name) []Name {
 	var ms []Name

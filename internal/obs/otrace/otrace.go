@@ -356,14 +356,6 @@ func (s *Span) TraceID() TraceID {
 	return s.tr.id
 }
 
-// SpanID returns the span's id (zero for nil spans).
-func (s *Span) SpanID() SpanID {
-	if s == nil {
-		return SpanID{}
-	}
-	return s.data.SpanID
-}
-
 // Traceparent renders the propagation header for requests this span
 // makes downstream ("" for nil spans).
 func (s *Span) Traceparent() string {

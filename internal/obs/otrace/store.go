@@ -100,16 +100,6 @@ func NewStore(capacity int) *Store {
 	return st
 }
 
-// SetMaxSpans overrides the per-trace span cap (testing and tight
-// deployments).
-func (st *Store) SetMaxSpans(n int) {
-	if n > 0 {
-		st.mu.Lock()
-		st.maxSpans = n
-		st.mu.Unlock()
-	}
-}
-
 // StartTrace opens a new trace and its root span. tid selects the
 // propagated trace id (zero = generate one); parent is the remote
 // parent span id from an incoming traceparent (zero = locally rooted).
@@ -294,16 +284,6 @@ func (st *Store) List() []Summary {
 		out = append(out, s)
 	}
 	return out
-}
-
-// Len returns the number of retained traces.
-func (st *Store) Len() int {
-	if st == nil {
-		return 0
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.traces)
 }
 
 // Stats reports lifetime counters: traces started and traces evicted by

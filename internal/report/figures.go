@@ -29,6 +29,19 @@ type FigureOptions struct {
 // figures; longer series are downsampled.
 const activeRows = 25
 
+// Validate refuses a negative sample count or size bound (zero selects
+// the default), so a caller printing several figures fails before the
+// first one rather than at the first figure that reads the bad value.
+func (o FigureOptions) Validate() error {
+	if o.CoverageSamples < 0 {
+		return fmt.Errorf("report: coverage sample count must be ≥ 0, got %d", o.CoverageSamples)
+	}
+	if o.MaxSize < 0 {
+		return fmt.Errorf("report: maximum ensemble size must be ≥ 0, got %d", o.MaxSize)
+	}
+	return nil
+}
+
 func (o FigureOptions) withDefaults() FigureOptions {
 	if o.CoverageSamples == 0 {
 		o.CoverageSamples = 1_000_000

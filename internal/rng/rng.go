@@ -1,5 +1,5 @@
-// Package rng provides deterministic, splittable pseudo-random number
-// generation for reproducible experiment sweeps.
+// Package rng provides deterministic pseudo-random number generation for
+// reproducible experiment sweeps.
 //
 // Every graph generator and Monte-Carlo estimator in gcbench draws from an
 // explicit *rng.Source seeded by the caller; nothing uses the global
@@ -47,13 +47,6 @@ func New(seed uint64) *Source {
 	r.s2 = splitMix64(&sm)
 	r.s3 = splitMix64(&sm)
 	return &r
-}
-
-// Split derives an independent child stream from the parent without
-// perturbing the parent's own sequence beyond one draw. Use it to hand each
-// parallel worker or each generated graph its own stream.
-func (r *Source) Split() *Source {
-	return New(r.Uint64())
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -123,26 +116,5 @@ func (r *Source) NormFloat64() float64 {
 		r.spare = v * f
 		r.haveSpare = true
 		return u * f
-	}
-}
-
-// Perm returns a uniformly random permutation of [0, n) (Fisher-Yates).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewDeterministic(t *testing.T) {
@@ -39,22 +38,6 @@ func TestZeroSeedUsable(t *testing.T) {
 	v := r.Uint64()
 	if v == 0 && r.Uint64() == 0 && r.Uint64() == 0 {
 		t.Fatal("zero seed produced a degenerate all-zero stream")
-	}
-}
-
-func TestSplitIndependence(t *testing.T) {
-	parent := New(7)
-	child := parent.Split()
-	// The child must differ from a fresh continuation of the parent.
-	diverged := false
-	for i := 0; i < 50; i++ {
-		if parent.Uint64() != child.Uint64() {
-			diverged = true
-			break
-		}
-	}
-	if !diverged {
-		t.Fatal("split child mirrors parent stream")
 	}
 }
 
@@ -133,42 +116,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.02 {
 		t.Fatalf("normal variance = %v, want ~1", variance)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := New(seed)
-		n := 1 + r.Intn(200)
-		p := r.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestShuffleKeepsMultiset(t *testing.T) {
-	r := New(17)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed multiset sum: %d vs %d", got, sum)
 	}
 }
 

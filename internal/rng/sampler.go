@@ -75,11 +75,8 @@ func NewAlias(weights []float64) (*Alias, error) {
 	return a, nil
 }
 
-// N returns the number of outcomes.
-func (a *Alias) N() int { return len(a.cols) }
-
-// Draw returns an outcome in [0, N()) with probability proportional to its
-// construction weight.
+// Draw returns an outcome in [0, len(weights)) with probability
+// proportional to its construction weight.
 func (a *Alias) Draw(r *Source) int {
 	i := r.Intn(len(a.cols))
 	c := a.cols[i]

@@ -65,7 +65,7 @@ func TestConcurrentDesignCoalescing(t *testing.T) {
 			canonical[n] = res.body
 		}
 	}
-	if got := s.Searches(); got != unique {
+	if got := s.searches.Load(); got != unique {
 		t.Errorf("searches = %d, want %d (coalescing/cache failed)", got, unique)
 	}
 }
@@ -128,7 +128,7 @@ func TestQueueSaturationSheds(t *testing.T) {
 		t.Errorf("pending = %d after drain, want 0", got)
 	}
 	// The shed requests never reached a worker slot.
-	if got := s.Searches(); got != int64(ok) {
+	if got := s.searches.Load(); got != int64(ok) {
 		t.Errorf("searches = %d, want %d (one per admitted request)", got, ok)
 	}
 }

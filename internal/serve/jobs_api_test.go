@@ -316,7 +316,7 @@ func TestJobCancelViaHTTP(t *testing.T) {
 	j, _ := mgr.Get(queued.ID)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if st, err := j.Wait(ctx); err != nil || st != jobs.StateCancelled {
+	if st, err := waitJob(ctx, j); err != nil || st != jobs.StateCancelled {
 		t.Fatalf("queued job after DELETE: state %s err %v", st, err)
 	}
 
@@ -497,4 +497,21 @@ func FuzzCampaignRequest(f *testing.F) {
 			t.Fatalf("status %d for %q: %s", w.Code, body, w.Body.String())
 		}
 	})
+}
+
+// waitJob blocks until j is terminal or ctx expires, returning the job's
+// final state (or its current state with ctx's error on timeout). It
+// follows the event log the way the events endpoint does.
+func waitJob(ctx context.Context, j *jobs.Job) (jobs.State, error) {
+	for {
+		_, more := j.Log(0)
+		if st := j.State(); st.Terminal() {
+			return st, nil
+		}
+		select {
+		case <-more:
+		case <-ctx.Done():
+			return j.State(), ctx.Err()
+		}
+	}
 }

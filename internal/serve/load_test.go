@@ -139,7 +139,7 @@ func testServeLoad(t *testing.T, build func(t *testing.T) (*Server, *jobs.Manage
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	p99 := latencies[len(latencies)*99/100-1]
 	t.Logf("requests=%d p50=%v p99=%v searches=%d corpusVersion=%d→%d",
-		len(latencies), latencies[len(latencies)/2], p99, s.Searches(), before, version())
+		len(latencies), latencies[len(latencies)/2], p99, s.searches.Load(), before, version())
 	if p99 > p99Bound {
 		t.Fatalf("p99 latency %v exceeds %v", p99, p99Bound)
 	}

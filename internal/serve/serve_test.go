@@ -248,7 +248,7 @@ func TestDesignValidation(t *testing.T) {
 			}
 		})
 	}
-	if n := s.Searches(); n != 0 {
+	if n := s.searches.Load(); n != 0 {
 		t.Errorf("invalid requests triggered %d searches", n)
 	}
 }
@@ -316,7 +316,7 @@ func TestDesignCanonicalization(t *testing.T) {
 			t.Errorf("variant %d X-Cache = %q, want hit", i, got)
 		}
 	}
-	if n := s.Searches(); n != 1 {
+	if n := s.searches.Load(); n != 1 {
 		t.Errorf("searches = %d, want 1 (canonicalization failed)", n)
 	}
 }
@@ -398,7 +398,7 @@ func TestCorpusInfoAndReload(t *testing.T) {
 	if w2.Code != http.StatusOK || w2.Header().Get("X-Cache") != "miss" {
 		t.Errorf("post-reload design: %d X-Cache=%q", w2.Code, w2.Header().Get("X-Cache"))
 	}
-	if n := s.Searches(); n != 2 {
+	if n := s.searches.Load(); n != 2 {
 		t.Errorf("searches = %d, want 2 (one per corpus version)", n)
 	}
 }
@@ -455,7 +455,7 @@ func TestCachedDesignCostsNoFanout(t *testing.T) {
 				body, cold[i].Code, cold[i].Body.String(), warm.Code, warm.Body.String())
 		}
 	}
-	if n := s.Searches(); n != 1 {
+	if n := s.searches.Load(); n != 1 {
 		t.Errorf("searches = %d, want 1", n)
 	}
 }

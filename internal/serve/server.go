@@ -443,10 +443,6 @@ func (s *Server) Status() map[string]any {
 	return st
 }
 
-// Searches returns how many underlying ensemble searches have executed —
-// exposed for tests asserting singleflight and cache behavior.
-func (s *Server) Searches() int64 { return s.searches.Load() }
-
 // apiError is the structured error body every non-2xx API response
 // carries.
 type apiError struct {

@@ -180,7 +180,7 @@ func TestJobsBoundarySpanTree(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	state, err := job.Wait(ctx)
+	state, err := waitJob(ctx, job)
 	if err != nil || state != jobs.StateOK {
 		t.Fatalf("job ended %q, err %v", state, err)
 	}
@@ -269,7 +269,7 @@ func TestSpanKindsInTable(t *testing.T) {
 	job, _ := mgr.Get(decodeJob(t, campaign).ID)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	if state, err := job.Wait(ctx); err != nil || state != jobs.StateOK {
+	if state, err := waitJob(ctx, job); err != nil || state != jobs.StateOK {
 		t.Fatalf("job ended %q, err %v", state, err)
 	}
 

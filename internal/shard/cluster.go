@@ -59,8 +59,6 @@ type View struct {
 	// poolIdxBySeq maps a record's global sequence number to its index
 	// in Merged.Pool (-1 when the record is not a pool member).
 	poolIdxBySeq []int
-	// ownerBySeq maps a record's sequence number to its owning shard.
-	ownerBySeq []int
 }
 
 // Epoch returns the view's cluster epoch (Merged.Version): the number
@@ -90,15 +88,6 @@ func (v *View) PoolIndexOfSeq(seq int) int {
 		return -1
 	}
 	return v.poolIdxBySeq[seq]
-}
-
-// OwnerOfSeq returns the shard owning the record at seq, or -1 when seq
-// is outside this view (see PoolIndexOfSeq).
-func (v *View) OwnerOfSeq(seq int) int {
-	if seq < 0 || seq >= len(v.ownerBySeq) {
-		return -1
-	}
-	return v.ownerBySeq[seq]
 }
 
 // Cluster coordinates N consistent-hash shards with R replicas each:
@@ -339,16 +328,13 @@ func (c *Cluster) publishLocked(ctx context.Context, merged *corpus.Snapshot, fr
 		Merged:       merged,
 		VV:           make([]uint64, len(c.shards)),
 		poolIdxBySeq: make([]int, len(merged.Records)),
-		ownerBySeq:   make([]int, len(merged.Records)),
 	}
 	if prev != nil {
 		copy(v.VV, prev.VV)
-		copy(v.ownerBySeq[:from], prev.ownerBySeq)
 	}
 	parts := make([][]Entry, len(c.shards))
 	for seq := from; seq < len(merged.Records); seq++ {
 		owner := c.ring.Owner(merged.Records[seq].Key)
-		v.ownerBySeq[seq] = owner
 		parts[owner] = append(parts[owner], Entry{Seq: seq, Record: merged.Records[seq]})
 	}
 	for seq := range v.poolIdxBySeq {

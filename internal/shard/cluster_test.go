@@ -2,6 +2,9 @@ package shard
 
 import (
 	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -47,6 +50,41 @@ func fakeRun(alg, size string, alpha float64) *behavior.Run {
 		NumEdges: 1000, Iterations: 3, Converged: true,
 		ActiveFraction: []float64{1, 0.5, 0.1},
 		Raw:            behavior.Vector{0.5, 1e-9, 0.9, 0.3},
+	}
+}
+
+// TestReloadKeepsViewOnEmptySource: a source file that shrank to zero
+// bytes (a partial rewrite caught mid-flight) fails the reload and leaves
+// the current view published.
+func TestReloadKeepsViewOnEmptySource(t *testing.T) {
+	body, err := json.Marshal([]*behavior.Run{fakeRun("PR", "1e5", 2.5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "runs.json")
+	if err := os.WriteFile(path, body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := corpus.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Options{Shards: 2, Replicas: 1, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Load(context.Background(), snap); err != nil {
+		t.Fatal(err)
+	}
+	cur := c.View()
+	if err := os.Truncate(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Reload(context.Background()); err == nil {
+		t.Fatal("reload of zero-byte source succeeded")
+	}
+	if c.View() != cur {
+		t.Fatal("failed reload replaced the published view")
 	}
 }
 
@@ -235,7 +273,7 @@ func TestClusterAppend(t *testing.T) {
 	// Version vector: exactly the owning shards advanced.
 	newOwners := map[int]bool{}
 	for seq := len(oldKeys); seq < len(v2.Merged.Records); seq++ {
-		newOwners[v2.OwnerOfSeq(seq)] = true
+		newOwners[c.ring.Owner(v2.Merged.Records[seq].Key)] = true
 	}
 	for i := range v2.VV {
 		wantVer := v1.VV[i]

@@ -97,9 +97,6 @@ func NewRemoteShard(baseURL string, opts RemoteOptions) *RemoteShard {
 	}
 }
 
-// Addr returns the endpoint the client targets.
-func (r *RemoteShard) Addr() string { return r.base }
-
 // errRemoteApp is an application-level error relayed from the shard
 // process (the wire error body, or the HTTP status line without one):
 // the request reached the shard and was answered; retrying the

@@ -45,9 +45,6 @@ func NewReplicaSet(id int, replicas []ShardClient, reg *obs.Registry) (*ReplicaS
 	}, nil
 }
 
-// Replicas returns the replica transports (for supervision wiring).
-func (rs *ReplicaSet) Replicas() []ShardClient { return rs.replicas }
-
 // failover runs op against replicas round-robin, starting at the next
 // rotation slot and advancing past failures until one answers or every
 // replica has been tried.

@@ -166,10 +166,6 @@ func (s *Supervisor) SetOnRestore(fn func(ctx context.Context, spec ProcSpec) er
 	s.onRestore.Store(&fn)
 }
 
-// Restarts reports how many process restarts the supervisor has
-// performed since Start.
-func (s *Supervisor) Restarts() uint64 { return s.restarts.Load() }
-
 // Start spawns every replica process and blocks until all are healthy
 // (or ctx expires). Monitors then run until Stop.
 func (s *Supervisor) Start(ctx context.Context) error {

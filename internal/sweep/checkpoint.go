@@ -82,9 +82,6 @@ func OpenJournal(path string) (*Journal, error) {
 	return j, nil
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Len returns the number of distinct spec IDs recorded.
 func (j *Journal) Len() int {
 	j.mu.Lock()

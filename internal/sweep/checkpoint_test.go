@@ -106,7 +106,7 @@ func TestResumeAfterTornWrite(t *testing.T) {
 	if _, err := ExecuteCampaign(context.Background(), specs[:k], Config{Workers: 1, Parallel: 1, Journal: j}); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(j.Path())
+	raw, err := os.ReadFile(j.path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -333,6 +333,11 @@ func LoadRuns(r io.Reader) ([]*behavior.Run, error) {
 	if err := json.NewDecoder(r).Decode(&runs); err != nil {
 		return nil, fmt.Errorf("sweep: decoding runs: %w", err)
 	}
+	for i, r := range runs {
+		if r == nil {
+			return nil, fmt.Errorf("sweep: decoding runs: run %d is null", i)
+		}
+	}
 	return runs, nil
 }
 

@@ -45,14 +45,7 @@ func ExportSuite(dir string, runs []*behavior.Run, seedOf func(*behavior.Run) ui
 // the workload generate builds for the run's structure, with the matrix
 // and grid dimensions recovered from the run's realized edge count.
 func exportWorkload(dir string, i int, r *behavior.Run, seed uint64) (string, error) {
-	spec := Spec{Algorithm: algorithms.Name(r.Algorithm), NumEdges: r.NumEdges, Alpha: r.Alpha, Seed: seed}
-	switch spec.Algorithm.Family() {
-	case algorithms.FamilyLBP:
-		spec.NumRows = max(intSqrt(int(r.NumEdges)), 2)
-	case algorithms.FamilyJacobi:
-		spec.NumRows = int(r.NumEdges) / 8
-	}
-	w, err := generate(spec)
+	w, err := generate(memberSpec(r, seed))
 	if err != nil {
 		return "", err
 	}
@@ -67,6 +60,18 @@ func exportWorkload(dir string, i int, r *behavior.Run, seed uint64) (string, er
 	default:
 		return base + ".el", writeEdgeFile(dir, base+".el", w.Graph)
 	}
+}
+
+// memberSpec is the spec exportWorkload generates a member's input from.
+func memberSpec(r *behavior.Run, seed uint64) Spec {
+	spec := Spec{Algorithm: algorithms.Name(r.Algorithm), NumEdges: r.NumEdges, Alpha: r.Alpha, Seed: seed}
+	switch spec.Algorithm.Family() {
+	case algorithms.FamilyLBP:
+		spec.NumRows = max(intSqrt(int(r.NumEdges)), 2)
+	case algorithms.FamilyJacobi:
+		spec.NumRows = int(r.NumEdges) / 8
+	}
+	return spec
 }
 
 func writeEdgeFile(dir, name string, g *graph.Graph) error {

@@ -193,7 +193,7 @@ func TestRunResultProvenance(t *testing.T) {
 		}
 	}
 	// Journal round-trip preserves provenance.
-	entries, err := LoadJournal(j.Path())
+	entries, err := LoadJournal(j.path)
 	if err != nil {
 		t.Fatal(err)
 	}

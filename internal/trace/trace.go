@@ -149,19 +149,3 @@ func (t *RunTrace) TotalWall() time.Duration {
 	}
 	return sum
 }
-
-// Truncate returns a copy of the trace limited to the first k iterations,
-// used by the paper's runtime-constrained ensembles (§5.6): algorithms with
-// constant, repetitive behavior can be shortened without changing their
-// behavior vector.
-func (t *RunTrace) Truncate(k int) *RunTrace {
-	if k >= len(t.Iterations) {
-		return t
-	}
-	return &RunTrace{
-		NumVertices: t.NumVertices,
-		NumEdges:    t.NumEdges,
-		Iterations:  t.Iterations[:k],
-		Converged:   false,
-	}
-}

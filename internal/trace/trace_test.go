@@ -109,42 +109,3 @@ func TestDegenerateTracesNeverNaN(t *testing.T) {
 		})
 	}
 }
-
-func TestTruncate(t *testing.T) {
-	tr := sampleTrace()
-	short := tr.Truncate(2)
-	if short.NumIterations() != 2 {
-		t.Fatalf("truncated length %d", short.NumIterations())
-	}
-	if short.Converged {
-		t.Fatal("truncated trace still marked converged")
-	}
-	// Truncating at or beyond the length returns the original.
-	if tr.Truncate(3) != tr || tr.Truncate(10) != tr {
-		t.Fatal("no-op truncate did not return the receiver")
-	}
-	// Original untouched.
-	if tr.NumIterations() != 3 || !tr.Converged {
-		t.Fatal("Truncate mutated the original")
-	}
-}
-
-// TestTruncateConstantBehaviorInvariant verifies the §5.6 premise: for a
-// run with constant per-iteration behavior, truncation does not change
-// the per-iteration means that define its behavior vector.
-func TestTruncateConstantBehaviorInvariant(t *testing.T) {
-	tr := &RunTrace{NumVertices: 10, NumEdges: 100}
-	for i := 0; i < 50; i++ {
-		tr.Iterations = append(tr.Iterations, IterationStats{
-			Iteration: i, Active: 10, Updates: 10, EdgeReads: 200, Messages: 200,
-			ApplyTime: time.Millisecond,
-		})
-	}
-	short := tr.Truncate(5)
-	if tr.MeanUpdates() != short.MeanUpdates() ||
-		tr.MeanEdgeReads() != short.MeanEdgeReads() ||
-		tr.MeanMessages() != short.MeanMessages() ||
-		tr.MeanApplySeconds() != short.MeanApplySeconds() {
-		t.Fatal("constant-behavior truncation changed the behavior vector")
-	}
-}

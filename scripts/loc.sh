@@ -1,6 +1,6 @@
 #!/bin/sh
 # Non-test Go lines per package, and the serve + shard + sweep + obs
-# total ROADMAP item 10 tracks — the one command the numbers in ROADMAP,
+# total ROADMAP item 14 tracks — the one command the numbers in ROADMAP,
 # CHANGES.md and the next issue come from.
 # Usage: scripts/loc.sh   (from the repository root)
 set -eu
