@@ -486,7 +486,7 @@ func cmdEnsemble(args []string) error {
 			seen[m] = true
 			members = append(members, pool.Runs[m])
 		}
-		if err := sweep.ExportSuite(*export, members, nil); err != nil {
+		if err := sweep.ExportSuite(*export, members); err != nil {
 			return err
 		}
 		fmt.Printf("exported %d workload files to %s\n", len(members), *export)

@@ -17,7 +17,7 @@ import (
 // force ties.
 
 var allPools = flag.Bool("allpools", false,
-	"TestLazyGreedyColdPools checks all 825 cold pools instead of five (≈ 7.5 min)")
+	"TestLazyGreedyColdPools and TestCoverageTableMatchesFresh check all 825 cold pools instead of five (≈ 7.5 min and ≈ 1 min)")
 
 // coldShape returns what a serve-design-cold search runs on: the
 // estimator `gcbench serve -samples 10000` builds, the standard corpus's
@@ -244,22 +244,35 @@ func TestLazyGreedyRandomPools(t *testing.T) {
 // iteration: the workload's pools in order, n cycling 4…8 and shifting
 // by one each pass over the pools, so -benchtime=4125x walks the
 // workload's whole request list once. samples=10000 is the workload's
-// estimator, samples=1000000 the serve default's. evals/op is the mean
-// number of candidate evaluations.
+// estimator, samples=1000000 the serve default's. table=shared runs
+// every search on one estimator, as serve does, so its table of
+// two-member totals fills over the first pass; table=fresh builds a new
+// estimator for each search outside the timer — a server's first
+// request. evals/op is the mean number of candidate evaluations.
 func BenchmarkCoverageGreedyCold(b *testing.B) {
 	for _, samples := range []int{10000, DefaultSamples} {
-		b.Run(fmt.Sprintf("samples=%d", samples), func(b *testing.B) {
-			est, pts, pools := coldShape(b, samples)
-			var evals int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, e, err := coverageGreedy(context.Background(), est, pts, pools[i%len(pools)], 4+(i+i/len(pools))%5)
-				if err != nil {
-					b.Fatal(err)
+		for _, table := range []string{"shared", "fresh"} {
+			b.Run(fmt.Sprintf("samples=%d/table=%s", samples, table), func(b *testing.B) {
+				est, pts, pools := coldShape(b, samples)
+				var evals int
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if table == "fresh" {
+						b.StopTimer()
+						var err error
+						if est, err = NewCoverageEstimator(samples, 0x5eed); err != nil {
+							b.Fatal(err)
+						}
+						b.StartTimer()
+					}
+					_, e, err := coverageGreedy(context.Background(), est, pts, pools[i%len(pools)], 4+(i+i/len(pools))%5)
+					if err != nil {
+						b.Fatal(err)
+					}
+					evals += e
 				}
-				evals += e
-			}
-			b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
-		})
+				b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+			})
+		}
 	}
 }

@@ -75,6 +75,12 @@ func SpreadOf(pool []behavior.Vector, idx []int) float64 {
 // A second, finer grid serves bounds only (lowerTotal): per non-empty
 // cell, its sample count and tight box. Nothing is summed over it, so it
 // leaves the canonical order and every coverage bit alone.
+//
+// The estimator also keeps a table of two-member totals (pairTable),
+// which the greedy coverage search reads in its first two rounds, so
+// searches over restrictions of one pool share that work. An estimator
+// is safe for concurrent use: the samples and grids are read-only after
+// construction and the table has its own lock.
 type CoverageEstimator struct {
 	samples []behavior.Vector
 	workers int
@@ -89,6 +95,8 @@ type CoverageEstimator struct {
 	boundN  []float64
 	boundLo []behavior.Vector
 	boundHi []behavior.Vector
+	// pairs holds the totals of the ensembles {a, b} and {p}.
+	pairs pairTable
 }
 
 // DefaultSamples matches the paper's sample count.

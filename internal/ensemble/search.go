@@ -315,7 +315,13 @@ func BestCoverageGreedyCtx(ctx context.Context, cov *CoverageEstimator, pool []b
 // bound with. Its floor is the estimator's lowerTotal instead: round 1
 // visits by ascending lowerTotal (then pool position) and stops with the
 // same test. Every round-1 gain is +Inf, evaluated or not, so round 2
-// evaluates everyone in pool order, as the full scan would.
+// visits everyone in pool order, as the full scan would.
+//
+// The totals rounds 1 and 2 visit are those of the ensembles {p} and
+// {m₁, p}, which depend on no other member and no other candidate: they
+// come from the estimator's table of two-member totals (pairTable), and
+// only a miss is evaluated, stored and counted in evals. The visiting
+// order, the stopping test and every bit are the same either way.
 func coverageGreedy(ctx context.Context, cov *CoverageEstimator, pool []behavior.Vector, idx []int, maxSize int) (out [][]int, evals int, err error) {
 	if err := checkMaxSize(maxSize); err != nil {
 		return nil, 0, err
@@ -363,8 +369,22 @@ func coverageGreedy(ctx context.Context, cov *CoverageEstimator, pool []behavior
 			if err := ctx.Err(); err != nil {
 				return nil, evals, err
 			}
-			sum := ic.evalAdd(pool[idx[j]])
-			evals++
+			p := pool[idx[j]]
+			pair := p // the ensemble is {pair, p}: {p} in round 1, {m₁, p} in round 2
+			if k == 2 {
+				pair = pool[members[0]]
+			}
+			sum, hit := 0.0, false
+			if k <= 2 {
+				sum, hit = cov.pairs.load(pair, p)
+			}
+			if !hit {
+				sum = ic.evalAdd(p)
+				evals++
+				if k <= 2 {
+					cov.pairs.store(pair, p, sum)
+				}
+			}
 			gain[j] = cur - sum + slack
 			if c := ic.finish(sum); c > bestCov || (c == bestCov && j < rest[best]) {
 				bestCov, best = c, at

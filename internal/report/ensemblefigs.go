@@ -85,10 +85,17 @@ func (c *Corpus) measure(metric ensemble.Metric, samples int) (*measure, error) 
 	return m, nil
 }
 
+// spreadSearch is how bestCurves searches for spread, as the figures'
+// notes say it: exhaustively in groups of at most exhaustiveRuns runs
+// and by greedy + exchange above that.
+const (
+	exhaustiveRuns = 22
+	spreadSearch   = "exhaustive subset search on groups of ≤ 22 runs, greedy + exchange above that"
+)
+
 // bestCurves returns, per candidate group, the metric of the best
 // ensemble found at each size 1..maxSize (0 where the group is smaller).
-// Spread searches exhaustively in groups of at most 22 runs and by
-// greedy + exchange above that; coverage searches greedily.
+// Spread searches as spreadSearch says; coverage searches greedily.
 func (m *measure) bestCurves(groups map[string][]int, maxSize int) (map[string][]float64, error) {
 	pool := m.c.Pool.Points
 	out := make(map[string][]float64, len(groups))
@@ -98,7 +105,7 @@ func (m *measure) bestCurves(groups map[string][]int, maxSize int) (map[string][
 		switch {
 		case m.cov != nil:
 			sets, err = ensemble.BestCoverageGreedyCtx(context.TODO(), m.cov, pool, idx, maxSize)
-		case len(idx) <= 22:
+		case len(idx) <= exhaustiveRuns:
 			sets, err = ensemble.BestSpreadExhaustiveCtx(context.TODO(), pool, idx, maxSize)
 		default:
 			sets, err = ensemble.BestSpreadGreedyCtx(context.TODO(), pool, idx, maxSize)

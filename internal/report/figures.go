@@ -90,7 +90,7 @@ var figures = []figure{
 	{id: "13", title: "Metric Values for All Algorithms", render: allAlgorithmsFigure},
 	{id: "14", title: "Spread: Single Algorithm Ensembles", metric: ensemble.MetricSpread, groups: byAlgorithm, render: curveFigure,
 		notes: []string{
-			"Best-achievable spread per ensemble size, restricted to one algorithm's runs (exhaustive subset search).",
+			"Best-achievable spread per ensemble size, restricted to one algorithm's runs (" + spreadSearch + ").",
 			"Upper bound: maximally dispersed synthetic members in the unit behavior cube.",
 		}},
 	{id: "15", title: "Coverage: Single Algorithm Ensembles", metric: ensemble.MetricCoverage, groups: byAlgorithm, render: curveFigure,
@@ -109,7 +109,7 @@ var figures = []figure{
 		}},
 	{id: "18", title: "Spread: Unrestricted Ensembles", metric: ensemble.MetricSpread, groups: unrestricted, render: curveFigure,
 		notes: []string{
-			"Unrestricted ensembles draw from all graph-varying runs (greedy + exchange search).",
+			"Unrestricted ensembles draw from all graph-varying runs (" + spreadSearch + ").",
 			"The paper's headline: unrestricted spread stays ~3x above single-algorithm ensembles at size 20.",
 		}},
 	{id: "19", title: "Coverage: Unrestricted Ensembles", metric: ensemble.MetricCoverage, groups: unrestricted, render: curveFigure,

@@ -15,7 +15,7 @@ import (
 // MRF) plus a MANIFEST.txt describing the members — so an ensemble chosen
 // for spread/coverage can be carried to any graph-processing system, the
 // end goal of the paper's methodology.
-func ExportSuite(dir string, runs []*behavior.Run, seedOf func(*behavior.Run) uint64) error {
+func ExportSuite(dir string, runs []*behavior.Run) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -28,11 +28,7 @@ func ExportSuite(dir string, runs []*behavior.Run, seedOf func(*behavior.Run) ui
 	fmt.Fprintln(manifest, "# member  algorithm  size  alpha  workload-file")
 
 	for i, r := range runs {
-		seed := uint64(i + 1)
-		if seedOf != nil {
-			seed = seedOf(r)
-		}
-		name, err := exportWorkload(dir, i, r, seed)
+		name, err := exportWorkload(dir, i, r)
 		if err != nil {
 			return fmt.Errorf("sweep: exporting %s: %w", r.ID(), err)
 		}
@@ -41,11 +37,12 @@ func ExportSuite(dir string, runs []*behavior.Run, seedOf func(*behavior.Run) ui
 	return manifest.Close()
 }
 
-// exportWorkload writes one member's input file and returns its name:
-// the workload generate builds for the run's structure, with the matrix
-// and grid dimensions recovered from the run's realized edge count.
-func exportWorkload(dir string, i int, r *behavior.Run, seed uint64) (string, error) {
-	w, err := generate(memberSpec(r, seed))
+// exportWorkload writes member i's input file and returns its name: the
+// workload generate builds for the run's structure with seed i+1, with
+// the matrix and grid dimensions recovered from the run's realized edge
+// count.
+func exportWorkload(dir string, i int, r *behavior.Run) (string, error) {
+	w, err := generate(memberSpec(r, uint64(i+1)))
 	if err != nil {
 		return "", err
 	}

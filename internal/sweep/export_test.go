@@ -22,7 +22,7 @@ func TestExportSuite(t *testing.T) {
 		{Algorithm: "LBP", Domain: "Graphical Model", NumEdges: 100, SizeLabel: "100"},
 		{Algorithm: "Jacobi", Domain: "Linear Solver", NumEdges: 800, SizeLabel: "100"},
 	}
-	if err := ExportSuite(dir, members, nil); err != nil {
+	if err := ExportSuite(dir, members); err != nil {
 		t.Fatal(err)
 	}
 
@@ -107,22 +107,4 @@ func readLines(t *testing.T, path string) []string {
 		t.Fatal(err)
 	}
 	return strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
-}
-
-func TestExportSuiteCustomSeeds(t *testing.T) {
-	dir := t.TempDir()
-	members := []*behavior.Run{
-		{Algorithm: "CC", Domain: "Graph Analytics", NumEdges: 200, Alpha: 2.5, SizeLabel: "200"},
-	}
-	called := false
-	err := ExportSuite(dir, members, func(r *behavior.Run) uint64 {
-		called = true
-		return 99
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !called {
-		t.Fatal("seed function not consulted")
-	}
 }
