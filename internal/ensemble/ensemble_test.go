@@ -342,6 +342,9 @@ func TestTopEnsemblesErrors(t *testing.T) {
 	if _, err := TopEnsemblesCtx(context.Background(), MetricCoverage, pool, allIdx(5), TopKOptions{Size: 2}); err == nil {
 		t.Fatal("coverage without estimator accepted")
 	}
+	if _, err := TopEnsemblesCtx(context.Background(), MetricSpread, pool, allIdx(5), TopKOptions{Size: 2, K: -1}); err == nil {
+		t.Fatal("negative K accepted")
+	}
 }
 
 func TestFrequency(t *testing.T) {

@@ -226,6 +226,24 @@ func TestLazyGreedyTies(t *testing.T) {
 	}
 }
 
+// TestLazyGreedyTableFloor: round 1 takes a table total as {p}'s floor
+// and lowerTotal where the table has none. Two points a hair apart near
+// the cube's centre have round-1 totals far closer than lowerTotal's
+// slack; with exactly one of them in the table, the search must still
+// pick the one the full scan picks. An inflated table floor fails here.
+func TestLazyGreedyTableFloor(t *testing.T) {
+	pool := []behavior.Vector{{0.5, 0.5, 0.5, 0.5}, {0.501, 0.5, 0.5, 0.5}, {0.1, 0.9, 0.2, 0.8}}
+	for _, samples := range []int{5000, 1000} {
+		for warm := 0; warm < 2; warm++ {
+			est := newCov(t, samples)
+			if _, _, err := coverageGreedy(context.Background(), est, pool, []int{warm}, 1); err != nil {
+				t.Fatal(err)
+			}
+			checkLazyAgainstFullScan(t, est, pool, allIdx(len(pool)), len(pool))
+		}
+	}
+}
+
 // TestLazyGreedyRandomPools: random pools on both estimator layouts, a
 // third of the points duplicated, searched to the whole pool.
 func TestLazyGreedyRandomPools(t *testing.T) {

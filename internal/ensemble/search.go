@@ -312,16 +312,18 @@ func BestCoverageGreedyCtx(ctx context.Context, cov *CoverageEstimator, pool []b
 //     winner is the highest coverage, then the lowest position.
 //
 // The empty ensemble's total is +Inf, so round 1 has no reduction to
-// bound with. Its floor is the estimator's lowerTotal instead: round 1
-// visits by ascending lowerTotal (then pool position) and stops with the
-// same test. Every round-1 gain is +Inf, evaluated or not, so round 2
-// visits everyone in pool order, as the full scan would.
+// bound with. Its floor is {p}'s exact total where the estimator's
+// table holds it, else the estimator's lowerTotal: round 1 visits by
+// ascending floor (then pool position) and stops with the same test.
+// Every round-1 gain is +Inf, evaluated or not, so round 2 visits
+// everyone in pool order, as the full scan would.
 //
 // The totals rounds 1 and 2 visit are those of the ensembles {p} and
 // {m₁, p}, which depend on no other member and no other candidate: they
 // come from the estimator's table of two-member totals (pairTable), and
-// only a miss is evaluated, stored and counted in evals. The visiting
-// order, the stopping test and every bit are the same either way.
+// only a miss is evaluated, stored and counted in evals. Hits change
+// which candidates round 1 visits, as exact floors stop it sooner, but
+// no chosen member and no bit.
 func coverageGreedy(ctx context.Context, cov *CoverageEstimator, pool []behavior.Vector, idx []int, maxSize int) (out [][]int, evals int, err error) {
 	if err := checkMaxSize(maxSize); err != nil {
 		return nil, 0, err
@@ -347,7 +349,12 @@ func coverageGreedy(ctx context.Context, cov *CoverageEstimator, pool []behavior
 	first := make([]float64, n) // per position: lower bound on its round-1 total
 	for j := range rest {
 		rest[j], gain[j] = j, math.Inf(1)
-		first[j] = cov.lowerTotal(pool[idx[j]])
+		p := pool[idx[j]]
+		if total, hit := cov.pairs.load(p, p); hit {
+			first[j] = total
+		} else {
+			first[j] = cov.lowerTotal(p)
+		}
 	}
 	for k := 1; k <= maxSize; k++ {
 		if k == 1 {

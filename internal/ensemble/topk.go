@@ -1,8 +1,10 @@
 package ensemble
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"gcbench/internal/behavior"
@@ -53,12 +55,28 @@ type TopKOptions struct {
 // more partials than K. ctx is checked before each frontier partial's
 // extension (coverage scoring makes one Monte-Carlo pass per extension,
 // so that is the step granularity).
+//
+// Partials are sets of positions into idx, listed in increasing order,
+// and a partial is extended only by positions after its last, so no set
+// is reached twice. Level 1 keeps every singleton; each later level keeps
+// the BeamWidth best extensions of the level before (the last level K).
+// Ensembles rank by score descending (a NaN score last), then by their
+// positions into idx in lexicographic order, and the result is in that
+// order. The search holds O(BeamWidth × Size + len(idx)) values at a
+// time: each extension is scored as it is made and offered to a bounded
+// heap of the level's best, and nothing is allocated per extension
+// except what CoverageEstimator.Coverage allocates. Scores are
+// bit-identical to Spread and Coverage of the ensemble's points in
+// position order.
 func TopEnsemblesCtx(ctx context.Context, metric Metric, pool []behavior.Vector, idx []int, opt TopKOptions) ([]Scored, error) {
 	if opt.Size < 1 {
 		return nil, fmt.Errorf("ensemble: top-K size must be positive, got %d", opt.Size)
 	}
 	if opt.Size > len(idx) {
 		return nil, fmt.Errorf("ensemble: size %d exceeds pool %d", opt.Size, len(idx))
+	}
+	if opt.K < 0 {
+		return nil, fmt.Errorf("ensemble: top-K count must be ≥ 0, got %d", opt.K)
 	}
 	k := opt.K
 	if k == 0 {
@@ -75,69 +93,198 @@ func TopEnsemblesCtx(ctx context.Context, metric Metric, pool []behavior.Vector,
 		return nil, fmt.Errorf("ensemble: coverage metric needs a CoverageEstimator")
 	}
 
-	// Beam state: partial ensembles as sorted index slices, deduplicated
-	// by requiring strictly increasing positions (combination order), so
-	// no dedup map is needed: extend only with candidates after the last.
-	type partial struct {
-		members []int // positions into idx, increasing
-		score   float64
-	}
-	frontier := make([]partial, 0, len(idx))
-	for p := range idx {
-		frontier = append(frontier, partial{members: []int{p}})
-	}
-	scoreOf := func(members []int) float64 {
-		pts := make([]behavior.Vector, len(members))
-		for i, p := range members {
-			pts[i] = pool[idx[p]]
+	n := len(idx)
+	pts := make([]behavior.Vector, opt.Size)         // the ensemble being scored
+	pairs := make([]float64, 0, opt.Size*opt.Size/2) // spread: the partial's pair distances
+	lv := beamLevel{count: 1}                        // the frontier is the empty partial
+	for size := 1; ; size++ {
+		w := lv.width
+		limit := beam
+		if size == opt.Size {
+			limit = k
 		}
-		if metric == MetricSpread {
-			return Spread(pts)
+		// Singletons seed a longer search unscored and unpruned.
+		ranked := size > 1 || opt.Size == 1
+		if !ranked {
+			limit = n
 		}
-		return opt.Cov.Coverage(pts)
-	}
-
-	for size := 2; size <= opt.Size; size++ {
-		var next []partial
-		for _, f := range frontier {
+		children := 0
+		for r := 0; r < lv.count; r++ {
+			children += n - lv.start(r)
+		}
+		lv.heap = make([]beamEntry, 0, min(limit, children))
+		for r := 0; r < lv.count; r++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			last := f.members[len(f.members)-1]
-			for p := last + 1; p < len(idx); p++ {
-				m := append(append([]int(nil), f.members...), p)
-				next = append(next, partial{members: m, score: scoreOf(m)})
+			for i, p := range lv.row(r) {
+				pts[i] = pool[idx[p]]
+			}
+			if metric == MetricSpread {
+				pairs = pairs[:0]
+				for i := 0; i < w; i++ {
+					for j := i + 1; j < w; j++ {
+						pairs = append(pairs, behavior.Distance(pts[i], pts[j]))
+					}
+				}
+			}
+			for p := lv.start(r); p < n; p++ {
+				pts[w] = pool[idx[p]]
+				e := beamEntry{parent: int32(r), pos: int32(p)}
+				switch {
+				case !ranked:
+				case metric == MetricSpread:
+					e.score = spreadExtended(pts[:size], pairs)
+				default:
+					e.score = opt.Cov.Coverage(pts[:size])
+				}
+				lv.offer(e, limit)
 			}
 		}
-		sort.Slice(next, func(i, j int) bool { return next[i].score > next[j].score })
-		if len(next) > beam {
-			next = next[:beam]
+		best := lv.heap
+		slices.SortFunc(best, func(a, b beamEntry) int {
+			if lv.better(a, b) {
+				return -1
+			}
+			if lv.better(b, a) {
+				return 1
+			}
+			return 0
+		})
+		if size == opt.Size {
+			return lv.scored(best, idx), nil
 		}
-		frontier = next
-		if len(frontier) == 0 {
+		next := make([]int32, 0, len(best)*(w+1))
+		for _, e := range best {
+			next = append(append(next, lv.row(int(e.parent))...), e.pos)
+		}
+		lv = beamLevel{rows: next, width: w + 1, count: len(best)}
+	}
+}
+
+// spreadExtended is Spread(pts) when pairs holds the distances between
+// pts[:len(pts)-1] in Spread's i<j order: it adds the same distances in
+// the same order, computing only those to the last point.
+func spreadExtended(pts []behavior.Vector, pairs []float64) float64 {
+	n := len(pts)
+	if n < 2 {
+		return 0
+	}
+	last := pts[n-1]
+	var sum float64
+	at := 0
+	for i := 0; i < n-1; i++ {
+		for j := i + 1; j < n-1; j++ {
+			sum += pairs[at]
+			at++
+		}
+		sum += behavior.Distance(pts[i], last)
+	}
+	return sum / (float64(n) * float64(n-1) / 2)
+}
+
+// beamEntry is one extension of a frontier partial: the partial in
+// frontier row parent, then position pos.
+type beamEntry struct {
+	score  float64
+	parent int32
+	pos    int32
+}
+
+// beamLevel is one level of the beam: the frontier it extends, count
+// rows of width positions each, and a heap of the best extensions
+// offered so far, the worst at the root.
+type beamLevel struct {
+	rows         []int32
+	width, count int
+	heap         []beamEntry
+}
+
+// row returns frontier row r's positions.
+func (l *beamLevel) row(r int) []int32 { return l.rows[r*l.width : (r+1)*l.width] }
+
+// start is the first position that extends frontier row r.
+func (l *beamLevel) start(r int) int {
+	if l.width == 0 {
+		return 0
+	}
+	return int(l.rows[(r+1)*l.width-1]) + 1
+}
+
+// scored returns the ensembles of entries as pool indices, each sorted.
+func (l *beamLevel) scored(entries []beamEntry, idx []int) []Scored {
+	size := l.width + 1
+	out := make([]Scored, len(entries))
+	members := make([]int, len(entries)*size)
+	for i, e := range entries {
+		m := members[i*size : (i+1)*size : (i+1)*size]
+		for j, p := range l.row(int(e.parent)) {
+			m[j] = idx[p]
+		}
+		m[l.width] = idx[e.pos]
+		sort.Ints(m)
+		out[i] = Scored{Members: m, Score: e.score}
+	}
+	return out
+}
+
+// better reports whether a ranks before b: a higher score, then the
+// lexicographically smaller positions. No two entries of a level hold the
+// same positions, so this is a strict total order.
+func (l *beamLevel) better(a, b beamEntry) bool {
+	if c := cmp.Compare(a.score, b.score); c != 0 {
+		return c > 0
+	}
+	if c := slices.Compare(l.row(int(a.parent)), l.row(int(b.parent))); c != 0 {
+		return c < 0
+	}
+	return a.pos < b.pos
+}
+
+// offer keeps e if it is among the limit best entries offered so far.
+// Most entries of a level score below a full heap's root; that test is
+// kept small enough to inline.
+func (l *beamLevel) offer(e beamEntry, limit int) {
+	if len(l.heap) == limit && e.score < l.heap[0].score {
+		return
+	}
+	l.push(e, limit)
+}
+
+// push is offer past the score test.
+func (l *beamLevel) push(e beamEntry, limit int) {
+	h := l.heap
+	if len(h) < limit {
+		h = append(h, e)
+		for i := len(h) - 1; i > 0; {
+			up := (i - 1) / 2
+			if !l.better(h[up], h[i]) {
+				break
+			}
+			h[up], h[i] = h[i], h[up]
+			i = up
+		}
+		l.heap = h
+		return
+	}
+	if !l.better(e, h[0]) {
+		return
+	}
+	h[0] = e
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
 			break
 		}
-	}
-	// Score singletons if Size == 1.
-	if opt.Size == 1 {
-		for i := range frontier {
-			frontier[i].score = scoreOf(frontier[i].members)
+		if c+1 < len(h) && l.better(h[c], h[c+1]) {
+			c++
 		}
-		sort.Slice(frontier, func(i, j int) bool { return frontier[i].score > frontier[j].score })
-	}
-	if len(frontier) > k {
-		frontier = frontier[:k]
-	}
-	out := make([]Scored, len(frontier))
-	for i, f := range frontier {
-		members := make([]int, len(f.members))
-		for j, p := range f.members {
-			members[j] = idx[p]
+		if !l.better(h[i], h[c]) {
+			break
 		}
-		sort.Ints(members)
-		out[i] = Scored{Members: members, Score: f.score}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
-	return out, nil
 }
 
 // Frequency counts how often each key (e.g. algorithm name) appears across

@@ -25,7 +25,6 @@ type Job struct {
 	events  []Event
 	updated chan struct{} // closed and replaced on every append
 	res     *sweep.CampaignResult
-	resErr  error
 }
 
 // newJob builds a job whose log opens with its queued event.
@@ -103,8 +102,8 @@ func (j *Job) emit(e Event) {
 	}
 }
 
-func (j *Job) setResult(res *sweep.CampaignResult, err error) {
+func (j *Job) setResult(res *sweep.CampaignResult) {
 	j.mu.Lock()
-	j.res, j.resErr = res, err
+	j.res = res
 	j.mu.Unlock()
 }

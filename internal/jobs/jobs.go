@@ -344,7 +344,7 @@ func (m *Manager) retire(j *Job, msg string) {
 		res.Results[i] = sweep.RunResult{Spec: s, Status: behavior.StatusCancelled, Err: context.Canceled.Error()}
 	}
 	j.cancel()
-	j.setResult(res, context.Canceled)
+	j.setResult(res)
 	m.finalize(j, StateCancelled, msg)
 }
 
@@ -370,7 +370,7 @@ func (m *Manager) run(j *Job) {
 	}
 
 	res, err := m.cfg.Execute(ctx, j.req.Specs, cfg)
-	j.setResult(res, err)
+	j.setResult(res)
 
 	state, msg := StateOK, ""
 	switch {

@@ -86,6 +86,18 @@ func waitState(t *testing.T, j *Job, want State) {
 	}
 }
 
+// terminalEvent returns the last event of a terminal job's log, which
+// must be its terminal state event.
+func terminalEvent(t *testing.T, j *Job) Event {
+	t.Helper()
+	log, _ := j.Log(0)
+	e := log[len(log)-1]
+	if e.Type != "state" || !e.State.Terminal() {
+		t.Fatalf("job %s: last event %+v is not a terminal state", j.ID(), e)
+	}
+	return e
+}
+
 func TestJobRunsToOKAndPublishes(t *testing.T) {
 	m := newTestManager(t, Config{Execute: instantExec})
 	published := make(chan int, 1)
@@ -154,12 +166,11 @@ func TestCancelWhileQueuedNeverExecutes(t *testing.T) {
 
 	m.Cancel(queued)
 	waitState(t, queued, StateCancelled)
-	res, rerr := queued.Result()
-	if !errors.Is(rerr, context.Canceled) {
-		t.Fatalf("cancelled-while-queued result error = %v, want context.Canceled", rerr)
+	if e := terminalEvent(t, queued); e.State != StateCancelled || e.Error != "cancelled while queued" {
+		t.Fatalf("cancelled-while-queued terminal event = %+v", e)
 	}
-	if res == nil || res.Cancelled != 2 || len(res.Results) != 2 {
-		t.Fatalf("cancelled-while-queued result = %+v, want 2 cancelled specs", res)
+	if st := queued.Status(); st.Done != 2 || st.CancelledRuns != 2 {
+		t.Fatalf("cancelled-while-queued status = %+v, want 2 cancelled specs", st)
 	}
 
 	close(release)
@@ -319,9 +330,11 @@ func TestQueuedCancelAccountsEveryRun(t *testing.T) {
 		m := newTestManager(t, Config{Execute: blockingExec(release)})
 		m.Submit(Request{Specs: testSpecs(1)})
 		queued, _ := m.Submit(Request{Specs: testSpecs(3)})
+		msg := "cancelled while queued"
 		if path == "Cancel" {
 			m.Cancel(queued)
 		} else {
+			msg = "cancelled: manager closed"
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			if err := m.Close(ctx); err != nil {
 				t.Fatalf("close: %v", err)
@@ -333,8 +346,8 @@ func TestQueuedCancelAccountsEveryRun(t *testing.T) {
 		if st.Done != 3 || st.CancelledRuns != 3 || st.Total != 3 {
 			t.Errorf("%s: done %d, cancelledRuns %d, total %d; want 3 each", path, st.Done, st.CancelledRuns, st.Total)
 		}
-		if res, err := queued.Result(); res == nil || len(res.Results) != 3 || !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: result %+v, %v; want 3 cancelled specs and context.Canceled", path, res, err)
+		if e := terminalEvent(t, queued); e.State != StateCancelled || e.Error != msg {
+			t.Errorf("%s: terminal event %+v, want state cancelled, error %q", path, e, msg)
 		}
 		close(release)
 	}

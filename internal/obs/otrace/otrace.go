@@ -265,7 +265,6 @@ type Trace struct {
 	mu        sync.Mutex
 	spans     []SpanData
 	dropped   int
-	maxSpans  int
 	rootEnded bool
 	protected bool // error/slow/marked — never evicted before boring traces
 }
@@ -308,7 +307,7 @@ func (t *Trace) Mark() {
 // add appends one finished span, honoring the per-trace span cap.
 func (t *Trace) add(d SpanData) {
 	t.mu.Lock()
-	if len(t.spans) >= t.maxSpans {
+	if len(t.spans) >= DefaultMaxSpans {
 		t.dropped++
 	} else {
 		t.spans = append(t.spans, d)

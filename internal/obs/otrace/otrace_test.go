@@ -194,18 +194,20 @@ func TestRemoteParentPreserved(t *testing.T) {
 }
 
 func TestSpanCapDrops(t *testing.T) {
+	const extra = 7
 	st := NewStore(4)
-	st.SetMaxSpans(3)
 	tr, root := st.StartTrace("r", "server", TraceID{}, SpanID{})
-	for i := 0; i < 10; i++ {
-		root.Graft([]SpanData{{SpanID: SpanID{1}, Name: "c", Kind: "phase", Duration: 1}})
+	children := make([]SpanData, DefaultMaxSpans+extra)
+	for i := range children {
+		children[i] = SpanData{SpanID: SpanID{1}, Name: "c", Kind: "phase", Duration: 1}
 	}
+	root.Graft(children)
 	root.End()
-	if n := len(tr.Spans()); n != 3 {
-		t.Fatalf("spans = %d, want cap 3", n)
+	if n := len(tr.Spans()); n != DefaultMaxSpans {
+		t.Fatalf("spans = %d, want cap %d", n, DefaultMaxSpans)
 	}
-	// 10 children + root = 11 attempted, 3 kept.
-	if d := tr.Dropped(); d != 8 {
-		t.Fatalf("dropped = %d, want 8", d)
+	// The children fill the cap, so they and the root past it are dropped.
+	if d := tr.Dropped(); d != extra+1 {
+		t.Fatalf("dropped = %d, want %d", d, extra+1)
 	}
 }

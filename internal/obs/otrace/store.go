@@ -23,7 +23,6 @@ import (
 // an async job's spans always have somewhere to land.
 type Store struct {
 	capacity int
-	maxSpans int
 
 	mu     sync.Mutex
 	traces map[TraceID]*Trace
@@ -71,12 +70,13 @@ func (h *seqHeap) Pop() any {
 	return t
 }
 
-// DefaultCapacity bounds retained traces when Config.Capacity is 0.
+// DefaultCapacity bounds retained traces when NewStore is given a
+// capacity ≤ 0.
 const DefaultCapacity = 512
 
-// DefaultMaxSpans bounds spans per trace when Config.MaxSpans is 0: a
-// campaign over hundreds of runs with per-iteration children must not
-// hold the process hostage.
+// DefaultMaxSpans bounds the spans of every trace; a trace drops (and
+// counts, Trace.Dropped) the spans past it: a campaign over hundreds of
+// runs with per-iteration children must not hold the process hostage.
 const DefaultMaxSpans = 4096
 
 // slowWindow is how many recent root durations the slowest-decile
@@ -91,7 +91,6 @@ func NewStore(capacity int) *Store {
 	}
 	st := &Store{
 		capacity: capacity,
-		maxSpans: DefaultMaxSpans,
 		traces:   make(map[TraceID]*Trace),
 		durs:     make([]time.Duration, slowWindow),
 		sorted:   make([]time.Duration, 0, slowWindow),
@@ -121,7 +120,7 @@ func (st *Store) StartTrace(name, kind string, tid TraceID, parent SpanID, attrs
 
 	st.mu.Lock()
 	st.started++
-	tr.maxSpans, tr.seq = st.maxSpans, st.started
+	tr.seq = st.started
 	if old, ok := st.traces[tid]; ok {
 		// A trace id replayed by a client collides; the newer trace wins
 		// and the older one is dropped from the index.
