@@ -160,7 +160,7 @@ func BenchmarkFig07ALSActive(b *testing.B) {
 	g, users := benchRating(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := gcbench.AlternatingLeastSquares(g, users, gcbench.ALSOptions{}); err != nil {
+		if _, _, err := gcbench.AlternatingLeastSquares(g, users, gcbench.AlgorithmOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -172,7 +172,7 @@ func BenchmarkFig09SGDMetrics(b *testing.B) {
 	g, users := benchRating(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := gcbench.StochasticGradientDescent(g, users, gcbench.SGDOptions{}); err != nil {
+		if _, _, err := gcbench.StochasticGradientDescent(g, users, gcbench.AlgorithmOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -182,7 +182,7 @@ func BenchmarkFig10SVDMetrics(b *testing.B) {
 	g, users := benchRating(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := gcbench.SingularValueDecomposition(g, users, gcbench.SVDOptions{}); err != nil {
+		if _, _, err := gcbench.SingularValueDecomposition(g, users, gcbench.AlgorithmOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -195,7 +195,7 @@ func BenchmarkFig11LBPActive(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := gcbench.LoopyBeliefPropagation(m, gcbench.LBPOptions{}); err != nil {
+		if _, _, err := gcbench.LoopyBeliefPropagation(m, gcbench.AlgorithmOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -212,12 +212,10 @@ func BenchmarkFig12SolverMetrics(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := gcbench.JacobiSolve(sys, gcbench.JacobiOptions{}); err != nil {
+		if _, _, err := gcbench.JacobiSolve(sys, gcbench.AlgorithmOptions{}); err != nil {
 			b.Fatal(err)
 		}
-		ddOpt := gcbench.DDOptions{}
-		ddOpt.MaxIterations = 200
-		if _, _, err := gcbench.DualDecomposition(mrf, ddOpt); err != nil {
+		if _, _, err := gcbench.DualDecomposition(mrf, gcbench.AlgorithmOptions{MaxIterations: 200}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,15 +10,20 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // allowlist names the exported functions and methods under internal/
-// that may have no caller outside _test.go files, each with its reason.
-// Keys are "importpath.Func" or "importpath.Type.Method".
+// that may have no caller outside _test.go files, and the settable
+// fields there that no non-test file may write, each with its reason.
+// Keys are "importpath.Func", "importpath.Type.Method" or
+// "importpath.Type.field".
 var allowlist = map[string]string{
 	"gcbench/internal/corpus.Snapshot.PoolSelect": "reference oracle: the shard " +
 		"scatter, the lazy coverage search and the serve index are compared against it",
@@ -28,6 +33,8 @@ var allowlist = map[string]string{
 		"serve and shard kill a shard process to drive crash recovery",
 	"gcbench/internal/graph.Graph.OutNeighbors": "reference oracles in the algorithms, " +
 		"engine and gen tests walk adjacency through it; product loops read OutCSR",
+	"gcbench/internal/serve.Server.searchDelay": "test hook: the concurrency tests " +
+		"hold a search in its worker slot to drive coalescing, shedding and deadlines",
 }
 
 // TestExportsHaveCallers keeps shipped code reachable. The facade rule:
@@ -37,10 +44,125 @@ var allowlist = map[string]string{
 // facade. The internal rule: every exported function and method under
 // internal/ has a caller in a non-test file somewhere in the tree
 // (the module, cmd/, examples/ or the bench/ module), or implements a
-// method of an interface, or is on the allowlist above.
+// method of an interface, or is on the allowlist above. The fields rule:
+// every settable field under internal/ (unwrittenFields) is written by a
+// non-test file in the tree, or is on the allowlist — a setting no
+// shipped caller changes is a constant, not a field.
 func TestExportsHaveCallers(t *testing.T) {
 	t.Run("facade", testFacadeNamesHaveCallers)
-	t.Run("internal", testInternalExportsHaveCallers)
+	l := newTreeLoader(".")
+	if err := l.loadAll(); err != nil {
+		t.Fatal(err)
+	}
+	uncalled, unwritten := l.uncalledInternal(), l.unwrittenFields()
+	t.Run("internal", func(t *testing.T) {
+		reportUnlisted(t, uncalled, "has no caller outside _test.go files")
+	})
+	t.Run("fields", func(t *testing.T) {
+		reportUnlisted(t, unwritten, "is written by no non-test file: make it a constant")
+	})
+	if len(allowlist) > 5 {
+		t.Errorf("allowlist holds %d entries, over 5: reach the code, or delete it", len(allowlist))
+	}
+	for name := range allowlist {
+		if !slices.Contains(uncalled, name) && !slices.Contains(unwritten, name) {
+			t.Errorf("allowlist entry %s is stale: it is reached, or no longer exists", name)
+		}
+	}
+}
+
+func reportUnlisted(t *testing.T, found []string, complaint string) {
+	t.Helper()
+	for _, name := range found {
+		if _, ok := allowlist[name]; !ok {
+			t.Errorf("%s %s", name, complaint)
+		}
+	}
+}
+
+// TestUnwrittenFields runs the fields rule on a small tree, one field
+// per clause: a field is flagged when its type is settable and only a
+// read or a _test.go file touches it, and cleared by each form of write.
+func TestUnwrittenFields(t *testing.T) {
+	root := t.TempDir()
+	for name, src := range map[string]string{
+		"internal/p/p.go": `package p
+
+type Level int
+
+type T struct {
+	Keyed, Assigned, OpAssigned, Incremented, Addressed int
+	ReadOnly, TestOnly                                  int
+	Tagged                                              int ` + "`json:\"tagged\"`" + `
+	Named                                               Level
+	Hook                                                func()
+	Slice                                               []int
+}
+
+type Pos struct{ Positional int }
+
+type G[E any] struct{ Instantiated int }
+`,
+		"cmd/c/c.go": `package main
+
+import "gcbench/internal/p"
+
+func main() {
+	t := p.T{Keyed: 1}
+	t.Assigned = 1
+	t.OpAssigned += 1
+	t.Incremented++
+	_ = &t.Addressed
+	_ = t.ReadOnly
+	_ = p.Pos{1}
+	var g p.G[string]
+	g.Instantiated = 1
+}
+`,
+		"cmd/c/c_test.go": `package main
+
+import "gcbench/internal/p"
+
+var _ = p.T{TestOnly: 1}
+`,
+	} {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l := newTreeLoader(root)
+	if err := l.loadAll(); err != nil {
+		t.Fatal(err)
+	}
+	unwritten := l.unwrittenFields()
+	for _, c := range []struct {
+		field   string
+		flagged bool
+	}{
+		{"T.Keyed", false},
+		{"Pos.Positional", false},
+		{"T.Assigned", false},
+		{"T.OpAssigned", false},
+		{"T.Incremented", false},
+		{"T.Addressed", false},
+		{"G.Instantiated", false},
+		{"T.ReadOnly", true},
+		{"T.TestOnly", true},
+		{"T.Tagged", false},
+		{"T.Named", true},
+		{"T.Hook", true},
+		{"T.Slice", false},
+	} {
+		t.Run(c.field, func(t *testing.T) {
+			if got := slices.Contains(unwritten, "gcbench/internal/p."+c.field); got != c.flagged {
+				t.Fatalf("flagged = %t, want %t (flagged: %v)", got, c.flagged, unwritten)
+			}
+		})
+	}
 }
 
 func testFacadeNamesHaveCallers(t *testing.T) {
@@ -91,24 +213,6 @@ func testFacadeNamesHaveCallers(t *testing.T) {
 	}
 }
 
-func testInternalExportsHaveCallers(t *testing.T) {
-	l := newTreeLoader()
-	if err := l.loadAll(); err != nil {
-		t.Fatal(err)
-	}
-	missing := l.uncalledInternal()
-	for _, name := range missing {
-		if _, ok := allowlist[name]; !ok {
-			t.Errorf("%s has no caller outside _test.go files", name)
-		}
-	}
-	for name := range allowlist {
-		if i := sort.SearchStrings(missing, name); i == len(missing) || missing[i] != name {
-			t.Errorf("allowlist entry %s is stale: it has a caller, or no longer exists", name)
-		}
-	}
-}
-
 // stdlibProtocols are interfaces the standard library asserts inside
 // function bodies, where its export data does not show them.
 const stdlibProtocols = `package protocols
@@ -124,6 +228,7 @@ type aser interface{ As(any) bool }
 // the bench/ module (which imports this one's internal packages) from
 // source, once each; the standard library comes from export data.
 type treeLoader struct {
+	root  string // the repository root
 	fset  *token.FileSet
 	std   types.Importer
 	pkgs  map[string]*types.Package // by import path, module packages only
@@ -131,8 +236,9 @@ type treeLoader struct {
 	info  *types.Info
 }
 
-func newTreeLoader() *treeLoader {
+func newTreeLoader(root string) *treeLoader {
 	return &treeLoader{
+		root:  root,
 		fset:  token.NewFileSet(),
 		std:   importer.Default(),
 		pkgs:  map[string]*types.Package{},
@@ -169,6 +275,7 @@ func (l *treeLoader) Import(path string) (*types.Package, error) {
 
 func (l *treeLoader) check(path string) (*types.Package, error) {
 	dir, _ := dirOf(path)
+	dir = filepath.Join(l.root, dir)
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -200,8 +307,11 @@ func (l *treeLoader) check(path string) (*types.Package, error) {
 // loadAll checks every package directory in the tree.
 func (l *treeLoader) loadAll() error {
 	paths := map[string]bool{}
-	err := filepath.WalkDir(".", func(p string, d os.DirEntry, err error) error {
+	err := filepath.WalkDir(l.root, func(p string, d os.DirEntry, err error) error {
 		if err != nil {
+			return err
+		}
+		if p, err = filepath.Rel(l.root, p); err != nil {
 			return err
 		}
 		if d.IsDir() {
@@ -275,6 +385,109 @@ func (l *treeLoader) uncalledInternal() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// unwrittenFields returns, sorted, the settable struct fields declared
+// under internal/ that no non-test file in the tree writes: fields of a
+// basic type, a named type over one, or a func type, without a json tag.
+// A write is a keyed or positional composite literal, an assignment or
+// op-assignment, ++ or --, or taking the field's address. Such a field
+// holds its zero value in every shipped run, so the default its zero
+// selects is a constant and the field a knob only tests turn.
+func (l *treeLoader) unwrittenFields() []string {
+	declared := map[*types.Var]string{}
+	for path, files := range l.files {
+		if !strings.HasPrefix(path, "gcbench/internal/") {
+			continue
+		}
+		for _, f := range files {
+			owner := map[*ast.StructType]string{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					if st, ok := n.Type.(*ast.StructType); ok {
+						owner[st] = n.Name.Name
+					}
+				case *ast.StructType:
+					for _, fld := range n.Fields.List {
+						if hasJSONTag(fld.Tag) {
+							continue
+						}
+						for _, id := range fld.Names {
+							v := l.info.Defs[id].(*types.Var)
+							switch v.Type().Underlying().(type) {
+							case *types.Basic, *types.Signature:
+								typ, ok := owner[n]
+								if !ok {
+									typ = "struct@" + filepath.Base(l.fset.Position(n.Pos()).String())
+								}
+								declared[v] = path + "." + typ + "." + id.Name
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	written := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if v, ok := l.info.Uses[sel.Sel].(*types.Var); ok {
+				delete(declared, v.Origin())
+			}
+		}
+	}
+	for _, files := range l.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					st, ok := l.info.Types[n].Type.Underlying().(*types.Struct)
+					if !ok {
+						return true
+					}
+					for i, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if v, ok := l.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+								delete(declared, v.Origin())
+							}
+						} else {
+							delete(declared, st.Field(i).Origin())
+						}
+					}
+				case *ast.AssignStmt:
+					for _, e := range n.Lhs {
+						written(e)
+					}
+				case *ast.IncDecStmt:
+					written(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						written(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	var out []string
+	for _, name := range declared {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func hasJSONTag(tag *ast.BasicLit) bool {
+	if tag == nil {
+		return false
+	}
+	s, err := strconv.Unquote(tag.Value)
+	if err != nil {
+		return false
+	}
+	_, ok := reflect.StructTag(s).Lookup("json")
+	return ok
 }
 
 // interfaces collects, by method name, every interface type visible in

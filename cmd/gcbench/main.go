@@ -325,7 +325,7 @@ func cmdRun(args []string) error {
 		spec.Alpha = *alpha
 		spec.SizeLabel = fmt.Sprint(*edges)
 	}
-	r, tr, err := sweep.RunSpecTrace(context.Background(), spec, 0, frontier)
+	r, tr, err := sweep.RunSpecTrace(context.Background(), spec, frontier)
 	if err != nil {
 		return err
 	}

@@ -80,12 +80,6 @@ type Output = algorithms.Output
 type (
 	PageRankOptions = algorithms.PageRankOptions
 	KMeansOptions   = algorithms.KMeansOptions
-	ALSOptions      = algorithms.ALSOptions
-	SGDOptions      = algorithms.SGDOptions
-	SVDOptions      = algorithms.SVDOptions
-	JacobiOptions   = algorithms.JacobiOptions
-	LBPOptions      = algorithms.LBPOptions
-	DDOptions       = algorithms.DDOptions
 )
 
 // Graph computations of the study, callable directly on a generated

@@ -233,35 +233,25 @@ func (p *alsProgram) Scatter(vs []uint32, side *graph.CSR, state []cfState, out 
 	}
 }
 
-// ALSOptions extends Options with factorization parameters.
-type ALSOptions struct {
-	Options
-	// Lambda is the ridge regularization weight (default 0.05).
-	Lambda float64
-	// Tolerance stops the alternation when no factor coordinate moves
-	// more than this (default 5e-3).
-	Tolerance float64
-}
+// ALS's fixed settings: the ridge regularization weight, and the
+// tolerance that stops the alternation when no factor coordinate moves
+// more than it.
+const (
+	alsLambda    = 0.05
+	alsTolerance = 5e-3
+)
 
 // AlternatingLeastSquares factorizes the bipartite rating graph (users are
 // vertices [0, numUsers), items the rest) into rank-8 latent factors.
 // Summary reports "rmse" over the observed ratings.
-func AlternatingLeastSquares(g *graph.Graph, numUsers int, opt ALSOptions) (*Output, []cfFactor, error) {
+func AlternatingLeastSquares(g *graph.Graph, numUsers int, opt Options) (*Output, []cfFactor, error) {
 	if err := checkBipartite(g, numUsers); err != nil {
 		return nil, nil, err
-	}
-	lambda := opt.Lambda
-	if lambda == 0 {
-		lambda = 0.05
-	}
-	tol := opt.Tolerance
-	if tol == 0 {
-		tol = 5e-3
 	}
 	if opt.MaxIterations == 0 {
 		opt.MaxIterations = 500
 	}
-	p := &alsProgram{numUsers: numUsers, lambda: lambda, tol: tol}
+	p := &alsProgram{numUsers: numUsers, lambda: alsLambda, tol: alsTolerance}
 	res, err := engine.Run[cfState, alsAccum](g, p, opt.engineOptions())
 	if err != nil {
 		return nil, nil, err

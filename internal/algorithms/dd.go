@@ -48,7 +48,6 @@ type ddProgram struct {
 	// from the source vertex of a; written during v's gather, read during
 	// v's apply and scatter (vertex-owned).
 	edgeMin []int32
-	step0   float64
 	step    float64
 	theta   [][]float64 // negative log unary: θ_v(x) = -log ψ_v(x)
 	// thetaE is the negative log pairwise potential per arc, numArcs ×
@@ -63,7 +62,7 @@ type ddProgram struct {
 
 // newDDProgram sets up DD on an MRF of uniform cardinality: zero duals
 // and the negative log potentials, unary and per arc.
-func newDDProgram(m *graph.MRF, step0 float64) *ddProgram {
+func newDDProgram(m *graph.MRF) *ddProgram {
 	n, arcs := m.Card[0], m.G.NumArcs()
 	theta := make([][]float64, m.G.NumVertices())
 	for v := range theta {
@@ -88,8 +87,7 @@ func newDDProgram(m *graph.MRF, step0 float64) *ddProgram {
 		rev:     m.G.ReverseArcs(),
 		dual:    make([]float64, arcs*int64(n)),
 		edgeMin: make([]int32, arcs),
-		step0:   step0,
-		step:    step0,
+		step:    ddStep0,
 		theta:   theta,
 		thetaE:  thetaE,
 	}
@@ -205,7 +203,7 @@ func (p *ddProgram) Scatter(vs []uint32, side *graph.CSR, state []ddState, out *
 
 func (p *ddProgram) PostIteration(c *engine.Control[ddState]) bool {
 	it := c.Iteration()
-	p.step = p.step0 / math.Sqrt(float64(it+1))
+	p.step = ddStep0 / math.Sqrt(float64(it+1))
 	disagreements := 0
 	dual := 0.0
 	for _, s := range c.States() {
@@ -223,19 +221,15 @@ func (p *ddProgram) PostIteration(c *engine.Control[ddState]) bool {
 	return false
 }
 
-// DDOptions extends Options with the subgradient schedule.
-type DDOptions struct {
-	Options
-	// Step0 is the initial subgradient step (default 0.5); the schedule
-	// is Step0/√t.
-	Step0 float64
-}
+// ddStep0 is DD's fixed initial subgradient step; the schedule is
+// ddStep0/√t.
+const ddStep0 = 0.5
 
 // DualDecomposition runs MAP inference on a pairwise MRF with uniform
 // cardinality (≤ 4). It returns per-vertex assignments from the vertex
 // subproblems. Summary reports "disagreements" at the final iteration and
 // "energy" of the returned assignment (−log potential sum).
-func DualDecomposition(m *graph.MRF, opt DDOptions) (*Output, []int, error) {
+func DualDecomposition(m *graph.MRF, opt Options) (*Output, []int, error) {
 	n := m.Card[0]
 	if n > ddMaxStates {
 		return nil, nil, fmt.Errorf("algorithms: DD supports at most %d states, got %d", ddMaxStates, n)
@@ -245,14 +239,10 @@ func DualDecomposition(m *graph.MRF, opt DDOptions) (*Output, []int, error) {
 			return nil, nil, fmt.Errorf("algorithms: DD requires uniform cardinality (vertex %d has %d, want %d)", v, c, n)
 		}
 	}
-	step0 := opt.Step0
-	if step0 == 0 {
-		step0 = 0.5
-	}
 	if opt.MaxIterations == 0 {
 		opt.MaxIterations = 3000
 	}
-	p := newDDProgram(m, step0)
+	p := newDDProgram(m)
 	res, err := engine.Run[ddState, float64](m.G, p, opt.engineOptions())
 	if err != nil {
 		return nil, nil, err

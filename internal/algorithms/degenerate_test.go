@@ -114,13 +114,15 @@ func TestKMeansSingleCluster(t *testing.T) {
 	if err := g.SetFeatures(2, pts); err != nil {
 		t.Fatal(err)
 	}
-	out, assign, err := KMeans(g, KMeansOptions{K: 1})
+	// Every centroid is seeded at the origin, so every point ties across
+	// all kmK of them and takes the lowest index.
+	out, assign, err := KMeans(g, KMeansOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, a := range assign {
 		if a != 0 {
-			t.Fatal("K=1 produced a second cluster")
+			t.Fatal("identical points split across clusters")
 		}
 	}
 	if out.Summary["inertia"] != 0 {
@@ -135,16 +137,16 @@ func TestCFSingleRating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := AlternatingLeastSquares(g, 1, ALSOptions{}); err != nil {
+	if _, _, err := AlternatingLeastSquares(g, 1, Options{}); err != nil {
 		t.Fatalf("ALS: %v", err)
 	}
-	if _, _, err := NonnegativeMatrixFactorization(g, 1, NMFOptions{}); err != nil {
+	if _, _, err := NonnegativeMatrixFactorization(g, 1, Options{}); err != nil {
 		t.Fatalf("NMF: %v", err)
 	}
-	if _, _, err := StochasticGradientDescent(g, 1, SGDOptions{}); err != nil {
+	if _, _, err := StochasticGradientDescent(g, 1, Options{}); err != nil {
 		t.Fatalf("SGD: %v", err)
 	}
-	if _, sv, err := SingularValueDecomposition(g, 1, SVDOptions{}); err != nil {
+	if _, sv, err := SingularValueDecomposition(g, 1, Options{}); err != nil {
 		t.Fatalf("SVD: %v", err)
 	} else if math.Abs(sv-4.0) > 0.01 {
 		// The 1×1 matrix [4] has singular value 4.
@@ -165,7 +167,7 @@ func TestLBPTwoVertices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, assign, err := LoopyBeliefPropagation(m, LBPOptions{})
+	_, assign, err := LoopyBeliefPropagation(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +190,7 @@ func TestDDTwoVertices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, assign, err := DualDecomposition(m, DDOptions{})
+	out, assign, err := DualDecomposition(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,16 +85,13 @@ func (p *jacobiProgram) PostIteration(c *engine.Control[jacobiState]) bool {
 	return true
 }
 
-// JacobiOptions extends Options with the convergence tolerance
-// (default 1e-9 on the max component change).
-type JacobiOptions struct {
-	Options
-	Tolerance float64
-}
+// jacobiTolerance is Jacobi's fixed convergence tolerance on the max
+// component change.
+const jacobiTolerance = 1e-9
 
 // JacobiSolve solves the diagonally dominant system sys by Jacobi
 // iteration. Summary reports "residual" (max |A·x − b| component).
-func JacobiSolve(sys *gen.MatrixSystem, opt JacobiOptions) (*Output, []float64, error) {
+func JacobiSolve(sys *gen.MatrixSystem, opt Options) (*Output, []float64, error) {
 	g := sys.G
 	if !g.Directed() || !g.Weighted() {
 		return nil, nil, fmt.Errorf("algorithms: Jacobi requires a directed weighted matrix graph")
@@ -107,14 +104,10 @@ func JacobiSolve(sys *gen.MatrixSystem, opt JacobiOptions) (*Output, []float64, 
 			return nil, nil, fmt.Errorf("algorithms: Jacobi diagonal entry %d is zero", i)
 		}
 	}
-	tol := opt.Tolerance
-	if tol == 0 {
-		tol = 1e-9
-	}
 	if opt.MaxIterations == 0 {
 		opt.MaxIterations = 10000
 	}
-	p := &jacobiProgram{diag: sys.Diag, b: sys.B, tol: tol}
+	p := &jacobiProgram{diag: sys.Diag, b: sys.B, tol: jacobiTolerance}
 	res, err := engine.Run[jacobiState, float64](g, p, opt.engineOptions())
 	if err != nil {
 		return nil, nil, err

@@ -9,9 +9,13 @@ import (
 	"gcbench/internal/rng"
 )
 
-// maxK bounds the cluster count so gather accumulators stay fixed-size
-// (no allocation per edge read).
-const maxK = 16
+// KM's fixed settings: the cluster count, which also sizes the gather
+// accumulator (no allocation per edge read), and the neighbor-agreement
+// reward weight.
+const (
+	kmK      = 8
+	kmLambda = 0.1
+)
 
 // kmState is a vertex's cluster assignment plus a change flag consulted by
 // scatter and the convergence driver.
@@ -23,7 +27,7 @@ type kmState struct {
 // kmVotes accumulates neighbor assignment votes, weighted by edge weight —
 // the "pairwise rewards between vertices" of the paper's clustering inputs
 // (§3.2).
-type kmVotes [maxK]float64
+type kmVotes [kmK]float64
 
 // kmProgram is graph-regularized K-Means: each vertex (a 2-D data point)
 // joins the cluster minimizing squared distance to the centroid minus a
@@ -34,7 +38,6 @@ type kmVotes [maxK]float64
 // of vertices whose assignment changed (§2.1).
 type kmProgram struct {
 	g         *graph.Graph
-	k         int
 	lambda    float64
 	centroids [][2]float64
 	counts    []float64
@@ -60,7 +63,7 @@ func (p *kmProgram) nearest(pt []float64, votes *kmVotes) int32 {
 	}
 	x, y := pt[0], pt[1]
 	best, bestBits := int32(0), math.Float64bits(math.Inf(1))
-	for c, m := range p.centroids[:p.k] {
+	for c, m := range p.centroids {
 		dx := x - m[0]
 		dy := y - m[1]
 		cost := dx*dx + dy*dy
@@ -95,9 +98,7 @@ func (p *kmProgram) gatherRun(nb *engine.Edges[kmState], acc *kmVotes, has bool)
 		*acc = kmVotes{}
 	}
 	for e, o := range nb.Other {
-		if c := nb.State[o].Assign; int(c) < p.k {
-			acc[c] += nb.Weight(e)
-		}
+		acc[nb.State[o].Assign] += nb.Weight(e)
 	}
 }
 
@@ -130,7 +131,7 @@ func (p *kmProgram) PreIteration(c *engine.Control[kmState]) {
 	for i := range p.centroids {
 		p.counts[i] = 0
 	}
-	sums := make([][2]float64, p.k)
+	sums := make([][2]float64, len(p.centroids))
 	for v, s := range c.States() {
 		pt := p.g.Features(uint32(v))
 		sums[s.Assign][0] += pt[0]
@@ -138,7 +139,7 @@ func (p *kmProgram) PreIteration(c *engine.Control[kmState]) {
 		p.counts[s.Assign]++
 	}
 	p.moved = 0
-	for i := 0; i < p.k; i++ {
+	for i := range p.centroids {
 		if p.counts[i] == 0 {
 			continue // empty cluster keeps its centroid
 		}
@@ -167,18 +168,31 @@ func (p *kmProgram) PostIteration(c *engine.Control[kmState]) bool {
 	return true
 }
 
-// KMeansOptions extends Options with clustering parameters.
+// KMeansOptions extends Options with the centroid initialization seed.
 type KMeansOptions struct {
 	Options
-	// K is the cluster count (default 8, max 16).
-	K int
-	// Lambda is the neighbor-agreement reward weight (default 0.1).
-	Lambda float64
 	// Seed selects the centroid initialization.
 	Seed uint64
 }
 
-// KMeans clusters the graph's 2-D vertex features into k groups with a
+// newKMProgram seeds kmK centroids from random vertices' points.
+func newKMProgram(g *graph.Graph, seed uint64) *kmProgram {
+	p := &kmProgram{
+		g:         g,
+		lambda:    kmLambda,
+		centroids: make([][2]float64, kmK),
+		counts:    make([]float64, kmK),
+		tol:       1e-9,
+	}
+	r := rng.New(seed ^ 0x6b6d) // "km"
+	for i := range p.centroids {
+		pt := g.Features(uint32(r.Intn(g.NumVertices())))
+		p.centroids[i] = [2]float64{pt[0], pt[1]}
+	}
+	return p
+}
+
+// KMeans clusters the graph's 2-D vertex features into kmK groups with a
 // graph-smoothness reward. The graph must carry 2-D features (use
 // gen.GaussianPoints2D). Summary reports "inertia" (sum of squared
 // distances) and "clusters" (non-empty count).
@@ -186,35 +200,10 @@ func KMeans(g *graph.Graph, opt KMeansOptions) (*Output, []int32, error) {
 	if g.FeatureDim() != 2 {
 		return nil, nil, fmt.Errorf("algorithms: KM requires 2-D vertex features, have dim %d", g.FeatureDim())
 	}
-	k := opt.K
-	if k == 0 {
-		k = 8
-	}
-	if k < 1 || k > maxK {
-		return nil, nil, fmt.Errorf("algorithms: KM cluster count %d outside [1, %d]", k, maxK)
-	}
-	lambda := opt.Lambda
-	if lambda == 0 {
-		lambda = 0.1
-	}
 	if opt.MaxIterations == 0 {
 		opt.MaxIterations = 2000
 	}
-	p := &kmProgram{
-		g:      g,
-		k:      k,
-		lambda: lambda,
-		counts: make([]float64, k),
-		tol:    1e-9,
-	}
-	// Seed centroids from k random vertices' points.
-	r := rng.New(opt.Seed ^ 0x6b6d) // "km"
-	p.centroids = make([][2]float64, k)
-	for i := 0; i < k; i++ {
-		pt := g.Features(uint32(r.Intn(g.NumVertices())))
-		p.centroids[i] = [2]float64{pt[0], pt[1]}
-	}
-
+	p := newKMProgram(g, opt.Seed)
 	res, err := engine.Run[kmState, kmVotes](g, p, opt.engineOptions())
 	if err != nil {
 		return nil, nil, err

@@ -186,17 +186,13 @@ func (p *lbpProgram) scatterRun(v uint32, nb *engine.Edges[lbpState], sig *engin
 	}
 }
 
-// LBPOptions extends Options with the message-residual tolerance
-// (default 1e-4).
-type LBPOptions struct {
-	Options
-	Tolerance float64
-}
+// lbpTolerance is LBP's fixed message-residual tolerance.
+const lbpTolerance = 1e-4
 
 // LoopyBeliefPropagation runs synchronous sum-product BP on a pairwise MRF
 // whose variables share one cardinality (≤ 4). It returns per-vertex
 // max-belief assignments. Summary reports "avgResidual" at convergence.
-func LoopyBeliefPropagation(m *graph.MRF, opt LBPOptions) (*Output, []int, error) {
+func LoopyBeliefPropagation(m *graph.MRF, opt Options) (*Output, []int, error) {
 	n := m.Card[0]
 	if n > lbpMaxStates {
 		return nil, nil, fmt.Errorf("algorithms: LBP supports at most %d states, got %d", lbpMaxStates, n)
@@ -205,10 +201,6 @@ func LoopyBeliefPropagation(m *graph.MRF, opt LBPOptions) (*Output, []int, error
 		if c != n {
 			return nil, nil, fmt.Errorf("algorithms: LBP requires uniform cardinality (vertex %d has %d, want %d)", v, c, n)
 		}
-	}
-	tol := opt.Tolerance
-	if tol == 0 {
-		tol = 1e-4
 	}
 	if opt.MaxIterations == 0 {
 		opt.MaxIterations = 500
@@ -219,7 +211,7 @@ func LoopyBeliefPropagation(m *graph.MRF, opt LBPOptions) (*Output, []int, error
 		rev:   m.G.ReverseArcs(),
 		msg:   make([]float64, arcs*int64(n)),
 		inbox: make([]float64, arcs*int64(n)),
-		tol:   tol,
+		tol:   lbpTolerance,
 	}
 	// Uniform initial messages.
 	uniform := 1.0 / float64(n)

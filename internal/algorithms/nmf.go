@@ -108,24 +108,13 @@ func (p *nmfProgram) PostIteration(c *engine.Control[cfState]) bool {
 	return false
 }
 
-// NMFOptions extends Options with the iteration budget (default 20, the
-// paper's cap).
-type NMFOptions struct {
-	Options
-	Iterations int
-}
-
 // NonnegativeMatrixFactorization factorizes the rating graph into
 // non-negative rank-8 factors. Summary reports "rmse".
-func NonnegativeMatrixFactorization(g *graph.Graph, numUsers int, opt NMFOptions) (*Output, []cfFactor, error) {
+func NonnegativeMatrixFactorization(g *graph.Graph, numUsers int, opt Options) (*Output, []cfFactor, error) {
 	if err := checkBipartite(g, numUsers); err != nil {
 		return nil, nil, err
 	}
-	iters := opt.Iterations
-	if iters == 0 {
-		iters = cfIterationCap
-	}
-	p := &nmfProgram{iters: iters}
+	p := &nmfProgram{iters: cfIterationCap}
 	res, err := engine.Run[cfState, nmfAccum](g, p, opt.engineOptions())
 	if err != nil {
 		return nil, nil, err

@@ -71,11 +71,13 @@ func (p *prProgram) Scatter(vs []uint32, side *graph.CSR, state []prState, out *
 	}
 }
 
-// PageRankOptions extends Options with the damping factor and stability
-// tolerance (defaults 0.85 and 1e-3).
+// pageRankDamping is PageRank's fixed damping factor.
+const pageRankDamping = 0.85
+
+// PageRankOptions extends Options with the rank stability tolerance
+// (default 1e-3).
 type PageRankOptions struct {
 	Options
-	Damping   float64
 	Tolerance float64
 }
 
@@ -83,15 +85,11 @@ type PageRankOptions struct {
 // paper's undirected Graph Analytics inputs every edge carries rank both
 // ways. Summary reports "maxRank" and "sumRank".
 func PageRank(g *graph.Graph, opt PageRankOptions) (*Output, []float64, error) {
-	damping := opt.Damping
-	if damping == 0 {
-		damping = 0.85
-	}
 	tol := opt.Tolerance
 	if tol == 0 {
 		tol = 1e-3
 	}
-	p := &prProgram{g: g, damping: damping, tol: tol}
+	p := &prProgram{g: g, damping: pageRankDamping, tol: tol}
 	res, err := engine.Run[prState, float64](g, p, opt.engineOptions())
 	if err != nil {
 		return nil, nil, err

@@ -213,14 +213,12 @@ func (o kmEdgeOracle) Apply(v uint32, self kmState, acc kmVotes, has bool) kmSta
 
 func (o kmEdgeOracle) Gather(_ uint32, e arc, _, other kmState) kmVotes {
 	var v kmVotes
-	if int(other.Assign) < o.k {
-		v[other.Assign] = e.Weight
-	}
+	v[other.Assign] = e.Weight
 	return v
 }
 
 func (o kmEdgeOracle) Sum(a, b kmVotes) kmVotes {
-	for i := 0; i < o.k; i++ {
+	for i := range a {
 		a[i] += b[i]
 	}
 	return a
@@ -581,6 +579,34 @@ func sameRun[S comparable](t *testing.T, got, want *engine.Result[S]) {
 	}
 }
 
+// withStates returns m's structure with every variable at the given
+// cardinality and positive unary and pairwise tables drawn from r: a
+// field the generators, whose cardinality is fixed, do not build.
+func withStates(t *testing.T, m *graph.MRF, states int, r *rand.Rand) *graph.MRF {
+	t.Helper()
+	table := func(n int) []float64 {
+		f := make([]float64, n)
+		for i := range f {
+			f[i] = 0.5 + r.Float64()
+		}
+		return f
+	}
+	card := make([]int, m.G.NumVertices())
+	unary := make([][]float64, len(card))
+	for v := range card {
+		card[v], unary[v] = states, table(states)
+	}
+	pair := make([][]float64, len(m.Pairwise))
+	for e := range pair {
+		pair[e] = table(states * states)
+	}
+	out, err := graph.NewMRF(m.G, card, unary, pair)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // everySchedule runs body under each frontier mode on one and four
 // workers (four exercises the shared Signals path under -race).
 func everySchedule(t *testing.T, maxIterations int, body func(t *testing.T, opt engine.Options)) {
@@ -655,7 +681,7 @@ func TestRunShapedMatchesPerEdgeOracle(t *testing.T) {
 			}
 			t.Run("PR/"+name, func(t *testing.T) {
 				everySchedule(t, 0, func(t *testing.T, opt engine.Options) {
-					p := &prProgram{g: g, damping: 0.85, tol: 1e-3}
+					p := &prProgram{g: g, damping: pageRankDamping, tol: 1e-3}
 					sameAsEdgeOracle[prState, float64](t, g, opt, p, prEdgeOracle{p, newOneVertex[prState, float64](g)})
 				})
 			})
@@ -680,7 +706,7 @@ func TestRunShapedMatchesPerEdgeOracle(t *testing.T) {
 	}
 	t.Run("ALS", func(t *testing.T) {
 		everySchedule(t, 8, func(t *testing.T, opt engine.Options) {
-			p := &alsProgram{numUsers: users, lambda: 0.05, tol: 5e-3}
+			p := &alsProgram{numUsers: users, lambda: alsLambda, tol: alsTolerance}
 			sameAsEdgeOracle[cfState, alsAccum](t, ratings, opt, p, alsEdgeOracle{p, newOneVertex[cfState, alsAccum](ratings)})
 		})
 	})
@@ -692,7 +718,7 @@ func TestRunShapedMatchesPerEdgeOracle(t *testing.T) {
 	})
 	t.Run("SGD", func(t *testing.T) {
 		everySchedule(t, 0, func(t *testing.T, opt engine.Options) {
-			p := &sgdProgram{lr: 0.01, reg: 0.05, iters: 5}
+			p := &sgdProgram{lr: sgdLearningRate, reg: sgdRegularization, iters: 5}
 			sameAsEdgeOracle[cfState, cfFactor](t, ratings, opt, p, sgdEdgeOracle{p, newOneVertex[cfState, cfFactor](ratings)})
 		})
 	})
@@ -715,21 +741,11 @@ func TestRunShapedMatchesPerEdgeOracle(t *testing.T) {
 	if err := g.SetFeatures(2, gen.GaussianPoints2D(g.NumVertices(), 4, 20, 26)); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []int{3, maxK} {
-		km := func() *kmProgram {
-			p := &kmProgram{g: g, k: k, lambda: 0.1, counts: make([]float64, k), tol: 1e-9, centroids: make([][2]float64, k)}
-			for c := range p.centroids {
-				pt := g.Features(uint32(c * 97))
-				p.centroids[c] = [2]float64{pt[0], pt[1]}
-			}
-			return p
-		}
-		t.Run(fmt.Sprintf("KM/k=%d", k), func(t *testing.T) {
-			everySchedule(t, 12, func(t *testing.T, opt engine.Options) {
-				sameAsEdgeOracle[kmState, kmVotes](t, g, opt, km(), kmEdgeOracle{km(), newOneVertex[kmState, kmVotes](g)})
-			})
+	t.Run("KM", func(t *testing.T) {
+		everySchedule(t, 12, func(t *testing.T, opt engine.Options) {
+			sameAsEdgeOracle[kmState, kmVotes](t, g, opt, newKMProgram(g, 26), kmEdgeOracle{newKMProgram(g, 26), newOneVertex[kmState, kmVotes](g)})
 		})
-	}
+	})
 	t.Run("AD", func(t *testing.T) {
 		everySchedule(t, 0, func(t *testing.T, opt engine.Options) {
 			sameAsEdgeOracle[adState, adState](t, g, opt, &adProgram{}, adEdgeOracle{&adProgram{}, newOneVertex[adState, adState](g)})
@@ -764,15 +780,18 @@ func TestRunShapedMatchesPerEdgeOracle(t *testing.T) {
 	})
 
 	// LBP: gather and scatter also write the program's own inbox and
-	// message arrays, which must end up the same too.
-	for _, states := range []int{2, lbpMaxStates} {
-		m, err := gen.Grid(gen.GridConfig{Rows: 70, States: states, Seed: 26})
-		if err != nil {
-			t.Fatal(err)
-		}
+	// message arrays, which must end up the same too. The generator's grid
+	// runs as generated, at the fewest states a variable holds and at the
+	// most the program holds.
+	grid, err := gen.Grid(gen.GridConfig{Rows: 70, Seed: 26})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*graph.MRF{withStates(t, grid, 2, r), grid, withStates(t, grid, lbpMaxStates, r)} {
+		states := m.Card[0]
 		lbp := func() *lbpProgram {
 			arcs := m.G.NumArcs() * int64(states)
-			p := &lbpProgram{m: m, rev: m.G.ReverseArcs(), msg: make([]float64, arcs), inbox: make([]float64, arcs), tol: 1e-4}
+			p := &lbpProgram{m: m, rev: m.G.ReverseArcs(), msg: make([]float64, arcs), inbox: make([]float64, arcs), tol: lbpTolerance}
 			for i := range p.msg {
 				p.msg[i] = 1 / float64(states)
 			}
@@ -793,12 +812,14 @@ func TestRunShapedMatchesPerEdgeOracle(t *testing.T) {
 	// DD: gather and scatter write the program's own duals and edge
 	// minimizers, and the oracle evaluates -log φ where the program reads
 	// its table. The generator's potentials are symmetric; skewing them
-	// makes a table read in the wrong orientation show.
-	for _, states := range []int{2, ddMaxStates} {
-		m, err := gen.MRF(gen.MRFConfig{NumEdges: 5000, States: states, Seed: 26})
-		if err != nil {
-			t.Fatal(err)
-		}
+	// makes a table read in the wrong orientation show. The generator's
+	// field runs at its own cardinality and at the most the program holds.
+	field, err := gen.MRF(gen.MRFConfig{NumEdges: 5000, Seed: 26})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*graph.MRF{field, withStates(t, field, ddMaxStates, r)} {
+		states := m.Card[0]
 		for _, phi := range m.Pairwise {
 			for i := range phi {
 				phi[i] *= 0.5 + r.Float64()
@@ -806,7 +827,7 @@ func TestRunShapedMatchesPerEdgeOracle(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("DD/states=%d", states), func(t *testing.T) {
 			everySchedule(t, 12, func(t *testing.T, opt engine.Options) {
-				p, o := newDDProgram(m, 0.5), newDDProgram(m, 0.5)
+				p, o := newDDProgram(m), newDDProgram(m)
 				sameAsEdgeOracle[ddState, float64](t, m.G, opt, p, ddEdgeOracle{o, newOneVertex[ddState, float64](m.G)})
 				if !slices.Equal(p.dual, o.dual) || !slices.Equal(p.edgeMin, o.edgeMin) {
 					t.Fatal("duals or edge minimizers differ from the per-edge oracle's")

@@ -337,15 +337,15 @@ func BenchmarkWideGather(b *testing.B) {
 		g := kmGraph(b, size.edges, 0, 1)
 		for _, alg := range []alg{
 			{"ALS/" + size.cf, func() (*Output, error) {
-				out, _, err := AlternatingLeastSquares(ratings, users, ALSOptions{Options: Options{Workers: 1}})
+				out, _, err := AlternatingLeastSquares(ratings, users, Options{Workers: 1})
 				return out, err
 			}},
 			{"NMF/" + size.cf, func() (*Output, error) {
-				out, _, err := NonnegativeMatrixFactorization(ratings, users, NMFOptions{Options: Options{Workers: 1}})
+				out, _, err := NonnegativeMatrixFactorization(ratings, users, Options{Workers: 1})
 				return out, err
 			}},
 			{"SGD/" + size.cf, func() (*Output, error) {
-				out, _, err := StochasticGradientDescent(ratings, users, SGDOptions{Options: Options{Workers: 1}})
+				out, _, err := StochasticGradientDescent(ratings, users, Options{Workers: 1})
 				return out, err
 			}},
 			{"KM/" + size.ga, func() (*Output, error) {

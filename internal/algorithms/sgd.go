@@ -92,36 +92,20 @@ func (p *sgdProgram) PostIteration(c *engine.Control[cfState]) bool {
 	return false
 }
 
-// SGDOptions extends Options with the learning schedule.
-type SGDOptions struct {
-	Options
-	// LearningRate defaults to 0.01.
-	LearningRate float64
-	// Regularization defaults to 0.05.
-	Regularization float64
-	// Iterations defaults to 20 (the paper's cap).
-	Iterations int
-}
+// SGD's fixed learning schedule: the step size and the regularization
+// weight; the run stops at cfIterationCap.
+const (
+	sgdLearningRate   = 0.01
+	sgdRegularization = 0.05
+)
 
 // StochasticGradientDescent factorizes the rating graph by gradient
 // steps. Summary reports "rmse".
-func StochasticGradientDescent(g *graph.Graph, numUsers int, opt SGDOptions) (*Output, []cfFactor, error) {
+func StochasticGradientDescent(g *graph.Graph, numUsers int, opt Options) (*Output, []cfFactor, error) {
 	if err := checkBipartite(g, numUsers); err != nil {
 		return nil, nil, err
 	}
-	lr := opt.LearningRate
-	if lr == 0 {
-		lr = 0.01
-	}
-	reg := opt.Regularization
-	if reg == 0 {
-		reg = 0.05
-	}
-	iters := opt.Iterations
-	if iters == 0 {
-		iters = cfIterationCap
-	}
-	p := &sgdProgram{lr: lr, reg: reg, iters: iters}
+	p := &sgdProgram{lr: sgdLearningRate, reg: sgdRegularization, iters: cfIterationCap}
 	res, err := engine.Run[cfState, cfFactor](g, p, opt.engineOptions())
 	if err != nil {
 		return nil, nil, err

@@ -206,42 +206,27 @@ func (p *svdProgram) PostIteration(c *engine.Control[svdState]) bool {
 	return false
 }
 
-// SVDOptions extends Options with Lanczos parameters.
-type SVDOptions struct {
-	Options
-	// Steps is the Krylov basis size per run (default 10).
-	Steps int
-	// MaxRestarts bounds the restart loop (default 8).
-	MaxRestarts int
-	// Tolerance is the relative top-singular-value stability threshold
-	// (default 1e-4).
-	Tolerance float64
-}
+// SVD's fixed Lanczos settings: the Krylov basis size per run, the bound
+// on the restart loop, and the relative top-singular-value stability
+// threshold.
+const (
+	svdSteps       = 10
+	svdMaxRestarts = 8
+	svdTolerance   = 1e-4
+)
 
 // SingularValueDecomposition estimates the top singular value of the
 // bipartite rating matrix. Summary reports "topSingularValue" and
 // "restarts".
-func SingularValueDecomposition(g *graph.Graph, numUsers int, opt SVDOptions) (*Output, float64, error) {
+func SingularValueDecomposition(g *graph.Graph, numUsers int, opt Options) (*Output, float64, error) {
 	if err := checkBipartite(g, numUsers); err != nil {
 		return nil, 0, err
 	}
-	steps := opt.Steps
-	if steps == 0 {
-		steps = 10
-	}
-	maxRuns := opt.MaxRestarts
-	if maxRuns == 0 {
-		maxRuns = 8
-	}
-	tol := opt.Tolerance
-	if tol == 0 {
-		tol = 1e-4
-	}
 	p := &svdProgram{
 		numUsers:      numUsers,
-		steps:         steps,
-		maxRuns:       maxRuns,
-		tol:           tol,
+		steps:         svdSteps,
+		maxRuns:       svdMaxRestarts,
+		tol:           svdTolerance,
 		needNormalize: true,
 	}
 	res, err := engine.Run[svdState, float64](g, p, opt.engineOptions())

@@ -42,7 +42,7 @@ func benchPoolAndEstimator(b *testing.B, samples int) (*CoverageEstimator, []beh
 	}
 	pool := randomPoolB(64, 5)
 	base := pool[:8]
-	minDist := cov.MinDistances(nil, base)
+	minDist := cov.MinDistances(base)
 	return cov, pool, minDist
 }
 

@@ -95,7 +95,7 @@ func TestCoverageWithMatchesFull(t *testing.T) {
 	cov := newCov(t, 30000)
 	base := []behavior.Vector{vec(0.2, 0.2, 0.2, 0.2)}
 	add := vec(0.8, 0.8, 0.8, 0.8)
-	minDist := cov.MinDistances(nil, base)
+	minDist := cov.MinDistances(base)
 	got := cov.CoverageWith(minDist, add)
 	want := cov.Coverage(append(base, add))
 	if math.Abs(got-want) > 1e-9 {

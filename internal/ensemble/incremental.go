@@ -3,6 +3,7 @@ package ensemble
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"gcbench/internal/behavior"
@@ -86,7 +87,6 @@ func NewIncrementalCoverage(est *CoverageEstimator, members []behavior.Vector) (
 	nc := est.numCells()
 	ic := &IncrementalCoverage{
 		est:        est,
-		members:    append([]behavior.Vector(nil), members...),
 		minDist:    make([]float64, len(est.samples)),
 		assign:     make([]int32, len(est.samples)),
 		minDist2:   make([]float64, len(est.samples)),
@@ -99,12 +99,20 @@ func NewIncrementalCoverage(est *CoverageEstimator, members []behavior.Vector) (
 		newSum:     make([]float64, nc),
 		isAffected: make([]bool, nc),
 	}
-	for ci := 0; ci < nc; ci++ {
-		ic.posCount[ci] = make([]int32, len(members))
-		ic.posCount2[ci] = make([]int32, len(members))
-	}
-	ic.forEachCell(allCells(nc), ic.rescoreCell)
+	ic.rebuild(members)
 	return ic, nil
+}
+
+// rebuild makes a copy of members the ensemble and recomputes every
+// cache for it, reusing the buffers: what NewIncrementalCoverage returns
+// for members, without its allocations.
+func (ic *IncrementalCoverage) rebuild(members []behavior.Vector) {
+	ic.members = append(ic.members[:0], members...)
+	for ci := range ic.posCount {
+		ic.posCount[ci] = slices.Grow(ic.posCount[ci][:0], len(members))[:len(members)]
+		ic.posCount2[ci] = slices.Grow(ic.posCount2[ci][:0], len(members))[:len(members)]
+	}
+	ic.forEachCell(allCells(len(ic.posCount)), ic.rescoreCell)
 }
 
 func allCells(n int) []int {

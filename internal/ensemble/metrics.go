@@ -286,7 +286,7 @@ func (c *CoverageEstimator) Coverage(points []behavior.Vector) float64 {
 	if len(points) == 0 {
 		return 0
 	}
-	minDist := c.MinDistances(nil, points)
+	minDist := c.MinDistances(points)
 	return c.coverageFromMin(minDist)
 }
 
@@ -323,17 +323,11 @@ func (c *CoverageEstimator) coverageFromMin(minDist []float64) float64 {
 }
 
 // MinDistances returns, per sample, the distance to the nearest of the
-// given points, starting from prev (a previous ensemble's result) when
-// non-nil — the incremental step greedy selection relies on. prev is not
-// modified.
-func (c *CoverageEstimator) MinDistances(prev []float64, points []behavior.Vector) []float64 {
+// given points.
+func (c *CoverageEstimator) MinDistances(points []behavior.Vector) []float64 {
 	out := make([]float64, len(c.samples))
-	if prev == nil {
-		for i := range out {
-			out[i] = math.Inf(1)
-		}
-	} else {
-		copy(out, prev)
+	for i := range out {
+		out[i] = math.Inf(1)
 	}
 	c.parallelSamples(func(lo, hi int) {
 		for i := lo; i < hi; i++ {

@@ -53,8 +53,8 @@ type TopKOptions struct {
 // the input to the §5.5 "frequency of appearance" diversity analysis.
 // To minimize the shadowing the paper worries about, the beam keeps many
 // more partials than K. ctx is checked before each frontier partial's
-// extension (coverage scoring makes one Monte-Carlo pass per extension,
-// so that is the step granularity).
+// extensions are scored (coverage rebuilds its incremental cache over
+// every sample once per partial, so that is the step granularity).
 //
 // Partials are sets of positions into idx, listed in increasing order,
 // and a partial is extended only by positions after its last, so no set
@@ -63,11 +63,12 @@ type TopKOptions struct {
 // Ensembles rank by score descending (a NaN score last), then by their
 // positions into idx in lexicographic order, and the result is in that
 // order. The search holds O(BeamWidth × Size + len(idx)) values at a
-// time: each extension is scored as it is made and offered to a bounded
-// heap of the level's best, and nothing is allocated per extension
-// except what CoverageEstimator.Coverage allocates. Scores are
-// bit-identical to Spread and Coverage of the ensemble's points in
-// position order.
+// time, plus one IncrementalCoverage for coverage: each extension is
+// scored as it is made and offered to a bounded heap of the level's best.
+// Spread reuses the partial's pair distances and allocates nothing per
+// extension; coverage rebuilds the IncrementalCoverage for each partial
+// and scores an extension with evalAdd. Scores are bit-identical to
+// Spread and Coverage of the ensemble's points in position order.
 func TopEnsemblesCtx(ctx context.Context, metric Metric, pool []behavior.Vector, idx []int, opt TopKOptions) ([]Scored, error) {
 	if opt.Size < 1 {
 		return nil, fmt.Errorf("ensemble: top-K size must be positive, got %d", opt.Size)
@@ -89,8 +90,15 @@ func TopEnsemblesCtx(ctx context.Context, metric Metric, pool []behavior.Vector,
 	if beam < k {
 		beam = k
 	}
-	if metric == MetricCoverage && opt.Cov == nil {
-		return nil, fmt.Errorf("ensemble: coverage metric needs a CoverageEstimator")
+	var ic *IncrementalCoverage // coverage: the frontier partial's cache
+	if metric == MetricCoverage {
+		if opt.Cov == nil {
+			return nil, fmt.Errorf("ensemble: coverage metric needs a CoverageEstimator")
+		}
+		var err error
+		if ic, err = NewIncrementalCoverage(opt.Cov, nil); err != nil {
+			return nil, err
+		}
 	}
 
 	n := len(idx)
@@ -120,13 +128,17 @@ func TopEnsemblesCtx(ctx context.Context, metric Metric, pool []behavior.Vector,
 			for i, p := range lv.row(r) {
 				pts[i] = pool[idx[p]]
 			}
-			if metric == MetricSpread {
+			switch {
+			case !ranked:
+			case metric == MetricSpread:
 				pairs = pairs[:0]
 				for i := 0; i < w; i++ {
 					for j := i + 1; j < w; j++ {
 						pairs = append(pairs, behavior.Distance(pts[i], pts[j]))
 					}
 				}
+			default:
+				ic.rebuild(pts[:w])
 			}
 			for p := lv.start(r); p < n; p++ {
 				pts[w] = pool[idx[p]]
@@ -136,7 +148,7 @@ func TopEnsemblesCtx(ctx context.Context, metric Metric, pool []behavior.Vector,
 				case metric == MetricSpread:
 					e.score = spreadExtended(pts[:size], pairs)
 				default:
-					e.score = opt.Cov.Coverage(pts[:size])
+					e.score = ic.finish(ic.evalAdd(pts[w]))
 				}
 				lv.offer(e, limit)
 			}

@@ -290,14 +290,26 @@ func TestTopEnsemblesAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkTopEnsembles is one serve "beam" design on the shipped pool:
-// spread, K 1, the default beam.
+// BenchmarkTopEnsembles is one serve "beam" design on the shipped pool
+// (spread, K 1, the default beam) at sizes 4 and 8, and Figure 21's
+// coverage search (2·10⁴ samples, K 100, beam 500) at size 4.
 func BenchmarkTopEnsembles(b *testing.B) {
 	pool, idx := shippedPool(b)
-	for _, size := range []int{4, 8} {
-		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+	cov, err := NewCoverageEstimator(20_000, 0x5eed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		metric Metric
+		opt    TopKOptions
+	}{
+		{MetricSpread, TopKOptions{Size: 4, K: 1}},
+		{MetricSpread, TopKOptions{Size: 8, K: 1}},
+		{MetricCoverage, TopKOptions{Size: 4, K: 100, BeamWidth: 500, Cov: cov}},
+	} {
+		b.Run(fmt.Sprintf("%v/size=%d", c.metric, c.opt.Size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := TopEnsemblesCtx(context.Background(), MetricSpread, pool, idx, TopKOptions{Size: size, K: 1}); err != nil {
+				if _, err := TopEnsemblesCtx(context.Background(), c.metric, pool, idx, c.opt); err != nil {
 					b.Fatal(err)
 				}
 			}

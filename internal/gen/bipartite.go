@@ -19,11 +19,13 @@ type BipartiteConfig struct {
 	Alpha float64
 	// Seed selects the random stream.
 	Seed uint64
-	// RatingMean and RatingStddev parameterize the Gaussian rating
-	// distribution; zero values default to mean 3, stddev 1 (a 1-5 star
-	// scale).
-	RatingMean, RatingStddev float64
 }
+
+// The Gaussian rating distribution: mean 3, stddev 1 (a 1-5 star scale).
+const (
+	ratingMean   = 3.0
+	ratingStddev = 1.0
+)
 
 // Bipartite generates a user→item rating graph as a directed weighted
 // graph. Vertices [0, U) are users, [U, U+I) are items, with U = I derived
@@ -37,14 +39,7 @@ func Bipartite(cfg BipartiteConfig) (*graph.Graph, int, error) {
 	if err := checkAlpha(cfg.Alpha); err != nil {
 		return nil, 0, err
 	}
-	mean := cfg.RatingMean
-	if mean == 0 {
-		mean = 3
-	}
-	stddev := cfg.RatingStddev
-	if stddev == 0 {
-		stddev = 1
-	}
+	mean, stddev := ratingMean, ratingStddev
 	r := rng.New(cfg.Seed)
 
 	// Users and items each absorb one endpoint per edge, so size each side

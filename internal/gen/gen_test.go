@@ -143,21 +143,6 @@ func TestPowerLawErrors(t *testing.T) {
 	}
 }
 
-func TestPowerLawWeighted(t *testing.T) {
-	g, err := PowerLaw(PowerLawConfig{NumEdges: 1000, Alpha: 2.5, Seed: 9, Weighted: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.Weighted() {
-		t.Fatal("Weighted config produced unweighted graph")
-	}
-	for a := int64(0); a < g.NumArcs(); a++ {
-		if g.ArcWeight(a) <= 0 {
-			t.Fatalf("arc %d weight %v not positive", a, g.ArcWeight(a))
-		}
-	}
-}
-
 func TestPowerLawSorted(t *testing.T) {
 	g, err := PowerLaw(PowerLawConfig{NumEdges: 1000, Alpha: 2.5, Seed: 5, SortAdjacency: true})
 	if err != nil {
@@ -264,8 +249,8 @@ func TestMatrixErrors(t *testing.T) {
 	if _, err := Matrix(JacobiConfig{NumRows: 1}); err == nil {
 		t.Fatal("NumRows=1 accepted")
 	}
-	if _, err := Matrix(JacobiConfig{NumRows: 5, Degree: 5}); err == nil {
-		t.Fatal("Degree >= NumRows accepted")
+	if _, err := Matrix(JacobiConfig{NumRows: matrixDegree}); err == nil {
+		t.Fatal("row degree >= NumRows accepted")
 	}
 }
 

@@ -62,12 +62,6 @@ func TestGeneratorGolden(t *testing.T) {
 		{"PowerLaw/undirected-sorted", func() (*graph.Graph, error) {
 			return PowerLaw(PowerLawConfig{NumEdges: 20000, Alpha: 2.25, Seed: 7, SortAdjacency: true})
 		}, "0f919a9c5b0a1f7118cf1883bed7a3fb2c5b5b9ccbf5dcd15e234ea648356e33"},
-		{"PowerLaw/directed-weighted", func() (*graph.Graph, error) {
-			return PowerLaw(PowerLawConfig{NumEdges: 20000, Alpha: 2.75, Seed: 8, Directed: true, Weighted: true})
-		}, "be544e44b4f23114bb4549a4542c3442a1a28c9a11222893beee77ee96430a22"},
-		{"PowerLaw/undirected-weighted", func() (*graph.Graph, error) {
-			return PowerLaw(PowerLawConfig{NumEdges: 5000, Alpha: 2.0, Seed: 9, Weighted: true})
-		}, "89d73064086e9ff9c96cf1f26c5d3adbb67b463b2d8962ec6b5161bbc69ccb46"},
 		{"Bipartite", func() (*graph.Graph, error) {
 			g, _, err := Bipartite(BipartiteConfig{NumEdges: 20000, Alpha: 2.5, Seed: 10})
 			return g, err

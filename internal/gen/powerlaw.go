@@ -29,16 +29,12 @@ type PowerLawConfig struct {
 	Alpha float64
 	// Seed selects the random stream.
 	Seed uint64
-	// Directed selects arc semantics; Graph Analytics inputs are
-	// undirected per §3.2.
-	Directed bool
 	// SortAdjacency orders neighbor lists (triangle counting needs it).
 	SortAdjacency bool
-	// Weighted draws Gaussian edge weights |N(0,1)|+0.1 when set.
-	Weighted bool
 }
 
-// PowerLaw generates a scale-free graph with degree distribution
+// PowerLaw generates an undirected, unweighted scale-free graph (the
+// Graph Analytics input of §3.2) with degree distribution
 // P(k) ~ k^-alpha using the Chung-Lu expected-degree model: each vertex
 // draws an expected degree from the power law, and nedges endpoint pairs
 // are sampled proportionally to those weights through an alias table.
@@ -73,31 +69,13 @@ func PowerLaw(cfg PowerLawConfig) (*graph.Graph, error) {
 		return nil, err
 	}
 
-	b := graph.NewBuilder(n, cfg.Directed).Dedup()
+	b := graph.NewBuilder(n, false).Dedup()
 	if cfg.SortAdjacency {
 		b.SortAdjacency()
 	}
-	if cfg.Weighted {
-		b.Weighted()
-	}
 	b.Grow(int(cfg.NumEdges))
-	if cfg.Weighted {
-		// One edge at a time: an edge's weight is drawn between its
-		// endpoints and the next edge's only when it is no self-loop, so
-		// where every later endpoint sits in the stream hangs on that test
-		// and the endpoints cannot be drawn ahead.
-		for i := int64(0); i < cfg.NumEdges; i++ {
-			u := uint32(alias.Draw(r))
-			v := uint32(alias.Draw(r))
-			if u == v {
-				continue // dropped anyway; skip the work
-			}
-			b.AddWeightedEdge(u, v, math.Abs(r.NormFloat64())+0.1)
-		}
-		return b.Build()
-	}
-	// Unweighted, the stream is endpoints only, u then v per edge: draw
-	// them a batch at a time.
+	// The stream is endpoints only, u then v per edge: draw them a batch
+	// at a time.
 	var ends [256]int
 	for left := cfg.NumEdges; left > 0; {
 		m := min(left, int64(len(ends)/2))

@@ -23,12 +23,12 @@ type MatrixSystem struct {
 type JacobiConfig struct {
 	// NumRows is the matrix dimension (the paper's nrows).
 	NumRows int
-	// Degree is the uniform number of off-diagonal entries per row;
-	// zero defaults to 8.
-	Degree int
 	// Seed selects the random stream.
 	Seed uint64
 }
+
+// matrixDegree is the uniform number of off-diagonal entries per row.
+const matrixDegree = 8
 
 // Matrix generates a square, diagonally dominant sparse system with
 // uniform row degree — the Jacobi input ("a weighted graph with uniform
@@ -38,10 +38,7 @@ func Matrix(cfg JacobiConfig) (*MatrixSystem, error) {
 	if cfg.NumRows <= 1 {
 		return nil, fmt.Errorf("gen: NumRows must exceed 1, got %d", cfg.NumRows)
 	}
-	deg := cfg.Degree
-	if deg == 0 {
-		deg = 8
-	}
+	deg := matrixDegree
 	if deg >= cfg.NumRows {
 		return nil, fmt.Errorf("gen: Degree %d must be below NumRows %d", deg, cfg.NumRows)
 	}
@@ -82,13 +79,16 @@ type GridConfig struct {
 	// Rows is the side length of the square pixel matrix (the paper's
 	// nrows; the grid has Rows×Rows pixels).
 	Rows int
-	// States is the number of color states per pixel; zero defaults to 3.
-	States int
-	// Coupling is the Potts smoothing strength; zero defaults to 2.0.
-	Coupling float64
 	// Seed selects the random stream.
 	Seed uint64
 }
+
+// The grid's fixed settings: color states per pixel and the Potts
+// smoothing strength.
+const (
+	gridStates   = 3
+	gridCoupling = 2.0
+)
 
 // Grid generates a 4-connected pixel-grid MRF with Gaussian-noised priors
 // — the Loopy Belief Propagation input. The pairwise potential is a Potts
@@ -97,14 +97,7 @@ func Grid(cfg GridConfig) (*graph.MRF, error) {
 	if cfg.Rows < 2 {
 		return nil, fmt.Errorf("gen: Rows must be at least 2, got %d", cfg.Rows)
 	}
-	states := cfg.States
-	if states == 0 {
-		states = 3
-	}
-	coupling := cfg.Coupling
-	if coupling == 0 {
-		coupling = 2.0
-	}
+	states, coupling := gridStates, gridCoupling
 	r := rng.New(cfg.Seed)
 	side := cfg.Rows
 	n := side * side
@@ -169,11 +162,12 @@ func Grid(cfg GridConfig) (*graph.MRF, error) {
 type MRFConfig struct {
 	// NumEdges is the target pairwise-factor count.
 	NumEdges int64
-	// States is the variable cardinality; zero defaults to 2 (Ising-like).
-	States int
 	// Seed selects the random stream.
 	Seed uint64
 }
+
+// mrfStates is the variable cardinality (Ising-like).
+const mrfStates = 2
 
 // MRF generates a random pairwise Markov Random Field whose structure is a
 // sparse power-law graph and whose potentials mix attractive and repulsive
@@ -182,10 +176,7 @@ func MRF(cfg MRFConfig) (*graph.MRF, error) {
 	if cfg.NumEdges <= 0 {
 		return nil, fmt.Errorf("gen: NumEdges must be positive, got %d", cfg.NumEdges)
 	}
-	states := cfg.States
-	if states == 0 {
-		states = 2
-	}
+	states := mrfStates
 	g, err := PowerLaw(PowerLawConfig{
 		NumEdges: cfg.NumEdges,
 		Alpha:    2.5,

@@ -27,13 +27,12 @@ import (
 	"gcbench/internal/trace"
 )
 
+// partitions is the number of contiguous vertex partitions (fewer on a
+// graph with fewer vertices).
+const partitions = 8
+
 // Options configures a run.
 type Options struct {
-	// Partitions is the number of contiguous vertex partitions
-	// (0 means 8).
-	Partitions int
-	// MaxSupersteps caps the run (0 means trace.DefaultMaxSteps).
-	MaxSupersteps int
 	// Context, when non-nil, cancels the run cooperatively at the next
 	// superstep barrier; Run returns an error wrapping ctx.Err().
 	Context context.Context
@@ -45,15 +44,9 @@ type Options struct {
 // = propagations evaluated, Messages = boundary propagations that crossed
 // partitions.
 func Run[S any](g *graph.Graph, k algorithms.Kernel[S], opt Options) (*trace.Result[S], error) {
-	loop := trace.Barrier{Model: "graphcentric", Step: "superstep", MaxSteps: opt.MaxSupersteps, Context: opt.Context}
+	loop := trace.Barrier{Model: "graphcentric", Step: "superstep", Context: opt.Context}
 	return trace.RunBarrier(loop, g, func(n int) ([]S, int64, func(int) trace.Superstep) {
-		parts := opt.Partitions
-		if parts <= 0 {
-			parts = 8
-		}
-		if parts > n {
-			parts = n
-		}
+		parts := min(partitions, n)
 		// Vertex v belongs to partition v*parts/n, so partition p owns the
 		// contiguous range [bound(p), bound(p+1)).
 		bound := func(p int) uint32 { return uint32((p*n + parts - 1) / parts) }

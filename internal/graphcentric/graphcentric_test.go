@@ -19,7 +19,7 @@ func testGraph(t *testing.T, edges int64, alpha float64, seed uint64) *graph.Gra
 
 func TestCCMatchesGAS(t *testing.T) {
 	g := testGraph(t, 3000, 2.3, 5)
-	res, err := Run[uint32](g, algorithms.MinLabel{}, Options{Partitions: 8})
+	res, err := Run[uint32](g, algorithms.MinLabel{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestCCMatchesGAS(t *testing.T) {
 
 func TestSSSPMatchesGAS(t *testing.T) {
 	g := testGraph(t, 3000, 2.5, 7)
-	res, err := Run[float64](g, algorithms.Relax{Source: 0}, Options{Partitions: 4})
+	res, err := Run[float64](g, algorithms.Relax{Source: 0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestFewerSupersteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run[uint32](g, algorithms.MinLabel{}, Options{Partitions: 4})
+	res, err := Run[uint32](g, algorithms.MinLabel{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,45 +82,66 @@ func TestFewerSupersteps(t *testing.T) {
 	if gc >= gas/4 {
 		t.Fatalf("graph-centric used %d supersteps vs %d GAS iterations; expected ≥4x fewer", gc, gas)
 	}
-	// With 4 partitions on a path, labels cross 3 boundaries: ≤5 steps.
-	if gc > 5 {
-		t.Fatalf("supersteps = %d, want ≤5 with 4 partitions", gc)
+	// With 8 partitions on a path, labels cross 7 boundaries: ≤9 steps.
+	if gc > partitions+1 {
+		t.Fatalf("supersteps = %d, want ≤%d with %d partitions", gc, partitions+1, partitions)
 	}
 }
 
 func TestBoundaryMessagesOnlyAcrossPartitions(t *testing.T) {
-	// Single partition: everything is internal, so zero messages and one
-	// superstep (plus none after quiescence).
-	g := testGraph(t, 1000, 2.5, 9)
-	res, err := Run[uint32](g, algorithms.MinLabel{}, Options{Partitions: 1})
+	// 2·partitions vertices make partitions of two, {2p, 2p+1}. Edges
+	// inside the pairs are all internal: zero messages and one superstep
+	// (plus none after quiescence).
+	n := 2 * partitions
+	b := graph.NewBuilder(n, false)
+	for v := uint32(0); int(v) < n; v += 2 {
+		b.AddEdge(v, v+1)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run[uint32](g, algorithms.MinLabel{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Trace.NumIterations() != 1 {
-		t.Fatalf("single partition took %d supersteps, want 1", res.Trace.NumIterations())
+		t.Fatalf("internal edges took %d supersteps, want 1", res.Trace.NumIterations())
 	}
 	if res.Trace.Iterations[0].Messages != 0 {
-		t.Fatalf("single partition produced %d boundary messages", res.Trace.Iterations[0].Messages)
+		t.Fatalf("internal edges produced %d boundary messages", res.Trace.Iterations[0].Messages)
 	}
 }
 
-func TestPartitionCountInsensitivity(t *testing.T) {
-	// Results must be identical for any partitioning (monotone programs).
-	g := testGraph(t, 2000, 2.2, 11)
-	var base []uint32
-	for _, parts := range []int{1, 2, 7, 32} {
-		res, err := Run[uint32](g, algorithms.MinLabel{}, Options{Partitions: parts})
+// TestPartitionClampMatchesGAS runs graphs with fewer vertices than
+// partitions, where every vertex is a partition of its own, and graphs
+// just past the count: labels match GAS (monotone programs give the same
+// result under any partitioning).
+func TestPartitionClampMatchesGAS(t *testing.T) {
+	for n := 1; n <= partitions+2; n++ {
+		b := graph.NewBuilder(n, false)
+		for i := 0; i+2 < n; i += 2 {
+			b.AddEdge(uint32(i+2), uint32(i)) // components {0, 2, 4, …} and the odd singletons
+		}
+		g, err := b.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if base == nil {
-			base = res.States
-			continue
+		res, err := Run[uint32](g, algorithms.MinLabel{}, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for v := range base {
-			if res.States[v] != base[v] {
-				t.Fatalf("partitions=%d: vertex %d label differs", parts, v)
+		_, gasLabels, err := algorithms.ConnectedComponents(g, algorithms.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range gasLabels {
+			if res.States[v] != gasLabels[v] {
+				t.Fatalf("n=%d: vertex %d: graph-centric %d, GAS %d", n, v, res.States[v], gasLabels[v])
 			}
+		}
+		if n >= 3 && n <= partitions && res.Trace.Iterations[0].Messages == 0 {
+			t.Fatalf("n=%d: one vertex per partition, yet no boundary message", n)
 		}
 	}
 }

@@ -53,7 +53,7 @@ func propagate[S any](kernel func(*graph.Graph) algorithms.Kernel[S], summary fu
 		case XStream:
 			res, err = xstream.Run(g, xstream.FromKernel(k), xstreamOptions(opt))
 		case GraphCentric:
-			res, err = graphcentric.Run(g, k, graphcentric.Options{MaxSupersteps: opt.MaxIterations, Context: opt.Context})
+			res, err = graphcentric.Run(g, k, graphcentric.Options{Context: opt.Context})
 		}
 		if err != nil {
 			return nil, err
@@ -63,26 +63,22 @@ func propagate[S any](kernel func(*graph.Graph) algorithms.Kernel[S], summary fu
 }
 
 func pregelOptions(opt Options) pregel.Options {
-	return pregel.Options{MaxSupersteps: opt.MaxIterations, Workers: opt.Workers, Context: opt.Context}
+	return pregel.Options{Workers: opt.Workers, Context: opt.Context}
 }
 
 func xstreamOptions(opt Options) xstream.Options {
-	return xstream.Options{MaxIterations: opt.MaxIterations, Context: opt.Context}
+	return xstream.Options{Context: opt.Context}
 }
 
 // pregelPRSupersteps is the fixed superstep budget of the Pregel paper's
-// PageRank formulation when the caller sets no cap. At damping 0.85 the
-// rank error after 60 supersteps is below 1e-4 relative, comfortably
-// inside the GAS default tolerance.
+// PageRank formulation. At damping 0.85 the rank error after 60
+// supersteps is below 1e-4 relative, comfortably inside the GAS default
+// tolerance.
 const pregelPRSupersteps = 60
 
 func pregelPageRank(_ Name, w Workload, opt Options) (*Result, error) {
 	g := w.Graph
-	steps := opt.MaxIterations
-	if steps <= 0 {
-		steps = pregelPRSupersteps
-	}
-	p := pregel.PRProgram{Damping: 0.85, Supersteps: steps}
+	p := pregel.PRProgram{Damping: 0.85, Supersteps: pregelPRSupersteps}
 	res, err := pregel.Run[float64, float64](g, p, pregelOptions(opt))
 	if err != nil {
 		return nil, err

@@ -28,37 +28,35 @@ var gasRunners = map[algorithms.Name]runner{
 	},
 	algorithms.KM: func(_ Name, w Workload, o Options) (*Result, error) {
 		km := algorithms.KMeansOptions{Options: o.gas(), Seed: o.Seed}
-		if km.MaxIterations == 0 {
-			km.MaxIterations = 1000
-		}
+		km.MaxIterations = 1000
 		return gasResult(algorithms.KMeans(w.Graph, km))
 	},
 	algorithms.ALS: func(_ Name, w Workload, o Options) (*Result, error) {
-		return gasResult(algorithms.AlternatingLeastSquares(w.Ratings, w.Users, algorithms.ALSOptions{Options: o.gas()}))
+		return gasResult(algorithms.AlternatingLeastSquares(w.Ratings, w.Users, o.gas()))
 	},
 	algorithms.NMF: func(_ Name, w Workload, o Options) (*Result, error) {
-		return gasResult(algorithms.NonnegativeMatrixFactorization(w.Ratings, w.Users, algorithms.NMFOptions{Options: o.gas()}))
+		return gasResult(algorithms.NonnegativeMatrixFactorization(w.Ratings, w.Users, o.gas()))
 	},
 	algorithms.SGD: func(_ Name, w Workload, o Options) (*Result, error) {
-		return gasResult(algorithms.StochasticGradientDescent(w.Ratings, w.Users, algorithms.SGDOptions{Options: o.gas()}))
+		return gasResult(algorithms.StochasticGradientDescent(w.Ratings, w.Users, o.gas()))
 	},
 	algorithms.SVD: func(_ Name, w Workload, o Options) (*Result, error) {
-		return gasResult(algorithms.SingularValueDecomposition(w.Ratings, w.Users, algorithms.SVDOptions{Options: o.gas()}))
+		return gasResult(algorithms.SingularValueDecomposition(w.Ratings, w.Users, o.gas()))
 	},
 	algorithms.Jacobi: func(_ Name, w Workload, o Options) (*Result, error) {
-		return gasResult(algorithms.JacobiSolve(w.System, algorithms.JacobiOptions{Options: o.gas()}))
+		return gasResult(algorithms.JacobiSolve(w.System, o.gas()))
 	},
 	algorithms.LBP: func(_ Name, w Workload, o Options) (*Result, error) {
-		return gasResult(algorithms.LoopyBeliefPropagation(w.MRF, algorithms.LBPOptions{Options: o.gas()}))
+		return gasResult(algorithms.LoopyBeliefPropagation(w.MRF, o.gas()))
 	},
 	algorithms.DD: func(_ Name, w Workload, o Options) (*Result, error) {
-		return gasResult(algorithms.DualDecomposition(w.MRF, algorithms.DDOptions{Options: o.gas()}))
+		return gasResult(algorithms.DualDecomposition(w.MRF, o.gas()))
 	},
 }
 
 // gas maps the run options onto the vertex-program engine's.
 func (o Options) gas() algorithms.Options {
-	return algorithms.Options{Workers: o.Workers, MaxIterations: o.MaxIterations, Context: o.Context, Frontier: o.Frontier}
+	return algorithms.Options{Workers: o.Workers, Context: o.Context, Frontier: o.Frontier}
 }
 
 // gasResult keeps a vertex program's trace and summary and drops its

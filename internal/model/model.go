@@ -85,8 +85,6 @@ func Tag(n Name) string {
 type Options struct {
 	// Workers is the engine parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// MaxIterations caps the run; 0 means the engine default.
-	MaxIterations int
 	// Context, when non-nil, cancels the computation cooperatively at
 	// the next iteration/superstep barrier.
 	Context context.Context

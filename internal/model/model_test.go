@@ -327,18 +327,17 @@ func TestUnsupportedAlgorithm(t *testing.T) {
 	}
 }
 
-// TestConvergedInLastPermittedStep: a run that quiesces in the very
-// superstep its cap allows has converged. Pregel PageRank spends
-// MaxIterations as both its superstep budget and the engine cap, so every
-// vertex halts with nothing in flight exactly at the cap.
-func TestConvergedInLastPermittedStep(t *testing.T) {
+// TestPregelPageRankSupersteps: Pregel PageRank runs its fixed superstep
+// budget, and every vertex halts with nothing in flight after the last,
+// so the run has converged.
+func TestPregelPageRankSupersteps(t *testing.T) {
 	m, _ := ForName(Pregel)
-	res, err := m.Run(context.Background(), Workload{Graph: testGraph(t)}, algorithms.PR, Options{MaxIterations: 5})
+	res, err := m.Run(context.Background(), Workload{Graph: testGraph(t)}, algorithms.PR, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := res.Trace.NumIterations(); n != 5 || !res.Trace.Converged {
-		t.Fatalf("%d supersteps, converged=%t; want 5, true", n, res.Trace.Converged)
+	if n := res.Trace.NumIterations(); n != pregelPRSupersteps || !res.Trace.Converged {
+		t.Fatalf("%d supersteps, converged=%t; want %d, true", n, res.Trace.Converged, pregelPRSupersteps)
 	}
 }
 

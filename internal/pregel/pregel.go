@@ -77,8 +77,6 @@ type Program[S, M any] interface {
 
 // Options configures a run.
 type Options struct {
-	// MaxSupersteps caps the run (0 means trace.DefaultMaxSteps).
-	MaxSupersteps int
 	// Workers is the compute parallelism (0 means GOMAXPROCS).
 	Workers int
 	// Context, when non-nil, cancels the run cooperatively at the next
@@ -89,7 +87,7 @@ type Options struct {
 // Run executes the program until every vertex has halted with no messages
 // in flight.
 func Run[S, M any](g *graph.Graph, p Program[S, M], opt Options) (*trace.Result[S], error) {
-	loop := trace.Barrier{Model: "pregel", Step: "superstep", MaxSteps: opt.MaxSupersteps, Context: opt.Context}
+	loop := trace.Barrier{Model: "pregel", Step: "superstep", Context: opt.Context}
 	return trace.RunBarrier(loop, g, func(n int) ([]S, int64, func(int) trace.Superstep) {
 		workers := opt.Workers
 		if workers <= 0 {

@@ -60,8 +60,7 @@ func TestSSSPMatchesGAS(t *testing.T) {
 func TestPageRankMatchesPowerIteration(t *testing.T) {
 	g := testGraph(t, 2000, 2.5, 7)
 	const steps = 60
-	res, err := Run[float64, float64](g, PRProgram{Damping: 0.85, Supersteps: steps},
-		Options{MaxSupersteps: steps + 2})
+	res, err := Run[float64, float64](g, PRProgram{Damping: 0.85, Supersteps: steps}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,12 +194,12 @@ func (s Spec) cacheKey() string {
 	return fmt.Sprintf("%s/%d/%.2f/%d", s.Algorithm.Family(), s.NumEdges, s.Alpha, s.Seed)
 }
 
-// RunSpecTrace executes one spec under the given frontier schedule and
-// returns the behavior run together with the full engine trace —
-// per-iteration counters plus the phase spans and modes the Chrome trace
-// export renders.
-func RunSpecTrace(ctx context.Context, spec Spec, workers int, frontier algorithms.FrontierMode) (*behavior.Run, *trace.RunTrace, error) {
-	return runSpecTrace(ctx, spec, workers, frontier, nil)
+// RunSpecTrace executes one spec on GOMAXPROCS workers under the given
+// frontier schedule and returns the behavior run together with the full
+// engine trace — per-iteration counters plus the phase spans and modes
+// the Chrome trace export renders.
+func RunSpecTrace(ctx context.Context, spec Spec, frontier algorithms.FrontierMode) (*behavior.Run, *trace.RunTrace, error) {
+	return runSpecTrace(ctx, spec, 0, frontier, nil)
 }
 
 // runSpecTrace executes one spec through its execution model: the

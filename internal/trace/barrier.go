@@ -8,10 +8,10 @@ import (
 	"gcbench/internal/graph"
 )
 
-// DefaultMaxSteps caps a run, under any of the four engines, whose caller
-// sets no cap and whose convergence criterion never fires — a safety net
-// (the paper's own caps, 20 iterations for NMF and SGD, sit at the
-// algorithm level).
+// DefaultMaxSteps caps a run whose convergence criterion never fires — a
+// safety net: the Pregel, X-Stream and graph-centric loops always stop
+// here, and the GAS engine does when its caller sets no cap (the paper's
+// own caps, 20 iterations for NMF and SGD, sit at the algorithm level).
 const DefaultMaxSteps = 100000
 
 // Superstep is what one barrier step of a message-passing, streaming or
@@ -31,8 +31,6 @@ type Barrier struct {
 	Model string
 	// Step names one step in the cancellation error ("superstep").
 	Step string
-	// MaxSteps caps the run; 0 means DefaultMaxSteps.
-	MaxSteps int
 	// Context, when non-nil, cancels the run at the next barrier; the run
 	// returns an error wrapping Context.Err().
 	Context context.Context
@@ -47,21 +45,17 @@ type Result[S any] struct {
 // RunBarrier validates g, calls setup once with the vertex count to
 // allocate the engine's state — it returns the state slice the steps
 // update in place, the initially active count and the step body — and
-// then runs steps until nothing is active, the cap is reached or the
-// context is cancelled. Converged reports whether nothing was active when
-// the loop stopped, so a run that quiesces in its last permitted step has
-// converged.
+// then runs steps until nothing is active, DefaultMaxSteps is reached or
+// the context is cancelled. Converged reports whether nothing was active
+// when the loop stopped, so a run that quiesces in its last permitted
+// step has converged.
 func RunBarrier[S any](b Barrier, g *graph.Graph, setup func(n int) (states []S, active int64, step func(i int) Superstep)) (*Result[S], error) {
 	if g == nil || g.NumVertices() == 0 {
 		return nil, fmt.Errorf("%s: nil or empty graph", b.Model)
 	}
-	maxSteps := b.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = DefaultMaxSteps
-	}
 	tr := &RunTrace{NumVertices: g.NumVertices(), NumEdges: g.NumEdges()}
 	states, active, step := setup(tr.NumVertices)
-	for i := 0; i < maxSteps && active > 0; i++ {
+	for i := 0; i < DefaultMaxSteps && active > 0; i++ {
 		if b.Context != nil {
 			if err := b.Context.Err(); err != nil {
 				return nil, fmt.Errorf("%s: run stopped at %s %d: %w", b.Model, b.Step, i, err)

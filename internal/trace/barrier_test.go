@@ -36,15 +36,15 @@ func TestBarrierConvergence(t *testing.T) {
 	g := pathGraph(t, 4)
 	for _, c := range []struct {
 		name      string
-		cap       int
+		from      int64
 		steps     int
 		converged bool
 	}{
-		{"quiesces under the default cap", 0, 3, true},
-		{"quiesces in the last permitted step", 3, 3, true},
-		{"stopped by the cap", 2, 2, false},
+		{"quiesces under the cap", 3, 3, true},
+		{"quiesces in the last permitted step", DefaultMaxSteps, DefaultMaxSteps, true},
+		{"stopped by the cap", DefaultMaxSteps + 1, DefaultMaxSteps, false},
 	} {
-		res, err := RunBarrier(Barrier{Model: "m", Step: "superstep", MaxSteps: c.cap}, g, countdown(3))
+		res, err := RunBarrier(Barrier{Model: "m", Step: "superstep"}, g, countdown(c.from))
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -53,7 +53,7 @@ func TestBarrierConvergence(t *testing.T) {
 			t.Errorf("%s: %d steps, converged=%t; want %d, %t", c.name, tr.NumIterations(), tr.Converged, c.steps, c.converged)
 		}
 		for i, it := range tr.Iterations {
-			if it.Iteration != i || it.Active != int64(3-i) || it.Updates != 1 {
+			if it.Iteration != i || it.Active != c.from-int64(i) || it.Updates != 1 {
 				t.Errorf("%s: step %d recorded as %+v", c.name, i, it)
 			}
 		}

@@ -50,8 +50,6 @@ type Program[S, U any] interface {
 
 // Options configures a run.
 type Options struct {
-	// MaxIterations caps the run; 0 means trace.DefaultMaxSteps.
-	MaxIterations int
 	// Context, when non-nil, cancels the run cooperatively at the next
 	// iteration barrier; Run returns an error wrapping ctx.Err().
 	Context context.Context
@@ -59,7 +57,7 @@ type Options struct {
 
 // Run executes the program to quiescence.
 func Run[S, U any](g *graph.Graph, p Program[S, U], opt Options) (*trace.Result[S], error) {
-	loop := trace.Barrier{Model: "xstream", Step: "iteration", MaxSteps: opt.MaxIterations, Context: opt.Context}
+	loop := trace.Barrier{Model: "xstream", Step: "iteration", Context: opt.Context}
 	return trace.RunBarrier(loop, g, func(n int) ([]S, int64, func(int) trace.Superstep) {
 		out := g.OutCSR()
 		state := make([]S, n)

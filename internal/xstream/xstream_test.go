@@ -7,6 +7,7 @@ import (
 	"gcbench/internal/algorithms"
 	"gcbench/internal/gen"
 	"gcbench/internal/graph"
+	"gcbench/internal/trace"
 )
 
 func testGraph(t *testing.T, edges int64, alpha float64, seed uint64) *graph.Graph {
@@ -61,7 +62,7 @@ func TestSSSPMatchesGASExactly(t *testing.T) {
 func TestPRMatchesGASWithinTolerance(t *testing.T) {
 	g := testGraph(t, 2000, 2.3, 9)
 	p := PRProgram{Damping: 0.85, Tolerance: 1e-10}
-	res, err := Run[PRState, float64](g, p, Options{MaxIterations: 2000})
+	res, err := Run[PRState, float64](g, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,16 +159,50 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// flipProgram never quiesces: every active source sends along each arc,
+// and every target that hears one flips its state, so it is active again.
+type flipProgram struct{}
+
+func (flipProgram) Init(*graph.Graph, uint32) (bool, bool) { return false, true }
+
+func (flipProgram) Scatter(vs []uint32, out *graph.CSR, _ []bool, _ []struct{}, has []bool) int64 {
+	var n int64
+	for _, v := range vs {
+		for _, t := range out.Adj[out.Off[v]:out.Off[v+1]] {
+			has[t] = true
+			n++
+		}
+	}
+	return n
+}
+
+func (flipProgram) Apply(vs []uint32, state []bool, _ []struct{}, next []bool) int64 {
+	for _, v := range vs {
+		state[v] = !state[v]
+		next[v] = true
+	}
+	return int64(len(vs))
+}
+
+// TestMaxIterationsCap: a program whose activity never dies out stops at
+// trace.DefaultMaxSteps, unconverged, with every iteration traced.
 func TestMaxIterationsCap(t *testing.T) {
-	g := testGraph(t, 500, 2.5, 13)
-	p := PRProgram{Damping: 0.85, Tolerance: 0} // never converges
-	res, err := Run[PRState, float64](g, p, Options{MaxIterations: 4})
+	b := graph.NewBuilder(2, false)
+	b.AddEdge(0, 1)
+	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace.Converged || res.Trace.NumIterations() != 4 {
-		t.Fatalf("cap not honored: %d iterations, converged=%t",
-			res.Trace.NumIterations(), res.Trace.Converged)
+	res, err := Run[bool, struct{}](g, flipProgram{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Trace.Converged || res.Trace.NumIterations() != trace.DefaultMaxSteps {
+		t.Fatalf("cap not honored: %d iterations, converged=%t; want %d, false",
+			res.Trace.NumIterations(), res.Trace.Converged, trace.DefaultMaxSteps)
+	}
+	if last := res.Trace.Iterations[trace.DefaultMaxSteps-1]; last.Active != 2 || last.Messages != 2 || last.Updates != 2 {
+		t.Fatalf("last iteration recorded as %+v, want 2 active, 2 messages, 2 updates", last)
 	}
 }
 
